@@ -4,8 +4,7 @@ Every wide operator that hash-partitions (cogroup_join, LSH bucket
 shuffles, the distributed graph iterations) needs a partition count.
 A fixed default (8) caps parallelism on a big cluster and lets a single
 partition hold 1/8 of the shuffled table; scaling with the session's
-CPU width keeps per-task state bounded as the cluster grows — the same
-rule `_match_concurrency` applies to actor pools (pipelines/kg.py:39).
+CPU width keeps per-task state bounded as the cluster grows.
 """
 
 from __future__ import annotations

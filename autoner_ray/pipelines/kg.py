@@ -1,7 +1,8 @@
 """Flagship KG-construction pipeline (north rule end-to-end).
 
     read pages -> extract_text -> tokenize (sentence rows)
-      -> DictMatcher task pool w/ per-worker trie cache (trie + segmentDP)
+      -> DictMatcher task pool w/ per-worker matcher cache (batch trie walk
+         + segmentDP kernel)
       -> pair partial counts -> groupby edge aggregate
       -> [optional] sorted adjacency graph shards
 
@@ -34,31 +35,6 @@ from autoner_ray.stages.triples import (
 )
 
 DEFAULT_BATCH_SIZE = 2048
-
-
-def _match_concurrency(reserve: int = 1):
-    """Fixed actor-pool size: cluster CPUs minus ``reserve``.
-
-    Kept for callers that still need a FIXED ACTOR pool (state too big
-    for one-copy-per-worker, e.g. a multi-GB KB trie at narrow width).
-    The default match stages now run as TASK pools with per-worker state
-    caches (``dict_match_fn`` / ``cached_stage_fn``) — no per-run pool
-    spawn, no fixed-pool CPU-budget deadlock: if the fixed pools of a
-    topology together claim every CPU, a downstream pool can never
-    start, backpressure pins the upstream operator open, and the
-    pipeline deadlocks; that budgeting discipline only applies when you
-    opt back into fixed actor pools. Scales with whatever session the
-    driver opened — same code on 8 CPUs or a 256-node cluster.
-    """
-    try:
-        import ray
-
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            return max(2, cpus - reserve)
-    except Exception:
-        pass
-    return 4
 
 
 def _default_parallelism(repeat: int):

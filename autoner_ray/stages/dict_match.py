@@ -1,18 +1,26 @@
 """Dictionary-matching stage (T1 trie + T2 segmentDP).
 
-Two execution shapes over the same :class:`DictMatcher` kernel:
-- ``dict_match_fn(...)`` (DEFAULT): a TASK-pool function whose trie is
-  built once per WORKER PROCESS and cached for the whole session —
+Two execution shapes over the same :class:`DictMatcher`:
+- ``dict_match_fn(...)`` (DEFAULT): a TASK-pool function whose matcher
+  is built once per WORKER PROCESS and cached for the whole session —
   repeated pipelines over the same dictionaries pay zero per-run pool
   spawn or trie rebuild. Memory ≈ one trie per worker ≈ CPU-count
   copies per node.
 - ``map_batches(DictMatcher, concurrency=N, ...)``: the classic FIXED
   actor pool — use when the dictionary is too large for a per-worker
   copy and must be bounded to N actors.
-The trie is built ONCE per actor/worker from broadcast dictionary
-lines (plain lists or ``ray.put`` handles — both accepted), then every
-``__call__`` segments each sentence row independently. Embarrassingly
-parallel; no shuffle (SURVEY.md §2.3 T1/T2).
+The matcher builds the trie from broadcast dictionary lines (plain
+lists or ``ray.put`` handles — both accepted) and compiles it into
+arrays once. Every ``__call__`` then segments the whole batch in one
+vectorized kernel (:func:`autoner_ray.state.trie.segment_batch`) and
+derives its output from the kernel's flat segment arrays; no per-row
+Python runs. Embarrassingly parallel; no shuffle (SURVEY.md §2.3 T1/T2).
+
+The per-sentence methods (:meth:`DictMatcher.segments`,
+:meth:`~DictMatcher.mentions_of`, :meth:`~DictMatcher.typed_pairs_of`)
+run the reference :func:`~autoner_ray.state.trie.segment_dp`. Tests
+compare every batch output against them, and the tagger stages and
+``synth.py`` use them per sentence.
 
 Outputs (constructor ``output=``):
 - ``"sentences"``: input row + ``entities: list<string>`` (sorted distinct
@@ -25,7 +33,7 @@ Outputs (constructor ``output=``):
   url, doc_id, sent_id, boundary list<int8>, types list<string>, ck string
 - ``"pairs"``: pre-aggregated co-occurrence edge partials
   (subj, pred, obj, w) — the sentence->pair combiner fused into the
-  actor so each batch of ~2k sentences leaves the pool as ~10^2 tiny
+  matcher so each batch of ~2k sentences leaves the pool as ~10^2 tiny
   partial rows instead of 2k sentence rows (object-store traffic drops
   ~100x and no separate task stage competes with the pool for CPUs).
 - ``"pairs_ev"``: same + an associative min "url#sent_id" evidence
@@ -33,15 +41,41 @@ Outputs (constructor ``output=``):
 - ``"typed_pairs"``: pattern-rule predicates — gap tokens between a
   positional mention pair become the predicate (see
   :meth:`DictMatcher.typed_pairs_of`).
+
+Row order of the edge outputs is unspecified; downstream aggregates.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from autoner_ray.functions.ck import get_boundary, get_types, to_ck
-from autoner_ray.functions.text import normalize_surface
-from autoner_ray.state.trie import FILTERED_TYPE, build_trie, segment_dp
+from autoner_ray.functions.text import (
+    is_separator_char,
+    is_separator_token,
+    normalize_surface,
+)
+from autoner_ray.stages.triples import PRED_COOCCUR
+from autoner_ray.state.trie import (
+    ENTITY,
+    FILTERED,
+    FILTERED_TYPE,
+    NO_MATCH,
+    build_trie,
+    compile_trie,
+    list_offsets,
+    segment_batch,
+    segment_dp,
+)
+
+# single-char separator tokens (``is_separator_token``), the subset
+# ``get_boundary``/``get_types`` skip (all but "\n"), and the ``to_ck``
+# sentence breaks
+_SEPS = [c for c in map(chr, range(128)) if is_separator_char(c)]
+_SEP_TOKENS = pa.array(_SEPS, pa.string())
+_SEP_TOKENS_NO_NL = pa.array([c for c in _SEPS if c != "\n"], pa.string())
+_CK_BREAKS = pa.array(["\n", "-DOCSTART-"], pa.string())
 
 
 def _maybe_get(obj):
@@ -70,6 +104,7 @@ class DictMatcher:
             list(_maybe_get(full_lines)),
             list(_maybe_get(stopword_lines)),
         )
+        self.compiled = compile_trie(self.trie)
         self.weight = weight
         assert output in (
             "sentences", "mentions", "annotations", "pairs", "typed_pairs",
@@ -77,7 +112,7 @@ class DictMatcher:
         )
         self.output = output
 
-    # -- kernels -----------------------------------------------------------
+    # -- per-sentence reference ----------------------------------------------
     def segments(self, tokens: list[str]):
         return segment_dp(self.trie, tokens, self.weight)
 
@@ -100,8 +135,6 @@ class DictMatcher:
         plain word tokens (no separators, no other mention between);
         otherwise the pair falls back to the undirected co-occurrence
         edge. Deterministic function of the token stream."""
-        from autoner_ray.functions.text import is_separator_token
-
         ms = self.mentions_of(tokens)
         out = []
         for i, (l1, r1, _s1, _t1, c1) in enumerate(ms):
@@ -116,141 +149,269 @@ class DictMatcher:
                     out.append((c1, "_".join(gap), c2))
                 else:
                     a, b = sorted((c1, c2))
-                    out.append((a, "cooccurs_with", b))
+                    out.append((a, PRED_COOCCUR, b))
         return out
 
     # -- batch entry -------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
-        tokens_col = batch["tokens"].to_pylist()
-        if self.output == "pairs_ev":
-            # co-occurrence partials carrying PROVENANCE: per edge the
-            # lexicographically-min "url#sent_id" evidence pointer. min()
-            # is associative, so evidence merges exactly like the count.
-            from collections import Counter
-            from itertools import combinations
+        tokens = batch["tokens"].combine_chunks()
+        segs = segment_batch(self.compiled, tokens, self.weight)
+        return getattr(self, "_out_" + self.output)(batch, tokens, *segs)
 
-            from autoner_ray.stages.triples import PRED_COOCCUR
+    def _mentions(self, sent, left, right, node):
+        """The typed (entity) segments of a tiling."""
+        m = self._seg_cls(node) == ENTITY
+        return sent[m], left[m], right[m], node[m]
 
-            counter: Counter[tuple[str, str]] = Counter()
-            ev: dict[tuple[str, str], str] = {}
-            urls = batch["url"].to_pylist()
-            sids = batch["sent_id"].to_pylist()
-            for url, sid, toks in zip(urls, sids, tokens_col):
-                pointer = f"{url}#{sid}"
-                ents = sorted({m[4] for m in self.mentions_of(toks)})
-                for pair in combinations(ents, 2):
-                    counter[pair] += 1
-                    if pair not in ev or pointer < ev[pair]:
-                        ev[pair] = pointer
-            keys = list(counter.keys())
-            return pa.table(
-                {
-                    "subj": pa.array([k[0] for k in keys], pa.string()),
-                    "pred": pa.array([PRED_COOCCUR] * len(keys), pa.string()),
-                    "obj": pa.array([k[1] for k in keys], pa.string()),
-                    "w": pa.array([counter[k] for k in keys], pa.int64()),
-                    "ev": pa.array([ev[k] for k in keys], pa.string()),
-                }
-            )
-        if self.output == "typed_pairs":
-            from collections import Counter
+    def _seg_cls(self, node):
+        """Score class of each segment (a skip segment is NO_MATCH)."""
+        cls = self.compiled.cls[np.maximum(node, 0)]
+        return np.where(node >= 0, cls, NO_MATCH)
 
-            counter: Counter[tuple[str, str, str]] = Counter()
-            for toks in tokens_col:
-                counter.update(self.typed_pairs_of(toks))
-            keys = list(counter.keys())
-            return pa.table(
-                {
-                    "subj": pa.array([k[0] for k in keys], pa.string()),
-                    "pred": pa.array([k[1] for k in keys], pa.string()),
-                    "obj": pa.array([k[2] for k in keys], pa.string()),
-                    "w": pa.array(list(counter.values()), pa.int64()),
-                }
-            )
-        if self.output == "pairs":
-            from collections import Counter
-            from itertools import combinations
+    def _entities(self, sent, node):
+        """Distinct canonical entities per sentence: (sentence, canon
+        rank) pairs sorted by both — the sorted sets of the reference."""
+        n_canon = len(self.compiled.canons)
+        key = np.unique(sent * n_canon + self.compiled.canon_rank[node])
+        return key // n_canon, key % n_canon
 
-            counter: Counter[tuple[str, str]] = Counter()
-            for toks in tokens_col:
-                ents = sorted({m[4] for m in self.mentions_of(toks)})
-                for a, b in combinations(ents, 2):
-                    counter[(a, b)] += 1
-            from autoner_ray.stages.triples import PRED_COOCCUR
-
-            subjs = [a for a, _ in counter]
-            objs = [b for _, b in counter]
-            return pa.table(
-                {
-                    "subj": pa.array(subjs, pa.string()),
-                    "pred": pa.array([PRED_COOCCUR] * len(subjs), pa.string()),
-                    "obj": pa.array(objs, pa.string()),
-                    "w": pa.array(list(counter.values()), pa.int64()),
-                }
-            )
-        if self.output == "sentences":
-            ents, cnts = [], []
-            for toks in tokens_col:
-                ms = self.mentions_of(toks)
-                ents.append(sorted({m[4] for m in ms}))
-                cnts.append(len(ms))
-            return pa.table(
-                {
-                    "url": batch["url"],
-                    "doc_id": batch["doc_id"],
-                    "sent_id": batch["sent_id"],
-                    "entities": pa.array(ents, type=pa.list_(pa.string())),
-                    "mention_cnt": pa.array(cnts, type=pa.int32()),
-                }
-            )
-        if self.output == "mentions":
-            cols = {k: [] for k in (
-                "url", "doc_id", "sent_id", "l", "r", "surface", "types", "canon"
-            )}
-            urls = batch["url"].to_pylist()
-            dids = batch["doc_id"].to_pylist()
-            sids = batch["sent_id"].to_pylist()
-            for url, did, sid, toks in zip(urls, dids, sids, tokens_col):
-                for l, r, surface, ty, canon in self.mentions_of(toks):
-                    cols["url"].append(url)
-                    cols["doc_id"].append(did)
-                    cols["sent_id"].append(sid)
-                    cols["l"].append(l)
-                    cols["r"].append(r)
-                    cols["surface"].append(surface)
-                    cols["types"].append(ty)
-                    cols["canon"].append(canon)
-            return pa.table(
-                {
-                    "url": pa.array(cols["url"], pa.string()),
-                    "doc_id": pa.array(cols["doc_id"], pa.int64()),
-                    "sent_id": pa.array(cols["sent_id"], pa.int32()),
-                    "l": pa.array(cols["l"], pa.int32()),
-                    "r": pa.array(cols["r"], pa.int32()),
-                    "surface": pa.array(cols["surface"], pa.string()),
-                    "types": pa.array(cols["types"], pa.string()),
-                    "canon": pa.array(cols["canon"], pa.string()),
-                }
-            )
-        # annotations
-        bnds, typs, cks = [], [], []
-        for toks in tokens_col:
-            segs = self.segments(toks)
-            b = get_boundary(toks, segs)
-            y = get_types(toks, segs)
-            bnds.append(b)
-            typs.append(y)
-            cks.append(to_ck(toks, segs, boundary=b, types=y))
+    def _out_sentences(self, batch, tokens, sent, left, right, node):
+        ms, _, _, mnode = self._mentions(sent, left, right, node)
+        es, erank = self._entities(ms, mnode)
+        n = batch.num_rows
         return pa.table(
             {
                 "url": batch["url"],
                 "doc_id": batch["doc_id"],
                 "sent_id": batch["sent_id"],
-                "boundary": pa.array(bnds, type=pa.list_(pa.int8())),
-                "types": pa.array(typs, type=pa.list_(pa.string())),
-                "ck": pa.array(cks, type=pa.string()),
+                "entities": _list_array(
+                    np.bincount(es, minlength=n),
+                    self.compiled.canons.take(erank),
+                ),
+                "mention_cnt": pa.array(
+                    np.bincount(ms, minlength=n).astype(np.int32)
+                ),
             }
         )
+
+    def _cooccurrences(self, sent, left, right, node):
+        """Pair counts over sorted distinct entities per sentence:
+        ``(pair key, count, key of every occurrence, sentence of every
+        occurrence)`` with key = subj rank * n_canon + obj rank."""
+        ms, _, _, mnode = self._mentions(sent, left, right, node)
+        es, erank = self._entities(ms, mnode)
+        i, j = _pairs_within(es)
+        occ = erank[i] * len(self.compiled.canons) + erank[j]
+        keys, inv, w = np.unique(occ, return_inverse=True, return_counts=True)
+        return keys, w, inv, es[i]
+
+    def _edge_table(self, keys, w, **extra) -> pa.Table:
+        n_canon = len(self.compiled.canons)
+        canons = self.compiled.canons
+        return pa.table(
+            {
+                "subj": canons.take(keys // n_canon),
+                "pred": pa.array([PRED_COOCCUR] * len(keys), pa.string()),
+                "obj": canons.take(keys % n_canon),
+                "w": pa.array(w.astype(np.int64)),
+                **extra,
+            }
+        )
+
+    def _out_pairs(self, batch, tokens, sent, left, right, node):
+        keys, w, _, _ = self._cooccurrences(sent, left, right, node)
+        return self._edge_table(keys, w)
+
+    def _out_pairs_ev(self, batch, tokens, sent, left, right, node):
+        # co-occurrence partials carrying PROVENANCE: per edge the
+        # lexicographically-min "url#sent_id" evidence pointer. min() is
+        # associative, so evidence merges exactly like the count.
+        keys, w, inv, occ_sent = self._cooccurrences(sent, left, right, node)
+        pointers = pc.binary_join_element_wise(
+            batch["url"], pc.cast(batch["sent_id"], pa.string()), "#"
+        )
+        order = pc.sort_indices(pointers).to_numpy()
+        pos = np.empty(len(order), np.int64)
+        pos[order] = np.arange(len(order))
+        best = np.full(len(keys), len(order), np.int64)
+        np.minimum.at(best, inv, pos[occ_sent])
+        return self._edge_table(keys, w, ev=pointers.take(order[best]))
+
+    def _out_typed_pairs(self, batch, tokens, sent, left, right, node):
+        ms, ml, mr, mnode = self._mentions(sent, left, right, node)
+        i, j = _pairs_within(ms)
+        rank = self.compiled.canon_rank[mnode]
+        i, j = (x[rank[i] != rank[j]] for x in (i, j))
+        off = list_offsets(tokens)
+        values = pc.list_flatten(tokens)
+        is_sep = pc.is_in(values, value_set=_SEP_TOKENS).to_numpy(
+            zero_copy_only=False
+        )
+        seps = np.concatenate([[0], np.cumsum(is_sep)])
+        gap_start = off[ms[i]] + mr[i]
+        gap_end = off[ms[j]] + ml[j]
+        gap = gap_end - gap_start
+        rule = (
+            (gap >= 1)
+            & (gap <= self.MAX_PRED_GAP)
+            & (seps[gap_end] == seps[gap_start])
+        )
+        # pattern rule: subject left, object right, gap tokens joined
+        # by "_"; otherwise the undirected co-occurrence edge
+        first = values.take(gap_start[rule])
+        second = values.take(np.minimum(gap_start[rule] + 1, len(values) - 1))
+        pred = pc.if_else(
+            pa.array(gap[rule] == 2),
+            pc.binary_join_element_wise(first, second, "_"),
+            first,
+        )
+        ri, rj = rank[i], rank[j]
+        n_co = int((~rule).sum())
+        counted = (
+            pa.table(
+                {
+                    "subj": np.concatenate(
+                        [ri[rule], np.minimum(ri, rj)[~rule]]
+                    ),
+                    "pred": pa.concat_arrays(
+                        [pred, pa.array([PRED_COOCCUR] * n_co, pa.string())]
+                    ),
+                    "obj": np.concatenate(
+                        [rj[rule], np.maximum(ri, rj)[~rule]]
+                    ),
+                }
+            )
+            .group_by(["subj", "pred", "obj"])
+            .aggregate([("subj", "count")])
+        )
+        canons = self.compiled.canons
+        return pa.table(
+            {
+                "subj": canons.take(counted["subj"]),
+                "pred": counted["pred"],
+                "obj": canons.take(counted["obj"]),
+                "w": counted["subj_count"].cast(pa.int64()),
+            }
+        )
+
+    def _out_mentions(self, batch, tokens, sent, left, right, node):
+        ms, ml, mr, mnode = self._mentions(sent, left, right, node)
+        ct = self.compiled
+        return pa.table(
+            {
+                "url": batch["url"].take(ms).cast(pa.string()),
+                "doc_id": batch["doc_id"].take(ms).cast(pa.int64()),
+                "sent_id": batch["sent_id"].take(ms).cast(pa.int32()),
+                "l": pa.array(ml.astype(np.int32)),
+                "r": pa.array(mr.astype(np.int32)),
+                "surface": ct.surface.take(mnode),
+                "types": ct.type_str.take(mnode),
+                "canon": ct.canons.take(ct.canon_rank[mnode]),
+            }
+        )
+
+    def _out_annotations(self, batch, tokens, sent, left, right, node):
+        """Vectorized :func:`get_boundary` / :func:`get_types` /
+        :func:`to_ck` over the tiling (see ``functions/ck.py``)."""
+        ct = self.compiled
+        off = list_offsets(tokens)
+        values = pc.list_flatten(tokens)
+        n_tok = len(values)
+        flat = off[sent] + left
+        cls = self._seg_cls(node)
+        # one-token separator segments other than "\n" keep the defaults
+        ignored = (right - left == 1) & pc.is_in(
+            values.take(flat), value_set=_SEP_TOKENS_NO_NL
+        ).to_numpy(zero_copy_only=False)
+        filt = (cls == FILTERED) & ~ignored
+        ent = (cls == ENTITY) & ~ignored
+        # boundary: FILTERED marks [l, r] inclusive (clamped to the
+        # sentence); an entity then writes 1 at l and -1 inside, which
+        # overrides a FILTERED span's trailing write at its l
+        sent_last = off[sent + 1] - 1
+        delta = np.zeros(n_tok + 1, np.int64)
+        np.add.at(delta, flat[filt], 1)
+        np.add.at(delta, np.minimum(off[sent] + right, sent_last)[filt] + 1, -1)
+        boundary = np.where(np.cumsum(delta[:-1]) > 0, 0, 1).astype(np.int8)
+        inside = np.zeros(n_tok + 1, np.int64)
+        np.add.at(inside, flat[ent] + 1, 1)
+        np.add.at(inside, (off[sent] + right)[ent], -1)
+        boundary[np.cumsum(inside[:-1]) > 0] = -1
+        boundary[flat[ent]] = 1
+        # types: an entity segment stamps its type string on its tokens
+        seg_len = right - left
+        tok_node = np.repeat(np.where(ent, node, -1), seg_len)
+        types = pa.concat_arrays(
+            [ct.type_str, pa.array(["None"], pa.string())]
+        ).take(np.where(tok_node >= 0, tok_node, len(ct.type_str)))
+        lens = np.diff(off)
+        return pa.table(
+            {
+                "url": batch["url"],
+                "doc_id": batch["doc_id"],
+                "sent_id": batch["sent_id"],
+                "boundary": _list_array(lens, pa.array(boundary)),
+                "types": _list_array(lens, types),
+                "ck": self._ck(values, off, boundary, types),
+            }
+        )
+
+    @staticmethod
+    def _ck(values, off, boundary, types) -> pa.Array:
+        """Per-sentence :func:`to_ck` text: one line per token, ``<s>``
+        before a token that follows a break ("\\n"/"-DOCSTART-") or opens
+        the sentence, ``<eof>`` before a break that follows a token."""
+        n_tok = len(values)
+        brk = pc.is_in(values, value_set=_CK_BREAKS).to_numpy(
+            zero_copy_only=False
+        )
+        first = np.zeros(n_tok, bool)
+        first[off[:-1][off[:-1] < n_tok]] = True
+        prev_brk = np.ones(n_tok, bool)
+        prev_brk[1:] = brk[:-1]
+        prev_brk |= first
+        prefix = np.where(
+            brk,
+            np.where(prev_brk, 0, 1),  # "" / "<eof> ..."
+            np.where(prev_brk, 2, 0),  # "<s> ..." / ""
+        )
+        io = np.where(boundary == 1, " I ", " O ")
+        mid = pc.binary_join_element_wise(pa.array(io), types, "")
+        suffix = pc.if_else(
+            pa.array(brk),
+            pa.scalar("\n"),
+            pc.if_else(
+                pa.array(boundary == 0),
+                pa.scalar(" O None D\n"),
+                pc.binary_join_element_wise(mid, pa.scalar(" S\n"), ""),
+            ),
+        )
+        lines = pc.binary_join_element_wise(
+            pa.array(["", "<eof> I None S\n", "<s> O None S\n"]).take(
+                prefix
+            ),
+            values,
+            suffix,
+            "",
+        )
+        return pc.binary_join(_list_array(np.diff(off), lines), "")
+
+
+def _list_array(lengths: np.ndarray, values: pa.Array) -> pa.ListArray:
+    off = np.zeros(len(lengths) + 1, np.int32)
+    np.cumsum(lengths, out=off[1:])
+    return pa.ListArray.from_arrays(pa.array(off), values)
+
+
+def _pairs_within(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs ``i < j`` with ``group[i] == group[j]`` of a
+    sorted group array, ordered by ``i`` then ``j`` (the order of
+    ``itertools.combinations`` within each group)."""
+    n = len(group)
+    later = np.searchsorted(group, group, side="right") - np.arange(n) - 1
+    i = np.repeat(np.arange(n), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return i, j
 
 
 # -- task-pool twin ------------------------------------------------------------

@@ -1,4 +1,28 @@
+from pathlib import Path
+
 import pytest
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "requires_reference(path): the test reads this file or directory "
+        "of the AutoNER reference checkout; skipped, naming the path, "
+        "when it is absent",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        for mark in item.iter_markers("requires_reference"):
+            path = Path(mark.args[0])
+            if not path.exists():
+                item.add_marker(
+                    pytest.mark.skip(
+                        reason=f"reference data not present: {path}"
+                    )
+                )
+                break
 
 
 @pytest.fixture(scope="session")

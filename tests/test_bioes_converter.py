@@ -6,6 +6,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 FIXTURE = """EU S-ORG
 rejects O
 German S-MISC
@@ -40,6 +42,7 @@ def _run_reference(tmp_path, ignore_misc: bool) -> str:
     return out.read_text()
 
 
+@pytest.mark.requires_reference(REF)
 def test_bioes_to_ck_byte_parity(tmp_path):
     from autoner_ray.functions.ck import bioes_to_ck
 

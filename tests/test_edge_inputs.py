@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
 
 
 def _empty_sentences_table():
@@ -25,6 +26,50 @@ def test_dict_matcher_empty_batch_all_outputs():
         dm = DictMatcher(CORE_DICT, FULL_DICT, STOPWORDS, output=output)
         out = dm(_empty_sentences_table())
         assert out.num_rows == 0
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [[], [None, None], ["\n\n \t\n\xa0\n", "   "], ["-- ()\n.,[]"]],
+    ids=["zero_rows", "null_text", "newlines_whitespace", "separators"],
+)
+def test_degenerate_batches_keep_schema(texts):
+    """Degenerate pages give schema'd tokenizer output and schema'd
+    matcher outputs, never zero-column tables."""
+    from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
+    from autoner_ray.schemas import SENTENCES
+    from autoner_ray.stages.dict_match import DictMatcher
+    from autoner_ray.stages.tokenize import tokenize_pages_batch
+
+    def tokenize(texts):
+        return tokenize_pages_batch(
+            pa.table(
+                {
+                    "url": pa.array(
+                        [f"https://example.org/doc/{i}" for i in range(
+                            len(texts))],
+                        pa.string(),
+                    ),
+                    "text": pa.array(texts, pa.string()),
+                }
+            )
+        )
+
+    sents = tokenize(texts)
+    assert sents.schema == SENTENCES
+    if texts == ["-- ()\n.,[]"]:
+        assert sents["tokens"].to_pylist() == [
+            ["-", "-", "(", ")"], [".", ",", "[", "]"]
+        ]
+    else:
+        assert sents.num_rows == 0
+    ordinary = tokenize(["hash join on a big data row"])
+    for output in ("sentences", "mentions", "annotations", "pairs",
+                   "typed_pairs", "pairs_ev"):
+        dm = DictMatcher(CORE_DICT, FULL_DICT, STOPWORDS, output=output)
+        out = dm(sents)
+        assert out.num_columns > 0
+        assert out.schema == dm(ordinary).schema, output
 
 
 def test_tokenize_empty_and_null_text():

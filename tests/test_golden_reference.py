@@ -56,6 +56,7 @@ def corpus_prefix() -> Path:
     return p
 
 
+@pytest.mark.requires_reference(REF)
 def test_ck_bytes_match_reference(ref_binary, corpus_prefix):
     out_ref = WORK / "ref.ck"
     subprocess.run(
@@ -85,6 +86,7 @@ def test_ck_bytes_match_reference(ref_binary, corpus_prefix):
     assert ours == ref_ck
 
 
+@pytest.mark.requires_reference(REF / "data/BC5CDR")
 def test_published_dictionary_match_f1_reproduced():
     """The README's Dictionary Match row (README.md:38: P 93.93 /
     R 58.35 / F1 71.98 on the BC5CDR test split) must reproduce EXACTLY

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from autoner_ray.synth import (
+    REFERENCE_CORE_DICT,
     disease_surfaces,
     laptop_like,
     ncbi_like,
@@ -34,6 +35,7 @@ def _held_recall(ds, tagger):
     return hh / max(hg, 1)
 
 
+@pytest.mark.requires_reference(REFERENCE_CORE_DICT)
 def test_fixtures_deterministic_and_well_formed():
     a, b = ncbi_like(), ncbi_like()
     assert a.train_sents == b.train_sents and a.eval_gold == b.eval_gold
@@ -53,7 +55,13 @@ def test_fixtures_deterministic_and_well_formed():
 
 @pytest.mark.parametrize(
     "make,min_held",
-    [(ncbi_like, 0.25), (laptop_like, 0.6)],
+    [
+        pytest.param(
+            ncbi_like, 0.25,
+            marks=pytest.mark.requires_reference(REFERENCE_CORE_DICT),
+        ),
+        (laptop_like, 0.6),
+    ],
     ids=["ncbi_like", "laptop_like"],
 )
 def test_neural_beats_incomplete_dictionary(make, min_held):
@@ -70,6 +78,7 @@ def test_neural_beats_incomplete_dictionary(make, min_held):
     assert _held_recall(ds, tagger) >= min_held
 
 
+@pytest.mark.requires_reference(REFERENCE_CORE_DICT)
 def test_self_training_round_adds_pseudo_spans():
     """One self-training round on the second dataset carves model
     predictions into FILTERED gaps and does not hurt eval F1."""

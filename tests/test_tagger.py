@@ -8,8 +8,11 @@ docstrings for file:line citations).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from autoner_ray.state.tagger import (
     BOS,
@@ -22,6 +25,7 @@ from autoner_ray.state.tagger import (
     spans_from_segments,
     token_budget_batches,
 )
+from autoner_ray.synth import REFERENCE_CORE_DICT
 
 ARTIFACT = "/root/repo/autoner_ray/artifacts/tagger_demo.npz"
 
@@ -211,6 +215,7 @@ def _artifact_f1(path: str, split: str, limit: int = 1500):
     return f1_from_counts(ng, npd, nh)
 
 
+@pytest.mark.requires_reference(Path(REFERENCE_CORE_DICT).parent)
 def test_bc5cdr_artifact_f1():
     """The committed artifacts hold their trained quality on the human
     gold TEST split (never used in training by either recipe):

@@ -1,6 +1,8 @@
-"""Parity tests for the tokenizer / string helpers (src/utils.h)."""
+"""Parity tests for the tokenizer / string helpers (src/utils.h), and for
+the Arrow tokenize stage against its per-string reference."""
 
 import string
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,3 +119,58 @@ def test_sqr_sign():
     assert sqr(3.0) == 9.0
     assert sign(5.0) == 1 and sign(-5.0) == -1
     assert sign(1e-9) == 0 and sign(-1e-9) == 0
+
+
+# every separator, the C whitespace chars, and every code point where
+# str.isspace() is true (what str.strip() removes)
+_PY_SPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+PAGE_TEXT = st.one_of(
+    st.none(),
+    st.text(
+        alphabet=st.sampled_from(
+            list(string.ascii_letters[:6] + "09é_")
+            + list(SEPARATORS)
+            + list(" \t\n\v\f\r")
+            + _PY_SPACE
+        ),
+        max_size=60,
+    ),
+    st.text(alphabet=st.sampled_from(_PY_SPACE), max_size=8),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(PAGE_TEXT, max_size=8))
+def test_tokenize_pages_batch_matches_reference(texts):
+    import pyarrow as pa
+
+    from autoner_ray.sources.pages import URL_PREFIX
+    from autoner_ray.stages.tokenize import (
+        sentence_token_stream,
+        split_sentences,
+        tokenize_pages_batch,
+    )
+
+    # every third url carries no doc id (doc_id -1)
+    urls = [f"{URL_PREFIX}{i}" if i % 3 else "x" for i in range(len(texts))]
+    got = tokenize_pages_batch(
+        pa.table(
+            {
+                "url": pa.array(urls, pa.string()),
+                "text": pa.array(texts, pa.string()),
+            }
+        )
+    ).to_pylist()
+    want = [
+        dict(
+            url=url,
+            doc_id=i if i % 3 else -1,
+            sent_id=sid,
+            n_tokens=len(toks),
+            tokens=toks,
+        )
+        for i, (url, text) in enumerate(zip(urls, texts))
+        for sid, sent in enumerate(split_sentences(text or ""))
+        if (toks := sentence_token_stream(sent))
+    ]
+    assert got == want

@@ -1,5 +1,11 @@
-"""Unit tests for the KB trie + segmentDP parity quirks (SURVEY.md §5)."""
+"""Unit tests for the KB trie + segmentDP parity quirks (SURVEY.md §5),
+and for the batch kernel against ``segment_dp`` as its oracle."""
 
+from pathlib import Path
+
+import pytest
+
+from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
 from autoner_ray.functions.ck import get_boundary, get_types, to_ck
 from autoner_ray.state.trie import (
     FILTERED_TYPE,
@@ -158,30 +164,258 @@ def test_per_sentence_equals_whole_corpus():
     assert parts == whole
 
 
+# the built-in dictionaries plus a one-token full-dict phrase (ties with
+# the skip at weight 0) and a three-token one overlapping a two-token
+# entity (its weight·len² decides); extra core rows go first so the
+# last row stays PER
+CORE = ["Structure\tdata stream"] + list(CORE_DICT)
+FULL = list(FULL_DICT) + ["xyz", "big data stream"]
+# tokens: case variants, the sentinel, separators, "-DOCSTART-", nested
+# core/full surfaces ("window agg" vs "agg", "small batch" vs "batch")
+# and overlapping surfaces ("big data" / "data stream", "table scan" /
+# "fast scan")
+VOCAB = [
+    "hash", "join", "HASH", "JOIN", "Hash", "order", "ORDER", "batch",
+    "small", "big", "data", "stream", "window", "agg", "table", "fast",
+    "scan", "the", "a", "xyz", "\n", "spark", "customer", "CUSTOMER",
+    "Customer", "-", ".", "(", "-DOCSTART-",
+]
+# whole dictionary surfaces, drawn as one item so overlaps are common
+PHRASES = [
+    "big data stream", "window agg", "small batch", "hash join",
+    "table scan", "fast scan", "HASH JOIN", "data stream", "big data",
+]
+
+
+def _sentences(max_size):
+    from hypothesis import strategies as st
+
+    items = st.sampled_from([(t,) for t in VOCAB] +
+                            [tuple(p.split()) for p in PHRASES])
+    return st.lists(items, max_size=max_size).map(
+        lambda parts: [t for part in parts for t in part]
+    )
+
+
+WEIGHTS = [1.0, 0.5, 0.0]
+OUTPUTS = (
+    "sentences", "mentions", "annotations", "pairs", "pairs_ev",
+    "typed_pairs",
+)
+
+
+def _test_trie():
+    return build_trie(CORE, FULL, list(STOPWORDS))
+
+
+def _batch_segments(trie, sentences, weight):
+    """``segment_batch`` regrouped into per-sentence segment lists."""
+    import pyarrow as pa
+
+    from autoner_ray.state.trie import compile_trie, segment_batch
+
+    ct = compile_trie(trie)
+    type_str = ct.type_str.to_pylist()
+    sent, left, right, node = segment_batch(
+        ct, pa.array(sentences, pa.list_(pa.string())), weight
+    )
+    out = [[] for _ in sentences]
+    for s, l, r, u in zip(sent, left, right, node):
+        out[s].append((int(l), int(r), type_str[u] if u >= 0 else ""))
+    return out
+
+
 def test_segment_dp_tiling_property():
     """Property: for ANY token sequence, segments tile [0, n) exactly —
     sorted, contiguous, non-overlapping — and sentinel tokens are never
-    inside a typed segment."""
+    inside a typed segment; the batch kernel gives the same segments as
+    ``segment_dp`` for every sentence of the batch."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
-    from autoner_ray.state.trie import build_trie, segment_dp
+    trie = _test_trie()
 
-    trie = build_trie(list(CORE_DICT), list(FULL_DICT), list(STOPWORDS))
-    vocab = ["hash", "join", "order", "batch", "big", "data", "the",
-             "a", "xyz", "\n", "spark", "customer"]
-
-    @given(st.lists(st.sampled_from(vocab), max_size=30))
+    @given(
+        st.lists(_sentences(20), max_size=8),
+        st.sampled_from(WEIGHTS),
+    )
     @settings(max_examples=200, deadline=None)
-    def check(tokens):
-        segs = segment_dp(trie, tokens)
-        pos = 0
-        for l, r, ty in segs:
-            assert l == pos and r > l
-            pos = r
-            if ty:
-                assert "\n" not in tokens[l:r]
-        assert pos == len(tokens)
+    def check(sentences, weight):
+        want = [segment_dp(trie, tokens, weight) for tokens in sentences]
+        for tokens, segs in zip(sentences, want):
+            pos = 0
+            for l, r, ty in segs:
+                assert l == pos and r > l
+                pos = r
+                if ty:
+                    assert "\n" not in tokens[l:r]
+            assert pos == len(tokens)
+        assert _batch_segments(trie, sentences, weight) == want
 
     check()
+
+
+def _reference_output(m, batch):
+    """What ``DictMatcher(output=...)`` must return, built from the
+    per-sentence reference methods; edge outputs sorted by key."""
+    from collections import Counter
+    from itertools import combinations
+
+    rows = batch.to_pylist()
+    if m.output == "sentences":
+        return [
+            dict(
+                url=r["url"], doc_id=r["doc_id"], sent_id=r["sent_id"],
+                entities=sorted({x[4] for x in m.mentions_of(r["tokens"])}),
+                mention_cnt=len(m.mentions_of(r["tokens"])),
+            )
+            for r in rows
+        ]
+    if m.output == "mentions":
+        return [
+            dict(
+                url=r["url"], doc_id=r["doc_id"], sent_id=r["sent_id"],
+                l=l, r=rr, surface=sf, types=ty, canon=c,
+            )
+            for r in rows
+            for l, rr, sf, ty, c in m.mentions_of(r["tokens"])
+        ]
+    if m.output == "annotations":
+        out = []
+        for r in rows:
+            segs = m.segments(r["tokens"])
+            out.append(
+                dict(
+                    url=r["url"], doc_id=r["doc_id"], sent_id=r["sent_id"],
+                    boundary=get_boundary(r["tokens"], segs),
+                    types=get_types(r["tokens"], segs),
+                    ck=to_ck(r["tokens"], segs),
+                )
+            )
+        return out
+    if m.output == "typed_pairs":
+        counter = Counter()
+        for r in rows:
+            counter.update(m.typed_pairs_of(r["tokens"]))
+        return [
+            dict(subj=a, pred=p, obj=b, w=w)
+            for (a, p, b), w in sorted(counter.items())
+        ]
+    counter, ev = Counter(), {}
+    for r in rows:
+        pointer = f"{r['url']}#{r['sent_id']}"
+        ents = sorted({x[4] for x in m.mentions_of(r["tokens"])})
+        for pair in combinations(ents, 2):
+            counter[pair] += 1
+            ev[pair] = min(ev.get(pair, pointer), pointer)
+    out = []
+    for (a, b), w in sorted(counter.items()):
+        d = dict(subj=a, pred="cooccurs_with", obj=b, w=w)
+        if m.output == "pairs_ev":
+            d["ev"] = ev[(a, b)]
+        out.append(d)
+    return out
+
+
+def test_batch_outputs_match_per_sentence_reference():
+    """Property: every ``DictMatcher`` output equals the per-sentence
+    reference loop over ``segment_dp`` / ``mentions_of`` /
+    ``typed_pairs_of`` (edge outputs compared as sets of rows)."""
+    import pyarrow as pa
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from autoner_ray.stages.dict_match import DictMatcher
+
+    matchers = {
+        (o, w): DictMatcher(CORE, FULL, STOPWORDS, w, output=o)
+        for o in OUTPUTS
+        for w in WEIGHTS
+    }
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1", "u10"]),
+                st.integers(0, 12),
+                _sentences(12),
+            ),
+            max_size=10,
+        ),
+        st.sampled_from(WEIGHTS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def check(rows, weight):
+        batch = pa.table(
+            {
+                "url": pa.array([r[0] for r in rows], pa.string()),
+                "doc_id": pa.array(range(len(rows)), pa.int64()),
+                "sent_id": pa.array([r[1] for r in rows], pa.int32()),
+                "tokens": pa.array(
+                    [r[2] for r in rows], pa.list_(pa.string())
+                ),
+            }
+        )
+        for output in OUTPUTS:
+            m = matchers[(output, weight)]
+            got = m(batch).to_pylist()
+            if output in ("pairs", "pairs_ev", "typed_pairs"):
+                got.sort(key=lambda d: (d["subj"], d["pred"], d["obj"]))
+            assert got == _reference_output(m, batch), output
+
+    check()
+
+
+@pytest.mark.parametrize("scale", ["sf0.001", "sf0.1"])
+def test_fixture_corpora_batch_kernels_match_reference(sf_dir, scale):
+    """Every sentence of the fixture corpora gets the same tokens from
+    ``tokenize_pages_batch`` as from ``split_sentences`` +
+    ``sentence_token_stream``, and the same segments from
+    ``segment_batch`` as from ``segment_dp``, sentence for sentence."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from autoner_ray.pipelines.kg import DEFAULT_BATCH_SIZE
+    from autoner_ray.sources.pages import URL_PREFIX
+    from autoner_ray.stages.tokenize import (
+        sentence_token_stream,
+        split_sentences,
+        tokenize_pages_batch,
+    )
+
+    docs = pq.read_table(
+        Path(sf_dir).parent / scale / "documents.parquet",
+        columns=["doc_id", "text"],
+    )
+    trie = build_trie(list(CORE_DICT), list(FULL_DICT), list(STOPWORDS))
+    n_sent = 0
+    for i in range(0, docs.num_rows, DEFAULT_BATCH_SIZE):
+        batch = docs.slice(i, DEFAULT_BATCH_SIZE)
+        pages = pa.table(
+            {
+                "url": pc.binary_join_element_wise(
+                    URL_PREFIX, pc.cast(batch["doc_id"], pa.string()), ""
+                ),
+                "text": batch["text"],
+            }
+        )
+        got = tokenize_pages_batch(pages)
+        want = [
+            (doc_id, sid, toks)
+            for doc_id, text in zip(
+                batch["doc_id"].to_pylist(), batch["text"].to_pylist()
+            )
+            for sid, sent in enumerate(split_sentences(text or ""))
+            if (toks := sentence_token_stream(sent))
+        ]
+        sentences = got["tokens"].to_pylist()
+        assert list(
+            zip(got["doc_id"].to_pylist(), got["sent_id"].to_pylist(),
+                sentences)
+        ) == want
+        assert _batch_segments(trie, sentences, 1.0) == [
+            segment_dp(trie, toks) for toks in sentences
+        ]
+        n_sent += len(sentences)
+    assert n_sent >= docs.num_rows

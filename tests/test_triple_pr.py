@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 REF = Path("/root/reference")
 
@@ -71,6 +72,7 @@ def test_triple_pr_synthetic(ray_session):
         assert got[edge] == oracle[edge]
 
 
+@pytest.mark.requires_reference(REF / "data/BC5CDR")
 def test_triple_pr_bc5cdr(ray_session):
     """Real-corpus check: BC5CDR sentences + real dictionaries."""
     import sys
