@@ -11,9 +11,11 @@ resumes by anti-joining pending partitions; the cheap final edge
 aggregate re-runs over the committed Parquet.
 
 Because the per-partition payload is an ASSOCIATIVE partial (edge
-partial counts), the final ``groupby(subj,pred,obj).sum`` over all
-partitions is exactly the un-checkpointed pipeline's result — verified
-by ``tests/test_resume.py``.
+partial counts), the final edge aggregate over all partitions (a sum
+per ``(subj, pred, obj)``; the one-task bounded tier under the
+dictionary's key bound) is exactly the un-checkpointed pipeline's
+result — verified by ``tests/test_resume.py``. The graph phase's
+lineage records which tier ran.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import os
 
 from autoner_ray.state import manifest as mf
-from autoner_ray.stages.triples import aggregate_edges
+from autoner_ray.stages.triples import aggregate_edges, edge_tier
 
 
 def _partition_pairs(sf_dir: str, part: int, num_parts: int, concurrency):
@@ -136,11 +138,22 @@ def run_resumable_graph(
             write,
             lineage={
                 "input": f"{out_dir}/part=*/pairs",
-                "stages": ["aggregate_edges", "materialize_graph"],
+                "stages": [
+                    f"aggregate_edges:{edge_tier(_edge_key_bound())}",
+                    "materialize_graph",
+                ],
                 "num_shards": num_shards,
             },
         )
     return os.path.join(mf.partition_dir(graph_dir, 0), "shards")
+
+
+def _edge_key_bound() -> int:
+    """Key bound of the partials :func:`_partition_pairs` writes."""
+    from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
+    from autoner_ray.stages.dict_match import pair_key_bound
+
+    return pair_key_bound(CORE_DICT, FULL_DICT, STOPWORDS)
 
 
 def final_edges(out_dir: str, num_parts: int):
@@ -159,4 +172,6 @@ def final_edges(out_dir: str, num_parts: int):
             )
         )
     ]
-    return aggregate_edges(rd.read_parquet(paths))
+    return aggregate_edges(
+        rd.read_parquet(paths), max_keys=_edge_key_bound()
+    )

@@ -3,12 +3,15 @@
     read pages -> extract_text -> tokenize (sentence rows)
       -> DictMatcher task pool w/ per-worker matcher cache (batch trie walk
          + segmentDP kernel)
-      -> pair partial counts -> groupby edge aggregate
+      -> pair partial counts -> edge aggregate
       -> [optional] sorted adjacency graph shards
 
-Lifecycle mirrors SURVEY.md §3.4. Everything before the edge groupby is
-an embarrassingly parallel stream; the groupby is the only all-to-all
-exchange and it runs over per-batch pre-aggregated partials.
+Lifecycle mirrors SURVEY.md §3.4. Everything before the edge aggregate
+is an embarrassingly parallel stream. The aggregate runs over per-batch
+pre-aggregated partials. For the dictionary outputs whose edge keys are
+bounded by the dictionary ("pairs", "pairs_ev"), it is one combine task
+and no all-to-all exchange runs; otherwise it is one hash shuffle (see
+:func:`autoner_ray.stages.triples.aggregate_edges`).
 
 Also provides the unigram-dictionary variant whose semantics are exactly
 expressible in ANSI SQL — that variant backs the driver's DuckDB
@@ -22,7 +25,7 @@ import pyarrow as pa
 
 from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS, UNIGRAM_DICT
 from autoner_ray.sources.pages import read_pages
-from autoner_ray.stages.dict_match import DictMatcher
+from autoner_ray.stages.dict_match import DictMatcher, pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
 from autoner_ray.stages.tokenize import (
     sentence_token_stream,
@@ -107,15 +110,18 @@ def matched_sentences(
 def triples_dataset(sf_dir: str, concurrency=None, repeat: int = 1):
     """Full-pipeline edges: (subj, pred, obj, weight).
 
-    The sentence->pair combiner runs inside the DictMatcher actor
-    (``output="pairs"``) so the pool emits pre-aggregated edge partials
-    directly — the only remaining task work is the read and the final
-    small groupby.
+    The sentence->pair combiner runs inside the dictionary-match task
+    (``output="pairs"``) so each task emits pre-aggregated edge partials
+    directly. The edge keys are pairs of the dictionary's canonical
+    surfaces, so the final aggregate takes the one-task bounded tier
+    whenever :func:`pair_key_bound` is small enough.
     """
     pairs = matched_sentences(
         sf_dir, concurrency, output="pairs", repeat=repeat
     )
-    return aggregate_edges(pairs)
+    return aggregate_edges(
+        pairs, max_keys=pair_key_bound(CORE_DICT, FULL_DICT, STOPWORDS)
+    )
 
 
 def graph_shards(sf_dir: str, out_dir: str, num_parts: int = 16):
@@ -659,7 +665,9 @@ def unigram_triangles(sf_dir: str):
 
 def typed_triples_dataset(sf_dir: str, concurrency=None, repeat: int = 1):
     """Pattern-rule typed triples: (subj, pred=gap-pattern|cooccurs_with,
-    obj, weight) — same zero-shuffle combiner shape as the flagship."""
+    obj, weight). The predicates are gap tokens from the text, so the
+    dictionary does not bound the edge keys and the aggregate keeps the
+    partitioned tier."""
     pairs = matched_sentences(
         sf_dir, concurrency, output="typed_pairs", repeat=repeat
     )
@@ -667,13 +675,14 @@ def typed_triples_dataset(sf_dir: str, concurrency=None, repeat: int = 1):
 
 
 def triples_with_evidence(sf_dir: str, concurrency=None, repeat: int = 1):
-    """Flagship edges + provenance: min (url, sent_id) evidence pointer."""
-    from autoner_ray.stages.triples import aggregate_edges_with_evidence
-
+    """Flagship edges + provenance: min (url, sent_id) evidence pointer,
+    with the flagship's dictionary key bound."""
     pairs = matched_sentences(
         sf_dir, concurrency, output="pairs_ev", repeat=repeat
     )
-    return aggregate_edges_with_evidence(pairs)
+    return aggregate_edges(
+        pairs, max_keys=pair_key_bound(CORE_DICT, FULL_DICT, STOPWORDS)
+    )
 
 
 def unigram_triples_with_evidence(sf_dir: str):
@@ -2231,7 +2240,7 @@ def unigram_bipartite_projection(sf_dir: str):
 
     Scale shape: per-batch pair partials pre-aggregate (the
     pair_counts_batch pattern with a weight column), then the one
-    subj-keyed shuffle of :func:`triples.aggregate_edges`'s combine
+    subj-keyed shuffle of :func:`triples.aggregate_edges`'s partitioned
     shape — no new machinery, no driver state."""
     import pandas as pd
 

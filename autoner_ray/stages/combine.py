@@ -17,8 +17,12 @@ all-to-all exchange it doesn't need.
 Correct because integer/float sums re-associate. At 10^12-doc scale the
 stream entering the final task is (#post-coalesce blocks × ≤ |keys|)
 rows: for |keys| ≤ 10^4 and ~10^6 input blocks that is well under one
-task's memory. NOT for unbounded keys (entity surfaces, doc ids) —
-those keep the hash-partitioned shuffles in ``stages/triples.py``.
+task's memory. NOT for unbounded keys (doc ids, words, entity surfaces
+in general) — those keep hash-partitioned shuffles. The one exception
+among entity surfaces: edge keys made of a fixed dictionary's canonical
+surfaces are bounded by that dictionary, and
+``stages/triples.py:aggregate_edges`` takes this same one-task shape for
+them under a declared key bound (``dict_match.pair_key_bound``).
 """
 
 from __future__ import annotations

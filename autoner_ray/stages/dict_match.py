@@ -447,6 +447,30 @@ def _content_key(lines) -> str:
     return h.hexdigest()
 
 
+_PAIR_KEY_BOUNDS: dict = {}
+
+
+def pair_key_bound(core_lines, full_lines=(), stopword_lines=()) -> int:
+    """Proven upper bound on the distinct edge keys of the ``"pairs"``
+    and ``"pairs_ev"`` outputs over these dictionaries: C(n, 2) for the
+    n distinct canonical surfaces of the compiled trie's entity nodes.
+    Every key is two of those surfaces, the smaller first, under the one
+    predicate ``cooccurs_with``. ``"typed_pairs"`` has no such bound:
+    its predicates are gap tokens taken from the text.
+
+    Cached per dictionary content, so a process builds the trie once.
+    """
+    key = tuple(map(_content_key, (core_lines, full_lines, stopword_lines)))
+    if key not in _PAIR_KEY_BOUNDS:
+        ct = compile_trie(
+            build_trie(list(core_lines), list(full_lines),
+                       list(stopword_lines))
+        )
+        n = len(np.unique(ct.canon_rank[ct.cls == ENTITY]))
+        _PAIR_KEY_BOUNDS[key] = n * (n - 1) // 2
+    return _PAIR_KEY_BOUNDS[key]
+
+
 def dict_match_fn(core_lines, full_lines=(), stopword_lines=(),
                   weight: float = 1.0, output: str = "sentences"):
     """TASK-pool twin of the :class:`DictMatcher` actor class.

@@ -8,12 +8,20 @@ number of sentences where the pair co-occurs.
 Scale design (SURVEY.md §4):
 - pair generation is a stateless ``map_batches`` over SENTENCE rows (a
   sentence is never split across batches, so no pair is lost);
-- counts are PRE-AGGREGATED inside each batch (combiner) so the wide
-  ``groupby([subj,pred,obj])`` shuffle moves one row per distinct edge per
-  batch instead of one per occurrence — with Zipfian heads this is the
+- counts are PRE-AGGREGATED inside each batch (combiner) so the final
+  edge aggregate moves one row per distinct edge per batch instead of
+  one per occurrence — with Zipfian heads this is the
   difference between shipping O(corpus) and O(edge-vocab × blocks);
 - hot-key salting is unnecessary after the combiner for count aggregation
-  (associative merge), which is exactly why the combiner runs first.
+  (associative merge), which is exactly why the combiner runs first;
+- the final aggregate (:func:`aggregate_edges`) has two tiers, chosen
+  when the plan is built because Ray Data has no adaptive execution.
+  The bounded tier needs a caller-declared proven bound on distinct edge
+  keys at or under ``BOUNDED_MAX_KEYS`` (the dictionary callers derive
+  C(n, 2) from the dictionary's n canonical surfaces); it sums the
+  partials in ONE task and raises :class:`ExchangeBoundExceeded` above
+  ``BOUNDED_MAX_ROWS`` input rows. Every other caller (no bound, or a
+  larger one) takes the partitioned tier: one hash shuffle on ``subj``.
 """
 
 from __future__ import annotations
@@ -49,83 +57,136 @@ def pair_counts_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+class ExchangeBoundExceeded(RuntimeError):
+    """The one-task edge combine got more partial rows than
+    ``BOUNDED_MAX_ROWS``. Raised instead of truncating the edge set."""
+
+
+# Bounded tier: taken when the caller declares at most this many
+# distinct edge keys. Each precombine batch then leaves at most this
+# many rows, so the one combine task holds at most
+# (precombine batches x BOUNDED_MAX_KEYS) rows.
+BOUNDED_MAX_KEYS = 4096
+# Rows the one combine task accepts (about 200 MB of edge partials).
+BOUNDED_MAX_ROWS = 1 << 21
+
+_KEYS = ["subj", "pred", "obj"]
+
+
+def edge_partials(t: pa.Table) -> pa.Table:
+    """Sum ``w`` (and take the min ``ev`` evidence pointer, when the
+    input has that column) per ``(subj, pred, obj)``. A zero-column
+    block gives the schema'd empty partial table."""
+    if t.num_columns == 0:
+        return pa.table(
+            {k: pa.array([], pa.string()) for k in _KEYS}
+            | {"w": pa.array([], pa.int64())}
+        )
+    aggs = [("w", "sum")] + (
+        [("ev", "min")] if "ev" in t.column_names else []
+    )
+    names = _KEYS + [c for c, _ in aggs]
+    return t.select(names).group_by(_KEYS).aggregate(aggs).rename_columns(
+        names
+    )
+
+
+def edge_table(t: pa.Table) -> pa.Table:
+    """Final edges from partials: ``(subj, pred, obj, weight)``, plus
+    ``evidence`` when the partials carry ``ev``."""
+    p = edge_partials(t)
+    extra = ["weight", "evidence"][: p.num_columns - len(_KEYS)]
+    return p.rename_columns(_KEYS + extra)
+
+
+def edge_tier(max_keys: int | None) -> str:
+    """The tier :func:`aggregate_edges` takes for a declared key bound."""
+    if max_keys is not None and max_keys <= BOUNDED_MAX_KEYS:
+        return "bounded"
+    return "partitioned"
+
+
 def aggregate_edges(pairs_ds, num_partitions: int | None = None,
-                    coalesce: bool = True):
-    """Final edge weights: ONE hash shuffle on ``subj`` (every row of an
-    edge shares its subj, so co-location holds) + a vectorized pandas
-    sum per partition. Replaces Ray's multi-key row aggregate, which
-    costs ~3 ms/row in Python.
+                    coalesce: bool = True, max_keys: int | None = None):
+    """Final edge weights from ``(subj, pred, obj, w)`` partials; with an
+    ``ev`` column also the min evidence pointer per edge, as
+    ``evidence``.
 
-    ``coalesce`` (default True) inserts a streaming 64k-row pre-combine
-    BEFORE the shuffle: the sort-shuffle's driver-side metadata scales
+    Two tiers, chosen when the plan is built (see :func:`edge_tier`):
+
+    - bounded: ``max_keys`` is a proven upper bound on the distinct edge
+      keys, at or under ``BOUNDED_MAX_KEYS``. The partials go through
+      the streaming precombine, ``repartition(1)`` and ONE ``combine``
+      task; no sort shuffle runs. That task raises
+      :class:`ExchangeBoundExceeded` when its input holds more than
+      ``BOUNDED_MAX_ROWS`` rows; it never truncates.
+    - partitioned: no bound, or a larger one. One hash shuffle on
+      ``subj`` (every row of an edge shares its subj, so co-location
+      holds) into ``num_partitions`` groups, each summed by ``combine``.
+
+    ``coalesce`` (default True) inserts a streaming 64k-row precombine
+    before the exchange: the sort shuffle's scheduler metadata scales
     with input blocks × partitions (~0.9 GB measured at 1.5k tiny
-    partial blocks), and merging blocks is the only fix. Turn it OFF
-    for pipelines whose upstream is much slower than the partial stream
-    AND whose total partial rows never fill a batch (e.g. the hybrid
-    tagger at small scale): a bundler waiting on a starved slow stream
-    measurably drags the whole topology (4.3 s → 11 s at sf0.1)."""
-    import pandas as pd
-
+    partial blocks), and merging blocks is the only fix; in the bounded
+    tier it keeps the one task's input at ≤ ``max_keys`` rows per 64k
+    partial rows. Turn it OFF for pipelines whose upstream is much
+    slower than the partial stream AND whose total partial rows never
+    fill a batch (e.g. the hybrid tagger at small scale): a bundler
+    waiting on a starved slow stream measurably drags the whole
+    topology (4.3 s → 11 s at sf0.1)."""
     from autoner_ray.cluster import default_num_partitions
     from autoner_ray.stages.joins import _stable_part_col
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-
-    def precombine(t: pa.Table) -> pa.Table:
-        # streaming coalesce: many tiny per-task partial blocks merge
-        # into ≤ edge-vocab rows per 64k-row batch BEFORE the shuffle.
-        # The AllToAll's driver-side state scales with input blocks ×
-        # partitions (~100k object metadata records at 1.5k blocks —
-        # the measured 0.9 GB), so cutting blocks is the real fix.
-        g = (
-            t.select(["subj", "pred", "obj", "w"])
-            .group_by(["subj", "pred", "obj"])
-            .aggregate([("w", "sum")])
-        )
-        return g.rename_columns(["subj", "pred", "obj", "w"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", _stable_part_col(t, ("subj",), num_partitions)
-        )
-
-    def combine(df):
-        g = df.groupby(["subj", "pred", "obj"], as_index=False,
-                       sort=False)["w"].sum()
-        return pd.DataFrame(
-            {
-                "subj": g["subj"], "pred": g["pred"], "obj": g["obj"],
-                "weight": g["w"],
-            }
-        )
 
     ds = pairs_ds
     if coalesce:
         # num_cpus=0.5 BREAKS operator fusion with the upstream match
         # chain (Ray fuses map_batches ops only when remote args are
-        # equal). Fused, the whole read->match->precombine chain bundles
-        # to THIS stage's 64k-row batch_size, collapsing the expensive
-        # match stage to corpus/65536 tasks (measured: 8 tasks for 1024
-        # blocks at sf0.01x1024 — half the cluster idle at any width
-        # beyond that). Unfused, match parallelizes per read block and
-        # only the cheap arrow combine bundles 64k rows; the fractional
-        # CPU also lets the coalescer interleave with the match wave.
+        # equal). Fused, the read->match->precombine chain bundles to
+        # THIS stage's 64k-row batch_size: kg_triples_full at sf0.1 x 64
+        # (320k docs, 64 read blocks, 4 CPUs) ran 5 match tasks fused
+        # against 64 unfused. Wall time there was within noise (median
+        # [quartiles] of 5 runs on 4 vCPUs: 11.29 s [11.14, 11.35] fused,
+        # 10.94 s [10.82, 11.10] unfused), as was kgbench kg_flagship on
+        # 1 CPU. The break stays because a fused chain caps the match
+        # stage at corpus/65536 tasks, which leaves a wider cluster idle.
         ds = ds.map_batches(
-            precombine, batch_format="pyarrow", batch_size=65536,
+            edge_partials, batch_format="pyarrow", batch_size=65536,
             num_cpus=0.5,
         )
-        return (
-            ds.map_batches(
-                add_part, batch_format="pyarrow", num_cpus=0.5
-            )
-            .groupby("part")
-            .map_groups(combine, batch_format="pandas")
+
+    if edge_tier(max_keys) == "bounded":
+        # read when the plan is built, so the task checks the bound the
+        # caller's process sees
+        row_bound = BOUNDED_MAX_ROWS
+
+        def combine(t: pa.Table) -> pa.Table:
+            if t.num_rows > row_bound:
+                raise ExchangeBoundExceeded(
+                    f"one-task edge combine got {t.num_rows} partial rows; "
+                    f"BOUNDED_MAX_ROWS is {row_bound}"
+                )
+            return edge_table(t)
+
+        # batch_size=None -> the single block in one task
+        return ds.repartition(1).map_batches(
+            combine, batch_format="pyarrow", batch_size=None
         )
+
+    P = num_partitions or default_num_partitions()
+
+    def add_part(t: pa.Table) -> pa.Table:
+        p = edge_partials(t)
+        return p.append_column("part", _stable_part_col(p, ("subj",), P))
+
+    def combine(t: pa.Table) -> pa.Table:  # the stage name traces key on
+        return edge_table(t)
+
+    # the same CPU request as the op before, so add_part fuses into it
+    fuse = {"num_cpus": 0.5} if coalesce else {}
     return (
-        ds.map_batches(add_part, batch_format="pyarrow")
+        ds.map_batches(add_part, batch_format="pyarrow", **fuse)
         .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+        .map_groups(combine, batch_format="pyarrow")
     )
 
 
@@ -153,64 +214,4 @@ def entity_doc_freq(sentences_ds):
         .map_batches(precombine, batch_format="pyarrow", batch_size=None)
         .groupby("entity")
         .aggregate(Sum("n", alias_name="sent_freq"))
-    )
-
-
-def aggregate_edges_with_evidence(pairs_ev_ds,
-                                  num_partitions: int | None = None,
-                                  coalesce: bool = True):
-    """Edge weights + min evidence pointer ("url#sent_id") per edge —
-    same single-shuffle partition combine (and ``coalesce`` contract)
-    as :func:`aggregate_edges`."""
-    import pandas as pd
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import _stable_part_col
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-
-    def precombine(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["subj", "pred", "obj", "w", "ev"])
-            .group_by(["subj", "pred", "obj"])
-            .aggregate([("w", "sum"), ("ev", "min")])
-        )
-        return g.rename_columns(["subj", "pred", "obj", "w", "ev"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", _stable_part_col(t, ("subj",), num_partitions)
-        )
-
-    def combine(df):
-        g = df.groupby(["subj", "pred", "obj"], as_index=False,
-                       sort=False).agg(weight=("w", "sum"),
-                                       evidence=("ev", "min"))
-        return pd.DataFrame(
-            {
-                "subj": g["subj"], "pred": g["pred"], "obj": g["obj"],
-                "weight": g["weight"], "evidence": g["evidence"],
-            }
-        )
-
-    ds = pairs_ev_ds
-    if coalesce:
-        # num_cpus=0.5 breaks fusion with the upstream match chain —
-        # see aggregate_edges above for the measured parallelism cap
-        ds = ds.map_batches(
-            precombine, batch_format="pyarrow", batch_size=65536,
-            num_cpus=0.5,
-        )
-        return (
-            ds.map_batches(
-                add_part, batch_format="pyarrow", num_cpus=0.5
-            )
-            .groupby("part")
-            .map_groups(combine, batch_format="pandas")
-        )
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
     )

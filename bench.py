@@ -2,10 +2,11 @@
 
 Default mode: run the headline pipelines over ``$GRAFT_SF_DIR``
 (default /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32)`` and print ONE JSON line::
+num_cpus=$RAY_GRAFT_CPUS or the CPUs this process may run on)`` and
+print ONE JSON line::
 
     {"metric": "e2e_headline_sec", "value": <total sec>, "unit": "sec",
-     "queries": {name: sec, ...}, "sf": "sf0.1", "num_cpus": 32,
+     "queries": {name: sec, ...}, "sf": "sf0.1", "num_cpus": 4,
      "docs": N, "triples": M, "triples_per_sec": ...}
 
 ``--scaling``: run the flagship KG pipeline twice in FRESH processes
@@ -30,7 +31,9 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-DEFAULT_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+DEFAULT_CPUS = int(
+    os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0))
+)
 
 # Headline set: flagship KG pipeline + one representative per operator family.
 HEADLINE = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 
@@ -288,3 +289,281 @@ def test_postings_delta_varint_thresholds(ray_session):
     assert row["first_doc"] == 0
     assert row["max_gap"] == max(gaps)
     assert row["varint_bytes"] == sum(leb128_len(g) for g in gaps)
+
+
+# -- edge aggregate tiers ----------------------------------------------------
+
+def _edge_rows(ds):
+    return sorted(tuple(r.values()) for r in ds.take_all())
+
+
+def _op_names(ds) -> list[str]:
+    return [
+        line.split(":")[0].split(" ", 2)[2]
+        for line in ds.stats().splitlines()
+        if line.startswith("Operator ")
+    ]
+
+
+def _both_tiers(pairs_factory, **kw):
+    """(bounded rows, partitioned rows) of ``aggregate_edges`` over
+    fresh copies of the same partial stream."""
+    from autoner_ray.stages.triples import BOUNDED_MAX_KEYS, aggregate_edges
+
+    bounded = aggregate_edges(
+        pairs_factory(), max_keys=BOUNDED_MAX_KEYS, **kw
+    )
+    partitioned = aggregate_edges(pairs_factory(), **kw)
+    rows = _edge_rows(bounded), _edge_rows(partitioned)
+    assert "Repartition" in _op_names(bounded)
+    assert "Sort" not in _op_names(bounded)
+    assert "Sort" in _op_names(partitioned)
+    return rows
+
+
+def _fixture_sentence_rows(sf_dir):
+    """The fixture's sentence rows from the stage kernels, in process."""
+    from autoner_ray.sources.pages import derive_pages_batch
+    from autoner_ray.stages.extract import extract_text_batch
+    from autoner_ray.stages.tokenize import tokenize_pages_batch
+
+    docs = pq.read_table(
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
+    )
+    sents = tokenize_pages_batch(extract_text_batch(derive_pages_batch(docs)))
+    return sents.to_pylist()
+
+
+def _dict_edges_oracle(sent_rows):
+    """Plain-Python count: reference trie + segmentDP per sentence, then
+    sorted entity pairs; evidence = min "url#sent_id" per edge."""
+    from collections import Counter
+    from itertools import combinations
+
+    from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
+    from autoner_ray.functions.text import normalize_surface
+    from autoner_ray.stages.triples import PRED_COOCCUR
+    from autoner_ray.state.trie import FILTERED_TYPE, build_trie, segment_dp
+
+    trie = build_trie(CORE_DICT, FULL_DICT, STOPWORDS)
+    weight: Counter = Counter()
+    evidence: dict = {}
+    for row in sent_rows:
+        toks = row["tokens"]
+        ents = {
+            normalize_surface(" ".join(toks[l:r]))
+            for l, r, ty in segment_dp(trie, toks)
+            if ty and ty != FILTERED_TYPE
+        }
+        pointer = f"{row['url']}#{row['sent_id']}"
+        for a, b in combinations(sorted(ents), 2):
+            key = (a, PRED_COOCCUR, b)
+            weight[key] += 1
+            evidence[key] = min(evidence.get(key, pointer), pointer)
+    return (
+        sorted(k + (w,) for k, w in weight.items()),
+        sorted(k + (weight[k], e) for k, e in evidence.items()),
+    )
+
+
+def test_edge_tiers_match_oracle_on_fixture(ray_session, sf_dir):
+    """On the sf0.001 fixture the bounded tier, the partitioned tier and
+    a plain-Python count give identical edges, with evidence too; the
+    flagship callers take the bounded tier."""
+    from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
+    from autoner_ray.pipelines import kg
+    from autoner_ray.stages.dict_match import pair_key_bound
+    from autoner_ray.stages.triples import edge_tier
+
+    want, want_ev = _dict_edges_oracle(_fixture_sentence_rows(sf_dir))
+    assert len(want) > 10
+    assert edge_tier(pair_key_bound(CORE_DICT, FULL_DICT, STOPWORDS)) == (
+        "bounded"
+    )
+    for output, expected in (("pairs", want), ("pairs_ev", want_ev)):
+        bounded, partitioned = _both_tiers(
+            lambda: kg.matched_sentences(sf_dir, output=output)
+        )
+        assert bounded == partitioned == expected, output
+    flagship = kg.triples_dataset(sf_dir)
+    assert _edge_rows(flagship) == want
+    assert "Sort" not in _op_names(flagship)
+    assert _edge_rows(kg.triples_with_evidence(sf_dir)) == want_ev
+
+
+def _partial_blocks(seed: int, evidence: bool) -> list[pa.Table]:
+    """A multi-block partial stream with repeated keys across blocks,
+    zero-row blocks and zero-column blocks."""
+    import random
+
+    rng = random.Random(seed)
+    ents = [f"e{i:02d}" for i in range(12)]
+    blocks = []
+    for b in range(9):
+        if b % 4 == 3:
+            blocks.append(pa.table({}))
+            continue
+        n = 0 if b == 5 else rng.randint(1, 40)
+        cols = {"subj": [], "pred": [], "obj": [], "w": [], "ev": []}
+        for _ in range(n):
+            a, c = sorted(rng.sample(ents, 2))
+            cols["subj"].append(a)
+            cols["pred"].append(rng.choice(["cooccurs_with", "binds"]))
+            cols["obj"].append(c)
+            cols["w"].append(rng.randint(1, 5))
+            cols["ev"].append(f"doc/{rng.randint(0, 99)}#{rng.randint(0, 9)}")
+        if not evidence:
+            del cols["ev"]
+        blocks.append(
+            pa.table(
+                {
+                    k: pa.array(v, pa.int64() if k == "w" else pa.string())
+                    for k, v in cols.items()
+                }
+            )
+        )
+    return blocks
+
+
+def _partials_oracle(blocks, evidence: bool):
+    weight: dict = {}
+    ev: dict = {}
+    for t in blocks:
+        for r in t.to_pylist():
+            key = (r["subj"], r["pred"], r["obj"])
+            weight[key] = weight.get(key, 0) + r["w"]
+            if evidence:
+                ev[key] = min(ev.get(key, r["ev"]), r["ev"])
+    return sorted(
+        k + (w,) + ((ev[k],) if evidence else ()) for k, w in weight.items()
+    )
+
+
+@pytest.mark.parametrize("evidence", [False, True], ids=["w", "ev"])
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_edge_tiers_match_oracle_on_partial_stream(
+    ray_session, evidence, coalesce
+):
+    import ray.data as rd
+
+    for seed in (1, 2):
+        blocks = _partial_blocks(seed, evidence)
+        bounded, partitioned = _both_tiers(
+            lambda: rd.from_arrow(blocks), coalesce=coalesce
+        )
+        want = _partials_oracle(blocks, evidence)
+        assert len(want) > 20
+        assert bounded == partitioned == want
+
+
+def test_declared_bound_above_constant_takes_partitioned_tier(ray_session):
+    import ray.data as rd
+
+    from autoner_ray.stages.triples import (
+        BOUNDED_MAX_KEYS,
+        aggregate_edges,
+        edge_tier,
+    )
+
+    assert edge_tier(BOUNDED_MAX_KEYS) == "bounded"
+    assert edge_tier(BOUNDED_MAX_KEYS + 1) == "partitioned"
+    assert edge_tier(None) == "partitioned"
+    blocks = _partial_blocks(3, evidence=False)
+    ds = aggregate_edges(rd.from_arrow(blocks), max_keys=BOUNDED_MAX_KEYS + 1)
+    assert _edge_rows(ds) == _partials_oracle(blocks, False)
+    assert "Sort" in _op_names(ds) and "Repartition" not in _op_names(ds)
+
+
+def test_bounded_tier_row_bound_raises(ray_session, monkeypatch):
+    """Above ``BOUNDED_MAX_ROWS`` the one combine task raises
+    ExchangeBoundExceeded naming the rows and the bound, and the job
+    returns nothing; at the bound it succeeds."""
+    import ray.data as rd
+
+    from autoner_ray.stages import triples
+
+    t = pa.table(
+        {
+            "subj": ["a", "a", "b", "c", "d"],
+            "pred": ["cooccurs_with"] * 5,
+            "obj": ["x", "y", "x", "x", "x"],
+            "w": [1, 2, 3, 4, 5],
+        }
+    )
+    monkeypatch.setattr(triples, "BOUNDED_MAX_ROWS", 4)
+    ds = triples.aggregate_edges(rd.from_arrow([t]), max_keys=5)
+    got = None
+    with pytest.raises(Exception, match="ExchangeBoundExceeded") as err:
+        got = ds.take_all()
+    assert got is None
+    assert "got 5 partial rows; BOUNDED_MAX_ROWS is 4" in str(err.value)
+
+    monkeypatch.setattr(triples, "BOUNDED_MAX_ROWS", 5)
+    ds = triples.aggregate_edges(rd.from_arrow([t]), max_keys=5)
+    assert len(ds.take_all()) == 5
+
+
+def test_edge_tiers_empty_and_zero_column_input(ray_session):
+    """Zero partial rows give no edges in both tiers, without error. Ray
+    Data drops empty blocks before a task sees them, so the schema is
+    checked on the tiers' combine functions, which give the schema'd
+    empty edge table for zero-row and zero-column blocks."""
+    import ray.data as rd
+
+    from autoner_ray.stages.triples import edge_table
+
+    typed = pa.table(
+        {
+            "subj": pa.array([], pa.string()),
+            "pred": pa.array([], pa.string()),
+            "obj": pa.array([], pa.string()),
+            "w": pa.array([], pa.int64()),
+        }
+    )
+    typed_ev = typed.append_column("ev", pa.array([], pa.string()))
+    for blocks in ([typed], [pa.table({})], [typed_ev, pa.table({}), typed]):
+        for coalesce in (True, False):
+            assert _both_tiers(
+                lambda: rd.from_arrow(blocks), coalesce=coalesce
+            ) == ([], [])
+
+    edges = pa.schema(
+        [("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
+         ("weight", pa.int64())]
+    )
+    assert edge_table(pa.table({})).schema == edges
+    assert edge_table(typed).schema == edges
+    assert edge_table(typed_ev).schema == edges.append(
+        pa.field("evidence", pa.string())
+    )
+
+
+@pytest.mark.parametrize(
+    "core, stop, n_canon",
+    [
+        (None, None, 12),
+        # case variants share a canonical surface; a stopword entry is
+        # removed from the trie and never matches
+        (["T\tfoo", "T\tFOO", "T\tbar", "T\tthe"], ["the"], 2),
+    ],
+    ids=["builtin", "variants_stopword"],
+)
+def test_pair_key_bound_is_tight(core, stop, n_canon):
+    """A sentence naming every core surface, comma-separated, yields
+    exactly ``pair_key_bound`` pair keys: the bound is C(n, 2) over the
+    distinct canonical surfaces the matcher can emit."""
+    from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
+    from autoner_ray.stages.dict_match import DictMatcher, pair_key_bound
+
+    core = CORE_DICT if core is None else core
+    stop = STOPWORDS if stop is None else stop
+    full = FULL_DICT if core is CORE_DICT else []
+    tokens = []
+    for line in core:
+        tokens += line.split("\t")[1].split(" ") + [","]
+    pairs = DictMatcher(core, full, stop, output="pairs")(
+        pa.table({"tokens": pa.array([tokens], pa.list_(pa.string()))})
+    )
+    bound = pair_key_bound(core, full, stop)
+    assert bound == n_canon * (n_canon - 1) // 2
+    assert pairs.num_rows == bound

@@ -69,6 +69,20 @@ def test_lineage_records(ray_session, tmp_path):
         assert rec["metrics"]["wall_sec"] > 0
 
 
+def test_graph_lineage_records_edge_tier(ray_session, tmp_path):
+    """The graph phase's lineage names the edge-aggregate tier: the
+    flagship dictionaries bound the edge keys, so it is the bounded one."""
+    from autoner_ray.pipelines.checkpoint import run_resumable_graph
+    from autoner_ray.state import manifest as mf
+
+    out = str(tmp_path / "ckpt")
+    run_resumable_graph(SF, out, num_parts=2, num_shards=2, concurrency=2)
+    (rec,) = mf.read_manifest(os.path.join(out, "graph"), 1)
+    assert rec["lineage"]["stages"] == [
+        "aggregate_edges:bounded", "materialize_graph"
+    ]
+
+
 def test_tmp_sweep(ray_session, tmp_path):
     from autoner_ray.state import manifest as mf
 
