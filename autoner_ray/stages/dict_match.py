@@ -56,7 +56,7 @@ from autoner_ray.functions.text import (
     is_separator_token,
     normalize_surface,
 )
-from autoner_ray.stages.triples import PRED_COOCCUR
+from autoner_ray.stages.triples import PRED_COOCCUR, pairs_within
 from autoner_ray.state.trie import (
     ENTITY,
     FILTERED,
@@ -175,19 +175,30 @@ class DictMatcher:
         key = np.unique(sent * n_canon + self.compiled.canon_rank[node])
         return key // n_canon, key % n_canon
 
-    def _out_sentences(self, batch, tokens, sent, left, right, node):
-        ms, _, _, mnode = self._mentions(sent, left, right, node)
+    def entity_lists(self, tokens: pa.Array) -> pa.ListArray:
+        """The ``entities`` column of ``output="sentences"`` for a
+        ``tokens`` list column: sorted distinct canonical entities per
+        sentence, from one :func:`segment_batch` call."""
+        ms, _, _, mnode = self._mentions(
+            *segment_batch(self.compiled, tokens, self.weight)
+        )
+        return self._entity_column(len(tokens), ms, mnode)
+
+    def _entity_column(self, n, ms, mnode):
         es, erank = self._entities(ms, mnode)
+        return _list_array(
+            np.bincount(es, minlength=n), self.compiled.canons.take(erank)
+        )
+
+    def _out_sentences(self, batch, tokens, sent, left, right, node):
         n = batch.num_rows
+        ms, _, _, mnode = self._mentions(sent, left, right, node)
         return pa.table(
             {
                 "url": batch["url"],
                 "doc_id": batch["doc_id"],
                 "sent_id": batch["sent_id"],
-                "entities": _list_array(
-                    np.bincount(es, minlength=n),
-                    self.compiled.canons.take(erank),
-                ),
+                "entities": self._entity_column(n, ms, mnode),
                 "mention_cnt": pa.array(
                     np.bincount(ms, minlength=n).astype(np.int32)
                 ),
@@ -200,7 +211,7 @@ class DictMatcher:
         occurrence)`` with key = subj rank * n_canon + obj rank."""
         ms, _, _, mnode = self._mentions(sent, left, right, node)
         es, erank = self._entities(ms, mnode)
-        i, j = _pairs_within(es)
+        i, j = pairs_within(es)
         occ = erank[i] * len(self.compiled.canons) + erank[j]
         keys, inv, w = np.unique(occ, return_inverse=True, return_counts=True)
         return keys, w, inv, es[i]
@@ -239,7 +250,7 @@ class DictMatcher:
 
     def _out_typed_pairs(self, batch, tokens, sent, left, right, node):
         ms, ml, mr, mnode = self._mentions(sent, left, right, node)
-        i, j = _pairs_within(ms)
+        i, j = pairs_within(ms)
         rank = self.compiled.canon_rank[mnode]
         i, j = (x[rank[i] != rank[j]] for x in (i, j))
         off = list_offsets(tokens)
@@ -401,17 +412,6 @@ def _list_array(lengths: np.ndarray, values: pa.Array) -> pa.ListArray:
     off = np.zeros(len(lengths) + 1, np.int32)
     np.cumsum(lengths, out=off[1:])
     return pa.ListArray.from_arrays(pa.array(off), values)
-
-
-def _pairs_within(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``i < j`` with ``group[i] == group[j]`` of a
-    sorted group array, ordered by ``i`` then ``j`` (the order of
-    ``itertools.combinations`` within each group)."""
-    n = len(group)
-    later = np.searchsorted(group, group, side="right") - np.arange(n) - 1
-    i = np.repeat(np.arange(n), later)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
-    return i, j
 
 
 # -- task-pool twin ------------------------------------------------------------

@@ -1,28 +1,35 @@
-"""Neural tagger stages: actor-pool inference + distributed span-F1 eval.
+"""Neural tagger stages: task-pool inference + distributed span-F1 eval.
 
-- :class:`TaggerScorer` (T3/T4): weights + vocab maps load ONCE per actor
-  from a broadcast artifact blob (``ray.put`` handle); each ``__call__``
-  re-buckets the batch by char-sequence length (token-budget batching,
-  T6 — Ray batches are row-counted so the budget slicing happens inside
-  the actor, SURVEY §7.3) and emits one row per decoded mention with its
-  chunk-head score (S12 shape).
-- :class:`TaggerEval` (A4/A5): holds BOTH the dictionary trie (gold
-  distant labels) and the model; emits per-batch partial span counts and
-  score min/max, merged with a tiny ``sum``/``min``/``max`` aggregate —
-  the distributed form of `model_partial_ner/utils.py:119-180`.
+All three stages run as task pools through ``cached_stage_fn``: the
+weights + vocab maps (and, where a stage needs it, the dictionary trie)
+load ONCE per worker process from a broadcast blob (``ray.put`` handle)
+and are reused by every task of the session.
+
+- :class:`TaggerScorer` (T3/T4): each call re-buckets the batch by
+  char-sequence length (token-budget batching, T6 — Ray batches are
+  row-counted, so the budget slicing happens inside the task, SURVEY
+  §7.3) and emits one row per decoded mention with its chunk-head score
+  (S12 shape).
+- :class:`TaggerEval` (A4/A5): the dictionary trie (gold distant labels)
+  and the model; emits per-batch partial span counts and score min/max,
+  merged with a tiny ``sum``/``min``/``max`` aggregate — the distributed
+  form of `model_partial_ner/utils.py:119-180`.
+- :class:`HybridPairs`: the dict + neural union mention source, leaving
+  as co-occurrence pair partials.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from autoner_ray.state.tagger import (
     Tagger,
+    encode_batch,
     f1_from_counts,
     span_f1_counts,
     token_budget_batches,
-    encode_sentence,
 )
 
 
@@ -41,37 +48,46 @@ def bucketed_predict(tagger, tokens_col, threshold: float = 0.0,
                      budget: int = 12000, with_chunk_stats: bool = False,
                      none_bias: float = 0.0):
     """Length-bucketed ``predict_batch`` over a whole Ray batch (T6):
-    same-scale sentences share one padded forward, so a mixed-length web
-    batch doesn't pad every row to the longest sentence (~2x measured
-    at budget 12000 vs one unbucketed 512-row call). Returns the span
-    lists in input order, plus batch-wide chunk-score min/max when
-    ``with_chunk_stats``."""
+    the batch is encoded once (:func:`encode_batch`), the encoded
+    records are bucketed by char-sequence length so same-scale sentences
+    share one padded forward, and each bucket's states go straight to
+    the decode. Returns the span lists in input order, plus batch-wide
+    chunk-score min/max when ``with_chunk_stats``.
+
+    Against one padded ``predict_batch`` per batch (fused GRU kernel,
+    demo model, one core of a 4-vCPU host, medians of 7 runs): the
+    seed-1 kg_hybrid corpus as 9 x 128-row batches takes 0.28 s
+    against 0.40 s (1.4x); the first 512 sf0.1 sentences as 4 x
+    128-row batches 0.50 s against 0.58 s (1.15x). As ONE 512-row
+    batch bucketing is slower, 0.57 s against 0.51 s: a kernel step
+    costs about the same at 20 rows as at 512, so many narrow buckets
+    lose to one wide call. The stages send 128-row batches."""
     records = [
-        (*encode_sentence(t, tagger.c_map, tagger.w_map), i)
-        for i, t in enumerate(tokens_col)
+        (*rec, i)
+        for i, rec in enumerate(
+            encode_batch(tokens_col, tagger.c_map, tagger.w_map)
+        )
     ]
     out: list[list] = [[] for _ in tokens_col]
     smin, smax = float("inf"), float("-inf")
     for bucket in token_budget_batches(records, budget):
-        idxs = [rec[3] for rec in bucket]
-        res = tagger.predict_batch(
-            [tokens_col[i] for i in idxs], threshold,
-            with_chunk_stats=with_chunk_stats, none_bias=none_bias,
+        preds, bmin, bmax = tagger.predict_batch(
+            None, threshold, with_chunk_stats=True, none_bias=none_bias,
+            states=tagger.run_encoder(bucket),
         )
-        if with_chunk_stats:
-            preds, bmin, bmax = res
-            smin = min(smin, bmin)
-            smax = max(smax, bmax)
-        else:
-            preds = res
-        for i, spans in zip(idxs, preds):
-            out[i] = spans
+        smin = min(smin, bmin)
+        smax = max(smax, bmax)
+        for rec, spans in zip(bucket, preds):
+            out[rec[3]] = spans
     if with_chunk_stats:
         return out, smin, smax
     return out
 
 
 class TaggerScorer:
+    """Sentence rows -> one row per decoded mention. Built once per
+    worker by ``cached_stage_fn`` (see :func:`neural_mentions`)."""
+
     def __init__(self, model_blob, threshold: float = 0.0,
                  token_budget: int = 12000) -> None:
         self.tagger = Tagger.from_bytes(_maybe_get(model_blob))
@@ -236,12 +252,15 @@ def eval_span_f1(sentences_ds, model_blob, core_lines, full_lines=(),
 
 
 class HybridPairs:
-    """Union mention source (SURVEY §7.2 step 6): one actor holds BOTH
-    the dictionary trie and the neural tagger; per sentence the entity
-    set is the union of dictionary mentions and decoded neural spans
-    (canonicalized surfaces), and the batch leaves as pre-aggregated
-    co-occurrence pair partials — same zero-shuffle shape as
-    ``DictMatcher(output="pairs")``."""
+    """Union mention source (SURVEY §7.2 step 6). Built once per worker
+    by ``cached_stage_fn``, holding BOTH the dictionary trie and the
+    neural tagger. Per sentence the entity set is the union of the
+    dictionary's canonical entities (one ``segment_batch`` call for the
+    whole batch, the ``entities`` column of ``output="sentences"``) and
+    the normalized surfaces of the decoded neural spans; the batch leaves
+    as pre-aggregated co-occurrence pair partials
+    (:func:`~autoner_ray.stages.triples.cooccurrence_partials`) — the
+    same zero-shuffle shape as ``DictMatcher(output="pairs")``."""
 
     def __init__(self, model_blob, core_lines, full_lines=(),
                  stopword_lines=(), threshold: float = 0.0) -> None:
@@ -252,30 +271,29 @@ class HybridPairs:
         self.threshold = threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from collections import Counter
-        from itertools import combinations
-
         from autoner_ray.functions.text import normalize_surface
-        from autoner_ray.stages.triples import PRED_COOCCUR
+        from autoner_ray.stages.triples import cooccurrence_partials
 
-        tokens_col = batch["tokens"].to_pylist()
+        tokens = batch["tokens"].combine_chunks()
+        tokens_col = tokens.to_pylist()
         preds = bucketed_predict(self.tagger, tokens_col, self.threshold)
-        counter: Counter[tuple[str, str]] = Counter()
-        for toks, spans in zip(tokens_col, preds):
-            ents = {m[4] for m in self.matcher.mentions_of(toks)}
-            for l, r, ty, _score in spans:
-                ents.add(normalize_surface(" ".join(toks[l:r])))
-            for a, b in combinations(sorted(ents), 2):
-                counter[(a, b)] += 1
-        subjs = [a for a, _ in counter]
-        objs = [b for _, b in counter]
-        return pa.table(
-            {
-                "subj": pa.array(subjs, pa.string()),
-                "pred": pa.array([PRED_COOCCUR] * len(subjs), pa.string()),
-                "obj": pa.array(objs, pa.string()),
-                "w": pa.array(list(counter.values()), pa.int64()),
-            }
+        dict_ents = self.matcher.entity_lists(tokens)
+        span_sent = [i for i, spans in enumerate(preds) for _ in spans]
+        surfaces = [
+            " ".join(toks[l:r])
+            for toks, spans in zip(tokens_col, preds)
+            for l, r, _ty, _score in spans
+        ]
+        canon = {s: normalize_surface(s) for s in set(surfaces)}
+        return cooccurrence_partials(
+            np.concatenate([
+                pc.list_parent_indices(dict_ents).to_numpy(),
+                np.asarray(span_sent, np.int64),
+            ]),
+            pa.concat_arrays([
+                pc.list_flatten(dict_ents),
+                pa.array([canon[s] for s in surfaces], pa.string()),
+            ]),
         )
 
 

@@ -27,33 +27,57 @@ Scale design (SURVEY.md §4):
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 PRED_COOCCUR = "cooccurs_with"
 
 
-def pair_counts_batch(batch: pa.Table) -> pa.Table:
-    """sentence rows (entities list) -> partial (subj, pred, obj, w) rows."""
-    counter: Counter[tuple[str, str]] = Counter()
-    for ents in batch["entities"].to_pylist():
-        # entities are sorted distinct per sentence -> combinations are
-        # already (min, max) ordered
-        for a, b in combinations(ents, 2):
-            counter[(a, b)] += 1
-    subjs, objs, ws = [], [], []
-    for (a, b), w in counter.items():
-        subjs.append(a)
-        objs.append(b)
-        ws.append(w)
+def pairs_within(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs ``i < j`` with ``group[i] == group[j]`` of a
+    sorted group array, ordered by ``i`` then ``j`` (the order of
+    ``itertools.combinations`` within each group)."""
+    n = len(group)
+    later = np.searchsorted(group, group, side="right") - np.arange(n) - 1
+    i = np.repeat(np.arange(n), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return i, j
+
+
+def cooccurrence_partials(sent: np.ndarray, ents: pa.Array) -> pa.Table:
+    """Entity occurrences -> partial ``(subj, pred, obj, w)`` rows.
+
+    ``sent[k]`` is the sentence of entity string ``ents[k]``; repeats
+    within a sentence count once. Every unordered pair of distinct
+    entities of a sentence adds 1 to the edge ``(min, max)``, as
+    ``itertools.combinations`` over the sorted distinct set would."""
+    # sorted distinct strings: rank order is code point order, the
+    # order Python's sorted() gives
+    uniq = pc.unique(ents)
+    uniq = uniq.take(pc.sort_indices(uniq))
+    n = max(len(uniq), 1)
+    rank = pc.index_in(ents, value_set=uniq).to_numpy(zero_copy_only=False)
+    key = np.unique(np.asarray(sent, np.int64) * n + rank)
+    i, j = pairs_within(key // n)
+    rank = key % n
+    keys, w = np.unique(rank[i] * n + rank[j], return_counts=True)
     return pa.table(
         {
-            "subj": pa.array(subjs, pa.string()),
-            "pred": pa.array([PRED_COOCCUR] * len(ws), pa.string()),
-            "obj": pa.array(objs, pa.string()),
-            "w": pa.array(ws, pa.int64()),
+            "subj": uniq.take(keys // n),
+            "pred": pa.array([PRED_COOCCUR] * len(keys), pa.string()),
+            "obj": uniq.take(keys % n),
+            "w": pa.array(w.astype(np.int64)),
         }
+    )
+
+
+def pair_counts_batch(batch: pa.Table) -> pa.Table:
+    """sentence rows (entities list) -> partial (subj, pred, obj, w) rows."""
+    ents = batch["entities"].combine_chunks()
+    return cooccurrence_partials(
+        pc.list_parent_indices(ents).to_numpy(), pc.list_flatten(ents)
     )
 
 

@@ -25,6 +25,22 @@ Architecture contract kept:
 - token-budget batching: sentences sorted by length desc, batch size =
   ``max(budget // seq_len, 1)`` (`dataset.py:144-188`).
 
+Two encoder paths, one per purpose:
+
+- training: :func:`forward` (GRU) and :func:`forward_v2` (stacked
+  LSTM) run each direction as its own time loop through
+  :func:`_gru_forward` / :func:`_lstm_forward`, keeping the per-step
+  cache that :func:`_gru_backward` / :func:`backward_v2` consume. They
+  are also the test oracle for the inference kernel;
+- inference: :func:`infer_states` is the only encoder forward that
+  ``Tagger.predict_batch``, ``Tagger.forward_states`` and the stages'
+  ``bucketed_predict`` run. Both directions advance in ONE time loop
+  (one ``[forward | backward]`` state, block gate matrices, 2-D GEMMs
+  over both directions at once), sigmoid is ``0.5·(1+tanh(x/2))``, and
+  no cache or dropout is kept. :func:`encode_batch` is the batch twin of
+  :func:`encode_sentence` (the per-sentence oracle, also used by
+  training).
+
 Boundary-slot convention (engine-normalized form of the .ck contract):
 a sentence of n words has n+1 slots — slot 0 before word 0 (the
 ``<bos>`` char), slot i at the separator before word i, slot n at the
@@ -113,6 +129,63 @@ def encode_sentence(tokens: list[str], c_map: dict, w_map: dict):
         np.asarray(word_ids, np.int32),
         np.asarray(slot_pos, np.int32),
     )
+
+
+def encode_batch(sentences: list[list[str]], c_map: dict, w_map: dict):
+    """Batch twin of :func:`encode_sentence`: the same
+    ``(char_ids, word_ids, slot_pos)`` per sentence, array for array,
+    built from whole-batch arrays. Characters are UTF-32 code points
+    looked up in the sorted ``c_map`` keys; word ids are looked up once
+    per distinct token (raw -> lower -> unk)."""
+    flat = [w for toks in sentences for w in toks]
+    n_tok = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    tl = np.fromiter(map(len, flat), np.int64, len(flat))
+    ids = {
+        w: w_map.get(w) or w_map.get(w.lower(), WORD_UNK)
+        for w in dict.fromkeys(flat)
+    }
+    wid = np.fromiter(map(ids.__getitem__, flat), np.int32, len(flat))
+    cp = np.frombuffer(
+        "".join(flat).encode("utf-32-le", "surrogatepass"), np.uint32
+    )
+    chars = sorted((ord(k), v) for k, v in c_map.items() if len(k) == 1)
+    ch = np.full(len(cp), UNK, np.int32)
+    if chars:
+        keys = np.asarray([k for k, _ in chars], np.uint32)
+        at = np.minimum(np.searchsorted(keys, cp), len(keys) - 1)
+        hit = keys[at] == cp
+        ch[hit] = np.asarray([v for _, v in chars], np.int32)[at[hit]]
+    # each token spans its chars + its separator; each sentence adds a
+    # leading <bos>. Token k starts after the spans before it and the
+    # <bos> of its own and every earlier sentence.
+    span = tl + 1
+    span_off = np.concatenate([[0], np.cumsum(span)])
+    tok_first = np.concatenate([[0], np.cumsum(n_tok)])
+    sent_of = np.repeat(np.arange(len(sentences)), n_tok)
+    tok_start = span_off[:-1] + sent_of + 1
+    sent_start = span_off[tok_first[:-1]] + np.arange(len(sentences))
+    total = len(sentences) + int(span_off[-1])
+    char_ids = np.full(total, SEP, np.int32)
+    word_ids = np.full(total, WORD_PAD, np.int32)
+    char_ids[sent_start] = BOS
+    char_ids[np.repeat(tok_start - (np.cumsum(tl) - tl), tl)
+             + np.arange(len(cp))] = ch
+    word_ids[np.repeat(tok_start, span) + np.arange(int(span_off[-1]))
+             - np.repeat(span_off[:-1], span)] = np.repeat(wid, span)
+    # slots: the <bos> then every token's separator, sentence-relative
+    slot_first = tok_first[:-1] + np.arange(len(sentences))
+    slots = np.empty(len(sentences) + len(flat), np.int64)
+    slots[slot_first] = sent_start
+    slots[sent_of + 1 + np.arange(len(flat))] = tok_start + tl
+    slots = (slots - np.repeat(sent_start, n_tok + 1)).astype(np.int32)
+    ends = np.append(sent_start[1:], total)
+    return [
+        (char_ids[a:b], word_ids[a:b], slots[s : s + n + 1])
+        for a, b, s, n in zip(
+            sent_start.tolist(), ends.tolist(), slot_first.tolist(),
+            n_tok.tolist(),
+        )
+    ]
 
 
 def segments_to_slots(n_words: int, segments, filtered_type="__FILTERED__"):
@@ -683,6 +756,117 @@ def forward(params, char_ids, word_ids):
     return hf, hb, (cf, cb), x, mask
 
 
+# ---------------------------------------------------------------------------
+# Inference kernel: both directions in one time loop, no backward cache
+# ---------------------------------------------------------------------------
+#
+# Layout: loop step t advances the forward direction at position t and
+# the backward direction at position T-1-t. The state is (B, 2H) =
+# [forward | backward]; every gate matrix is one block matrix whose
+# column block 2j+d holds gate j of direction d, so each step is a few
+# 2-D GEMMs over both directions at once. Sigmoid gates are computed as
+# 0.5·(1+tanh(x/2)), with the 1/2 folded into their columns (an exact
+# power-of-two scale).
+
+def _gate_blocks(Af, Ab, H: int):
+    """Per-direction gate matrices (n, k·H) -> the (2n, 2k·H) block
+    matrix: rows :n feed the forward gates, rows n: the backward ones."""
+    n, kH = Af.shape
+    out = np.zeros((2 * n, 2 * kH), Af.dtype)
+    v = out.reshape(2 * n, kH // H, 2, H)
+    v[:n, :, 0] = Af.reshape(n, -1, H)
+    v[n:, :, 1] = Ab.reshape(n, -1, H)
+    return out
+
+
+def _scan_inputs(x, Wf, bf, Wb, bb, H: int, scale):
+    """Per-step input rows ``[x[t], x[T-1-t], 1]`` (T, B, 2D+1) and the
+    matching input weights (2D+1, 2k·H), bias as the last row, gate
+    columns multiplied by ``scale``."""
+    T, B, _ = x.shape
+    X = np.concatenate([x, x[::-1], np.ones((T, B, 1), x.dtype)], axis=2)
+    bias = _gate_blocks(bf[None], bb[None], H).sum(axis=0, keepdims=True)
+    return X, np.concatenate([_gate_blocks(Wf, Wb, H), bias]) * scale
+
+
+def _scan_masks(mask):
+    """(0/1 backward-direction mask per loop step (T, B, 1), the loop
+    steps where it has a zero). PAD is a suffix of every column, so the
+    backward direction crosses it first: zeroing its state there keeps
+    it at zero, exactly as a scan that skips PAD. The forward direction
+    reaches PAD only after its real positions and is zeroed there after
+    the loop."""
+    back = mask[::-1, :, None].astype(np.float32)
+    return back, ~mask.all(axis=1)[::-1]
+
+
+def _bigru_scan(x, p, mask):
+    H = p["Uf"].shape[0]
+    scale = np.ones(6 * H, x.dtype)
+    scale[: 4 * H] = 0.5  # z, r
+    X, Wx = _scan_inputs(x, p["Wf"], p["bf"], p["Wb"], p["bb"], H, scale)
+    U = _gate_blocks(p["Uf"], p["Ub"], H)
+    Uzr = U[:, : 4 * H] * 0.5
+    Uc = np.ascontiguousarray(U[:, 4 * H :])
+    back, has_pad = _scan_masks(mask)
+    out = np.empty((len(X), x.shape[1], 2 * H), x.dtype)
+    h = np.zeros(out.shape[1:], x.dtype)
+    for t in range(len(X)):
+        g = X[t] @ Wx
+        zr = 0.5 * (1.0 + np.tanh(g[:, : 4 * H] + h @ Uzr))
+        z, r = zr[:, : 2 * H], zr[:, 2 * H :]
+        c = np.tanh(g[:, 4 * H :] + (r * h) @ Uc)
+        h = (1 - z) * h + z * c
+        if has_pad[t]:
+            h[:, H:] *= back[t]
+        out[t] = h
+    out[:, :, :H] *= mask[:, :, None]
+    return out[:, :, :H], out[::-1, :, H:]
+
+
+def _bilstm_scan(x, Wf, bf, Uf, Wb, bb, Ub, mask):
+    H = Uf.shape[0]
+    scale = np.full(8 * H, 0.5, x.dtype)
+    scale[4 * H : 6 * H] = 1.0  # i, f, o are sigmoid gates; g is tanh
+    X, Wx = _scan_inputs(x, Wf, bf, Wb, bb, H, scale)
+    U = _gate_blocks(Uf, Ub, H) * scale
+    back, has_pad = _scan_masks(mask)
+    out = np.empty((len(X), x.shape[1], 2 * H), x.dtype)
+    h = np.zeros(out.shape[1:], x.dtype)
+    c = np.zeros_like(h)
+    for t in range(len(X)):
+        a = np.tanh(X[t] @ Wx + h @ U)
+        s = 0.5 * (1.0 + a)
+        c = s[:, 2 * H : 4 * H] * c + s[:, : 2 * H] * a[:, 4 * H : 6 * H]
+        h = s[:, 6 * H :] * np.tanh(c)
+        if has_pad[t]:
+            h[:, H:] *= back[t]
+            c[:, H:] *= back[t]
+        out[t] = h
+    out[:, :, :H] *= mask[:, :, None]
+    return out[:, :, :H], out[::-1, :, H:]
+
+
+def infer_states(params, arch: str, char_ids, word_ids):
+    """Inference-only encoder forward: (h_fwd, h_bwd), each (T, B, H)
+    in position order, for ``arch`` "gru" (one bi-GRU) or "lstm" (the
+    stacked bi-LSTM, no dropout). On real (non-PAD) positions it matches
+    :func:`forward` / :func:`forward_v2` to float32 rounding; PAD
+    positions read as zero state. Training keeps using those two, for
+    their caches."""
+    p = params
+    x = np.concatenate([p["Ec"][char_ids], p["Ew"][word_ids]], axis=2)
+    mask = char_ids != PAD
+    if arch != "lstm":
+        return _bigru_scan(x, p, mask)
+    for layer in range(int(p["_dims_v2"][6])):
+        hf, hb = _bilstm_scan(
+            x, *(p[f"{k}{layer}{d}"] for d in "fb" for k in "WbU"), mask
+        )
+        x = np.concatenate([hf, hb], axis=2)
+    return hf, hb
+
+
 def chunk_scores(params, hf, hb, slot_pos, b):
     """Boundary scores for one sentence b: (n_slots,)."""
     reps = np.concatenate([hf[slot_pos, b], hb[slot_pos, b]], axis=1)
@@ -823,16 +1007,15 @@ class Tagger:
         return char_ids, word_ids
 
     # -- inference (T4 + M15) ----------------------------------------------
-    def _encode_and_run(self, sentences):
-        records = [
-            encode_sentence(toks, self.c_map, self.w_map)
-            for toks in sentences
-        ]
+    def run_encoder(self, records):
+        """:func:`infer_states` over encoded records
+        (``(char_ids, word_ids, slot_pos, ...)`` tuples, as
+        :func:`encode_batch` gives). Returns the ``states`` that
+        :meth:`predict_batch` takes: ``(records, h_fwd, h_bwd)``."""
+        if not records:
+            return records, None, None
         char_ids, word_ids = self._pad_batch(records)
-        if self.arch == "lstm":
-            hf, hb, _ = forward_v2(self.params, char_ids, word_ids)
-        else:
-            hf, hb, _, _, _ = forward(self.params, char_ids, word_ids)
+        hf, hb = infer_states(self.params, self.arch, char_ids, word_ids)
         return records, hf, hb
 
     def _chunk_head(self, X):
@@ -849,9 +1032,12 @@ class Tagger:
         return hid @ p["Wt2"] + p["bt2"]
 
     def forward_states(self, sentences: list[list[str]]):
-        """Encoder forward only — pass to ``predict_batch(states=...)``
-        to amortize it across decode-parameter settings."""
-        return self._encode_and_run(sentences)
+        """Encode + encoder forward only — pass to
+        ``predict_batch(states=...)`` to amortize it across
+        decode-parameter settings."""
+        return self.run_encoder(
+            encode_batch(sentences, self.c_map, self.w_map)
+        )
 
     def predict_batch(self, sentences: list[list[str]],
                       threshold: float = 0.0, with_chunk_stats=False,
@@ -868,64 +1054,59 @@ class Tagger:
         a negative bias trades precision for recall (distant supervision
         systematically under-labels, so decoded recall is the bottleneck);
         select it on dev like ``threshold``.
+
+        ``states`` (from :meth:`forward_states` or :meth:`run_encoder`)
+        skips the encode and the encoder forward: a decode-parameter
+        sweep reuses one forward across many (threshold, none_bias), and
+        ``bucketed_predict`` passes each bucket's states. Breaks and
+        segments of every sentence come from array ops; both heads run
+        once over the whole batch.
         """
-        if not sentences:
+        records, hf, hb = (
+            states if states is not None else self.forward_states(sentences)
+        )
+        if not records:
             return ([], float("inf"), float("-inf")) if with_chunk_stats \
                 else []
-        # `states` (from forward_states) lets a decode-parameter sweep
-        # reuse one LSTM forward across many (threshold, none_bias)
-        records, hf, hb = (
-            states if states is not None else self._encode_and_run(sentences)
-        )
         # all boundary slots of all sentences, one head call
+        n_slots = np.fromiter((len(r[2]) for r in records), np.int64,
+                              len(records))
+        offsets = np.concatenate([[0], np.cumsum(n_slots)])
         pos = np.concatenate([r[2] for r in records])
-        bidx = np.concatenate(
-            [np.full(len(r[2]), b, np.int64) for b, r in enumerate(records)]
-        )
+        bidx = np.repeat(np.arange(len(records)), n_slots)
         X_chunk = np.concatenate([hf[pos, bidx], hb[pos, bidx]], axis=1)
         scores_all = self._chunk_head(X_chunk)
-        smin = float(scores_all.min())
-        smax = float(scores_all.max())
-        # decode breaks per sentence; gather every segment for one typing
-        # head call
-        offsets = np.cumsum([0] + [len(r[2]) for r in records])
-        seg_l, seg_r, seg_lp, seg_rp, seg_b = [], [], [], [], []
-        seg_sent: list[int] = []
-        for b, (ci, wi, slots) in enumerate(records):
-            scores = scores_all[offsets[b] : offsets[b + 1]]
-            # score < threshold => Break (test_partial_ner.py:91)
-            breaks = [i for i, s in enumerate(scores) if s < threshold]
-            if 0 not in breaks:
-                breaks.insert(0, 0)
-            last = len(slots) - 1
-            if last not in breaks:
-                breaks.append(last)
-            for a, c in zip(breaks, breaks[1:]):
-                seg_l.append(a)
-                seg_r.append(c)
-                seg_lp.append(slots[a])
-                seg_rp.append(slots[c])
-                seg_b.append(b)
-                seg_sent.append(b)
+        # score < threshold => Break (test_partial_ner.py:91); every
+        # sentence's first and last slot always break. A segment joins
+        # two consecutive breaks of the same sentence.
+        is_break = scores_all < threshold
+        is_break[offsets[:-1]] = True
+        is_break[offsets[1:] - 1] = True
+        brk = np.flatnonzero(is_break)
+        a, c = brk[:-1], brk[1:]
+        same = bidx[a] == bidx[c]
+        a, c = a[same], c[same]
+        seg_b = bidx[a]
         out: list[list] = [[] for _ in records]
-        if seg_l:
-            lp = np.asarray(seg_lp)
-            rp = np.asarray(seg_rp)
-            sb = np.asarray(seg_b)
-            X_type = np.concatenate([hb[lp, sb], hf[rp, sb]], axis=1)
+        if len(a):
+            X_type = np.concatenate(
+                [hb[pos[a], seg_b], hf[pos[c], seg_b]], axis=1
+            )
             logits = self._type_head(X_type)
             if none_bias:
                 logits = logits.copy()
                 logits[:, self.types.index(NONE_TYPE)] += none_bias
             tis = np.argmax(logits, axis=1)
-            for k, ti in enumerate(tis):
-                ty = self.types[int(ti)]
-                if ty != NONE_TYPE:
-                    out[seg_sent[k]].append(
-                        (seg_l[k], seg_r[k], ty, float(logits[k, ti]))
-                    )
+            keep = np.asarray(self.types)[tis] != NONE_TYPE
+            base = offsets[seg_b]
+            for b, l, r, ti, score in zip(
+                seg_b[keep].tolist(), (a - base)[keep].tolist(),
+                (c - base)[keep].tolist(), tis[keep].tolist(),
+                logits[keep, tis[keep]].tolist(),
+            ):
+                out[b].append((l, r, self.types[ti], score))
         if with_chunk_stats:
-            return out, smin, smax
+            return out, float(scores_all.min()), float(scores_all.max())
         return out
 
     # -- one SGD step on one token-budget batch (T5) -----------------------
