@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 
 from autoner_ray.state import manifest as mf
-from autoner_ray.stages.triples import aggregate_edges, edge_tier
+from autoner_ray.stages.combine import edge_tier
+from autoner_ray.stages.triples import aggregate_edges
 
 
 def _partition_pairs(sf_dir: str, part: int, num_parts: int, concurrency):

@@ -31,12 +31,9 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
 
     from autoner_ray.cluster import default_num_partitions
     from autoner_ray.stages.analysis import quality_batch
-    from autoner_ray.stages.combine import (
-        bounded_key_sum,
-        partitioned_key_agg,
-    )
+    from autoner_ray.stages.combine import bounded_key_sum
     from autoner_ray.stages.decontam import decontaminate
-    from autoner_ray.stages.dedup import neardup_keep_one
+    from autoner_ray.stages.dedup import exact_dedup, neardup_keep_one
     from autoner_ray.stages.joins import cogroup_join
 
     P = default_num_partitions()
@@ -68,27 +65,7 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
     ).materialize()  # feeds md5-winner pass AND the winner semi-join
 
     # -- stage 2: exact dedup, keep smallest doc_id per text md5 ------
-    import hashlib
-
-    def md5_rows(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "m": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                }
-            )
-        hs = [
-            hashlib.md5((x or "").encode()).hexdigest()
-            for x in t["text"].to_pylist()
-        ]
-        return pa.table({"m": pa.array(hs, pa.string()),
-                         "doc_id": t["doc_id"]})
-
-    winners = partitioned_key_agg(
-        filtered.map_batches(md5_rows, batch_format="pyarrow"),
-        ["m"], [("doc_id", "min")], part_on=("m",),
-    ).select_columns(["doc_id"])
+    winners = exact_dedup(filtered).select_columns(["doc_id"])
 
     def strip_extra(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or len(t) == 0:

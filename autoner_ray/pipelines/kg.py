@@ -7,11 +7,13 @@
       -> [optional] sorted adjacency graph shards
 
 Lifecycle mirrors SURVEY.md §3.4. Everything before the edge aggregate
-is an embarrassingly parallel stream. The aggregate runs over per-batch
-pre-aggregated partials. For the dictionary outputs whose edge keys are
-bounded by the dictionary ("pairs", "pairs_ev"), it is one combine task
-and no all-to-all exchange runs; otherwise it is one hash shuffle (see
-:func:`autoner_ray.stages.triples.aggregate_edges`).
+is an embarrassingly parallel stream. The KG aggregates — the edges,
+the doc-freq, type and evidence tables, the infix relations — are the
+one keyed combine (:func:`autoner_ray.stages.combine.keyed_combine`):
+a per-batch Arrow hash aggregate, then one exchange in one of two
+tiers. Keys bounded by a dictionary (the "pairs"/"pairs_ev" edges, the
+unigram entities and types) take the bounded tier, one combine task and
+no all-to-all exchange; the rest take one hash shuffle.
 
 Also provides the unigram-dictionary variant whose semantics are exactly
 expressible in ANSI SQL — that variant backs the driver's DuckDB
@@ -25,6 +27,7 @@ import pyarrow as pa
 
 from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS, UNIGRAM_DICT
 from autoner_ray.sources.pages import read_pages
+from autoner_ray.stages.combine import keyed_combine
 from autoner_ray.stages.dict_match import DictMatcher, pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
 from autoner_ray.stages.tokenize import (
@@ -35,6 +38,7 @@ from autoner_ray.stages.triples import (
     PRED_COOCCUR,
     aggregate_edges,
     pair_counts_batch,
+    pairs_within,
 )
 
 DEFAULT_BATCH_SIZE = 2048
@@ -163,35 +167,43 @@ def unigram_doc_entities(sf_dir: str):
     return ds.map_batches(_unigram_entities_batch, batch_format="pyarrow")
 
 
-def unigram_mention_type_counts(sf_dir: str):
-    """Per-type count of matched (doc, entity) pairs — SQL-checkable.
+# canonical unigram entity -> type; it bounds the unigram queries' keys
+_UNIGRAM_TYPE_OF = {e: t for e, t in UNIGRAM_DICT.values()}
 
-    Type cardinality is bounded by the dictionary, so the tail is a
-    shuffle-free ``bounded_key_sum`` (two-level streaming combine)
-    rather than a sort-shuffle groupby over a ≤|types|-row stream.
-    """
-    from collections import Counter
 
-    from autoner_ray.stages.combine import bounded_key_sum
+def _unigram_entity_counts(sf_dir: str, keys: list[str], count: str,
+                           max_keys: int):
+    """Matched (doc, entity) rows counted by ``keys`` (``entity``,
+    ``type`` or both) into the column ``count``."""
+    import numpy as np
+    import pyarrow.compute as pc
 
-    type_of = {e: t for e, t in UNIGRAM_DICT.values()}
+    ents = pa.array(list(_UNIGRAM_TYPE_OF), pa.string())
+    types = pa.array(list(_UNIGRAM_TYPE_OF.values()), pa.string())
 
-    def explode(batch: pa.Table) -> pa.Table:
-        counter: Counter[str] = Counter()
-        for ents in batch["entities"].to_pylist():
-            for e in ents:
-                counter[type_of[e]] += 1
+    def entity_rows(batch: pa.Table) -> pa.Table:
+        flat = pc.list_flatten(batch["entities"])
         return pa.table(
             {
-                "type": pa.array(list(counter.keys()), pa.string()),
-                "mentions": pa.array(list(counter.values()), pa.int64()),
+                "entity": flat,
+                "type": types.take(pc.index_in(flat, value_set=ents)),
+                count: pa.array(np.ones(len(flat), np.int64)),
             }
         )
 
-    partials = unigram_doc_entities(sf_dir).map_batches(
-        explode, batch_format="pyarrow"
+    rows = unigram_doc_entities(sf_dir).map_batches(
+        entity_rows, batch_format="pyarrow"
     )
-    return bounded_key_sum(partials, ["type"], ["mentions"])
+    return keyed_combine(rows, keys, [(count, "sum")], max_keys=max_keys)
+
+
+def unigram_mention_type_counts(sf_dir: str):
+    """Per-type count of matched (doc, entity) pairs — SQL-checkable.
+    Types are bounded by the dictionary, so the combine is the one-task
+    bounded tier."""
+    return _unigram_entity_counts(
+        sf_dir, ["type"], "mentions", len(set(_UNIGRAM_TYPE_OF.values()))
+    )
 
 
 def unigram_triples(sf_dir: str):
@@ -246,25 +258,9 @@ def kg_mentions_linked(sf_dir: str, concurrency=None, link_concurrency=2):
 
 
 def unigram_entity_doc_freq(sf_dir: str):
-    from ray.data.aggregate import Sum
-    from collections import Counter
-
-    def explode(batch: pa.Table) -> pa.Table:
-        counter: Counter[str] = Counter()
-        for ents in batch["entities"].to_pylist():
-            counter.update(ents)
-        return pa.table(
-            {
-                "entity": pa.array(list(counter.keys()), pa.string()),
-                "n": pa.array(list(counter.values()), pa.int64()),
-            }
-        )
-
-    return (
-        unigram_doc_entities(sf_dir)
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("entity")
-        .aggregate(Sum("n", alias_name="doc_freq"))
+    """Per-entity document frequency over the unigram dictionary."""
+    return _unigram_entity_counts(
+        sf_dir, ["entity"], "doc_freq", len(_UNIGRAM_TYPE_OF)
     )
 
 
@@ -687,70 +683,40 @@ def triples_with_evidence(sf_dir: str, concurrency=None, repeat: int = 1):
 
 def unigram_triples_with_evidence(sf_dir: str):
     """SQL-checkable twin: evidence = MIN doc_id where the pair co-occurs."""
-    from collections import Counter
-
-    from ray.data.aggregate import Min, Sum
-    from itertools import combinations
+    import numpy as np
+    import pyarrow.compute as pc
 
     def pairs_ev(batch: pa.Table) -> pa.Table:
-        counter: Counter[tuple[str, str]] = Counter()
-        ev: dict[tuple[str, str], int] = {}
-        for did, ents in zip(
-            batch["doc_id"].to_pylist(), batch["entities"].to_pylist()
-        ):
-            for pair in combinations(ents, 2):
-                counter[pair] += 1
-                if pair not in ev or did < ev[pair]:
-                    ev[pair] = did
-        keys = list(counter.keys())
+        # a doc's entities are distinct and sorted, so each pair is
+        # (min, max)
+        lists = batch["entities"].combine_chunks()
+        doc = pc.list_parent_indices(lists).to_numpy()
+        flat = pc.list_flatten(lists)
+        i, j = pairs_within(doc)
         return pa.table(
             {
-                "subj": pa.array([k[0] for k in keys], pa.string()),
-                "obj": pa.array([k[1] for k in keys], pa.string()),
-                "w": pa.array([counter[k] for k in keys], pa.int64()),
-                "ev": pa.array([ev[k] for k in keys], pa.int64()),
+                "subj": flat.take(pa.array(i)),
+                "obj": flat.take(pa.array(j)),
+                "weight": pa.array(np.ones(len(i), np.int64)),
+                "evidence_doc": batch["doc_id"].take(pa.array(doc[i])),
             }
         )
 
-    return (
-        unigram_doc_entities(sf_dir)
-        .map_batches(pairs_ev, batch_format="pyarrow")
-        .groupby(["subj", "obj"])
-        .aggregate(
-            Sum("w", alias_name="weight"),
-            Min("ev", alias_name="evidence_doc"),
-        )
+    n = len(_UNIGRAM_TYPE_OF)
+    return keyed_combine(
+        unigram_doc_entities(sf_dir).map_batches(
+            pairs_ev, batch_format="pyarrow"
+        ),
+        ["subj", "obj"], [("weight", "sum"), ("evidence_doc", "min")],
+        part_on=("subj",), max_keys=n * (n - 1) // 2,
     )
 
 
 def unigram_entity_type_profile(sf_dir: str):
     """Per (entity, type) doc-mention counts — the type histogram face of
     the canonical entity table (SQL-checkable)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    type_of = {e: t for e, t in UNIGRAM_DICT.values()}
-
-    def explode(batch: pa.Table) -> pa.Table:
-        counter: Counter[tuple[str, str]] = Counter()
-        for ents in batch["entities"].to_pylist():
-            for e in ents:
-                counter[(e, type_of[e])] += 1
-        keys = list(counter.keys())
-        return pa.table(
-            {
-                "entity": pa.array([k[0] for k in keys], pa.string()),
-                "type": pa.array([k[1] for k in keys], pa.string()),
-                "n": pa.array(list(counter.values()), pa.int64()),
-            }
-        )
-
-    return (
-        unigram_doc_entities(sf_dir)
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby(["entity", "type"])
-        .aggregate(Sum("n", alias_name="n_docs"))
+    return _unigram_entity_counts(
+        sf_dir, ["entity", "type"], "n_docs", len(_UNIGRAM_TYPE_OF)
     )
 
 
@@ -847,31 +813,14 @@ def unigram_infix_relations(sf_dir: str, max_gap: int = 3,
 
     Scale shape: pair mining is per-document and GAP-BOUNDED (each
     mention looks ≤ ``max_gap``+1 tokens ahead — linear in corpus
-    size, unlike the quadratic proximity kernel); per-batch triple
-    partials -> ONE hash shuffle on subj -> per-partition final sum +
-    HAVING filter inside the same grouped pass. Output is pattern-
-    vocabulary bounded."""
+    size, unlike the quadratic proximity kernel); the triple counts go
+    through the partitioned keyed combine (one hash shuffle on subj),
+    then the HAVING filter. Output is pattern-vocabulary bounded."""
     import numpy as np
-    import pandas as pd
+    import pyarrow.compute as pc
     import ray.data as rd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import _stable_part_col
-
-    P = default_num_partitions()
-
-    def rel_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "subj": pa.array([], pa.string()),
-                "pred": pa.array([], pa.string()),
-                "obj": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int32()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
+    def rel_rows(batch: pa.Table) -> pa.Table:
         subj_all, pred_all, obj_all = [], [], []
         for text in batch["text"].to_pylist():
             toks = (text or "").split(" ")
@@ -894,9 +843,7 @@ def unigram_infix_relations(sf_dir: str, max_gap: int = 3,
                         " ".join(toks[pos[a] + 1 : pos[b]])
                     )
                     obj_all.append(ents[b])
-        if not subj_all:
-            return empty
-        t = pa.table(
+        return pa.table(
             {
                 "subj": pa.array(subj_all, pa.string()),
                 "pred": pa.array(pred_all, pa.string()),
@@ -904,38 +851,15 @@ def unigram_infix_relations(sf_dir: str, max_gap: int = 3,
                 "n": pa.array(np.ones(len(subj_all), np.int64)),
             }
         )
-        agg = t.group_by(["subj", "pred", "obj"]).aggregate(
-            [("n", "sum")]
-        ).rename_columns(["subj", "pred", "obj", "n"])
-        return agg.append_column(
-            "part", _stable_part_col(agg, ("subj",), P)
-        )
 
-    def sum_having(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "subj": pd.Series(dtype="object"),
-                "pred": pd.Series(dtype="object"),
-                "obj": pd.Series(dtype="object"),
-                "n": pd.Series(dtype="int64"),
-            }
-        )
-        if len(df) == 0 or "subj" not in df.columns:
-            return empty
-        out = (
-            df.groupby(["subj", "pred", "obj"], sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
-        out = out[out["n"] >= min_count]
-        return out.reset_index(drop=True)
+    def having(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["n"], min_count))
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    return (
-        ds.map_batches(rel_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sum_having, batch_format="pandas")
-    )
+    return keyed_combine(
+        ds.map_batches(rel_rows, batch_format="pyarrow"),
+        ["subj", "pred", "obj"], [("n", "sum")], part_on=("subj",),
+    ).map_batches(having, batch_format="pyarrow", batch_size=None)
 
 
 def unigram_hash_walks(sf_dir: str):
@@ -1732,11 +1656,10 @@ def unigram_entity_timeline(sf_dir: str):
 
     Scale shape: per-batch min/max/sum partials over the dict-bounded
     entity set, then the hash-partitioned two-level combine
-    (`stages/combine.py::partitioned_key_agg`) — no corpus shuffle, no
+    (`stages/combine.py::keyed_combine`) — no corpus shuffle, no
     driver-side state.
     """
     from autoner_ray.sources.pages import _TS_BASE_US
-    from autoner_ray.stages.combine import partitioned_key_agg
 
     def partials(batch: pa.Table) -> pa.Table:
         ents_per_doc = batch["entities"].to_pylist()
@@ -1767,7 +1690,7 @@ def unigram_entity_timeline(sf_dir: str):
             }
         )
 
-    agg_ds = partitioned_key_agg(
+    agg_ds = keyed_combine(
         unigram_doc_entities(sf_dir).map_batches(
             partials, batch_format="pyarrow"
         ),
@@ -1808,7 +1731,6 @@ def unigram_triples_temporal(sf_dir: str):
     (subj, obj) key pair rather than assuming boundedness.
     """
     from autoner_ray.sources.pages import _TS_BASE_US
-    from autoner_ray.stages.combine import partitioned_key_agg
     from itertools import combinations
 
     def pair_partials(batch: pa.Table) -> pa.Table:
@@ -1836,7 +1758,7 @@ def unigram_triples_temporal(sf_dir: str):
             }
         )
 
-    agg_ds = partitioned_key_agg(
+    agg_ds = keyed_combine(
         unigram_doc_entities(sf_dir).map_batches(
             pair_partials, batch_format="pyarrow"
         ),
@@ -2244,8 +2166,6 @@ def unigram_bipartite_projection(sf_dir: str):
     shape — no new machinery, no driver state."""
     import pandas as pd
 
-    from autoner_ray.stages.combine import partitioned_key_agg
-
     docs = unigram_doc_entities(sf_dir)
 
     _p_schema = pa.schema(
@@ -2281,7 +2201,7 @@ def unigram_bipartite_projection(sf_dir: str):
         )
         return agg.rename_columns(["subj", "obj", "n_docs", "w_micro"])
 
-    return partitioned_key_agg(
+    return keyed_combine(
         docs.map_batches(pair_partials, batch_format="pyarrow"),
         keys=["subj", "obj"],
         aggs=[("n_docs", "sum"), ("w_micro", "sum")],

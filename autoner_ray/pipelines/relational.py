@@ -3917,7 +3917,7 @@ def orders_cohort_ltv(sf_dir: str):
 
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     def first_partial(t: pa.Table) -> pa.Table:
@@ -3935,7 +3935,7 @@ def orders_cohort_ltv(sf_dir: str):
         ).group_by("o_custkey").aggregate([("first_us", "min")])
         return agg.rename_columns(["o_custkey", "first_us"])
 
-    firsts = partitioned_key_agg(
+    firsts = keyed_combine(
         _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
             first_partial, batch_format="pyarrow", batch_size=65536
         ),
@@ -4053,7 +4053,7 @@ def q16_supplier_count_by_part_attrs(
 
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     pt = pq.read_table(
@@ -4104,7 +4104,7 @@ def q16_supplier_count_by_part_attrs(
             }
         )
 
-    distinct_pairs = partitioned_key_agg(
+    distinct_pairs = keyed_combine(
         _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
             pair_partial, batch_format="pyarrow", batch_size=65536
         ),
@@ -4402,7 +4402,7 @@ def q21_suppliers_waiting(sf_dir: str, late_days: int = 60,
 
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     US_PER_DAY = 86_400_000_000
@@ -4521,7 +4521,7 @@ def q21_suppliers_waiting(sf_dir: str, late_days: int = 60,
             pair_partial, batch_format="pyarrow"
         )
 
-    pairs = partitioned_key_agg(
+    pairs = keyed_combine(
         pair_stream, keys=["l_orderkey", "l_suppkey"],
         aggs=[("late", "max")], part_on=("l_orderkey",),
     )
@@ -4784,7 +4784,7 @@ def q20_prominent_suppliers(sf_dir: str, prefix: str = "small",
     import ray
 
     from autoner_ray.stages.combine import (
-        partitioned_key_agg,
+        keyed_combine,
         partitioned_key_sum,
     )
 
@@ -4872,7 +4872,7 @@ def q20_prominent_suppliers(sf_dir: str, prefix: str = "small",
             }
         )
 
-    supp = partitioned_key_agg(
+    supp = keyed_combine(
         pairs.map_batches(dominant, batch_format="pyarrow",
                           batch_size=None),
         keys=["l_suppkey"], aggs=[("one", "max")],
@@ -4935,7 +4935,7 @@ def q2_min_cost_supplier(sf_dir: str, region: str = "EUROPE",
     import pyarrow.parquet as pq
     import ray
 
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
 
     pt = pq.read_table(
         f"{sf_dir}/part.parquet",
@@ -4983,7 +4983,7 @@ def q2_min_cost_supplier(sf_dir: str, region: str = "EUROPE",
         )
         return agg.rename_columns(["l_partkey", "l_suppkey", "cents"])
 
-    costs = partitioned_key_agg(
+    costs = keyed_combine(
         _read(sf_dir, "lineitem",
               ["l_partkey", "l_suppkey", "l_extendedprice"])
         .map_batches(cost_partial, batch_format="pyarrow",

@@ -317,8 +317,8 @@ def tfidf_top_terms(docs_ds, k: int = 3):
     df_ds = (
         # num_cpus=0.5 keeps this combiner UNFUSED from the expensive
         # explode stage (fused chains bundle to the largest batch_size,
-        # capping explode at docs/65536 tasks — stages/triples.py
-        # aggregate_edges documents the measured effect)
+        # capping explode at docs/65536 tasks — stages/combine.py
+        # keyed_combine documents the measured effect)
         terms.map_batches(
             df_partial, batch_format="pyarrow", batch_size=65536,
             num_cpus=0.5,
@@ -3128,7 +3128,7 @@ def word_length_histogram(docs_ds):
 
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     def occ_partial(t: pa.Table) -> pa.Table:
@@ -3178,7 +3178,7 @@ def word_length_histogram(docs_ds):
             }
         )
 
-    distinct = partitioned_key_agg(
+    distinct = keyed_combine(
         docs_ds.map_batches(word_partial, batch_format="pyarrow"),
         ["word"], [("one", "max")], part_on=("word",),
     )
@@ -5199,7 +5199,7 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
     convention.
 
     Scale shape: word-count tables ride the word-partitioned
-    :func:`combine.partitioned_key_agg` (vocab is corpus-sized, NEVER
+    :func:`combine.keyed_combine` (vocab is corpus-sized, NEVER
     a driver dict); target and corpus counts meet in a word-keyed
     cogroup join; per-doc scoring is a second word-partitioned join of
     (word, doc_id, k) occurrence partials against the term table,
@@ -5211,7 +5211,7 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
 
     import pandas as pd
 
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.joins import cogroup_join
 
     _w_schema = pa.schema(
@@ -5243,7 +5243,7 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
             schema=_w_schema,
         )
 
-    counts = partitioned_key_agg(
+    counts = keyed_combine(
         docs_ds.map_batches(word_partials, batch_format="pyarrow"),
         keys=["word"],
         aggs=[("n_c", "sum"), ("n_t", "sum")],
@@ -5324,7 +5324,7 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
         ).groupby("doc_id", as_index=False).sum()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    rolled = partitioned_key_agg(
+    rolled = keyed_combine(
         joined.map_batches(per_doc_partial, batch_format="pyarrow"),
         keys=["doc_id"],
         aggs=[("n_tokens", "sum"), ("wsum", "sum")],
@@ -5482,7 +5482,7 @@ def ngram_overlap_census(docs_ds, n: int = 5):
     substring-dedup shape with df semantics."""
     import pandas as pd
 
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.joins import _stable_part_col
     from autoner_ray.stages.tokenize import sentence_token_stream
 
@@ -5534,7 +5534,7 @@ def ngram_overlap_census(docs_ds, n: int = 5):
         ).groupby("doc_id", as_index=False).sum()
         return out
 
-    rolled = partitioned_key_agg(
+    rolled = keyed_combine(
         docs_ds.map_batches(gram_rows, batch_format="pyarrow")
         .groupby("part")
         .map_groups(mark_shared, batch_format="pandas"),
@@ -5588,7 +5588,7 @@ def zipf_slope(docs_ds, top_k: int = 100):
     import numpy as np
     import pandas as pd
 
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
 
     _w_schema = pa.schema(
         [("word", pa.string()), ("n", pa.int64())]
@@ -5611,7 +5611,7 @@ def zipf_slope(docs_ds, top_k: int = 100):
             schema=_w_schema,
         )
 
-    counts = partitioned_key_agg(
+    counts = keyed_combine(
         docs_ds.map_batches(word_partials, batch_format="pyarrow"),
         keys=["word"], aggs=[("n", "sum")], part_on=("word",),
     )

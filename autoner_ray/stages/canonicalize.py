@@ -95,7 +95,7 @@ def canonical_entities(mentions_ds, num_partitions: int | None = None):
         # coalesce many tiny per-block partial tables into ≤ pair-vocab
         # rows per 64k batch BEFORE the shuffle: the sort-shuffle's
         # driver-side metadata scales with input blocks × partitions
-        # (see aggregate_edges, stages/triples.py)
+        # (see keyed_combine, stages/combine.py)
         g = t.group_by(["key", "surface"]).aggregate([("n", "sum")])
         return g.rename_columns(["key", "surface", "n"])
 
@@ -110,8 +110,8 @@ def canonical_entities(mentions_ds, num_partitions: int | None = None):
         )
         # num_cpus=0.5 breaks fusion with surface_pair_partials: fused,
         # the chain bundles to THIS stage's 64k batch_size and caps the
-        # expensive pair stage at rows/65536 tasks (stages/triples.py
-        # aggregate_edges documents the measured effect)
+        # expensive pair stage at rows/65536 tasks (stages/combine.py
+        # keyed_combine documents the measured effect)
         .map_batches(precombine, batch_format="pyarrow",
                      batch_size=65536, num_cpus=0.5)
         .map_batches(add_part, batch_format="pyarrow", num_cpus=0.5)

@@ -1,8 +1,9 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Scale shapes (ray_guide aggregation/dedup patterns):
-- exact: md5 content hash per batch (vectorizable) -> groupby(hash) ->
-  keep min(doc_id). The shuffle moves one short row per doc, not the text.
+- exact: md5 content hash per batch (vectorizable) -> keyed combine on
+  the hash keeping min(doc_id). The shuffle moves one short row per doc,
+  not the text.
 - MinHash+LSH near-dup: per batch compute K minhashes over token shingles,
   split into B bands; explode to (band, band_hash, doc_id) rows; a
   groupby([band, band_hash]) collects candidate buckets; pairs from
@@ -29,15 +30,13 @@ from autoner_ray.stages.tokenize import sentence_token_stream
 
 
 def exact_dedup(docs_ds):
-    """documents -> (doc_id, text_md5): first (min doc_id) row per content."""
-    from ray.data.aggregate import Min
-
+    """documents -> (text_md5, doc_id): first (min doc_id) row per content."""
     from autoner_ray.stages.analysis import md5_batch
+    from autoner_ray.stages.combine import keyed_combine
 
-    return (
-        docs_ds.map_batches(md5_batch, batch_format="pyarrow")
-        .groupby("text_md5")
-        .aggregate(Min("doc_id", alias_name="doc_id"))
+    return keyed_combine(
+        docs_ds.map_batches(md5_batch, batch_format="pyarrow"),
+        ["text_md5"], [("doc_id", "min")],
     )
 
 
@@ -126,8 +125,9 @@ def minhash_lsh_candidates(
        bucket with k members would emit O(k²) rows; buckets over
        ``max_bucket`` are dropped and logged — near-identical floods
        are the exact-dedup stage's job, not LSH's).
-    2. A global groupby dedups pairs that agree in several bands;
-       Count doubles as the LSH agreement strength.
+    2. The keyed combine (hash on doc_a) sums each pair's per-partition
+       band agreements: pairs that agree in several bands become one
+       row, and the sum is the LSH agreement strength.
 
     ``num_partitions`` defaults to 2× the session's CPUs
     (autoner_ray.cluster): each pairing task then holds ~1/(2·CPUs) of
@@ -138,6 +138,7 @@ def minhash_lsh_candidates(
     import pandas as pd
 
     from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import keyed_combine
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
@@ -194,7 +195,6 @@ def minhash_lsh_candidates(
                     "doc_a": pd.Series(dtype="int64"),
                     "doc_b": pd.Series(dtype="int64"),
                     "n_bands": pd.Series(dtype="int64"),
-                    "pair_part": pd.Series(dtype="int32"),
                 }
             )
         lt = pa.table(
@@ -209,10 +209,8 @@ def minhash_lsh_candidates(
         import pyarrow.compute as pc
 
         j = j.filter(pc.less(j["doc_a"], j["doc_b"]))
-        # partial per-partition band-agreement counts; the global combine
-        # is a second hash-partitioned pandas map_groups (pair_part), not
-        # a Ray multi-key row aggregate (~3 ms/row in 2.49)
-        g = (
+        # partial per-partition band-agreement counts
+        return (
             pd.DataFrame(
                 {
                     "doc_a": j["doc_a"].to_numpy(),
@@ -222,22 +220,13 @@ def minhash_lsh_candidates(
             .groupby(["doc_a", "doc_b"], as_index=False)
             .agg(n_bands=("doc_a", "size"))
         )
-        g["pair_part"] = _pair_part(
-            g["doc_a"].to_numpy(), g["doc_b"].to_numpy(), num_partitions
-        )
-        return g
 
-    def combine_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            n_bands=("n_bands", "sum")
-        )
-
-    return (
+    return keyed_combine(
         docs_ds.map_batches(sign, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(combine_pairs, batch_format="pandas")
+        .map_groups(pairs_in_partition, batch_format="pandas"),
+        ["doc_a", "doc_b"], [("n_bands", "sum")], part_on=("doc_a",),
+        num_partitions=num_partitions,
     )
 
 
@@ -425,13 +414,14 @@ def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4,
     ``bands`` bits shares at least one exact band). Same 2-shuffle
     shape as MinHash LSH: one content-hash partition shuffle co-locates
     each (band, band_val) bucket, a vectorized in-partition self-join
-    pairs members and filters exact Hamming distance, and a global
-    groupby dedups pairs that agree on several bands. Emits
+    pairs members and filters exact Hamming distance, and the keyed
+    combine dedups pairs that agree on several bands. Emits
     (doc_a, doc_b, hamming)."""
     import numpy as np
     import pandas as pd
 
     from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import keyed_combine
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
@@ -490,49 +480,27 @@ def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4,
             dtype=np.int64,
         )
         keep = np.asarray(ham) <= max_hamming
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_a": j["doc_a"].to_numpy()[keep],
                 "doc_b": j["doc_b"].to_numpy()[keep],
                 "hamming": np.asarray(ham)[keep].astype(np.int64),
             }
-        ).drop_duplicates(["doc_a", "doc_b"])  # hamming is pair-determined
-        g["pair_part"] = _pair_part(
-            g["doc_a"].to_numpy(), g["doc_b"].to_numpy(), num_partitions
         )
-        return g
 
-    # distinct pairs (a pair can agree on several bands, possibly in
-    # different bucket partitions) — same hash-partitioned pandas combine
-    # as the minhash/ngram paths, not a Ray multi-key row aggregate
-    def combine_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["doc_a", "doc_b"])[
-            ["doc_a", "doc_b", "hamming"]
-        ]
-
-    return (
+    # distinct pairs: a pair can agree on several bands, possibly in
+    # different bucket partitions; hamming is pair-determined, so any
+    # re-associative pick (min) keeps it
+    return keyed_combine(
         docs_ds.map_batches(sign, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(combine_pairs, batch_format="pandas")
+        .map_groups(pairs_in_partition, batch_format="pandas"),
+        ["doc_a", "doc_b"], [("hamming", "min")], part_on=("doc_a",),
+        num_partitions=num_partitions,
     )
 
 
 # -- exact n-gram Jaccard (no sketching) --------------------------------------
-
-
-def _pair_part(a: np.ndarray, b: np.ndarray, P: int) -> np.ndarray:
-    """Vectorized deterministic partition id for (doc_a, doc_b) pairs
-    (splitmix64 finalizer over both ids) — every occurrence of a pair
-    lands in the same partition regardless of which task emitted it."""
-    z = a.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * (
-        b.astype(np.uint64) + np.uint64(1)
-    )
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z % np.uint64(P)).astype(np.int32)
 
 
 def ngram_jaccard_exact_pairs(
@@ -551,7 +519,7 @@ def ngram_jaccard_exact_pairs(
     shingle hashes, every row carrying the doc's shingle-set size; one
     content-hash shuffle co-locates each shingle (``groupby(part)``), a
     vectorized in-partition self-join counts common shingles per pair,
-    and a global pair groupby sums the partials — each shingle lives in
+    and the keyed combine sums the partials per pair — each shingle lives in
     exactly ONE partition, so partition-local pair counts add up to the
     exact intersection and no text or set ever lands on the driver.
     Jaccard = common / (|A| + |B| - common), computed from exact integer
@@ -568,6 +536,7 @@ def ngram_jaccard_exact_pairs(
     import pyarrow.compute as pc
 
     from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import keyed_combine
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
@@ -605,7 +574,6 @@ def ngram_jaccard_exact_pairs(
             "common": pd.Series([], dtype="int64"),
             "size_a": pd.Series([], dtype="int64"),
             "size_b": pd.Series([], dtype="int64"),
-            "pair_part": pd.Series([], dtype="int32"),
         }
     )
 
@@ -632,23 +600,12 @@ def ngram_jaccard_exact_pairs(
             .agg(common=("size_a", "size"), size_a=("size_a", "first"),
                  size_b=("size_b", "first"))
         )
-        g["pair_part"] = _pair_part(
-            g["doc_a"].to_numpy(), g["doc_b"].to_numpy(), num_partitions
-        )
-        return g[["doc_a", "doc_b", "common", "size_a", "size_b", "pair_part"]]
+        return g[["doc_a", "doc_b", "common", "size_a", "size_b"]]
 
-    # The global pair combine is a SECOND hash-partitioned map_groups
-    # (partition key derived from the pair), NOT a Ray row-level
-    # groupby().aggregate() — Ray 2.49's multi-key sort aggregate costs
-    # ~3 ms/row in Python; the pandas combine below is vectorized.
-    def combine_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            common=("common", "sum"), size_a=("size_a", "first"),
-            size_b=("size_b", "first"),
-        )
-        c = g["common"].to_numpy().astype(np.float64)
-        sa = g["size_a"].to_numpy().astype(np.float64)
-        sb = g["size_b"].to_numpy().astype(np.float64)
+    def score(t: pa.Table) -> pa.Table:
+        c = t["common"].to_numpy().astype(np.float64)
+        sa = t["size_a"].to_numpy().astype(np.float64)
+        sb = t["size_b"].to_numpy().astype(np.float64)
         if score_mode == "containment":
             # symmetric max-containment c/min(|A|,|B|): 1.0 whenever one
             # doc's shingle set is a subset of the other's — the
@@ -659,22 +616,24 @@ def ngram_jaccard_exact_pairs(
         else:
             scr = c / (sa + sb - c)
             col = "jaccard"
-        keep = scr >= threshold
-        return pd.DataFrame(
+        keep = pa.array(scr >= threshold)
+        return pa.table(
             {
-                "doc_a": g["doc_a"].to_numpy()[keep],
-                "doc_b": g["doc_b"].to_numpy()[keep],
-                col: scr[keep],
+                "doc_a": t["doc_a"].filter(keep),
+                "doc_b": t["doc_b"].filter(keep),
+                col: pa.array(scr).filter(keep),
             }
         )
 
-    return (
+    # sizes are per doc, so min keeps them
+    return keyed_combine(
         docs_ds.map_batches(explode, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(combine_pairs, batch_format="pandas")
-    )
+        .map_groups(pairs_in_partition, batch_format="pandas"),
+        ["doc_a", "doc_b"],
+        [("common", "sum"), ("size_a", "min"), ("size_b", "min")],
+        part_on=("doc_a",), num_partitions=num_partitions,
+    ).map_batches(score, batch_format="pyarrow")
 
 
 def neardup_keep_one(
@@ -933,7 +892,7 @@ def winnowing_neardup_pairs(
     ~2·tokens/w, so this stream is ~8x smaller than the shingle
     explode), one content-hash shuffle co-locates each fp, an
     in-partition vectorized self-join counts shared fps per pair, and
-    a pair-partitioned combine sums partials. ``max_df`` prunes
+    the keyed combine sums partials per pair. ``max_df`` prunes
     boilerplate fps locally (df is exact per partition) for web-scale
     corpora; None keeps oracle exactness.
 
@@ -948,6 +907,7 @@ def winnowing_neardup_pairs(
         _poly_gram_hashes,
         _winnow_positions,
     )
+    from autoner_ray.stages.combine import keyed_combine
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
@@ -985,7 +945,6 @@ def winnowing_neardup_pairs(
             "n_shared": pd.Series([], dtype="int64"),
             "size_a": pd.Series([], dtype="int64"),
             "size_b": pd.Series([], dtype="int64"),
-            "pair_part": pd.Series([], dtype="int32"),
         }
     )
 
@@ -1015,30 +974,20 @@ def winnowing_neardup_pairs(
             .agg(n_shared=("size_a", "size"), size_a=("size_a", "first"),
                  size_b=("size_b", "first"))
         )
-        g["pair_part"] = _pair_part(
-            g["doc_a"].to_numpy(), g["doc_b"].to_numpy(), num_partitions
-        )
-        return g[
-            ["doc_a", "doc_b", "n_shared", "size_a", "size_b", "pair_part"]
-        ]
-
-    def combine_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "doc_a" not in df.columns:
-            return _empty_partials.drop(columns=["pair_part"])
-        g = df.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            n_shared=("n_shared", "sum"), size_a=("size_a", "first"),
-            size_b=("size_b", "first"),
-        )
-        g = g[g["n_shared"] >= min_shared]
         return g[["doc_a", "doc_b", "n_shared", "size_a", "size_b"]]
 
-    return (
+    def having(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["n_shared"], min_shared))
+
+    # sizes are per doc, so min keeps them
+    return keyed_combine(
         docs_ds.map_batches(explode, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(combine_pairs, batch_format="pandas")
-    )
+        .map_groups(pairs_in_partition, batch_format="pandas"),
+        ["doc_a", "doc_b"],
+        [("n_shared", "sum"), ("size_a", "min"), ("size_b", "min")],
+        part_on=("doc_a",), num_partitions=num_partitions,
+    ).map_batches(having, batch_format="pyarrow")
 
 
 def winnowing_neardup_oracle_sql(min_shared: int = 5, k: int = 8,
@@ -1916,7 +1865,7 @@ def neardup_keep_best(
             )
             loser_ids = [int(d) for d in mw["src"] if int(d) not in winners]
     else:
-        from autoner_ray.stages.combine import partitioned_key_agg
+        from autoner_ray.stages.combine import keyed_combine
         from autoner_ray.stages.graph import (
             connected_components_distributed,
         )
@@ -1949,7 +1898,7 @@ def neardup_keep_best(
                 schema=_ln_schema,
             )
 
-        mx = partitioned_key_agg(
+        mx = keyed_combine(
             members.map_batches(label_words, batch_format="pyarrow"),
             keys=["label"], aggs=[("n_words", "max")],
             part_on=("label",), num_partitions=num_partitions,
@@ -1984,7 +1933,7 @@ def neardup_keep_best(
             members, mx.map_batches(as_max, batch_format="pyarrow"),
             on=("label",), num_partitions=num_partitions,
         ).map_batches(cands_batch, batch_format="pyarrow")
-        winners = partitioned_key_agg(
+        winners = keyed_combine(
             cands, keys=["label"], aggs=[("src", "min")],
             part_on=("label",), num_partitions=num_partitions,
         )
@@ -2050,7 +1999,7 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
     chunk content co-locates all occurrences of a chunk, the
     per-partition pandas pass marks losers (packed key != group min)
     and pre-reduces to per-doc partials, and the per-doc rollup is the
-    hash-partitioned :func:`combine.partitioned_key_agg` — no
+    hash-partitioned :func:`combine.keyed_combine` — no
     driver-side state anywhere, no chunk ever compared across
     partitions (equal chunks hash equal). The suffix-array full
     generality (duplicated spans at ARBITRARY offsets) trades recall
@@ -2061,7 +2010,7 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
     import pandas as pd
 
     from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.joins import _stable_part_col
 
     P = num_partitions or default_num_partitions()
@@ -2124,7 +2073,7 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
         .groupby("part")
         .map_groups(mark_losers, batch_format="pandas")
     )
-    rolled = partitioned_key_agg(
+    rolled = keyed_combine(
         partials,
         keys=["doc_id"],
         aggs=[("n_chunks", "sum"), ("n_removed", "sum"),

@@ -184,6 +184,15 @@ class DictMatcher:
         )
         return self._entity_column(len(tokens), ms, mnode)
 
+    def typed_spans(self, tokens: pa.Array):
+        """``(sentence, l, r, types)`` of every typed segment of a
+        ``tokens`` list column: :meth:`mentions_of`'s spans for a whole
+        batch, from one :func:`segment_batch` call."""
+        ms, ml, mr, mnode = self._mentions(
+            *segment_batch(self.compiled, tokens, self.weight)
+        )
+        return ms, ml, mr, self.compiled.type_str.take(mnode)
+
     def _entity_column(self, n, ms, mnode):
         es, erank = self._entities(ms, mnode)
         return _list_array(

@@ -482,7 +482,7 @@ def pack_sequences(rows_ds, key_col: str, weight_col: str,
     import ray
 
     from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
 
     B = num_ranges or default_num_partitions()
 
@@ -600,7 +600,7 @@ def pack_sequences(rows_ds, key_col: str, weight_col: str,
     partials = bucketed.groupby("__rb").map_groups(
         bin_partial, batch_format="pandas"
     )
-    return partitioned_key_agg(
+    return keyed_combine(
         partials, ["seq_id"],
         [("n_docs", "sum"), ("n_tokens", "sum"),
          ("first_key", "min"), ("last_key", "max")],

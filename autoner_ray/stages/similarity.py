@@ -1641,7 +1641,7 @@ def zorder_buckets(sf_dir: str, bits: int = 8, bucket_shift: int = 10):
 
     import ray.data as rd
 
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
 
     emb = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
@@ -1711,7 +1711,7 @@ def zorder_buckets(sf_dir: str, bits: int = 8, bucket_shift: int = 10):
         return pa.Table.from_pandas(g, schema=_schema,
                                     preserve_index=False)
 
-    return partitioned_key_agg(
+    return keyed_combine(
         dims.map_batches(z_batch, batch_format="pyarrow"),
         keys=["bucket"],
         aggs=[("n", "sum"), ("min_q0", "min"), ("max_q0", "max"),

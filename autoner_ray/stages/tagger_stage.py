@@ -142,9 +142,8 @@ class TaggerEval:
         self.threshold = threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from autoner_ray.state.trie import FILTERED_TYPE
-
-        tokens_col = batch["tokens"].to_pylist()
+        tokens = batch["tokens"].combine_chunks()
+        tokens_col = tokens.to_pylist()
         # A5 = min/max over the CHUNK-head score of every boundary slot —
         # what the reference inference driver tracks for threshold
         # selection (`test_partial_ner.py:80-89`), NOT the typing logits.
@@ -153,14 +152,15 @@ class TaggerEval:
         preds, smin, smax = bucketed_predict(
             self.tagger, tokens_col, self.threshold, with_chunk_stats=True
         )
+        gold = [[] for _ in tokens_col]
+        sent, left, right, types = self.matcher.typed_spans(tokens)
+        for s, l, r, ty in zip(
+            sent.tolist(), left.tolist(), right.tolist(), types.to_pylist()
+        ):
+            gold[s].append((l, r, ty))
         n_gold = n_pred = n_hit = 0
-        for toks, pred in zip(tokens_col, preds):
-            gold = [
-                (l, r, ty)
-                for l, r, ty in self.matcher.segments(toks)
-                if ty and ty != FILTERED_TYPE
-            ]
-            g, p, h = span_f1_counts(gold, pred)
+        for spans, pred in zip(gold, preds):
+            g, p, h = span_f1_counts(spans, pred)
             n_gold += g
             n_pred += p
             n_hit += h
@@ -320,7 +320,7 @@ def hybrid_triples(sentences_ds, model_blob, core_lines, full_lines=(),
         num_cpus=1,
     )
     # coalesce off: the inference stream is far slower than the bundler
-    # and the edge vocab is tiny — see aggregate_edges docstring
+    # and the edge vocab is tiny — see keyed_combine's ``coalesce``
     return aggregate_edges(pairs, coalesce=False)
 
 

@@ -14,23 +14,22 @@ Scale design (SURVEY.md §4):
   difference between shipping O(corpus) and O(edge-vocab × blocks);
 - hot-key salting is unnecessary after the combiner for count aggregation
   (associative merge), which is exactly why the combiner runs first;
-- the final aggregate (:func:`aggregate_edges`) has two tiers, chosen
-  when the plan is built because Ray Data has no adaptive execution.
-  The bounded tier needs a caller-declared proven bound on distinct edge
-  keys at or under ``BOUNDED_MAX_KEYS`` (the dictionary callers derive
-  C(n, 2) from the dictionary's n canonical surfaces); it sums the
-  partials in ONE task and raises :class:`ExchangeBoundExceeded` above
-  ``BOUNDED_MAX_ROWS`` input rows. Every other caller (no bound, or a
-  larger one) takes the partitioned tier: one hash shuffle on ``subj``.
+- the final aggregate (:func:`aggregate_edges`) is the one keyed
+  combine (``stages/combine.py:keyed_combine``) over the edge keys. Its
+  bounded tier sums the partials in ONE task when the caller declares a
+  proven bound on distinct edges at or under ``BOUNDED_MAX_KEYS`` (the
+  dictionary callers derive C(n, 2) from the dictionary's n canonical
+  surfaces); every other caller takes its partitioned tier, one hash
+  shuffle on ``subj``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from autoner_ray.stages.combine import combine_table, keyed_combine
 
 PRED_COOCCUR = "cooccurs_with"
 
@@ -81,53 +80,19 @@ def pair_counts_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-class ExchangeBoundExceeded(RuntimeError):
-    """The one-task edge combine got more partial rows than
-    ``BOUNDED_MAX_ROWS``. Raised instead of truncating the edge set."""
-
-
-# Bounded tier: taken when the caller declares at most this many
-# distinct edge keys. Each precombine batch then leaves at most this
-# many rows, so the one combine task holds at most
-# (precombine batches x BOUNDED_MAX_KEYS) rows.
-BOUNDED_MAX_KEYS = 4096
-# Rows the one combine task accepts (about 200 MB of edge partials).
-BOUNDED_MAX_ROWS = 1 << 21
-
 _KEYS = ["subj", "pred", "obj"]
-
-
-def edge_partials(t: pa.Table) -> pa.Table:
-    """Sum ``w`` (and take the min ``ev`` evidence pointer, when the
-    input has that column) per ``(subj, pred, obj)``. A zero-column
-    block gives the schema'd empty partial table."""
-    if t.num_columns == 0:
-        return pa.table(
-            {k: pa.array([], pa.string()) for k in _KEYS}
-            | {"w": pa.array([], pa.int64())}
-        )
-    aggs = [("w", "sum")] + (
-        [("ev", "min")] if "ev" in t.column_names else []
-    )
-    names = _KEYS + [c for c, _ in aggs]
-    return t.select(names).group_by(_KEYS).aggregate(aggs).rename_columns(
-        names
-    )
+# the edge weight, and the evidence pointer when the partials carry one
+_AGGS = [("w", "sum"), ("ev", "min")]
+_NAMES = {"w": "weight", "ev": "evidence"}
 
 
 def edge_table(t: pa.Table) -> pa.Table:
-    """Final edges from partials: ``(subj, pred, obj, weight)``, plus
-    ``evidence`` when the partials carry ``ev``."""
-    p = edge_partials(t)
-    extra = ["weight", "evidence"][: p.num_columns - len(_KEYS)]
-    return p.rename_columns(_KEYS + extra)
-
-
-def edge_tier(max_keys: int | None) -> str:
-    """The tier :func:`aggregate_edges` takes for a declared key bound."""
-    if max_keys is not None and max_keys <= BOUNDED_MAX_KEYS:
-        return "bounded"
-    return "partitioned"
+    """Final edge columns from combined partials: ``(subj, pred, obj,
+    weight)``, plus ``evidence`` when the partials carry ``ev``. A
+    zero-column block gives the schema'd empty edge table."""
+    if t.num_columns == 0:
+        t = combine_table(t, _KEYS, _AGGS[:1])
+    return t.rename_columns([_NAMES.get(c, c) for c in t.column_names])
 
 
 def aggregate_edges(pairs_ds, num_partitions: int | None = None,
@@ -136,106 +101,11 @@ def aggregate_edges(pairs_ds, num_partitions: int | None = None,
     ``ev`` column also the min evidence pointer per edge, as
     ``evidence``.
 
-    Two tiers, chosen when the plan is built (see :func:`edge_tier`):
-
-    - bounded: ``max_keys`` is a proven upper bound on the distinct edge
-      keys, at or under ``BOUNDED_MAX_KEYS``. The partials go through
-      the streaming precombine, ``repartition(1)`` and ONE ``combine``
-      task; no sort shuffle runs. That task raises
-      :class:`ExchangeBoundExceeded` when its input holds more than
-      ``BOUNDED_MAX_ROWS`` rows; it never truncates.
-    - partitioned: no bound, or a larger one. One hash shuffle on
-      ``subj`` (every row of an edge shares its subj, so co-location
-      holds) into ``num_partitions`` groups, each summed by ``combine``.
-
-    ``coalesce`` (default True) inserts a streaming 64k-row precombine
-    before the exchange: the sort shuffle's scheduler metadata scales
-    with input blocks × partitions (~0.9 GB measured at 1.5k tiny
-    partial blocks), and merging blocks is the only fix; in the bounded
-    tier it keeps the one task's input at ≤ ``max_keys`` rows per 64k
-    partial rows. Turn it OFF for pipelines whose upstream is much
-    slower than the partial stream AND whose total partial rows never
-    fill a batch (e.g. the hybrid tagger at small scale): a bundler
-    waiting on a starved slow stream measurably drags the whole
-    topology (4.3 s → 11 s at sf0.1)."""
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import _stable_part_col
-
-    ds = pairs_ds
-    if coalesce:
-        # num_cpus=0.5 BREAKS operator fusion with the upstream match
-        # chain (Ray fuses map_batches ops only when remote args are
-        # equal). Fused, the read->match->precombine chain bundles to
-        # THIS stage's 64k-row batch_size: kg_triples_full at sf0.1 x 64
-        # (320k docs, 64 read blocks, 4 CPUs) ran 5 match tasks fused
-        # against 64 unfused. Wall time there was within noise (median
-        # [quartiles] of 5 runs on 4 vCPUs: 11.29 s [11.14, 11.35] fused,
-        # 10.94 s [10.82, 11.10] unfused), as was kgbench kg_flagship on
-        # 1 CPU. The break stays because a fused chain caps the match
-        # stage at corpus/65536 tasks, which leaves a wider cluster idle.
-        ds = ds.map_batches(
-            edge_partials, batch_format="pyarrow", batch_size=65536,
-            num_cpus=0.5,
-        )
-
-    if edge_tier(max_keys) == "bounded":
-        # read when the plan is built, so the task checks the bound the
-        # caller's process sees
-        row_bound = BOUNDED_MAX_ROWS
-
-        def combine(t: pa.Table) -> pa.Table:
-            if t.num_rows > row_bound:
-                raise ExchangeBoundExceeded(
-                    f"one-task edge combine got {t.num_rows} partial rows; "
-                    f"BOUNDED_MAX_ROWS is {row_bound}"
-                )
-            return edge_table(t)
-
-        # batch_size=None -> the single block in one task
-        return ds.repartition(1).map_batches(
-            combine, batch_format="pyarrow", batch_size=None
-        )
-
-    P = num_partitions or default_num_partitions()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        p = edge_partials(t)
-        return p.append_column("part", _stable_part_col(p, ("subj",), P))
-
-    def combine(t: pa.Table) -> pa.Table:  # the stage name traces key on
-        return edge_table(t)
-
-    # the same CPU request as the op before, so add_part fuses into it
-    fuse = {"num_cpus": 0.5} if coalesce else {}
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", **fuse)
-        .groupby("part")
-        .map_groups(combine, batch_format="pyarrow")
-    )
-
-
-def entity_doc_freq(sentences_ds):
-    """Canonical-entity document frequency (per-sentence distinct)."""
-    from ray.data.aggregate import Sum
-
-    def explode(batch: pa.Table) -> pa.Table:
-        counter: Counter[str] = Counter()
-        for ents in batch["entities"].to_pylist():
-            counter.update(ents)
-        return pa.table(
-            {
-                "entity": pa.array(list(counter.keys()), pa.string()),
-                "n": pa.array(list(counter.values()), pa.int64()),
-            }
-        )
-
-    def precombine(t: pa.Table) -> pa.Table:
-        g = t.group_by("entity").aggregate([("n", "sum")])
-        return g.rename_columns(["entity", "n"])
-
-    return (
-        sentences_ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(precombine, batch_format="pyarrow", batch_size=None)
-        .groupby("entity")
-        .aggregate(Sum("n", alias_name="sent_freq"))
-    )
+    :func:`keyed_combine` over the edge keys: ``max_keys``, a proven
+    bound on the distinct edges, selects its tier, and the partitioned
+    tier hashes on ``subj`` (every row of an edge shares its subj, so
+    co-location holds). ``coalesce`` is keyed_combine's."""
+    return keyed_combine(
+        pairs_ds, _KEYS, _AGGS, part_on=("subj",), max_keys=max_keys,
+        coalesce=coalesce, num_partitions=num_partitions,
+    ).map_batches(edge_table, batch_format="pyarrow", batch_size=None)

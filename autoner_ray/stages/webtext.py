@@ -623,7 +623,7 @@ def heaps_vocab_growth(docs_ds, bucket_docs: int = 100):
     Scale shape: per-batch (word -> min doc_id) partials (pandas hash
     combine over the exploded words; the exploded stream never
     shuffles) -> one word-partitioned min-combine
-    (``partitioned_key_agg``, vocab never on the driver) -> per-batch
+    (``keyed_combine``, vocab never on the driver) -> per-batch
     bucket counts -> shuffle-free bounded combine over buckets -> one
     tiny sorted cumsum block. Bucket count is corpus_docs /
     ``bucket_docs``; at 10^12 docs raise ``bucket_docs`` so the final
@@ -632,7 +632,7 @@ def heaps_vocab_growth(docs_ds, bucket_docs: int = 100):
     """
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     def first_seen_partial(t: pa.Table) -> pa.Table:
@@ -657,7 +657,7 @@ def heaps_vocab_growth(docs_ds, bucket_docs: int = 100):
             }
         )
 
-    first = partitioned_key_agg(
+    first = keyed_combine(
         docs_ds.map_batches(first_seen_partial, batch_format="pyarrow"),
         ["word"], [("first_doc", "min")], part_on=("word",),
     )
@@ -1523,10 +1523,10 @@ def prefix_dup_groups(docs_ds, k: int = 2):
 
     Scale shape: stateless prefix map -> per-batch (prefix -> count,
     min-doc) partials -> PREFIX-partitioned re-associative combine
-    (``partitioned_key_agg``) -> vectorized >= 2 filter. Never
+    (``keyed_combine``) -> vectorized >= 2 filter. Never
     corpus-sized anywhere.
     """
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
 
     def prefix_partial(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -1550,7 +1550,7 @@ def prefix_dup_groups(docs_ds, k: int = 2):
         agg["min_doc"] = agg["min_doc"].astype("int64")
         return agg[["prefix", "n_docs", "min_doc"]]
 
-    grouped = partitioned_key_agg(
+    grouped = keyed_combine(
         docs_ds.map_batches(prefix_partial, batch_format="pandas"),
         ["prefix"], [("n_docs", "sum"), ("min_doc", "min")],
     )

@@ -880,7 +880,7 @@ def new_users_daily(events_ds):
 
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     def first_partial(t: pa.Table) -> pa.Table:
@@ -905,7 +905,7 @@ def new_users_daily(events_ds):
         )
         return agg.rename_columns(["user_id", "first_us"])
 
-    first_seen = partitioned_key_agg(
+    first_seen = keyed_combine(
         events_ds.map_batches(
             first_partial, batch_format="pyarrow", batch_size=65536
         ),
@@ -1217,7 +1217,7 @@ def dau_wau_stickiness(events_ds, window_days: int = 7,
     from autoner_ray.cluster import default_num_partitions
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     if num_partitions is None:
@@ -1246,7 +1246,7 @@ def dau_wau_stickiness(events_ds, window_days: int = 7,
             "one", pa.array(np.ones(len(agg), np.int64))
         )
 
-    pairs = partitioned_key_agg(
+    pairs = keyed_combine(
         events_ds.map_batches(
             day_user_partial, batch_format="pyarrow", batch_size=65536
         ),
@@ -1306,7 +1306,7 @@ def dau_wau_stickiness(events_ds, window_days: int = 7,
             "one", pa.array(np.ones(len(agg), np.int64))
         )
 
-    wau_pairs = partitioned_key_agg(
+    wau_pairs = keyed_combine(
         pairs.map_batches(expand, batch_format="pyarrow"),
         ["day", "user_id"], [("one", "max")], part_on=("user_id",),
         num_partitions=num_partitions,
@@ -2233,7 +2233,7 @@ def survival_km(events_ds, death_type: str = "purchase"):
 
     from autoner_ray.stages.combine import (
         bounded_key_sum,
-        partitioned_key_agg,
+        keyed_combine,
     )
 
     _HOUR_US = 3_600 * 1_000_000
@@ -2270,7 +2270,7 @@ def survival_km(events_ds, death_type: str = "purchase"):
         return pa.Table.from_pandas(g, schema=_p_schema,
                                     preserve_index=False)
 
-    spans = partitioned_key_agg(
+    spans = keyed_combine(
         events_ds.select_columns(["user_id", "ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow",
                      batch_size=65536),

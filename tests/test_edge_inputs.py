@@ -259,6 +259,82 @@ def test_bounded_key_sum_property_matches_pandas(ray_session=None):
     check()
 
 
+def _keyed_blocks(seed: int) -> list[pa.Table]:
+    """A multi-block (k, j, v) stream with keys repeated across blocks,
+    zero-row blocks and zero-column blocks."""
+    import random
+
+    rng = random.Random(seed)
+    blocks = []
+    for b in range(8):
+        if b % 4 == 3:
+            blocks.append(pa.table({}))
+            continue
+        n = 0 if b == 5 else rng.randint(1, 30)
+        blocks.append(
+            pa.table(
+                {
+                    "k": pa.array(
+                        [rng.choice("abcdefg") for _ in range(n)], pa.string()
+                    ),
+                    "j": pa.array(
+                        [rng.choice("xy") for _ in range(n)], pa.string()
+                    ),
+                    "v": pa.array(
+                        [rng.randint(-50, 50) for _ in range(n)], pa.int64()
+                    ),
+                }
+            )
+        )
+    return blocks
+
+
+@pytest.mark.parametrize("fn", ["sum", "min", "max"])
+@pytest.mark.parametrize("tier", ["bounded", "partitioned"])
+def test_keyed_combine_tiers_match_oracle(ray_session, tier, fn):
+    """Both tiers of keyed_combine equal a plain-Python group-by for each
+    re-associative aggregate, over multi-block streams and empty input;
+    a zero-column block stands for the declared string/int64 layout."""
+    import ray.data as rd
+
+    from autoner_ray.stages.combine import (
+        BOUNDED_MAX_KEYS,
+        combine_table,
+        keyed_combine,
+    )
+
+    max_keys = BOUNDED_MAX_KEYS if tier == "bounded" else None
+    agg = {"sum": sum, "min": min, "max": max}[fn]
+
+    def combined(blocks, coalesce=True):
+        return keyed_combine(
+            rd.from_arrow(blocks), ["k", "j"], [("v", fn)], part_on=("k",),
+            max_keys=max_keys, coalesce=coalesce, num_partitions=3,
+        )
+
+    for seed, coalesce in ((1, True), (2, False)):
+        blocks = _keyed_blocks(seed)
+        groups: dict = {}
+        for t in blocks:
+            for r in t.to_pylist():
+                groups.setdefault((r["k"], r["j"]), []).append(r["v"])
+        want = sorted(key + (agg(vs),) for key, vs in groups.items())
+        assert len(want) > 8
+        ds = combined(blocks, coalesce)
+        assert _edge_rows(ds) == want
+        ops = _op_names(ds)
+        assert ("Repartition" in ops) == (tier == "bounded")
+        assert ("Sort" in ops) == (tier == "partitioned")
+
+    empty = _keyed_blocks(1)[5]
+    assert empty.num_rows == 0
+    for blocks in ([empty], [pa.table({})], [empty, pa.table({}), empty]):
+        assert combined(blocks).take_all() == []
+    assert combine_table(pa.table({}), ["k", "j"], [("v", fn)]).schema == (
+        pa.schema([("k", pa.string()), ("j", pa.string()), ("v", pa.int64())])
+    )
+
+
 def test_postings_delta_varint_thresholds(ray_session):
     """Varint byte costs use integer threshold compares: craft doc ids
     that land exactly on the LEB128 boundaries (127/128, 16383/16384)
@@ -308,7 +384,8 @@ def _op_names(ds) -> list[str]:
 def _both_tiers(pairs_factory, **kw):
     """(bounded rows, partitioned rows) of ``aggregate_edges`` over
     fresh copies of the same partial stream."""
-    from autoner_ray.stages.triples import BOUNDED_MAX_KEYS, aggregate_edges
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS
+    from autoner_ray.stages.triples import aggregate_edges
 
     bounded = aggregate_edges(
         pairs_factory(), max_keys=BOUNDED_MAX_KEYS, **kw
@@ -372,8 +449,8 @@ def test_edge_tiers_match_oracle_on_fixture(ray_session, sf_dir):
     flagship callers take the bounded tier."""
     from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS
     from autoner_ray.pipelines import kg
+    from autoner_ray.stages.combine import edge_tier
     from autoner_ray.stages.dict_match import pair_key_bound
-    from autoner_ray.stages.triples import edge_tier
 
     want, want_ev = _dict_edges_oracle(_fixture_sentence_rows(sf_dir))
     assert len(want) > 10
@@ -459,11 +536,8 @@ def test_edge_tiers_match_oracle_on_partial_stream(
 def test_declared_bound_above_constant_takes_partitioned_tier(ray_session):
     import ray.data as rd
 
-    from autoner_ray.stages.triples import (
-        BOUNDED_MAX_KEYS,
-        aggregate_edges,
-        edge_tier,
-    )
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, edge_tier
+    from autoner_ray.stages.triples import aggregate_edges
 
     assert edge_tier(BOUNDED_MAX_KEYS) == "bounded"
     assert edge_tier(BOUNDED_MAX_KEYS + 1) == "partitioned"
@@ -480,7 +554,7 @@ def test_bounded_tier_row_bound_raises(ray_session, monkeypatch):
     returns nothing; at the bound it succeeds."""
     import ray.data as rd
 
-    from autoner_ray.stages import triples
+    from autoner_ray.stages import combine, triples
 
     t = pa.table(
         {
@@ -490,7 +564,7 @@ def test_bounded_tier_row_bound_raises(ray_session, monkeypatch):
             "w": [1, 2, 3, 4, 5],
         }
     )
-    monkeypatch.setattr(triples, "BOUNDED_MAX_ROWS", 4)
+    monkeypatch.setattr(combine, "BOUNDED_MAX_ROWS", 4)
     ds = triples.aggregate_edges(rd.from_arrow([t]), max_keys=5)
     got = None
     with pytest.raises(Exception, match="ExchangeBoundExceeded") as err:
@@ -498,7 +572,7 @@ def test_bounded_tier_row_bound_raises(ray_session, monkeypatch):
     assert got is None
     assert "got 5 partial rows; BOUNDED_MAX_ROWS is 4" in str(err.value)
 
-    monkeypatch.setattr(triples, "BOUNDED_MAX_ROWS", 5)
+    monkeypatch.setattr(combine, "BOUNDED_MAX_ROWS", 5)
     ds = triples.aggregate_edges(rd.from_arrow([t]), max_keys=5)
     assert len(ds.take_all()) == 5
 

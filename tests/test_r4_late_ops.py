@@ -1,5 +1,5 @@
 """Brute-force equivalence pins for the late round-4 operators:
-partitioned_key_agg (re-associative min across split batches),
+keyed_combine (re-associative min across split batches),
 new_users_daily, lang_hot_ngrams, grid_histogram, clustering_coeff."""
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ import pyarrow as pa
 SF = "/root/testdata/sf0.001"
 
 
-def test_partitioned_key_agg_min_across_blocks(ray_session):
+def test_keyed_combine_min_across_blocks(ray_session):
     """Min combine must be exact when one key's rows are split across
     many input blocks (the re-association contract)."""
     import ray
 
-    from autoner_ray.stages.combine import partitioned_key_agg
+    from autoner_ray.stages.combine import keyed_combine
 
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 50, size=2000)
@@ -32,7 +32,7 @@ def test_partitioned_key_agg_min_across_blocks(ray_session):
     ]
     ds = ray.data.from_arrow(tables)
     got = (
-        partitioned_key_agg(ds, ["k"], [("v", "min")], part_on=("k",))
+        keyed_combine(ds, ["k"], [("v", "min")], part_on=("k",))
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
