@@ -10,6 +10,14 @@ pre-aggregated edge partials to ``out_dir/part=NNNNN/`` with a
 resumes by anti-joining pending partitions; the cheap final edge
 aggregate re-runs over the committed Parquet.
 
+Every commit runs its plan exactly once: the lazy plan streams straight
+into ``write_parquet`` (no block passes through the driver), and the
+``rows`` the marker records are summed from the footers of the files
+written (:func:`~autoner_ray.state.manifest.parquet_rows`). An empty
+partition writes no files and commits ``rows == 0`` with no ``pairs/``.
+So a job on N pending partitions runs N Ray Data executions plus one for
+the final aggregate, and the graph job one more for its shards.
+
 Because the per-partition payload is an ASSOCIATIVE partial (edge
 partial counts), the final edge aggregate over all partitions (a sum
 per ``(subj, pred, obj)``; the one-task bounded tier under the
@@ -84,12 +92,9 @@ def run_resumable_triples(
         pairs = _partition_pairs(sf_dir, part, num_parts, concurrency)
 
         def write(tmp_dir, _pairs=pairs):
-            # materialize once (partials are pre-aggregated and tiny
-            # relative to the input), then write distributed — no block
-            # ever passes through the driver.
-            m = _pairs.materialize()
-            m.write_parquet(os.path.join(tmp_dir, "pairs"))
-            return {"rows": m.count()}
+            path = os.path.join(tmp_dir, "pairs")
+            _pairs.write_parquet(path)
+            return {"rows": mf.parquet_rows(path)}
 
         mf.commit_partition(
             out_dir,
@@ -128,10 +133,10 @@ def run_resumable_graph(
     if not mf.is_complete(graph_dir, 0):
 
         def write(tmp_dir):
-            materialize_graph(
+            shards = materialize_graph(
                 edges, os.path.join(tmp_dir, "shards"), num_shards
             )
-            return {"rows": edges.count(), "shards": num_shards}
+            return {"rows": mf.parquet_rows(shards), "shards": num_shards}
 
         mf.commit_partition(
             graph_dir,

@@ -1708,8 +1708,10 @@ def zorder_buckets(sf_dir: str, bits: int = 8, bucket_shift: int = 10):
             min_q0=("q0", "min"), max_q0=("q0", "max"),
             min_q1=("q1", "min"), max_q1=("q1", "max"),
         )
-        return pa.Table.from_pandas(g, schema=_schema,
-                                    preserve_index=False)
+        # drop the pandas metadata: Ray Data cannot hash it with the schema
+        return pa.Table.from_pandas(
+            g, schema=_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     return keyed_combine(
         dims.map_batches(z_batch, batch_format="pyarrow"),
@@ -2358,8 +2360,10 @@ def psi_drift(sf_dir: str, n_bins: int = 8):
             {"bin": b, "n_base": base, "n_cur": 1 - base}
         )
         g = df.groupby("bin", as_index=False).sum()
-        return pa.Table.from_pandas(g, schema=_b_schema,
-                                    preserve_index=False)
+        # drop the pandas metadata: Ray Data cannot hash it with the schema
+        return pa.Table.from_pandas(
+            g, schema=_b_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     bins = bounded_key_sum(
         norms.map_batches(bin_partial, batch_format="pyarrow"),

@@ -89,10 +89,11 @@ def commit_partition(
 
     ``write_fn`` writes the partition payload (e.g. ``ds.write_parquet``)
     into the tmp dir it is given and returns per-partition metrics (at
-    minimum ``rows``). The ``_SUCCESS`` marker is written inside the tmp
-    dir BEFORE the rename, so a visible ``part=NNNNN/`` dir always has
-    its marker — there is no window where a complete-looking dir lacks
-    one.
+    minimum ``rows``, summed from the footers of the Parquet it wrote by
+    :func:`parquet_rows`, so the plan is not executed a second time to
+    count it). The ``_SUCCESS`` marker is written inside the tmp dir
+    BEFORE the rename, so a visible ``part=NNNNN/`` dir always has its
+    marker — there is no window where a complete-looking dir lacks one.
     """
     os.makedirs(out_dir, exist_ok=True)
     tmp = os.path.join(out_dir, f"_tmp-{idx:05d}-{uuid.uuid4().hex[:8]}")
@@ -113,6 +114,17 @@ def commit_partition(
     else:
         os.rename(tmp, final)
     return record
+
+
+def parquet_rows(path: str) -> int:
+    """Rows in the Parquet files under ``path``, summed from their
+    footers (no data pages are read); 0 when ``path`` does not exist,
+    as after a ``write_parquet`` of an empty dataset."""
+    if not os.path.isdir(path):
+        return 0
+    import pyarrow.dataset as pads
+
+    return pads.dataset(path, format="parquet").count_rows()
 
 
 def read_manifest(out_dir: str, num_parts: int) -> list[dict]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -45,6 +46,7 @@ def main() -> None:
     try:
         from autoner_ray.cluster import tune_data_context
         from autoner_ray.pipelines.curation import curation_pipeline
+        from autoner_ray.state.manifest import parquet_rows
 
         tune_data_context()
         report = curation_pipeline(args.input)
@@ -53,10 +55,11 @@ def main() -> None:
         if os.path.exists(marker):
             n = -1  # resumed: phase already complete
         else:
-            os.makedirs(out_dir, exist_ok=True)
-            report = report.materialize()
-            n = report.count()
+            # one execution: the row count comes from the written footers,
+            # so a killed run's half-written report must not be counted
+            shutil.rmtree(out_dir, ignore_errors=True)
             report.write_parquet(out_dir)
+            n = parquet_rows(out_dir)
             open(marker, "w").write("ok\n")
         print(json.dumps({"out": out_dir, "report_rows": n,
                           "resumed": n == -1}))

@@ -22,6 +22,25 @@ def _edges_dict(ds):
     }
 
 
+@pytest.fixture
+def executions(monkeypatch):
+    """Count Ray Data executions: one ``StreamingExecutor.execute`` call
+    per plan run (a write, a materialize, a count or an iteration)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
 def test_kill_and_resume_matches_straight_run(ray_session, tmp_path):
     from autoner_ray.pipelines.checkpoint import run_resumable_triples
     from autoner_ray.pipelines.kg import triples_dataset
@@ -54,6 +73,8 @@ def test_kill_and_resume_matches_straight_run(ray_session, tmp_path):
 
 
 def test_lineage_records(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+
     from autoner_ray.pipelines.checkpoint import run_resumable_triples
     from autoner_ray.state import manifest as mf
 
@@ -67,6 +88,9 @@ def test_lineage_records(ray_session, tmp_path):
         assert "dict_match:pairs" in rec["lineage"]["stages"]
         assert rec["metrics"]["rows"] >= 0
         assert rec["metrics"]["wall_sec"] > 0
+        # rows come from the written footers: they match the data
+        pairs = os.path.join(mf.partition_dir(out, rec["partition"]), "pairs")
+        assert rec["metrics"]["rows"] == pq.read_table(pairs).num_rows
 
 
 def test_graph_lineage_records_edge_tier(ray_session, tmp_path):
@@ -97,3 +121,62 @@ def test_tmp_sweep(ray_session, tmp_path):
     # stale orphan removed; a fresh tmp (possibly a live concurrent
     # driver's in-flight commit) is left alone
     assert os.listdir(out) == ["_tmp-00002-cafebabe"]
+
+
+def test_empty_partition_commits_zero_rows(ray_session, tmp_path):
+    """A partition the row filter leaves empty still commits: ``rows``
+    is 0, no ``pairs/`` is written, and the final edges are those of the
+    un-checkpointed pipeline on the same corpus."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from autoner_ray.pipelines.checkpoint import run_resumable_triples
+    from autoner_ray.pipelines.kg import triples_dataset
+    from autoner_ray.state import manifest as mf
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    corpus = tmp_path / "even"
+    corpus.mkdir()
+    pq.write_table(
+        docs.filter(pc.equal(pc.bit_wise_and(docs["doc_id"], 1), 0)),
+        corpus / "documents.parquet",
+    )
+    out = str(tmp_path / "ckpt")
+    edges = run_resumable_triples(str(corpus), out, num_parts=2,
+                                  concurrency=2)
+    assert mf.pending_partitions(out, 2) == []
+    rows = {
+        r["partition"]: r["metrics"]["rows"] for r in mf.read_manifest(out, 2)
+    }
+    assert rows[0] > 0
+    assert rows[1] == 0
+    assert not os.path.exists(os.path.join(mf.partition_dir(out, 1), "pairs"))
+    straight = triples_dataset(str(corpus), concurrency=2)
+    assert _edges_dict(edges) == _edges_dict(straight)
+
+
+def test_one_execution_per_commit(ray_session, tmp_path, executions):
+    """Each partition commit and the graph commit run their plan once;
+    the row counts come from the written footers, not a re-execution."""
+    from autoner_ray.pipelines.checkpoint import (
+        run_resumable_graph,
+        run_resumable_triples,
+    )
+    from autoner_ray.state import manifest as mf
+
+    out = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_resumable_triples(SF, out, num_parts=4, concurrency=2,
+                              fail_after=1)
+    assert len(executions) == 1
+    edges = run_resumable_triples(SF, out, num_parts=4, concurrency=2)
+    assert len(executions) == 1 + 3  # one per pending partition
+    n_edges = edges.count()
+
+    executions.clear()
+    graph_out = str(tmp_path / "graph-job")
+    run_resumable_graph(SF, graph_out, num_parts=4, num_shards=2,
+                        concurrency=2)
+    assert len(executions) == 4 + 1  # partitions, then the graph commit
+    (rec,) = mf.read_manifest(os.path.join(graph_out, "graph"), 1)
+    assert rec["metrics"]["rows"] == n_edges
