@@ -573,7 +573,9 @@ def top_order_per_customer(sf_dir: str):
             }
         )
         out = winners(df)
-        tbl = pa.Table.from_pandas(out, preserve_index=False)
+        tbl = pa.Table.from_pandas(
+            out, preserve_index=False
+        ).replace_schema_metadata(None)
         return tbl.append_column(
             "part", _stable_part_col(tbl, ("o_custkey",), num_partitions)
         )
@@ -1773,7 +1775,9 @@ def customer_rfm_segments(sf_dir: str, n_buckets: int = 4):
             n_orders=("n_orders", "sum"),
             cents=("cents", "sum"),
         ).reset_index()
-        out = pa.Table.from_pandas(agg, preserve_index=False)
+        out = pa.Table.from_pandas(
+            agg, preserve_index=False
+        ).replace_schema_metadata(None)
         return out.append_column(
             "part", _stable_part_col(out, ("o_custkey",), P)
         )
@@ -5261,8 +5265,9 @@ def q1_incremental_maintenance(sf_dir: str):
                 "n_rows": kept + ins,
             }
         ).groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-        return pa.Table.from_pandas(df, schema=_p_schema,
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            df, schema=_p_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     agg = bounded_key_sum(
         _read(sf_dir, "lineitem",

@@ -461,8 +461,9 @@ def schema_evolution_read(sf_dir: str,
             n_null_lang=("null_lang", "sum"),
             n_chars_sum=("n_chars", "sum"),
         )
-        return pa.Table.from_pandas(g, schema=_c_schema,
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            g, schema=_c_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     return bounded_key_sum(
         unified.map_batches(census, batch_format="pyarrow",

@@ -3282,7 +3282,9 @@ def source_quality_rollup(docs_ds):
             rows, columns=["source", "n_words", "n_stop", "n_chars_words"]
         )
         agg = df.groupby("source", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(agg, preserve_index=False)
+        return pa.Table.from_pandas(
+            agg, preserve_index=False
+        ).replace_schema_metadata(None)
 
     agg = bounded_key_sum(
         docs_ds.map_batches(partial, batch_format="pyarrow"),
@@ -4825,8 +4827,9 @@ def feature_hashing_stats(docs_ds, dim: int = 64):
         g = df.groupby("bucket", as_index=False).agg(
             n_distinct_words=("c", "size"), total_count=("c", "sum")
         )
-        return pa.Table.from_pandas(g, schema=_b_schema,
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            g, schema=_b_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     return bounded_key_sum(
         per_word.map_batches(bucketize, batch_format="pyarrow"),
@@ -5322,7 +5325,9 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
                 ),
             }
         ).groupby("doc_id", as_index=False).sum()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.Table.from_pandas(
+            df, preserve_index=False
+        ).replace_schema_metadata(None)
 
     rolled = keyed_combine(
         joined.map_batches(per_doc_partial, batch_format="pyarrow"),
@@ -5626,8 +5631,9 @@ def zipf_slope(docs_ds, top_k: int = 100):
             }
         ).sort_values(["n", "word"], ascending=[False, True],
                       kind="mergesort").head(top_k)
-        return pa.Table.from_pandas(df, schema=_w_schema,
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            df, schema=_w_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     cand = counts.map_batches(
         local_topk, batch_format="pyarrow", batch_size=None

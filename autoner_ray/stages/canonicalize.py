@@ -126,7 +126,7 @@ def entity_id_table(entities_ds) -> pa.Table:
     it is the broadcast side of the link join."""
     t = pa.Table.from_pandas(
         entities_ds.to_pandas(), preserve_index=False
-    )
+    ).replace_schema_metadata(None)
     import pyarrow.compute as pc
 
     order = pc.sort_indices(

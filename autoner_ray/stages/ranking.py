@@ -244,7 +244,7 @@ def pareto_frontier(
     final = pa.Table.from_pandas(
         parts[skyline2d_mask(x, y)].reset_index(drop=True),
         preserve_index=False,
-    )
+    ).replace_schema_metadata(None)
     if final_batch is not None:
         final = final_batch(final)
     return final
@@ -647,8 +647,9 @@ def lorenz_deciles(rows_ds, key_col: str, val_col: str):
         g = df.groupby("decile", as_index=False).agg(
             n_rows=("v", "size"), decile_value=("v", "sum")
         )
-        return pa.Table.from_pandas(g, schema=_p_schema,
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            g, schema=_p_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     per_dec = bounded_key_sum(
         ranked.map_batches(partial, batch_format="pyarrow"),

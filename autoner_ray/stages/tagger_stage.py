@@ -8,8 +8,8 @@ and are reused by every task of the session.
 - :class:`TaggerScorer` (T3/T4): each call re-buckets the batch by
   char-sequence length (token-budget batching, T6 — Ray batches are
   row-counted, so the budget slicing happens inside the task, SURVEY
-  §7.3) and emits one row per decoded mention with its chunk-head score
-  (S12 shape).
+  §7.3) and emits one row per decoded mention with its typing score
+  (S12 shape), built column-wise by :func:`mention_table`.
 - :class:`TaggerEval` (A4/A5): the dictionary trie (gold distant labels)
   and the model; emits per-batch partial span counts and score min/max,
   merged with a tiny ``sum``/``min``/``max`` aggregate — the distributed
@@ -54,14 +54,15 @@ def bucketed_predict(tagger, tokens_col, threshold: float = 0.0,
     the decode. Returns the span lists in input order, plus batch-wide
     chunk-score min/max when ``with_chunk_stats``.
 
-    Against one padded ``predict_batch`` per batch (fused GRU kernel,
-    demo model, one core of a 4-vCPU host, medians of 7 runs): the
-    seed-1 kg_hybrid corpus as 9 x 128-row batches takes 0.28 s
-    against 0.40 s (1.4x); the first 512 sf0.1 sentences as 4 x
-    128-row batches 0.50 s against 0.58 s (1.15x). As ONE 512-row
-    batch bucketing is slower, 0.57 s against 0.51 s: a kernel step
-    costs about the same at 20 rows as at 512, so many narrow buckets
-    lose to one wide call. The stages send 128-row batches."""
+    The budget is measured, not derived (demo model, one pinned core of
+    a 4-vCPU host, ``OMP_NUM_THREADS=1``, medians of 12 interleaved
+    runs). The seed-1 kg_hybrid corpus as 9 x 128-row batches takes
+    0.26 s at 12000 tokens, 0.27 s at 6000, 0.28 s at 24000 and 0.30 s
+    as one padded call per batch. The first 512 sf0.1 sentences take
+    0.56 / 0.54 / 0.70 s (12000 / 24000 / one call) as 4 x 128-row
+    batches and 0.53 / 0.47 / 0.67 s as one 512-row batch. A scan step
+    costs about in proportion to its rows, so bucketing wins at both
+    batch sizes; the stages send 128-row batches."""
     records = [
         (*rec, i)
         for i, rec in enumerate(
@@ -96,37 +97,42 @@ class TaggerScorer:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         tokens_col = batch["tokens"].to_pylist()
-        urls = batch["url"].to_pylist()
-        dids = batch["doc_id"].to_pylist()
-        sids = batch["sent_id"].to_pylist()
-        preds_all = bucketed_predict(
+        preds = bucketed_predict(
             self.tagger, tokens_col, self.threshold, self.token_budget
         )
-        cols = {k: [] for k in (
-            "url", "doc_id", "sent_id", "l", "r", "surface", "types", "score"
-        )}
-        for i, spans in enumerate(preds_all):
-            for l, r, ty, score in spans:
-                cols["url"].append(urls[i])
-                cols["doc_id"].append(dids[i])
-                cols["sent_id"].append(sids[i])
-                cols["l"].append(l)
-                cols["r"].append(r)
-                cols["surface"].append(" ".join(tokens_col[i][l:r]))
-                cols["types"].append(ty)
-                cols["score"].append(round(score, 6))
-        return pa.table(
-            {
-                "url": pa.array(cols["url"], pa.string()),
-                "doc_id": pa.array(cols["doc_id"], pa.int64()),
-                "sent_id": pa.array(cols["sent_id"], pa.int32()),
-                "l": pa.array(cols["l"], pa.int32()),
-                "r": pa.array(cols["r"], pa.int32()),
-                "surface": pa.array(cols["surface"], pa.string()),
-                "types": pa.array(cols["types"], pa.string()),
-                "score": pa.array(cols["score"], pa.float64()),
-            }
-        )
+        return mention_table(batch, tokens_col, preds)
+
+
+def mention_table(batch: pa.Table, tokens_col, preds) -> pa.Table:
+    """One row per decoded span in ``preds`` (span lists aligned with
+    ``batch``'s rows, as :func:`bucketed_predict` returns them): the
+    sentence key columns taken per span, the span's surface and type,
+    and its typing score rounded to 6 decimals by Python ``round``
+    (``np.round`` rounds differently)."""
+    row = np.repeat(
+        np.arange(len(preds)),
+        np.fromiter(map(len, preds), np.int64, len(preds)),
+    )
+    l, r, types, scores = (
+        zip(*(s for spans in preds for s in spans)) if len(row)
+        else ((),) * 4
+    )
+    return pa.table(
+        {
+            "url": batch["url"].take(row).cast(pa.string()),
+            "doc_id": batch["doc_id"].take(row).cast(pa.int64()),
+            "sent_id": batch["sent_id"].take(row).cast(pa.int32()),
+            "l": pa.array(l, pa.int32()),
+            "r": pa.array(r, pa.int32()),
+            "surface": pa.array(
+                [" ".join(tokens_col[i][a:b])
+                 for i, a, b in zip(row.tolist(), l, r)],
+                pa.string(),
+            ),
+            "types": pa.array(types, pa.string()),
+            "score": pa.array([round(x, 6) for x in scores], pa.float64()),
+        }
+    )
 
 
 class TaggerEval:

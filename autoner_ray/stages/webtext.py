@@ -194,7 +194,7 @@ def hot_ngrams(docs_ds, n: int = 5, min_df: int = 2, k: int = 20):
         ).head(k)
         return pa.Table.from_pandas(
             df[["gram", "n_occurrences", "n_docs"]], preserve_index=False
-        )
+        ).replace_schema_metadata(None)
 
     # per-block partial top-k (vocab-bounded blocks -> <=k rows each),
     # then one tiny single-block merge
@@ -349,7 +349,9 @@ def lang_hot_ngrams(docs_ds, n: int = 3, min_df: int = 2, k: int = 10):
             kind="mergesort",
         )
         df = df.groupby("lang", sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.Table.from_pandas(
+            df, preserve_index=False
+        ).replace_schema_metadata(None)
 
     return (
         agg.map_batches(topk, batch_format="pyarrow", batch_size=None)
@@ -566,7 +568,9 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
             ["pmi_micro", "gram"], ascending=[False, True],
             kind="mergesort",
         ).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.Table.from_pandas(
+            df, preserve_index=False
+        ).replace_schema_metadata(None)
 
     return (
         scored.map_batches(topk, batch_format="pyarrow", batch_size=None)
@@ -690,7 +694,9 @@ def heaps_vocab_growth(docs_ds, bucket_docs: int = 100):
     def cumsum(t: pa.Table) -> pa.Table:
         df = t.to_pandas().sort_values("bucket", kind="mergesort")
         df["vocab_size"] = df["new_words"].cumsum().astype(np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.Table.from_pandas(
+            df, preserve_index=False
+        ).replace_schema_metadata(None)
 
     return agg.repartition(1).map_batches(
         cumsum, batch_format="pyarrow", batch_size=None

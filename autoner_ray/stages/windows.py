@@ -2267,8 +2267,9 @@ def survival_km(events_ds, death_type: str = "purchase"):
             death_us=("death_us", "min"),
             last_us=("last_us", "max"),
         )
-        return pa.Table.from_pandas(g, schema=_p_schema,
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            g, schema=_p_schema, preserve_index=False
+        ).replace_schema_metadata(None)
 
     spans = keyed_combine(
         events_ds.select_columns(["user_id", "ts", "event_type"])

@@ -1,12 +1,13 @@
 """Inference kernel vs the retained training forward.
 
-``infer_states`` (fused bidirectional scan), ``encode_batch`` and the
+``infer_states`` (per-direction scan), ``encode_batch`` and the
 array decode in ``Tagger.predict_batch`` must reproduce what the training
 forward (``forward`` / ``forward_v2``) decodes sentence by sentence:
-identical ``(l, r, type)`` spans, hidden states and scores within 1e-5.
-``HybridPairs`` must equal a plain-Python union of ``segment_dp``
-mentions and those spans, counted with ``Counter`` over
-``combinations``.
+identical ``(l, r, type)`` spans, hidden states and scores within 1e-5,
+whatever batch a sentence is decoded in. ``HybridPairs`` must equal a
+plain-Python union of ``segment_dp`` mentions and those spans, counted
+with ``Counter`` over ``combinations``; ``mention_table`` must equal the
+per-span row loop it replaced.
 """
 
 from __future__ import annotations
@@ -371,3 +372,103 @@ def test_hybrid_pairs_match_plain_python_oracle(seed):
             got[k] += r["w"]
     assert got == want
     assert len(want) > 0
+
+
+# -- batch invariance --------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["tagger_demo", "tagger_bc5cdr"])
+def test_states_and_spans_do_not_depend_on_batching(name):
+    """A sentence alone (B=1), in its 128-row batch and in the whole
+    corpus as one bucket gives the same spans and states: the kgbench
+    oracle and Ray batch the same rows differently."""
+    tg = _artifact(name)
+    records = encode_batch(list(_kg_hybrid_sentences(1)), tg.c_map,
+                           tg.w_map)
+
+    def decode(recs):
+        states = tg.run_encoder(recs)
+        return states[1:], tg.predict_batch(None, states=states)
+
+    (cf, cb), corpus_spans = decode(records)
+    for i in range(0, len(records), HYBRID_BATCH):
+        batch = records[i : i + HYBRID_BATCH]
+        (bf, bb), batch_spans = decode(batch)
+        for j, rec in enumerate(batch):
+            (sf, sb), (spans,) = decode([rec])
+            n = len(rec[0])
+            for got, col in (((bf, bb), j), ((cf, cb), i + j)):
+                np.testing.assert_allclose(got[0][:n, col], sf[:n, 0],
+                                           atol=1e-6, rtol=0)
+                np.testing.assert_allclose(got[1][:n, col], sb[:n, 0],
+                                           atol=1e-6, rtol=0)
+            for other in (batch_spans[j], corpus_spans[i + j]):
+                assert [s[:3] for s in other] == [s[:3] for s in spans]
+                np.testing.assert_allclose(
+                    [s[3] for s in other], [s[3] for s in spans],
+                    atol=TOL, rtol=0,
+                )
+
+
+# -- mention rows ------------------------------------------------------------
+
+def _mention_rows_loop(batch, tokens_col, preds):
+    """The per-span row loop ``TaggerScorer`` used before its columnar
+    builder."""
+    urls = batch["url"].to_pylist()
+    dids = batch["doc_id"].to_pylist()
+    sids = batch["sent_id"].to_pylist()
+    cols = {k: [] for k in (
+        "url", "doc_id", "sent_id", "l", "r", "surface", "types", "score"
+    )}
+    for i, spans in enumerate(preds):
+        for l, r, ty, score in spans:
+            cols["url"].append(urls[i])
+            cols["doc_id"].append(dids[i])
+            cols["sent_id"].append(sids[i])
+            cols["l"].append(l)
+            cols["r"].append(r)
+            cols["surface"].append(" ".join(tokens_col[i][l:r]))
+            cols["types"].append(ty)
+            cols["score"].append(round(score, 6))
+    types = {"url": pa.string(), "doc_id": pa.int64(),
+             "sent_id": pa.int32(), "l": pa.int32(), "r": pa.int32(),
+             "surface": pa.string(), "types": pa.string(),
+             "score": pa.float64()}
+    return pa.table({k: pa.array(v, types[k]) for k, v in cols.items()})
+
+
+def test_mention_table_matches_row_loop(sf_dir):
+    from autoner_ray.stages.tagger_stage import (
+        TaggerScorer,
+        bucketed_predict,
+        mention_table,
+    )
+
+    tg = _artifact("tagger_bc5cdr_distant")
+    sents = list(_fixture_sentences(sf_dir)[:300]) + [["x"], []]
+    batch = pa.table({
+        "url": pa.array([f"u{i % 7}" for i in range(len(sents))]),
+        "doc_id": pa.array(range(len(sents)), pa.int64()),
+        "sent_id": pa.array([i % 5 for i in range(len(sents))], pa.int32()),
+        "tokens": pa.array(sents, pa.list_(pa.string())),
+    })
+    preds = bucketed_predict(tg, sents)
+    assert sum(map(len, preds)) > 0
+    want = _mention_rows_loop(batch, sents, preds)
+    assert mention_table(batch, sents, preds).equals(want)
+    scorer = TaggerScorer((ARTIFACTS / "tagger_bc5cdr_distant.npz")
+                          .read_bytes())
+    assert scorer(batch).equals(want)
+    empty = batch.slice(0, 0)
+    assert mention_table(empty, [], []).equals(
+        _mention_rows_loop(empty, [], [])
+    )
+    # hand-made spans: scores where ``np.round`` and ``round`` disagree,
+    # spans on the last and a middle sentence, none elsewhere
+    hand = [[] for _ in sents]
+    hand[1] = [(0, 1, "Disease", 2.5e-06), (1, 2, "Chemical", 14.0000005)]
+    hand[-2] = [(0, 1, "Chemical", -3.25)]
+    for preds in (hand, [[] for _ in sents]):
+        assert mention_table(batch, sents, preds).equals(
+            _mention_rows_loop(batch, sents, preds)
+        )
