@@ -91,9 +91,11 @@ def commit_partition(
     into the tmp dir it is given and returns per-partition metrics (at
     minimum ``rows``, summed from the footers of the Parquet it wrote by
     :func:`parquet_rows`, so the plan is not executed a second time to
-    count it). The ``_SUCCESS`` marker is written inside the tmp dir
-    BEFORE the rename, so a visible ``part=NNNNN/`` dir always has its
-    marker — there is no window where a complete-looking dir lacks one.
+    count it). ``wall_sec`` is the wall of ``write_fn`` unless it
+    reports its own (for work run before the commit). The ``_SUCCESS``
+    marker is written inside the tmp dir BEFORE the rename, so a visible
+    ``part=NNNNN/`` dir always has its marker — there is no window where
+    a complete-looking dir lacks one.
     """
     os.makedirs(out_dir, exist_ok=True)
     tmp = os.path.join(out_dir, f"_tmp-{idx:05d}-{uuid.uuid4().hex[:8]}")
@@ -104,7 +106,7 @@ def commit_partition(
         "partition": idx,
         "engine_version": ENGINE_VERSION,
         "lineage": lineage,
-        "metrics": {**metrics, "wall_sec": round(time.perf_counter() - t0, 3)},
+        "metrics": {"wall_sec": round(time.perf_counter() - t0, 3), **metrics},
     }
     with open(os.path.join(tmp, SUCCESS), "w") as f:
         json.dump(record, f)

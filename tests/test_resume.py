@@ -156,8 +156,9 @@ def test_empty_partition_commits_zero_rows(ray_session, tmp_path):
 
 
 def test_one_execution_per_commit(ray_session, tmp_path, executions):
-    """Each partition commit and the graph commit run their plan once;
-    the row counts come from the written footers, not a re-execution."""
+    """The small fixture's pending partitions share one wave, which runs
+    its plan once, and so does the graph commit; the row counts come
+    from the written footers, not a re-execution."""
     from autoner_ray.pipelines.checkpoint import (
         run_resumable_graph,
         run_resumable_triples,
@@ -170,13 +171,58 @@ def test_one_execution_per_commit(ray_session, tmp_path, executions):
                               fail_after=1)
     assert len(executions) == 1
     edges = run_resumable_triples(SF, out, num_parts=4, concurrency=2)
-    assert len(executions) == 1 + 3  # one per pending partition
+    assert len(executions) == 1 + 1  # the pending partitions' one wave
     n_edges = edges.count()
 
     executions.clear()
     graph_out = str(tmp_path / "graph-job")
     run_resumable_graph(SF, graph_out, num_parts=4, num_shards=2,
                         concurrency=2)
-    assert len(executions) == 4 + 1  # partitions, then the graph commit
+    assert len(executions) == 1 + 1  # one wave, then the graph commit
     (rec,) = mf.read_manifest(os.path.join(graph_out, "graph"), 1)
     assert rec["metrics"]["rows"] == n_edges
+
+
+def test_two_partition_waves(ray_session, tmp_path, executions, monkeypatch):
+    """A block that holds two partitions' input cuts four partitions into
+    two waves of two: one execution each, the straight pipeline's edges,
+    a kill after three commits resumes only the fourth, and no staging
+    dir outlives a run."""
+    import ray.data as rd
+
+    from autoner_ray.pipelines.checkpoint import run_resumable_triples
+    from autoner_ray.pipelines.kg import triples_dataset
+    from autoner_ray.state import manifest as mf
+
+    part_bytes = os.path.getsize(f"{SF}/documents.parquet") / 4
+    monkeypatch.setattr(
+        rd.DataContext.get_current(), "target_max_block_size",
+        int(2.5 * part_bytes),
+    )
+    out = str(tmp_path / "ckpt")
+    edges = run_resumable_triples(SF, out, num_parts=4, concurrency=2)
+    assert len(executions) == 2
+    assert [r["lineage"]["wave"] for r in mf.read_manifest(out, 4)] == [
+        [0, 1], [0, 1], [2, 3], [2, 3]
+    ]
+    assert not [n for n in os.listdir(out) if n.startswith("_tmp-")]
+    straight = triples_dataset(SF, concurrency=2)
+    assert _edges_dict(edges) == _edges_dict(straight)
+
+    killed = str(tmp_path / "killed")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_resumable_triples(SF, killed, num_parts=4, concurrency=2,
+                              fail_after=3)
+    assert mf.pending_partitions(killed, 4) == [3]
+    committed_before = {
+        part: os.path.getmtime(
+            os.path.join(mf.partition_dir(killed, part), mf.SUCCESS)
+        )
+        for part in range(3)
+    }
+    resumed = run_resumable_triples(SF, killed, num_parts=4, concurrency=2)
+    for part, mtime in committed_before.items():
+        marker = os.path.join(mf.partition_dir(killed, part), mf.SUCCESS)
+        assert os.path.getmtime(marker) == mtime, "completed partition redone"
+    assert not [n for n in os.listdir(killed) if n.startswith("_tmp-")]
+    assert _edges_dict(resumed) == _edges_dict(edges)
