@@ -106,7 +106,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         similarity,
         sketches,
         urltools,
-        webgraph,
         webtext,
         windows,
     )
@@ -1154,27 +1153,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q11_important_parts": relational.q11_important_parts,
         "q20_prominent_suppliers": relational.q20_prominent_suppliers,
         "q2_min_cost_supplier": relational.q2_min_cost_supplier,
-        "pages_link_graph": webgraph.link_graph,
-        "pages_link_degree_hist": webgraph.link_degree_hist,
-        "pages_link_pagerank": webgraph.link_pagerank,
-        "pages_crawl_frontier": webgraph.link_crawl_frontier,
-        "pages_link_scc": webgraph.link_scc,
-        "pages_link_bowtie": webgraph.link_bowtie,
-        "pages_link_diameter": webgraph.link_diameter,
-        "pages_link_reciprocity": webgraph.link_reciprocity,
-        "pages_link_rich_club": webgraph.link_rich_club,
-        "pages_link_attack_tolerance": webgraph.link_attack_tolerance,
-        "pages_link_random_failure": webgraph.link_random_failure,
-        "pages_link_densification": webgraph.link_densification,
-        "pages_link_core_numbers": webgraph.link_core_numbers,
-        "pages_link_mis": webgraph.link_mis,
-        "pages_link_edgecut": webgraph.link_edgecut,
-        "pages_neighbor_sample": webgraph.link_neighbor_sample,
-        "pages_link_bipartite": webgraph.link_bipartite_check,
-        "pages_kcenter_landmarks": webgraph.link_kcenter_landmarks,
-        "pages_link_hits": webgraph.link_hits,
-        "pages_link_indegree_gini": webgraph.link_indegree_gini,
-        "pages_link_wcc_stats": webgraph.link_wcc_stats,
         "pages_url_canonical_map": urltools.url_canonical_map,
         "pages_url_canonical_dedup": urltools.url_canonical_dedup,
         "docs_bpe_learn_merges": lambda sf: bpe.learn_bpe_merges(
@@ -1248,20 +1226,6 @@ def _unigram_graph_ctes(dict_values: str) -> str:
             SELECT obj, subj, CAST(weight AS DOUBLE) FROM pairs
         )
     """
-
-
-_LINKS_CTE = """
-        links AS MATERIALIZED (
-            SELECT DISTINCT doc_id AS src, dst
-            FROM (
-                SELECT doc_id,
-                       UNNEST([doc_id + 1, 2*doc_id + 1, doc_id // 3])
-                           AS dst
-                FROM documents
-            )
-            WHERE dst <> doc_id
-        )
-"""
 
 
 def _single_link_sql(thresholds=(0.4, 0.6, 0.8)) -> str:
@@ -1392,468 +1356,6 @@ def _zorder_sql(bits=8, bucket_shift=10) -> str:
                CAST(MIN(q1) AS BIGINT) AS min_q1,
                CAST(MAX(q1) AS BIGINT) AS max_q1
         FROM z GROUP BY 1
-    """
-
-
-def _link_mis_sql(max_rounds: int = 12) -> str:
-    """Unrolled deterministic Luby rounds over the deduped undirected
-    link graph — same hash priority, packed (p, id) comparison, and
-    round budget as ``graph.luby_mis`` (which RAISES if the budget is
-    short, so both sides share one bound)."""
-    blocks, wins = [], []
-    prev_und, prev_live = "und0", "live0"
-    for r in range(1, max_rounds + 1):
-        blocks.append(f"""
-        bi{r} AS MATERIALIZED (
-            SELECT u AS a, v AS b FROM {prev_live}
-            UNION ALL SELECT v, u FROM {prev_live}
-        ),
-        best{r} AS MATERIALIZED (
-            SELECT bi.a AS node,
-                   MAX(n.p * 2147483648 + n.node) AS best
-            FROM bi{r} bi JOIN {prev_und} n ON n.node = bi.b
-            GROUP BY bi.a
-        ),
-        win{r} AS MATERIALIZED (
-            SELECT u.node FROM {prev_und} u
-            LEFT JOIN best{r} b ON b.node = u.node
-            WHERE u.p * 2147483648 + u.node > COALESCE(b.best, -1)
-        ),
-        out{r} AS MATERIALIZED (
-            SELECT node FROM win{r}
-            UNION
-            SELECT bi.a FROM bi{r} bi JOIN win{r} w ON w.node = bi.b
-        ),
-        und{r} AS MATERIALIZED (
-            SELECT u.node, u.p FROM {prev_und} u
-            WHERE u.node NOT IN (SELECT node FROM out{r})
-        ),
-        live{r} AS MATERIALIZED (
-            SELECT e.u, e.v FROM {prev_live} e
-            JOIN und{r} x ON x.node = e.u
-            JOIN und{r} y ON y.node = e.v
-        )""")
-        prev_und, prev_live = f"und{r}", f"live{r}"
-        wins.append(f"SELECT node FROM win{r}")
-    mis_union = " UNION ALL ".join(wins)
-    chain = ",".join(blocks)
-    return f"""
-        WITH {_LINKS_CTE},
-        und_edges AS MATERIALIZED (
-            SELECT DISTINCT LEAST(src, dst) AS u,
-                            GREATEST(src, dst) AS v
-            FROM links WHERE src <> dst
-        ),
-        live0 AS MATERIALIZED (SELECT u, v FROM und_edges),
-        allnodes AS MATERIALIZED (
-            SELECT DISTINCT n AS node FROM (
-                SELECT u AS n FROM und_edges
-                UNION ALL SELECT v FROM und_edges
-            )
-        ),
-        und0 AS MATERIALIZED (
-            SELECT node, (node * 2654435761) % 2147483647 AS p
-            FROM allnodes
-        ),
-        {chain},
-        mis AS MATERIALIZED ({mis_union})
-        SELECT a.node AS page,
-               CAST(CASE WHEN m.node IS NULL THEN 0 ELSE 1 END
-                    AS BIGINT) AS in_mis
-        FROM allnodes a LEFT JOIN mis m ON m.node = a.node
-    """
-
-
-def _kcenter_sql(k: int = 4, cap: int = 96) -> str:
-    """Unrolled greedy farthest-first rounds: each round's capped
-    recursive BFS closure seeds from the landmark set chosen so far;
-    the pick is the min unreached node when one exists (dist -1), else
-    the (max dist, min id) argmax — the engine's exact rule."""
-    parts = []
-    picks = ["SELECT 1 AS rank, (SELECT v FROM l1) AS page, 0 AS d"]
-    for r in range(1, k):
-        prev_seeds = " UNION ALL ".join(
-            [f"SELECT v FROM l{j}" for j in range(1, r + 1)]
-        )
-        parts.append(f"""
-        bfs{r}(node, d) AS (
-            SELECT v, 0 FROM ({prev_seeds})
-            UNION
-            SELECT e.v, b.d + 1
-            FROM bfs{r} b JOIN und e ON e.u = b.node
-            WHERE b.d + 1 <= {cap}
-        ),
-        mind{r} AS (
-            SELECT node, MIN(d) AS d FROM bfs{r} GROUP BY node
-        ),
-        unr{r} AS (
-            SELECT MIN(a.node) AS v FROM allnodes a
-            LEFT JOIN mind{r} m ON m.node = a.node
-            WHERE m.node IS NULL
-        ),
-        far{r} AS (
-            SELECT node AS v, d FROM mind{r}
-            ORDER BY d DESC, node ASC LIMIT 1
-        ),
-        l{r + 1} AS (
-            SELECT COALESCE((SELECT v FROM unr{r}),
-                            (SELECT v FROM far{r})) AS v
-        ),
-        d{r + 1} AS (
-            SELECT CASE WHEN (SELECT v FROM unr{r}) IS NOT NULL
-                        THEN -1 ELSE (SELECT d FROM far{r}) END AS d
-        )""")
-        picks.append(
-            f"SELECT {r + 1}, (SELECT v FROM l{r + 1}), "
-            f"(SELECT d FROM d{r + 1})"
-        )
-    chain = ",".join(parts)
-    union = " UNION ALL ".join(picks)
-    return f"""
-        WITH RECURSIVE {_LINKS_CTE},
-        und AS MATERIALIZED (
-            SELECT src AS u, dst AS v FROM links
-            UNION SELECT dst, src FROM links
-        ),
-        allnodes AS MATERIALIZED (
-            SELECT DISTINCT u AS node FROM und
-        ),
-        l1 AS (SELECT MIN(node) AS v FROM allnodes),
-        {chain}
-        SELECT CAST(rank AS BIGINT) AS rank,
-               CAST(page AS BIGINT) AS page,
-               CAST(d AS BIGINT) AS dist_when_chosen
-        FROM ({union})
-    """
-
-
-def _link_hits_sql(iters: int = 8, scale: int = 1_000_000) -> str:
-    """Hyperlink twin of ``_hits_sql``: same unrolled HUGEINT lattice,
-    edges re-derived arithmetically (weight 1 per distinct edge)."""
-    steps = []
-    for k in range(1, iters + 1):
-        steps.append(f"""
-        a{k}r AS MATERIALIZED (
-            SELECT e.ent, SUM(e.w * h.h) AS r
-            FROM ledges e JOIN h{k - 1} h ON h.src = e.src
-            GROUP BY e.ent
-        ),
-        a{k} AS MATERIALIZED (
-            SELECT ent, r * {scale} // (SELECT SUM(r) FROM a{k}r) AS a
-            FROM a{k}r
-        ),
-        h{k}r AS MATERIALIZED (
-            SELECT e.src, SUM(e.w * a.a) AS r
-            FROM ledges e JOIN a{k} a ON a.ent = e.ent
-            GROUP BY e.src
-        ),
-        h{k} AS MATERIALIZED (
-            SELECT src, r * {scale} // (SELECT SUM(r) FROM h{k}r) AS h
-            FROM h{k}r
-        )""")
-    return f"""
-        WITH {_LINKS_CTE},
-        ledges AS MATERIALIZED (
-            SELECT src, dst AS ent, CAST(1 AS HUGEINT) AS w FROM links
-        ),
-        h0 AS MATERIALIZED (
-            SELECT DISTINCT src, CAST({scale} AS HUGEINT) AS h
-            FROM ledges
-        ),
-        {", ".join(steps)}
-        SELECT src AS page, 'hub' AS kind, CAST(h AS BIGINT) AS score
-        FROM h{iters}
-        UNION ALL
-        SELECT ent, 'authority', CAST(a AS BIGINT) FROM a{iters}
-    """
-
-
-def _core_numbers_sql(max_k: int | None = None) -> str:
-    """Unrolled per-k peels over the deduped undirected link graph;
-    core_number = max k whose peel kept the node. ``max_k`` defaults to
-    the ENGINE's own cap (``webgraph.link_core_numbers`` max_k=8) so
-    both sides share one bound — a corpus containing a core deeper
-    than the shared cap is capped identically on both sides instead of
-    surfacing as a confusing hash diff. Round budgets carry a ~1.5x
-    margin over the measured convergence (k=4 fully empties in 14
-    rounds here; peels above the deepest real core run on an
-    already-empty edge set, so the extra unrolled rounds are ~free) —
-    a future corpus needing more ROUNDS fails loudly via the
-    value-hash, the bigram_kcore convention."""
-    if max_k is None:
-        import inspect
-
-        from autoner_ray.stages import webgraph as _wg
-
-        max_k = inspect.signature(
-            _wg.link_core_numbers
-        ).parameters["max_k"].default
-    rounds_per_k = {1: 3, 2: 6, 3: 8}
-    for k in range(4, max_k + 1):
-        # sf0.01's k=4 peel empties in 14 rounds; sf0.1's needs > 20
-        # (under-peeling left a spurious 4-core — caught by the sf0.1
-        # gate sweep); 48 carries margin and the post-convergence
-        # rounds run on an empty edge set, ~free
-        rounds_per_k[k] = 48
-    blocks, selects = [], []
-    for k, R in rounds_per_k.items():
-        prev = "und"
-        for r in range(1, R + 1):
-            blocks.append(f"""
-        d{k}_{r} AS MATERIALIZED (
-            SELECT src, COUNT(*) AS deg FROM (
-                SELECT u AS src FROM {prev}
-                UNION ALL SELECT v FROM {prev}
-            ) GROUP BY src HAVING COUNT(*) >= {k}
-        ),
-        e{k}_{r} AS MATERIALIZED (
-            SELECT e.u, e.v FROM {prev} e
-            JOIN d{k}_{r} a ON e.u = a.src
-            JOIN d{k}_{r} b ON e.v = b.src
-        )""")
-            prev = f"e{k}_{r}"
-        selects.append(f"""
-        SELECT n AS page, {k} AS k FROM (
-            SELECT DISTINCT n FROM (
-                SELECT u AS n FROM {prev}
-                UNION ALL SELECT v FROM {prev}
-            )
-        )""")
-    chain = ",".join(blocks)
-    union = " UNION ALL ".join(selects)
-    return f"""
-        WITH {_LINKS_CTE},
-        und AS MATERIALIZED (
-            SELECT DISTINCT LEAST(src, dst) AS u,
-                            GREATEST(src, dst) AS v
-            FROM links
-        ),
-        {chain}
-        SELECT page, CAST(MAX(k) AS BIGINT) AS core_number
-        FROM ({union}) GROUP BY page
-    """
-
-
-def _densification_sql(fractions=(250_000, 500_000, 750_000,
-                                  1_000_000)) -> str:
-    selects = []
-    for f in fractions:
-        selects.append(f"""
-        SELECT CAST({f} AS BIGINT) AS fraction_ppm,
-               CAST(LEAST(cut{f}.c, (SELECT COUNT(*) FROM documents))
-                    AS BIGINT) AS n_pages_crawled,
-               CAST((SELECT COUNT(*) FROM (
-                        SELECT DISTINCT n FROM (
-                            SELECT u AS n FROM und{f}
-                            UNION ALL SELECT v FROM und{f}
-                        )
-                    )) AS BIGINT) AS n_nodes,
-               CAST((SELECT COUNT(*) FROM und{f}) AS BIGINT) AS n_edges,
-               CAST((SELECT COUNT(*) FROM und{f}) * 1000000
-                    // (SELECT COUNT(*) FROM (
-                            SELECT DISTINCT n FROM (
-                                SELECT u AS n FROM und{f}
-                                UNION ALL SELECT v FROM und{f}
-                            )
-                        )) AS BIGINT) AS edges_per_node_ppm
-        FROM cut{f}""")
-    cuts = ",".join(
-        f"""
-        cut{f} AS (
-            SELECT ((SELECT MAX(doc_id) + 1 FROM documents) * {f})
-                       // 1000000 AS c
-        ),
-        und{f} AS MATERIALIZED (
-            SELECT DISTINCT LEAST(src, dst) AS u,
-                            GREATEST(src, dst) AS v
-            FROM links WHERE src < (SELECT c FROM cut{f})
-        )"""
-        for f in fractions
-    )
-    union = " UNION ALL ".join(selects)
-    return f"""
-        WITH {_LINKS_CTE},
-        {cuts}
-        {union}
-    """
-
-
-def _random_failure_sql(ps=(250_000, 500_000, 750_000)) -> str:
-    """Per-p recursive weak-closure over the hash-filtered edge set;
-    thresholds precomputed as literals (same ``p*2^32//1e6 << 32``
-    scaling as the engine)."""
-    blocks, selects = [], []
-    for p in ps:
-        thr = (p * (1 << 32) // 1_000_000) << 32
-        blocks.append(f"""
-        keep{p} AS MATERIALIZED (
-            SELECT u, v FROM und
-            WHERE CAST(('0x' || substring(md5(
-                      CAST(u AS VARCHAR) || '|' || CAST(v AS VARCHAR)),
-                      1, 16)) AS UBIGINT) >= {thr}
-        ),
-        bi{p} AS (
-            SELECT u AS a, v AS b FROM keep{p}
-            UNION SELECT v, u FROM keep{p}
-        ),
-        reach{p}(a, b) AS (
-            SELECT a, a FROM bi{p}
-            UNION
-            SELECT r.a, e.b FROM reach{p} r JOIN bi{p} e ON e.a = r.b
-        ),
-        comp{p} AS (
-            SELECT a AS node, MIN(b) AS c FROM reach{p} GROUP BY a
-        ),
-        giant{p} AS (
-            SELECT COALESCE(MAX(sz), 0) AS g FROM (
-                SELECT COUNT(*) AS sz FROM comp{p} GROUP BY c
-            )
-        )""")
-        selects.append(f"""
-        SELECT CAST({p} AS BIGINT) AS p_ppm,
-               CAST((SELECT COUNT(*) FROM keep{p}) AS BIGINT)
-                   AS n_edges_kept,
-               CAST((SELECT COUNT(*) FROM nodes) AS BIGINT) AS n_nodes,
-               CAST(GREATEST((SELECT g FROM giant{p}),
-                    CASE WHEN (SELECT COUNT(*) FROM nodes)
-                              > (SELECT g FROM giant{p})
-                         THEN 1 ELSE 0 END) AS BIGINT) AS giant_size,
-               CAST(GREATEST((SELECT g FROM giant{p}),
-                    CASE WHEN (SELECT COUNT(*) FROM nodes)
-                              > (SELECT g FROM giant{p})
-                         THEN 1 ELSE 0 END) * 1000000
-                    // (SELECT COUNT(*) FROM nodes) AS BIGINT)
-                   AS giant_fraction_ppm""")
-    chain = ",".join(blocks)
-    union = " UNION ALL ".join(selects)
-    return f"""
-        WITH RECURSIVE {_LINKS_CTE},
-        und AS MATERIALIZED (
-            SELECT DISTINCT LEAST(src, dst) AS u,
-                            GREATEST(src, dst) AS v
-            FROM links
-        ),
-        nodes AS MATERIALIZED (
-            -- NOT a bare UNION: under WITH RECURSIVE DuckDB fails to
-            -- dedup a union CTE (measured: 2992 vs 751 rows)
-            SELECT DISTINCT n FROM (
-                SELECT u AS n FROM und UNION ALL SELECT v FROM und
-            )
-        ),
-        {chain}
-        {union}
-    """
-
-
-def _attack_tolerance_sql(ks=(0, 1, 2, 4, 8)) -> str:
-    """Per-k recursive weak-closure over the hub-removed hyperlink
-    graph; hubs ranked by deduped undirected degree desc, id asc.
-    Isolated survivors count as size-1 components (GREATEST guard)."""
-    blocks = []
-    selects = []
-    for k in ks:
-        blocks.append(f"""
-        surv{k} AS MATERIALIZED (
-            SELECT u, v FROM und
-            WHERE u NOT IN (SELECT node FROM hubs WHERE rn <= {k})
-              AND v NOT IN (SELECT node FROM hubs WHERE rn <= {k})
-        ),
-        bi{k} AS (
-            SELECT u AS a, v AS b FROM surv{k}
-            UNION SELECT v, u FROM surv{k}
-        ),
-        reach{k}(a, b) AS (
-            SELECT a, a FROM bi{k}
-            UNION
-            SELECT r.a, e.b FROM reach{k} r JOIN bi{k} e ON e.a = r.b
-        ),
-        comp{k} AS (
-            SELECT a AS node, MIN(b) AS c FROM reach{k} GROUP BY a
-        ),
-        giant{k} AS (
-            SELECT COALESCE(MAX(sz), 0) AS g FROM (
-                SELECT COUNT(*) AS sz FROM comp{k} GROUP BY c
-            )
-        )""")
-        selects.append(f"""
-        SELECT CAST({k} AS BIGINT) AS k,
-               CAST((SELECT COUNT(*) FROM deg) - {k} AS BIGINT)
-                   AS n_nodes,
-               CAST(GREATEST((SELECT g FROM giant{k}),
-                    CASE WHEN (SELECT COUNT(*) FROM deg) - {k}
-                              > (SELECT g FROM giant{k})
-                         THEN 1 ELSE 0 END) AS BIGINT) AS giant_size,
-               CAST(GREATEST((SELECT g FROM giant{k}),
-                    CASE WHEN (SELECT COUNT(*) FROM deg) - {k}
-                              > (SELECT g FROM giant{k})
-                         THEN 1 ELSE 0 END) * 1000000
-                    // ((SELECT COUNT(*) FROM deg) - {k}) AS BIGINT)
-                   AS giant_fraction_ppm""")
-    chain = ",".join(blocks)
-    union = " UNION ALL ".join(selects)
-    return f"""
-        WITH RECURSIVE {_LINKS_CTE},
-        und AS MATERIALIZED (
-            SELECT DISTINCT LEAST(src, dst) AS u,
-                            GREATEST(src, dst) AS v
-            FROM links
-        ),
-        deg AS MATERIALIZED (
-            SELECT node, COUNT(*) AS deg FROM (
-                SELECT u AS node FROM und UNION ALL SELECT v FROM und
-            ) GROUP BY node
-        ),
-        hubs AS MATERIALIZED (
-            SELECT node,
-                   ROW_NUMBER() OVER (ORDER BY deg DESC, node ASC) AS rn
-            FROM deg
-        ),
-        {chain}
-        {union}
-    """
-
-
-
-def _link_pagerank_sql(damping=0.85, iters=20) -> str:
-    """Hyperlink-graph twin of ``_pagerank_sql``: same unrolled power
-    iteration (full-float-repr literals, MATERIALIZED steps), but the
-    edge set is re-derived arithmetically from ``documents`` — the
-    engine parses the SAME edges out of the html anchors, so the
-    value-hash proves the parse end-to-end."""
-    base = repr(1.0 - damping)
-    d = repr(damping)
-    steps = []
-    for k in range(1, iters + 1):
-        steps.append(f"""
-        pr{k} AS MATERIALIZED (
-            SELECT t.dst AS page,
-                   {base} / nn.n + {d} * SUM(pr.rank * t.p) AS rank
-            FROM trans t JOIN pr{k - 1} pr ON pr.page = t.src, nn
-            GROUP BY t.dst, nn.n
-        )""")
-    return f"""
-        WITH {_LINKS_CTE},
-        bidir AS MATERIALIZED (
-            SELECT src, dst, CAST(1 AS DOUBLE) AS w FROM links
-            UNION ALL
-            SELECT dst, src, CAST(1 AS DOUBLE) FROM links
-        ),
-        nodes AS MATERIALIZED (SELECT DISTINCT src AS page FROM bidir),
-        nn AS MATERIALIZED (
-            SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM nodes
-        ),
-        outw AS MATERIALIZED (
-            SELECT src, SUM(w) AS ow FROM bidir GROUP BY src
-        ),
-        trans AS MATERIALIZED (
-            SELECT b.src, b.dst, b.w / o.ow AS p
-            FROM bidir b JOIN outw o ON b.src = o.src
-        ),
-        pr0 AS MATERIALIZED (
-            SELECT page, 1.0 / nn.n AS rank FROM nodes, nn
-        ),
-        {", ".join(steps)}
-        SELECT page, round(rank, 6) AS rank FROM pr{iters}
     """
 
 
@@ -5084,342 +4586,6 @@ def oracle_sql() -> dict[str, str]:
         "q11_important_parts": relational_mod.q11_oracle_sql(),
         "q20_prominent_suppliers": relational_mod.q20_oracle_sql(),
         "q2_min_cost_supplier": relational_mod.q2_oracle_sql(),
-        "pages_link_graph": f"""
-            WITH {_LINKS_CTE}
-            SELECT src, dst FROM links
-        """,
-        "pages_link_degree_hist": f"""
-            WITH {_LINKS_CTE},
-            per_dst AS (
-                SELECT dst, COUNT(*) AS n FROM links GROUP BY 1
-            )
-            SELECT n AS in_degree, COUNT(*) AS n_nodes
-            FROM per_dst GROUP BY 1 ORDER BY 1
-        """,
-        "pages_link_pagerank": _link_pagerank_sql(),
-        "pages_crawl_frontier": f"""
-            WITH RECURSIVE {_LINKS_CTE},
-            bfs(node, d) AS (
-                SELECT CAST(0 AS BIGINT), 0
-                UNION
-                SELECT l.dst, bfs.d + 1
-                FROM bfs JOIN links l ON l.src = bfs.node
-                WHERE bfs.d + 1 <= 16
-            )
-            SELECT node AS page, CAST(MIN(d) AS BIGINT) AS hops
-            FROM bfs GROUP BY node
-        """,
-        "pages_link_scc": f"""
-            WITH RECURSIVE {_LINKS_CTE},
-            nodes AS (SELECT src AS v FROM links
-                      UNION SELECT dst FROM links),
-            reach(a, b) AS (
-                SELECT src, dst FROM links
-                UNION
-                SELECT r.a, l.dst FROM reach r JOIN links l ON l.src = r.b
-            ),
-            mutual AS (
-                SELECT r1.a AS v, r1.b AS u
-                FROM reach r1 JOIN reach r2
-                  ON r1.a = r2.b AND r1.b = r2.a
-            )
-            SELECT n.v AS page,
-                   LEAST(n.v, COALESCE(MIN(m.u), n.v)) AS scc_id
-            FROM nodes n LEFT JOIN mutual m ON m.v = n.v
-            GROUP BY n.v
-        """,
-        "pages_link_bowtie": f"""
-            WITH RECURSIVE {_LINKS_CTE},
-            nodes AS (SELECT src AS v FROM links
-                      UNION SELECT dst FROM links),
-            reach(a, b) AS (
-                SELECT src, dst FROM links
-                UNION
-                SELECT r.a, l.dst FROM reach r JOIN links l ON l.src = r.b
-            ),
-            mutual AS (
-                SELECT r1.a AS v, r1.b AS u
-                FROM reach r1 JOIN reach r2
-                  ON r1.a = r2.b AND r1.b = r2.a
-            ),
-            scc AS (
-                SELECT n.v AS page,
-                       LEAST(n.v, COALESCE(MIN(m.u), n.v)) AS scc_id
-                FROM nodes n LEFT JOIN mutual m ON m.v = n.v
-                GROUP BY n.v
-            ),
-            core AS (
-                SELECT scc_id FROM scc GROUP BY scc_id
-                ORDER BY COUNT(*) DESC, scc_id ASC LIMIT 1
-            ),
-            root AS (SELECT scc_id AS r FROM core),
-            wreach(v) AS (
-                SELECT r FROM root
-                UNION
-                SELECT CASE WHEN l.src = w.v THEN l.dst ELSE l.src END
-                FROM wreach w JOIN links l ON l.src = w.v OR l.dst = w.v
-            ),
-            cls AS (
-                SELECT s.page,
-                  CASE WHEN s.scc_id = (SELECT r FROM root) THEN 'CORE'
-                       WHEN EXISTS (SELECT 1 FROM reach x
-                                    WHERE x.a = s.page
-                                      AND x.b = (SELECT r FROM root))
-                           THEN 'IN'
-                       WHEN EXISTS (SELECT 1 FROM reach x
-                                    WHERE x.a = (SELECT r FROM root)
-                                      AND x.b = s.page)
-                           THEN 'OUT'
-                       WHEN s.page IN (SELECT v FROM wreach)
-                           THEN 'TENDRIL'
-                       ELSE 'DISCONNECTED' END AS component
-                FROM scc s
-            ),
-            agg AS (SELECT component, COUNT(*) AS n_pages
-                    FROM cls GROUP BY 1)
-            SELECT c.component, COALESCE(a.n_pages, 0) AS n_pages
-            FROM (VALUES ('CORE'), ('IN'), ('OUT'), ('TENDRIL'),
-                         ('DISCONNECTED')) c(component)
-            LEFT JOIN agg a USING (component)
-        """,
-        "pages_link_attack_tolerance": _attack_tolerance_sql(),
-        "pages_link_random_failure": _random_failure_sql(),
-        "pages_link_densification": _densification_sql(),
-        "pages_link_core_numbers": _core_numbers_sql(),
-        "pages_link_mis": _link_mis_sql(),
-        "pages_kcenter_landmarks": _kcenter_sql(),
-        "pages_link_bipartite": f"""
-            -- parity of min hop dist from each component's min node
-            -- (capped closure, cap 96 >> link-graph eccentricity)
-            WITH RECURSIVE {_LINKS_CTE},
-            und AS MATERIALIZED (
-                SELECT src AS u, dst AS v FROM links
-                UNION SELECT dst, src FROM links
-            ),
-            reach(a, b) AS (
-                SELECT u, u FROM und
-                UNION
-                SELECT r.a, e.v FROM reach r JOIN und e ON e.u = r.b
-            ),
-            labels AS (
-                SELECT a AS node, MIN(b) AS comp FROM reach GROUP BY a
-            ),
-            bfs(node, d) AS (
-                SELECT DISTINCT comp, 0 FROM labels
-                UNION
-                SELECT e.v, bfs.d + 1
-                FROM bfs JOIN und e ON e.u = bfs.node
-                WHERE bfs.d + 1 <= 96
-            ),
-            mind AS (
-                SELECT node, MIN(d) AS d FROM bfs GROUP BY node
-            )
-            SELECT CAST((SELECT COUNT(*) FROM links) AS BIGINT)
-                       AS n_edges,
-                   CAST(SUM(CASE WHEN a.d % 2 = b.d % 2
-                                 THEN 1 ELSE 0 END) AS BIGINT)
-                       AS n_parity_conflicts,
-                   CAST(CASE WHEN SUM(CASE WHEN a.d % 2 = b.d % 2
-                                           THEN 1 ELSE 0 END) = 0
-                             THEN 1 ELSE 0 END AS BIGINT)
-                       AS is_bipartite
-            FROM links l
-            JOIN mind a ON a.node = l.src
-            JOIN mind b ON b.node = l.dst
-        """,
-        "pages_neighbor_sample": f"""
-            -- same hash ranking as the engine: hop-1 = k smallest
-            -- ((u*31+v)*2654435761)%%2147483647 neighbors; hop-2 =
-            -- union of the neighbors' hop-1 samples minus the root
-            -- and its own hop-1 set
-            WITH {_LINKS_CTE},
-            nbrs AS (
-                SELECT DISTINCT node, nb FROM (
-                    SELECT src AS node, dst AS nb FROM links
-                    UNION ALL SELECT dst, src FROM links
-                )
-            ),
-            ranked AS (
-                SELECT node, nb, ROW_NUMBER() OVER (
-                    PARTITION BY node
-                    ORDER BY ((node * 31 + nb) * 2654435761)
-                                 % 2147483647, nb
-                ) AS rn
-                FROM nbrs
-            ),
-            s1 AS (SELECT node, nb FROM ranked WHERE rn <= 3),
-            h2 AS (
-                SELECT DISTINCT a.node, b.nb
-                FROM s1 a JOIN s1 b ON b.node = a.nb
-                WHERE b.nb <> a.node
-            ),
-            h2x AS (
-                SELECT h.node, h.nb FROM h2 h
-                LEFT JOIN s1 s ON s.node = h.node AND s.nb = h.nb
-                WHERE s.node IS NULL
-            )
-            SELECT node, CAST(1 AS BIGINT) AS hop, nb FROM s1
-            UNION ALL
-            SELECT node, CAST(2 AS BIGINT), nb FROM h2x
-        """,
-        "pages_link_edgecut": f"""
-            WITH {_LINKS_CTE},
-            h AS (
-                SELECT (src * 2654435761) % 2147483648 % 16 AS hs,
-                       (dst * 2654435761) % 2147483648 % 16 AS hd
-                FROM links
-            )
-            SELECT 'cut' AS kind, CAST(c AS BIGINT) AS key,
-                   CAST(COALESCE(n, 0) AS BIGINT) AS n
-            FROM (SELECT UNNEST([0, 1]) AS c)
-            LEFT JOIN (
-                SELECT CASE WHEN hs <> hd THEN 1 ELSE 0 END AS c2,
-                       COUNT(*) AS n
-                FROM h GROUP BY 1
-            ) ON c = c2
-            UNION ALL
-            SELECT 'load', CAST(s AS BIGINT),
-                   CAST(COALESCE(n, 0) AS BIGINT)
-            FROM (SELECT UNNEST(range(0, 16)) AS s)
-            LEFT JOIN (
-                SELECT hs, COUNT(*) AS n FROM h GROUP BY hs
-            ) ON s = hs
-        """,
-        "pages_link_hits": _link_hits_sql(),
-        "pages_link_indegree_gini": f"""
-            WITH {_LINKS_CTE},
-            deg AS (
-                SELECT dst AS page, COUNT(*) AS deg
-                FROM links GROUP BY dst
-            ),
-            r AS (
-                SELECT deg, ROW_NUMBER() OVER (
-                    ORDER BY deg, page
-                ) AS rank
-                FROM deg
-            ),
-            s AS (
-                SELECT COUNT(*) AS n_docs,
-                       CAST(SUM(deg) AS BIGINT) AS total,
-                       CAST(SUM(rank * deg) AS BIGINT) AS rank_val_sum
-                FROM r
-            )
-            SELECT n_docs, total, rank_val_sum,
-                   CAST((2 * CAST(rank_val_sum AS HUGEINT)
-                         - (n_docs + 1) * CAST(total AS HUGEINT))
-                        * 1000000
-                        // (CAST(n_docs AS HUGEINT) * total)
-                        AS BIGINT) AS gini_ppm
-            FROM s
-        """,
-        "pages_link_rich_club": f"""
-            WITH {_LINKS_CTE},
-            und AS MATERIALIZED (
-                SELECT DISTINCT LEAST(src, dst) AS u,
-                                GREATEST(src, dst) AS v
-                FROM links
-            ),
-            deg AS MATERIALIZED (
-                SELECT node, COUNT(*) AS deg FROM (
-                    SELECT u AS node FROM und
-                    UNION ALL SELECT v FROM und
-                ) GROUP BY node
-            ),
-            e AS MATERIALIZED (
-                SELECT LEAST(a.deg, b.deg) AS md
-                FROM und JOIN deg a ON a.node = und.u
-                         JOIN deg b ON b.node = und.v
-            ),
-            ks(k) AS (VALUES (1), (2), (4), (8)),
-            agg AS (
-                SELECT k.k AS k,
-                       (SELECT COUNT(*) FROM deg WHERE deg > k.k)
-                           AS n_nodes,
-                       (SELECT COUNT(*) FROM e WHERE md > k.k)
-                           AS n_edges
-                FROM ks k
-            )
-            SELECT CAST(k AS BIGINT) AS k,
-                   CAST(n_nodes AS BIGINT) AS n_nodes,
-                   CAST(n_edges AS BIGINT) AS n_edges,
-                   CAST(CASE WHEN n_nodes >= 2
-                             THEN (2 * n_edges * 1000000)
-                                  // (n_nodes * (n_nodes - 1))
-                             ELSE 0 END AS BIGINT) AS phi_ppm
-            FROM agg
-        """,
-        "pages_link_reciprocity": f"""
-            WITH {_LINKS_CTE},
-            pairs AS (
-                SELECT LEAST(src, dst) AS lo, GREATEST(src, dst) AS hi,
-                       COUNT(*) AS n_dir
-                FROM links GROUP BY 1, 2
-            ),
-            tot AS (
-                SELECT CAST(SUM(n_dir) AS BIGINT) AS n_edges,
-                       CAST(2 * COUNT(*) FILTER (WHERE n_dir = 2)
-                            AS BIGINT) AS n_reciprocal
-                FROM pairs
-            )
-            SELECT n_edges, n_reciprocal,
-                   CAST((n_reciprocal * 1000000) // n_edges AS BIGINT)
-                       AS reciprocity_ppm
-            FROM tot
-        """,
-        "pages_link_wcc_stats": f"""
-            WITH RECURSIVE {_LINKS_CTE},
-            und AS MATERIALIZED (
-                SELECT src AS u, dst AS v FROM links
-                UNION SELECT dst, src FROM links
-            ),
-            reach(a, b) AS (
-                SELECT u, u FROM und
-                UNION
-                SELECT r.a, e.v FROM reach r JOIN und e ON e.u = r.b
-            ),
-            labels AS (
-                SELECT a AS node, MIN(b) AS comp FROM reach GROUP BY a
-            ),
-            sizes AS (
-                SELECT comp, COUNT(*) AS sz FROM labels GROUP BY comp
-            )
-            SELECT CAST(COUNT(*) AS BIGINT) AS n_components,
-                   CAST(MAX(sz) AS BIGINT) AS giant_size,
-                   CAST((MAX(sz) * 1000000)
-                        // (SELECT COUNT(*) FROM labels) AS BIGINT)
-                       AS giant_fraction_ppm
-            FROM sizes
-        """,
-        "pages_link_diameter": f"""
-            WITH RECURSIVE {_LINKS_CTE},
-            und AS MATERIALIZED (
-                SELECT src AS u, dst AS v FROM links
-                UNION SELECT dst, src FROM links
-            ),
-            start AS (SELECT MIN(u) AS s FROM und),
-            bfs1(node, d) AS (
-                SELECT s, 0 FROM start
-                UNION
-                SELECT e.v, bfs1.d + 1
-                FROM bfs1 JOIN und e ON e.u = bfs1.node
-                WHERE bfs1.d + 1 <= 64
-            ),
-            d1 AS (SELECT node, MIN(d) AS d FROM bfs1 GROUP BY node),
-            peri AS (
-                SELECT node FROM d1 ORDER BY d DESC, node ASC LIMIT 1
-            ),
-            bfs2(node, d) AS (
-                SELECT node, 0 FROM peri
-                UNION
-                SELECT e.v, bfs2.d + 1
-                FROM bfs2 JOIN und e ON e.u = bfs2.node
-                WHERE bfs2.d + 1 <= 64
-            ),
-            d2 AS (SELECT node, MIN(d) AS d FROM bfs2 GROUP BY node)
-            SELECT (SELECT s FROM start) AS start_page,
-                   (SELECT node FROM peri) AS peripheral_page,
-                   CAST((SELECT MAX(d) FROM d2) AS BIGINT) AS diameter_lb
-        """,
         "pages_url_canonical_map":
             urltools_mod.url_canonical_map_oracle_sql(),
         "pages_url_canonical_dedup":

@@ -122,144 +122,6 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
     )
 
 
-def pagerank_distributed(edges_ds, damping: float = 0.85, iters: int = 20,
-                         num_partitions: int | None = None,
-                         round_dp: int = 9):
-    """PageRank with the rank vector AS A DATASET — the unbounded-vocab
-    variant (SURVEY §10.4): each power iteration is a hash join of the
-    (normalized) transition edges against the current rank table plus a
-    groupby-sum, so nothing is ever collected on the driver. Same
-    semantics as :func:`pagerank` (undirected expand, weight-
-    proportional transition, no dangling mass since every node has an
-    edge); use it when the entity vocabulary exceeds single-node memory.
-    Cost: 2 shuffles/iteration — at dictionary-bounded vocab the
-    driver-side matvec is strictly cheaper, which is why it stays the
-    default."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    from autoner_ray.cluster import default_num_partitions
-
-    if num_partitions is None:
-        # task-based cogroup joins: 1x CPUs keeps per-iteration task
-        # count bounded without oversubscribing small graphs
-        num_partitions = default_num_partitions(multiplier=1)
-
-    def expand(t: pa.Table) -> pa.Table:
-        w = t["weight"].cast(pa.float64())
-        return pa.table(
-            {
-                "src": pa.chunked_array(t["subj"].chunks + t["obj"].chunks),
-                "dst": pa.chunked_array(t["obj"].chunks + t["subj"].chunks),
-                "w": pa.chunked_array(w.chunks + w.chunks),
-            }
-        )
-
-    bidir = edges_ds.map_batches(expand, batch_format="pyarrow")
-    outw = bidir.groupby("src").aggregate(Sum("w", alias_name="ow"))
-
-    # Ray's hash join can emit zero-row blocks with an EMPTY schema
-    # (no columns); every post-join map must rebuild the proper schema
-    # or the next join fails with "no match for key field".
-    _trans_schema = pa.schema(
-        [("src", pa.string()), ("dst", pa.string()), ("p", pa.float64())]
-    )
-
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _trans_schema.empty_table()
-        return pa.table(
-            {
-                "src": t["src"],
-                "dst": t["dst"],
-                "p": pc.divide(t["w"], t["ow"]),
-            }
-        )
-
-    # task-based cogroup join (stages/joins.py): declared schemas mean
-    # no empty-schema zero-row blocks (so no repartition needed to clear
-    # them) and no per-run aggregator-actor fleet — with `iters` joins
-    # in this function, the native operator's actor spawn cost
-    # (~0.1 s × num_partitions × iters) would dominate small graphs.
-    from autoner_ray.stages.joins import cogroup_join
-
-    trans = (
-        cogroup_join(bidir, outw, on=("src",),
-                     num_partitions=num_partitions)
-        .map_batches(norm, batch_format="pyarrow")
-        .materialize()
-    )
-    nodes = outw.select_columns(["src"]).materialize()
-    n = nodes.count()
-    if n == 0:  # empty graph: mirror pagerank()'s empty result
-        return pa.table(
-            {
-                "entity": pa.array([], pa.string()),
-                "rank": pa.array([], pa.float64()),
-            }
-        )
-
-    def init_rank(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": t["src"],
-                "rank": pa.array([1.0 / n] * len(t), pa.float64()),
-            }
-        )
-
-    rank = nodes.map_batches(init_rank, batch_format="pyarrow").materialize()
-    base = (1.0 - damping) / n
-    _contrib_schema = pa.schema([("dst", pa.string()), ("c", pa.float64())])
-    _rank_schema = pa.schema([("src", pa.string()), ("rank", pa.float64())])
-    for _ in range(iters):
-        def contrib(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _contrib_schema.empty_table()
-            return pa.table(
-                {
-                    "dst": t["dst"],
-                    "c": pc.multiply(t["p"], t["rank"]),
-                }
-            )
-
-        def finish(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _rank_schema.empty_table()
-            return pa.table(
-                {
-                    "src": t["dst"],
-                    "rank": pc.add(
-                        pc.multiply(t["c"], damping), base
-                    ),
-                }
-            )
-
-        rank = (
-            cogroup_join(trans, rank, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(contrib, batch_format="pyarrow")
-            .groupby("dst")
-            .aggregate(Sum("c", alias_name="c"))
-            .map_batches(finish, batch_format="pyarrow")
-            # coalesce: join output inherits summed input block counts
-            # (rank table grows blocks(trans) per step otherwise)
-            .repartition(num_partitions)
-            .materialize()  # cut lineage: 20 chained joins would recompute
-        )
-    out = rank.to_pandas().sort_values(
-        ["rank", "src"], ascending=[False, True], kind="mergesort"
-    )
-    return pa.table(
-        {
-            "entity": pa.array(out["src"], pa.string()),
-            "rank": pa.array(
-                [round(float(r), round_dp) for r in out["rank"]],
-                pa.float64(),
-            ),
-        }
-    )
-
-
 def connected_components_distributed(edges_ds,
                                      num_partitions: int | None = None,
                                      max_iters: int = 50,
@@ -386,10 +248,7 @@ def connected_components_distributed(edges_ds,
 
 def bfs_distances(edges_ds, source=None, max_depth: int = 32,
                   num_partitions: int | None = None,
-                  sources: list | None = None,
-                  directed: bool = False,
-                  to_fixpoint: bool = False,
-                  sources_ds=None):
+                  sources: list | None = None):
     """Single-source shortest-path (hop) distances on the undirected
     entity graph — min-DISTANCE propagation with the dist table as a
     Dataset, the same join+groupby-min fixpoint loop as
@@ -402,13 +261,6 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
 
     ``source=None`` picks the minimum node id/string — deterministic
     at any parallelism, no driver scan of the node set.
-
-    ``to_fixpoint=True`` switches to REACHABILITY semantics: the loop
-    runs until no distance changes (not a fixed depth) and every
-    reached node is emitted regardless of hop count — exact closure,
-    matching an uncapped driver-side sweep. ``max_depth`` is ignored
-    for truncation in that mode (a generous 100k-round safety cap
-    remains, warned on if ever hit).
     """
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Min
@@ -423,11 +275,9 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
     if not isinstance(node_type, pa.DataType):
         # pandas-backed blocks report numpy/object classes for strings
         node_type = pa.string()
-    # to_fixpoint: sentinel far above any reachable hop count so the
-    # clip never truncates propagation; capped mode: the classic
-    # depth+1 sentinel (distances > max_depth cannot propagate, by
-    # design — the recursive-CTE oracle applies the same cap)
-    sentinel = (1 << 62) if to_fixpoint else max_depth + 1
+    # depth+1 sentinel: distances > max_depth cannot propagate, by
+    # design — the recursive-CTE oracle applies the same cap
+    sentinel = max_depth + 1
 
     def expand(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -437,81 +287,29 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
             }
         )
 
-    # node-universe table: both endpoints as src regardless of
-    # direction (so dst-only sink nodes get a dist row); propagation
-    # follows ``prop`` — both directions (default) or subj->obj only
-    # (``directed=True``, e.g. a crawl frontier over outlinks)
     bidir = edges_ds.map_batches(expand, batch_format="pyarrow").materialize()
-    if directed:
-        prop = edges_ds.map_batches(
-            lambda t: pa.table({"src": t["subj"], "dst": t["obj"]}),
-            batch_format="pyarrow",
-        ).materialize()
-    else:
-        prop = bidir
     universe = bidir.groupby("src").aggregate(Count(alias_name="_n"))
-    if sources_ds is not None:
-        # seed table as a DATASET (corpus-scale seed sets — e.g. one
-        # root per component — must not broadcast through a closure):
-        # mark seeds with a left-outer cogroup join instead
-        def tag_seed(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.schema(
-                    [("src", node_type), ("_seed", pa.int64())]
-                ).empty_table()
-            return pa.table(
-                {
-                    "src": t["src"],
-                    "_seed": pa.array([1] * len(t), pa.int64()),
-                }
-            )
+    if sources is None:
+        if source is None:
+            source = bidir.min("src")
+        sources = [source]
+    # multi-source frontier (``sources``): min-hop distance to the
+    # NEAREST seed — same fixpoint loop, seed set broadcast in the
+    # closure (seed lists are small by construction)
+    seed_arr = pa.array(list(sources), node_type)
 
-        def init_join(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.schema(
-                    [("src", node_type), ("dist", pa.int64())]
-                ).empty_table()
-            d = pc.if_else(
-                pc.is_valid(t["_seed"]),
-                pa.scalar(0, pa.int64()),
-                pa.scalar(sentinel, pa.int64()),
-            )
-            return pa.table({"src": t["src"], "dist": d})
-
-        dist = (
-            cogroup_join(
-                universe.select_columns(["src"]).map_batches(
-                    lambda t: t, batch_format="pyarrow"
-                ),
-                sources_ds.map_batches(tag_seed, batch_format="pyarrow"),
-                on=("src",), num_partitions=num_partitions,
-                join_type="left outer",
-            )
-            .map_batches(init_join, batch_format="pyarrow")
-            .materialize()
+    def init_dist(t: pa.Table) -> pa.Table:
+        d = pc.if_else(
+            pc.is_in(t["src"], value_set=seed_arr),
+            pa.scalar(0, pa.int64()),
+            pa.scalar(sentinel, pa.int64()),
         )
-    else:
-        if sources is None:
-            if source is None:
-                source = bidir.min("src")
-            sources = [source]
-        # multi-source frontier (``sources``): min-hop distance to the
-        # NEAREST seed — same fixpoint loop, seed set broadcast in the
-        # closure (seed lists are small by construction)
-        seed_arr = pa.array(list(sources), node_type)
+        return pa.table({"src": t["src"], "dist": d})
 
-        def init_dist(t: pa.Table) -> pa.Table:
-            d = pc.if_else(
-                pc.is_in(t["src"], value_set=seed_arr),
-                pa.scalar(0, pa.int64()),
-                pa.scalar(sentinel, pa.int64()),
-            )
-            return pa.table({"src": t["src"], "dist": d})
-
-        dist = (
-            universe.map_batches(init_dist, batch_format="pyarrow")
-            .materialize()
-        )
+    dist = (
+        universe.map_batches(init_dist, batch_format="pyarrow")
+        .materialize()
+    )
     _nd_schema = pa.schema([("src", node_type), ("nd", pa.int64())])
 
     def neighbor_dists(t: pa.Table) -> pa.Table:
@@ -531,11 +329,8 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
     def merge_dists(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or len(t) == 0:
             return _merged_schema.empty_table()
-        # LEFT-OUTER merge: a node with no in-edge from the surviving
-        # frontier has a null nd this round — it keeps its dist rather
-        # than eroding out of the table (directed graphs routinely have
-        # in-degree-0 nodes; an inner join here dropped them and then,
-        # round by round, everything downstream of them)
+        # LEFT-OUTER merge: a node with a null nd this round keeps its
+        # dist rather than eroding out of the table
         nd = pc.fill_null(t["nd"], sentinel)
         return pa.table(
             {
@@ -545,11 +340,9 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
             }
         )
 
-    iter_cap = 100_000 if to_fixpoint else max_depth
-    n_changed = 0
-    for _ in range(iter_cap):
+    for _ in range(max_depth):
         neigh_min = (
-            cogroup_join(prop, dist, on=("src",),
+            cogroup_join(bidir, dist, on=("src",),
                          num_partitions=num_partitions)
             .map_batches(neighbor_dists, batch_format="pyarrow")
             .groupby("src")
@@ -571,24 +364,13 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
         )
         if not n_changed:
             break
-    else:
-        if to_fixpoint and n_changed:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "bfs_distances(to_fixpoint=True): frontier still moving "
-                "after %d rounds (%d dists changing) — reachability "
-                "closure is INCOMPLETE", iter_cap, n_changed,
-            )
-
-    keep_bound = (sentinel - 1) if to_fixpoint else max_depth
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_columns == 0 or len(t) == 0:
             return pa.schema(
                 [("entity", node_type), ("dist", pa.int64())]
             ).empty_table()
-        keep = pc.less_equal(t["dist"], keep_bound)
+        keep = pc.less_equal(t["dist"], max_depth)
         return pa.table(
             {
                 "entity": t["src"].filter(keep),
@@ -1048,8 +830,7 @@ def pagerank_personalized(edges_ds, seed: str | None = None,
     exactly 0.0.
 
     Same vocabulary-bounded split as :func:`pagerank`: corpus-sized
-    edge aggregation distributed, vocab-sized power iteration local
-    (Dataset-resident variant for unbounded vocab documented there).
+    edge aggregation distributed, vocab-sized power iteration local.
     """
     import numpy as np
 
@@ -1090,143 +871,6 @@ def pagerank_personalized(edges_ds, seed: str | None = None,
             "entity": pa.array([ents[i] for i in order], pa.string()),
             "rank": pa.array(
                 [round(float(rank[i]), round_dp) for i in order],
-                pa.float64(),
-            ),
-        }
-    )
-
-
-def pagerank_personalized_distributed(edges_ds, seed: str | None = None,
-                                      damping: float = 0.85,
-                                      iters: int = 20,
-                                      num_partitions: int | None = None,
-                                      round_dp: int = 6):
-    """Personalized PageRank with the rank vector AS A DATASET — the
-    unbounded-vocab twin of :func:`pagerank_personalized`, shaped
-    exactly like :func:`pagerank_distributed` (hash join + groupby-sum
-    per power step, nothing vocab-sized on the driver) except the
-    teleport term lands only on the seed row. ``seed=None`` resolves to
-    the lexicographically smallest entity via per-block min partials
-    (never a node collect)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import cogroup_join
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions(multiplier=1)
-
-    def expand(t: pa.Table) -> pa.Table:
-        w = t["weight"].cast(pa.float64())
-        return pa.table(
-            {
-                "src": pa.chunked_array(t["subj"].chunks + t["obj"].chunks),
-                "dst": pa.chunked_array(t["obj"].chunks + t["subj"].chunks),
-                "w": pa.chunked_array(w.chunks + w.chunks),
-            }
-        )
-
-    bidir = edges_ds.map_batches(expand, batch_format="pyarrow")
-    outw = bidir.groupby("src").aggregate(Sum("w", alias_name="ow"))
-
-    _trans_schema = pa.schema(
-        [("src", pa.string()), ("dst", pa.string()), ("p", pa.float64())]
-    )
-
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _trans_schema.empty_table()
-        return pa.table(
-            {
-                "src": t["src"],
-                "dst": t["dst"],
-                "p": pc.divide(t["w"], t["ow"]),
-            }
-        )
-
-    trans = (
-        cogroup_join(bidir, outw, on=("src",),
-                     num_partitions=num_partitions)
-        .map_batches(norm, batch_format="pyarrow")
-        .materialize()
-    )
-    nodes = outw.select_columns(["src"]).materialize()
-    if nodes.count() == 0:
-        return pa.table(
-            {
-                "entity": pa.array([], pa.string()),
-                "rank": pa.array([], pa.float64()),
-            }
-        )
-    if seed is None:
-        # per-block min partials -> tiny local min (B strings)
-        def block_min(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.table({"m": pa.array([], pa.string())})
-            return pa.table(
-                {"m": pa.array([pc.min(t["src"]).as_py()], pa.string())}
-            )
-
-        mins = nodes.map_batches(
-            block_min, batch_format="pyarrow"
-        ).to_pandas()["m"]
-        seed = min(mins)
-
-    def init_rank(t: pa.Table) -> pa.Table:
-        ind = pc.cast(pc.equal(t["src"], seed), pa.float64())
-        return pa.table({"src": t["src"], "rank": ind})
-
-    rank = nodes.map_batches(init_rank, batch_format="pyarrow").materialize()
-    base = 1.0 - damping
-    _contrib_schema = pa.schema([("dst", pa.string()), ("c", pa.float64())])
-    _rank_schema = pa.schema([("src", pa.string()), ("rank", pa.float64())])
-    for _ in range(iters):
-        def contrib(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _contrib_schema.empty_table()
-            return pa.table(
-                {
-                    "dst": t["dst"],
-                    "c": pc.multiply(t["p"], t["rank"]),
-                }
-            )
-
-        def finish(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _rank_schema.empty_table()
-            tele = pc.multiply(
-                pc.cast(pc.equal(t["dst"], seed), pa.float64()),
-                pa.scalar(base),
-            )
-            return pa.table(
-                {
-                    "src": t["dst"],
-                    "rank": pc.add(
-                        pc.multiply(t["c"], damping), tele
-                    ),
-                }
-            )
-
-        rank = (
-            cogroup_join(trans, rank, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(contrib, batch_format="pyarrow")
-            .groupby("dst")
-            .aggregate(Sum("c", alias_name="c"))
-            .map_batches(finish, batch_format="pyarrow")
-            # same block-count coalesce as pagerank_distributed
-            .repartition(num_partitions)
-            .materialize()  # cut lineage: chained joins would recompute
-        )
-    out = rank.to_pandas().sort_values(
-        ["rank", "src"], ascending=[False, True], kind="mergesort"
-    )
-    return pa.table(
-        {
-            "entity": pa.array(out["src"], pa.string()),
-            "rank": pa.array(
-                [round(float(r), round_dp) for r in out["rank"]],
                 pa.float64(),
             ),
         }
@@ -1914,9 +1558,7 @@ def hits_lattice(edges_ds, iters: int = 8, scale: int = 1_000_000):
     authoritative entities (the crawl-seeding signal for KG
     construction). Scale shape: the edge table arrives PRE-AGGREGATED
     and is (sources x dict)-bounded, so the power iteration is a driver
-    matvec — the same vocab-bounded default as :func:`pagerank`, with
-    the Dataset-resident join-per-step variant (shaped exactly like
-    :func:`pagerank_distributed`) the documented unbounded path.
+    matvec — the same vocab-bounded split as :func:`pagerank`.
     """
     df = edges_ds.to_pandas()
     out_schema = pa.schema(
@@ -1953,716 +1595,6 @@ def hits_lattice(edges_ds, iters: int = 8, scale: int = 1_000_000):
                 pa.string(),
             ),
             "score": pa.array(h + a, pa.int64()),
-        },
-        schema=out_schema,
-    )
-
-
-def _scc_kosaraju(src: np.ndarray, dst: np.ndarray):
-    """Exact SCC labels over a compacted int node space — iterative
-    Kosaraju (two CSR passes, O(V+E), no recursion). Returns the
-    component label per node where the label is the node-space index
-    of the SMALLEST-id member (content-derived, order-independent —
-    the same contract as :func:`connected_components`).
-
-    ``src``/``dst`` are int64 indices into a compacted node space of
-    size ``n = max(src|dst) + 1`` (callers compact via ``np.unique``).
-    """
-    n = 0
-    if len(src):
-        n = int(max(src.max(), dst.max())) + 1
-    if n == 0:
-        return np.empty(0, np.int64)
-    # forward CSR
-    order = np.argsort(src, kind="stable")
-    fs, fd = src[order], dst[order]
-    fstart = np.searchsorted(fs, np.arange(n + 1))
-    # reverse CSR
-    order = np.argsort(dst, kind="stable")
-    rs, rd = dst[order], src[order]
-    rstart = np.searchsorted(rs, np.arange(n + 1))
-    # pass 1: DFS finish order on the forward graph (explicit stack;
-    # (node, next-child-cursor) frames so each edge is scanned once)
-    visited = np.zeros(n, bool)
-    finish: list[int] = []
-    for s0 in range(n):
-        if visited[s0]:
-            continue
-        visited[s0] = True
-        stack: list[list[int]] = [[s0, 0]]
-        while stack:
-            frame = stack[-1]
-            v, i = frame
-            lo, hi = int(fstart[v]), int(fstart[v + 1])
-            pushed = False
-            while lo + i < hi:
-                w = int(fd[lo + i])
-                i += 1
-                if not visited[w]:
-                    visited[w] = True
-                    frame[1] = i
-                    stack.append([w, 0])
-                    pushed = True
-                    break
-            if not pushed:
-                finish.append(v)
-                stack.pop()
-    # pass 2: reverse-graph DFS in reverse finish order; every tree is
-    # one SCC. Roots follow finish order, so relabel to min-member id
-    # afterwards for the content-derived label.
-    comp = np.full(n, -1, np.int64)
-    for v in reversed(finish):
-        if comp[v] >= 0:
-            continue
-        comp[v] = v
-        stack2 = [v]
-        while stack2:
-            u = stack2.pop()
-            for w in rd[rstart[u]:rstart[u + 1]]:
-                wi = int(w)
-                if comp[wi] < 0:
-                    comp[wi] = v
-                    stack2.append(wi)
-        # isolated compaction gaps (ids never touched by an edge) keep
-        # comp[v] = v from the seed assignment above
-    # relabel each component to its smallest member index
-    min_member = np.full(n, np.iinfo(np.int64).max, np.int64)
-    np.minimum.at(min_member, comp, np.arange(n, dtype=np.int64))
-    return min_member[comp]
-
-
-def _directed_min_label_fixpoint(prop, labels, num_partitions: int,
-                                 max_iters: int, node_type):
-    """``label[v] = min(label[v], min over in-neighbors' labels)``
-    iterated to a fixpoint with the label table as a Dataset — the
-    directed sibling of the loop in
-    :func:`connected_components_distributed` (labels flow along
-    ``prop``'s (src -> dst) direction only). Converges in O(longest
-    shortest-path) rounds; each round is two cogroup shuffles of the
-    label table."""
-    from ray.data.aggregate import Min
-
-    from autoner_ray.stages.joins import cogroup_join
-
-    _nl_schema = pa.schema([("src", node_type), ("nl", node_type)])
-
-    def neighbor_labels(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _nl_schema.empty_table()
-        return pa.table({"src": t["dst"], "nl": t["label"]})
-
-    _merged_schema = pa.schema(
-        [("src", node_type), ("label", node_type), ("changed", pa.int64())]
-    )
-
-    def merge_labels(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _merged_schema.empty_table()
-        # left-outer merge: in-degree-0 nodes keep their label
-        nl = pc.fill_null(t["nl"], t["label"])
-        return pa.table(
-            {
-                "src": t["src"],
-                "label": pc.min_element_wise(t["label"], nl),
-                "changed": pc.cast(pc.less(nl, t["label"]), pa.int64()),
-            }
-        )
-
-    labels = labels.materialize()
-    if prop.count() == 0:
-        # no edges: every label is already at its fixpoint
-        return labels
-    for _ in range(max_iters):
-        neigh_min = (
-            cogroup_join(prop, labels, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(neighbor_labels, batch_format="pyarrow")
-            .groupby("src")
-            .aggregate(Min("nl", alias_name="nl"))
-        )
-        merged = (
-            cogroup_join(labels, neigh_min, on=("src",),
-                         num_partitions=num_partitions,
-                         join_type="left outer")
-            .map_batches(merge_labels, batch_format="pyarrow")
-            .materialize()
-        )
-        n_changed = merged.sum("changed")
-        # same block-count coalesce as connected_components_distributed
-        labels = (
-            merged.select_columns(["src", "label"])
-            .repartition(num_partitions)
-            .materialize()
-        )
-        if not n_changed:
-            break
-    else:  # loop exhausted max_iters with labels still moving
-        if n_changed:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "_directed_min_label_fixpoint: min-label propagation did "
-                "NOT converge in %d iterations (%d labels still changing) "
-                "— scc_distributed certification from these labels is "
-                "unreliable; raise max_iters (convergence needs "
-                "O(propagation diameter) rounds)",
-                max_iters,
-                n_changed,
-            )
-    return labels
-
-
-def scc_distributed(edges_ds, num_partitions: int | None = None,
-                    max_peels: int = 25, max_iters: int = 50):
-    """Strongly connected components with every table Dataset-resident
-    (the unbounded-node-set tier of :func:`scc`) — min-label
-    forward/backward peeling:
-
-    per peel round, over the still-unassigned subgraph,
-      f[v] = min node id that REACHES v   (forward min-label fixpoint)
-      b[v] = min node id v REACHES        (backward fixpoint, reversed
-                                           propagation)
-    and every node with ``f[v] == b[v] == r`` is certified into
-    ``SCC(r)`` (r reaches v and v reaches r, so they are mutually
-    reachable; no smaller member can exist or it would lower f). Both
-    label functions are CONSTANT across one SCC (members share exact
-    reach-in/reach-out sets), so certified SCCs peel off whole — never
-    split — and the SCC of the smallest remaining node id is always
-    certified, so each round removes >= 1 component (typically most of
-    the locally-minimal ones at once). O(#peel rounds x graph
-    diameter) cogroup shuffles total; the driver tier in :func:`scc`
-    is the small-graph default for exactly that reason.
-
-    Node ids follow the edge dtype; returns a (entity, scc_id) Dataset
-    where ``scc_id`` is the smallest member id (same content-derived
-    label as the Kosaraju tier — tier equality is pytest-pinned).
-    """
-    from ray.data.aggregate import Count
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import cogroup_join
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions(multiplier=1)
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
-
-    _e_schema0 = pa.schema([("src", node_type), ("dst", node_type)])
-
-    def fwd(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _e_schema0.empty_table()
-        return pa.table({"src": t["subj"], "dst": t["obj"]})
-
-    def bwd(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _e_schema0.empty_table()
-        return pa.table({"src": t["obj"], "dst": t["subj"]})
-
-    def both(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema([("src", node_type)]).empty_table()
-        return pa.table(
-            {"src": pa.chunked_array(t["subj"].chunks + t["obj"].chunks)}
-        )
-
-    edges = edges_ds.materialize()
-    remaining_nodes = (
-        edges.map_batches(both, batch_format="pyarrow")
-        .groupby("src")
-        .aggregate(Count(alias_name="_n"))
-        .select_columns(["src"])
-        .materialize()
-    )
-    fwd_edges = edges.map_batches(fwd, batch_format="pyarrow").materialize()
-    bwd_edges = edges.map_batches(bwd, batch_format="pyarrow").materialize()
-    assigned = []
-    _out_schema = pa.schema([("entity", node_type), ("scc_id", node_type)])
-
-    def init_labels(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("src", node_type), ("label", node_type)]
-            ).empty_table()
-        return pa.table({"src": t["src"], "label": t["src"]})
-
-    for _ in range(max_peels):
-        if remaining_nodes.count() == 0:
-            break
-        init = remaining_nodes.map_batches(
-            init_labels, batch_format="pyarrow"
-        )
-        f = _directed_min_label_fixpoint(
-            fwd_edges, init, num_partitions, max_iters, node_type
-        )
-        b = _directed_min_label_fixpoint(
-            bwd_edges, init, num_partitions, max_iters, node_type
-        )
-        _fl_schema = pa.schema([("src", node_type), ("fl", node_type)])
-        _bl_schema = pa.schema([("src", node_type), ("bl", node_type)])
-
-        def as_fl(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _fl_schema.empty_table()
-            return pa.table({"src": t["src"], "fl": t["label"]})
-
-        def as_bl(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _bl_schema.empty_table()
-            return pa.table({"src": t["src"], "bl": t["label"]})
-
-        fb = cogroup_join(
-            f.map_batches(as_fl, batch_format="pyarrow"),
-            b.map_batches(as_bl, batch_format="pyarrow"),
-            on=("src",), num_partitions=num_partitions,
-        ).materialize()
-
-        def certified(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _out_schema.empty_table()
-            keep = pc.equal(t["fl"], t["bl"])
-            return pa.table(
-                {
-                    "entity": t["src"].filter(keep),
-                    "scc_id": t["fl"].filter(keep),
-                },
-                schema=_out_schema,
-            )
-
-        _rn_schema = pa.schema([("src", node_type)])
-
-        def uncertified(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _rn_schema.empty_table()
-            keep = pc.invert(pc.equal(t["fl"], t["bl"]))
-            return pa.table({"src": t["src"].filter(keep)})
-
-        done = fb.map_batches(
-            certified, batch_format="pyarrow"
-        ).materialize()
-        if done.count():
-            assigned.append(done)
-        remaining_nodes = fb.map_batches(
-            uncertified, batch_format="pyarrow"
-        ).repartition(num_partitions).materialize()
-        if remaining_nodes.count() == 0:
-            break
-        # shrink the edge sets to the unassigned subgraph: semi-join
-        # each endpoint against the surviving node table
-        _e_schema = pa.schema([("src", node_type), ("dst", node_type)])
-
-        def swap(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0 or "dst" not in t.schema.names:
-                return _e_schema.empty_table()
-            return pa.table({"src": t["dst"], "dst": t["src"]})
-
-        def singleton(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _out_schema.empty_table()
-            return pa.table(
-                {"entity": t["src"], "scc_id": t["src"]},
-                schema=_out_schema,
-            )
-
-        fwd_edges = (
-            cogroup_join(fwd_edges, remaining_nodes, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(swap, batch_format="pyarrow")
-            .repartition(num_partitions)
-            .materialize()
-        )
-        if fwd_edges.count() == 0:
-            # edgeless remainder after the src semi-join — a Dataset
-            # left with zero rows can also lose its schema entirely,
-            # which would crash the second cogroup_join; every
-            # surviving node is its own SCC
-            assigned.append(
-                remaining_nodes.map_batches(
-                    singleton, batch_format="pyarrow"
-                ).materialize()
-            )
-            break
-        fwd_edges = (
-            cogroup_join(fwd_edges, remaining_nodes, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(swap, batch_format="pyarrow")
-            # coalesce both fed-back tables per peel (see
-            # connected_components_distributed block-growth note)
-            .repartition(num_partitions)
-            .materialize()
-        )
-        if fwd_edges.count() == 0:
-            # edgeless after the dst-side semi-join too
-            assigned.append(
-                remaining_nodes.map_batches(
-                    singleton, batch_format="pyarrow"
-                ).materialize()
-            )
-            break
-        bwd_edges = fwd_edges.map_batches(
-            swap, batch_format="pyarrow"
-        ).materialize()
-    else:
-        if remaining_nodes.count():
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "scc_distributed: %d nodes still unassigned after %d "
-                "peel rounds — raise max_peels (each round certifies "
-                "all locally-minimal SCCs)",
-                remaining_nodes.count(), max_peels,
-            )
-    import ray.data as rd
-
-    if not assigned:
-        return rd.from_arrow(_out_schema.empty_table())
-    out = assigned[0]
-    for more in assigned[1:]:
-        out = out.union(more)
-    return out
-
-
-def scc(edges_ds, driver_max_edges: int = 2_000_000,
-        num_partitions: int | None = None):
-    """Tiered strongly-connected-components front door (same tier
-    contract as :func:`kcore` / ``webgraph.link_crawl_frontier``): an
-    edge list under ``driver_max_edges`` runs iterative Kosaraju on
-    numpy CSR in one process (O(V+E), no diameter dependence); above
-    the bound the Dataset-resident peel (:func:`scc_distributed`)
-    takes over with identical labels (tier equality pytest-pinned).
-    Returns (entity, scc_id) with ``scc_id`` = smallest member id.
-    """
-    edges_ds = edges_ds.materialize()
-    n = edges_ds.count()
-    if n > driver_max_edges:
-        return scc_distributed(edges_ds, num_partitions=num_partitions)
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
-    df = edges_ds.to_pandas()
-    if len(df) == 0:
-        return pa.schema(
-            [("entity", node_type), ("scc_id", node_type)]
-        ).empty_table()
-    subj = df["subj"].to_numpy()
-    obj = df["obj"].to_numpy()
-    nodes, inv = np.unique(np.concatenate([subj, obj]), return_inverse=True)
-    src = inv[: len(subj)].astype(np.int64)
-    dst = inv[len(subj):].astype(np.int64)
-    comp = _scc_kosaraju(src, dst)
-    return pa.table(
-        {
-            "entity": pa.array(nodes, node_type),
-            "scc_id": pa.array(nodes[comp], node_type),
-        }
-    )
-
-
-BOWTIE_CLASSES = ("CORE", "IN", "OUT", "TENDRIL", "DISCONNECTED")
-
-
-def bowtie_census(edges_ds, driver_max_edges: int = 2_000_000,
-                  max_depth: int = 64):
-    """Bow-tie class counts of a DIRECTED (subj, obj) edge Dataset —
-    (component, n_pages) over CORE / IN / OUT / TENDRIL / DISCONNECTED
-    (zero counts kept). CORE = largest SCC (tie -> smallest scc label);
-    IN reaches CORE, OUT is reached from it, TENDRIL is weakly
-    connected but neither, DISCONNECTED has no undirected path to CORE.
-    CORE being strongly connected, reachability to/from its SMALLEST
-    member decides IN/OUT — sweeps never seed from the full member
-    list.
-
-    Tiers (same contract as :func:`scc` / :func:`kcore`): numpy-CSR
-    Kosaraju + three CSR sweeps under ``driver_max_edges``; above it,
-    :func:`scc_distributed` + three :func:`bfs_distances` TRUE
-    fixpoints (forward / reversed / undirected, ``to_fixpoint=True`` —
-    uncapped closures, matching the driver tier and the SQL oracle)
-    with the class COUNTS derived from four tiny set-size aggregates —
-    no corpus-sized membership set ever reaches the driver. Tier
-    equality is pytest-pinned on a fixture covering all five classes.
-    (``max_depth`` is retained for API compatibility; both tiers now
-    compute uncapped closures, so it is ignored.)
-    """
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
-
-    def counts_table(counter: dict[str, int]) -> pa.Table:
-        return pa.table(
-            {
-                "component": pa.array(list(BOWTIE_CLASSES), pa.string()),
-                "n_pages": pa.array(
-                    [int(counter.get(c, 0)) for c in BOWTIE_CLASSES],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    if n_edges <= driver_max_edges:
-        df = edges.to_pandas()
-        if len(df) == 0:
-            return counts_table({})
-        s_raw = df["subj"].to_numpy(np.int64)
-        d_raw = df["obj"].to_numpy(np.int64)
-        nodes, inv = np.unique(
-            np.concatenate([s_raw, d_raw]), return_inverse=True
-        )
-        src = inv[: len(s_raw)].astype(np.int64)
-        dst = inv[len(s_raw):].astype(np.int64)
-        n = len(nodes)
-        comp = _scc_kosaraju(src, dst)
-        labs, sizes = np.unique(comp, return_counts=True)
-        core_lab = int(labs[np.lexsort((labs, -sizes))[0]])
-        in_core = comp == core_lab
-        root = core_lab  # compacted index of the smallest core member
-
-        def sweep(fsrc: np.ndarray, fdst: np.ndarray) -> np.ndarray:
-            order = np.argsort(fsrc, kind="stable")
-            ss, dd = fsrc[order], fdst[order]
-            starts = np.searchsorted(ss, np.arange(n + 1))
-            seen = np.zeros(n, bool)
-            seen[root] = True
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in dd[starts[u]:starts[u + 1]]:
-                    wi = int(w)
-                    if not seen[wi]:
-                        seen[wi] = True
-                        stack.append(wi)
-            return seen
-
-        reach_out = sweep(src, dst)           # root ->* v
-        reach_in = sweep(dst, src)            # v ->* root
-        weak = sweep(
-            np.concatenate([src, dst]), np.concatenate([dst, src])
-        )
-        cls = np.full(n, 4, np.int8)          # DISCONNECTED
-        cls[weak] = 3                         # TENDRIL
-        cls[reach_out & ~in_core] = 2         # OUT
-        cls[reach_in & ~in_core] = 1          # IN
-        cls[in_core] = 0                      # CORE
-        ids, cnt = np.unique(cls, return_counts=True)
-        return counts_table(
-            {BOWTIE_CLASSES[int(i)]: int(c) for i, c in zip(ids, cnt)}
-        )
-
-    # ---- distributed tier
-    from ray.data.aggregate import Count
-
-    schema = edges.schema()
-    node_type = schema.types[schema.names.index("subj")]
-    _e_schema = pa.schema([("subj", node_type), ("obj", node_type)])
-
-    def to_rev(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _e_schema.empty_table()
-        return pa.table({"subj": t["obj"], "obj": t["subj"]})
-
-    rev = edges.map_batches(to_rev, batch_format="pyarrow").materialize()
-    labels = scc_distributed(edges).materialize()
-    top = (
-        labels.groupby("scc_id")
-        .aggregate(Count(alias_name="n"))
-        .sort(["n", "scc_id"], descending=[True, False])
-        .limit(1)
-        .to_pandas()
-    )
-    root = top["scc_id"].iloc[0]
-    root = root if isinstance(root, str) else int(root)
-    root_lit = repr(root)
-    n_core = labels.filter(expr=f"scc_id == {root_lit}").count()
-    # reachability sweeps run to a TRUE fixpoint (to_fixpoint=True):
-    # the driver tier and the pages_link_bowtie SQL oracle both compute
-    # uncapped closures, so a fixed depth here would silently
-    # reclassify >max_depth-hop IN/OUT pages as TENDRIL/DISCONNECTED
-    out_d = bfs_distances(edges, source=root, directed=True,
-                          to_fixpoint=True)
-    in_d = bfs_distances(rev, source=root, directed=True,
-                         to_fixpoint=True)
-    weak_d = bfs_distances(edges, source=root, directed=False,
-                           to_fixpoint=True)
-    n_out = out_d.count() - n_core            # forward-reachable \ CORE
-    n_in = in_d.count() - n_core              # backward-reachable \ CORE
-    n_weak = weak_d.count()
-    n_all = labels.count()
-    return counts_table(
-        {
-            "CORE": n_core,
-            "IN": n_in,
-            "OUT": n_out,
-            "TENDRIL": n_weak - n_core - n_out - n_in,
-            "DISCONNECTED": n_all - n_weak,
-        }
-    )
-
-
-def double_sweep_diameter(edges_ds, driver_max_edges: int = 2_000_000,
-                          max_depth: int = 64):
-    """Deterministic double-sweep diameter LOWER BOUND of the
-    undirected graph (Magnien/Latapy/Habib's classic heuristic — exact
-    on trees, near-exact on real web graphs): BFS from the smallest
-    node id, then BFS again from the farthest node found (ties ->
-    smallest id); the second sweep's eccentricity bounds the diameter
-    from below. One row: (start_node, peripheral_node, diameter_lb).
-    Both sweeps cap at ``max_depth`` — same cap as the recursive-CTE
-    oracle, exact whenever the true eccentricities fit under it.
-
-    Tiers (the :func:`scc` contract): numpy-CSR level BFS under
-    ``driver_max_edges``; above it two :func:`bfs_distances` Dataset
-    fixpoints whose peripheral/diameter reductions are two tiny
-    aggregates (max dist, then min id at that dist) — the corpus-sized
-    dist table never reaches the driver."""
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
-    out_schema = pa.schema(
-        [("start_node", node_type), ("peripheral_node", node_type),
-         ("diameter_lb", pa.int64())]
-    )
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        return out_schema.empty_table()
-
-    if n_edges <= driver_max_edges:
-        df = edges.to_pandas()
-        s_raw = df["subj"].to_numpy()
-        d_raw = df["obj"].to_numpy()
-        nodes, inv = np.unique(
-            np.concatenate([s_raw, d_raw]), return_inverse=True
-        )
-        src = inv[: len(s_raw)].astype(np.int64)
-        dst = inv[len(s_raw):].astype(np.int64)
-        n = len(nodes)
-        us = np.concatenate([src, dst])
-        ud = np.concatenate([dst, src])
-        order = np.argsort(us, kind="stable")
-        us, ud = us[order], ud[order]
-        starts = np.searchsorted(us, np.arange(n + 1))
-
-        def level_bfs(root: int) -> np.ndarray:
-            dist = np.full(n, -1, np.int64)
-            dist[root] = 0
-            frontier = np.array([root], np.int64)
-            for depth in range(1, max_depth + 1):
-                if not len(frontier):
-                    break
-                neigh = np.unique(np.concatenate(
-                    [ud[starts[f]:starts[f + 1]] for f in frontier]
-                )) if len(frontier) else np.array([], np.int64)
-                frontier = neigh[dist[neigh] < 0]
-                dist[frontier] = depth
-            return dist
-
-        d1 = level_bfs(0)  # compacted index 0 == smallest node id
-        reach = np.flatnonzero(d1 >= 0)
-        peri = int(reach[np.lexsort((reach, -d1[reach]))[0]])
-        d2 = level_bfs(peri)
-        return pa.table(
-            {
-                "start_node": pa.array([nodes[0]], node_type),
-                "peripheral_node": pa.array([nodes[peri]], node_type),
-                "diameter_lb": pa.array([int(d2.max())], pa.int64()),
-            },
-            schema=out_schema,
-        )
-
-    # ---- distributed tier: two bfs_distances fixpoints
-    def ends(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema([("v", node_type)]).empty_table()
-        return pa.table(
-            {"v": pa.chunked_array(t["subj"].chunks + t["obj"].chunks)}
-        )
-
-    start = edges.map_batches(ends, batch_format="pyarrow").min("v")
-    d1 = bfs_distances(edges, source=start, max_depth=max_depth,
-                       directed=False).materialize()
-    ecc1 = d1.max("dist")
-    peri = d1.filter(expr=f"dist == {int(ecc1)}").min("entity")
-    d2 = bfs_distances(edges, source=peri, max_depth=max_depth,
-                       directed=False)
-    return pa.table(
-        {
-            "start_node": pa.array([start], node_type),
-            "peripheral_node": pa.array([peri], node_type),
-            "diameter_lb": pa.array([int(d2.max("dist"))], pa.int64()),
-        },
-        schema=out_schema,
-    )
-
-
-def wcc_census(edges_ds, driver_max_edges: int = 2_000_000):
-    """Weak-connectivity census of a (subj, obj) edge Dataset: one row
-    (n_components, giant_size, giant_fraction_ppm) over the undirected
-    edge set (node set = both endpoints). Giant fraction is integer
-    ppm of ALL nodes.
-
-    TIERED on the component labels (the :func:`scc` contract): numpy
-    union-find under ``driver_max_edges``, else
-    :func:`connected_components_distributed` with the census derived
-    from a label-grouped count — only the (component, size) table,
-    never the node table, feeds the final single-row reduce."""
-    out_schema = pa.schema(
-        [("n_components", pa.int64()), ("giant_size", pa.int64()),
-         ("giant_fraction_ppm", pa.int64())]
-    )
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        return pa.table(
-            {
-                "n_components": pa.array([0], pa.int64()),
-                "giant_size": pa.array([0], pa.int64()),
-                "giant_fraction_ppm": pa.array([0], pa.int64()),
-            },
-            schema=out_schema,
-        )
-    if n_edges <= driver_max_edges:
-        df = edges.to_pandas()
-        s = df["subj"].to_numpy()
-        d = df["obj"].to_numpy()
-        nodes, inv = np.unique(np.concatenate([s, d]),
-                               return_inverse=True)
-        parent = np.arange(len(nodes), dtype=np.int64)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        a = inv[: len(s)]
-        b = inv[len(s):]
-        for i in range(len(a)):
-            ra, rb = find(int(a[i])), find(int(b[i]))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        roots = np.fromiter(
-            (find(int(i)) for i in range(len(nodes))), np.int64,
-            count=len(nodes),
-        )
-        _, sizes = np.unique(roots, return_counts=True)
-        n_nodes = len(nodes)
-        n_comp = len(sizes)
-        giant = int(sizes.max())
-    else:
-        from ray.data.aggregate import Count
-
-        labels = connected_components_distributed(
-            edges, as_dataset=True
-        )
-        sizes_ds = labels.groupby("label").aggregate(
-            Count(alias_name="sz")
-        ).materialize()
-        n_comp = sizes_ds.count()
-        giant = int(sizes_ds.max("sz"))
-        n_nodes = labels.count()
-    return pa.table(
-        {
-            "n_components": pa.array([int(n_comp)], pa.int64()),
-            "giant_size": pa.array([giant], pa.int64()),
-            "giant_fraction_ppm": pa.array(
-                [(giant * 1_000_000) // n_nodes], pa.int64()
-            ),
         },
         schema=out_schema,
     )
@@ -2766,406 +1698,4 @@ def c4_count(edges_ds, num_partitions: int | None = None):
                 [int((tot["quads2"] or 0) // 2)], pa.int64()
             ),
         }
-    )
-
-
-# -- Luby maximal independent set (deterministic hash priorities) -----------
-
-_MIS_MUL = 2654435761
-_MIS_MOD = 2147483647
-
-
-def _mis_prio(ids):
-    """Deterministic per-node priority (Knuth multiplicative hash mod a
-    Mersenne prime) — shared verbatim with the SQL twin; ties break on
-    the raw id, so the comparison is the lexicographic (prio, id)."""
-    import numpy as np
-
-    return (ids.astype(np.int64) * _MIS_MUL) % _MIS_MOD
-
-
-def luby_mis(edges_ds, max_rounds: int = 12,
-             driver_max_edges: int = 2_000_000,
-             num_partitions: int | None = None):
-    """Luby's maximal-independent-set over an undirected int64 graph —
-    THE textbook symmetry-breaking primitive behind distributed
-    coloring / scheduling / landmark selection: each round, every
-    undecided node whose (hash-priority, id) beats every undecided
-    neighbor's joins the MIS; it and its neighbors leave the game.
-    Deterministic (fixed hash, no RNG), so the unrolled SQL twin
-    value-hash-matches; converges in O(log n) rounds w.h.p. —
-    ``max_rounds`` carries margin and a leftover after the budget
-    fails loudly (raise, mirroring the kcore round-budget convention).
-    Output (page, in_mis) for every node of the edge set.
-
-    Tiers (the :func:`scc` / :func:`kcore` contract): numpy adjacency
-    under ``driver_max_edges``; above it the same rounds run
-    Dataset-resident — per round one cogroup join ships each node's
-    (prio, undecided) to its neighbors and a group-max decides, so the
-    shuffle volume is the SURVIVING edge set, which collapses
-    geometrically. Isolated nodes (no surviving neighbor) enter the
-    MIS by definition of maximality.
-    """
-    import numpy as np
-
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
-
-    if n_edges <= driver_max_edges:
-        df = edges.to_pandas()
-        a = df["subj"].to_numpy(np.int64)
-        b = df["obj"].to_numpy(np.int64)
-        # self loops drop ENTIRELY, including their endpoints from the
-        # node universe (a self-looped node is adjacent to itself, so
-        # its MIS status is degenerate; all three sides — both tiers
-        # and the SQL twin — agree by excluding it)
-        ok = a != b
-        a, b = a[ok], b[ok]
-        nodes, inv = np.unique(np.concatenate([a, b]),
-                               return_inverse=True)
-        u = inv[: len(a)]
-        v = inv[len(a):]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        pair = np.unique(lo * np.int64(len(nodes)) + hi)
-        pu = (pair // len(nodes)).astype(np.int64)
-        pv = (pair % len(nodes)).astype(np.int64)
-        prio = _mis_prio(nodes)
-        undecided = np.ones(len(nodes), bool)
-        in_mis = np.zeros(len(nodes), bool)
-        for _ in range(max_rounds):
-            if not undecided.any():
-                break
-            live = undecided[pu] & undecided[pv]
-            # beaten[x] = some live neighbor outranks x
-            beaten = np.zeros(len(nodes), bool)
-            lu, lv = pu[live], pv[live]
-            better_v = (
-                (prio[lv] > prio[lu])
-                | ((prio[lv] == prio[lu]) & (nodes[lv] > nodes[lu]))
-            )
-            np.logical_or.at(beaten, lu, better_v)
-            np.logical_or.at(beaten, lv, ~better_v)
-            winners = undecided & ~beaten
-            in_mis |= winners
-            # winners and their neighbors leave
-            out = np.zeros(len(nodes), bool)
-            out[pu[live & winners[pv]]] = True
-            out[pv[live & winners[pu]]] = True
-            undecided &= ~(winners | out)
-        if undecided.any():
-            raise RuntimeError(
-                f"luby_mis: {int(undecided.sum())} nodes undecided "
-                f"after {max_rounds} rounds — raise max_rounds"
-            )
-        return pa.table(
-            {
-                "page": pa.array(nodes, pa.int64()),
-                "in_mis": pa.array(in_mis.astype(np.int64), pa.int64()),
-            }
-        )
-
-    # ---- distributed tier: same rounds, Dataset-resident ----------------
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Sum
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import cogroup_join
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-
-    _e_schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-
-    def und(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _e_schema.empty_table()
-        keep = pc.not_equal(t["subj"], t["obj"])
-        s = t["subj"].filter(keep)
-        o = t["obj"].filter(keep)
-        return pa.table(
-            {
-                "u": pc.min_element_wise(s, o),
-                "v": pc.max_element_wise(s, o),
-            },
-            schema=_e_schema,
-        )
-
-    live_edges = (
-        edges.map_batches(und, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .aggregate(Sum("u", alias_name="_d"))
-        .select_columns(["u", "v"])
-        .materialize()
-    )
-
-    def expand(t: pa.Table) -> pa.Table:
-        # both directions: (node, neighbor)
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("src", pa.int64()), ("nb", pa.int64())]
-            ).empty_table()
-        return pa.table(
-            {
-                "src": pa.chunked_array(t["u"].chunks + t["v"].chunks),
-                "nb": pa.chunked_array(t["v"].chunks + t["u"].chunks),
-            }
-        )
-
-    def node_prio(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("src", pa.int64()), ("p", pa.int64())]
-            ).empty_table()
-        ids = t["src"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "src": t["src"],
-                "p": pa.array(_mis_prio(ids), pa.int64()),
-            }
-        )
-
-    import ray.data as rd
-
-    mis_parts = []
-    # universe of nodes currently undecided (with priorities)
-    nodes_t = (
-        live_edges.map_batches(expand, batch_format="pyarrow")
-        .groupby("src")
-        .aggregate(Max("nb", alias_name="_m"))
-        .select_columns(["src"])
-        .map_batches(node_prio, batch_format="pyarrow")
-        .materialize()
-    )
-    for _ in range(max_rounds):
-        if nodes_t.count() == 0:
-            break
-        if live_edges.count() == 0:
-            # every survivor is isolated -> all join the MIS
-            mis_parts.append(
-                nodes_t.select_columns(["src"]).materialize()
-            )
-            nodes_t = rd.from_arrow(
-                pa.schema(
-                    [("src", pa.int64()), ("p", pa.int64())]
-                ).empty_table()
-            ).materialize()
-            break
-        # ship each undecided node's (prio,id) to its neighbors
-        nbr = live_edges.map_batches(expand, batch_format="pyarrow")
-        sent = cogroup_join(
-            nbr, nodes_t, on=("src",), num_partitions=num_partitions
-        ).map_batches(
-            lambda t: pa.table(
-                {"src": t["nb"], "np": t["p"], "nid": t["src"]}
-            )
-            if len(t) else pa.schema(
-                [("src", pa.int64()), ("np", pa.int64()),
-                 ("nid", pa.int64())]
-            ).empty_table(),
-            batch_format="pyarrow",
-        )
-        # per node: the best neighbor (prio, id), lexicographic via
-        # a packed key (p * 2^31 + id) — p < 2^31 by the Mersenne mod,
-        # so the product stays under 2^62; ids must fit 31 bits (true
-        # for page ids here; at larger id spaces switch to a two-pass
-        # max). The SQL twin packs identically — a wider shift
-        # overflows BIGINT there and fails loudly, not silently
-        def pack(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.schema(
-                    [("src", pa.int64()), ("bk", pa.int64())]
-                ).empty_table()
-            return pa.table(
-                {
-                    "src": t["src"],
-                    "bk": pc.add(
-                        pc.multiply(t["np"],
-                                    pa.scalar(1 << 31, pa.int64())),
-                        t["nid"],
-                    ),
-                }
-            )
-
-        best_nb = (
-            sent.map_batches(pack, batch_format="pyarrow")
-            .groupby("src")
-            .aggregate(Max("bk", alias_name="best"))
-        )
-        merged = cogroup_join(
-            nodes_t, best_nb, on=("src",),
-            num_partitions=num_partitions, join_type="left outer",
-        ).materialize()
-
-        def decide(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.schema(
-                    [("src", pa.int64()), ("win", pa.int64())]
-                ).empty_table()
-            mine = pc.add(
-                pc.multiply(t["p"], pa.scalar(1 << 31, pa.int64())),
-                t["src"],
-            )
-            best = pc.fill_null(t["best"], pa.scalar(-1, pa.int64()))
-            return pa.table(
-                {
-                    "src": t["src"],
-                    "win": pc.cast(pc.greater(mine, best), pa.int64()),
-                }
-            )
-
-        decided = merged.map_batches(
-            decide, batch_format="pyarrow"
-        ).materialize()
-        winners = decided.filter(expr="win == 1").select_columns(
-            ["src"]
-        ).materialize()
-        mis_parts.append(winners)
-        # out = winners + their neighbors
-        w_tag = winners.map_batches(
-            lambda t: t.append_column(
-                "w", pa.array([1] * len(t), pa.int64())
-            )
-            if len(t) else pa.schema(
-                [("src", pa.int64()), ("w", pa.int64())]
-            ).empty_table(),
-            batch_format="pyarrow",
-        )
-        touched = cogroup_join(
-            nbr, w_tag, on=("src",), num_partitions=num_partitions
-        ).map_batches(
-            lambda t: pa.table({"src": t["nb"]})
-            if len(t) else pa.schema(
-                [("src", pa.int64())]
-            ).empty_table(),
-            batch_format="pyarrow",
-        )
-        out_nodes = (
-            touched.union(winners)
-            .groupby("src")
-            .aggregate(Max("src", alias_name="_m"))
-            .select_columns(["src"])
-            .map_batches(
-                lambda t: t.append_column(
-                    "o", pa.array([1] * len(t), pa.int64())
-                )
-                if len(t) else pa.schema(
-                    [("src", pa.int64()), ("o", pa.int64())]
-                ).empty_table(),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-        nodes_t = (
-            cogroup_join(nodes_t, out_nodes, on=("src",),
-                         num_partitions=num_partitions,
-                         join_type="left outer")
-            .map_batches(
-                lambda t: t.filter(pc.is_null(t["o"])).select(
-                    ["src", "p"]
-                )
-                if len(t) else pa.schema(
-                    [("src", pa.int64()), ("p", pa.int64())]
-                ).empty_table(),
-                batch_format="pyarrow",
-            )
-            .repartition(num_partitions)
-            .materialize()
-        )
-        # shrink the live edge set to undecided endpoints; an empty
-        # side would reach cogroup_join with a schemaless zero-block
-        # Dataset, so short-circuit — the loop-top checks terminate
-        if nodes_t.count() == 0 or live_edges.count() == 0:
-            live_edges = rd.from_arrow(
-                _e_schema.empty_table()
-            ).materialize()
-            continue
-        live_tag = nodes_t.map_batches(
-            lambda t: pa.table({"u": t["src"],
-                                "lu": pa.array([1] * len(t),
-                                               pa.int64())})
-            if len(t) else pa.schema(
-                [("u", pa.int64()), ("lu", pa.int64())]
-            ).empty_table(),
-            batch_format="pyarrow",
-        ).materialize()
-        live_edges = (
-            cogroup_join(live_edges, live_tag, on=("u",),
-                         num_partitions=num_partitions)
-            .map_batches(
-                lambda t: pa.table({"u": t["v"], "v": t["u"]})
-                if len(t) else _e_schema.empty_table(),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-        live_edges = (
-            cogroup_join(live_edges, live_tag, on=("u",),
-                         num_partitions=num_partitions)
-            .map_batches(
-                lambda t: pa.table({"u": t["v"], "v": t["u"]})
-                if len(t) else _e_schema.empty_table(),
-                batch_format="pyarrow",
-            )
-            .repartition(num_partitions)
-            .materialize()
-        )
-    if nodes_t.count():
-        raise RuntimeError(
-            f"luby_mis (distributed): {nodes_t.count()} nodes "
-            f"undecided after {max_rounds} rounds — raise max_rounds"
-        )
-    # assemble (page, in_mis) over the SELF-LOOP-FREE node universe
-    # (the driver tier and SQL twin exclude self-loop-only nodes too)
-    universe = (
-        edges.map_batches(und, batch_format="pyarrow")
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "src": pa.chunked_array(
-                        t["u"].chunks + t["v"].chunks
-                    )
-                }
-            )
-            if len(t) else pa.schema(
-                [("src", pa.int64())]
-            ).empty_table(),
-            batch_format="pyarrow",
-        )
-        .groupby("src")
-        .aggregate(Max("src", alias_name="_m"))
-        .select_columns(["src"])
-    )
-    mis_all = mis_parts[0] if mis_parts else rd.from_arrow(
-        pa.schema([("src", pa.int64())]).empty_table()
-    )
-    for more in mis_parts[1:]:
-        mis_all = mis_all.union(more)
-    mis_tag = mis_all.map_batches(
-        lambda t: t.append_column(
-            "m", pa.array([1] * len(t), pa.int64())
-        )
-        if len(t) else pa.schema(
-            [("src", pa.int64()), ("m", pa.int64())]
-        ).empty_table(),
-        batch_format="pyarrow",
-    )
-    return cogroup_join(
-        universe, mis_tag, on=("src",),
-        num_partitions=num_partitions, join_type="left outer",
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "page": t["src"],
-                "in_mis": pc.cast(
-                    pc.is_valid(t["m"]), pa.int64()
-                ),
-            }
-        )
-        if len(t) else pa.schema(
-            [("page", pa.int64()), ("in_mis", pa.int64())]
-        ).empty_table(),
-        batch_format="pyarrow",
     )

@@ -1462,9 +1462,7 @@ def type_stationary(events_ds, damping: float = 0.85, iters: int = 20):
     counts come from the distributed LAG pass
     (:func:`type_transitions`); the chain itself is TYPE-cardinality
     sized (a bounded dimension), so the 20 power iterations run as a
-    driver matvec — the same vocab-bounded default as ``kg_pagerank``,
-    with the Dataset-resident variant available via
-    ``graph.pagerank_distributed`` if the state space ever grows.
+    driver matvec — the same vocab-bounded split as ``kg_pagerank``.
 
     Oracle: the same 20 unrolled iterations in SQL with full-float-repr
     literals; both sides round to 6 dp."""

@@ -38,7 +38,7 @@ def test_no_ray_init_in_library():
     m = _entry_module()
     qs = m.queries()
     sqls = m.oracle_sql()
-    assert len(qs) == 333 and len(sqls) == 310
+    assert len(qs) == 312 and len(sqls) == 289
     import subprocess
     import sys
 

@@ -179,37 +179,6 @@ def test_connected_components_oracle(ray_session):
     }
 
 
-def test_pagerank_distributed_matches_driver(ray_session):
-    """The unbounded-vocab variant (rank as a Dataset, join-per-
-    iteration) agrees with the driver-side matvec to float-sum noise."""
-    import ray.data as rd
-
-    from autoner_ray.stages.graph import pagerank, pagerank_distributed
-
-    edges = pa.table(
-        {
-            "subj": ["a", "a", "b", "c", "d"],
-            "pred": ["p"] * 5,
-            "obj": ["b", "c", "c", "d", "e"],
-            "weight": [2, 1, 1, 3, 5],
-        }
-    )
-    ds = rd.from_arrow(edges)
-    want = dict(
-        zip(
-            pagerank(ds, round_dp=6)["entity"].to_pylist(),
-            pagerank(ds, round_dp=6)["rank"].to_pylist(),
-        )
-    )
-    got_t = pagerank_distributed(ds, round_dp=6)
-    got = dict(
-        zip(got_t["entity"].to_pylist(), got_t["rank"].to_pylist())
-    )
-    assert set(got) == set(want)
-    for e, r in want.items():
-        assert abs(got[e] - r) < 2e-6, (e, got[e], r)
-
-
 def test_connected_components_distributed_matches_driver(ray_session):
     import ray.data as rd
 
@@ -281,34 +250,3 @@ def test_bfs_distances_matches_bruteforce():
         r["entity"]: r["dist"] for r in bfs_distances(ds).take_all()
     }
     assert got == want  # island absent: unreachable emits nothing
-
-
-def test_pagerank_personalized_distributed_matches_driver(ray_session):
-    """The Dataset-resident seeded variant agrees with the driver-side
-    seeded matvec to float-sum noise, including exact-0.0 ranks for
-    nodes unreachable from the seed."""
-    import ray.data as rd
-
-    from autoner_ray.stages.graph import (
-        pagerank_personalized,
-        pagerank_personalized_distributed,
-    )
-
-    edges = pa.table(
-        {
-            # seed component (a..e) plus a disconnected island (x-y)
-            "subj": ["a", "a", "b", "c", "d", "x"],
-            "pred": ["p"] * 6,
-            "obj": ["b", "c", "c", "d", "e", "y"],
-            "weight": [2, 1, 1, 3, 5, 7],
-        }
-    )
-    ds = rd.from_arrow(edges)
-    w = pagerank_personalized(ds, round_dp=6)
-    want = dict(zip(w["entity"].to_pylist(), w["rank"].to_pylist()))
-    g = pagerank_personalized_distributed(ds, round_dp=6)
-    got = dict(zip(g["entity"].to_pylist(), g["rank"].to_pylist()))
-    assert set(got) == set(want)
-    for e, r in want.items():
-        assert abs(got[e] - r) < 2e-6, (e, got[e], r)
-    assert got["x"] == 0.0 and got["y"] == 0.0

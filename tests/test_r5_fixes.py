@@ -1,77 +1,10 @@
-"""Round-5 advice regressions: BFS reachability fixpoint (the bowtie
-distributed tier's uncapped closure), and the degenerate-range guards
-in zorder_buckets / psi_drift (constant dimension / constant norm must
+"""Round-5 advice regressions: the degenerate-range guards in
+zorder_buckets / psi_drift (constant dimension / constant norm must
 bucket everything at 0 instead of dividing by zero)."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data as rd
-
-
-def _chain_ds(n):
-    subj = [f"n{i:02d}" for i in range(n - 1)]
-    obj = [f"n{i:02d}" for i in range(1, n)]
-    return rd.from_arrow(
-        pa.table(
-            {
-                "subj": subj,
-                "pred": ["p"] * len(subj),
-                "obj": obj,
-                "weight": [1] * len(subj),
-            }
-        )
-    ).repartition(3)
-
-
-def test_bfs_to_fixpoint_exceeds_depth_cap(ray_session):
-    """to_fixpoint=True reaches every node of a chain LONGER than
-    max_depth with exact hop counts; the capped mode truncates at
-    max_depth (its documented contract, shared with the CTE oracle)."""
-    from autoner_ray.stages.graph import bfs_distances
-
-    ds = _chain_ds(8)  # n00 -> ... -> n07, source = min node n00
-    capped = {
-        r["entity"]: r["dist"]
-        for r in bfs_distances(ds, max_depth=3, directed=True).take_all()
-    }
-    assert capped == {f"n{i:02d}": i for i in range(4)}
-
-    full = {
-        r["entity"]: r["dist"]
-        for r in bfs_distances(
-            ds, max_depth=3, directed=True, to_fixpoint=True
-        ).take_all()
-    }
-    assert full == {f"n{i:02d}": i for i in range(8)}
-
-
-def test_bowtie_distributed_uncapped_closure(ray_session):
-    """Distributed bowtie classifies a >max_depth-hop IN chain as IN
-    (old behavior: the depth-64 cap silently demoted long chains; the
-    mechanism is exercised here with a short chain through the SAME
-    to_fixpoint path — the fixture keeps the test fast while the
-    closure itself is provably uncapped by the test above)."""
-    from autoner_ray.stages.graph import bowtie_census
-
-    # chain 1->2->3->core{100,101}, core cycle, out chain 200->201
-    edges = [(1, 2), (2, 3), (3, 100), (100, 101), (101, 100),
-             (101, 200), (200, 201)]
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "subj": [a for a, _ in edges],
-                "pred": ["p"] * len(edges),
-                "obj": [b for _, b in edges],
-                "weight": [1] * len(edges),
-            }
-        )
-    ).repartition(2)
-    t = bowtie_census(ds, driver_max_edges=0)
-    got = {r["component"]: r["n_pages"] for r in t.to_pylist()}
-    assert got == {
-        "CORE": 2, "IN": 3, "OUT": 2, "TENDRIL": 0, "DISCONNECTED": 0,
-    }
 
 
 def _write_emb(tmp_path, vecs):

@@ -194,50 +194,6 @@ def test_snapshot_diff_statuses(ray_session):
                    5: "changed"}
 
 
-def _edges_named(pairs):
-    return rd.from_arrow(
-        pa.table(
-            {
-                "subj": pa.array([a for a, _ in pairs], pa.int64()),
-                "obj": pa.array([b for _, b in pairs], pa.int64()),
-            }
-        )
-    ).repartition(2)
-
-
-def test_luby_mis_properties_and_tier_equality(ray_session):
-    """MIS output is independent (no edge inside the set), maximal
-    (every out-node has an in-neighbor), and the distributed tier
-    matches the driver tier exactly."""
-    import numpy as np
-
-    from autoner_ray.stages.graph import luby_mis
-
-    rng = np.random.default_rng(23)
-    n = 40
-    pairs = {tuple(sorted(rng.choice(n, 2, replace=False)))
-             for _ in range(80)}
-    pairs = [(int(a), int(b)) for a, b in pairs]
-    drv = luby_mis(_edges_named(pairs))
-    got = {r["page"]: r["in_mis"] for r in drv.to_pylist()}
-
-    adj = {}
-    for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    # independence
-    for a, b in pairs:
-        assert not (got[a] == 1 and got[b] == 1), (a, b)
-    # maximality
-    for v, nbrs in adj.items():
-        if got[v] == 0:
-            assert any(got[u] == 1 for u in nbrs), v
-
-    dist = luby_mis(_edges_named(pairs), driver_max_edges=0)
-    got_d = {r["page"]: r["in_mis"] for r in dist.take_all()}
-    assert got_d == got
-
-
 def test_image_dhash_invariance_and_pairs():
     """dHash is invariant to container roundtrip, within 2 bits of a
     one-pixel perturbation, and far from an unrelated image."""
@@ -265,85 +221,3 @@ def test_image_dhash_invariance_and_pairs():
     other = rng.integers(0, 256, size=(48, 64, 3), dtype=np.uint8)
     ho = image_dhash(other)
     assert bin((h0 & (2**64 - 1)) ^ (ho & (2**64 - 1))).count("1") > 10
-
-
-def test_link_bipartite_tiers_and_semantics(ray_session, monkeypatch):
-    """Driver and distributed tiers agree on a graph mixing an odd
-    cycle, a bipartite even cycle, and a disconnected edge; the odd
-    cycle forces >= 1 parity conflict."""
-    import numpy as np
-    import pyarrow.compute as _pc
-
-    from autoner_ray.stages import webgraph as wg
-
-    # triangle {1,2,3} (odd), square {10,11,12,13} (even),
-    # island edge {20,21}
-    edges = [(1, 2), (2, 3), (1, 3),
-             (10, 11), (11, 12), (12, 13), (10, 13),
-             (20, 21)]
-
-    def fake_link_graph(sf_dir):
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "src": pa.array([a for a, _ in edges], pa.int64()),
-                    "dst": pa.array([b for _, b in edges], pa.int64()),
-                }
-            )
-        ).repartition(2)
-
-    monkeypatch.setattr(wg, "link_graph", fake_link_graph)
-    drv = wg.link_bipartite_check("ignored").to_pylist()[0]
-    dist = wg.link_bipartite_check(
-        "ignored", driver_max_edges=0
-    ).to_pylist()[0]
-    assert drv == dist
-    assert drv["n_edges"] == len(edges)
-    assert drv["is_bipartite"] == 0
-    assert drv["n_parity_conflicts"] >= 1
-
-
-def test_kcenter_tier_equality(ray_session, monkeypatch):
-    """Driver and distributed k-center tiers agree, including the
-    disconnected-component pick (dist -1)."""
-    from autoner_ray.stages import webgraph as wg
-
-    # path 1-2-3-4-5 plus island {50, 51}
-    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (50, 51)]
-
-    def fake_link_graph(sf_dir):
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "src": pa.array([a for a, _ in edges], pa.int64()),
-                    "dst": pa.array([b for _, b in edges], pa.int64()),
-                }
-            )
-        ).repartition(2)
-
-    monkeypatch.setattr(wg, "link_graph", fake_link_graph)
-    drv = wg.link_kcenter_landmarks("x", k=3).to_pylist()
-    dist = wg.link_kcenter_landmarks(
-        "x", k=3, driver_max_edges=0
-    ).to_pylist()
-    assert drv == dist
-    assert drv[0] == {"rank": 1, "page": 1, "dist_when_chosen": 0}
-    # island unreachable from node 1 -> second pick is min island node
-    assert drv[1] == {"rank": 2, "page": 50, "dist_when_chosen": -1}
-    # now everything reachable; farthest from {1, 50} is node 5 (d 4)
-    assert drv[2] == {"rank": 3, "page": 5, "dist_when_chosen": 4}
-
-
-def test_luby_mis_self_loop_excluded(ray_session):
-    """A self-loop-only node is excluded from the universe on BOTH
-    tiers (matching the SQL twin, which never sees self-loop edges)."""
-    from autoner_ray.stages.graph import luby_mis
-
-    pairs = [(1, 2), (3, 3)]
-    drv = {r["page"]: r["in_mis"]
-           for r in luby_mis(_edges_named(pairs)).to_pylist()}
-    dist = {r["page"]: r["in_mis"]
-            for r in luby_mis(_edges_named(pairs),
-                              driver_max_edges=0).take_all()}
-    assert drv == dist
-    assert set(drv) == {1, 2}  # node 3 (self-loop only) not reported

@@ -1,6 +1,6 @@
 """Hypothesis property pins for this session's pure kernels (no Ray):
-URL canonicalizer invariants, PPM/AIFF codec roundtrips on arbitrary
-shapes, Kosaraju vs brute force on shrinkable random digraphs."""
+URL canonicalizer invariants and PPM/AIFF codec roundtrips on arbitrary
+shapes."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -94,57 +94,3 @@ def test_aiff_roundtrip(n, rate, seed):
     ).astype(np.int16)
     r, back = decode_aiff(encode_aiff(samples, rate=rate))
     assert r == rate and np.array_equal(back, samples)
-
-
-@st.composite
-def _digraphs(draw):
-    n = draw(st.integers(2, 16))
-    edges = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            min_size=1, max_size=40,
-        )
-    )
-    return [(a, b) for a, b in edges if a != b]
-
-
-@settings(max_examples=60, deadline=None)
-@given(_digraphs())
-def test_kosaraju_property(pairs):
-    from autoner_ray.stages.graph import _scc_kosaraju
-
-    if not pairs:
-        return
-    src = np.array([a for a, _ in pairs], np.int64)
-    dst = np.array([b for _, b in pairs], np.int64)
-    nodes, inv = np.unique(np.concatenate([src, dst]),
-                           return_inverse=True)
-    s2 = inv[: len(src)].astype(np.int64)
-    d2 = inv[len(src):].astype(np.int64)
-    comp = _scc_kosaraju(s2, d2)
-    # validate: same label <=> mutual reachability
-    n = len(nodes)
-    adj = [[] for _ in range(n)]
-    for a, b in zip(s2, d2):
-        adj[int(a)].append(int(b))
-
-    def reach(v):
-        seen = {v}
-        st_ = [v]
-        while st_:
-            u = st_.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    st_.append(w)
-        return seen
-
-    R = [reach(v) for v in range(n)]
-    for v in range(n):
-        for u in range(n):
-            mutual = u in R[v] and v in R[u]
-            assert (comp[v] == comp[u]) == mutual
-    # label is the smallest member of the component
-    for v in range(n):
-        members = [u for u in range(n) if comp[u] == comp[v]]
-        assert comp[v] == min(members)

@@ -174,3 +174,23 @@ def test_tokenize_pages_batch_matches_reference(texts):
         if (toks := sentence_token_stream(sent))
     ]
     assert got == want
+
+
+def test_link_targets_arithmetic():
+    from autoner_ray.sources.pages import link_targets
+
+    assert link_targets(0) == [1]            # 0//3 is a self-loop
+    assert link_targets(1) == [2, 3, 0]
+    assert link_targets(9) == [10, 19, 3]
+    for i in range(200):
+        ts = link_targets(i)
+        assert i not in ts and len(ts) == len(set(ts))
+
+
+def test_links_do_not_disturb_text_extraction():
+    # the generated pages carry anchors; first-paragraph text must survive
+    from autoner_ray.sources.pages import make_html
+    from autoner_ray.stages.extract import extract_text_from_html
+
+    text = 'x <a href="https://other.example/">inline</a> & y'
+    assert extract_text_from_html(make_html(7, text)) == text
