@@ -6,7 +6,7 @@ callables over an ``sf_dir``; ``oracle_sql()`` holds the DuckDB twin for
 every SQL-expressible query (tables region nation customer supplier part
 orders lineitem events documents embeddings are pre-registered views).
 Non-SQL-expressible pipelines (full trie/DP matching, MinHash LSH, SimHash,
-IVF-ANN, lang-id) are rows-only here and pinned by pytest oracle tests
+lang-id) are rows-only here and pinned by pytest oracle tests
 instead (tests/test_golden_reference.py byte-diffs the reference binary).
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
@@ -101,9 +101,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         decontam,
         dedup,
         extract,
-        multimodal,
         ranking,
-        similarity,
         sketches,
         urltools,
         webtext,
@@ -120,13 +118,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
 
-    def _emb(sf_dir, columns=None):
-        import ray.data as rd
-
-        return rd.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=columns
-        )
-
     def _lineitem_discount_fit(sf_dir):
         import ray.data as rd
 
@@ -139,15 +130,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ),
             key="l_returnflag", x_col="l_quantity", y_col="l_discount",
         )
-
-    def _query_vec(sf_dir):
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
-        idx = t["vec_id"].to_pylist().index(0)
-        return t["embedding"].to_pylist()[idx]
 
     def pages_extract_text(sf_dir):
         return kg.extracted_pages(sf_dir).select_columns(["url", "text"])
@@ -312,34 +294,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def docs_exact_dedup(sf_dir):
         return dedup.exact_dedup(_docs(sf_dir, ["doc_id", "text"]))
 
-    def embeddings_label_counts(sf_dir):
-        from ray.data.aggregate import Count
-
-        return _emb(sf_dir, ["label"]).groupby("label").aggregate(Count(alias_name="n"))
-
-    def knn_cosine(sf_dir):
-        return similarity.brute_force_topk(_emb(sf_dir, ["vec_id", "embedding"]), _query_vec(sf_dir))
-
-    def knn_ivf(sf_dir):
-        return similarity.ivf_topk(_emb(sf_dir, ["vec_id", "embedding"]), _query_vec(sf_dir))
-
-    def knn_pq(sf_dir):
-        """PQ asymmetric-distance top-k (approximate family, like
-        knn_ivf: no SQL oracle; exact-recompute pin in
-        tests/test_r4_late_ops.py)."""
-        return similarity.knn_pq(_emb(sf_dir, ["vec_id", "embedding"]), _query_vec(sf_dir))
-
-    def embedding_clusters(sf_dir):
-        """K-means cluster assignment per vector (curation: cluster-
-        balanced sampling); centroids trained once on a bounded sample,
-        broadcast, assignment streamed."""
-        from autoner_ray.stages.similarity import IVFIndex
-
-        index = IVFIndex.train(_emb(sf_dir, ["embedding"]), num_lists=8)
-        return _emb(sf_dir, ["vec_id", "embedding"]).map_batches(
-            index.assign_batch, batch_format="pyarrow"
-        ).select_columns(["vec_id", "ivf_list"])
-
     def minhash_neardup(sf_dir):
         return dedup.ngram_jaccard_pairs(_docs(sf_dir, ["doc_id", "text"]))
 
@@ -462,26 +416,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_feature_hashing": lambda sf: analysis.feature_hashing_stats(
             _docs(sf, ["doc_id", "text"])
         ),
-        "embedding_zorder_buckets": similarity.zorder_buckets,
-        # driver row rides the grid-partitioned EXACT kNN tier (no
-        # driver-side corpus materialization, equal to brute by
-        # construction); brute stays as a diagnostic row against the
-        # same exact-kNN oracle; the sub-quadratic IVF tier is
-        # approximate on isotropic corpora -> rows-only row, equality
-        # pinned on a clustered fixture in tests/test_r5_fixes.py
-        "embedding_label_spread": similarity.label_spread_grid,
-        # contrastive hard negatives: nearest different-label vector
-        "embedding_hard_negatives": similarity.hard_negatives,
-        "embedding_label_spread_brute": similarity.label_spread,
-        "embedding_label_spread_ivf": similarity.label_spread_ivf,
-        "embedding_single_link_ladder": similarity.single_link_ladder,
-        # at-scale tier: pairs from the IVF bucket join (approximate
-        # across list boundaries -> rows-only; tier equality is
-        # pytest-pinned on a cluster-separated fixture)
-        "embedding_single_link_ladder_ivf": lambda sf: (
-            similarity.single_link_ladder(sf, pair_source="ivf")
-        ),
-        "embedding_psi_drift": similarity.psi_drift,
         "customer_k_anonymity": relational.customer_k_anonymity,
         "orders_benford": relational.orders_benford,
         "docs_spearman_len_tokens": _docs_spearman,
@@ -570,15 +504,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-doc inter-document 5-gram overlap (diversity census)
         "docs_ngram_overlap": lambda sf: analysis.ngram_overlap_census(
             _docs(sf, ["doc_id", "text"])
-        ),
-        # perceptual image dedup over the REAL BMP/PPM decode path
-        "media_image_dhash": lambda sf: multimodal.media_image_dhash(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "media_image_dhash_pairs": lambda sf: (
-            multimodal.media_image_dhash_pairs(
-                _docs(sf, ["doc_id", "text"])
-            )
         ),
         # recrawl snapshot delta: added/removed/changed/unchanged
         "pages_snapshot_diff": lambda sf: webtext.snapshot_diff(
@@ -691,25 +616,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "simhash_docs": simhash_docs,
         "docs_rolling_fingerprint": docs_rolling_fingerprint,
-        # --- oracle-backed: embeddings / similarity ----------------------
-        "embeddings_label_counts": embeddings_label_counts,
-        "embedding_label_centroids": lambda sf: (
-            similarity.label_centroids(_emb(sf, ["embedding", "label"]))
-        ),
-        "knn_cosine": knn_cosine,
-        "embedding_neardup": lambda sf: similarity.embedding_neardup(
-            _emb(sf, ["vec_id", "embedding"]), threshold=0.4
-        ),
-        "embedding_neardup_keep_one": lambda sf: (
-            similarity.embedding_neardup_keep_one(
-                _emb(sf, ["vec_id", "embedding", "label"]), threshold=0.4)
-        ),
-        "crossmodal_neardup_agreement": lambda sf: (
-            similarity.crossmodal_neardup_agreement(
-                _docs(sf, ["doc_id", "text"]),
-                _emb(sf, ["vec_id", "embedding"])
-            )
-        ),
         # --- oracle-backed: near-dup pairs -------------------------------
         "ngram_jaccard_exact": lambda sf: dedup.ngram_jaccard_exact_pairs(
             _docs(sf, ["doc_id", "text"])
@@ -740,12 +646,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_triples_hybrid": _kg_triples_hybrid,
         "tagger_span_f1": _tagger_span_f1,
         "lang_id_predict": lang_id_predict,
-        "knn_ivf": knn_ivf,
-        "knn_pq": knn_pq,
-        "embedding_clusters": embedding_clusters,
-        "media_features": lambda sf: multimodal.media_features(
-            _docs(sf, ["doc_id", "text"])
-        ),
         # --- rows-only tail (outside the 50-query window; each is pinned
         # by pytest and/or subsumed by an oracle-backed twin above) -------
         "kg_mentions_full": lambda sf: kg.matched_sentences(
@@ -797,9 +697,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             _docs(sf, ["doc_id", "text"])
         ),
         "lineitem_brand_semi_join": sketches.lineitem_brand_semi_join,
-        "embedding_pca": lambda sf: similarity.pca_project(
-            _emb(sf, ["vec_id", "embedding"]), n_components=8
-        ),
         "docs_temperature_sample": lambda sf: analysis.temperature_sample(
             _docs(sf, ["doc_id", "lang", "text"])
         ),
@@ -855,9 +752,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "events_new_users_daily": lambda sf: windows.new_users_daily(
             _events(sf, ['ts', 'user_id'])
-        ),
-        "embedding_grid_histogram": lambda sf: similarity.grid_histogram(
-            _emb(sf, ["embedding"])
         ),
         "docs_lang_hot_ngrams": lambda sf: webtext.lang_hot_ngrams(
             _docs(sf, ["doc_id", "lang", "text"])
@@ -915,9 +809,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "docs_winnowing_fingerprints": lambda sf: (
             analysis.winnowing_fingerprints(_docs(sf, ["doc_id", "text"]))
-        ),
-        "docs_bigram_kcore": lambda sf: webtext.bigram_kcore(
-            _docs(sf, ["doc_id", "text"])
         ),
         "docs_bigram_bfs_multi": lambda sf: webtext.bigram_bfs_multi(
             _docs(sf, ["doc_id", "text"])
@@ -1007,9 +898,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_bigram_pmi": lambda sf: webtext.bigram_collocations(
             _docs(sf, ["doc_id", "text"])
         ),
-        "kg_pagerank_personalized": lambda sf: (
-            kg.unigram_pagerank_personalized(sf)
-        ),
         "docs_jsonl_roundtrip": lambda sf: (
             text_formats.roundtrip_source_stats(sf, fmt="jsonl")
         ),
@@ -1021,12 +909,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "docs_parquet_hive_roundtrip": lambda sf: (
             text_formats.parquet_partitioned_stats(sf)
-        ),
-        "embedding_head_energy": lambda sf: (
-            similarity.head_energy_ratio(_emb(sf, ["embedding", "label"]))
-        ),
-        "embedding_kmeans_lattice": lambda sf: (
-            similarity.kmeans_lattice(_emb(sf, ["vec_id", "embedding"]))
         ),
         "events_gap_histogram": lambda sf: windows.gap_histogram(
             _events(sf, ['event_id', 'ts', 'user_id'])
@@ -1058,9 +940,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_hourly_top_type": lambda sf: windows.hourly_top_type(
             _events(sf, ['ts', 'event_type'])
         ),
-        "embedding_int8_quantize": lambda sf: (
-            similarity.int8_quantize_report(_emb(sf, ["embedding"]))
-        ),
         "kg_label_propagation": lambda sf: (
             kg.unigram_label_propagation(sf)
         ),
@@ -1082,14 +961,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             relational.q16_supplier_count_by_part_attrs
         ),
         "kg_triple_delta": lambda sf: kg.unigram_triple_delta(sf),
-        "docs_bigram_ktruss": lambda sf: webtext.bigram_ktruss(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "embedding_pq_report": lambda sf: similarity.pq_report(_emb(sf, ["vec_id", "embedding"])),
         "kg_metapath_wedges": lambda sf: kg.unigram_metapath_wedges(sf),
-        "embedding_gram_lattice": lambda sf: similarity.gram_lattice(
-            _emb(sf, ["embedding"])
-        ),
         "kg_node_embedding_rp": lambda sf: (
             kg.unigram_node_embedding_rp(sf)
         ),
@@ -1114,7 +986,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda b: webtext.pii_scrub_batch(b, _AUDIT_PATTERNS),
             batch_format="pyarrow",
         ),
-        "kg_source_hits": lambda sf: kg.unigram_source_hits(sf),
         "docs_entity_density": lambda sf: kg.unigram_entity_density(sf),
         "q12_priority_shipping_lag": (
             relational.q12_priority_shipping_lag
@@ -1225,137 +1096,6 @@ def _unigram_graph_ctes(dict_values: str) -> str:
             UNION ALL
             SELECT obj, subj, CAST(weight AS DOUBLE) FROM pairs
         )
-    """
-
-
-def _single_link_sql(thresholds=(0.4, 0.6, 0.8)) -> str:
-    """Shared rounded-sim pair CTE + one recursive closure per rung."""
-    blocks, selects = [], []
-    for t in thresholds:
-        tag = str(int(round(t * 1_000_000)))
-        blocks.append(f"""
-        sub{tag} AS MATERIALIZED (
-            SELECT vec_a, vec_b FROM pairs WHERE sim >= {t}
-        ),
-        bi{tag} AS (
-            SELECT vec_a AS a, vec_b AS b FROM sub{tag}
-            UNION SELECT vec_b, vec_a FROM sub{tag}
-        ),
-        reach{tag}(a, b) AS (
-            SELECT a, a FROM bi{tag}
-            UNION
-            SELECT r.a, e.b FROM reach{tag} r JOIN bi{tag} e
-              ON e.a = r.b
-        ),
-        comp{tag} AS (
-            SELECT a AS node, MIN(b) AS c FROM reach{tag} GROUP BY a
-        )""")
-        selects.append(f"""
-        SELECT CAST({tag} AS BIGINT) AS threshold_ppm,
-               CAST((SELECT COUNT(*) FROM sub{tag}) AS BIGINT)
-                   AS n_pairs,
-               CAST((SELECT COUNT(DISTINCT c) FROM comp{tag})
-                    AS BIGINT) AS n_clusters,
-               CAST((SELECT COUNT(*) FROM comp{tag}) AS BIGINT)
-                   AS n_clustered_vecs""")
-    chain = ",".join(blocks)
-    union = " UNION ALL ".join(selects)
-    return f"""
-        WITH RECURSIVE pairs AS MATERIALIZED (
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-                   round(list_cosine_similarity(
-                       CAST(a.embedding AS DOUBLE[]),
-                       CAST(b.embedding AS DOUBLE[])), 6) AS sim
-            FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-            -- base filter on RAW sim (the engine's pair emit does),
-            -- rungs above filter the ROUNDED value on both sides
-            WHERE list_cosine_similarity(
-                      CAST(a.embedding AS DOUBLE[]),
-                      CAST(b.embedding AS DOUBLE[]))
-                  >= {min(thresholds)}
-        ),
-        {chain}
-        {union}
-    """
-
-
-_LABEL_SPREAD_SQL = """
-    WITH sims AS (
-        SELECT a.vec_id AS va, b.vec_id AS vb, b.label AS lb,
-               CAST(floor(list_cosine_similarity(
-                        CAST(a.embedding AS DOUBLE[]),
-                        CAST(b.embedding AS DOUBLE[]))
-                    * 1000000 + 0.5) AS BIGINT) AS simq
-        FROM embeddings a JOIN embeddings b
-          ON a.vec_id <> b.vec_id
-    ),
-    top3 AS (
-        SELECT va, lb FROM (
-            SELECT va, lb,
-                   ROW_NUMBER() OVER (
-                       PARTITION BY va
-                       ORDER BY simq DESC, vb ASC) AS rn
-            FROM sims
-        ) WHERE rn <= 3
-    ),
-    votes AS (
-        SELECT va, lb, COUNT(*) AS c FROM top3 GROUP BY va, lb
-    ),
-    win AS (
-        SELECT va, lb FROM (
-            SELECT va, lb,
-                   ROW_NUMBER() OVER (
-                       PARTITION BY va
-                       ORDER BY c DESC, lb ASC) AS rn
-            FROM votes
-        ) WHERE rn = 1
-    )
-    SELECT e.vec_id, CAST(e.label AS BIGINT) AS label,
-           CAST(w.lb AS BIGINT) AS label_spread
-    FROM embeddings e JOIN win w ON w.va = e.vec_id
-"""
-
-
-def _zorder_sql(bits=8, bucket_shift=10) -> str:
-    hi = (1 << bits) - 1
-    terms = []
-    for i in range(bits):
-        terms.append(f"(((q0 >> {i}) & 1) << {2 * i})")
-        terms.append(f"(((q1 >> {i}) & 1) << {2 * i + 1})")
-    zexpr = " | ".join(terms)
-    return f"""
-        WITH dims AS (
-            SELECT CAST(embedding[1] AS DOUBLE) AS d0,
-                   CAST(embedding[2] AS DOUBLE) AS d1
-            FROM embeddings
-        ),
-        stats AS (
-            -- degenerate-range guard: constant dim -> numerator 0, so
-            -- forcing the denominator to 1 maps every row to q=0 (the
-            -- engine applies the same guard)
-            SELECT MIN(d0) AS mn0,
-                   CASE WHEN MAX(d0) = MIN(d0) THEN 1.0
-                        ELSE MAX(d0) - MIN(d0) END AS rng0,
-                   MIN(d1) AS mn1,
-                   CASE WHEN MAX(d1) = MIN(d1) THEN 1.0
-                        ELSE MAX(d1) - MIN(d1) END AS rng1
-            FROM dims
-        ),
-        q AS (
-            SELECT LEAST(CAST(FLOOR((d0 - mn0) * {hi} / rng0)
-                              AS BIGINT), {hi}) AS q0,
-                   LEAST(CAST(FLOOR((d1 - mn1) * {hi} / rng1)
-                              AS BIGINT), {hi}) AS q1
-            FROM dims, stats
-        ),
-        z AS (SELECT q0, q1, {zexpr} AS zc FROM q)
-        SELECT zc >> {bucket_shift} AS bucket,
-               CAST(COUNT(*) AS BIGINT) AS n,
-               CAST(MIN(q0) AS BIGINT) AS min_q0,
-               CAST(MAX(q0) AS BIGINT) AS max_q0,
-               CAST(MIN(q1) AS BIGINT) AS min_q1,
-               CAST(MAX(q1) AS BIGINT) AS max_q1
-        FROM z GROUP BY 1
     """
 
 
@@ -1556,45 +1296,6 @@ def _modularity_sql(dict_values: str, rounds: int = 4) -> str:
     """
 
 
-def _ppr_sql(dict_values: str, damping=0.85, iters=20) -> str:
-    """Personalized PageRank twin: 20 unrolled seeded power iterations —
-    teleport mass returns to the lexicographically smallest entity
-    (``MIN(src)``), rank starts as the seed indicator vector. Same
-    full-float-repr literal discipline as ``_pagerank_sql``."""
-    base = repr(1.0 - damping)
-    d = repr(damping)
-    steps = []
-    for k in range(1, iters + 1):
-        steps.append(f"""
-        pr{k} AS MATERIALIZED (
-            SELECT t.dst AS entity,
-                   {base} * (CASE WHEN t.dst = s.s
-                             THEN 1.0 ELSE 0.0 END)
-                   + {d} * SUM(pr.rank * t.p) AS rank
-            FROM trans t JOIN pr{k - 1} pr ON pr.entity = t.src, s
-            GROUP BY t.dst, s.s
-        )""")
-    return f"""
-        WITH {_unigram_graph_ctes(dict_values)},
-        nodes AS MATERIALIZED (SELECT DISTINCT src AS entity FROM bidir),
-        s AS MATERIALIZED (SELECT MIN(src) AS s FROM bidir),
-        outw AS MATERIALIZED (
-            SELECT src, SUM(w) AS ow FROM bidir GROUP BY src
-        ),
-        trans AS MATERIALIZED (
-            SELECT b.src, b.dst, b.w / o.ow AS p
-            FROM bidir b JOIN outw o ON b.src = o.src
-        ),
-        pr0 AS MATERIALIZED (
-            SELECT entity,
-                   CASE WHEN entity = s.s THEN 1.0 ELSE 0.0 END AS rank
-            FROM nodes, s
-        ),
-        {", ".join(steps)}
-        SELECT entity, round(rank, 6) AS rank FROM pr{iters}
-    """
-
-
 def _pagerank_sql(dict_values: str, damping=0.85, iters=20) -> str:
     """20 unrolled power iterations (standard SQL; no vendor recursion).
     Literals carry full float repr so the DuckDB doubles equal the
@@ -1628,55 +1329,6 @@ def _pagerank_sql(dict_values: str, damping=0.85, iters=20) -> str:
         ),
         {", ".join(steps)}
         SELECT entity, round(rank, 6) AS rank FROM pr{iters}
-    """
-
-
-def _hits_sql(dict_values: str, iters: int = 8,
-              scale: int = 1_000_000) -> str:
-    """Integer-lattice HITS twin (``graph.hits_lattice``): unrolled
-    hub/authority iterations with L1 floor-normalization in HUGEINT —
-    bit-exact vs the engine's python-bigint matvec (all quantities are
-    nonnegative, so ``//`` trunc == floor on both sides)."""
-    steps = []
-    for k in range(1, iters + 1):
-        steps.append(f"""
-        a{k}r AS MATERIALIZED (
-            SELECT e.ent, SUM(e.w * h.h) AS r
-            FROM edges e JOIN h{k - 1} h ON h.src = e.src
-            GROUP BY e.ent
-        ),
-        a{k} AS MATERIALIZED (
-            SELECT ent, r * {scale} // (SELECT SUM(r) FROM a{k}r) AS a
-            FROM a{k}r
-        ),
-        h{k}r AS MATERIALIZED (
-            SELECT e.src, SUM(e.w * a.a) AS r
-            FROM edges e JOIN a{k} a ON a.ent = e.ent
-            GROUP BY e.src
-        ),
-        h{k} AS MATERIALIZED (
-            SELECT src, r * {scale} // (SELECT SUM(r) FROM h{k}r) AS h
-            FROM h{k}r
-        )""")
-    return f"""
-        WITH mentions AS MATERIALIZED (
-            SELECT DISTINCT d.doc_id, d.source, dict.entity
-            FROM documents d, UNNEST({WORDS}) AS t(word)
-            JOIN {dict_values} ON t.word = dict.word
-        ),
-        edges AS MATERIALIZED (
-            SELECT source AS src, entity AS ent,
-                   CAST(COUNT(*) AS HUGEINT) AS w
-            FROM mentions GROUP BY 1, 2
-        ),
-        h0 AS MATERIALIZED (
-            SELECT DISTINCT src, CAST({scale} AS HUGEINT) AS h FROM edges
-        ),
-        {", ".join(steps)}
-        SELECT src AS node, 'hub' AS kind, CAST(h AS BIGINT) AS score
-        FROM h{iters}
-        UNION ALL
-        SELECT ent, 'authority', CAST(a AS BIGINT) FROM a{iters}
     """
 
 
@@ -1800,7 +1452,6 @@ def oracle_sql() -> dict[str, str]:
     from autoner_ray.stages import analysis as analysis_mod
     from autoner_ray.stages import asof as asof_mod
     from autoner_ray.stages import dedup as dedup_mod
-    from autoner_ray.stages import similarity as similarity_mod
     from autoner_ray.stages import sketches as sketches_mod
     from autoner_ray.stages import webtext
     from autoner_ray.stages import urltools as urltools_mod
@@ -1811,7 +1462,6 @@ def oracle_sql() -> dict[str, str]:
     out = {
         "docs_rolling_fingerprint": _fingerprint_sql(),
         "kg_pagerank": _pagerank_sql(dict_values),
-        "kg_pagerank_personalized": _ppr_sql(dict_values),
         "kg_degree_distribution": f"""
             WITH {_unigram_graph_ctes(dict_values)},
             deg AS (SELECT src, COUNT(*) AS degree FROM bidir GROUP BY src)
@@ -3490,26 +3140,6 @@ def oracle_sql() -> dict[str, str]:
             GROUP BY word, n_total
             HAVING COUNT(*) * 200 >= n_total
         """,
-        "media_image_dhash_pairs": """
-            -- images are sha256(text)-seeded and every doc also gets a
-            -- recrawl variant (doc_id + 1e9) within 2 dHash bits of
-            -- its original, so the <=2-bit pair set is exactly all
-            -- pairs inside each {same-text originals} x
-            -- {original, variant} cluster — enumerable without
-            -- decoding a byte; the value-hash certifies
-            -- decode -> dHash -> banding -> verify end-to-end
-            WITH imgs AS (
-                SELECT doc_id, text FROM documents WHERE doc_id % 3 = 0
-            ),
-            boths AS (
-                SELECT doc_id, text FROM imgs
-                UNION ALL
-                SELECT doc_id + 1000000000, text FROM imgs
-            )
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-            FROM boths a JOIN boths b
-              ON a.text = b.text AND a.doc_id < b.doc_id
-        """,
         "pages_snapshot_diff": """
             -- same deterministic snapshot views as the engine:
             -- A = id%3!=0, B = id%3!=1 with id%5==0 texts mutated
@@ -3596,42 +3226,6 @@ def oracle_sql() -> dict[str, str]:
                         // COUNT(*) AS BIGINT) AS overlap_ppm
             FROM grams gr JOIN df USING (g)
             GROUP BY gr.doc_id
-        """,
-        "embeddings_label_counts": """
-            SELECT label, COUNT(*) AS n FROM embeddings GROUP BY label
-        """,
-        "embedding_label_centroids": """
-            WITH e AS (
-                SELECT label, t.i AS dim,
-                       CAST(floor(
-                           CAST(embedding[t.i] AS DOUBLE) * 1000000 + 0.5
-                       ) AS BIGINT) AS q
-                FROM embeddings,
-                     UNNEST(range(1, len(embedding) + 1)) AS t(i)
-            )
-            SELECT label, CAST(dim AS BIGINT) AS dim,
-                   COUNT(*) AS n,
-                   CAST(SUM(q) AS BIGINT) AS sum_micro
-            FROM e GROUP BY label, dim
-        """,
-        "embedding_neardup": """
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-                   round(list_cosine_similarity(
-                       CAST(a.embedding AS DOUBLE[]),
-                       CAST(b.embedding AS DOUBLE[])), 6) AS sim
-            FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-            WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                         CAST(b.embedding AS DOUBLE[])) >= 0.4
-        """,
-        "knn_cosine": """
-            WITH q AS (SELECT embedding AS qv FROM embeddings WHERE vec_id = 0)
-            SELECT e.vec_id,
-                   round(list_cosine_similarity(CAST(e.embedding AS DOUBLE[]),
-                                                CAST(q.qv AS DOUBLE[])), 6) AS sim
-            FROM embeddings e, q
-            ORDER BY list_cosine_similarity(CAST(e.embedding AS DOUBLE[]),
-                                            CAST(q.qv AS DOUBLE[])) DESC, e.vec_id
-            LIMIT 10
         """,
         # exact n-gram (k=3) Jaccard: distinct token-trigram shingles per
         # doc, intersection via shingle self-join, jaccard = c/(sa+sb-c)
@@ -4095,7 +3689,6 @@ def oracle_sql() -> dict[str, str]:
         "docs_winnowing_fingerprints": (
             analysis_mod.winnowing_oracle_sql()
         ),
-        "docs_bigram_kcore": webtext_mod.bigram_kcore_oracle_sql(),
         "docs_bigram_bfs_multi": (
             webtext_mod.bigram_bfs_multi_oracle_sql()
         ),
@@ -4195,12 +3788,6 @@ def oracle_sql() -> dict[str, str]:
         "docs_source_quality": (
             analysis_mod.source_quality_oracle_sql()
         ),
-        "embedding_neardup_keep_one": (
-            similarity_mod.embedding_keep_one_oracle_sql()
-        ),
-        "crossmodal_neardup_agreement": (
-            similarity_mod.crossmodal_agreement_oracle_sql()
-        ),
         "q6_forecast_revenue": """
             WITH p AS (
                 SELECT CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
@@ -4251,9 +3838,6 @@ def oracle_sql() -> dict[str, str]:
                        AS promo_ppm
             FROM s
         """,
-        "embedding_grid_histogram": (
-            similarity_mod.grid_histogram_oracle_sql()
-        ),
         "docs_lang_hot_ngrams": (
             webtext_mod.lang_hot_ngrams_oracle_sql()
         ),
@@ -4282,12 +3866,6 @@ def oracle_sql() -> dict[str, str]:
             "autoner_ray.sources.text_formats",
             fromlist=["parquet_partitioned_stats_oracle_sql"],
         ).parquet_partitioned_stats_oracle_sql(),
-        "embedding_head_energy": (
-            similarity_mod.head_energy_ratio_oracle_sql()
-        ),
-        "embedding_kmeans_lattice": (
-            similarity_mod.kmeans_lattice_oracle_sql()
-        ),
         "events_gap_histogram": windows_mod.gap_histogram_oracle_sql(),
         "supplier_part_fanout": """
             WITH d AS (
@@ -4402,9 +3980,6 @@ def oracle_sql() -> dict[str, str]:
         "events_hourly_top_type": (
             windows_mod.hourly_top_type_oracle_sql()
         ),
-        "embedding_int8_quantize": (
-            similarity_mod.int8_quantize_oracle_sql()
-        ),
         "kg_label_propagation": _lpa_sql(dict_values),
         "kg_community_modularity": _modularity_sql(dict_values),
         "q15_top_supplier": relational_mod.q15_oracle_sql(),
@@ -4439,8 +4014,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(old_weight = 0 AS BIGINT) AS is_new_edge
             FROM pairs WHERE new_weight > 0
         """,
-        "docs_bigram_ktruss": webtext_mod.bigram_ktruss_oracle_sql(),
-        "embedding_pq_report": similarity_mod.pq_report_oracle_sql(),
         "kg_metapath_wedges": f"""
             WITH {_unigram_graph_ctes(dict_values)},
             ty AS (SELECT DISTINCT entity, type FROM {dict_values})
@@ -4455,9 +4028,6 @@ def oracle_sql() -> dict[str, str]:
             JOIN ty tb ON tb.entity = e2.dst
             GROUP BY 1, 2, 3
         """,
-        "embedding_gram_lattice": (
-            similarity_mod.gram_lattice_oracle_sql()
-        ),
         "kg_node_embedding_rp": _node_rp_sql(dict_values),
         "docs_bucketed_sink": (
             text_formats_mod.bucketed_parquet_stats_oracle_sql()
@@ -4475,7 +4045,6 @@ def oracle_sql() -> dict[str, str]:
         "docs_pii_scrub": webtext_mod.pii_scrub_oracle_sql(
             _AUDIT_PATTERNS
         ),
-        "kg_source_hits": _hits_sql(dict_values),
         "docs_entity_density": _entity_density_sql(),
         "q12_priority_shipping_lag": """
             SELECT CAST(greatest(-4, least(4,
@@ -4633,89 +4202,6 @@ def oracle_sql() -> dict[str, str]:
                   WHERE t.subj = LEAST(x.subj, x.neg_obj)
                     AND t.obj = GREATEST(x.subj, x.neg_obj))
         """,
-        "embedding_zorder_buckets": _zorder_sql(),
-        "embedding_single_link_ladder": _single_link_sql(),
-        "embedding_psi_drift": """
-            WITH nrm AS (
-                SELECT vec_id,
-                       sqrt(list_aggregate(list_transform(
-                           CAST(embedding AS DOUBLE[]), x -> x * x),
-                           'sum')) AS nrm
-                FROM embeddings
-            ),
-            rng AS (
-                -- same degenerate-range guard as the engine: all-equal
-                -- norms bin everything at 0 instead of dividing by 0
-                SELECT MIN(nrm) AS lo,
-                       CASE WHEN MAX(nrm) = MIN(nrm) THEN 1.0
-                            ELSE MAX(nrm) - MIN(nrm) END AS span
-                FROM nrm
-            ),
-            b AS (
-                SELECT LEAST(CAST(FLOOR((nrm - lo) * 8 / span)
-                                  AS BIGINT), 7) AS bin,
-                       CASE WHEN vec_id % 2 = 0 THEN 1 ELSE 0 END
-                           AS base
-                FROM nrm, rng
-            ),
-            bins AS (
-                SELECT bin, SUM(base) AS n_base,
-                       SUM(1 - base) AS n_cur
-                FROM b GROUP BY bin
-            ),
-            allbins AS (SELECT UNNEST(range(0, 8)) AS bin),
-            filled AS (
-                SELECT a.bin, COALESCE(n_base, 0) AS n_base,
-                       COALESCE(n_cur, 0) AS n_cur
-                FROM allbins a LEFT JOIN bins USING (bin)
-            ),
-            tot AS (
-                SELECT SUM(n_base) AS ta, SUM(n_cur) AS tb FROM filled
-            ),
-            terms AS (
-                SELECT bin, n_base, n_cur,
-                       CAST(FLOOR(
-                           ((n_base + 1.0) / (ta + 8)
-                            - (n_cur + 1.0) / (tb + 8))
-                           * LN(((n_base + 1.0) / (ta + 8))
-                                / ((n_cur + 1.0) / (tb + 8)))
-                           * 1000000 + 0.5) AS BIGINT) AS t
-                FROM filled, tot
-            )
-            SELECT CAST(bin AS BIGINT) AS bin,
-                   CAST(n_base AS BIGINT) AS n_base,
-                   CAST(n_cur AS BIGINT) AS n_cur,
-                   t AS psi_term_micro
-            FROM terms
-            UNION ALL
-            SELECT -1, (SELECT ta FROM tot), (SELECT tb FROM tot),
-                   (SELECT SUM(t) FROM terms)
-        """,
-        "embedding_hard_negatives": """
-            WITH sims AS (
-                SELECT a.vec_id AS va, a.label AS la,
-                       b.vec_id AS vb, b.label AS lb,
-                       CAST(floor(list_cosine_similarity(
-                                CAST(a.embedding AS DOUBLE[]),
-                                CAST(b.embedding AS DOUBLE[]))
-                            * 1000000 + 0.5) AS BIGINT) AS simq
-                FROM embeddings a JOIN embeddings b
-                  ON a.vec_id <> b.vec_id AND a.label <> b.label
-            )
-            SELECT va AS vec_id, CAST(la AS BIGINT) AS label,
-                   vb AS neg_id, CAST(lb AS BIGINT) AS neg_label,
-                   simq AS sim_micro
-            FROM (
-                SELECT *, ROW_NUMBER() OVER (
-                    PARTITION BY va ORDER BY simq DESC, vb ASC) AS rn
-                FROM sims
-            ) WHERE rn = 1
-        """,
-        # one exact-kNN oracle serves BOTH label-spread tiers: the
-        # IVF-bucketed driver row (exact whenever probing reaches every
-        # true neighbor — a miss fails loudly here) and the brute tier
-        "embedding_label_spread": _LABEL_SPREAD_SQL,
-        "embedding_label_spread_brute": _LABEL_SPREAD_SQL,
         "docs_schema_evolution": """
             -- v1 rows (even doc_id) drop lang in the shard, so their
             -- lang is null by construction; v2 rows keep whatever the

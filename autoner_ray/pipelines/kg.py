@@ -752,16 +752,6 @@ def unigram_clustering_coeff(sf_dir: str):
     return clustering_coeff(unigram_triples(sf_dir))
 
 
-def unigram_pagerank_personalized(sf_dir: str):
-    """Random-walk-with-restart relevance from the lexicographically
-    smallest entity over the unigram co-occurrence graph (oracle: 20
-    unrolled seeded power iterations; 6-dp round for cross-engine
-    float-sum robustness, same contract as :func:`unigram_pagerank`)."""
-    from autoner_ray.stages.graph import pagerank_personalized
-
-    return pagerank_personalized(unigram_triples(sf_dir))
-
-
 def unigram_adjacency(sf_dir: str):
     """Adjacency-shard view of the unigram co-occurrence triple graph:
     one row per subject with its edge list serialized
@@ -1260,58 +1250,6 @@ def unigram_node_embedding_rp(sf_dir: str, n_dims: int = 8):
         ),
         keys=["entity"], sum_cols=dcols, part_on=("entity",),
     )
-
-
-def unigram_source_hits(sf_dir: str, iters: int = 8,
-                        scale: int = 1_000_000):
-    """HITS hubs/authorities over the bipartite SOURCE -> ENTITY mention
-    graph: edge weight = number of docs from the source mentioning the
-    entity (distinct per doc). Which sources concentrate authoritative
-    entities — the crawl-seeding / source-ranking signal for KG
-    construction (integer-lattice iteration, see
-    :func:`autoner_ray.stages.graph.hits_lattice`).
-
-    Scale shape: corpus -> per-batch (source, entity) count partials
-    (each doc is one row, so per-doc distinct entities never need a
-    cross-batch dedup) -> shuffle-free bounded combine (|sources| x
-    |dict| rows) -> driver lattice iteration.
-    """
-    import ray.data as rd
-
-    from autoner_ray.stages.combine import bounded_key_sum
-    from autoner_ray.stages.graph import hits_lattice
-
-    dict_keys = set(UNIGRAM_DICT)
-
-    def edge_partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        counter: Counter[tuple[str, str]] = Counter()
-        for src, text in zip(
-            batch["source"].to_pylist(), batch["text"].to_pylist()
-        ):
-            toks = set(sentence_token_stream(text or ""))
-            for t in toks & dict_keys:
-                counter[(src, UNIGRAM_DICT[t][0])] += 1
-        keys = list(counter.keys())
-        return pa.table(
-            {
-                "src": pa.array([k[0] for k in keys], pa.string()),
-                "ent": pa.array([k[1] for k in keys], pa.string()),
-                "w": pa.array(
-                    [counter[k] for k in keys], pa.int64()
-                ),
-            }
-        )
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
-    )
-    edges = bounded_key_sum(
-        ds.map_batches(edge_partial, batch_format="pyarrow"),
-        ["src", "ent"], ["w"],
-    )
-    return hits_lattice(edges, iters=iters, scale=scale)
 
 
 def unigram_entity_density(sf_dir: str):

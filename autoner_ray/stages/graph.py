@@ -819,232 +819,6 @@ def clustering_coeff(edges_ds, num_partitions: int | None = None):
                            batch_size=None)
 
 
-def pagerank_personalized(edges_ds, seed: str | None = None,
-                          damping: float = 0.85, iters: int = 20,
-                          round_dp: int = 6):
-    """PERSONALIZED PageRank: teleport mass returns to a single seed
-    entity instead of spreading uniformly — the random-walk-with-
-    restart relevance score used to rank entities around a query node.
-    ``seed=None`` picks the lexicographically smallest entity (matching
-    the SQL twin's ``MIN(src)``). Nodes unreachable from the seed score
-    exactly 0.0.
-
-    Same vocabulary-bounded split as :func:`pagerank`: corpus-sized
-    edge aggregation distributed, vocab-sized power iteration local.
-    """
-    import numpy as np
-
-    df = edges_ds.to_pandas()
-    ents = sorted(set(df["subj"]) | set(df["obj"]))
-    idx = {e: i for i, e in enumerate(ents)}
-    n = len(ents)
-    if n == 0:
-        return pa.table({"entity": pa.array([], pa.string()),
-                         "rank": pa.array([], pa.float64())})
-    if seed is None:
-        seed = ents[0]
-    s = idx[seed]
-    src = np.fromiter(
-        (idx[x] for x in df["subj"]), dtype=np.int64, count=len(df)
-    )
-    dst = np.fromiter(
-        (idx[x] for x in df["obj"]), dtype=np.int64, count=len(df)
-    )
-    w = df["weight"].to_numpy(dtype=np.float64)
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    ww = np.concatenate([w, w])
-    out_w = np.zeros(n)
-    np.add.at(out_w, rows, ww)
-    ww_norm = ww / out_w[rows]
-    rank = np.zeros(n)
-    rank[s] = 1.0
-    e_s = np.zeros(n)
-    e_s[s] = 1.0
-    for _ in range(iters):
-        contrib = np.zeros(n)
-        np.add.at(contrib, cols, rank[rows] * ww_norm)
-        rank = (1 - damping) * e_s + damping * contrib
-    order = sorted(range(n), key=lambda i: (-rank[i], ents[i]))
-    return pa.table(
-        {
-            "entity": pa.array([ents[i] for i in order], pa.string()),
-            "rank": pa.array(
-                [round(float(rank[i]), round_dp) for i in order],
-                pa.float64(),
-            ),
-        }
-    )
-
-
-def kcore_distributed(edges_ds, k: int = 2, max_iters: int = 50,
-                      num_partitions: int | None = None):
-    """Exact k-core: iteratively peel nodes of degree < ``k`` until a
-    fixpoint, returning (entity, degree) for the surviving core with
-    core-internal degrees — the standard cohesion filter a KG pipeline
-    applies before community/embedding stages (peeling converges in
-    O(peel depth) rounds, each round one degree count + one
-    endpoint-survival semi-join).
-
-    Scale shape: the edge list and degree table stay DATASETS
-    end-to-end (unbounded vocab safe); each round is a bounded-key
-    groupby-count plus two hash-partitioned cogroup semi-joins (src
-    side, then dst side), and the edge list only shrinks. Fixpoint is
-    detected with a distributed count. Same iteration discipline as
-    :func:`connected_components_distributed`; the unavoidable
-    per-round materialize is of the CURRENT edge list only.
-    """
-    from ray.data.aggregate import Count
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import cogroup_join
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions(multiplier=1)
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
-
-    def expand(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("src", node_type), ("dst", node_type)]
-            ).empty_table()
-        return pa.table(
-            {
-                "src": pa.chunked_array(t["subj"].chunks + t["obj"].chunks),
-                "dst": pa.chunked_array(t["obj"].chunks + t["subj"].chunks),
-            }
-        )
-
-    bidir = edges_ds.map_batches(expand, batch_format="pyarrow").materialize()
-    n_edges = bidir.count()
-    _deg_schema = pa.schema([("src", node_type), ("deg", pa.int64())])
-    _keep_schema = pa.schema([("src", node_type), ("dst", node_type)])
-
-    for _ in range(max_iters):
-        if n_edges == 0:
-            break
-        deg = bidir.groupby("src").aggregate(Count(alias_name="deg"))
-
-        def survivors(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _deg_schema.empty_table()
-            return t.filter(
-                pc.greater_equal(t["deg"], pa.scalar(k))
-            ).select(["src", "deg"])
-
-        # surv feeds TWO cogroup joins this round; materialize so the
-        # degree aggregation runs once, not per consumer
-        surv = deg.map_batches(
-            survivors, batch_format="pyarrow"
-        ).materialize()
-
-        def keep_src(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0 or "deg" not in (
-                t.column_names
-            ):
-                return _keep_schema.empty_table()
-            return t.select(["src", "dst"])
-
-        # semi-join on src survival, then flip roles for the dst side:
-        # cogroup_join is inner, so a missing (peeled) endpoint drops
-        # the edge — exactly the peel semantics
-        src_kept = cogroup_join(
-            bidir, surv, on=("src",), num_partitions=num_partitions
-        ).map_batches(keep_src, batch_format="pyarrow")
-
-        def flip(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _keep_schema.empty_table()
-            return pa.table({"src": t["dst"], "dst": t["src"]})
-
-        bidir = (
-            cogroup_join(
-                src_kept.map_batches(flip, batch_format="pyarrow"),
-                surv, on=("src",), num_partitions=num_partitions,
-            )
-            .map_batches(keep_src, batch_format="pyarrow")
-            # coalesce: join output inherits summed input block counts;
-            # the fed-back edge table would grow blocks every round
-            .repartition(num_partitions)
-            .materialize()
-        )
-        remaining = bidir.count()
-        if remaining == n_edges:
-            break
-        n_edges = remaining
-
-    final = bidir.groupby("src").aggregate(Count(alias_name="degree"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("entity", node_type), ("degree", pa.int64())]
-            ).empty_table()
-        return pa.table(
-            {
-                "entity": t["src"],
-                "degree": pc.cast(t["degree"], pa.int64()),
-            }
-        )
-
-    return final.map_batches(finish, batch_format="pyarrow")
-
-
-def kcore(edges_ds, k: int = 2, driver_max_edges: int = 2_000_000,
-          num_partitions: int | None = None):
-    """Tiered k-core front door: the THRESHOLDED collocation/similarity
-    graphs this feeds on are vocab-bounded, so when the edge list fits
-    under ``driver_max_edges`` peel it in one process (exact, ~µs per
-    edge-round); beyond the cap fall through to the Dataset-resident
-    :func:`kcore_distributed` (tier equality pinned by
-    tests/test_r4_late_ops.py). Same output schema either way:
-    (entity, degree) with core-internal degrees."""
-    # pin the upstream pipeline ONCE: count() for the tier decision and
-    # the chosen tier's consumption must not re-run the edge build
-    edges_ds = edges_ds.materialize()
-    n = edges_ds.count()
-    if n > driver_max_edges:
-        return kcore_distributed(
-            edges_ds, k=k, num_partitions=num_partitions
-        )
-    import pandas as pd
-
-    df = edges_ds.to_pandas()
-    node_type = (
-        edges_ds.schema().types[edges_ds.schema().names.index("subj")]
-    )
-    if len(df) == 0:
-        return pa.schema(
-            [("entity", node_type), ("degree", pa.int64())]
-        ).empty_table()
-    subj = df["subj"].to_numpy()
-    obj = df["obj"].to_numpy()
-    while True:
-        deg = pd.concat(
-            [pd.Series(subj), pd.Series(obj)], ignore_index=True
-        ).value_counts()
-        alive = set(deg[deg >= k].index)
-        keep = np.fromiter(
-            (s in alive and o in alive for s, o in zip(subj, obj)),
-            bool, len(subj),
-        )
-        if keep.all():
-            break
-        subj, obj = subj[keep], obj[keep]
-        if len(subj) == 0:
-            break
-    deg = pd.concat(
-        [pd.Series(subj), pd.Series(obj)], ignore_index=True
-    ).value_counts().sort_index()
-    return pa.table(
-        {
-            "entity": pa.array(deg.index.to_numpy(), node_type),
-            "degree": pa.array(deg.to_numpy(), pa.int64()),
-        }
-    )
-
-
 def label_propagation(edges_ds, rounds: int = 4):
     """Synchronous weighted label propagation (community detection) —
     ``rounds`` fixed sweeps of ``label[v] = argmax over neighbor labels
@@ -1110,336 +884,6 @@ def label_propagation(edges_ds, rounds: int = 4):
             "community": pa.array(
                 [ents[i] for i in lab], pa.string()
             ),
-        }
-    )
-
-
-def ktruss_distributed(edges_ds, k: int = 4, rounds: int = 3,
-                       num_partitions: int | None = None):
-    """Exact k-truss peel, Dataset-resident: ``rounds`` iterations of
-    (count triangles supporting each edge -> drop edges with support
-    < k-2), then one final support recount on the surviving set — the
-    standard noise filter a KG applies to keep only edges embedded in
-    dense neighborhoods (a strictly stronger cohesion test than k-core:
-    an edge survives only if its endpoints share >= k-2 common
-    neighbors that themselves survive).
-
-    Scale shape: same compact-forward orientation as
-    :func:`triangle_counts` — the (degree, entity)-rank map is the
-    vocab-bounded broadcast that family already pays, computed ONCE and
-    reused across rounds; each round is the two content-hash shuffles
-    of the triangle kernel (wedges by center, closure by endpoint pair)
-    plus one int64-keyed partitioned support sum. The edge list only
-    shrinks. A fixed ``rounds`` is the same determinism contract the
-    pagerank/label-propagation unrolls use; at fixpoint extra rounds
-    are idempotent, so early-stop on an unchanged edge count is safe.
-
-    Returns (subj, obj, support) for surviving canonical subj < obj
-    edges with the final-set support."""
-    import pandas as pd
-    import ray
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import (
-        bounded_key_sum,
-        partitioned_key_sum,
-    )
-
-    P = num_partitions or default_num_partitions()
-    _MIX = 2654435761
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"entity": pa.array([], pa.string()),
-                             "deg": pa.array([], pa.int64())})
-        ents = pa.concat_arrays(
-            [pc.cast(t["subj"], pa.string()).combine_chunks(),
-             pc.cast(t["obj"], pa.string()).combine_chunks()]
-        )
-        vc = ents.value_counts()
-        return pa.table({"entity": vc.field("values"),
-                         "deg": pc.cast(vc.field("counts"), pa.int64())})
-
-    deg = bounded_key_sum(
-        edges_ds.select_columns(["subj", "obj"]).map_batches(
-            deg_partial, batch_format="pyarrow"
-        ),
-        ["entity"], ["deg"],
-    ).to_pandas()  # vocab-bounded (same collect triangle_counts does)
-    _out_schema = pa.schema(
-        [("subj", pa.string()), ("obj", pa.string()),
-         ("support", pa.int64())]
-    )
-    if len(deg) == 0:
-        return ray.data.from_arrow(_out_schema.empty_table())
-    deg = deg.sort_values(["deg", "entity"], kind="mergesort")
-    ents = deg["entity"].tolist()
-    rank_ref = ray.put({e: i for i, e in enumerate(ents)})
-    ents_ref = ray.put(np.array(ents, dtype=object))
-
-    _pair_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
-
-    def encode(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _pair_schema.empty_table()
-        rank = ray.get(rank_ref)
-        s = pd.Series(t["subj"].to_pylist()).map(rank).to_numpy(np.int64)
-        o = pd.Series(t["obj"].to_pylist()).map(rank).to_numpy(np.int64)
-        return pa.table(
-            {
-                "lo": pa.array(np.minimum(s, o), pa.int64()),
-                "hi": pa.array(np.maximum(s, o), pa.int64()),
-            }
-        )
-
-    cur = edges_ds.select_columns(["subj", "obj"]).map_batches(
-        encode, batch_format="pyarrow"
-    ).materialize()
-    n_edges = cur.count()
-
-    _wedge_schema = pd.DataFrame(
-        {
-            "v": pd.Series([], dtype="int64"),
-            "w": pd.Series([], dtype="int64"),
-            "u": pd.Series([], dtype="int64"),
-            "epart": pd.Series([], dtype="int32"),
-        }
-    )
-    _sup_partial_schema = pd.DataFrame(
-        {
-            "ekey": pd.Series([], dtype="int64"),
-            "sup": pd.Series([], dtype="int64"),
-        }
-    )
-
-    def _edge_support(pairs_ds):
-        """(lo, hi) Dataset -> (lo, hi, sup) for edges in >=1 triangle."""
-
-        def with_parts(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.schema(
-                    [("lo", pa.int64()), ("hi", pa.int64()),
-                     ("cpart", pa.int32()), ("epart", pa.int32())]
-                ).empty_table()
-            lo = t["lo"].to_numpy()
-            hi = t["hi"].to_numpy()
-            return pa.table(
-                {
-                    "lo": t["lo"], "hi": t["hi"],
-                    "cpart": pa.array((lo * _MIX % P).astype(np.int32)),
-                    "epart": pa.array(
-                        (((lo * _MIX + hi) * _MIX) % P).astype(np.int32)
-                    ),
-                }
-            )
-
-        oriented = pairs_ds.map_batches(
-            with_parts, batch_format="pyarrow"
-        ).materialize()  # feeds wedge AND edge sides: build once
-
-        def wedges_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-            if len(df) == 0 or "lo" not in df.columns:
-                return _wedge_schema
-            vs, ws, us = [], [], []
-            for u, g in df.groupby("lo"):
-                nb = np.unique(g["hi"].to_numpy(np.int64))
-                d = len(nb)
-                if d < 2:
-                    continue
-                i, j = np.triu_indices(d, k=1)
-                vs.append(nb[i])
-                ws.append(nb[j])
-                us.append(np.full(len(i), u, dtype=np.int64))
-            if not vs:
-                return _wedge_schema
-            v = np.concatenate(vs)
-            w = np.concatenate(ws)
-            u = np.concatenate(us)
-            return pd.DataFrame(
-                {
-                    "v": v, "w": w, "u": u,
-                    "epart": ((v * _MIX + w) * _MIX % P).astype("int32"),
-                }
-            )
-
-        wedges = oriented.groupby("cpart").map_groups(
-            wedges_in_partition, batch_format="pandas"
-        )
-
-        def edge_keys(df: pd.DataFrame) -> pd.DataFrame:
-            if len(df) == 0 or "lo" not in df.columns:
-                return _wedge_schema
-            return pd.DataFrame(
-                {
-                    "v": df["lo"].to_numpy(np.int64),
-                    "w": df["hi"].to_numpy(np.int64),
-                    "u": np.full(len(df), -1, dtype=np.int64),
-                    "epart": df["epart"].to_numpy(np.int32),
-                }
-            )
-
-        edge_side = oriented.map_batches(edge_keys, batch_format="pandas")
-
-        def close_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-            if len(df) == 0 or "v" not in df.columns:
-                return _sup_partial_schema
-            is_edge = df["u"] < 0
-            ek = df.loc[is_edge, ["v", "w"]]
-            wd = df.loc[~is_edge]
-            if ek.empty or wd.empty:
-                return _sup_partial_schema
-            closed = wd.merge(ek, on=["v", "w"], how="inner")
-            if closed.empty:
-                return _sup_partial_schema
-            u = closed["u"].to_numpy(np.int64)
-            v = closed["v"].to_numpy(np.int64)
-            w = closed["w"].to_numpy(np.int64)
-            # each triangle supports its three edges (canonical by rank)
-            keys = np.concatenate(
-                [(u << 32) | v, (u << 32) | w, (v << 32) | w]
-            )
-            uniq, cnt = np.unique(keys, return_counts=True)
-            return pd.DataFrame(
-                {"ekey": uniq, "sup": cnt.astype("int64")}
-            )
-
-        sup = partitioned_key_sum(
-            wedges.union(edge_side).groupby("epart").map_groups(
-                close_in_partition, batch_format="pandas"
-            ),
-            keys=["ekey"], sum_cols=["sup"], part_on=("ekey",),
-        )
-
-        def unpack(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0 or "ekey" not in (
-                t.column_names
-            ):
-                return pa.schema(
-                    [("lo", pa.int64()), ("hi", pa.int64()),
-                     ("sup", pa.int64())]
-                ).empty_table()
-            ekey = t["ekey"].to_numpy()
-            return pa.table(
-                {
-                    "lo": pa.array(ekey >> 32, pa.int64()),
-                    "hi": pa.array(ekey & 0xFFFFFFFF, pa.int64()),
-                    "sup": t["sup"],
-                }
-            )
-
-        return sup.map_batches(unpack, batch_format="pyarrow")
-
-    for _ in range(rounds):
-        if n_edges == 0:
-            break
-        sup = _edge_support(cur)
-
-        def survivors(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0 or "lo" not in (
-                t.column_names
-            ):
-                return _pair_schema.empty_table()
-            keep = pc.greater_equal(t["sup"], pa.scalar(k - 2))
-            return t.filter(keep).select(["lo", "hi"])
-
-        cur = sup.map_batches(
-            survivors, batch_format="pyarrow"
-        ).repartition(P).materialize()
-        remaining = cur.count()
-        if remaining == n_edges:
-            break
-        n_edges = remaining
-
-    final = _edge_support(cur)
-
-    def decode(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or "lo" not in (
-            t.column_names
-        ):
-            return _out_schema.empty_table()
-        names = ray.get(ents_ref)
-        return pa.table(
-            {
-                "subj": pa.array(names[t["lo"].to_numpy()], pa.string()),
-                "obj": pa.array(names[t["hi"].to_numpy()], pa.string()),
-                "support": t["sup"],
-            }
-        )
-
-    return final.map_batches(decode, batch_format="pyarrow")
-
-
-def ktruss(edges_ds, k: int = 4, rounds: int = 3,
-           driver_max_edges: int = 2_000_000,
-           num_partitions: int | None = None):
-    """Tiered k-truss front door (same tiering contract as
-    :func:`kcore`): vocab-bounded edge lists under ``driver_max_edges``
-    peel in one process; larger graphs fall through to the
-    Dataset-resident :func:`ktruss_distributed` (tier equality pinned
-    by tests/test_r4_late_ops.py). Output either way: canonical
-    (subj, obj, support) with support recounted on the final set.
-
-    NOTE on the rank canonicalization: the distributed tier reports
-    edges as (lower-rank, higher-rank) by the degree order; the driver
-    tier mirrors the LEXICOGRAPHIC (subj < obj) input canon — the same
-    undirected edge either way, and the driver compare sorts rows, so
-    the two tiers agree after canonicalizing. The driver tier re-canons
-    distributed output to subj < obj for a single stable contract."""
-    from collections import defaultdict
-
-    edges_ds = edges_ds.materialize()
-    n = edges_ds.count()
-    if n > driver_max_edges:
-        out = ktruss_distributed(
-            edges_ds, k=k, rounds=rounds, num_partitions=num_partitions
-        )
-
-        def recanon(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return t
-            s = np.array(t["subj"].to_pylist(), dtype=object)
-            o = np.array(t["obj"].to_pylist(), dtype=object)
-            lo = np.minimum(s, o)
-            hi = np.maximum(s, o)
-            return pa.table(
-                {
-                    "subj": pa.array(lo, pa.string()),
-                    "obj": pa.array(hi, pa.string()),
-                    "support": t["support"],
-                }
-            )
-
-        return out.map_batches(recanon, batch_format="pyarrow")
-
-    df = edges_ds.select_columns(["subj", "obj"]).to_pandas()
-    edges = [
-        (min(s, o), max(s, o))
-        for s, o in zip(df["subj"], df["obj"])
-    ]
-    for _ in range(rounds):
-        adj: dict[str, set] = defaultdict(set)
-        for s, o in edges:
-            adj[s].add(o)
-            adj[o].add(s)
-        kept = [
-            (s, o) for s, o in edges if len(adj[s] & adj[o]) >= k - 2
-        ]
-        done = len(kept) == len(edges)
-        edges = kept
-        if done:
-            break
-    adj = defaultdict(set)
-    for s, o in edges:
-        adj[s].add(o)
-        adj[o].add(s)
-    rows = sorted(
-        (s, o, len(adj[s] & adj[o])) for s, o in edges
-    )
-    return pa.table(
-        {
-            "subj": pa.array([r[0] for r in rows], pa.string()),
-            "obj": pa.array([r[1] for r in rows], pa.string()),
-            "support": pa.array([r[2] for r in rows], pa.int64()),
         }
     )
 
@@ -1539,64 +983,6 @@ def degree_assortativity(edges_ds):
             "n_edges": pa.array([m // 2], pa.int64()),
             "assortativity": pa.array([r], pa.float64()),
         }
-    )
-
-
-def hits_lattice(edges_ds, iters: int = 8, scale: int = 1_000_000):
-    """Integer-lattice HITS over a BIPARTITE (hub -> authority) edge
-    list ``(src, ent, w)``: the Kleinberg hub/authority mutual-
-    reinforcement scores, re-expressed with L1 floor-normalization on a
-    ``scale`` lattice so every iteration is EXACT integer arithmetic —
-    the engine (python bigints) and the DuckDB twin (HUGEINT ``//``)
-    agree bit-for-bit with zero float-summation-order risk.
-
-        a_raw[e] = sum_s w[s,e] * h[s];  a[e] = a_raw[e]*scale // sum(a_raw)
-        h_raw[s] = sum_e w[s,e] * a[e];  h[s] = h_raw[s]*scale // sum(h_raw)
-
-    Reference contract: hub = a web SOURCE, authority = a dictionary
-    ENTITY; the score pair ranks which sources concentrate
-    authoritative entities (the crawl-seeding signal for KG
-    construction). Scale shape: the edge table arrives PRE-AGGREGATED
-    and is (sources x dict)-bounded, so the power iteration is a driver
-    matvec — the same vocab-bounded split as :func:`pagerank`.
-    """
-    df = edges_ds.to_pandas()
-    out_schema = pa.schema(
-        [("node", pa.string()), ("kind", pa.string()),
-         ("score", pa.int64())]
-    )
-    if len(df) == 0:
-        return out_schema.empty_table()
-    srcs = sorted(set(df["src"]))
-    ents = sorted(set(df["ent"]))
-    si = {s: i for i, s in enumerate(srcs)}
-    ei = {e: i for i, e in enumerate(ents)}
-    es = [si[s] for s in df["src"]]
-    ee = [ei[e] for e in df["ent"]]
-    ew = [int(w) for w in df["w"]]
-    h = [scale] * len(srcs)
-    a = [0] * len(ents)
-    for _ in range(iters):
-        a_raw = [0] * len(ents)
-        for s, e, w in zip(es, ee, ew):
-            a_raw[e] += w * h[s]
-        ta = sum(a_raw)
-        a = [x * scale // ta for x in a_raw]
-        h_raw = [0] * len(srcs)
-        for s, e, w in zip(es, ee, ew):
-            h_raw[s] += w * a[e]
-        th = sum(h_raw)
-        h = [x * scale // th for x in h_raw]
-    return pa.table(
-        {
-            "node": pa.array(srcs + ents, pa.string()),
-            "kind": pa.array(
-                ["hub"] * len(srcs) + ["authority"] * len(ents),
-                pa.string(),
-            ),
-            "score": pa.array(h + a, pa.int64()),
-        },
-        schema=out_schema,
     )
 
 

@@ -790,62 +790,6 @@ def bigram_graph(docs_ds, min_count: int = 75):
     return summed.map_batches(threshold, batch_format="pyarrow")
 
 
-def bigram_kcore(docs_ds, min_count: int = 75, k: int = 2):
-    """Exact k-core of the thresholded bigram collocation graph —
-    (entity, degree) for the cohesive collocation backbone. Oracle:
-    unrolled peel rounds in SQL (:func:`bigram_kcore_oracle_sql`)."""
-    from autoner_ray.stages.graph import kcore
-
-    return kcore(bigram_graph(docs_ds, min_count), k=k)
-
-
-def bigram_kcore_oracle_sql(min_count: int = 75, k: int = 2,
-                            rounds: int = 8) -> str:
-    """Peel unrolled ``rounds`` times (the engine iterates to fixpoint;
-    the corpus peels in <= 3 rounds, so 8 is a 2.5x safety margin —
-    if a future corpus needs more the row-count check fails loudly
-    rather than silently)."""
-    steps = []
-    prev = "e0"
-    for r in range(1, rounds + 1):
-        # MATERIALIZED is load-bearing: an inlined 8-round CTE chain
-        # explodes the DuckDB planner (same note as _unigram_graph_ctes)
-        steps.append(f"""
-        d{r} AS MATERIALIZED (
-            SELECT src, COUNT(*) AS deg FROM (
-                SELECT subj AS src FROM {prev}
-                UNION ALL SELECT obj FROM {prev}
-            ) GROUP BY src HAVING COUNT(*) >= {k}
-        ),
-        e{r} AS MATERIALIZED (
-            SELECT e.subj, e.obj FROM {prev} e
-            JOIN d{r} a ON e.subj = a.src
-            JOIN d{r} b ON e.obj = b.src
-        )""")
-        prev = f"e{r}"
-    chain = ",".join(steps)
-    return f"""
-        WITH ws AS MATERIALIZED (
-            SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-        ),
-        bg AS (
-            SELECT least(ws[i], ws[i + 1]) AS a,
-                   greatest(ws[i], ws[i + 1]) AS b
-            FROM ws, unnest(range(1, len(ws))) AS t(i)
-            WHERE ws[i] <> ws[i + 1]
-        ),
-        e0 AS MATERIALIZED (
-            SELECT a AS subj, b AS obj FROM bg
-            GROUP BY 1, 2 HAVING COUNT(*) >= {min_count}
-        ),
-        {chain}
-        SELECT src AS entity, CAST(COUNT(*) AS BIGINT) AS degree FROM (
-            SELECT subj AS src FROM {prev}
-            UNION ALL SELECT obj FROM {prev}
-        ) GROUP BY src
-    """
-
-
 def crawl_rate(sf_dir: str):
     """Crawl-throughput monitor over the Common-Crawl-style ``pages``
     table: (hour of ``warc_ts``, lang) -> pages fetched and bytes of
@@ -1134,67 +1078,6 @@ def next_word_topk_oracle_sql(k: int = 3, min_count: int = 2) -> str:
         )
         SELECT head, next_word, cnt, rnk
         FROM r WHERE rnk <= {k} AND cnt >= {min_count}
-    """
-
-
-def bigram_ktruss(docs_ds, min_count: int = 50, k: int = 20,
-                  rounds: int = 3):
-    """Bounded k-truss peel of the thresholded bigram collocation
-    graph: ``rounds`` iterations of (count triangles supporting each
-    edge -> drop edges with support < k-2), then a support recount on
-    the survivors — the dense-neighborhood edge filter (strictly
-    stronger than k-core: an edge needs >= k-2 surviving common
-    neighbors). Fixed ``rounds`` is the determinism contract the
-    pagerank/LPA unrolls use; at fixpoint extra rounds are idempotent.
-    Kernel: tiered :func:`autoner_ray.stages.graph.ktruss` (driver peel
-    under the edge cap, Dataset-resident wedge-closure beyond)."""
-    from autoner_ray.stages.graph import ktruss
-
-    return ktruss(bigram_graph(docs_ds, min_count), k=k, rounds=rounds)
-
-
-def bigram_ktruss_oracle_sql(min_count: int = 50, k: int = 20,
-                             rounds: int = 3) -> str:
-    """Unrolled truss peel: support of edge (a,b) = common neighbors
-    via the bidirectional self-join; ``rounds`` filter iterations, then
-    the final support recount the engine also performs. MATERIALIZED is
-    load-bearing (same planner note as bigram_kcore_oracle_sql)."""
-    parts = []
-    for i in range(rounds + 1):
-        parts.append(f"""
-        b{i} AS MATERIALIZED (
-            SELECT subj AS a, obj AS b FROM e{i}
-            UNION ALL SELECT obj, subj FROM e{i}
-        ),
-        s{i} AS MATERIALIZED (
-            SELECT e.subj, e.obj, COUNT(*) AS sup
-            FROM e{i} e
-            JOIN b{i} x ON x.a = e.subj
-            JOIN b{i} y ON y.a = e.obj AND y.b = x.b
-            GROUP BY 1, 2
-        )""")
-        if i < rounds:
-            parts.append(f"""
-        e{i + 1} AS MATERIALIZED (
-            SELECT subj, obj FROM s{i} WHERE sup >= {k - 2}
-        )""")
-    chain = ",".join(parts)
-    return f"""
-        WITH ws AS MATERIALIZED (
-            SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-        ),
-        bg AS (
-            SELECT least(ws[i], ws[i + 1]) AS a,
-                   greatest(ws[i], ws[i + 1]) AS b
-            FROM ws, unnest(range(1, len(ws))) AS t(i)
-            WHERE ws[i] <> ws[i + 1]
-        ),
-        e0 AS MATERIALIZED (
-            SELECT a AS subj, b AS obj FROM bg
-            GROUP BY 1, 2 HAVING COUNT(*) >= {min_count}
-        ),
-        {chain}
-        SELECT subj, obj, CAST(sup AS BIGINT) AS support FROM s{rounds}
     """
 
 

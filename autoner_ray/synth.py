@@ -8,9 +8,10 @@ change between BC5CDR / NCBI-Disease / LaptopReview). The two
 non-shipped corpora can't be fetched offline, so these fixtures
 synthesize corpora of the same SHAPE from public surface inventories:
 
-- NCBI-like: single entity type (Disease), surfaces drawn from the
-  Disease rows of the reference's shipped ``data/BC5CDR/dict_core.txt``
-  (public CTD-derived inventory) embedded in PubMed-ish templates.
+- NCBI-like: single entity type (Disease), hand-listed public disease
+  names (1-3 lowercase alphabetic tokens, none a sub-span of another, so
+  the planted dictionary never false-positives) embedded in PubMed-ish
+  templates.
 - Laptop-like: single type (AspectTerm), hand-listed public-knowledge
   laptop aspect terms in review-ish templates.
 
@@ -28,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-REFERENCE_CORE_DICT = "/root/reference/data/BC5CDR/dict_core.txt"
-
 
 @dataclass
 class SynthDataset:
@@ -46,31 +45,23 @@ class SynthDataset:
     heldout_surfaces: list[str] = field(default_factory=list)
 
 
-def disease_surfaces(max_n: int = 60, max_tokens: int = 3) -> list[str]:
-    """Clean 1..max_tokens-token Disease surfaces from the reference's
-    shipped public dictionary (lowercase alpha tokens only, so the
-    synthetic templates tokenize trivially)."""
-    out: list[str] = []
-    seen: set[str] = set()
-    with open(REFERENCE_CORE_DICT, encoding="utf-8") as f:
-        for line in f:
-            ty, _, surface = line.rstrip("\n").partition("\t")
-            if ty != "Disease":
-                continue
-            toks = surface.split()
-            if not 1 <= len(toks) <= max_tokens:
-                continue
-            if not all(t.isalpha() and t.islower() and len(t) > 2
-                       for t in toks):
-                continue
-            if surface in seen:
-                continue
-            seen.add(surface)
-            out.append(surface)
-            if len(out) >= max_n:
-                break
-    return out
-
+DISEASE_SURFACES = [
+    "ataxia", "hypertension", "hypotension", "asthma", "seizures",
+    "epilepsy", "nephrotoxicity", "hepatotoxicity", "cardiotoxicity",
+    "neutropenia", "thrombocytopenia", "anemia", "arrhythmia",
+    "bradycardia", "tachycardia", "myocardial infarction",
+    "heart failure", "acute renal failure", "liver injury", "hepatitis",
+    "cirrhosis", "pancreatitis", "diabetes", "obesity", "depression",
+    "schizophrenia", "psychosis", "dementia", "parkinsonism",
+    "tardive dyskinesia", "catalepsy", "headache", "migraine", "nausea",
+    "vomiting", "diarrhea", "peripheral neuropathy", "rhabdomyolysis",
+    "myopathy", "proteinuria", "hematuria", "pulmonary edema", "stroke",
+    "cerebral hemorrhage", "leukemia", "breast cancer", "lung cancer",
+    "carcinoma", "glaucoma", "cataract", "delirium", "agranulocytosis",
+    "cholestasis", "hyperkalemia", "hypoglycemia", "encephalopathy",
+    "cardiomyopathy", "ventricular fibrillation", "bladder cancer",
+    "hepatic necrosis",
+]
 
 LAPTOP_ASPECTS = [
     "battery life", "screen", "keyboard", "touchpad", "price",
@@ -190,7 +181,7 @@ def make_distant_fixture(
 
 def ncbi_like(seed: int = 13, **kw) -> SynthDataset:
     return make_distant_fixture(
-        disease_surfaces(), "Disease", NCBI_TEMPLATES, NCBI_DISTRACTORS,
+        DISEASE_SURFACES, "Disease", NCBI_TEMPLATES, NCBI_DISTRACTORS,
         seed=seed, **kw,
     )
 

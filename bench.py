@@ -51,8 +51,8 @@ HEADLINE = [
     "minhash_neardup",
     "simhash_docs",
     "lang_id_predict",
-    "knn_cosine",
-    "embedding_neardup",
+    "kg_typed_triples",
+    "docs_curation_pipeline",
 ]
 
 

@@ -1,14 +1,13 @@
 """Near-dup operators vs brute-force single-process oracles.
 
 Pins the distributed shapes (LSH candidate join + text join-back, hot-
-bucket cap, grid-partitioned exact embedding pair join, IVF-bucketed
-approximate variant) to exact reference semantics computed in plain
+bucket cap, exact n-gram Jaccard, keep-one / keep-best cluster
+resolution) to exact reference semantics computed in plain
 numpy/python on the sf0.001 fixture.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -93,63 +92,6 @@ def test_minhash_hot_bucket_cap(ray_session):
         rd.from_arrow(mixed), max_bucket=8
     ).take_all()
     assert {(p["doc_a"], p["doc_b"]) for p in pairs} == {(50, 51)}
-
-
-def _brute_cosine_pairs(threshold: float):
-    t = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
-    ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
-    mat = np.array(t["embedding"].to_pylist(), dtype=np.float64)
-    matn = mat / (np.linalg.norm(mat, axis=1, keepdims=True) + 1e-30)
-    sims = matn @ matn.T
-    out = {}
-    n = len(ids)
-    for i in range(n):
-        for j in range(n):
-            a, b = int(ids[i]), int(ids[j])
-            if a < b and sims[i, j] >= threshold:
-                out[(a, b)] = round(float(sims[i, j]), 6)
-    return out
-
-
-def test_embedding_neardup_grid_exact(ray_session):
-    """Grid-partitioned pair join == brute-force all-pairs, including
-    when the grid has multiple blocks (block_rows < n forces B > 1 and
-    exercises both diagonal and off-diagonal grid cells)."""
-    import ray.data as rd
-
-    from autoner_ray.stages.similarity import embedding_neardup
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
-    want = _brute_cosine_pairs(0.4)
-    for block_rows in (4096, 64):  # B=1 and B=8 grids
-        got = {
-            (r["vec_a"], r["vec_b"]): r["sim"]
-            for r in embedding_neardup(
-                emb, threshold=0.4, block_rows=block_rows
-            ).take_all()
-        }
-        assert got == want, f"block_rows={block_rows}"
-    assert len(want) > 0
-
-
-def test_embedding_neardup_ivf_subset(ray_session):
-    """IVF-bucketed variant: approximate — every returned pair is a true
-    pair (exact sim value), recall may drop across list boundaries."""
-    import ray.data as rd
-
-    from autoner_ray.stages.similarity import embedding_neardup_ivf
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
-    want = _brute_cosine_pairs(0.4)
-    got = {
-        (r["vec_a"], r["vec_b"]): r["sim"]
-        for r in embedding_neardup_ivf(
-            emb, threshold=0.4, num_lists=4
-        ).take_all()
-    }
-    assert got  # finds something
-    for k, v in got.items():
-        assert k in want and want[k] == v
 
 
 def test_ngram_jaccard_exact_matches_bruteforce(ray_session):
@@ -335,33 +277,3 @@ def test_neardup_keep_best_matches_bruteforce(ray_session):
         r["doc_id"] for r in neardup_keep_one(docs).take_all()
     )
     assert got != keep_one  # the quality rule must flip >=1 winner
-
-
-def test_zorder_buckets_locality(ray_session):
-    """Morton bucketing must co-locate: every bucket's quantized bbox
-    is a strict sub-range of the full [0, 255]^2 domain whenever there
-    are >= 4 buckets, and bucket ids reconstruct from the bbox corner
-    codes (high bits of the interleave)."""
-    from autoner_ray.stages.similarity import zorder_buckets
-
-    t = zorder_buckets("/root/testdata/sf0.001").to_pandas()
-    assert t["n"].sum() == 500
-    assert len(t) >= 4
-
-    def morton(q0, q1):
-        z = 0
-        for i in range(8):
-            z |= ((q0 >> i) & 1) << (2 * i)
-            z |= ((q1 >> i) & 1) << (2 * i + 1)
-        return z
-
-    for _, r in t.iterrows():
-        # bbox corners live in the bucket they were counted under
-        for q0, q1 in ((r["min_q0"], r["min_q1"]),
-                       (r["max_q0"], r["max_q1"])):
-            assert morton(int(q0), int(q1)) >> 10 == r["bucket"]
-        # Morton cell bboxes are bounded: a 10-bit shift leaves 10
-        # interleaved low bits -> 5 per dim, so each dim spans at most
-        # 2^5 = 32 values (vs 256 for the full domain)
-        assert r["max_q0"] - r["min_q0"] <= 31
-        assert r["max_q1"] - r["min_q1"] <= 31

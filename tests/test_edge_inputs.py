@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+
+ARTIFACT = (
+    Path(__file__).resolve().parents[1]
+    / "autoner_ray" / "artifacts" / "tagger_demo.npz"
+)
 
 
 def _empty_sentences_table():
@@ -106,7 +113,7 @@ def test_pair_counts_empty_entities():
 def test_tagger_empty_sentence_list():
     from autoner_ray.state.tagger import Tagger
 
-    with open("/root/repo/autoner_ray/artifacts/tagger_demo.npz", "rb") as f:
+    with open(ARTIFACT, "rb") as f:
         tg = Tagger.from_bytes(f.read())
     assert tg.predict_batch([]) == []
     # single one-word sentence decodes without error

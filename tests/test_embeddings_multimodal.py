@@ -1,10 +1,11 @@
-"""Embedding I/O operators (S7/A6/J3) and multimodal stub stages."""
+"""Embedding I/O operators (S7/A6/J3): the reference's ``save_emb.py``
+parse, first-wins dedup and vocabulary semi-join. The file keeps its old
+name; the media half it once held is deleted."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def test_parse_embedding_lines_reference_semantics():
@@ -68,255 +69,3 @@ def test_filter_embeddings_semi_join(ray_session):
     # apple: lowercase in vocab; Pie: Pie.lower() in vocab; zebra: dropped
     assert sorted(out["word"]) == ["<unk>", "Pie", "apple", "cake"]
 
-
-def test_media_video_stub_raises_without_fake():
-    """Unsupported video containers are the one declared stub: with the
-    fake disabled they must raise, not silently emit garbage. (AVI is a
-    real codec now and must NOT raise.)"""
-    from autoner_ray.stages.multimodal import DecodeMedia
-
-    media = pa.table(
-        {
-            "media_id": ["m0"],
-            "media_type": ["video/x-fake"],
-            "payload": [b"\x00" * 64],
-            "width": pa.array([64], pa.int32()),
-            "height": pa.array([48], pa.int32()),
-            "duration_ms": pa.array([12000], pa.int32()),
-        }
-    )
-    with pytest.raises(NotImplementedError):
-        DecodeMedia(allow_fake_video=False)(media)
-
-
-def test_avi_codec_roundtrip_and_frame_sampling():
-    """Pure-python AVI: encode -> decode is exact; the frame sampler
-    decodes only stride-selected frames and matches a by-hand pool."""
-    from autoner_ray.stages.multimodal import (
-        DecodeMedia,
-        decode_avi,
-        encode_avi,
-        image_features,
-        iter_avi_frames,
-        synth_media_batch,
-        video_features,
-    )
-
-    rng = np.random.default_rng(11)
-    frames = [
-        rng.integers(0, 256, size=(24, 32, 3), dtype=np.uint8)
-        for _ in range(7)
-    ]
-    payload = encode_avi(frames, fps=2)
-    fps, back = decode_avi(payload)
-    assert fps == 2.0 and len(back) == 7
-    assert all(np.array_equal(a, b) for a, b in zip(frames, back))
-    assert sum(1 for _ in iter_avi_frames(payload)) == 7
-
-    dur_ms = 7 * 1000 // 2  # 3500
-    feat, k = video_features(payload, frame_stride_ms=1000, duration_ms=dur_ms)
-    assert k == 3  # samples at t=0s,1s,2s -> frames 0,2,4
-    want = np.mean(
-        [image_features(frames[i]) for i in (0, 2, 4)], axis=0
-    ).astype(np.float32)
-    assert np.array_equal(feat, want)
-
-    # synth video rows decode for real (no fake, no raise)
-    docs = pa.table({"doc_id": [2], "text": ["video doc"]})  # 2 % 3 -> video
-    out = DecodeMedia(allow_fake_video=False)(synth_media_batch(docs))
-    assert out["media_type"][0].as_py() == "video/avi"
-    assert len(out["features"][0].as_py()) == 64
-
-
-def test_bmp_wav_codecs_roundtrip():
-    """Pure-python codecs: encode -> decode is exact."""
-    from autoner_ray.stages.multimodal import (
-        decode_bmp,
-        decode_wav,
-        encode_bmp,
-        encode_wav,
-        resize_nearest,
-    )
-
-    rng = np.random.default_rng(3)
-    px = rng.integers(0, 256, size=(17, 23, 3), dtype=np.uint8)  # odd width
-    assert np.array_equal(decode_bmp(encode_bmp(px)), px)
-    samples = (rng.standard_normal(4321) * 10000).astype(np.int16)
-    rate, back = decode_wav(encode_wav(samples, rate=2000))
-    assert rate == 2000 and np.array_equal(back, samples)
-    small = resize_nearest(px, (8, 8))
-    assert small.shape == (8, 8, 3)
-
-
-def test_media_features_match_single_process_oracle(ray_session):
-    """Pipeline features == decoding every payload in-process (real
-    codec path for bmp/wav, declared fake for video)."""
-    import ray.data as rd
-
-    from autoner_ray.stages.multimodal import (
-        DecodeMedia,
-        media_features,
-        synth_media_batch,
-    )
-
-    docs_tbl = pa.table(
-        {
-            "doc_id": list(range(12)),
-            "text": [f"payload doc {i}" for i in range(12)],
-        }
-    )
-    got = media_features(rd.from_arrow(docs_tbl)).to_pandas()
-    want = DecodeMedia()(synth_media_batch(docs_tbl)).to_pandas()
-    got = got.sort_values("media_id").reset_index(drop=True)
-    want = want.sort_values("media_id").reset_index(drop=True)
-    assert got["media_type"].tolist() == want["media_type"].tolist()
-    a = np.array(got["features"].to_list())
-    b = np.array(want["features"].to_list())
-    assert np.array_equal(a, b)
-
-
-def test_media_features_pipeline(ray_session):
-    import ray.data as rd
-
-    from autoner_ray.stages.multimodal import FEATURE_DIM, media_features
-
-    docs = rd.from_arrow(
-        pa.table(
-            {
-                "doc_id": list(range(9)),
-                "text": [f"doc number {i}" for i in range(9)],
-            }
-        )
-    )
-    out = media_features(docs).to_pandas()
-    assert len(out) == 9
-    assert "payload" not in out.columns  # bytes shed after decode
-    assert all(len(f) == FEATURE_DIM for f in out["features"])
-    # video rows sample multiple frames; images exactly one
-    by_type = out.groupby("media_type")["n_frames_sampled"].min()
-    assert by_type["image/bmp"] == 1
-    # deterministic: same inputs -> same features
-    out2 = media_features(docs).to_pandas()
-    a = np.array(out.sort_values("media_id")["features"].to_list())
-    b = np.array(out2.sort_values("media_id")["features"].to_list())
-    assert np.array_equal(a, b)
-
-def test_y4m_codec_roundtrip_and_frame_sampling():
-    """Pure-python YUV4MPEG2 (C444): header/frame-count exact, pixel
-    roundtrip within fixed-point YUV tolerance; the stride sampler
-    converts only selected frames and matches a by-hand pool."""
-    from autoner_ray.stages.multimodal import (
-        DecodeMedia,
-        _rgb_to_yuv444,
-        _yuv444_to_rgb,
-        decode_y4m,
-        encode_y4m,
-        image_features,
-        iter_y4m_frames,
-        synth_media_batch,
-        y4m_video_features,
-    )
-
-    rng = np.random.default_rng(13)
-    frames = [
-        rng.integers(0, 256, size=(24, 32, 3), dtype=np.uint8)
-        for _ in range(7)
-    ]
-    payload = encode_y4m(frames, fps=2)
-    assert payload.startswith(b"YUV4MPEG2 W32 H24 F2:1 ")
-    fps, back = decode_y4m(payload)
-    assert fps == 2.0 and len(back) == 7
-    for a, b in zip(frames, back):
-        assert a.shape == b.shape
-        # BT.601 integer fixed-point roundtrip: small bounded error
-        assert np.abs(a.astype(int) - b.astype(int)).max() <= 4
-    assert sum(1 for _ in iter_y4m_frames(payload)) == 7
-
-    # the sampler's selected-frame features equal converting by hand
-    dur_ms = 7 * 1000 // 2
-    feat, k = y4m_video_features(
-        payload, frame_stride_ms=1000, duration_ms=dur_ms
-    )
-    assert k == 3  # t=0s,1s,2s -> frames 0,2,4
-    want = np.mean(
-        [
-            image_features(_yuv444_to_rgb(_rgb_to_yuv444(frames[i])))
-            for i in (0, 2, 4)
-        ],
-        axis=0,
-    ).astype(np.float32)
-    assert np.array_equal(feat, want)
-
-    # synth alternates containers; doc_id 5 -> (5//3)%2 == 1 -> y4m,
-    # and it decodes for REAL with the fake path disabled (the default)
-    docs = pa.table({"doc_id": [5], "text": ["video doc"]})
-    out = DecodeMedia()(synth_media_batch(docs))
-    assert out["media_type"][0].as_py() == "video/y4m"
-    assert len(out["features"][0].as_py()) == 64
-
-
-def test_y4m_rejects_unsupported_colorspace():
-    import pytest
-
-    from autoner_ray.stages.multimodal import decode_y4m
-
-    bad = b"YUV4MPEG2 W2 H2 F2:1 Ip A1:1 C420\nFRAME\n" + b"\x00" * 6
-    with pytest.raises(NotImplementedError):
-        decode_y4m(bad)
-
-
-def test_ppm_aiff_codecs_roundtrip():
-    """PPM (P6, incl. header comments) and AIFF (80-bit-float sample
-    rate) codecs: encode -> decode exact; synth alternates containers
-    within each media class and every row decodes for real."""
-    from autoner_ray.stages.multimodal import (
-        DecodeMedia,
-        _f80_decode,
-        _f80_encode,
-        decode_aiff,
-        decode_ppm,
-        encode_aiff,
-        encode_ppm,
-        synth_media_batch,
-    )
-
-    rng = np.random.default_rng(6)
-    px = rng.integers(0, 256, size=(17, 23, 3), dtype=np.uint8)
-    assert np.array_equal(decode_ppm(encode_ppm(px)), px)
-    # header with a comment line still parses
-    commented = b"P6\n# made by hand\n23 17\n255\n" + px.tobytes()
-    assert np.array_equal(decode_ppm(commented), px)
-    samples = (rng.standard_normal(4321) * 10000).astype(np.int16)
-    rate, back = decode_aiff(encode_aiff(samples, rate=2000))
-    assert rate == 2000 and np.array_equal(back, samples)
-    for r in (1, 2000, 8000, 44100, 48000, 96000):
-        assert _f80_decode(_f80_encode(r)) == r
-
-    # synth: doc_ids 0..11 cover both containers of all three classes
-    docs = pa.table(
-        {
-            "doc_id": list(range(12)),
-            "text": [f"doc {i}" for i in range(12)],
-        }
-    )
-    media = synth_media_batch(docs)
-    kinds = set(media["media_type"].to_pylist())
-    assert kinds == {
-        "image/bmp", "image/ppm", "audio/wav", "audio/aiff",
-        "video/avi", "video/y4m",
-    }
-    out = DecodeMedia(allow_fake_video=False)(media)
-    assert all(len(f) == 64 for f in out["features"].to_pylist())
-    # container choice must not change the features: same content seed,
-    # only the encoding differs between wav and aiff rows of one doc
-    from autoner_ray.stages.multimodal import (
-        audio_features,
-        decode_wav,
-        encode_wav,
-    )
-
-    wav_payload = encode_wav(samples, rate=2000)
-    aiff_payload = encode_aiff(samples, rate=2000)
-    fa = audio_features(decode_wav(wav_payload)[1])
-    fb = audio_features(decode_aiff(aiff_payload)[1])
-    assert np.array_equal(fa, fb)

@@ -17,6 +17,7 @@ from autoner_ray.functions.ck import to_ck
 from autoner_ray.state.trie import build_trie, segment_dp
 
 REF = Path("/root/reference")
+REPO = Path(__file__).resolve().parents[1]
 WORK = Path("/tmp/refrun")
 
 
@@ -96,7 +97,7 @@ def test_published_dictionary_match_f1_reproduced():
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "/root/repo/scripts/eval_bc5cdr_dictmatch.py"],
+        [sys.executable, str(REPO / "scripts" / "eval_bc5cdr_dictmatch.py")],
         capture_output=True, text=True, check=True,
     )
     rows = [json.loads(l) for l in proc.stdout.strip().splitlines()]

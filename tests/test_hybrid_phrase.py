@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pyarrow as pa
 
-ARTIFACT = "/root/repo/autoner_ray/artifacts/tagger_demo.npz"
+ARTIFACT = (
+    Path(__file__).resolve().parents[1]
+    / "autoner_ray" / "artifacts" / "tagger_demo.npz"
+)
 
 
 def test_phrase_markup_parser():

@@ -1,6 +1,6 @@
 """Brute-force equivalence pins for the late round-4 operators:
 keyed_combine (re-associative min across split batches),
-new_users_daily, lang_hot_ngrams, grid_histogram, clustering_coeff."""
+new_users_daily, lang_hot_ngrams, clustering_coeff."""
 
 from __future__ import annotations
 
@@ -112,35 +112,6 @@ def test_lang_hot_ngrams_bruteforce(ray_session):
     )
 
 
-def test_grid_histogram_bruteforce(ray_session):
-    import ray
-
-    from autoner_ray.stages.similarity import grid_histogram
-
-    emb = pd.read_parquet(f"{SF}/embeddings.parquet")
-    got = (
-        grid_histogram(ray.data.read_parquet(f"{SF}/embeddings.parquet"))
-        .to_pandas()
-        .sort_values(["gx", "gy"])
-        .reset_index(drop=True)
-    )
-    mat = np.array(emb["embedding"].tolist(), dtype=np.float64)
-    want = (
-        pd.DataFrame(
-            {
-                "gx": np.floor(mat[:, 0] * 4).astype(np.int64),
-                "gy": np.floor(mat[:, 1] * 4).astype(np.int64),
-            }
-        )
-        .value_counts()
-        .rename("n")
-        .reset_index()
-        .sort_values(["gx", "gy"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want.astype({"n": "int64"}))
-
-
 def test_clustering_coeff_bruteforce(ray_session):
     """cc_ppm against a dense-adjacency numpy reference on a small
     random graph."""
@@ -237,48 +208,6 @@ def test_bigram_collocations_tiers_agree(ray_session):
     a, b = rows(2_000_000), rows(0)
     pd.testing.assert_frame_equal(a, b)
     assert len(a) == 20
-
-
-def test_pagerank_personalized_bruteforce(ray_session):
-    """Seeded power iteration against a dense numpy reference."""
-    import ray
-
-    from autoner_ray.stages.graph import pagerank_personalized
-
-    rng = np.random.default_rng(3)
-    n_nodes = 12
-    adj = np.triu(rng.random((n_nodes, n_nodes)) < 0.4, k=1)
-    subj, obj = np.nonzero(adj)
-    w = rng.integers(1, 5, size=len(subj))
-    names = np.array([f"e{i:02d}" for i in range(n_nodes)])
-    edges = pa.table(
-        {
-            "subj": pa.array(names[subj]),
-            "obj": pa.array(names[obj]),
-            "weight": pa.array(w, pa.int64()),
-        }
-    )
-    got = pagerank_personalized(
-        ray.data.from_arrow(edges)
-    ).to_pandas().set_index("entity")["rank"]
-
-    W = np.zeros((n_nodes, n_nodes))
-    W[subj, obj] = w
-    W = W + W.T
-    deg = W.sum(axis=1)
-    keep = deg > 0
-    M = np.zeros_like(W)
-    M[keep] = (W[keep].T / deg[keep]).T  # row-stochastic
-    kept_names = names[keep]
-    e_s = np.zeros(n_nodes)
-    e_s[np.argmax(keep)] = 1.0  # lexicographic min = first kept node
-    r = e_s.copy()
-    for _ in range(20):
-        r = 0.15 * e_s + 0.85 * (M.T @ r)
-    for i, name in enumerate(names):
-        if keep[i]:
-            assert abs(got[name] - round(float(r[i]), 6)) < 2e-6, name
-    assert abs(got.sum() - 1.0) < 1e-4  # probability mass conserved
 
 
 def test_text_format_roundtrip_fidelity(ray_session, tmp_path):
@@ -400,30 +329,6 @@ def test_poly_gram_hash_matches_rolling_short_doc():
     hs = _poly_gram_hashes(text.split(" "), k=8)
     assert len(hs) == 1
     assert f"{hs[0]:016x}" == rolling_fingerprint(text, window=8)
-
-
-def test_kcore_tier_equality():
-    """Driver-peel and Dataset-resident k-core agree on the thresholded
-    bigram graph (the distributed tier is the at-scale default path)."""
-    import ray
-
-    from autoner_ray.stages.graph import kcore, kcore_distributed
-    from autoner_ray.stages.webtext import bigram_graph
-
-    docs = ray.data.read_parquet(
-        f"{SF}/documents.parquet", columns=["doc_id", "text"]
-    )
-    edges = bigram_graph(docs, min_count=75).materialize()
-    drv = (
-        kcore(edges, k=2).to_pandas()
-        .sort_values("entity").reset_index(drop=True)
-    )
-    dist = (
-        kcore_distributed(edges, k=2).to_pandas()
-        .sort_values("entity").reset_index(drop=True)
-    )
-    assert len(drv) > 0  # the fixture graph has a non-empty 2-core
-    pd.testing.assert_frame_equal(drv, dist)
 
 
 def test_dau_wau_bruteforce(ray_session):
@@ -655,153 +560,6 @@ def test_pack_sequences_bruteforce(ray_session):
         .astype("int64")
     )
     pd.testing.assert_frame_equal(got.astype("int64"), exp)
-
-
-def test_kmeans_lattice_three_iterations(ray_session):
-    """The unrolled SQL twin generalizes beyond the driver default:
-    engine and DuckDB agree at n_iter=3 / k=3 too."""
-    import duckdb
-    import ray
-
-    from autoner_ray.stages.similarity import (
-        kmeans_lattice,
-        kmeans_lattice_oracle_sql,
-    )
-
-    sf = SF
-    got = (
-        kmeans_lattice(
-            ray.data.read_parquet(f"{sf}/embeddings.parquet"),
-            k=3, n_iter=3,
-        )
-        .to_pandas()
-        .sort_values("cluster")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.execute(
-        "CREATE VIEW embeddings AS SELECT * FROM "
-        f"'{sf}/embeddings.parquet'"
-    )
-    exp = (
-        con.execute(kmeans_lattice_oracle_sql(k=3, n_iter=3))
-        .df()
-        .sort_values("cluster")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        got.astype("int64"), exp.astype("int64")
-    )
-
-
-def test_ktruss_tier_equality(ray_session):
-    """Driver-peel and Dataset-resident k-truss agree on the bigram
-    collocation graph — including a config where peeling actually
-    removes edges round over round (mc=50, k=20 peels 393->369 at
-    sf0.001). The distributed tier is the at-scale default path."""
-    import ray
-
-    from autoner_ray.stages.graph import ktruss, ktruss_distributed
-    from autoner_ray.stages.webtext import bigram_graph
-
-    docs = ray.data.read_parquet(
-        f"{SF}/documents.parquet", columns=["doc_id", "text"]
-    )
-    edges = bigram_graph(docs, min_count=50).materialize()
-
-    def canon(df):
-        lo = np.minimum(df["subj"], df["obj"])
-        hi = np.maximum(df["subj"], df["obj"])
-        out = pd.DataFrame(
-            {"subj": lo, "hi": hi, "support": df["support"]}
-        ).rename(columns={"hi": "obj"})
-        return out.sort_values(["subj", "obj"]).reset_index(drop=True)
-
-    drv = canon(ktruss(edges, k=20, rounds=3).to_pandas())
-    dist = canon(
-        ktruss_distributed(edges, k=20, rounds=3).to_pandas()
-    )
-    assert len(drv) > 0  # survivors exist after 3 peel rounds
-    assert len(drv) < edges.count()  # and peeling removed edges
-    pd.testing.assert_frame_equal(drv, dist)
-
-
-def test_knn_pq_matches_single_process(ray_session):
-    """Distributed PQ-ADC top-k equals a one-process recompute of the
-    same deterministic contract (lattice codebooks, int64 ADC lookup,
-    vec_id-ascending tiebreak), and the codebooks it searches with are
-    exactly _pq_train's."""
-    import ray
-
-    from autoner_ray.stages.similarity import (
-        _pq_quantized,
-        _pq_sub_assign,
-        _pq_train,
-        knn_pq,
-    )
-
-    emb = ray.data.read_parquet(f"{SF}/embeddings.parquet")
-    full = emb.to_pandas().sort_values("vec_id").reset_index(drop=True)
-    q = np.asarray(full["embedding"].iloc[7], dtype=np.float64)
-
-    got = knn_pq(emb, q, k_top=10, m=4, kc=16, n_iter=2).to_pandas()
-
-    cents = _pq_train(emb, m=4, k=16, n_iter=2)
-    sub = cents.shape[2]
-    qi = np.floor(q * 1048576.0 + 0.5).astype(np.int64)
-    lut = np.stack(
-        [((qi[ms * sub:(ms + 1) * sub][None] - cents[ms]) ** 2).sum(1)
-         for ms in range(4)]
-    )
-    qv = _pq_quantized(
-        pa.table(
-            {
-                "embedding": pa.array(
-                    list(full["embedding"]), pa.list_(pa.float32())
-                )
-            }
-        )
-    )
-    labs, _ = _pq_sub_assign(qv, cents)
-    dist = sum(lut[ms][labs[:, ms]] for ms in range(4))
-    ids = full["vec_id"].to_numpy(np.int64)
-    order = np.lexsort((ids, dist))[:10]
-    exp = pd.DataFrame(
-        {"vec_id": ids[order], "adc_dist": dist[order]}
-    ).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp)
-    assert (got["adc_dist"].to_numpy() >= 0).all()
-
-
-def test_hits_lattice_hand_computed(ray_session):
-    import ray
-
-    from autoner_ray.stages.graph import hits_lattice
-
-    # two hubs, two auths: s1 -(3)-> e1, s1 -(1)-> e2, s2 -(1)-> e2
-    edges = ray.data.from_arrow(
-        pa.table(
-            {
-                "src": pa.array(["s1", "s1", "s2"]),
-                "ent": pa.array(["e1", "e2", "e2"]),
-                "w": pa.array([3, 1, 1], pa.int64()),
-            }
-        )
-    )
-    got = (
-        hits_lattice(edges, iters=1, scale=1_000_000)
-        .to_pandas()
-        .set_index("node")
-    )
-    # iter 1: a_raw = {e1: 3M, e2: 2M}, total 5M
-    #         a = {e1: 600000, e2: 400000}
-    # h_raw = {s1: 3*600000 + 400000 = 2.2M, s2: 400000}, total 2.6M
-    # h = floor(2.2M*1M/2.6M)=846153, floor(0.4M*1M/2.6M)=153846
-    assert got.loc["e1", "score"] == 600_000
-    assert got.loc["e2", "score"] == 400_000
-    assert got.loc["s1", "score"] == 846_153
-    assert got.loc["s2", "score"] == 153_846
-    assert set(got["kind"]) == {"hub", "authority"}
 
 
 def test_q12_band_clamp_and_inner_join(ray_session, tmp_path):

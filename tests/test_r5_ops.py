@@ -146,39 +146,6 @@ def test_dsir_weights_favor_target_lang(ray_session, tmp_path):
     assert out[1] == out[2]         # weight depends on words, not lang
 
 
-def test_hard_negatives_excludes_same_label(ray_session, tmp_path):
-    """The mined negative is the most-similar DIFFERENT-label vector
-    even when a same-label vector is closer; all-same-label corpora
-    emit no rows."""
-    import pyarrow.parquet as pq
-
-    from autoner_ray.stages.similarity import hard_negatives
-
-    vecs = [
-        ([1.0, 0.0, 0.0], 0),   # 0: query
-        ([0.99, 0.14, 0.0], 0),  # 1: closest overall, SAME label
-        ([0.9, 0.43, 0.0], 1),   # 2: closest different-label
-        ([0.0, 1.0, 0.0], 1),    # 3
-    ]
-    pq.write_table(
-        pa.table(
-            {
-                "vec_id": pa.array(range(len(vecs)), pa.int64()),
-                "embedding": pa.array(
-                    [v for v, _ in vecs], pa.list_(pa.float32())
-                ),
-                "label": pa.array([l for _, l in vecs], pa.int32()),
-            }
-        ),
-        f"{tmp_path}/embeddings.parquet",
-    )
-    out = {
-        r["vec_id"]: r for r in hard_negatives(str(tmp_path)).take_all()
-    }
-    assert out[0]["neg_id"] == 2 and out[0]["neg_label"] == 1
-    assert out[1]["neg_id"] == 2
-
-
 def test_snapshot_diff_statuses(ray_session):
     """doc_id 0: A-absent -> added (0%5==0 mutation irrelevant);
     1: B-absent -> removed; 5: in both, text mutated -> changed;
@@ -192,32 +159,3 @@ def test_snapshot_diff_statuses(ray_session):
     }
     assert out == {0: "added", 1: "removed", 2: "unchanged",
                    5: "changed"}
-
-
-def test_image_dhash_invariance_and_pairs():
-    """dHash is invariant to container roundtrip, within 2 bits of a
-    one-pixel perturbation, and far from an unrelated image."""
-    import numpy as np
-
-    from autoner_ray.stages.multimodal import (
-        decode_bmp,
-        encode_bmp,
-        encode_ppm,
-        decode_ppm,
-        image_dhash,
-    )
-
-    rng = np.random.default_rng(5)
-    px = rng.integers(0, 256, size=(48, 64, 3), dtype=np.uint8)
-    h0 = image_dhash(px)
-    assert image_dhash(decode_bmp(encode_bmp(px))) == h0
-    assert image_dhash(decode_ppm(encode_ppm(px))) == h0
-
-    vx = px.copy()
-    vx[0, 0, 0] ^= 0x80
-    hv = image_dhash(vx)
-    assert bin((h0 & (2**64 - 1)) ^ (hv & (2**64 - 1))).count("1") <= 2
-
-    other = rng.integers(0, 256, size=(48, 64, 3), dtype=np.uint8)
-    ho = image_dhash(other)
-    assert bin((h0 & (2**64 - 1)) ^ (ho & (2**64 - 1))).count("1") > 10

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from autoner_ray.synth import (
-    REFERENCE_CORE_DICT,
-    disease_surfaces,
+    DISEASE_SURFACES,
     laptop_like,
     ncbi_like,
     train_eval_distant,
@@ -35,7 +34,6 @@ def _held_recall(ds, tagger):
     return hh / max(hg, 1)
 
 
-@pytest.mark.requires_reference(REFERENCE_CORE_DICT)
 def test_fixtures_deterministic_and_well_formed():
     a, b = ncbi_like(), ncbi_like()
     assert a.train_sents == b.train_sents and a.eval_gold == b.eval_gold
@@ -49,17 +47,14 @@ def test_fixtures_deterministic_and_well_formed():
     for toks, gold in zip(a.eval_sents, a.eval_gold):
         for l, r, t in gold:
             assert t == "Disease" and 0 <= l < r <= len(toks)
-    # surfaces really come from the reference's public Disease inventory
-    assert "ataxia" in disease_surfaces() or len(disease_surfaces()) == 60
+    # surfaces come from the in-repo public Disease inventory
+    assert "ataxia" in DISEASE_SURFACES and len(DISEASE_SURFACES) == 60
 
 
 @pytest.mark.parametrize(
     "make,min_held",
     [
-        pytest.param(
-            ncbi_like, 0.25,
-            marks=pytest.mark.requires_reference(REFERENCE_CORE_DICT),
-        ),
+        (ncbi_like, 0.25),
         (laptop_like, 0.6),
     ],
     ids=["ncbi_like", "laptop_like"],
@@ -78,7 +73,6 @@ def test_neural_beats_incomplete_dictionary(make, min_held):
     assert _held_recall(ds, tagger) >= min_held
 
 
-@pytest.mark.requires_reference(REFERENCE_CORE_DICT)
 def test_self_training_round_adds_pseudo_spans():
     """One self-training round on the second dataset carves model
     predictions into FILTERED gaps and does not hurt eval F1."""

@@ -1,8 +1,6 @@
-"""Hypothesis property pins for this session's pure kernels (no Ray):
-URL canonicalizer invariants and PPM/AIFF codec roundtrips on arbitrary
-shapes."""
+"""Hypothesis property pins for the URL canonicalizer's invariants
+(pure kernel, no Ray)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,32 +63,3 @@ def test_canonicalize_query_order_invariant(params):
     random.Random(0).shuffle(shuffled)
     qs2 = "&".join(f"{k}={v}" for k, v in shuffled)
     assert canonicalize_url(base + qs1) == canonicalize_url(base + qs2)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(1, 12), st.integers(1, 12),
-    st.integers(0, 2**32 - 1),
-)
-def test_ppm_roundtrip(h, w, seed):
-    from autoner_ray.stages.multimodal import decode_ppm, encode_ppm
-
-    px = np.random.default_rng(seed).integers(
-        0, 256, size=(h, w, 3), dtype=np.uint8
-    )
-    assert np.array_equal(decode_ppm(encode_ppm(px)), px)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(1, 500), st.sampled_from([1, 2000, 44100, 96000]),
-    st.integers(0, 2**32 - 1),
-)
-def test_aiff_roundtrip(n, rate, seed):
-    from autoner_ray.stages.multimodal import decode_aiff, encode_aiff
-
-    samples = (
-        np.random.default_rng(seed).standard_normal(n) * 10000
-    ).astype(np.int16)
-    r, back = decode_aiff(encode_aiff(samples, rate=rate))
-    assert r == rate and np.array_equal(back, samples)

@@ -25,9 +25,10 @@ from autoner_ray.state.tagger import (
     spans_from_segments,
     token_budget_batches,
 )
-from autoner_ray.synth import REFERENCE_CORE_DICT
 
-ARTIFACT = "/root/repo/autoner_ray/artifacts/tagger_demo.npz"
+REPO = Path(__file__).resolve().parents[1]
+ARTIFACT = REPO / "autoner_ray" / "artifacts" / "tagger_demo.npz"
+BC5CDR = Path("/root/reference/data/BC5CDR")
 
 
 def test_encode_sentence_layout():
@@ -186,12 +187,10 @@ def test_mentions_to_tsv_reference_shape():
     assert text.endswith("\n\n")   # trailing blank per batch
 
 
-def _artifact_f1(path: str, split: str, limit: int = 1500):
+def _artifact_f1(path: Path, split: str, limit: int = 1500):
     import sys
 
-    sys.path.insert(0, "/root/repo/scripts")
-    from pathlib import Path
-
+    sys.path.insert(0, str(REPO / "scripts"))
     from eval_bc5cdr_dictmatch import parse_gold
 
     from autoner_ray.state.tagger import (
@@ -202,9 +201,7 @@ def _artifact_f1(path: str, split: str, limit: int = 1500):
 
     with open(path, "rb") as f:
         tg = Tagger.from_bytes(f.read())
-    gold = parse_gold(
-        Path(f"/root/reference/data/BC5CDR/truth_{split}.ck")
-    )[:limit]
+    gold = parse_gold(BC5CDR / f"truth_{split}.ck")[:limit]
     ng = npd = nh = 0
     toks_all = [t for t, _ in gold]
     for i in range(0, len(toks_all), 256):
@@ -215,7 +212,7 @@ def _artifact_f1(path: str, split: str, limit: int = 1500):
     return f1_from_counts(ng, npd, nh)
 
 
-@pytest.mark.requires_reference(Path(REFERENCE_CORE_DICT).parent)
+@pytest.mark.requires_reference(BC5CDR)
 def test_bc5cdr_artifact_f1():
     """The committed artifacts hold their trained quality on the human
     gold TEST split (never used in training by either recipe):
@@ -235,11 +232,11 @@ def test_bc5cdr_artifact_f1():
       but dev selection is the honest rule); round 3 was 0.827,
       round 2 was 0.744."""
     stats = _artifact_f1(
-        "/root/repo/autoner_ray/artifacts/tagger_bc5cdr.npz", "test"
+        REPO / "autoner_ray" / "artifacts" / "tagger_bc5cdr.npz", "test"
     )
     assert stats["f1"] >= 0.84, stats
     stats = _artifact_f1(
-        "/root/repo/autoner_ray/artifacts/tagger_bc5cdr_distant.npz",
+        REPO / "autoner_ray" / "artifacts" / "tagger_bc5cdr_distant.npz",
         "test",
     )
     assert stats["f1"] >= 0.845, stats

@@ -4,7 +4,6 @@ n_workers=2 reaches the same dev span-F1 within noise on the
 synthetic distant corpus."""
 
 import numpy as np
-import pytest
 
 from autoner_ray.state.tagger import (
     Tagger,
@@ -18,7 +17,7 @@ from autoner_ray.state.tagger import (
     word_dropout_records,
 )
 from autoner_ray.state.trie import FILTERED_TYPE
-from autoner_ray.synth import REFERENCE_CORE_DICT, ncbi_like
+from autoner_ray.synth import ncbi_like
 
 _EPOCHS = 8           # bit-exact pin needs no convergence
 _EPOCHS_F1 = 20       # the F1 comparison does (test_second_dataset bar)
@@ -79,7 +78,6 @@ def _dev_f1(ds, tagger):
     return f1_from_counts(ng, npred, nh)
 
 
-@pytest.mark.requires_reference(REFERENCE_CORE_DICT)
 def test_dp_one_worker_bit_exact(ray_session):
     """Per-epoch parameter averaging with ONE shard is the identity:
     every trained parameter matrix is bit-identical to the
@@ -99,7 +97,6 @@ def test_dp_one_worker_bit_exact(ray_session):
         assert np.array_equal(want.params[k], got.params[k]), k
 
 
-@pytest.mark.requires_reference(REFERENCE_CORE_DICT)
 def test_dp_two_workers_same_f1_within_noise(ray_session):
     """2-worker local-SGD with per-epoch sync lands in the same basin:
     dev span-F1 within 0.08 of the single-process run, and both far

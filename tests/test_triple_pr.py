@@ -23,6 +23,7 @@ import pyarrow.parquet as pq
 import pytest
 
 REF = Path("/root/reference")
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _oracle_edges_from_sentences(sent_tokens, matcher):
@@ -77,7 +78,7 @@ def test_triple_pr_bc5cdr(ray_session):
     """Real-corpus check: BC5CDR sentences + real dictionaries."""
     import sys
 
-    sys.path.insert(0, "/root/repo/scripts")
+    sys.path.insert(0, str(REPO / "scripts"))
     import ray.data as rd
     from bench_reference import sentences_from_lines
 
