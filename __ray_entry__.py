@@ -1,10 +1,11 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``entry()`` runs the flagship KG pipeline at sf0.001. ``queries()`` maps
-operator names (SURVEY.md §2 inventory + training-data extensions) to
-callables over an ``sf_dir``; ``oracle_sql()`` holds the DuckDB twin for
-every SQL-expressible query (tables region nation customer supplier part
-orders lineitem events documents embeddings are pre-registered views).
+the KG and web-data curation operators to callables over an ``sf_dir``;
+``oracle_sql()`` holds the DuckDB twin for every SQL-expressible query
+(every twin reads the pre-registered ``documents`` view). The driver
+checks the first 50 ``queries()`` entries: 27 KG queries, then 23
+curation and KG-export queries, all oracle-backed.
 Non-SQL-expressible pipelines (full trie/DP matching, MinHash LSH, SimHash,
 lang-id) are rows-only here and pinned by pytest oracle tests
 instead (tests/test_golden_reference.py byte-diffs the reference binary).
@@ -23,9 +24,6 @@ from autoner_ray.dicts import unigram_dict_sql_values
 URL = "'https://example.org/doc/' || CAST(doc_id AS VARCHAR)"
 # word stream of a document — matches the engine tokenizer on this corpus
 WORDS = "string_split(text, ' ')"
-_REV_CENTS = (
-    "CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)"
-)
 # PII defaults + one corpus-hitting keyword pattern so the value-hash
 # check is non-trivial on the synthetic documents table (RE2 both sides)
 _AUDIT_PATTERNS = {
@@ -90,13 +88,12 @@ _DECONTAM_SQL = """
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from autoner_ray.cluster import tune_data_context
-    from autoner_ray.pipelines import kg, relational
+    from autoner_ray.pipelines import kg
     from autoner_ray.sources import pages, text_formats, warc
 
     tune_data_context()
     from autoner_ray.stages import (
         analysis,
-        asof,
         bpe,
         decontam,
         dedup,
@@ -105,31 +102,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         sketches,
         urltools,
         webtext,
-        windows,
     )
 
     def _docs(sf_dir, columns=None):
         import ray.data as rd
 
         return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
-
-    def _events(sf_dir, columns=None):
-        import ray.data as rd
-
-        return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
-
-    def _lineitem_discount_fit(sf_dir):
-        import ray.data as rd
-
-        from autoner_ray.stages.stats import grouped_linear_fit
-
-        return grouped_linear_fit(
-            rd.read_parquet(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_returnflag", "l_quantity", "l_discount"],
-            ),
-            key="l_returnflag", x_col="l_quantity", y_col="l_discount",
-        )
 
     def pages_extract_text(sf_dir):
         return kg.extracted_pages(sf_dir).select_columns(["url", "text"])
@@ -323,7 +301,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     # NOTE dict ORDER is load-bearing: the driver's correctness gate
-    # checks the first 50 entries. All 50 oracle-backed queries come
+    # checks the first 50 entries (pinned by WINDOW in
+    # tests/test_driver_contract.py). All 50 oracle-backed queries come
     # first — the gate window is fully hash-checked; every rows-only
     # query after it is pinned elsewhere (pytest golden/oracle tests
     # or an oracle-backed twin above).
@@ -365,59 +344,84 @@ def queries() -> dict[str, Callable[[str], Any]]:
             kg.unigram_connected_components(sf)
         ),
         "kg_bfs_distances": lambda sf: kg.unigram_bfs_distances(sf),
-        # --- oracle-backed: relational operator probes -------------------
-        "q1_pricing_summary": relational.q1_pricing_summary,
-        "q1_incremental_maintenance": (
-            relational.q1_incremental_maintenance
+        # --- oracle-backed: curation (language, quality, exact dedup) ---
+        "docs_lang_counts": docs_lang_counts,
+        "docs_quality": docs_quality,
+        "docs_md5": docs_md5,
+        "docs_exact_dedup": docs_exact_dedup,
+        "docs_quality_filter": docs_quality_filter,
+        # --- oracle-backed: near-dup signatures, pairs and survivors ----
+        "simhash_docs": simhash_docs,
+        "ngram_jaccard_exact": lambda sf: dedup.ngram_jaccard_exact_pairs(
+            _docs(sf, ["doc_id", "text"])
         ),
-        "top_customers_by_revenue": relational.top_customers_by_revenue,
-        "brand_revenue": relational.brand_revenue,
-        "region_supplier_count": relational.region_supplier_count,
-        "top_orders": relational.top_orders,
-        "distinct_segments": relational.distinct_segments,
-        "customers_without_orders": relational.customers_without_orders,
-        "top_order_per_customer": relational.top_order_per_customer,
-        "order_price_quantiles": relational.order_price_quantiles,
-        "customer_revenue_ntile": relational.customer_revenue_ntile,
-        "order_pareto_frontier": relational.order_pareto_frontier,
-        "orders_monthly_trend": relational.orders_monthly_trend,
-        "customer_order_recency": relational.customer_order_recency,
-        "lineitem_discount_fit": _lineitem_discount_fit,
-        # --- oracle-backed: event windows --------------------------------
-        "events_hourly": lambda sf: windows.hourly_counts(_events(sf, ['ts', 'event_type', 'value'])),
-        "events_user_stats": lambda sf: windows.user_stats(_events(sf, ['ts', 'user_id', 'value'])),
-        "events_sessionize": lambda sf: windows.sessionize(_events(sf, ['event_id', 'ts', 'user_id'])),
-        "events_hourly_ffill": lambda sf: windows.hourly_ffill(_events(sf, ['event_id', 'ts', 'user_id', 'value'])),
-        "events_trimmed_mean": lambda sf: windows.trimmed_mean_by_type(
-            _events(sf, ['event_type', 'value'])
+        "simhash_neardup": lambda sf: dedup.simhash_neardup_pairs(
+            _docs(sf, ["doc_id", "text"])
         ),
-        "events_survival_km": lambda sf: windows.survival_km(_events(sf, ['ts', 'user_id', 'event_type'])),
-        "events_encoding_advisor": lambda sf: windows.encoding_advisor(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
+        "docs_neardup_keep_one": lambda sf: dedup.neardup_keep_one(
+            _docs(sf, ["doc_id", "text"])
         ),
-        "events_late_arrivals": lambda sf: windows.late_arrivals(
-            _events(sf, ['event_id', 'ts', 'user_id'])
+        "docs_neardup_keep_one_lsh": lambda sf: dedup.neardup_keep_one(
+            _docs(sf, ["doc_id", "text"]), pair_source="lsh"
         ),
-        "events_last_touch": lambda sf: windows.last_touch_attribution(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
+        "docs_neardup_cluster_sizes": lambda sf: (
+            dedup.neardup_cluster_sizes(_docs(sf, ["doc_id", "text"]))
         ),
-        "events_first_touch": lambda sf: windows.first_touch_attribution(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
+        "docs_neardup_keep_best": lambda sf: dedup.neardup_keep_best(
+            _docs(sf, ["doc_id", "text"])
         ),
-        "events_markov_entropy": lambda sf: windows.markov_entropy_rate(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
+        "minhash_neardup": minhash_neardup,
+        # --- oracle-backed: decontamination + the curation composition --
+        # benchmark side = doc_id % 10 == 0 (deterministic synthetic
+        # "test set"); corpus side = the rest. n=8 per GPT-3 App. C.
+        "docs_decontaminate": lambda sf: decontam.contamination_hits(
+            _docs(sf, ["doc_id", "text"]).map_batches(
+                lambda t: t.filter(_mod10_mask(t, invert=True)),
+                batch_format="pyarrow",
+            ),
+            _docs(sf, ["doc_id", "text"]).map_batches(
+                lambda t: t.filter(_mod10_mask(t)),
+                batch_format="pyarrow",
+            ),
+            n=8,
         ),
-        "events_dispersion_index": lambda sf: windows.dispersion_index(
-            _events(sf, ['ts', 'event_type'])
+        # within-corpus exact window duplication (Lee et al. 2022
+        # substring-dedup signal, doc-level counts); n=8 so the
+        # synthetic corpus has measurable overlap density
+        "docs_crossdoc_dup_windows": lambda sf: (
+            decontam.crossdoc_dup_windows(
+                _docs(sf, ["doc_id", "text"]), n=8
+            )
         ),
+        "docs_dup_gram_coverage": lambda sf: dedup.dup_gram_coverage(
+            _docs(sf, ["doc_id", "text"])
+        ),
+        "docs_curation_pipeline": lambda sf: __import__(
+            "autoner_ray.pipelines.curation",
+            fromlist=["curation_pipeline"],
+        ).curation_pipeline(sf),
+        # --- oracle-backed: KG vocabulary, schema and exports ------------
+        "vocab_negative_samples": lambda sf: kg.negative_samples(
+            webtext.bigram_graph(
+                _docs(sf, ["doc_id", "text"]), min_count=75
+            )
+        ),
+        "docs_entity_density": lambda sf: kg.unigram_entity_density(sf),
+        "kg_type_schema_census": (
+            lambda sf: kg.unigram_type_schema_census(sf)
+        ),
+        "kg_ntriples_export": lambda sf: kg.unigram_ntriples(sf),
+        # temporal KG provenance: per-entity / per-edge crawl lineage
+        "kg_entity_timeline": kg.unigram_entity_timeline,
+        "kg_triples_temporal": kg.unigram_triples_temporal,
+        # --- past the window: oracle-backed ones are checked by the local
+        # gate (scripts/check_correctness.py) ----------------------------
         "docs_postings_delta": lambda sf: analysis.postings_delta_encoding(
             _docs(sf, ["doc_id", "text"])
         ),
         "docs_feature_hashing": lambda sf: analysis.feature_hashing_stats(
             _docs(sf, ["doc_id", "text"])
         ),
-        "customer_k_anonymity": relational.customer_k_anonymity,
-        "orders_benford": relational.orders_benford,
         "docs_spearman_len_tokens": _docs_spearman,
         "docs_lorenz_deciles": _docs_lorenz,
         "docs_hoover_index": _docs_hoover,
@@ -438,45 +442,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
             _docs(sf, ["doc_id", "source", "text"])
         ),
         "docs_schema_evolution": text_formats.schema_evolution_read,
-        "vocab_negative_samples": lambda sf: kg.negative_samples(
-            webtext.bigram_graph(
-                _docs(sf, ["doc_id", "text"]), min_count=75
-            )
-        ),
-        "events_sliding_window": lambda sf: windows.sliding_hourly(
-            _events(sf, ['ts', 'event_type', 'value'])
-        ),
-        "events_running_totals": lambda sf: windows.user_running_totals(
-            _events(sf, ['event_id', 'ts', 'user_id', 'value'])
-        ),
-        # strict-order view -> click -> purchase completion funnel
-        "events_funnel": lambda sf: windows.funnel_counts(_events(sf, ['ts', 'user_id', 'event_type'])),
-        "events_cohort_ltv": lambda sf: windows.cohort_ltv(
-            _events(sf, ['ts', 'user_id', 'value'])
-        ),
-        "events_funnel_latency": lambda sf: (
-            windows.funnel_latency_quantiles(
-                _events(sf, ['ts', 'user_id', 'event_type'])
-            )
-        ),
-        "events_value_quantiles": lambda sf: windows.value_quantiles_by_type(
-            _events(sf, ['event_type', 'value'])
-        ),
-        # first-event-day cohorts x distinct active day offsets
-        "events_retention": lambda sf: windows.retention_cohorts(
-            _events(sf, ['ts', 'user_id'])
-        ),
         # wide crosstab: one row per source, doc counts per language
         "docs_source_lang_pivot": lambda sf: analysis.source_lang_pivot(
             _docs(sf, ["source", "lang"])
         ),
-        # --- oracle-backed: documents analysis / dedup / indexing --------
-        "docs_lang_counts": docs_lang_counts,
         "docs_token_stats": docs_token_stats,
         "docs_bpe_token_counts": docs_bpe_token_counts,
-        "docs_quality": docs_quality,
-        "docs_md5": docs_md5,
-        "docs_exact_dedup": docs_exact_dedup,
         # Lee-et-al-style chunked exact substring dedup census:
         # first occurrence wins corpus-wide, one chunk-hash shuffle
         "docs_substring_dedup": lambda sf: dedup.substring_dedup_census(
@@ -511,7 +482,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "docs_union_all": docs_union_all,
         "docs_sample_seeded": docs_sample_seeded,
-        "docs_quality_filter": docs_quality_filter,
         "docs_stratified_sample": docs_stratified_sample,
         "docs_systematic_sample": lambda sf: _docs(
             sf, ["doc_id", "lang"]
@@ -564,78 +534,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_source_lang_chi2": lambda sf: analysis.source_lang_chi2(
             _docs(sf, ["source", "lang"])
         ),
-        "events_value_geomean": lambda sf: __import__(
-            "autoner_ray.stages.stats", fromlist=["grouped_geomean"]
-        ).grouped_geomean(_events(sf, ['event_type', 'value']), key="event_type",
-                          value_col="value"),
-        "events_hourly_distinct_users": lambda sf: (
-            windows.hourly_distinct_users(_events(sf, ['ts', 'user_id']))
-        ),
-        "events_bot_regularity": lambda sf: windows.bot_regularity(
-            _events(sf, ['event_id', 'ts', 'user_id'])
-        ),
-        "events_trailing_distinct_users": lambda sf: (
-            windows.trailing_distinct_users(
-                _events(sf, ['ts', 'user_id'])
-            )
-        ),
-        "events_value_deltas": lambda sf: windows.user_value_deltas(
-            _events(sf, ['event_id', 'ts', 'user_id', 'value'])
-        ),
-        "events_ohlc_hourly": lambda sf: windows.hourly_ohlc(_events(sf, ['event_id', 'ts', 'value'])),
-        "events_user_streaks": lambda sf: windows.user_streaks(
-            _events(sf, ['ts', 'user_id'])
-        ),
-        "events_seasonality": lambda sf: windows.seasonality_profile(
-            _events(sf, ['ts', 'value'])
-        ),
         "docs_rare_word_ratio": lambda sf: analysis.rare_word_ratio(
             _docs(sf, ["doc_id", "text"])
-        ),
-        "nation_revenue": relational.nation_revenue,
-        "order_ship_delay_hist": relational.order_ship_delay_hist,
-        "events_type_transitions": lambda sf: windows.type_transitions(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
         ),
         "docs_source_lang_cube": lambda sf: analysis.source_lang_cube(
             _docs(sf, ["source", "lang", "n_chars"])
         ),
-        "events_props_stats": lambda sf: __import__(
-            "autoner_ray.stages.stats", fromlist=["json_int_field_stats"]
-        ).json_int_field_stats(
-            _events(sf, ['event_type', 'props']), key="event_type", json_col="props", field="k"
-        ),
-        "events_value_mad": lambda sf: __import__(
-            "autoner_ray.stages.stats", fromlist=["grouped_mad"]
-        ).grouped_mad(_events(sf, ['event_type', 'value']), key="event_type", value_col="value"),
-        "events_value_outliers": lambda sf: __import__(
-            "autoner_ray.stages.stats", fromlist=["grouped_zscore_outliers"]
-        ).grouped_zscore_outliers(
-            _events(sf, ['event_id', 'event_type', 'value']), key="event_type", value_col="value",
-            carry_cols=["event_id"],
-        ),
-        "simhash_docs": simhash_docs,
         "docs_rolling_fingerprint": docs_rolling_fingerprint,
-        # --- oracle-backed: near-dup pairs -------------------------------
-        "ngram_jaccard_exact": lambda sf: dedup.ngram_jaccard_exact_pairs(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "simhash_neardup": lambda sf: dedup.simhash_neardup_pairs(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "docs_neardup_keep_one": lambda sf: dedup.neardup_keep_one(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "docs_neardup_keep_one_lsh": lambda sf: dedup.neardup_keep_one(
-            _docs(sf, ["doc_id", "text"]), pair_source="lsh"
-        ),
-        "docs_neardup_cluster_sizes": lambda sf: (
-            dedup.neardup_cluster_sizes(_docs(sf, ["doc_id", "text"]))
-        ),
-        "docs_neardup_keep_best": lambda sf: dedup.neardup_keep_best(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "minhash_neardup": minhash_neardup,
         # --- rows-only tail (outside the 50-query oracle window; each is
         # pinned by pytest — the trie/DP/serializer family byte-diffed
         # against the compiled reference binary — and/or value-twinned by
@@ -661,8 +566,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_triples_evidence": lambda sf: kg.triples_with_evidence(sf),
         "kg_mention_contexts": _kg_mention_contexts,
         "kg_training_export": _kg_training_export,
-        # --- oracle-backed additions past the window (checked by the
-        # local gate; the driver window above stays fixed) ---------------
+        # --- oracle-backed, past the window ------------------------------
         "docs_source_stats": lambda sf: analysis.source_stats(
             _docs(sf, ["doc_id", "source", "n_chars"])
         ),
@@ -681,10 +585,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda b: webtext.pattern_counts_batch(b, _AUDIT_PATTERNS),
             batch_format="pyarrow",
         ),
-        "events_asof_attribution": lambda sf: asof.events_asof(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
-        ),
-        "events_window_count": lambda sf: asof.window_count(_events(sf, ['event_id', 'ts', 'user_id'])),
         "docs_distinct_words_hll": lambda sf: sketches.distinct_words_hll(
             _docs(sf, ["doc_id", "text"])
         ),
@@ -696,22 +596,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_heavy_hitters_cm": lambda sf: sketches.cm_heavy_hitters(
             _docs(sf, ["doc_id", "text"])
         ),
-        "lineitem_brand_semi_join": sketches.lineitem_brand_semi_join,
         "docs_temperature_sample": lambda sf: analysis.temperature_sample(
             _docs(sf, ["doc_id", "lang", "text"])
-        ),
-        # benchmark side = doc_id % 10 == 0 (deterministic synthetic
-        # "test set"); corpus side = the rest. n=8 per GPT-3 App. C.
-        "docs_decontaminate": lambda sf: decontam.contamination_hits(
-            _docs(sf, ["doc_id", "text"]).map_batches(
-                lambda t: t.filter(_mod10_mask(t, invert=True)),
-                batch_format="pyarrow",
-            ),
-            _docs(sf, ["doc_id", "text"]).map_batches(
-                lambda t: t.filter(_mod10_mask(t)),
-                batch_format="pyarrow",
-            ),
-            n=8,
         ),
         # the at-scale bloom tier, oversized (2^22 bits for ~10^4 bench
         # grams) so FP = 0 on this corpus and the exact-join oracle
@@ -734,14 +620,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_lm_perplexity": lambda sf: analysis.lm_perplexity(
             _docs(sf, ["doc_id", "text"])
         ),
-        # within-corpus exact window duplication (Lee et al. 2022
-        # substring-dedup signal, doc-level counts); n=8 so the
-        # synthetic corpus has measurable overlap density
-        "docs_crossdoc_dup_windows": lambda sf: (
-            decontam.crossdoc_dup_windows(
-                _docs(sf, ["doc_id", "text"]), n=8
-            )
-        ),
         "docs_length_quantiles": lambda sf: (
             sketches.doc_length_quantiles_sketch(
                 _docs(sf, ["doc_id", "n_chars"])
@@ -750,56 +628,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_source_lang_rollup": lambda sf: analysis.source_lang_rollup(
             _docs(sf, ["source", "lang", "n_chars"])
         ),
-        "events_new_users_daily": lambda sf: windows.new_users_daily(
-            _events(sf, ['ts', 'user_id'])
-        ),
         "docs_lang_hot_ngrams": lambda sf: webtext.lang_hot_ngrams(
             _docs(sf, ["doc_id", "lang", "text"])
         ),
-        "q3_shipping_priority": relational.q3_shipping_priority,
-        "q5_local_supplier_volume": relational.q5_local_supplier_volume,
-        "q10_returned_items": relational.q10_returned_items,
-        "q8_market_share": relational.q8_market_share,
-        "q18_large_orders": relational.q18_large_orders,
         "docs_next_word_topk": lambda sf: (
             webtext.next_word_topk(_docs(sf, ["doc_id", "text"]))
         ),
         "kg_clustering_coeff": lambda sf: kg.unigram_clustering_coeff(
             sf
         ),
-        "q4_order_priority": relational.q4_order_priority,
-        "q6_forecast_revenue": relational.q6_forecast_revenue,
-        "q14_promo_revenue": relational.q14_promo_revenue,
-        "customer_rfm_segments": relational.customer_rfm_segments,
-        "customer_revenue_gini": relational.customer_revenue_gini,
-        "top_suppliers_per_nation": relational.top_suppliers_per_nation,
-        "order_price_bands": relational.order_price_bands,
-        "orders_per_customer_hist": (
-            relational.orders_per_customer_histogram
-        ),
         "docs_word_length_histogram": lambda sf: (
             analysis.word_length_histogram(_docs(sf, ["doc_id", "text"]))
         ),
-        "events_user_lifetime_hist": lambda sf: (
-            windows.user_lifetime_histogram(_events(sf, ['ts', 'user_id']))
-        ),
-        "events_retention_ppm": lambda sf: (
-            windows.retention_normalized(_events(sf, ['ts', 'user_id']))
-        ),
         "docs_source_quality": lambda sf: (
             analysis.source_quality_rollup(_docs(sf, ["source", "text"]))
-        ),
-        "lineitem_weighted_median": lambda sf: __import__(
-            "autoner_ray.stages.stats",
-            fromlist=["grouped_weighted_median"],
-        ).grouped_weighted_median(
-            __import__("ray.data", fromlist=["read_parquet"]).read_parquet(
-                f"{sf}/lineitem.parquet",
-                columns=["l_returnflag", "l_extendedprice",
-                         "l_quantity"],
-            ),
-            key="l_returnflag", value_col="l_extendedprice",
-            weight_col="l_quantity",
         ),
         # bucket_docs=1 (per-doc curve) because the synthetic corpus
         # vocab saturates within the first few docs; at real web scale
@@ -837,27 +679,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_domain_cap": lambda sf: (
             analysis.domain_cap(_docs(sf, ["doc_id", "source"]))
         ),
-        "events_user_decay_scores": lambda sf: (
-            windows.user_decay_scores(_events(sf, ['ts', 'user_id']))
-        ),
-        "events_rolling_median": lambda sf: (
-            windows.rolling_median(_events(sf, ['event_id', 'ts', 'user_id', 'value']))
-        ),
         "docs_kmv_distinct_words": lambda sf: (
             sketches.kmv_distinct_words(_docs(sf, ["source", "text"]))
         ),
-        "order_reconciliation": relational.order_reconciliation,
         "docs_normalize_text": lambda sf: (
             analysis.normalize_text(_docs(sf, ["doc_id", "text"]))
         ),
-        "events_activity_bitmaps": lambda sf: (
-            windows.activity_bitmaps(_events(sf, ['ts', 'user_id']))
-        ),
         "docs_shingle_df_histogram": lambda sf: (
             dedup.shingle_df_histogram(_docs(sf, ["doc_id", "text"]))
-        ),
-        "events_hourly_anomalies": lambda sf: windows.hourly_anomalies(
-            _events(sf, ['ts'])
         ),
         "pages_crawl_rate": webtext.crawl_rate,
         # at-scale tier of the curation composition (LSH candidate
@@ -865,22 +694,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_curation_pipeline_lsh": lambda sf: __import__(
             "autoner_ray.pipelines.curation", fromlist=["curation_pipeline"]
         ).curation_pipeline(sf, pair_source="lsh"),
-        "docs_curation_pipeline": lambda sf: __import__(
-            "autoner_ray.pipelines.curation",
-            fromlist=["curation_pipeline"],
-        ).curation_pipeline(sf),
-        "docs_dup_gram_coverage": lambda sf: dedup.dup_gram_coverage(
-            _docs(sf, ["doc_id", "text"])
-        ),
-        "events_dau_wau": lambda sf: windows.dau_wau_stickiness(
-            _events(sf, ['ts', 'user_id'])
-        ),
-        "events_session_length_hist": lambda sf: (
-            windows.session_length_histogram(_events(sf, ['event_id', 'ts', 'user_id']))
-        ),
-        "events_type_stationary": lambda sf: windows.type_stationary(
-            _events(sf, ['event_id', 'ts', 'user_id', 'event_type'])
-        ),
         "docs_train_val_test": lambda sf: analysis.train_val_test_split(
             _docs(sf, ["doc_id", "source"])
         ),
@@ -891,9 +704,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_snapshot_diff": lambda sf: analysis.snapshot_diff(
             _docs(sf, ["doc_id", "text"]),
             analysis.synthetic_snapshot(_docs(sf, ["doc_id", "text"])),
-        ),
-        "events_time_weighted_avg": lambda sf: windows.time_weighted_avg(
-            _events(sf, ['event_id', 'ts', 'user_id', 'value'])
         ),
         "docs_bigram_pmi": lambda sf: webtext.bigram_collocations(
             _docs(sf, ["doc_id", "text"])
@@ -910,9 +720,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_parquet_hive_roundtrip": lambda sf: (
             text_formats.parquet_partitioned_stats(sf)
         ),
-        "events_gap_histogram": lambda sf: windows.gap_histogram(
-            _events(sf, ['event_id', 'ts', 'user_id'])
-        ),
         "docs_ngram_containment": lambda sf: (
             dedup.ngram_jaccard_exact_pairs(
                 _docs(sf, ["doc_id", "text"]),
@@ -922,43 +729,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_length_gini": lambda sf: ranking.gini_inequality(
             _docs(sf, ["doc_id", "n_chars"]), "doc_id", "n_chars"
         ),
-        "supplier_part_fanout": relational.supplier_part_fanout,
         "docs_corpus_card": lambda sf: analysis.corpus_card(
             _docs(sf, ["text", "lang"])
         ),
-        "events_sequence_patterns": lambda sf: (
-            windows.sequence_pattern_counts(_events(sf, ['event_id', 'ts', 'user_id', 'event_type']))
-        ),
-        "q7_volume_shipping": relational.q7_volume_shipping,
-        "q17_small_quantity_revenue": (
-            relational.q17_small_quantity_revenue
-        ),
-        "q19_disjunctive_revenue": relational.q19_disjunctive_revenue,
         "docs_readability": lambda sf: analysis.readability(
             _docs(sf, ["lang", "text"])
-        ),
-        "events_hourly_top_type": lambda sf: windows.hourly_top_type(
-            _events(sf, ['ts', 'event_type'])
         ),
         "kg_label_propagation": lambda sf: (
             kg.unigram_label_propagation(sf)
         ),
         "kg_community_modularity": kg.community_modularity,
-        "q15_top_supplier": relational.q15_top_supplier,
-        "q22_sales_opportunity": relational.q22_sales_opportunity,
         "docs_ccnet_buckets": lambda sf: analysis.ccnet_buckets(
             _docs(sf, ["doc_id", "text", "lang"])
         ),
-        "q9_product_type_profit": relational.q9_product_type_profit,
-        "orders_cohort_ltv": relational.orders_cohort_ltv,
         "docs_chunk_overlap": lambda sf: analysis.chunk_overlap(
             _docs(sf, ["doc_id", "text"])
         ),
         "docs_vocab_coverage": lambda sf: analysis.vocab_coverage_curve(
             _docs(sf, ["text"])
-        ),
-        "q16_parts_supplier_count": (
-            relational.q16_supplier_count_by_part_attrs
         ),
         "kg_triple_delta": lambda sf: kg.unigram_triple_delta(sf),
         "kg_metapath_wedges": lambda sf: kg.unigram_metapath_wedges(sf),
@@ -986,10 +774,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda b: webtext.pii_scrub_batch(b, _AUDIT_PATTERNS),
             batch_format="pyarrow",
         ),
-        "docs_entity_density": lambda sf: kg.unigram_entity_density(sf),
-        "q12_priority_shipping_lag": (
-            relational.q12_priority_shipping_lag
-        ),
         "vocab_blocking_keys": lambda sf: analysis.vocab_blocking_keys(
             _docs(sf, ["text"])
         ),
@@ -1001,10 +785,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_prefix_dup_groups": lambda sf: webtext.prefix_dup_groups(
             _docs(sf, ["doc_id", "text"])
         ),
-        "kg_type_schema_census": (
-            lambda sf: kg.unigram_type_schema_census(sf)
-        ),
-        "kg_ntriples_export": lambda sf: kg.unigram_ntriples(sf),
         "docs_linear_probe": lambda sf: analysis.linear_probe_mention(
             _docs(sf, ["doc_id", "text"])
         ),
@@ -1017,13 +797,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_ipc_roundtrip": lambda sf: (
             text_formats.roundtrip_source_stats(sf, fmt="ipc")
         ),
-        "q13_customer_distribution": (
-            relational.q13_customer_distribution
-        ),
-        "q21_suppliers_waiting": relational.q21_suppliers_waiting,
-        "q11_important_parts": relational.q11_important_parts,
-        "q20_prominent_suppliers": relational.q20_prominent_suppliers,
-        "q2_min_cost_supplier": relational.q2_min_cost_supplier,
         "pages_url_canonical_map": urltools.url_canonical_map,
         "pages_url_canonical_dedup": urltools.url_canonical_dedup,
         "docs_bpe_learn_merges": lambda sf: bpe.learn_bpe_merges(
@@ -1043,9 +816,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pages_title_extract": lambda sf: pages.read_pages(
             sf
         ).map_batches(extract.extract_title_batch, batch_format="pyarrow"),
-        # temporal KG provenance: per-entity / per-edge crawl lineage
-        "kg_entity_timeline": kg.unigram_entity_timeline,
-        "kg_triples_temporal": kg.unigram_triples_temporal,
     }
 
 
@@ -1447,16 +1217,13 @@ def oracle_sql() -> dict[str, str]:
         stratified_sample_oracle_sql,
         temperature_sample_oracle_sql,
     )
-    from autoner_ray.pipelines import relational as relational_mod
     from autoner_ray.sources import text_formats as text_formats_mod
     from autoner_ray.stages import analysis as analysis_mod
-    from autoner_ray.stages import asof as asof_mod
     from autoner_ray.stages import dedup as dedup_mod
     from autoner_ray.stages import sketches as sketches_mod
     from autoner_ray.stages import webtext
     from autoner_ray.stages import urltools as urltools_mod
     from autoner_ray.stages import webtext as webtext_mod
-    from autoner_ray.stages import windows as windows_mod
 
     dict_values = unigram_dict_sql_values()
     out = {
@@ -1909,431 +1676,6 @@ def oracle_sql() -> dict[str, str]:
             )
             SELECT entity, COUNT(*) AS doc_freq FROM words GROUP BY entity
         """,
-        "lineitem_discount_fit": """
-            WITH b AS (
-                SELECT l_returnflag,
-                       CAST(floor(l_quantity * 1 + 0.5) AS BIGINT) AS x,
-                       CAST(floor(l_discount * 100 + 0.5) AS BIGINT) AS y
-                FROM lineitem
-            ), m AS (
-                SELECT l_returnflag,
-                       COUNT(*) AS n,
-                       SUM(x) AS sx, SUM(y) AS sy,
-                       SUM(x*x) AS sxx, SUM(y*y) AS syy, SUM(x*y) AS sxy
-                FROM b GROUP BY l_returnflag
-            )
-            -- NULLIF degenerate denominators: a zero-x-variance group
-            -- yields NULL slope/intercept/corr, matching the engine's
-            -- None (stages/stats.py grouped_linear_fit) instead of
-            -- IEEE inf/NaN
-            SELECT l_returnflag, CAST(n AS BIGINT) AS n,
-                   round(CAST(n*sxy - sx*sy AS DOUBLE)
-                         / CAST(NULLIF(n*sxx - sx*sx, 0) AS DOUBLE), 6)
-                       AS slope,
-                   round((CAST(sy AS DOUBLE)
-                          - (CAST(n*sxy - sx*sy AS DOUBLE)
-                             / CAST(NULLIF(n*sxx - sx*sx, 0) AS DOUBLE))
-                            * CAST(sx AS DOUBLE))
-                         / CAST(n AS DOUBLE), 6) AS intercept,
-                   round(CAST(n*sxy - sx*sy AS DOUBLE)
-                         / sqrt(CAST(NULLIF((n*sxx - sx*sx)
-                                            * (n*syy - sy*sy), 0)
-                                     AS DOUBLE)), 6) AS corr
-            FROM m
-        """,
-        "q1_pricing_summary": f"""
-            SELECT l_returnflag, l_linestatus,
-                   SUM(l_quantity) AS sum_qty,
-                   SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT))
-                       / 100.0 AS sum_base_price,
-                   SUM({_REV_CENTS}) / 100.0 AS sum_disc_price,
-                   round(SUM(l_quantity) / COUNT(*), 6) AS avg_qty,
-                   COUNT(*) AS count_order
-            FROM lineitem
-            WHERE l_shipdate <= TIMESTAMP '1998-09-01'
-            GROUP BY l_returnflag, l_linestatus
-        """,
-        "top_customers_by_revenue": f"""
-            SELECT c.c_custkey, c.c_name,
-                   SUM({_REV_CENTS}) / 100.0 AS revenue
-            FROM lineitem l
-            JOIN orders o ON l.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            GROUP BY c.c_custkey, c.c_name
-            ORDER BY revenue DESC, c.c_custkey
-            LIMIT 10
-        """,
-        "brand_revenue": f"""
-            SELECT p.p_brand, SUM({_REV_CENTS}) / 100.0 AS revenue
-            FROM lineitem l JOIN part p ON l.l_partkey = p.p_partkey
-            GROUP BY p.p_brand
-        """,
-        "region_supplier_count": """
-            SELECT r.r_name, COUNT(*) AS suppliers
-            FROM supplier s
-            JOIN nation n ON s.s_nationkey = n.n_nationkey
-            JOIN region r ON n.n_regionkey = r.r_regionkey
-            GROUP BY r.r_name
-        """,
-        "top_orders": """
-            SELECT o_orderkey, o_totalprice, o_orderpriority
-            FROM orders
-            ORDER BY o_totalprice DESC, o_orderkey
-            LIMIT 10
-        """,
-        "distinct_segments": """
-            SELECT c_mktsegment, COUNT(*) AS n FROM customer
-            GROUP BY c_mktsegment
-        """,
-        "order_price_quantiles": """
-            WITH c AS (
-                SELECT CAST(floor(o_totalprice*100 + 0.5) AS BIGINT) AS cents
-                FROM orders
-            )
-            SELECT 0.25 AS p, round(quantile_cont(cents, 0.25) / 100.0, 6)
-                   AS o_totalprice_quantile FROM c
-            UNION ALL
-            SELECT 0.5, round(quantile_cont(cents, 0.5) / 100.0, 6) FROM c
-            UNION ALL
-            SELECT 0.75, round(quantile_cont(cents, 0.75) / 100.0, 6) FROM c
-        """,
-        "customer_revenue_ntile": f"""
-            WITH rev AS (
-                SELECT o.o_custkey, SUM({_REV_CENTS}) AS cents
-                FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-                GROUP BY o.o_custkey
-            )
-            SELECT o_custkey,
-                   cents / 100.0 AS revenue,
-                   ROW_NUMBER() OVER (ORDER BY cents DESC, o_custkey)
-                       AS revenue_rank,
-                   NTILE(4) OVER (ORDER BY cents DESC, o_custkey)
-                       AS revenue_ntile
-            FROM rev
-        """,
-        "order_pareto_frontier": """
-            WITH t AS (
-                SELECT o_orderkey,
-                       CAST(floor(o_totalprice*100 + 0.5) AS BIGINT)
-                           AS cents,
-                       o_orderdate
-                FROM orders
-            )
-            SELECT a.o_orderkey, a.cents / 100.0 AS o_totalprice,
-                   a.o_orderdate
-            FROM t a
-            WHERE NOT EXISTS (
-                SELECT 1 FROM t b
-                WHERE b.cents >= a.cents
-                  AND b.o_orderdate >= a.o_orderdate
-                  AND (b.cents > a.cents OR b.o_orderdate > a.o_orderdate)
-            )
-        """,
-        "orders_monthly_trend": """
-            WITH m AS (
-                SELECT date_trunc('month', o_orderdate) AS month,
-                       COUNT(*) AS n_orders,
-                       SUM(CAST(floor(o_totalprice*100 + 0.5) AS BIGINT))
-                           AS cents
-                FROM orders GROUP BY 1
-            )
-            SELECT month, n_orders, cents / 100.0 AS revenue,
-                   (cents - lag(cents) OVER (ORDER BY month)) / 100.0
-                       AS mom_delta
-            FROM m
-        """,
-        "customer_order_recency": """
-            SELECT c.c_custkey, c.c_name,
-                   COALESCE(o.n, 0) AS n_orders,
-                   o.last_order_date
-            FROM customer c LEFT JOIN (
-                SELECT o_custkey, COUNT(*) AS n,
-                       MAX(o_orderdate) AS last_order_date
-                FROM orders GROUP BY o_custkey
-            ) o ON o.o_custkey = c.c_custkey
-        """,
-        "events_hourly": """
-            SELECT event_type, date_trunc('hour', ts) AS hour,
-                   COUNT(*) AS n,
-                   SUM(CAST(floor(value*100 + 0.5) AS BIGINT)) / 100.0
-                       AS sum_value
-            FROM events GROUP BY 1, 2
-        """,
-        "events_user_stats": """
-            SELECT user_id, COUNT(*) AS n_events,
-                   SUM(CAST(floor(value*100 + 0.5) AS BIGINT)) / 100.0
-                       AS sum_value,
-                   MIN(ts) AS first_ts, MAX(ts) AS last_ts
-            FROM events GROUP BY user_id
-        """,
-        "events_dispersion_index": """
-            WITH hourly AS (
-                SELECT event_type, epoch_us(ts) // 3600000000 AS hour,
-                       COUNT(*) AS n
-                FROM events GROUP BY 1, 2
-            ),
-            span AS (
-                SELECT MAX(hour) - MIN(hour) + 1 AS n_hours FROM hourly
-            ),
-            mom AS (
-                SELECT event_type,
-                       CAST(SUM(n) AS BIGINT) AS s,
-                       CAST(SUM(n * n) AS BIGINT) AS sq
-                FROM hourly GROUP BY event_type
-            )
-            SELECT event_type,
-                   CAST((SELECT n_hours FROM span) AS BIGINT)
-                       AS n_hours,
-                   s AS n_events,
-                   CAST(((SELECT n_hours FROM span) * sq - s * s)
-                        * 1000000
-                        // ((SELECT n_hours FROM span) * s) AS BIGINT)
-                       AS dispersion_ppm
-            FROM mom
-        """,
-        "events_markov_entropy": """
-            WITH t AS (
-                SELECT event_type,
-                       lag(event_type) OVER (
-                           PARTITION BY user_id ORDER BY ts, event_id
-                       ) AS prev_type
-                FROM events
-            ),
-            c AS (
-                SELECT prev_type, event_type, COUNT(*) AS n
-                FROM t WHERE prev_type IS NOT NULL
-                GROUP BY prev_type, event_type
-            ),
-            srow AS (
-                SELECT prev_type, SUM(n) AS ns FROM c GROUP BY prev_type
-            ),
-            terms AS (
-                SELECT CAST(SUM(CAST(FLOOR(LN(CAST(ns AS DOUBLE)) * ns
-                                 * 1000000 + 0.5) AS BIGINT)) AS BIGINT)
-                           AS a,
-                       (SELECT CAST(SUM(CAST(FLOOR(
-                            LN(CAST(n AS DOUBLE)) * n * 1000000 + 0.5)
-                            AS BIGINT)) AS BIGINT) FROM c) AS b,
-                       (SELECT CAST(SUM(n) AS BIGINT) FROM c) AS nn,
-                       CAST(COUNT(*) AS BIGINT) AS n_states
-                FROM srow
-            )
-            SELECT nn AS n_transitions, n_states,
-                   round((a - b) / 1000000.0 / nn, 6) AS entropy_rate
-            FROM terms
-        """,
-        "events_first_touch": """
-            WITH ordered AS (
-                SELECT user_id, event_type,
-                       ROW_NUMBER() OVER (PARTITION BY user_id
-                                          ORDER BY ts, event_id) AS pos
-                FROM events
-            ),
-            purchases AS (
-                SELECT user_id, pos FROM ordered
-                WHERE event_type = 'purchase'
-            ),
-            credited AS (
-                SELECT p.user_id, p.pos,
-                       COALESCE((
-                           SELECT o.event_type FROM ordered o
-                           WHERE o.user_id = p.user_id
-                             AND o.pos < p.pos
-                             AND o.event_type <> 'purchase'
-                           ORDER BY o.pos ASC LIMIT 1
-                       ), '(none)') AS touch_type
-                FROM purchases p
-            )
-            SELECT touch_type,
-                   CAST(COUNT(*) AS BIGINT) AS n_conversions
-            FROM credited GROUP BY touch_type
-        """,
-        "events_last_touch": """
-            WITH ordered AS (
-                SELECT user_id, ts, event_id, event_type,
-                       ROW_NUMBER() OVER (PARTITION BY user_id
-                                          ORDER BY ts, event_id) AS pos
-                FROM events
-            ),
-            purchases AS (
-                SELECT user_id, pos FROM ordered
-                WHERE event_type = 'purchase'
-            ),
-            credited AS (
-                SELECT p.user_id, p.pos,
-                       COALESCE((
-                           SELECT o.event_type FROM ordered o
-                           WHERE o.user_id = p.user_id
-                             AND o.pos < p.pos
-                             AND o.event_type <> 'purchase'
-                           ORDER BY o.pos DESC LIMIT 1
-                       ), '(none)') AS touch_type
-                FROM purchases p
-            )
-            SELECT touch_type,
-                   CAST(COUNT(*) AS BIGINT) AS n_conversions
-            FROM credited GROUP BY touch_type
-        """,
-        "events_late_arrivals": """
-            WITH w AS (
-                SELECT user_id, ts, event_id,
-                       MAX(ts) OVER (
-                           PARTITION BY user_id ORDER BY event_id
-                           ROWS BETWEEN UNBOUNDED PRECEDING
-                           AND 1 PRECEDING) AS wm
-                FROM events
-            )
-            SELECT CAST(COUNT(*) AS BIGINT) AS n_events,
-                   CAST(SUM(CASE WHEN ts < wm THEN 1 ELSE 0 END)
-                        AS BIGINT) AS n_late,
-                   CAST(COALESCE(MAX(CASE WHEN ts < wm
-                            THEN epoch_us(wm) - epoch_us(ts) END), 0)
-                        AS BIGINT) AS max_lag_us
-            FROM w
-        """,
-        "events_encoding_advisor": """
-            WITH ordered AS (
-                SELECT user_id, event_type,
-                       LAG(event_type) OVER (
-                           PARTITION BY user_id
-                           ORDER BY ts, event_id) AS prev
-                FROM events
-            ),
-            runs AS (
-                SELECT COUNT(*) AS n_rows,
-                       SUM(CASE WHEN prev IS NULL
-                                  OR prev <> event_type
-                                THEN 1 ELSE 0 END) AS n_runs,
-                       SUM(length(event_type)) AS val_bytes
-                FROM ordered
-            ),
-            d AS (
-                SELECT COUNT(*) AS nd, SUM(length(v)) AS db
-                FROM (SELECT DISTINCT event_type AS v FROM events)
-            ),
-            bits AS (
-                SELECT GREATEST(1, CAST(CEIL(LOG2(nd)) AS BIGINT))
-                           AS code_bits
-                FROM d
-            )
-            SELECT CAST(n_rows AS BIGINT) AS n_rows,
-                   CAST(nd AS BIGINT) AS n_distinct,
-                   CAST(n_runs AS BIGINT) AS n_runs,
-                   CAST(8 * val_bytes AS BIGINT) AS plain_bits,
-                   CAST(n_rows * code_bits + 8 * db AS BIGINT)
-                       AS dict_bits,
-                   CAST(n_runs * (code_bits + 32) AS BIGINT) AS rle_bits
-            FROM runs, d, bits
-        """,
-        "events_survival_km": """
-            WITH RECURSIVE spans AS (
-                SELECT user_id,
-                       MIN(epoch_us(ts)) AS first_us,
-                       MIN(CASE WHEN event_type = 'purchase'
-                                THEN epoch_us(ts) END) AS death_us,
-                       MAX(epoch_us(ts)) AS last_us
-                FROM events GROUP BY user_id
-            ),
-            lives AS (
-                SELECT CASE WHEN death_us IS NULL
-                            THEN (last_us - first_us) // 3600000000
-                            ELSE (death_us - first_us) // 3600000000
-                       END AS lifetime,
-                       CASE WHEN death_us IS NULL THEN 1 ELSE 0 END
-                           AS censored
-                FROM spans
-            ),
-            at_tbl AS (
-                SELECT lifetime, COUNT(*) AS n_all,
-                       SUM(CASE WHEN censored = 0 THEN 1 ELSE 0 END) AS d
-                FROM lives GROUP BY lifetime
-            ),
-            risk AS (
-                SELECT lifetime, d,
-                       SUM(n_all) OVER (ORDER BY lifetime DESC
-                                        ROWS BETWEEN UNBOUNDED PRECEDING
-                                        AND CURRENT ROW) AS n_risk
-                FROM at_tbl
-            ),
-            steps AS (
-                SELECT lifetime, d, n_risk,
-                       ROW_NUMBER() OVER (ORDER BY lifetime) AS rn
-                FROM risk WHERE d > 0
-            ),
-            km(rn, s) AS (
-                SELECT 0, CAST(1000000 AS BIGINT)
-                UNION ALL
-                SELECT st.rn, km.s * (st.n_risk - st.d) // st.n_risk
-                FROM km JOIN steps st ON st.rn = km.rn + 1
-            )
-            SELECT st.lifetime AS t_hours,
-                   CAST(st.n_risk AS BIGINT) AS n_at_risk,
-                   CAST(st.d AS BIGINT) AS n_events,
-                   CAST(km.s AS BIGINT) AS survival_ppm
-            FROM steps st JOIN km ON km.rn = st.rn
-        """,
-        "events_trimmed_mean": """
-            WITH c AS (
-                SELECT event_type,
-                       CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents,
-                       ROW_NUMBER() OVER (PARTITION BY event_type
-                                          ORDER BY value) AS rn,
-                       COUNT(*) OVER (PARTITION BY event_type) AS n
-                FROM events
-            ),
-            k AS (
-                SELECT event_type, n, (n * 50000) // 1000000 AS k
-                FROM c GROUP BY event_type, n
-            )
-            SELECT c.event_type, CAST(COUNT(*) AS BIGINT) AS n_kept,
-                   round(SUM(c.cents) / COUNT(*) / 100.0, 6)
-                       AS trimmed_mean
-            FROM c JOIN k USING (event_type)
-            WHERE c.rn > k.k AND c.rn <= c.n - k.k
-            GROUP BY c.event_type
-        """,
-        "events_hourly_ffill": """
-            WITH spans AS (
-                SELECT user_id,
-                       date_trunc('hour', MIN(ts)) AS lo,
-                       date_trunc('hour', MAX(ts)) AS hi
-                FROM events GROUP BY user_id
-            ),
-            grid AS (
-                SELECT s.user_id, g.h
-                FROM spans s,
-                     UNNEST(generate_series(s.lo, s.hi,
-                                            INTERVAL 1 HOUR)) AS g(h)
-            ),
-            ranked AS (
-                SELECT g.user_id, g.h AS hour, e.value,
-                       ROW_NUMBER() OVER (
-                           PARTITION BY g.user_id, g.h
-                           ORDER BY e.ts DESC, e.event_id DESC) AS rn
-                FROM grid g JOIN events e
-                  ON e.user_id = g.user_id
-                 AND e.ts < g.h + INTERVAL 1 HOUR
-            )
-            SELECT user_id, hour, value FROM ranked WHERE rn = 1
-        """,
-        "events_sessionize": """
-            WITH gaps AS (
-                SELECT user_id, event_id, ts,
-                       CASE WHEN ts - LAG(ts) OVER w <= INTERVAL 30 MINUTE
-                            THEN 0 ELSE 1 END AS new_sess
-                FROM events
-                WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), sess AS (
-                SELECT user_id, ts,
-                       CAST(SUM(new_sess) OVER (PARTITION BY user_id
-                           ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-                FROM gaps
-            )
-            SELECT user_id, session_id, COUNT(*) AS n_events,
-                   MIN(ts) AS start_ts, MAX(ts) AS end_ts
-            FROM sess GROUP BY user_id, session_id
-        """,
         "bm25_search": f"""
             WITH lens AS (
                 SELECT doc_id, CAST(len({WORDS}) AS BIGINT) AS dl
@@ -2473,164 +1815,12 @@ def oracle_sql() -> dict[str, str]:
                          6) AS contrib
             FROM w
         """,
-        "events_value_geomean": """
-            WITH b AS (
-                -- positive-only (geomean's domain); rows rounding to
-                -- <= 0 cents are excluded on BOTH sides
-                SELECT event_type,
-                       CAST(floor(value * 100 + 0.5) AS BIGINT) AS c
-                FROM events
-                WHERE floor(value * 100 + 0.5) >= 1
-            ), m AS (
-                SELECT event_type, COUNT(*) AS n,
-                       SUM(CAST(floor(
-                           ln(CAST(c AS DOUBLE)) * 1000000 + 0.5
-                       ) AS BIGINT)) AS s
-                FROM b GROUP BY event_type
-            )
-            SELECT event_type, CAST(n AS BIGINT) AS n,
-                   round(exp(CAST(s AS DOUBLE) / 1000000
-                             / CAST(n AS DOUBLE)) / 100, 6) AS gmean
-            FROM m
-        """,
         "docs_source_share": """
             SELECT source, COUNT(*) AS n_docs,
                    round(CAST(COUNT(*) AS DOUBLE)
                          / CAST(SUM(COUNT(*)) OVER () AS DOUBLE),
                          6) AS share
             FROM documents GROUP BY source
-        """,
-        "events_hourly_distinct_users": """
-            SELECT date_trunc('hour', ts) AS hour,
-                   COUNT(DISTINCT user_id) AS users
-            FROM events GROUP BY 1
-        """,
-        "events_bot_regularity": """
-            -- same integer identity as the engine: gaps via LAG over
-            -- (ts, event_id) order; disp_ppm = (n*S2 - S1^2)*1e6
-            -- // (n*S1)
-            WITH g AS (
-                SELECT user_id,
-                       CAST(epoch_us(ts) - LAG(epoch_us(ts)) OVER (
-                           PARTITION BY user_id
-                           ORDER BY ts, event_id) AS BIGINT) AS gap
-                FROM events
-            ),
-            m AS (
-                SELECT user_id,
-                       COUNT(*) AS n_gaps,
-                       SUM(CAST(gap AS HUGEINT)) AS s1,
-                       SUM(CAST(gap AS HUGEINT)
-                           * CAST(gap AS HUGEINT)) AS s2
-                FROM g WHERE gap IS NOT NULL GROUP BY user_id
-            )
-            SELECT user_id,
-                   CAST(n_gaps + 1 AS BIGINT) AS n_events,
-                   CAST(CASE WHEN s1 > 0 THEN
-                       ((n_gaps * s2 - s1 * s1) * 1000000)
-                           // (n_gaps * s1)
-                        ELSE 0 END AS BIGINT) AS iat_dispersion_ppm,
-                   CAST(CASE WHEN (CASE WHEN s1 > 0 THEN
-                       ((n_gaps * s2 - s1 * s1) * 1000000)
-                           // (n_gaps * s1) ELSE 0 END) <= 100000
-                        THEN 1 ELSE 0 END AS BIGINT) AS is_bot
-            FROM m WHERE n_gaps + 1 >= 5
-        """,
-        "events_cohort_ltv": """
-            WITH u0 AS (
-                SELECT user_id, MIN(date_trunc('day', ts)) AS c0
-                FROM events GROUP BY user_id
-            ),
-            act AS (
-                SELECT u0.c0 AS cohort_day,
-                       CAST(date_diff('day', u0.c0,
-                                      date_trunc('day', e.ts))
-                            AS BIGINT) AS "offset",
-                       CAST(floor(e.value * 100 + 0.5) AS BIGINT)
-                           AS cents
-                FROM events e JOIN u0 USING (user_id)
-            ),
-            grid AS (
-                SELECT cohort_day, "offset", SUM(cents) AS cents
-                FROM act GROUP BY cohort_day, "offset"
-            ),
-            sizes AS (
-                SELECT c0 AS cohort_day, COUNT(*) AS n_users
-                FROM u0 GROUP BY c0
-            )
-            SELECT g.cohort_day, g."offset",
-                   CAST(s.n_users AS BIGINT) AS n_cohort_users,
-                   CAST(SUM(g.cents) OVER (
-                       PARTITION BY g.cohort_day ORDER BY g."offset"
-                       ROWS BETWEEN UNBOUNDED PRECEDING
-                       AND CURRENT ROW) AS BIGINT) AS cum_value_cents
-            FROM grid g JOIN sizes s USING (cohort_day)
-        """,
-        "events_funnel_latency": """
-            -- strict-order chaining identical to the engine (earliest
-            -- view; earliest click strictly after it; earliest
-            -- purchase strictly after that); elapsed = floor seconds
-            WITH f AS (
-                SELECT user_id, event_type, ts FROM events
-                WHERE event_type IN ('view', 'click', 'purchase')
-            ),
-            s0 AS (
-                SELECT user_id, MIN(ts) AS t0 FROM f
-                WHERE event_type = 'view' GROUP BY user_id
-            ),
-            s1 AS (
-                SELECT f.user_id, MIN(f.ts) AS t1
-                FROM f JOIN s0 USING (user_id)
-                WHERE f.event_type = 'click' AND f.ts > s0.t0
-                GROUP BY f.user_id
-            ),
-            s2 AS (
-                SELECT f.user_id, MIN(f.ts) AS t2
-                FROM f JOIN s1 USING (user_id)
-                WHERE f.event_type = 'purchase' AND f.ts > s1.t1
-                GROUP BY f.user_id
-            ),
-            u AS (
-                SELECT 'view->click' AS transition,
-                       (epoch_us(t1) - epoch_us(t0)) // 1000000 AS secs
-                FROM s1 JOIN s0 USING (user_id)
-                UNION ALL
-                SELECT 'click->purchase',
-                       (epoch_us(t2) - epoch_us(t1)) // 1000000
-                FROM s2 JOIN s1 USING (user_id)
-            ),
-            q AS (
-                SELECT transition, UNNEST([250000, 500000, 750000])
-                           AS p_ppm,
-                       COUNT(*) AS n_users,
-                       UNNEST([
-                           round(quantile_cont(secs, 0.25), 6),
-                           round(quantile_cont(secs, 0.50), 6),
-                           round(quantile_cont(secs, 0.75), 6)
-                       ]) AS q_seconds
-                FROM u GROUP BY transition
-            )
-            SELECT transition, CAST(p_ppm AS BIGINT) AS p_ppm,
-                   CAST(n_users AS BIGINT) AS n_users,
-                   q_seconds
-            FROM q
-        """,
-        "events_trailing_distinct_users": """
-            -- same window expansion as the engine: each distinct
-            -- (user, active hour) supports every PRESENT anchor hour
-            -- in [h, h+23]; anchors are hours that appear at all
-            WITH uh AS (
-                SELECT DISTINCT user_id,
-                       date_trunc('hour', ts) AS hour
-                FROM events
-            ),
-            anchors AS (SELECT DISTINCT hour FROM uh)
-            SELECT a.hour,
-                   CAST(COUNT(DISTINCT u.user_id) AS BIGINT) AS n_users
-            FROM anchors a JOIN uh u
-              ON u.hour <= a.hour
-             AND u.hour > a.hour - INTERVAL 24 HOURS
-            GROUP BY a.hour
         """,
         "top_word_per_source": f"""
             WITH w AS (
@@ -2649,15 +1839,6 @@ def oracle_sql() -> dict[str, str]:
             )
             SELECT source, word AS top_word, CAST(c AS BIGINT) AS n
             FROM r WHERE rn = 1
-        """,
-        "events_value_deltas": """
-            SELECT user_id, event_id, ts, value, delta FROM (
-                SELECT user_id, event_id, ts, value,
-                       value - lag(value) OVER (
-                           PARTITION BY user_id ORDER BY ts, event_id
-                       ) AS delta
-                FROM events
-            ) WHERE delta IS NOT NULL
         """,
         "source_vocab_jaccard": f"""
             WITH sw AS (
@@ -2688,54 +1869,6 @@ def oracle_sql() -> dict[str, str]:
                    COUNT(*) AS n_docs
             FROM documents
             GROUP BY CUBE(source, lang)
-        """,
-        "events_props_stats": """
-            -- same RE2 pattern as the engine's vectorized
-            -- pc.extract_regex kernel (stages/stats.py): the declared
-            -- contract is FLAT json props with integer fields, and
-            -- twinning the extraction keeps engine and oracle
-            -- bit-identical on any input honoring it (json_extract
-            -- would silently diverge on nested/float/string-embedded
-            -- fields instead of surfacing the contract breach)
-            WITH j AS (
-                SELECT event_type,
-                       CAST(NULLIF(regexp_extract(
-                                props, '"k":\\s*(-?\\d+)', 1),
-                            '') AS BIGINT) AS k
-                FROM events
-            )
-            SELECT event_type,
-                   COUNT(k) AS n,
-                   CAST(SUM(k) AS BIGINT) AS sum_k,
-                   CAST(MIN(k) AS BIGINT) AS min_k,
-                   CAST(MAX(k) AS BIGINT) AS max_k,
-                   round(CAST(SUM(k) AS DOUBLE) / CAST(COUNT(k) AS DOUBLE),
-                         6) AS avg_k
-            FROM j GROUP BY event_type
-        """,
-        "events_value_outliers": """
-            WITH b AS (
-                SELECT event_id, event_type, value,
-                       CAST(floor(value * 100 + 0.5) AS BIGINT) AS c
-                FROM events
-            ), m AS (
-                SELECT event_type, COUNT(*) AS n,
-                       SUM(c) AS s, SUM(c*c) AS ss
-                FROM b GROUP BY event_type
-            )
-            SELECT event_id, event_type, value,
-                   round((CAST(c AS DOUBLE)
-                          - CAST(s AS DOUBLE) / CAST(n AS DOUBLE))
-                         / sqrt(CAST(n*ss - s*s AS DOUBLE)
-                                / (CAST(n AS DOUBLE) * CAST(n AS DOUBLE))),
-                         6) AS z
-            FROM b JOIN m USING (event_type)
-            WHERE n*ss - s*s > 0
-              AND abs((CAST(c AS DOUBLE)
-                       - CAST(s AS DOUBLE) / CAST(n AS DOUBLE))
-                      / sqrt(CAST(n*ss - s*s AS DOUBLE)
-                             / (CAST(n AS DOUBLE) * CAST(n AS DOUBLE))))
-                  > 3
         """,
         "docs_source_entropy": f"""
             WITH w AS (
@@ -2869,95 +2002,6 @@ def oracle_sql() -> dict[str, str]:
                 FROM edges e JOIN reach ON reach.word = e.wb
             )
             SELECT word, MIN(r) AS canonical FROM reach GROUP BY word
-        """,
-        "events_value_quantiles": """
-            WITH c AS (
-                SELECT event_type,
-                       CAST(floor(value*100 + 0.5) AS BIGINT) AS cents
-                FROM events
-            )
-            SELECT event_type, 0.25 AS p,
-                   round(quantile_cont(cents, 0.25) / 100.0, 6)
-                       AS value_quantile
-            FROM c GROUP BY event_type
-            UNION ALL
-            SELECT event_type, 0.5,
-                   round(quantile_cont(cents, 0.5) / 100.0, 6)
-            FROM c GROUP BY event_type
-            UNION ALL
-            SELECT event_type, 0.75,
-                   round(quantile_cont(cents, 0.75) / 100.0, 6)
-            FROM c GROUP BY event_type
-        """,
-        "customers_without_orders": """
-            SELECT c_custkey, c_name FROM customer
-            WHERE c_custkey NOT IN (
-                SELECT o_custkey FROM orders
-                WHERE o_orderdate >= TIMESTAMP '2000-01-01'
-            )
-        """,
-        "top_order_per_customer": """
-            WITH ranked AS (
-                SELECT o_custkey, o_orderkey,
-                       CAST(floor(o_totalprice*100 + 0.5) AS BIGINT) AS cents,
-                       ROW_NUMBER() OVER (
-                           PARTITION BY o_custkey
-                           ORDER BY floor(o_totalprice*100 + 0.5) DESC,
-                                    o_orderkey
-                       ) AS rk
-                FROM orders
-            )
-            SELECT o_custkey, o_orderkey, cents / 100.0 AS o_totalprice
-            FROM ranked WHERE rk = 1
-        """,
-        "events_sliding_window": """
-            WITH exploded AS (
-                SELECT e.event_type,
-                       to_timestamp(
-                           (CAST(floor(epoch(e.ts) / 900) AS BIGINT) - k.k)
-                           * 900
-                       )::TIMESTAMP AS window_start,
-                       CAST(floor(e.value*100 + 0.5) AS BIGINT) AS cents
-                FROM events e, (VALUES (0), (1), (2), (3)) AS k(k)
-            )
-            SELECT event_type, window_start, COUNT(*) AS n,
-                   SUM(cents) / 100.0 AS sum_value
-            FROM exploded GROUP BY 1, 2
-        """,
-        "events_running_totals": """
-            SELECT user_id, event_id, ts,
-                   CAST(ROW_NUMBER() OVER w AS BIGINT) AS running_n,
-                   SUM(CAST(floor(value*100 + 0.5) AS BIGINT)) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS UNBOUNDED PRECEDING) / 100.0 AS running_value
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-        """,
-        # strictly-increasing timestamps chain the funnel steps; each
-        # CTE's min-ts per user feeds the next step's "after" filter
-        "events_funnel": """
-            WITH s1 AS (
-                SELECT user_id, min(ts) AS t FROM events
-                WHERE event_type = 'view' GROUP BY user_id
-            ),
-            s2 AS (
-                SELECT e.user_id, min(e.ts) AS t
-                FROM events e JOIN s1 USING (user_id)
-                WHERE e.event_type = 'click' AND e.ts > s1.t
-                GROUP BY e.user_id
-            ),
-            s3 AS (
-                SELECT e.user_id, min(e.ts) AS t
-                FROM events e JOIN s2 USING (user_id)
-                WHERE e.event_type = 'purchase' AND e.ts > s2.t
-                GROUP BY e.user_id
-            )
-            SELECT CAST(1 AS BIGINT) AS depth, 'view' AS step,
-                   count(*) AS users FROM s1
-            UNION ALL
-            SELECT CAST(2 AS BIGINT), 'click', count(*) FROM s2
-            UNION ALL
-            SELECT CAST(3 AS BIGINT), 'purchase', count(*) FROM s3
         """,
         "docs_lang_counts": "SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang",
         "docs_token_stats": f"""
@@ -3533,8 +2577,6 @@ def oracle_sql() -> dict[str, str]:
         "docs_pattern_counts": webtext.pattern_counts_oracle_sql(
             _AUDIT_PATTERNS
         ),
-        "events_asof_attribution": asof_mod.events_asof_oracle_sql(),
-        "events_window_count": asof_mod.window_count_oracle_sql(),
         # Count-Min estimates are exact on this corpus's bounded word
         # vocab (pytest pins zero CM collisions across all 4 rows at the
         # oracle scales), so the exact top-k twin is a valid value hash —
@@ -3548,8 +2590,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT word, est_count FROM c
             ORDER BY est_count DESC, word LIMIT 10
         """,
-        "lineitem_brand_semi_join":
-            sketches_mod.lineitem_brand_semi_join_oracle_sql(),
         "docs_temperature_sample": temperature_sample_oracle_sql(),
         # single-space split + DISTINCT 8-token windows on both sides;
         # DuckDB list slices are 1-based INCLUSIVE so w[i:i+7] is 8 toks
@@ -3580,12 +2620,6 @@ def oracle_sql() -> dict[str, str]:
         "docs_length_quantiles":
             sketches_mod.doc_length_quantiles_oracle_sql(),
         "docs_source_lang_rollup": analysis_rollup_oracle(),
-        "events_retention": windows_mod.retention_cohorts_oracle_sql(),
-        "events_ohlc_hourly": windows_mod.hourly_ohlc_oracle_sql(),
-        "events_user_streaks": windows_mod.user_streaks_oracle_sql(),
-        "events_seasonality": (
-            windows_mod.seasonality_profile_oracle_sql()
-        ),
         "docs_rare_word_ratio": f"""
             WITH w AS (
                 SELECT doc_id, t.word AS word
@@ -3602,87 +2636,9 @@ def oracle_sql() -> dict[str, str]:
                    CAST(r * 1000000 // n AS BIGINT) AS rare_ppm
             FROM p
         """,
-        "events_value_mad": """
-            WITH b AS (
-                SELECT event_type,
-                       CAST(floor(value*100 + 0.5) AS BIGINT) * 2 AS v2
-                FROM events
-            ), m AS (
-                SELECT event_type, quantile_cont(v2, 0.5) AS med2
-                FROM b GROUP BY 1
-            ), d AS (
-                SELECT b.event_type, abs(b.v2 - m.med2) AS d2
-                FROM b JOIN m USING (event_type)
-            ), s AS (
-                SELECT event_type, quantile_cont(d2, 0.5) AS mad2
-                FROM d GROUP BY 1
-            )
-            SELECT m.event_type,
-                   m.med2 / 200.0 AS median_value,
-                   s.mad2 / 200.0 AS mad_value
-            FROM m JOIN s USING (event_type)
-        """,
-        "order_ship_delay_hist": """
-            SELECT date_diff('day', o.o_orderdate, l.l_shipdate)
-                       AS delay_days,
-                   COUNT(*) AS n
-            FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-            GROUP BY 1
-        """,
-        "nation_revenue": f"""
-            SELECT n.n_name, SUM({_REV_CENTS}) / 100.0 AS revenue
-            FROM lineitem l
-            JOIN orders o ON l.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            GROUP BY n.n_name
-        """,
-        "events_type_transitions": (
-            windows_mod.type_transitions_oracle_sql()
-        ),
         "docs_source_lang_pivot": (
             analysis_mod.source_lang_pivot_oracle_sql()
         ),
-        "events_new_users_daily": (
-            windows_mod.new_users_daily_oracle_sql()
-        ),
-        "events_time_weighted_avg": (
-            windows_mod.time_weighted_avg_oracle_sql()
-        ),
-        "q1_incremental_maintenance": """
-            -- RECOMPUTE over the modified view; the engine maintains
-            -- the same aggregate algebraically in one weighted pass —
-            -- hash equality proves the IVM algebra
-            WITH modified AS (
-                SELECT l_returnflag, l_linestatus,
-                       CAST(l_quantity AS BIGINT) AS q,
-                       CAST(floor(l_extendedprice * (1 - l_discount)
-                                  * 100 + 0.5) AS BIGINT) AS cents
-                FROM lineitem WHERE l_orderkey % 10 <> 0
-                UNION ALL
-                SELECT l_returnflag, l_linestatus,
-                       CAST(l_quantity AS BIGINT) + 1,
-                       CAST(floor(l_extendedprice * (1 - l_discount)
-                                  * 100 + 0.5) AS BIGINT)
-                FROM lineitem WHERE l_orderkey % 7 = 0
-            )
-            SELECT l_returnflag, l_linestatus,
-                   CAST(SUM(q) AS BIGINT) AS sum_qty,
-                   round(CAST(SUM(cents) AS DOUBLE) / 100, 2)
-                       AS sum_disc_price,
-                   CAST(COUNT(*) AS BIGINT) AS n_rows
-            FROM modified GROUP BY 1, 2
-        """,
-        "q4_order_priority": """
-            SELECT o_orderpriority, COUNT(*) AS n_orders
-            FROM orders o
-            WHERE EXISTS (
-                SELECT 1 FROM lineitem l
-                WHERE l.l_orderkey = o.o_orderkey
-                  AND l.l_shipdate > o.o_orderdate + INTERVAL 90 DAY
-            )
-            GROUP BY 1
-        """,
         "docs_heaps_vocab_growth": (
             webtext_mod.heaps_vocab_growth_oracle_sql(bucket_docs=1)
         ),
@@ -3697,9 +2653,6 @@ def oracle_sql() -> dict[str, str]:
         ),
         "docs_winnowing_neardup": (
             dedup_mod.winnowing_neardup_oracle_sql()
-        ),
-        "customer_rfm_segments": (
-            relational_mod.customer_rfm_oracle_sql()
         ),
         "docs_minhash_signatures": (
             dedup_mod.minhash_signatures_oracle_sql()
@@ -3717,25 +2670,12 @@ def oracle_sql() -> dict[str, str]:
             analysis_mod.pack_sequences_oracle_sql()
         ),
         "docs_domain_cap": analysis_mod.domain_cap_oracle_sql(),
-        "events_user_decay_scores": (
-            windows_mod.user_decay_scores_oracle_sql()
-        ),
-        "events_rolling_median": windows_mod.rolling_median_oracle_sql(),
         "docs_kmv_distinct_words": (
             sketches_mod.kmv_distinct_words_oracle_sql()
         ),
-        "order_reconciliation": (
-            relational_mod.order_reconciliation_oracle_sql()
-        ),
         "docs_normalize_text": analysis_mod.normalize_text_oracle_sql(),
-        "events_activity_bitmaps": (
-            windows_mod.activity_bitmaps_oracle_sql()
-        ),
         "docs_shingle_df_histogram": (
             dedup_mod.shingle_df_histogram_oracle_sql()
-        ),
-        "events_hourly_anomalies": (
-            windows_mod.hourly_anomalies_oracle_sql()
         ),
         "pages_crawl_rate": webtext_mod.crawl_rate_oracle_sql(),
         "docs_curation_pipeline": __import__(
@@ -3745,16 +2685,6 @@ def oracle_sql() -> dict[str, str]:
         "docs_dup_gram_coverage": (
             dedup_mod.dup_gram_coverage_oracle_sql()
         ),
-        "events_dau_wau": windows_mod.dau_wau_oracle_sql(),
-        "events_session_length_hist": (
-            windows_mod.session_length_histogram_oracle_sql()
-        ),
-        "events_type_stationary": (
-            windows_mod.type_stationary_oracle_sql()
-        ),
-        "customer_revenue_gini": (
-            relational_mod.customer_revenue_gini_oracle_sql()
-        ),
         "docs_train_val_test": (
             analysis_mod.train_val_test_oracle_sql()
         ),
@@ -3763,81 +2693,13 @@ def oracle_sql() -> dict[str, str]:
             analysis_mod.char_class_profile_oracle_sql()
         ),
         "docs_filtered_read": analysis_mod.filtered_read_oracle_sql(),
-        "top_suppliers_per_nation": (
-            relational_mod.top_suppliers_per_nation_oracle_sql()
-        ),
-        "order_price_bands": (
-            relational_mod.order_price_bands_oracle_sql()
-        ),
-        "lineitem_weighted_median": __import__(
-            "autoner_ray.stages.stats",
-            fromlist=["grouped_weighted_median_oracle_sql"],
-        ).grouped_weighted_median_oracle_sql(),
-        "orders_per_customer_hist": (
-            relational_mod.orders_per_customer_oracle_sql()
-        ),
         "docs_word_length_histogram": (
             analysis_mod.word_length_histogram_oracle_sql()
-        ),
-        "events_user_lifetime_hist": (
-            windows_mod.user_lifetime_oracle_sql()
-        ),
-        "events_retention_ppm": (
-            windows_mod.retention_normalized_oracle_sql()
         ),
         "docs_source_quality": (
             analysis_mod.source_quality_oracle_sql()
         ),
-        "q6_forecast_revenue": """
-            WITH p AS (
-                SELECT CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                           AS cents,
-                       CAST(floor(l_discount * 100 + 0.5) AS BIGINT)
-                           AS disc_h
-                FROM lineitem
-                WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-                  AND l_shipdate < TIMESTAMP '1997-01-01'
-                  AND l_quantity < 24
-            ), s AS (
-                SELECT CAST(COALESCE(SUM(cents * disc_h), 0) AS BIGINT)
-                           AS revenue_c4
-                FROM p WHERE disc_h BETWEEN 5 AND 7
-            )
-            SELECT revenue_c4,
-                   CAST(revenue_c4 AS DOUBLE) / 10000.0 AS revenue
-            FROM s
-        """,
-        "q5_local_supplier_volume": relational_mod.q5_oracle_sql(),
-        "q10_returned_items": relational_mod.q10_oracle_sql(),
-        "q8_market_share": relational_mod.q8_oracle_sql(),
-        "q18_large_orders": relational_mod.q18_oracle_sql(),
         "docs_next_word_topk": webtext_mod.next_word_topk_oracle_sql(),
-        "q14_promo_revenue": """
-            WITH p AS (
-                SELECT CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-                     * (100 - CAST(floor(l.l_discount * 100 + 0.5)
-                                   AS BIGINT)) AS c4,
-                       pt.p_type = 'PROMO' AS is_promo
-                FROM lineitem l
-                JOIN part pt ON l.l_partkey = pt.p_partkey
-                WHERE l.l_shipdate >= TIMESTAMP '1996-01-01'
-                  AND l.l_shipdate < TIMESTAMP '1997-01-01'
-            ), s AS (
-                SELECT
-                    CAST(COALESCE(
-                        SUM(CASE WHEN is_promo THEN c4 END), 0
-                    ) AS BIGINT) AS promo_revenue_c4,
-                    CAST(COALESCE(SUM(c4), 0) AS BIGINT)
-                        AS total_revenue_c4
-                FROM p
-            )
-            SELECT promo_revenue_c4, total_revenue_c4,
-                   CAST(CASE WHEN total_revenue_c4 = 0 THEN 0
-                        ELSE (CAST(promo_revenue_c4 AS HUGEINT) * 1000000)
-                             // total_revenue_c4 END AS BIGINT)
-                       AS promo_ppm
-            FROM s
-        """,
         "docs_lang_hot_ngrams": (
             webtext_mod.lang_hot_ngrams_oracle_sql()
         ),
@@ -3866,15 +2728,6 @@ def oracle_sql() -> dict[str, str]:
             "autoner_ray.sources.text_formats",
             fromlist=["parquet_partitioned_stats_oracle_sql"],
         ).parquet_partitioned_stats_oracle_sql(),
-        "events_gap_histogram": windows_mod.gap_histogram_oracle_sql(),
-        "supplier_part_fanout": """
-            WITH d AS (
-                SELECT DISTINCT l_suppkey, l_partkey FROM lineitem
-            ), s AS (
-                SELECT l_suppkey, COUNT(*) AS n_parts FROM d GROUP BY 1
-            )
-            SELECT n_parts, COUNT(*) AS n_suppliers FROM s GROUP BY 1
-        """,
         "docs_length_gini": """
             WITH r AS (
                 SELECT n_chars, ROW_NUMBER() OVER (
@@ -3955,41 +2808,13 @@ def oracle_sql() -> dict[str, str]:
             FROM deg d LEFT JOIN tcnt t USING (entity)
             WHERE d.deg >= 2
         """,
-        "q3_shipping_priority": f"""
-            SELECT l.l_orderkey,
-                   SUM({_REV_CENTS}) / 100.0 AS revenue,
-                   o.o_orderdate, o.o_orderpriority
-            FROM customer c
-            JOIN orders o ON c.c_custkey = o.o_custkey
-            JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-            WHERE c.c_mktsegment = 'BUILDING'
-              AND o.o_orderdate < TIMESTAMP '1998-06-01'
-              AND l.l_shipdate > TIMESTAMP '1998-06-01'
-            GROUP BY l.l_orderkey, o.o_orderdate, o.o_orderpriority
-            ORDER BY revenue DESC, l.l_orderkey
-            LIMIT 10
-        """,
         "docs_corpus_card": analysis_mod.corpus_card_oracle_sql(),
-        "events_sequence_patterns": (
-            windows_mod.sequence_pattern_oracle_sql()
-        ),
-        "q7_volume_shipping": relational_mod.q7_oracle_sql(),
-        "q17_small_quantity_revenue": relational_mod.q17_oracle_sql(),
-        "q19_disjunctive_revenue": relational_mod.q19_oracle_sql(),
         "docs_readability": analysis_mod.readability_oracle_sql(),
-        "events_hourly_top_type": (
-            windows_mod.hourly_top_type_oracle_sql()
-        ),
         "kg_label_propagation": _lpa_sql(dict_values),
         "kg_community_modularity": _modularity_sql(dict_values),
-        "q15_top_supplier": relational_mod.q15_oracle_sql(),
-        "q22_sales_opportunity": relational_mod.q22_oracle_sql(),
         "docs_ccnet_buckets": analysis_mod.ccnet_buckets_oracle_sql(),
-        "q9_product_type_profit": relational_mod.q9_oracle_sql(),
-        "orders_cohort_ltv": relational_mod.cohort_ltv_oracle_sql(),
         "docs_chunk_overlap": analysis_mod.chunk_overlap_oracle_sql(),
         "docs_vocab_coverage": analysis_mod.vocab_coverage_oracle_sql(),
-        "q16_parts_supplier_count": relational_mod.q16_oracle_sql(),
         "kg_triple_delta": f"""
             WITH words AS (
                 SELECT DISTINCT d.doc_id, dict.entity
@@ -4046,21 +2871,6 @@ def oracle_sql() -> dict[str, str]:
             _AUDIT_PATTERNS
         ),
         "docs_entity_density": _entity_density_sql(),
-        "q12_priority_shipping_lag": """
-            SELECT CAST(greatest(-4, least(4,
-                       CAST(floor(date_diff('day', o.o_orderdate,
-                                            l.l_shipdate) / 180.0)
-                            AS BIGINT))) AS BIGINT) AS lag_band,
-                   CAST(SUM(CASE WHEN o.o_orderpriority IN
-                            ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END)
-                        AS BIGINT) AS high_lines,
-                   CAST(SUM(CASE WHEN o.o_orderpriority IN
-                            ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END)
-                        AS BIGINT) AS low_lines
-            FROM lineitem l
-            JOIN orders o ON l.l_orderkey = o.o_orderkey
-            GROUP BY 1
-        """,
         "vocab_blocking_keys": (
             analysis_mod.vocab_blocking_keys_oracle_sql()
         ),
@@ -4150,11 +2960,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(SUM(n_chars) AS BIGINT) AS sum_chars
             FROM documents GROUP BY 1
         """,
-        "q13_customer_distribution": relational_mod.q13_oracle_sql(),
-        "q21_suppliers_waiting": relational_mod.q21_oracle_sql(),
-        "q11_important_parts": relational_mod.q11_oracle_sql(),
-        "q20_prominent_suppliers": relational_mod.q20_oracle_sql(),
-        "q2_min_cost_supplier": relational_mod.q2_oracle_sql(),
         "pages_url_canonical_map":
             urltools_mod.url_canonical_map_oracle_sql(),
         "pages_url_canonical_dedup":
@@ -4441,56 +3246,6 @@ def oracle_sql() -> dict[str, str]:
                                 * CAST(n * syy - sy * sy AS DOUBLE)), 6)
                        AS spearman
             FROM m
-        """,
-        "orders_benford": """
-            WITH cents AS (
-                SELECT CAST(FLOOR(o_totalprice * 100.0 + 0.5)
-                            AS BIGINT) AS c
-                FROM orders
-            ),
-            first AS (
-                SELECT CAST(substring(CAST(c AS VARCHAR), 1, 1)
-                            AS BIGINT) AS digit
-                FROM cents
-            ),
-            obs AS (
-                SELECT digit, COUNT(*) AS n FROM first GROUP BY digit
-            ),
-            digits AS (SELECT UNNEST(range(1, 10)) AS digit),
-            tot AS (SELECT CAST(SUM(n) AS BIGINT) AS nn FROM obs),
-            terms AS (
-                SELECT d.digit,
-                       COALESCE(o.n, 0) AS n_observed,
-                       (SELECT nn FROM tot)
-                           * (LN(1.0 + 1.0 / d.digit) / LN(10.0))
-                           AS exp_n
-                FROM digits d LEFT JOIN obs o USING (digit)
-            )
-            SELECT CAST(digit AS BIGINT) AS digit,
-                   CAST(n_observed AS BIGINT) AS n_observed,
-                   CAST(FLOOR(exp_n * 1000000 + 0.5) AS BIGINT)
-                       AS expected_micro,
-                   CAST(FLOOR((n_observed - exp_n)
-                              * (n_observed - exp_n) / exp_n
-                              * 1000000 + 0.5) AS BIGINT)
-                       AS chi2_term_micro
-            FROM terms
-        """,
-        "customer_k_anonymity": """
-            WITH classes AS (
-                SELECT c_nationkey, c_mktsegment, COUNT(*) AS n
-                FROM customer GROUP BY 1, 2
-            ),
-            hist AS (
-                SELECT n AS size_class,
-                       CAST(COUNT(*) AS BIGINT) AS n_classes
-                FROM classes GROUP BY n
-            )
-            SELECT CAST(-1 AS BIGINT) AS size_class,
-                   CAST((SELECT MIN(n) FROM classes) AS BIGINT)
-                       AS n_classes
-            UNION ALL
-            SELECT CAST(size_class AS BIGINT), n_classes FROM hist
         """,
         "docs_feature_hashing": f"""
             WITH toks AS (SELECT doc_id, {WORDS} AS w FROM documents),

@@ -28,14 +28,13 @@ import pyarrow as pa
 from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS, UNIGRAM_DICT
 from autoner_ray.sources.pages import read_pages
 from autoner_ray.stages.combine import keyed_combine
-from autoner_ray.stages.dict_match import DictMatcher, pair_key_bound
+from autoner_ray.stages.dict_match import pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
 from autoner_ray.stages.tokenize import (
     sentence_token_stream,
     tokenize_pages_batch,
 )
 from autoner_ray.stages.triples import (
-    PRED_COOCCUR,
     aggregate_edges,
     pair_counts_batch,
     pairs_within,

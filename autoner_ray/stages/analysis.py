@@ -3842,8 +3842,8 @@ def ccnet_buckets(docs_ds, n_buckets: int = 3):
     (doc_id, lang) projection sharded by int doc_id — one corpus-row
     shuffle, no driver materialization — then per-lang pandas tiling.
     At 100 TB, per-lang groups are corpus/|langs| rows; swap the exact
-    NTILE for tier BOUNDARIES from a distributed value histogram (the
-    ``lineitem_weighted_median`` shape) and a stateless bucketing map —
+    NTILE for tier BOUNDARIES from a distributed value histogram and a
+    stateless bucketing map —
     kept exact here because the oracle certifies the tier contract."""
     import pandas as pd
 

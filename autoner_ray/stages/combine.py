@@ -19,7 +19,7 @@ execution; see :func:`edge_tier`):
 - bounded: the caller declares ``max_keys``, a proven bound on the
   distinct keys, at or under ``BOUNDED_MAX_KEYS`` (entity types bounded
   by the dictionary, edge keys of a fixed dictionary's canonical
-  surfaces, TPC-H flag pairs). The partials go through
+  surfaces, language codes). The partials go through
   ``repartition(1)`` and ONE ``combine`` task; no sort shuffle runs.
   That task raises :class:`ExchangeBoundExceeded` when it holds more
   than ``BOUNDED_MAX_ROWS`` rows; it never truncates.

@@ -1,23 +1,21 @@
 """Mergeable one-pass sketches (engine extensions for corpus-scale
-profiling): HyperLogLog distinct counting, Count-Min heavy hitters, and
-a Bloom-filter semi-join prefilter.
+profiling): HyperLogLog distinct counting, Count-Min heavy hitters, a
+Bloom filter, and a mergeable quantile sketch.
 
-Scale shape shared by all three: every sketch here is a fixed-size,
+Scale shape shared by the sketches: every sketch here is a fixed-size,
 order-independent MERGE (elementwise max / sum / or), so a batch stream
 of any block layout reduces to one tiny blob per batch, then one blob
 per block, then one final row — no shuffle of the data itself, no
 driver-side state proportional to the corpus. Determinism: all hashing
 is md5-derived (``functions/hashing.md5_64_array``), so estimates are
 pure functions of the input multiset — pinned by pytest, not by SQL
-(an approximate value has no exact SQL twin; the Bloom path IS exact
-because membership is re-verified, so it carries a SQL oracle).
+(an approximate value has no exact SQL twin).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from autoner_ray.functions.hashing import md5_64_array
 
@@ -211,7 +209,7 @@ def cm_heavy_hitters(docs_ds, k: int = 10, candidates_per_batch: int = 64):
     )
 
 
-# ------------------------------------------------ Bloom semi-join
+# ------------------------------------------------ Bloom filter
 
 def _bloom_build(keys: np.ndarray, m_bits: int, n_hashes: int) -> np.ndarray:
     """Bit array (uint64 words) from int64/uint64 keys; double hashing
@@ -247,69 +245,6 @@ def _bloom_maybe(
         word = bits[(pos >> np.uint64(6)).astype(np.int64)]
         ok &= (word >> (pos & np.uint64(63))) & np.uint64(1) != 0
     return ok
-
-
-def bloom_semi_join(big_ds, small_keys: np.ndarray, on: str,
-                    bits_per_key: int = 10):
-    """EXACT semi-join of ``big_ds`` against an int key set: a broadcast
-    Bloom filter (≈10 bits/key, ~1 % fp) prunes almost every non-member
-    inside the scan; survivors are re-verified against the exact key set
-    so the OUTPUT is exact (SQL-twinnable) while the fast path touches
-    only the filter. At 100 TB the exact set rides along per worker when
-    it fits (broadcast once via ``ray.put``) or becomes a cogroup join
-    over the ~1 % survivors when it doesn't — either way the big side
-    never shuffles.
-    """
-    import ray
-
-    n_keys = max(len(small_keys), 1)
-    m_bits = max(64, n_keys * bits_per_key)
-    n_hashes = 7  # ~0.69 * bits_per_key
-    bloom = _bloom_build(small_keys, m_bits, n_hashes)
-    handle = ray.put((bloom, np.sort(small_keys)))
-
-    def filter_batch(batch: pa.Table) -> pa.Table:
-        bits, exact = ray.get(handle)
-        keys = batch[on].to_numpy(zero_copy_only=False)
-        maybe = _bloom_maybe(keys, bits, m_bits, n_hashes)
-        if len(exact) and maybe.any():
-            # exact re-verify only on Bloom survivors
-            sub = keys[maybe]
-            pos = np.searchsorted(exact, sub)
-            pos = np.clip(pos, 0, len(exact) - 1)
-            maybe[np.flatnonzero(maybe)] = exact[pos] == sub
-        return batch.filter(pa.array(maybe))
-
-    return big_ds.map_batches(filter_batch, batch_format="pyarrow")
-
-
-def lineitem_brand_semi_join(sf_dir: str, brand: str = "Brand#23"):
-    """Lineitems whose part is of ``brand``: read the small filtered
-    part-key side once, Bloom-broadcast it, scan lineitem with only the
-    needed columns."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    pt = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    keys = pt.filter(pc.equal(pt["p_brand"], brand))[
-        "p_partkey"
-    ].to_numpy()
-    big = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_quantity"],
-    )
-    return bloom_semi_join(big, keys, on="l_partkey")
-
-
-def lineitem_brand_semi_join_oracle_sql(brand: str = "Brand#23") -> str:
-    return f"""
-        SELECT l_orderkey, l_partkey, l_quantity FROM lineitem
-        WHERE l_partkey IN (
-            SELECT p_partkey FROM part WHERE p_brand = '{brand}'
-        )
-    """
 
 
 # ------------------------------------------------ quantile sketch
@@ -354,8 +289,8 @@ def _q_blob(vals: np.ndarray, wts: np.ndarray) -> "pa.Table":
 def quantile_sketch(ds, column: str, ps=(0.1, 0.5, 0.9, 0.99),
                     cap: int = Q_CAP):
     """Mergeable quantile sketch over a numeric column — the
-    unbounded-support complement to the exact bounded-histogram path
-    (``relational.order_price_quantiles``): fixed ``cap`` summary points
+    unbounded-support complement to an exact bounded-value histogram:
+    fixed ``cap`` summary points
     per task regardless of value cardinality, deterministic compaction,
     no shuffle of the data.
 

@@ -1,25 +1,16 @@
-"""Distributed statistics over mergeable moment partials.
+"""Exact statistics over mergeable moment partials: tie-corrected
+Spearman rank correlation (``docs_spearman_len_tokens``) and a per-group
+OLS fit with Pearson correlation (``grouped_linear_fit``).
 
-Reference parity note: the reference engine (shangjingbo1226/AutoNER)
-has no regression operator; this is part of the LLM-data/analytics
-extension surface (SURVEY.md §2 additions). The partial-moment shape
-is the canonical Ray-Data aggregate pattern: vectorized per-batch
-partials -> bounded-key combine -> tiny driver-side-free finish block.
-
-Exactness contract: x and y are snapped to integers with the repo's
-``floor(v*scale + 0.5)`` cents trick (same expression the DuckDB
-oracles use), so the five moments (n, Σx, Σy, Σxx, Σyy, Σxy) are
-EXACT int64 partials that merge associatively — no float summation
-order anywhere in the distributed part. The final slope / intercept /
-corr derivation converts the exact integers to float64 in the same
+The partial-moment shape is the canonical Ray-Data aggregate pattern:
+vectorized per-batch partials -> bounded-key combine -> one tiny finish
+row. Values are snapped to integers (doubled ranks, or the
+``floor(v*scale + 0.5)`` cents trick), so the six moments (n, Σx,
+Σy, Σxx, Σyy, Σxy) are EXACT int64 partials that merge associatively —
+no float summation order anywhere in the distributed part. The final
+correlation converts the exact integers to float64 in the same
 operation order as the SQL twin, so both sides compute bit-identical
 doubles before the 6-dp round.
-
-Scale: the combine output is |groups| rows (bounded, e.g. 3 return
-flags); moments stay within int64 up to ~1e18 — with y scaled to
-hundredths (|y|<=1e4 after scaling) that is ~1e10 rows per group.
-For 100-TB corpora with larger y, raise ``y_scale`` down or shard the
-group key; the partial shape is unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +18,6 @@ from __future__ import annotations
 import math
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from autoner_ray.stages.combine import bounded_key_sum
 
@@ -121,529 +111,6 @@ def grouped_linear_fit(ds, key: str, x_col: str, y_col: str,
         )
 
     return moments.map_batches(finish, batch_format="pyarrow")
-
-
-def json_int_field_stats(ds, key: str, json_col: str, field: str):
-    """Semi-structured probe: extract integer ``field`` from a JSON
-    string column with a vectorized RE2 kernel (``pc.extract_regex`` —
-    no per-row json.loads) and aggregate per ``key``: n / sum / min /
-    max / 6-dp avg. Rows whose JSON lacks the field are skipped (SQL
-    NULL-aggregate semantics).
-
-    CONTRACT: ``json_col`` holds FLAT json objects with integer
-    fields (the events fixture's shape). The regex deliberately does
-    NOT implement full JSON-path semantics — nested objects, float
-    values, or the field name embedded inside a string value are out
-    of contract; the DuckDB twin applies the SAME regexp_extract so
-    both sides stay bit-identical on any input honoring the contract
-    rather than silently diverging outside it.
-
-    Mergeable-partials shape: per-batch arrow group_by computes
-    (count, sum, min, max) partials; the bounded per-key merge re-sums
-    counts/sums and re-min/maxes extrema in one tiny single-block pass
-    (min/max are their own combiners, like the argmax merge)."""
-    import numpy as np
-
-    pattern = rf'"{field}":\s*(?P<v>-?\d+)'
-    part_names = [key, "n", "sum_k", "min_k", "max_k"]
-
-    def _empty() -> pa.Table:
-        return pa.table(
-            {key: pa.array([], pa.string())}
-            | {c: pa.array([], pa.int64()) for c in part_names[1:]}
-        )
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _empty()
-        ex = pc.extract_regex(
-            pc.fill_null(t[json_col], "").combine_chunks(), pattern
-        )
-        k = pc.cast(pc.struct_field(ex, "v"), pa.int64())
-        keep = pc.is_valid(k)
-        part = pa.table(
-            {key: t[key].combine_chunks().filter(keep), "k": k.filter(keep)}
-        )
-        agg = part.group_by(key).aggregate(
-            [("k", "count"), ("k", "sum"), ("k", "min"), ("k", "max")]
-        )
-        return agg.rename_columns(part_names)
-
-    def merge(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _empty()
-        agg = t.group_by(key).aggregate(
-            [("n", "sum"), ("sum_k", "sum"), ("min_k", "min"),
-             ("max_k", "max")]
-        )
-        return agg.rename_columns(part_names)
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _empty().append_column(
-                "avg_k", pa.array([], pa.float64())
-            )
-        avg = [
-            round(float(s) / float(n), 6)
-            for s, n in zip(t["sum_k"].to_pylist(), t["n"].to_pylist())
-        ]
-        return t.append_column("avg_k", pa.array(avg, pa.float64()))
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-        .map_batches(finish, batch_format="pyarrow")
-    )
-
-
-def grouped_geomean(ds, key: str, value_col: str, value_scale: int = 100):
-    """Per-group geometric mean of a positive value column.
-
-    Same order-independence discipline as the entropy/perplexity ops:
-    each row's ln(value_in_scaled_units) is quantized to integer
-    MICRO-NATS before summation, so partials merge associatively and
-    match the SQL twin exactly; only the final exp() touches floats,
-    on identical exact integers both sides. Result is in the original
-    value units (divided back by ``value_scale``), 6 dp."""
-    import numpy as np
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                }
-            )
-        c = np.floor(
-            t[value_col].to_numpy(zero_copy_only=False) * value_scale + 0.5
-        )
-        # geometric mean is defined over POSITIVE values: rows that
-        # round to <= 0 scaled units are excluded (n counts only the
-        # included rows; ln(0) would otherwise poison the integer sum
-        # — first seen on the sf0.1 corpus). SQL twin filters the same.
-        pos = c >= 1
-        keys_arr = t[key].filter(pa.array(pos))
-        c = c[pos]
-        l_micro = np.floor(np.log(c) * 1e6 + 0.5).astype(np.int64)
-        part = pa.table(
-            {
-                key: keys_arr,
-                "n": pa.array(np.ones(len(c), np.int64)),
-                "s": pa.array(l_micro),
-            }
-        )
-        agg = part.group_by(key).aggregate([("n", "sum"), ("s", "sum")])
-        return agg.rename_columns([key, "n", "s"])
-
-    moments = bounded_key_sum(
-        ds.map_batches(partial, batch_format="pyarrow"), [key], ["n", "s"]
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "gmean": pa.array([], pa.float64()),
-                }
-            )
-        gm = [
-            round(
-                math.exp(s / 1e6 / float(n)) / value_scale, 6
-            )
-            for n, s in zip(t["n"].to_pylist(), t["s"].to_pylist())
-        ]
-        return pa.table(
-            {
-                key: t[key],
-                "n": t["n"],
-                "gmean": pa.array(gm, pa.float64()),
-            }
-        )
-
-    return moments.map_batches(finish, batch_format="pyarrow")
-
-
-def grouped_zscore_outliers(ds, key: str, value_col: str,
-                            carry_cols: list[str],
-                            z_thresh: float = 3.0,
-                            value_scale: int = 100):
-    """Per-group anomaly flags: rows whose value deviates more than
-    ``z_thresh`` population standard deviations from their group mean.
-
-    Two corpus passes, zero shuffles of the corpus: (1) exact int64
-    moment partials (value snapped to ``1/value_scale`` units with the
-    cents trick) -> bounded per-key combine -> the tiny (key, n, s, ss)
-    table broadcast via ``ray.put``; (2) a streamed vectorized filter
-    computing z from the broadcast exact moments. Groups with zero
-    variance emit no rows (z undefined). The mean/std/z float
-    derivation mirrors the SQL twin operation-for-operation, so the
-    filter decisions and 6-dp rounded z values match exactly.
-    """
-    import numpy as np
-    import ray
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                    "ss": pa.array([], pa.int64()),
-                }
-            )
-        c = np.floor(
-            t[value_col].to_numpy(zero_copy_only=False) * value_scale + 0.5
-        ).astype(np.int64)
-        part = pa.table(
-            {
-                key: t[key],
-                "n": pa.array(np.ones(len(c), np.int64)),
-                "s": pa.array(c),
-                "ss": pa.array(c * c),
-            }
-        )
-        agg = part.group_by(key).aggregate(
-            [("n", "sum"), ("s", "sum"), ("ss", "sum")]
-        )
-        return agg.rename_columns([key, "n", "s", "ss"])
-
-    moments = bounded_key_sum(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        [key], ["n", "s", "ss"],
-    )
-    # |groups| rows (event-type taxonomy) — bounded, safe to collect
-    stats: dict[str, tuple[float, float]] = {}
-    for r in moments.take_all():
-        n, s, ss = int(r["n"]), int(r["s"]), int(r["ss"])
-        num = n * ss - s * s
-        if num <= 0:
-            continue  # zero variance: z undefined, no outliers
-        mean = float(s) / float(n)
-        std = math.sqrt(float(num) / (float(n) * float(n)))
-        stats[r[key]] = (mean, std)
-    stats_ref = ray.put(stats)
-
-    out_fields = carry_cols + [key, value_col, "z"]
-
-    def flag(t: pa.Table) -> pa.Table:
-        st = ray.get(stats_ref)
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {c: pa.array([], pa.int64()) for c in carry_cols}
-                | {
-                    key: pa.array([], pa.string()),
-                    value_col: pa.array([], pa.float64()),
-                    "z": pa.array([], pa.float64()),
-                }
-            )
-        import pandas as pd
-
-        c = np.floor(
-            t[value_col].to_numpy(zero_copy_only=False) * value_scale + 0.5
-        )
-        kcol = pd.Series(t[key].to_pylist())
-        mean = kcol.map({k: v[0] for k, v in st.items()}).to_numpy(
-            np.float64
-        )
-        std = kcol.map({k: v[1] for k, v in st.items()}).to_numpy(
-            np.float64
-        )
-        with np.errstate(invalid="ignore"):
-            z = (c - mean) / std
-            keep = np.abs(z) > z_thresh
-        keep &= ~np.isnan(z)
-        out = t.select(carry_cols + [key, value_col]).filter(
-            pa.array(keep)
-        )
-        return out.append_column(
-            "z", pa.array(np.round(z[keep], 6), pa.float64())
-        ).select(out_fields)
-
-    return ds.map_batches(flag, batch_format="pyarrow")
-
-
-def grouped_mad(ds, key: str, value_col: str, value_scale: int = 100):
-    """Per-group EXACT median and median-absolute-deviation — the
-    robust-statistics pair (outlier-resistant location/spread) that
-    complements the moment-based z-score op.
-
-    Exactness without a corpus sort: values snap to DOUBLED integer
-    units (``2 * cents``), where the p=0.5 ``quantile_cont``
-    interpolation midpoint of two even integers is itself an exact
-    integer — so the broadcast per-group median is integer-exact, the
-    second-pass absolute deviations are again integers, and the final
-    MAD interpolation produces exact dyadic halves. Both passes move
-    only per-batch (key, unit, n) histogram partials (<= distinct
-    values per key per batch), never rows; the per-group histogram
-    merge + interpolation mirrors DuckDB ``quantile_cont`` exactly.
-    """
-    import numpy as np
-    import pandas as pd
-    import ray
-
-    def _hist_partial(unit_col_name):
-        def fn(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.table(
-                    {
-                        key: pa.array([], pa.string()),
-                        "u": pa.array([], pa.int64()),
-                        "n": pa.array([], pa.int64()),
-                    }
-                )
-            u = t[unit_col_name]
-            agg = (
-                pa.table({key: t[key], "u": u})
-                .group_by([key, "u"])
-                .aggregate([([], "count_all")])
-            )
-            return agg.rename_columns([key, "u", "n"])
-
-        return fn
-
-    def _median_of_hist(df: pd.DataFrame) -> float:
-        h = df.groupby("u", sort=True)["n"].sum().reset_index()
-        vals = h["u"].to_numpy()
-        cum = h["n"].to_numpy().cumsum()
-        n = int(cum[-1])
-        pos = (n - 1) * 0.5
-        lo, hi = int(np.floor(pos)), int(np.ceil(pos))
-        a = float(vals[np.searchsorted(cum, lo + 1)])
-        b = float(vals[np.searchsorted(cum, hi + 1)])
-        return a + (b - a) * (pos - lo)
-
-    def add_units(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "v2": pa.array([], pa.int64()),
-                }
-            )
-        import numpy as np
-
-        c = np.floor(
-            t[value_col].to_numpy(zero_copy_only=False) * value_scale + 0.5
-        ).astype(np.int64)
-        return pa.table({key: t[key], "v2": pa.array(2 * c, pa.int64())})
-
-    units = ds.map_batches(add_units, batch_format="pyarrow")
-
-    # pass 1: per-group exact median in doubled units (integer-valued)
-    def med_group(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or key not in df.columns:
-            return pd.DataFrame(
-                {
-                    key: pd.Series(dtype="string"),
-                    "med2": pd.Series(dtype="int64"),
-                }
-            )
-        df = df.rename(columns={"u": "u"})
-        return pd.DataFrame(
-            {
-                key: [df[key].iloc[0]],
-                "med2": [int(_median_of_hist(df))],
-            }
-        )
-
-    meds = (
-        units.map_batches(
-            _hist_partial("v2"), batch_format="pyarrow", batch_size=65536
-        )
-        .groupby(key)
-        .map_groups(med_group, batch_format="pandas")
-        .to_pandas()
-    )
-    med_ref = ray.put(dict(zip(meds[key], meds["med2"].astype(np.int64))))
-
-    # pass 2: integer absolute deviations from the broadcast medians
-    def dev_units(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "d2": pa.array([], pa.int64()),
-                }
-            )
-        import numpy as np
-        import pandas as pd
-
-        med = ray.get(med_ref)
-        v2 = t["v2"].to_numpy(zero_copy_only=False)
-        m = pd.Series(t[key].to_pylist()).map(med).to_numpy(np.int64)
-        return pa.table(
-            {key: t[key], "d2": pa.array(np.abs(v2 - m), pa.int64())}
-        )
-
-    def mad_group(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or key not in df.columns:
-            return pd.DataFrame(
-                {
-                    key: pd.Series(dtype="string"),
-                    "median_value": pd.Series(dtype="float64"),
-                    "mad_value": pd.Series(dtype="float64"),
-                }
-            )
-        med = ray.get(med_ref)
-        mad2 = _median_of_hist(df)
-        k = df[key].iloc[0]
-        scale = 2.0 * value_scale
-        return pd.DataFrame(
-            {
-                key: [k],
-                "median_value": [float(med[k]) / scale],
-                "mad_value": [mad2 / scale],
-            }
-        )
-
-    return (
-        units.map_batches(dev_units, batch_format="pyarrow")
-        .map_batches(
-            _hist_partial("d2"), batch_format="pyarrow", batch_size=65536
-        )
-        .groupby(key)
-        .map_groups(mad_group, batch_format="pandas")
-    )
-
-
-def grouped_weighted_median(ds, key: str, value_col: str,
-                            weight_col: str,
-                            num_partitions: int | None = None):
-    """Per-group EXACT weighted (lower) median: the smallest value v
-    with cumulative weight(≤v) covering half the group's total weight
-    — the quantity-weighted "typical price" that an unweighted median
-    mis-states when cheap lines carry most volume. Pure integers end
-    to end (cents values, integer weights): no interpolation, no float
-    in the hash.
-
-    Scale shape: per-batch (key, value-cents) weight partials collapse
-    the row stream to <= distinct-values-per-batch; one
-    value-partitioned sum combine; then a per-KEY pandas pass (the
-    value histogram per key is price-domain-bounded, ~10^5 distinct
-    cents) does the cumulative-weight scan."""
-    import numpy as np
-    import pandas as pd
-
-    from autoner_ray.stages.combine import partitioned_key_sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "w": pa.array([], pa.int64()),
-                }
-            )
-        cents = np.floor(
-            t[value_col].to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        wts = t[weight_col].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        df = pd.DataFrame(
-            {key: t[key].to_pylist(), "v": cents, "w": wts}
-        )
-        agg = df.groupby([key, "v"], sort=False)["w"].sum().reset_index()
-        return pa.table(
-            {
-                key: pa.array(agg[key], pa.string()),
-                "v": pa.array(agg["v"].to_numpy(), pa.int64()),
-                "w": pa.array(agg["w"].to_numpy(), pa.int64()),
-            }
-        )
-
-    hist = partitioned_key_sum(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=65536),
-        [key, "v"], ["w"], part_on=(key,),
-        num_partitions=num_partitions,
-    )
-
-    def scan(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or key not in df.columns:
-            return pd.DataFrame(
-                {
-                    key: pd.Series(dtype="object"),
-                    "wmedian_cents": pd.Series(dtype="int64"),
-                    "total_weight": pd.Series(dtype="int64"),
-                }
-            )
-        out = []
-        for k, g in df.groupby(key, sort=False):
-            g = g.sort_values("v", kind="mergesort")
-            w = g["w"].to_numpy(np.int64)
-            tot = int(w.sum())
-            cum = np.cumsum(w)
-            v = int(g["v"].to_numpy()[np.argmax(2 * cum >= tot)])
-            out.append((k, v, tot))
-        return pd.DataFrame(
-            out, columns=[key, "wmedian_cents", "total_weight"]
-        )
-
-    # the partitioned combine already co-located each key; the scan is
-    # a second pass over the same partition layout
-    from autoner_ray.stages.joins import _stable_part_col
-
-    def add_part(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or key not in (
-            t.column_names
-        ):
-            return pa.table(
-                {
-                    key: pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "w": pa.array([], pa.int64()),
-                    "part": pa.array([], pa.int32()),
-                }
-            )
-        from autoner_ray.cluster import default_num_partitions
-
-        return t.append_column(
-            "part",
-            _stable_part_col(t, (key,), num_partitions
-                             or default_num_partitions()),
-        )
-
-    return (
-        hist.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(scan, batch_format="pandas")
-    )
-
-
-def grouped_weighted_median_oracle_sql(
-    key: str = "l_returnflag", value_col: str = "l_extendedprice",
-    weight_col: str = "l_quantity",
-) -> str:
-    return f"""
-        WITH c AS (
-            SELECT {key} AS k,
-                   CAST(floor({value_col} * 100 + 0.5) AS BIGINT) AS v,
-                   CAST({weight_col} AS BIGINT) AS w
-            FROM lineitem
-        ),
-        g AS (SELECT k, v, SUM(w) AS w FROM c GROUP BY 1, 2),
-        t AS (SELECT k, SUM(w) AS tot FROM g GROUP BY 1),
-        cum AS (
-            SELECT k, v,
-                   SUM(w) OVER (PARTITION BY k ORDER BY v
-                       ROWS UNBOUNDED PRECEDING) AS cw
-            FROM g
-        )
-        SELECT cum.k AS {key},
-               CAST(MIN(cum.v) AS BIGINT) AS wmedian_cents,
-               CAST(t.tot AS BIGINT) AS total_weight
-        FROM cum JOIN t ON cum.k = t.k
-        WHERE 2 * cum.cw >= t.tot
-        GROUP BY cum.k, t.tot
-    """
 
 
 def spearman_corr(docs_ds, x_col: str = "n_chars"):

@@ -35,18 +35,17 @@ DEFAULT_CPUS = int(
     os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0))
 )
 
-# Headline set: flagship KG pipeline + one representative per operator family.
 HEADLINE = [
     "kg_triples_full",
     "kg_triples_hybrid",
     "entity_canonical_table",
     "pages_extract_text",
     "dict_mention_counts_unigram",
-    "q1_pricing_summary",
-    "top_customers_by_revenue",
-    "top_order_per_customer",
-    "events_sessionize",
-    "events_sliding_window",
+    "kg_triples_resumable",
+    "docs_quality_filter",
+    "docs_neardup_keep_one",
+    "docs_decontaminate",
+    "kg_ntriples_export",
     "docs_exact_dedup",
     "minhash_neardup",
     "simhash_docs",

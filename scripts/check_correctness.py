@@ -126,26 +126,32 @@ def main() -> int:
         try:
             got = to_pandas(fn(sf_dir))
         except Exception as e:  # noqa: BLE001
-            print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
+            print(f"FAIL {name}: query raised {type(e).__name__}: {e}",
+                  flush=True)
             failures += 1
             continue
         dt = time.time() - t0
         sql = oracles.get(name)
         if sql is None:
-            print(f"ok   {name}: rows={len(got)} (rows-only) [{dt:.1f}s]")
+            print(f"ok   {name}: rows={len(got)} (rows-only) "
+                  f"[engine {dt:.1f}s]", flush=True)
             continue
+        t0 = time.time()
         try:
             want = con.execute(sql).df()
         except Exception as e:  # noqa: BLE001
-            print(f"FAIL {name}: oracle raised {e}")
+            print(f"FAIL {name}: oracle raised {e}", flush=True)
             failures += 1
             continue
+        timing = f"[engine {dt:.1f}s | oracle {time.time() - t0:.1f}s]"
         errs = compare(name, got, want)
         if errs:
             failures += 1
-            print(f"FAIL {name}: " + "; ".join(errs))
+            print(f"FAIL {name}: " + "; ".join(errs) + f" {timing}",
+                  flush=True)
         else:
-            print(f"ok   {name}: rows={len(got)} == oracle [{dt:.1f}s]")
+            print(f"ok   {name}: rows={len(got)} == oracle {timing}",
+                  flush=True)
     ray.shutdown()
     print("FAILURES:", failures)
     return 1 if failures else 0

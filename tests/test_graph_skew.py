@@ -127,36 +127,6 @@ def test_pagerank_matches_dense_oracle(ray_session):
     assert abs(sum(got_map.values()) - 1.0) < 1e-6
 
 
-def test_sliding_window_explode_semantics(ray_session):
-    """Each event lands in exactly window/slide consecutive windows."""
-    import datetime
-
-    import ray.data as rd
-
-    from autoner_ray.stages.windows import sliding_hourly
-
-    ts = datetime.datetime(2024, 1, 1, 10, 7, 0)
-    events = pa.table(
-        {
-            "event_id": pa.array([1], pa.int64()),
-            "user_id": pa.array([1], pa.int64()),
-            "event_type": ["click"],
-            "ts": pa.array([ts], pa.timestamp("us")),
-            "value": pa.array([2.5], pa.float64()),
-        }
-    )
-    out = sliding_hourly(rd.from_arrow(events)).to_pandas()
-    # 60/15 = 4 windows, each containing the event once
-    assert len(out) == 4
-    assert (out["n"] == 1).all()
-    assert (out["sum_value"] == 2.5).all()
-    starts = sorted(out["window_start"])
-    # consecutive slide-aligned starts, 15 min apart, all <= ts
-    for a, b in zip(starts, starts[1:]):
-        assert (b - a).total_seconds() == 900
-    assert max(starts) <= ts.replace(minute=0) + datetime.timedelta(minutes=0)
-
-
 def test_connected_components_oracle(ray_session):
     import ray.data as rd
 

@@ -1,67 +1,9 @@
-"""Brute-force equivalence tests for the round-4 late window/stat
-kernels: OHLC witness merge, PPS weighted systematic selection,
-grouped median-absolute-deviation, day-streak islands."""
+"""PPS weighted systematic selection vs the sequential brute force."""
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-
-
-def _events_table(n=500, seed=7):
-    rng = np.random.default_rng(seed)
-    ts = pd.Timestamp("2026-01-01") + pd.to_timedelta(
-        rng.integers(0, 96 * 3600, n), unit="s"
-    )
-    return pa.table(
-        {
-            "event_id": pa.array(np.arange(n, dtype=np.int64)),
-            "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(rng.integers(0, 9, n).astype(np.int64)),
-            "event_type": pa.array(
-                [f"t{i}" for i in rng.integers(0, 3, n)], pa.string()
-            ),
-            "value": pa.array(
-                np.round(rng.uniform(-50, 50, n), 2), pa.float64()
-            ),
-        }
-    )
-
-
-def test_hourly_ohlc_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    from autoner_ray.stages.windows import hourly_ohlc
-
-    t = _events_table()
-    # many small blocks so the mergeable witness path actually merges
-    got = (
-        hourly_ohlc(rd.from_arrow(t).repartition(13))
-        .to_pandas()
-        .sort_values("hour")
-        .reset_index(drop=True)
-    )
-
-    df = t.to_pandas().sort_values(["ts", "event_id"])
-    df["hour"] = df["ts"].dt.floor("h")
-    df["cents"] = np.floor(df["value"].to_numpy() * 100 + 0.5).astype(
-        np.int64
-    )
-    g = df.groupby("hour")
-    want = pd.DataFrame(
-        {
-            "hour": pd.Series(
-                list(g.groups.keys()), dtype="datetime64[us]"
-            ),
-            "open_value": g["cents"].first().values / 100.0,
-            "high_value": g["cents"].max().values / 100.0,
-            "low_value": g["cents"].min().values / 100.0,
-            "close_value": g["cents"].last().values / 100.0,
-            "n": g.size().values.astype(np.int64),
-        }
-    ).sort_values("hour").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
 
 
 def test_weighted_systematic_select_matches_sequential(ray_session):
@@ -86,177 +28,3 @@ def test_weighted_systematic_select_matches_sequential(ray_session):
     keep = (cum * k) // W > ((cum - w) * k) // W
     want = sorted(keys[keep].tolist())
     assert got == want and len(got) == k
-
-
-def test_grouped_mad_matches_numpy(ray_session):
-    import ray.data as rd
-
-    from autoner_ray.stages.stats import grouped_mad
-
-    t = _events_table(n=801, seed=11)
-    got = {
-        r["event_type"]: (r["median_value"], r["mad_value"])
-        for r in grouped_mad(
-            rd.from_arrow(t).repartition(7),
-            key="event_type", value_col="value",
-        ).take_all()
-    }
-    df = t.to_pandas()
-    df["v2"] = 2 * np.floor(df["value"].to_numpy() * 100 + 0.5).astype(
-        np.int64
-    )
-    for et, g in df.groupby("event_type"):
-        med2 = np.quantile(g["v2"].to_numpy(), 0.5, method="linear")
-        mad2 = np.quantile(
-            np.abs(g["v2"].to_numpy() - med2), 0.5, method="linear"
-        )
-        gm, gd = got[et]
-        assert gm == med2 / 200.0
-        assert gd == mad2 / 200.0
-
-
-def test_user_streaks_islands(ray_session):
-    import ray.data as rd
-
-    from autoner_ray.stages.windows import user_streaks
-
-    # user 1: days 0,1,2, 5,6 -> longest 3 of 5; user 2: day 10 only
-    days = [0, 1, 1, 2, 5, 6, 10]
-    users = [1, 1, 1, 1, 1, 1, 2]
-    ts = pd.Timestamp("2026-03-01") + pd.to_timedelta(days, unit="D")
-    t = pa.table(
-        {
-            "event_id": pa.array(
-                np.arange(len(days), dtype=np.int64)
-            ),
-            "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(np.array(users, np.int64)),
-            "event_type": pa.array(["x"] * len(days), pa.string()),
-            "value": pa.array([1.0] * len(days), pa.float64()),
-        }
-    )
-    got = {
-        r["user_id"]: (r["longest_streak"], r["n_active_days"])
-        for r in user_streaks(rd.from_arrow(t)).take_all()
-    }
-    assert got == {1: (3, 5), 2: (1, 1)}
-
-
-def test_hourly_ffill_properties(ray_session):
-    """Forward-fill grid: contiguous hourly grid per user spanning
-    first->last event hour; each value equals the latest event at or
-    before that hour's end (ties by event_id) — checked by brute force
-    on sf0.001."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from autoner_ray.stages.windows import hourly_ffill
-
-    got = (
-        hourly_ffill(
-            rd.read_parquet("/root/testdata/sf0.001/events.parquet")
-        )
-        .to_pandas()
-        .sort_values(["user_id", "hour"])
-        .reset_index(drop=True)
-    )
-    ev = pq.read_table(
-        "/root/testdata/sf0.001/events.parquet",
-        columns=["user_id", "ts", "event_id", "value"],
-    ).to_pandas()
-    rows = []
-    for uid, g in ev.groupby("user_id"):
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        lo = g["ts"].min().floor("h")
-        hi = g["ts"].max().floor("h")
-        for h in pd.date_range(lo, hi, freq="h"):
-            sel = g[g["ts"] < h + pd.Timedelta(hours=1)]
-            rows.append(
-                (uid, h.to_datetime64(), float(sel["value"].iloc[-1]))
-            )
-    want = pd.DataFrame(rows, columns=["user_id", "hour", "value"])
-    want["hour"] = want["hour"].astype("datetime64[us]")
-    got["hour"] = got["hour"].astype("datetime64[us]")
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    # grid contiguity: per user, hours step exactly 1h
-    for _, g in got.groupby("user_id"):
-        dh = np.diff(g["hour"].to_numpy().astype("datetime64[h]").astype(int))
-        assert (dh == 1).all()
-
-
-def test_trimmed_mean_bruteforce(ray_session):
-    """Histogram-partial trimmed mean == brute-force sort-and-slice on
-    cents, across several trim fractions (incl. 0 = plain mean)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from autoner_ray.stages.windows import trimmed_mean_by_type
-
-    ev = pq.read_table(
-        "/root/testdata/sf0.001/events.parquet",
-        columns=["event_type", "value"],
-    ).to_pandas()
-    for trim in (0.0, 0.05, 0.25):
-        got = (
-            trimmed_mean_by_type(
-                rd.read_parquet("/root/testdata/sf0.001/events.parquet"),
-                trim=trim,
-            )
-            .to_pandas()
-            .set_index("event_type")
-            .sort_index()
-        )
-        for et, g in ev.groupby("event_type"):
-            cents = np.sort(
-                np.floor(g["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-            )
-            n = len(cents)
-            k = (n * int(round(trim * 1_000_000))) // 1_000_000
-            kept = cents[k : n - k]
-            assert got.loc[et, "n_kept"] == len(kept)
-            assert got.loc[et, "trimmed_mean"] == round(
-                kept.sum() / len(kept) / 100.0, 6
-            )
-
-
-def test_survival_km_censoring(ray_session):
-    """KM with real right-censoring on a hand fixture: censored users
-    count at risk but never convert; exact integer-ppm product."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from autoner_ray.stages.windows import survival_km
-
-    H = 3_600_000_000  # us per hour
-
-    def ev(uid, hour_us, etype):
-        return (uid, hour_us, etype)
-
-    rows = [
-        # u1 converts at t=1h
-        ev(1, 0, "view"), ev(1, 1 * H, "purchase"),
-        # u2 converts at t=3h
-        ev(2, 0, "view"), ev(2, 3 * H + 5, "purchase"),
-        # u3 never converts, last seen t=2h (censored at 2)
-        ev(3, 0, "view"), ev(3, 2 * H, "click"),
-        # u4 converts at t=1h too
-        ev(4, 0, "view"), ev(4, 1 * H + 7, "purchase"),
-    ]
-    t = pa.table(
-        {
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-            "event_type": pa.array([r[2] for r in rows], pa.string()),
-        }
-    )
-    out = survival_km(rd.from_arrow(t)).to_pandas()
-    # t=1h: 4 at risk, 2 deaths -> 500000; u3 censored at 2h (drops
-    # from risk without a step); t=3h: 1 at risk, 1 death -> 0
-    assert out[["t_hours", "n_at_risk", "n_events",
-                "survival_ppm"]].values.tolist() == [
-        [1, 4, 2, 500000],
-        [3, 1, 1, 0],
-    ]

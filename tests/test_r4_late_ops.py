@@ -1,6 +1,6 @@
 """Brute-force equivalence pins for the late round-4 operators:
 keyed_combine (re-associative min across split batches),
-new_users_daily, lang_hot_ngrams, clustering_coeff."""
+lang_hot_ngrams, clustering_coeff."""
 
 from __future__ import annotations
 
@@ -45,27 +45,6 @@ def test_keyed_combine_min_across_blocks(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got.astype("int64"), want.astype("int64"))
-
-
-def test_new_users_daily_bruteforce(ray_session):
-    import ray
-
-    from autoner_ray.stages.windows import new_users_daily
-
-    events = pd.read_parquet(f"{SF}/events.parquet")
-    got = new_users_daily(
-        ray.data.read_parquet(f"{SF}/events.parquet")
-    ).to_pandas().sort_values("day").reset_index(drop=True)
-
-    first = events.groupby("user_id")["ts"].min().dt.floor("D")
-    want = (
-        first.value_counts().sort_index().rename("new_users").to_frame()
-    )
-    want["cum_users"] = want["new_users"].cumsum()
-    want = want.reset_index(names="day")
-    pd.testing.assert_frame_equal(
-        got, want.astype({"new_users": "int64", "cum_users": "int64"})
-    )
 
 
 def test_lang_hot_ngrams_bruteforce(ray_session):
@@ -152,40 +131,6 @@ def test_clustering_coeff_bruteforce(ray_session):
     pd.testing.assert_frame_equal(
         got.astype({c: "int64" for c in ["deg", "triangles", "cc_ppm"]}),
         want,
-    )
-
-
-def test_time_weighted_avg_bruteforce(ray_session):
-    import ray
-
-    from autoner_ray.stages.windows import time_weighted_avg
-
-    events = pd.read_parquet(f"{SF}/events.parquet")
-    got = (
-        time_weighted_avg(ray.data.read_parquet(f"{SF}/events.parquet"))
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-
-    rows = []
-    for uid, g in events.groupby("user_id"):
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        if len(g) < 2:
-            continue
-        c = np.floor(g["value"].to_numpy(float) * 100 + 0.5).astype(
-            np.int64
-        )
-        t = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        dt = t[1:] - t[:-1]
-        rows.append(
-            (uid, int(((c[1:] + c[:-1]) * dt).sum()), int(2 * dt.sum()))
-        )
-    want = pd.DataFrame(
-        rows, columns=["user_id", "twa_num", "twa_den"]
-    ).sort_values("user_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got.astype("int64"), want.astype("int64")
     )
 
 
@@ -331,107 +276,6 @@ def test_poly_gram_hash_matches_rolling_short_doc():
     assert f"{hs[0]:016x}" == rolling_fingerprint(text, window=8)
 
 
-def test_dau_wau_bruteforce(ray_session):
-    """Windowed distinct: DAU/WAU/stickiness vs a pandas brute force
-    (a user active twice in the window must count once)."""
-    import ray
-
-    from autoner_ray.stages.windows import dau_wau_stickiness
-
-    ev = pd.read_parquet(f"{SF}/events.parquet", columns=["ts", "user_id"])
-    got = dau_wau_stickiness(
-        ray.data.read_parquet(f"{SF}/events.parquet")
-    ).to_pandas()
-
-    days = ev["ts"].dt.floor("D").dt.date
-    du = pd.DataFrame({"d": days, "u": ev["user_id"]}).drop_duplicates()
-    dau = du.groupby("d").size()
-    rows = []
-    for d, n in dau.items():
-        lo = d - pd.Timedelta(days=6).to_pytimedelta()
-        wau = du[(du["d"] >= lo) & (du["d"] <= d)]["u"].nunique()
-        rows.append((d, int(n), int(wau), int(n) * 1_000_000 // wau))
-    exp = pd.DataFrame(
-        rows, columns=["day", "dau", "wau", "stickiness_ppm"]
-    ).sort_values("day").reset_index(drop=True)
-    got = got.sort_values("day").reset_index(drop=True)
-    assert got["day"].tolist() == exp["day"].tolist()
-    for c in ["dau", "wau", "stickiness_ppm"]:
-        assert got[c].tolist() == exp[c].tolist(), c
-
-
-def test_rfm_ntile_tiebreak(ray_session):
-    """RFM quartiles: deterministic NTILE tie-break (value desc,
-    custkey asc) against a numpy reimplementation."""
-    from autoner_ray.pipelines.relational import customer_rfm_segments
-
-    got = (
-        customer_rfm_segments(SF).to_pandas()
-        .sort_values("o_custkey").reset_index(drop=True)
-    )
-    o = pd.read_parquet(
-        f"{SF}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice"],
-    )
-    cents = np.floor(o["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(
-        np.int64
-    )
-    per = (
-        pd.DataFrame(
-            {
-                "o_custkey": o["o_custkey"],
-                "last": o["o_orderdate"],
-                "cents": cents,
-                "n": 1,
-            }
-        )
-        .groupby("o_custkey")
-        .agg(last=("last", "max"), n=("n", "sum"), cents=("cents", "sum"))
-        .reset_index()
-    )
-
-    def ntile(vals, keys, n=4):
-        order = np.lexsort((keys, -vals))  # vals desc, then key asc
-        m = len(vals)
-        out = np.empty(m, np.int64)
-        base, rem = divmod(m, n)
-        sizes = [base + (1 if i < rem else 0) for i in range(n)]
-        pos = 0
-        for b, sz in enumerate(sizes, 1):
-            out[order[pos:pos + sz]] = b
-            pos += sz
-        return out
-
-    exp = (
-        pd.DataFrame(
-            {
-                "o_custkey": per["o_custkey"],
-                "r_quartile": ntile(
-                    per["last"].astype("int64").to_numpy(),
-                    per["o_custkey"].to_numpy(),
-                ),
-                "f_quartile": ntile(
-                    per["n"].to_numpy(), per["o_custkey"].to_numpy()
-                ),
-                "m_quartile": ntile(
-                    per["cents"].to_numpy(), per["o_custkey"].to_numpy()
-                ),
-            }
-        )
-        .sort_values("o_custkey")
-        .reset_index(drop=True)
-    )
-    assert got["o_custkey"].tolist() == exp["o_custkey"].tolist()
-    for c in ["r_quartile", "f_quartile", "m_quartile"]:
-        assert got[c].tolist() == exp[c].tolist(), c
-    assert (
-        got["rfm_segment"]
-        == "R" + got["r_quartile"].astype(str)
-        + "F" + got["f_quartile"].astype(str)
-        + "M" + got["m_quartile"].astype(str)
-    ).all()
-
-
 def test_bigram_bfs_tier_equality(ray_session):
     """Driver BFS and the Dataset-resident multi-seed loop agree on the
     thresholded bigram graph."""
@@ -560,61 +404,6 @@ def test_pack_sequences_bruteforce(ray_session):
         .astype("int64")
     )
     pd.testing.assert_frame_equal(got.astype("int64"), exp)
-
-
-def test_q12_band_clamp_and_inner_join(ray_session, tmp_path):
-    import pyarrow.parquet as pq
-
-    from autoner_ray.pipelines import relational
-
-    days = lambda d: pa.scalar(d * 86_400_000_000).cast(
-        pa.timestamp("us")
-    )
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-            "o_orderdate": pa.array(
-                [days(0).as_py(), days(0).as_py(), days(0).as_py()],
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array(
-                ["1-URGENT", "5-LOW", "2-HIGH"]
-            ),
-        }
-    )
-    # lags: +2000d (clamps to band 4), -1000d (band -4 via clamp:
-    # floor(-1000/180) = -6 -> -4), 10d (band 0); orderkey 9 is absent
-    # from orders -> dropped (inner-join semantics)
-    line = pa.table(
-        {
-            "l_orderkey": pa.array([1, 2, 3, 9], pa.int64()),
-            "l_shipdate": pa.array(
-                [
-                    days(2000).as_py(),
-                    days(-1000).as_py(),
-                    days(10).as_py(),
-                    days(1).as_py(),
-                ],
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(orders, f"{tmp_path}/orders.parquet")
-    pq.write_table(line, f"{tmp_path}/lineitem.parquet")
-    for tier in (10, 1):  # broadcast tier, then cogroup tier
-        got = (
-            relational.q12_priority_shipping_lag(
-                str(tmp_path), broadcast_max_rows=tier
-            )
-            .to_pandas()
-            .set_index("lag_band")
-            .sort_index()
-        )
-        assert list(got.index) == [-4, 0, 4]
-        assert got.loc[4, "high_lines"] == 1  # urgent, +2000d
-        assert got.loc[-4, "low_lines"] == 1  # 5-LOW, -1000d
-        assert got.loc[0, "high_lines"] == 1  # 2-HIGH, 10d
-        assert int(got["high_lines"].sum() + got["low_lines"].sum()) == 3
 
 
 def test_ntriples_roundtrip_and_window_cooc_bruteforce(ray_session):

@@ -1,14 +1,11 @@
-"""boolean_and_search + grouped exact quantiles vs brute force."""
+"""boolean_and_search vs brute force."""
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 
 from autoner_ray.stages.analysis import boolean_and_search
-from autoner_ray.stages.windows import value_quantiles_by_type
 
 
 def test_boolean_and_search_matches_python():
@@ -40,39 +37,3 @@ def test_boolean_and_search_matches_python():
         if "a" in toks and "b" in toks:
             want.append((i, toks.count("a") + toks.count("b")))
     assert list(zip(got["doc_id"], got["tf"])) == want
-
-
-def test_value_quantiles_by_type_matches_numpy():
-    rng = np.random.default_rng(5)
-    n = 4000
-    types = rng.choice(["x", "y", "z"], size=n)
-    vals = np.round(rng.uniform(0, 100, size=n), 2)
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_type": pa.array(types, pa.string()),
-                "value": pa.array(vals, pa.float64()),
-            }
-        )
-    ).repartition(7)
-    got = (
-        value_quantiles_by_type(ds, ps=(0.25, 0.5, 0.75))
-        .to_pandas()
-        .sort_values(["event_type", "p"])
-        .reset_index(drop=True)
-    )
-    rows = []
-    df = pd.DataFrame({"event_type": types, "value": vals})
-    for g, sub in df.groupby("event_type"):
-        cents = np.sort(
-            np.floor(sub["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        )
-        for p in (0.25, 0.5, 0.75):
-            pos = (len(cents) - 1) * p
-            lo, hi = int(np.floor(pos)), int(np.ceil(pos))
-            v = cents[lo] + (cents[hi] - cents[lo]) * (pos - lo)
-            rows.append((g, p, round(v / 100.0, 6)))
-    want = pd.DataFrame(
-        rows, columns=["event_type", "p", "value_quantile"]
-    ).sort_values(["event_type", "p"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)

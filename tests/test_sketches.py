@@ -122,30 +122,6 @@ def test_bloom_no_false_negatives():
     assert fp < 0.03, fp
 
 
-def test_bloom_semi_join_exact(ray_session):
-    import duckdb
-
-    got = (
-        sk.lineitem_brand_semi_join("/root/testdata/sf0.001")
-        .to_pandas()
-        .sort_values(["l_orderkey", "l_partkey", "l_quantity"])
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    for t in ("lineitem", "part"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM "
-            f"'/root/testdata/sf0.001/{t}.parquet'"
-        )
-    want = (
-        con.execute(sk.lineitem_brand_semi_join_oracle_sql())
-        .df()
-        .sort_values(["l_orderkey", "l_partkey", "l_quantity"])
-        .reset_index(drop=True)
-    )
-    assert got.equals(want[got.columns])
-
-
 def test_quantile_sketch_exact_under_cap(ray_session):
     """Bounded-support column: no compaction fires, quantiles equal the
     exact interpolated values (the oracle-exactness claim)."""

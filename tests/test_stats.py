@@ -1,5 +1,5 @@
-"""grouped_linear_fit: moment-partial OLS vs numpy lstsq/corrcoef,
-invariant to block splits."""
+"""grouped_linear_fit vs numpy polyfit/corrcoef across block splits;
+spearman_corr vs a numpy reference; fair_token_budget water-fill."""
 
 from __future__ import annotations
 
