@@ -726,8 +726,6 @@ def unigram_typed_edge_filter(sf_dir: str, subj_type="Operator",
     type_of = {e: t for e, t in UNIGRAM_DICT.values()}
 
     def keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         mask = [
             # edges are (min, max)-ordered, so check both assignments
             (type_of.get(s) == subj_type and type_of.get(o) == obj_type)
@@ -739,16 +737,6 @@ def unigram_typed_edge_filter(sf_dir: str, subj_type="Operator",
         return batch.filter(pa.array(mask, pa.bool_()))
 
     return unigram_triples(sf_dir).map_batches(keep, batch_format="pyarrow")
-
-
-def unigram_clustering_coeff(sf_dir: str):
-    """Per-entity local clustering coefficient (integer ppm) over the
-    unigram co-occurrence graph — the triangle/wedge ratio that ranks
-    how clique-like each entity's neighborhood is (oracle: the
-    triangle three-way self-join left-joined onto degrees)."""
-    from autoner_ray.stages.graph import clustering_coeff
-
-    return clustering_coeff(unigram_triples(sf_dir))
 
 
 def unigram_adjacency(sf_dir: str):
@@ -979,16 +967,6 @@ def unigram_hash_walks(sf_dir: str):
     return walks.map_batches(finish, batch_format="pyarrow")
 
 
-def unigram_label_propagation(sf_dir: str, rounds: int = 4):
-    """Weighted synchronous label-propagation communities over the
-    unigram co-occurrence graph (oracle: ``rounds`` unrolled
-    vote-argmax steps with ROW_NUMBER tiebreak — integer weights, so
-    the vote sums are exact on both sides)."""
-    from autoner_ray.stages.graph import label_propagation
-
-    return label_propagation(unigram_triples(sf_dir), rounds=rounds)
-
-
 def unigram_triple_delta(sf_dir: str):
     """Incremental-KG delta: the edge updates that arrive when the odd
     half of the corpus (doc_id % 2 = 1, the "new crawl") lands on top
@@ -1082,173 +1060,6 @@ def unigram_triple_delta(sf_dir: str):
         )
 
     return merged.map_batches(finish, batch_format="pyarrow")
-
-
-def unigram_metapath_wedges(sf_dir: str):
-    """Metapath (length-2 heterogeneous path) census over the unigram
-    co-occurrence graph: for every middle-entity type and unordered
-    endpoint-type pair, how many distinct wedges a—c—b exist — the
-    schema-level statistic heterogeneous-network pipelines (metapath2vec
-    et al.) read before choosing which metapaths to sample.
-
-    Scale shape: edges expand to both directions with the static
-    dictionary type map applied in-task (module data — nothing
-    broadcast); one hash shuffle groups each center's adjacency;
-    per-center wedge counts per type pair come from type-count
-    combinatorics (n1·n2, or C(n,2) within a type — never materializing
-    the wedges); the tail is a bounded combine over |types|^3 keys."""
-    import pandas as pd
-
-    from autoner_ray.stages.combine import bounded_key_sum
-    from autoner_ray.stages.joins import _stable_part_col
-
-    # canonical entity id == word; dict values are (entity, type)
-    type_of = {e: t for (e, t) in UNIGRAM_DICT.values()}
-    P = 16
-
-    def expand(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "src": pa.array([], pa.string()),
-                "dst": pa.array([], pa.string()),
-                "__part": pa.array([], pa.int32()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
-        s = t["subj"].combine_chunks()
-        o = t["obj"].combine_chunks()
-        both = pa.table(
-            {
-                "src": pa.concat_arrays([s, o]),
-                "dst": pa.concat_arrays([o, s]),
-            }
-        )
-        return both.append_column(
-            "__part", _stable_part_col(both, ("src",), P)
-        )
-
-    _out = pd.DataFrame(
-        {
-            "type_mid": pd.Series([], dtype="object"),
-            "type_a": pd.Series([], dtype="object"),
-            "type_b": pd.Series([], dtype="object"),
-            "n_paths": pd.Series([], dtype="int64"),
-        }
-    )
-
-    def wedge_counts(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "src" not in df.columns:
-            return _out
-        rows: dict[tuple[str, str, str], int] = {}
-        for center, g in df.groupby("src"):
-            tm = type_of[center]
-            tc = g["dst"].map(type_of).value_counts()
-            types = sorted(tc.index)
-            for i, t1 in enumerate(types):
-                n1 = int(tc[t1])
-                if n1 >= 2:
-                    key = (tm, t1, t1)
-                    rows[key] = rows.get(key, 0) + n1 * (n1 - 1) // 2
-                for t2 in types[i + 1:]:
-                    key = (tm, t1, t2)
-                    rows[key] = rows.get(key, 0) + n1 * int(tc[t2])
-        if not rows:
-            return _out
-        ks = sorted(rows)
-        return pd.DataFrame(
-            {
-                "type_mid": [k[0] for k in ks],
-                "type_a": [k[1] for k in ks],
-                "type_b": [k[2] for k in ks],
-                "n_paths": [rows[k] for k in ks],
-            }
-        )
-
-    partials = (
-        unigram_triples(sf_dir)
-        .map_batches(expand, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(wedge_counts, batch_format="pandas")
-    )
-    return bounded_key_sum(
-        partials, ["type_mid", "type_a", "type_b"], ["n_paths"]
-    )
-
-
-def unigram_node_embedding_rp(sf_dir: str, n_dims: int = 8):
-    """Deterministic random-projection node embeddings over the
-    weighted unigram co-occurrence graph (FastRP depth-1): dimension d
-    of entity e is the weighted sum over its neighbors n of
-    sign(md5(n || '|' || d)) · weight(e, n), where the sign is the
-    parity of the first hex digit — a content-derived ±1 that engine
-    and SQL twin compute identically, so the embedding is
-    bit-reproducible with no stored projection matrix. The standard
-    cheap-embedding pass a KG runs before anything learned.
-
-    Scale shape: edges expand to both directions and emit per-batch
-    (entity, d0..d{n-1}) partial sums (signs memoized per worker via
-    the neighbor's md5 — one hash per distinct (neighbor, d), not per
-    edge); an entity-partitioned distributed sum merges them (entity
-    keys unbounded — never driver-sized)."""
-    import hashlib
-
-    from autoner_ray.stages.combine import partitioned_key_sum
-
-    dcols = [f"d{i}" for i in range(n_dims)]
-
-    def rp_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"entity": pa.array([], pa.string())}
-            | {c: pa.array([], pa.int64()) for c in dcols}
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
-        import numpy as np
-        import pandas as pd
-
-        s = t["subj"].to_pylist()
-        o = t["obj"].to_pylist()
-        w = t["weight"].to_numpy()
-        ent = np.array(s + o, dtype=object)
-        nbr = np.array(o + s, dtype=object)
-        ww = np.concatenate([w, w]).astype(np.int64)
-
-        sign_cache: dict[str, np.ndarray] = {}
-
-        def signs(name: str) -> np.ndarray:
-            v = sign_cache.get(name)
-            if v is None:
-                v = np.array(
-                    [
-                        1 if int(hashlib.md5(
-                            f"{name}|{d}".encode()
-                        ).hexdigest()[0], 16) % 2 == 0 else -1
-                        for d in range(n_dims)
-                    ],
-                    np.int64,
-                )
-                sign_cache[name] = v
-            return v
-        sgn = np.stack([signs(n) for n in nbr])  # (rows, n_dims)
-        contrib = sgn * ww[:, None]
-        df = pd.DataFrame(contrib, columns=dcols)
-        df["entity"] = ent
-        agg = df.groupby("entity", sort=False, as_index=False).sum()
-        return pa.table(
-            {"entity": pa.array(agg["entity"], pa.string())}
-            | {
-                c: pa.array(agg[c].to_numpy(np.int64), pa.int64())
-                for c in dcols
-            }
-        )
-
-    return partitioned_key_sum(
-        unigram_triples(sf_dir).map_batches(
-            rp_partial, batch_format="pyarrow"
-        ),
-        keys=["entity"], sum_cols=dcols, part_on=("entity",),
-    )
 
 
 def unigram_entity_density(sf_dir: str):
@@ -1426,155 +1237,6 @@ def parse_ntriples_batch(batch: pa.Table) -> pa.Table:
     if "weight" in batch.column_names:
         keep["weight"] = batch["weight"].filter(ok)
     return pa.table(keep)
-
-
-def unigram_harmonic_centrality(sf_dir: str, max_depth: int = 32,
-                                scale: int = 1_000_000):
-    """Harmonic centrality over the unigram co-occurrence graph, in
-    integer ppm: H(v) = sum over reachable u != v of ``scale // d(v,u)``
-    plus the reachable-set size — the distance-based importance ranking
-    that, unlike closeness, handles disconnected graphs gracefully.
-    Integer floor division keeps both engines bit-exact (d >= 1, so
-    trunc == floor in the DuckDB twin too).
-
-    Scale shape: edge aggregation is distributed
-    (:func:`unigram_triples`); the all-pairs BFS runs on the
-    vocab-bounded driver adjacency — the same bounded default as
-    ``kg_pagerank``, with the multi-source frontier-as-Dataset variant
-    (``graph.bfs_multi``-shaped) the documented unbounded path.
-    """
-    from collections import deque
-
-    df = unigram_triples(sf_dir).to_pandas()
-    out_schema = pa.schema(
-        [
-            ("entity", pa.string()),
-            ("harmonic_ppm", pa.int64()),
-            ("n_reachable", pa.int64()),
-        ]
-    )
-    if len(df) == 0:
-        return out_schema.empty_table()
-    adj: dict[str, set[str]] = {}
-    for s, o in zip(df["subj"], df["obj"]):
-        adj.setdefault(s, set()).add(o)
-        adj.setdefault(o, set()).add(s)
-    nodes = sorted(adj)
-    hp, nr = [], []
-    for v in nodes:
-        dist = {v: 0}
-        q = deque([v])
-        acc = 0
-        while q:
-            u = q.popleft()
-            d = dist[u]
-            if d >= max_depth:
-                continue
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d + 1
-                    acc += scale // (d + 1)
-                    q.append(w)
-        hp.append(acc)
-        nr.append(len(dist) - 1)
-    return pa.table(
-        {
-            "entity": pa.array(nodes, pa.string()),
-            "harmonic_ppm": pa.array(hp, pa.int64()),
-            "n_reachable": pa.array(nr, pa.int64()),
-        },
-        schema=out_schema,
-    )
-
-
-def unigram_entity_context_topk(sf_dir: str, window: int = 4,
-                                k: int = 5):
-    """Distributional CONTEXT SIGNATURE per dictionary entity: the
-    top-``k`` sliding-window neighbor words by positional co-occurrence
-    count (ties lexicographic) — the feature an entity linker or
-    embedding trainer consumes. Composition: the word2vec-style window
-    pair counts (:func:`autoner_ray.stages.webtext.window_cooccurrence`)
-    restricted to pairs touching a dictionary word, then grouped top-k.
-
-    Scale shape: the pair table arrives globally combined and
-    WORD_A-partitioned; the dict filter is a broadcast ``is_in``; the
-    top-k is per-partition (each entity's rows co-locate after the
-    ENTITY-hash repartition) with <= |dict| * k rows surviving.
-    """
-    import ray.data as rd
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.functions.hashing import md5_64_array
-    from autoner_ray.stages.webtext import window_cooccurrence
-
-    P = default_num_partitions()
-    dict_arr = pa.array(sorted(UNIGRAM_DICT), pa.string())
-
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    pairs = window_cooccurrence(docs, window=window)
-
-    _partial_schema = pa.schema(
-        [
-            ("entity", pa.string()),
-            ("ctx", pa.string()),
-            ("n", pa.int64()),
-            ("part", pa.int32()),
-        ]
-    )
-
-    def orient(t: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        if t.num_columns == 0 or len(t) == 0:
-            return _partial_schema.empty_table()
-        ina = pc.is_in(t["word_a"], value_set=dict_arr)
-        inb = pc.is_in(t["word_b"], value_set=dict_arr)
-        ta = t.filter(ina)
-        tb = t.filter(inb)
-        both = pa.concat_tables(
-            [
-                pa.table({"entity": ta["word_a"], "ctx": ta["word_b"],
-                          "n": ta["n"].cast(pa.int64())}),
-                pa.table({"entity": tb["word_b"], "ctx": tb["word_a"],
-                          "n": tb["n"].cast(pa.int64())}),
-            ]
-        )
-        pid = (
-            md5_64_array(both["entity"].to_pylist()) % np.uint64(P)
-        ).astype(np.int32)
-        return both.append_column("part", pa.array(pid))
-
-    def topk(df) -> "pd.DataFrame":
-        import pandas as pd
-
-        cols = ["entity", "ctx", "n", "rank"]
-        if len(df) == 0 or "entity" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "entity": pd.Series([], dtype="object"),
-                    "ctx": pd.Series([], dtype="object"),
-                    "n": pd.Series([], dtype="int64"),
-                    "rank": pd.Series([], dtype="int64"),
-                }
-            )
-        df = df.sort_values(
-            ["entity", "n", "ctx"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        top = df.groupby("entity", sort=False).head(k).copy()
-        top["rank"] = top.groupby("entity", sort=False).cumcount() + 1
-        top["n"] = top["n"].astype("int64")
-        top["rank"] = top["rank"].astype("int64")
-        return top[cols]
-
-    return (
-        pairs.map_batches(orient, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk, batch_format="pandas")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1873,60 +1535,6 @@ def negative_samples(edges_ds, k: int = 2,
     )
 
 
-def community_modularity(sf_dir: str, rounds: int = 4):
-    """Exact Newman modularity of the label-propagation communities
-    over the unigram co-occurrence graph — the quality number that
-    tells you whether the partition is better than chance. Computed in
-    EXACT integers: with m = total edge weight, W_c = intra-community
-    weight and S_c = community weighted degree,
-    ``Q * 4m^2 = Σ_c (4m·W_c − S_c²)`` is an integer, and the emitted
-    ``modularity_ppm`` is its floor-scaled ppm — bit-identical to the
-    SQL twin, which reuses the unrolled vote-argmax community CTE. One
-    row: (n_communities, intra_weight, total_weight, modularity_ppm).
-
-    Scale shape: the community table is vocab-bounded (the
-    label-propagation contract); edge sums are single passes over the
-    aggregated pair table."""
-    import numpy as np
-
-    from autoner_ray.stages.graph import label_propagation
-
-    edges = unigram_triples(sf_dir).materialize()
-    comm_t = label_propagation(edges, rounds=rounds)
-    comm = dict(zip(comm_t["entity"].to_pylist(),
-                    comm_t["community"].to_pylist()))
-    pdf = edges.to_pandas()
-    w = pdf["weight"].to_numpy(np.int64)
-    m = int(w.sum())
-    ca = pdf["subj"].map(comm)
-    cb = pdf["obj"].map(comm)
-    intra_mask = (ca == cb).to_numpy()
-    intra = int(w[intra_mask].sum())
-    import collections
-
-    W_c: dict = collections.Counter()
-    for c, wt in zip(ca[intra_mask], w[intra_mask]):
-        W_c[c] += int(wt)
-    S_c: dict = collections.Counter()
-    for c, wt in zip(ca, w):
-        S_c[c] += int(wt)
-    for c, wt in zip(cb, w):
-        S_c[c] += int(wt)
-    communities = set(comm.values())
-    q_num = sum(
-        4 * m * W_c.get(c, 0) - S_c.get(c, 0) ** 2 for c in communities
-    )
-    modularity_ppm = (q_num * 1_000_000) // (4 * m * m) if m else 0
-    return pa.table(
-        {
-            "n_communities": pa.array([len(communities)], pa.int64()),
-            "intra_weight": pa.array([intra], pa.int64()),
-            "total_weight": pa.array([m], pa.int64()),
-            "modularity_ppm": pa.array([modularity_ppm], pa.int64()),
-        }
-    )
-
-
 def unigram_c4(sf_dir: str):
     """4-cycle census over the unigram co-occurrence graph (see
     ``stages/graph.py::c4_count`` for the diagonal-pair identity)."""
@@ -2101,8 +1709,6 @@ def unigram_bipartite_projection(sf_dir: str):
     pair_counts_batch pattern with a weight column), then the one
     subj-keyed shuffle of :func:`triples.aggregate_edges`'s partitioned
     shape — no new machinery, no driver state."""
-    import pandas as pd
-
     docs = unigram_doc_entities(sf_dir)
 
     _p_schema = pa.schema(

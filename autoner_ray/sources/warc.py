@@ -32,13 +32,20 @@ from __future__ import annotations
 import gzip
 import hashlib
 import os
+import shutil
 
 import pyarrow as pa
 
-from autoner_ray.sources.text_formats import fresh_dir
-
 _CRLF = b"\r\n"
 _TS_EPOCH_US = 0
+
+
+def fresh_dir(path: str) -> str:
+    """Delete-and-recreate ``path``, so a re-run never appends to a
+    previous run's files."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 def _warc_date(ts_us: int) -> str:

@@ -1,8 +1,7 @@
 """Distributed BPE-merge learning (tokenizer training over the
-corpus) — the missing half of ``docs_bpe_token_counts``: instead of
-applying a fixed pretokenizer, LEARN the top-K merge rules from corpus
-statistics, the way a production tokenizer (BPE / WordPiece family) is
-trained over a 100 TB corpus.
+corpus): LEARN the top-K merge rules from corpus statistics, the way
+a production tokenizer (BPE / WordPiece family) is trained over a
+100 TB corpus.
 
 Algorithm (classic BPE over the word-frequency table):
   1. one corpus pass -> (word, count) via the word-partitioned combine

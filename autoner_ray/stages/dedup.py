@@ -93,10 +93,8 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _band_rows(text: str, a, b, bands: int, rows_per_band: int,
                num_partitions: int):
-    """(band_id, band_hash, part) triples for one doc — THE banding
-    kernel, shared by :func:`minhash_lsh_candidates` and
-    :func:`minhash_bucket_histogram` so the tuning diagnostic can never
-    desynchronize from the stage it tunes."""
+    """(band_id, band_hash, part) triples for one doc — the banding
+    kernel of :func:`minhash_lsh_candidates`."""
     sig = minhash_signature(text, a, b)
     out = []
     for bi in range(bands):
@@ -766,7 +764,6 @@ def neardup_cluster_sizes(
     size histogram from the bounded combine. Only docs that appear in
     a qualifying pair belong to a cluster (sizes >= 2 by
     construction)."""
-    import ray
     import ray.data as rd
 
     from autoner_ray.stages.combine import bounded_key_sum
@@ -871,453 +868,6 @@ def neardup_cluster_sizes(
         per_cluster.map_batches(hist_partial, batch_format="pyarrow"),
         ["cluster_size"], ["n_clusters"],
     )
-
-
-def winnowing_neardup_pairs(
-    docs_ds,
-    min_shared: int = 5,
-    k: int = 8,
-    w: int = 4,
-    num_partitions: int | None = None,
-    max_df: int | None = None,
-):
-    """Substring-level near-duplicate pairs via shared WINNOWED
-    fingerprints: docs whose winnow-selected k-gram fingerprint sets
-    intersect in at least ``min_shared`` entries — the MOSS-style
-    detector that catches long verbatim passages (each shared fp
-    certifies a shared k-token run) where whole-set Jaccard dilutes.
-
-    Same partitioned shape as :func:`ngram_jaccard_exact_pairs`: one
-    map explodes each doc to its DISTINCT winnowed fps (fp count is
-    ~2·tokens/w, so this stream is ~8x smaller than the shingle
-    explode), one content-hash shuffle co-locates each fp, an
-    in-partition vectorized self-join counts shared fps per pair, and
-    the keyed combine sums partials per pair. ``max_df`` prunes
-    boilerplate fps locally (df is exact per partition) for web-scale
-    corpora; None keeps oracle exactness.
-
-    Output: (doc_a, doc_b, n_shared, size_a, size_b) — all exact
-    int64, no float in the hash.
-    """
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.analysis import (
-        _poly_gram_hashes,
-        _winnow_positions,
-    )
-    from autoner_ray.stages.combine import keyed_combine
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-
-    def explode(batch: pa.Table) -> pa.Table:
-        doc_ids, fps, sizes, parts = [], [], [], []
-        for did, text in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            grams = _poly_gram_hashes((text or "").split(" "), k)
-            arr = np.array(grams, np.uint64)
-            sel = np.unique(arr[_winnow_positions(arr, w)])
-            n = len(sel)
-            if n == 0:
-                continue
-            doc_ids.extend([did] * n)
-            fps.extend(sel.view(np.int64).tolist())
-            sizes.extend([n] * n)
-            parts.extend(
-                (sel % np.uint64(num_partitions)).astype(np.int32).tolist()
-            )
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "fp": pa.array(fps, pa.int64()),
-                "size": pa.array(sizes, pa.int64()),
-                "part": pa.array(parts, pa.int32()),
-            }
-        )
-
-    _empty_partials = pd.DataFrame(
-        {
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
-            "n_shared": pd.Series([], dtype="int64"),
-            "size_a": pd.Series([], dtype="int64"),
-            "size_b": pd.Series([], dtype="int64"),
-        }
-    )
-
-    def pairs_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-        # zero-column groups reach UDFs after sparse shuffles (the
-        # Ray 2.49 RefBundle pathology every sibling callable guards)
-        if len(df) == 0 or "fp" not in df.columns:
-            return _empty_partials
-        if max_df is not None:
-            df = df[df.groupby("fp")["fp"].transform("size") <= max_df]
-        lt = pa.table(
-            {
-                "fp": pa.array(df["fp"], pa.int64()),
-                "doc_a": pa.array(df["doc_id"], pa.int64()),
-                "size_a": pa.array(df["size"], pa.int64()),
-            }
-        )
-        rt = lt.rename_columns(["fp", "doc_b", "size_b"])
-        j = lt.join(rt, keys=["fp"], join_type="inner")
-        j = j.filter(pc.less(j["doc_a"], j["doc_b"]))
-        if j.num_rows == 0:
-            return _empty_partials
-        g = (
-            j.select(["doc_a", "doc_b", "size_a", "size_b"])
-            .to_pandas()
-            .groupby(["doc_a", "doc_b"], as_index=False)
-            .agg(n_shared=("size_a", "size"), size_a=("size_a", "first"),
-                 size_b=("size_b", "first"))
-        )
-        return g[["doc_a", "doc_b", "n_shared", "size_a", "size_b"]]
-
-    def having(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(t["n_shared"], min_shared))
-
-    # sizes are per doc, so min keeps them
-    return keyed_combine(
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas"),
-        ["doc_a", "doc_b"],
-        [("n_shared", "sum"), ("size_a", "min"), ("size_b", "min")],
-        part_on=("doc_a",), num_partitions=num_partitions,
-    ).map_batches(having, batch_format="pyarrow")
-
-
-def winnowing_neardup_oracle_sql(min_shared: int = 5, k: int = 8,
-                                 w: int = 4) -> str:
-    from autoner_ray.stages.analysis import _winnow_ctes
-
-    return f"""
-        WITH {_winnow_ctes(k, w)},
-        u AS MATERIALIZED (
-            SELECT DISTINCT doc_id, whash FROM fpset
-        ),
-        sz AS MATERIALIZED (
-            SELECT doc_id, COUNT(*) AS size FROM u GROUP BY doc_id
-        ),
-        p AS (
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                   COUNT(*) AS n_shared
-            FROM u a JOIN u b
-              ON a.whash = b.whash AND a.doc_id < b.doc_id
-            GROUP BY 1, 2
-        )
-        SELECT doc_a, doc_b, CAST(n_shared AS BIGINT) AS n_shared,
-               CAST(sa.size AS BIGINT) AS size_a,
-               CAST(sb.size AS BIGINT) AS size_b
-        FROM p
-        JOIN sz sa ON sa.doc_id = p.doc_a
-        JOIN sz sb ON sb.doc_id = p.doc_b
-        WHERE n_shared >= {min_shared}
-    """
-
-
-def minhash_signatures(docs_ds, num_hashes: int = 64):
-    """The raw MinHash signature table (doc_id, perm, sig) — the exact
-    kernel :func:`minhash_lsh_candidates` bands over, exposed as a
-    driver-checkable query so the LSH path's core arithmetic carries a
-    SQL oracle (the banding itself stays pinned by the brute-force
-    recall test).
-
-    sig = min over the doc's DISTINCT 3-token shingles of
-    ``(a_k·h + b_k) mod 2^64 mod (2^61-1)`` with h the little-endian
-    md5-prefix shingle hash — bit-identical to the numpy uint64
-    wraparound in :func:`minhash_signature`, mirrored in HUGEINT by the
-    oracle. Stateless vectorized map; ~``num_hashes`` rows out per doc.
-    """
-
-    def sign(batch: pa.Table) -> pa.Table:
-        a, b = _cached_minhash_params(num_hashes)
-        n = len(batch)
-        if batch.num_columns == 0 or n == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "perm": pa.array([], pa.int64()),
-                    "sig": pa.array([], pa.int64()),
-                }
-            )
-        doc_ids = np.repeat(
-            batch["doc_id"].to_numpy(zero_copy_only=False), num_hashes
-        )
-        perms = np.tile(np.arange(num_hashes, dtype=np.int64), n)
-        sigs = np.concatenate(
-            [
-                minhash_signature(t or "", a, b)
-                for t in batch["text"].to_pylist()
-            ]
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "perm": pa.array(perms, pa.int64()),
-                # sig < 2^61 so the int64 view is value-preserving
-                "sig": pa.array(sigs.view(np.int64), pa.int64()),
-            }
-        )
-
-    return docs_ds.map_batches(sign, batch_format="pyarrow")
-
-
-def _minhash_sig_ctes(num_hashes: int = 64, k: int = 3) -> str:
-    """CTE chain ending in ``sig(doc_id, perm, sig)`` — the exact
-    signature table; shared by the signature oracle and the LSH
-    bucket-size histogram oracle."""
-    a, b = _minhash_params(num_hashes)
-    params = ", ".join(
-        f"({i}, {int(ai)}, {int(bi)})"
-        for i, (ai, bi) in enumerate(zip(a, b))
-    )
-    # little-endian uint64 of the md5 prefix: byte-reversed hex chunks
-    le = " || ".join(
-        f"substring(md5(sh), {2 * j + 1}, 2)" for j in reversed(range(8))
-    )
-    return f"""
-        ws AS MATERIALIZED (
-            SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-        ),
-        sh AS MATERIALIZED (
-            SELECT DISTINCT doc_id, sh FROM (
-                SELECT doc_id,
-                       array_to_string(
-                           ws[CAST(i AS BIGINT):CAST(i AS BIGINT)+{k - 1}],
-                           ' ') AS sh
-                FROM ws, unnest(range(1, len(ws) - {k - 2})) AS t(i)
-                WHERE len(ws) >= {k}
-                UNION ALL
-                SELECT doc_id, array_to_string(ws, ' ')
-                FROM ws WHERE len(ws) < {k}
-            )
-        ),
-        h AS MATERIALIZED (
-            SELECT doc_id,
-                   CAST(('0x' || {le}) AS UBIGINT) AS h
-            FROM sh
-        ),
-        p(perm, a, b) AS (VALUES {params}),
-        sig AS MATERIALIZED (
-            SELECT doc_id, CAST(p.perm AS BIGINT) AS perm,
-                   CAST(MIN(
-                       ((CAST(p.a AS HUGEINT) * h.h)
-                        % 18446744073709551616 + p.b)
-                       % 18446744073709551616 % 2305843009213693951
-                   ) AS BIGINT) AS sig
-            FROM h CROSS JOIN p
-            GROUP BY doc_id, p.perm
-        )
-    """
-
-
-def minhash_signatures_oracle_sql(num_hashes: int = 64, k: int = 3) -> str:
-    return f"""
-        WITH {_minhash_sig_ctes(num_hashes, k)}
-        SELECT doc_id, perm, sig FROM sig
-    """
-
-
-def minhash_bucket_histogram(docs_ds, num_hashes: int = 64,
-                             bands: int = 16,
-                             num_partitions: int | None = None):
-    """LSH band-bucket size histogram: (bucket_size, n_buckets) over
-    all (band, band-signature) buckets — THE tuning diagnostic for
-    :func:`minhash_lsh_candidates`' hot-bucket cap (``max_bucket``):
-    the histogram's tail says exactly how many candidate-pair
-    explosions the cap will clip and how much recall that costs.
-
-    Shape: the signature map emits one (band, band_hash) row per doc
-    per band with the same content-derived partition as the LSH stage
-    (a bucket never splits), so per-partition bucket sizes are exact;
-    a bounded combine sums the (size -> count) partials. The oracle
-    groups by the raw 4-sig tuple instead of the md5 band key — the
-    size distribution is identical absent an md5 collision WITHIN a
-    band (2^-64-scale; none possible on test corpora).
-    """
-    import pandas as pd
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import bounded_key_sum
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-    rows_per_band = num_hashes // bands
-    assert rows_per_band * bands == num_hashes
-
-    def sign(batch: pa.Table) -> pa.Table:
-        a, b = _cached_minhash_params(num_hashes)
-        band_ids, band_hashes, parts = [], [], []
-        if batch.num_columns == 0 or len(batch) == 0:
-            return pa.table(
-                {
-                    "band": pa.array([], pa.int32()),
-                    "band_hash": pa.array([], pa.string()),
-                    "part": pa.array([], pa.int32()),
-                }
-            )
-        for text in batch["text"].to_pylist():
-            for bi, bh, part in _band_rows(
-                text or "", a, b, bands, rows_per_band, num_partitions
-            ):
-                band_ids.append(bi)
-                band_hashes.append(bh)
-                parts.append(part)
-        return pa.table(
-            {
-                "band": pa.array(band_ids, pa.int32()),
-                "band_hash": pa.array(band_hashes, pa.string()),
-                "part": pa.array(parts, pa.int32()),
-            }
-        )
-
-    def local_hist(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "band" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "bucket_size": pd.Series(dtype="int64"),
-                    "n_buckets": pd.Series(dtype="int64"),
-                }
-            )
-        sizes = df.groupby(["band", "band_hash"], sort=False).size()
-        hist = sizes.value_counts()
-        return pd.DataFrame(
-            {
-                "bucket_size": hist.index.to_numpy(np.int64),
-                "n_buckets": hist.to_numpy(np.int64),
-            }
-        )
-
-    return bounded_key_sum(
-        docs_ds.map_batches(sign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(local_hist, batch_format="pandas"),
-        ["bucket_size"], ["n_buckets"],
-    )
-
-
-def minhash_bucket_histogram_oracle_sql(num_hashes: int = 64,
-                                        bands: int = 16,
-                                        k: int = 3) -> str:
-    rpb = num_hashes // bands
-    return f"""
-        WITH {_minhash_sig_ctes(num_hashes, k)},
-        bucket AS (
-            SELECT doc_id, perm // {rpb} AS band,
-                   list(sig ORDER BY perm) AS key
-            FROM sig GROUP BY doc_id, perm // {rpb}
-        ),
-        sizes AS (
-            SELECT band, key, COUNT(*) AS bucket_size
-            FROM bucket GROUP BY band, key
-        )
-        SELECT CAST(bucket_size AS BIGINT) AS bucket_size,
-               CAST(COUNT(*) AS BIGINT) AS n_buckets
-        FROM sizes GROUP BY bucket_size
-    """
-
-
-def shingle_df_histogram(docs_ds, k: int = 3,
-                         num_partitions: int | None = None):
-    """Document-frequency histogram of k-token shingles:
-    (df, n_shingles) — the companion diagnostic to
-    :func:`minhash_bucket_histogram` that tunes
-    ``ngram_jaccard_exact_pairs``' ``max_df`` hot-shingle cap: the
-    histogram tail is exactly the set of promiscuous (boilerplate)
-    shingles whose m² join fan-out the cap must clip.
-
-    Shape: per-batch DISTINCT-shingles-per-doc explode (each row a
-    shingle string) -> one shingle-partitioned count combine (the
-    shingle vocab never lands on the driver) -> per-partition
-    histogram partials -> shuffle-free bounded combine over df values
-    (df is bounded by corpus doc count, and in practice by the cap
-    region of interest)."""
-    from autoner_ray.stages.combine import (
-        bounded_key_sum,
-        partitioned_key_sum,
-    )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "sh": pa.array([], pa.string()),
-                "one": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
-        out: list[str] = []
-        for text in batch["text"].to_pylist():
-            out.extend(
-                s.decode() for s in _shingles(text or "", k)
-            )
-        return pa.table(
-            {
-                "sh": pa.array(out, pa.string()),
-                "one": pa.array(np.ones(len(out), np.int64)),
-            }
-        )
-
-    df_counts = partitioned_key_sum(
-        docs_ds.map_batches(explode, batch_format="pyarrow"),
-        ["sh"], ["one"], part_on=("sh",),
-        num_partitions=num_partitions,
-    )
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or "one" not in (
-            t.column_names
-        ):
-            return pa.table(
-                {
-                    "df": pa.array([], pa.int64()),
-                    "n_shingles": pa.array([], pa.int64()),
-                }
-            )
-        vals, counts = np.unique(
-            t["one"].to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "df": pa.array(vals, pa.int64()),
-                "n_shingles": pa.array(counts, pa.int64()),
-            }
-        )
-
-    return bounded_key_sum(
-        df_counts.map_batches(hist_partial, batch_format="pyarrow",
-                              batch_size=None),
-        ["df"], ["n_shingles"],
-    )
-
-
-def shingle_df_histogram_oracle_sql(k: int = 3) -> str:
-    return f"""
-        WITH ws AS MATERIALIZED (
-            SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-        ),
-        sh AS MATERIALIZED (
-            SELECT DISTINCT doc_id, sh FROM (
-                SELECT doc_id,
-                       array_to_string(
-                           ws[CAST(i AS BIGINT):CAST(i AS BIGINT)+{k - 1}],
-                           ' ') AS sh
-                FROM ws, unnest(range(1, len(ws) - {k - 2})) AS t(i)
-                WHERE len(ws) >= {k}
-                UNION ALL
-                SELECT doc_id, array_to_string(ws, ' ')
-                FROM ws WHERE len(ws) < {k}
-            )
-        ),
-        df AS (SELECT sh, COUNT(*) AS df FROM sh GROUP BY sh)
-        SELECT CAST(df AS BIGINT) AS df,
-               CAST(COUNT(*) AS BIGINT) AS n_shingles
-        FROM df GROUP BY df
-    """
 
 
 def dup_gram_coverage(docs_ds, n: int = 7,
@@ -1455,128 +1005,6 @@ def dup_gram_coverage_oracle_sql(n: int = 7) -> str:
                     * 1000000 // COUNT(*) AS BIGINT) AS dup_ppm
         FROM grams JOIN df USING (g)
         GROUP BY doc_id
-    """
-
-
-def minhash_lsh_eval(docs_ds, threshold: float = 0.6,
-                     num_hashes: int = 64, bands: int = 16,
-                     num_partitions: int | None = None):
-    """LSH quality report, fully SQL-certified: one row with the exact
-    near-dup pair count (n-gram Jaccard >= ``threshold``), the LSH
-    band-candidate count, their intersection, and integer-ppm
-    recall/precision — the evaluation that decides a (bands x rows)
-    configuration before a web-scale run. Now that the signature
-    arithmetic has a bit-identical SQL twin, the BANDING stage itself
-    is oracle-checked here (previously pytest-only).
-
-    Scale shape: both pair generators keep their own partitioned
-    shapes; the intersection is one cogroup join on the (doc_a, doc_b)
-    pair key (pair tables are duplicate-fraction-sized, not
-    corpus-sized); the report is three distributed counts + driver ppm
-    division on a 1-row result. The hot-bucket cap is NOT applied here
-    (fixture buckets max out at 4 members; at scale pass the capped
-    candidates and mirror the cap in the twin with a windowed count).
-    """
-    from autoner_ray.stages.joins import cogroup_join
-
-    true_pairs = ngram_jaccard_exact_pairs(
-        docs_ds, threshold=threshold, num_partitions=num_partitions
-    ).materialize()
-    cands = minhash_lsh_candidates(
-        docs_ds, num_hashes=num_hashes, bands=bands,
-        max_bucket=None, num_partitions=num_partitions,
-    ).materialize()
-
-    def keyed(extra=None):
-        def fn(t: pa.Table) -> pa.Table:
-            fields = [("doc_a", pa.int64()), ("doc_b", pa.int64())]
-            if extra:
-                fields.append((extra, pa.int64()))
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.schema(fields).empty_table()
-            out = {
-                "doc_a": pc.cast(t["doc_a"], pa.int64()),
-                "doc_b": pc.cast(t["doc_b"], pa.int64()),
-            }
-            if extra:
-                out[extra] = pc.cast(t[extra], pa.int64())
-            return pa.table(out)
-        return fn
-
-    import pyarrow.compute as pc
-
-    hits = cogroup_join(
-        true_pairs.map_batches(keyed(), batch_format="pyarrow"),
-        cands.map_batches(keyed("n_bands"), batch_format="pyarrow"),
-        on=("doc_a", "doc_b"),
-        num_partitions=num_partitions or 8,
-    )
-    n_true = true_pairs.count()
-    n_cand = cands.count()
-    n_hit = hits.count()
-    recall_ppm = (n_hit * 1_000_000) // n_true if n_true else 0
-    precision_ppm = (n_hit * 1_000_000) // n_cand if n_cand else 0
-    return pa.table(
-        {
-            "n_true_pairs": pa.array([n_true], pa.int64()),
-            "n_candidates": pa.array([n_cand], pa.int64()),
-            "n_hits": pa.array([n_hit], pa.int64()),
-            "recall_ppm": pa.array([recall_ppm], pa.int64()),
-            "precision_ppm": pa.array([precision_ppm], pa.int64()),
-        }
-    )
-
-
-def minhash_lsh_eval_oracle_sql(threshold: float = 0.6,
-                                num_hashes: int = 64,
-                                bands: int = 16, k: int = 3) -> str:
-    rpb = num_hashes // bands
-    return f"""
-        WITH {_minhash_sig_ctes(num_hashes, k)},
-        bucket AS MATERIALIZED (
-            SELECT doc_id, perm // {rpb} AS band,
-                   list(sig ORDER BY perm) AS key
-            FROM sig GROUP BY doc_id, perm // {rpb}
-        ),
-        cand AS MATERIALIZED (
-            SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-            FROM bucket a JOIN bucket b
-              ON a.band = b.band AND a.key = b.key
-             AND a.doc_id < b.doc_id
-        ),
-        sizes AS (
-            SELECT doc_id, COUNT(*) AS sz FROM sh GROUP BY doc_id
-        ),
-        common AS (
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS c
-            FROM sh a JOIN sh b
-              ON a.sh = b.sh AND a.doc_id < b.doc_id
-            GROUP BY 1, 2
-        ),
-        truth AS MATERIALIZED (
-            SELECT doc_a, doc_b FROM common
-            JOIN sizes sa ON sa.doc_id = doc_a
-            JOIN sizes sb ON sb.doc_id = doc_b
-            WHERE CAST(c AS DOUBLE) / CAST(sa.sz + sb.sz - c AS DOUBLE)
-                  >= {threshold}
-        ),
-        agg AS (
-            SELECT (SELECT COUNT(*) FROM truth) AS n_true_pairs,
-                   (SELECT COUNT(*) FROM cand) AS n_candidates,
-                   (SELECT COUNT(*) FROM truth t JOIN cand c
-                     ON t.doc_a = c.doc_a AND t.doc_b = c.doc_b)
-                       AS n_hits
-        )
-        SELECT CAST(n_true_pairs AS BIGINT) AS n_true_pairs,
-               CAST(n_candidates AS BIGINT) AS n_candidates,
-               CAST(n_hits AS BIGINT) AS n_hits,
-               CAST(CASE WHEN n_true_pairs = 0 THEN 0
-                    ELSE n_hits * 1000000 // n_true_pairs END AS BIGINT)
-                   AS recall_ppm,
-               CAST(CASE WHEN n_candidates = 0 THEN 0
-                    ELSE n_hits * 1000000 // n_candidates END AS BIGINT)
-                   AS precision_ppm
-        FROM agg
     """
 
 

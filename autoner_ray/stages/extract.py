@@ -56,27 +56,3 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
         ),
         "extracted",
     )
-
-
-_TITLE_RE = re.compile(rb"<title>(.*?)</title>", re.S)
-
-
-def extract_title_batch(batch: pa.Table) -> pa.Table:
-    """pages -> (url, title): inner text of the first ``<title>``
-    element, entities unescaped — the metadata-extraction sibling of
-    the main-text extractor (real crawls index titles separately).
-    Stateless, byte-driven: parses the html payload, never derives the
-    title from the url."""
-    titles = []
-    for h in batch["html"].to_pylist():
-        m = _TITLE_RE.search(h or b"")
-        titles.append(
-            _html.unescape(m.group(1).decode("utf-8", errors="replace"))
-            if m else ""
-        )
-    return pa.table(
-        {
-            "url": batch["url"],
-            "title": pa.array(titles, pa.string()),
-        }
-    )

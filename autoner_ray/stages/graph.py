@@ -247,8 +247,7 @@ def connected_components_distributed(edges_ds,
 
 
 def bfs_distances(edges_ds, source=None, max_depth: int = 32,
-                  num_partitions: int | None = None,
-                  sources: list | None = None):
+                  num_partitions: int | None = None):
     """Single-source shortest-path (hop) distances on the undirected
     entity graph — min-DISTANCE propagation with the dist table as a
     Dataset, the same join+groupby-min fixpoint loop as
@@ -289,14 +288,9 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
 
     bidir = edges_ds.map_batches(expand, batch_format="pyarrow").materialize()
     universe = bidir.groupby("src").aggregate(Count(alias_name="_n"))
-    if sources is None:
-        if source is None:
-            source = bidir.min("src")
-        sources = [source]
-    # multi-source frontier (``sources``): min-hop distance to the
-    # NEAREST seed — same fixpoint loop, seed set broadcast in the
-    # closure (seed lists are small by construction)
-    seed_arr = pa.array(list(sources), node_type)
+    if source is None:
+        source = bidir.min("src")
+    seed_arr = pa.array([source], node_type)
 
     def init_dist(t: pa.Table) -> pa.Table:
         d = pc.if_else(
@@ -606,8 +600,6 @@ def degree_distribution(edges_ds):
                     "one": pa.array([], pa.int64()),
                 }
             )
-        import numpy as np
-
         ents = pa.concat_arrays(
             [
                 t["subj"].combine_chunks().cast(pa.string()),
@@ -754,235 +746,6 @@ def adamic_adar(edges_ds):
     )
     return partitioned_key_sum(
         partials, ["a", "b"], ["n_common", "aa_micro"], part_on=("a",)
-    )
-
-
-def clustering_coeff(edges_ds, num_partitions: int | None = None):
-    """Per-entity LOCAL CLUSTERING COEFFICIENT over the undirected
-    unique-pair edge list: cc(v) = 2·T(v) / (deg(v)·(deg(v)−1)) for
-    deg ≥ 2, reported as integer ppm (floor) so the engine and the SQL
-    twin agree bit-for-bit — no float division on either side.
-
-    Scale shape: triangles come from :func:`triangle_counts` (degree-
-    oriented wedge semi-join, O(m^1.5) wedges); degrees are one more
-    bounded-key combine over the same edge stream. Both tails are
-    entity-vocabulary-bounded (SURVEY §9), so the final left-merge and
-    ppm arithmetic run in a single small block.
-    """
-    import numpy as np
-
-    from autoner_ray.stages.combine import bounded_key_sum
-
-    tri = triangle_counts(edges_ds, num_partitions=num_partitions)
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"entity": pa.array([], pa.string()),
-                             "deg": pa.array([], pa.int64())})
-        ents = pa.concat_arrays(
-            [pc.cast(t["subj"], pa.string()).combine_chunks(),
-             pc.cast(t["obj"], pa.string()).combine_chunks()]
-        )
-        vc = ents.value_counts()
-        return pa.table({"entity": vc.field("values"),
-                         "deg": pc.cast(vc.field("counts"), pa.int64())})
-
-    deg = bounded_key_sum(
-        edges_ds.select_columns(["subj", "obj"]).map_batches(
-            deg_partial, batch_format="pyarrow"
-        ),
-        ["entity"], ["deg"],
-    )
-
-    # works for both the Dataset and the empty-graph pa.Table return
-    tri_df = tri.to_pandas()  # vocab-bounded collect (pagerank contract)
-
-    def finish(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df = df[df["deg"] >= 2]
-        merged = df.merge(tri_df, on="entity", how="left")
-        T = merged["triangles"].fillna(0).to_numpy(np.int64)
-        d = merged["deg"].to_numpy(np.int64)
-        ppm = (T * 2_000_000) // (d * (d - 1))
-        return pa.table(
-            {
-                "entity": pa.array(merged["entity"], pa.string()),
-                "deg": pa.array(d, pa.int64()),
-                "triangles": pa.array(T, pa.int64()),
-                "cc_ppm": pa.array(ppm, pa.int64()),
-            }
-        )
-
-    # deg is a single block after bounded_key_sum's final combine;
-    # tri_df is vocab-bounded (the pagerank-tail collect contract)
-    return deg.map_batches(finish, batch_format="pyarrow",
-                           batch_size=None)
-
-
-def label_propagation(edges_ds, rounds: int = 4):
-    """Synchronous weighted label propagation (community detection) —
-    ``rounds`` fixed sweeps of ``label[v] = argmax over neighbor labels
-    by summed edge weight, ties to the lexicographically smallest
-    label``, labels initialized to the node's own name. Fixed rounds +
-    deterministic tiebreak make the result execution-order independent
-    and SQL-unrollable (reference semantics: Raghavan et al. 2007,
-    synchronous variant).
-
-    Same locality argument as :func:`pagerank`: the distributed edge
-    aggregate bounds the vote table to the dictionary-bounded entity
-    vocab, so the sweeps run driver-side on the aggregated edges
-    (integer weights — votes are exact). An unbounded-vocab corpus
-    would iterate the label table as a Dataset with a cogroup join +
-    groupby-argmax per round, the
-    :func:`connected_components_distributed` shape."""
-    import pandas as pd
-
-    df = edges_ds.to_pandas()
-    ents = sorted(set(df["subj"]) | set(df["obj"]))
-    n = len(ents)
-    if n == 0:
-        return pa.table(
-            {
-                "entity": pa.array([], pa.string()),
-                "community": pa.array([], pa.string()),
-            }
-        )
-    idx = {e: i for i, e in enumerate(ents)}
-    src = np.fromiter(
-        (idx[s] for s in df["subj"]), dtype=np.int64, count=len(df)
-    )
-    dst = np.fromiter(
-        (idx[o] for o in df["obj"]), dtype=np.int64, count=len(df)
-    )
-    w = df["weight"].to_numpy().astype(np.int64)
-    voters = np.concatenate([src, dst])
-    targets = np.concatenate([dst, src])
-    ww = np.concatenate([w, w])
-    lab = np.arange(n, dtype=np.int64)
-    for _ in range(rounds):
-        votes = (
-            pd.DataFrame(
-                {"node": targets, "lab": lab[voters], "w": ww}
-            )
-            .groupby(["node", "lab"], as_index=False)["w"]
-            .sum()
-            # ents is sorted, so index order IS lexicographic order —
-            # "lab asc" realizes the min-label tiebreak exactly
-            .sort_values(
-                ["node", "w", "lab"],
-                ascending=[True, False, True],
-                kind="mergesort",
-            )
-        )
-        first = votes.groupby("node", as_index=False).first()
-        new = lab.copy()
-        new[first["node"].to_numpy()] = first["lab"].to_numpy()
-        lab = new
-    return pa.table(
-        {
-            "entity": pa.array(ents, pa.string()),
-            "community": pa.array(
-                [ents[i] for i in lab], pa.string()
-            ),
-        }
-    )
-
-
-def degree_assortativity(edges_ds):
-    """Degree-assortativity coefficient of the undirected graph —
-    Newman's r: the Pearson correlation of endpoint degrees over every
-    directed edge. Positive = hubs link hubs (social shape), negative
-    = hubs link leaves (star/technological shape); the one-number
-    topology fingerprint a KG build logs per snapshot.
-
-    All five moments (Σx, Σy, Σx², Σy², Σxy over 2m directed edges)
-    are exact int64 sums, so engine and SQL twin agree bit-for-bit
-    before the one final float division (rounded to 6 dp both sides).
-
-    Scale shape: degrees reduce through the bounded combine (entity
-    vocab is dictionary-bounded for the co-occurrence graphs this
-    serves — same contract as pagerank/triangles) and broadcast once;
-    one pass over edges emits per-batch moment partials that collapse
-    to a single row each."""
-    import pandas as pd
-    import ray
-
-    from autoner_ray.stages.combine import bounded_key_sum
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"entity": pa.array([], pa.string()),
-                             "deg": pa.array([], pa.int64())})
-        ents = pa.concat_arrays(
-            [pc.cast(t["subj"], pa.string()).combine_chunks(),
-             pc.cast(t["obj"], pa.string()).combine_chunks()]
-        )
-        vc = ents.value_counts()
-        return pa.table({"entity": vc.field("values"),
-                         "deg": pc.cast(vc.field("counts"), pa.int64())})
-
-    deg = bounded_key_sum(
-        edges_ds.select_columns(["subj", "obj"]).map_batches(
-            deg_partial, batch_format="pyarrow"
-        ),
-        ["entity"], ["deg"],
-    ).to_pandas()
-    if len(deg) == 0:
-        return pa.table(
-            {
-                "n_edges": pa.array([0], pa.int64()),
-                "assortativity": pa.array([0.0], pa.float64()),
-            }
-        )
-    deg_ref = ray.put(dict(zip(deg["entity"], deg["deg"].astype(int))))
-
-    mcols = ["m", "sx", "sy", "sxx", "syy", "sxy"]
-
-    def moment_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {c: pa.array([], pa.int64()) for c in mcols}
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
-        dmap = ray.get(deg_ref)
-        # cast keys to string exactly like deg_partial did, so an
-        # integer-keyed edge table probes the same map keys it built
-        s = pd.Series(
-            pc.cast(t["subj"], pa.string()).to_pylist()
-        ).map(dmap).to_numpy(np.int64)
-        o = pd.Series(
-            pc.cast(t["obj"], pa.string()).to_pylist()
-        ).map(dmap).to_numpy(np.int64)
-        # both directions: x over sources, y over destinations
-        x = np.concatenate([s, o])
-        y = np.concatenate([o, s])
-        return pa.table(
-            {
-                "m": pa.array([len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum())], pa.int64()),
-                "sy": pa.array([int(y.sum())], pa.int64()),
-                "sxx": pa.array([int((x * x).sum())], pa.int64()),
-                "syy": pa.array([int((y * y).sum())], pa.int64()),
-                "sxy": pa.array([int((x * y).sum())], pa.int64()),
-            }
-        )
-
-    tot = (
-        edges_ds.select_columns(["subj", "obj"])
-        .map_batches(moment_partial, batch_format="pyarrow")
-        .to_pandas()
-        .sum()
-    )
-    m, sx, sy = int(tot["m"]), int(tot["sx"]), int(tot["sy"])
-    sxx, syy, sxy = int(tot["sxx"]), int(tot["syy"]), int(tot["sxy"])
-    num = m * sxy - sx * sy
-    den = ((m * sxx - sx * sx) ** 0.5) * ((m * syy - sy * sy) ** 0.5)
-    r = round(num / den, 6) if den > 0 else 0.0
-    return pa.table(
-        {
-            "n_edges": pa.array([m // 2], pa.int64()),
-            "assortativity": pa.array([r], pa.float64()),
-        }
     )
 
 

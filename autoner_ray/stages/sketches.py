@@ -1,6 +1,6 @@
 """Mergeable one-pass sketches (engine extensions for corpus-scale
 profiling): HyperLogLog distinct counting, Count-Min heavy hitters, a
-Bloom filter, and a mergeable quantile sketch.
+mergeable quantile sketch, and a consistent-hash ring.
 
 Scale shape shared by the sketches: every sketch here is a fixed-size,
 order-independent MERGE (elementwise max / sum / or), so a batch stream
@@ -209,44 +209,6 @@ def cm_heavy_hitters(docs_ds, k: int = 10, candidates_per_batch: int = 64):
     )
 
 
-# ------------------------------------------------ Bloom filter
-
-def _bloom_build(keys: np.ndarray, m_bits: int, n_hashes: int) -> np.ndarray:
-    """Bit array (uint64 words) from int64/uint64 keys; double hashing
-    h1 + i*h2 over the splitmix64-mixed key (Kirsch–Mitzenmacher)."""
-    z = keys.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    h1 = z & np.uint64(0xFFFFFFFF)
-    h2 = (z >> np.uint64(32)) | np.uint64(1)
-    bits = np.zeros(m_bits // 64 + 1, dtype=np.uint64)
-    for i in range(n_hashes):
-        pos = (h1 + np.uint64(i) * h2) % np.uint64(m_bits)
-        np.bitwise_or.at(
-            bits, (pos >> np.uint64(6)).astype(np.int64),
-            np.uint64(1) << (pos & np.uint64(63)),
-        )
-    return bits
-
-
-def _bloom_maybe(
-    keys: np.ndarray, bits: np.ndarray, m_bits: int, n_hashes: int
-) -> np.ndarray:
-    z = keys.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    h1 = z & np.uint64(0xFFFFFFFF)
-    h2 = (z >> np.uint64(32)) | np.uint64(1)
-    ok = np.ones(len(keys), dtype=bool)
-    for i in range(n_hashes):
-        pos = (h1 + np.uint64(i) * h2) % np.uint64(m_bits)
-        word = bits[(pos >> np.uint64(6)).astype(np.int64)]
-        ok &= (word >> (pos & np.uint64(63))) & np.uint64(1) != 0
-    return ok
-
-
 # ------------------------------------------------ quantile sketch
 
 Q_CAP = 8192  # summary points per partial; fixed memory per task
@@ -373,216 +335,6 @@ def doc_length_quantiles_oracle_sql(ps=(0.1, 0.5, 0.9, 0.99)) -> str:
         for p in ps
     ]
     return " UNION ALL ".join(parts)
-
-
-def source_distinct_words_hll(docs_ds):
-    """GROUPED HLL: approximate distinct word tokens per source — the
-    mergeable-sketch sibling of the exact per-source distinct ops
-    (16 KiB per (source, batch) instead of a vocab shuffle per group).
-
-    Same register-max merge as ``distinct_words_hll``, keyed by
-    source; source cardinality is bounded, so the final merge is one
-    tiny block. The SQL twin is the EXACT per-source distinct: at the
-    oracle scales the estimator sits in its linear-counting regime
-    with zero register collisions, so estimate == exact (same
-    justification as the global sketch row); at web scale the estimate
-    carries the usual ~0.8 % HLL error."""
-
-    def batch_sketch(batch: pa.Table) -> pa.Table:
-        by_src: dict[str, np.ndarray] = {}
-        for src, text in zip(
-            batch["source"].to_pylist(), batch["text"].to_pylist()
-        ):
-            toks = (text or "").split(" ")
-            if not toks:
-                continue
-            regs = by_src.get(src)
-            if regs is None:
-                regs = by_src[src] = np.zeros(1 << HLL_P, dtype=np.uint8)
-            _hll_update(regs, md5_64_array(toks))
-        return pa.table(
-            {
-                "source": pa.array(list(by_src.keys()), pa.string()),
-                "regs": pa.array(
-                    [r.tobytes() for r in by_src.values()], pa.binary()
-                ),
-            }
-        )
-
-    def merge(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or len(batch) == 0:
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "regs": pa.array([], pa.binary()),
-                }
-            )
-        by_src: dict[str, np.ndarray] = {}
-        for src, blob in zip(
-            batch["source"].to_pylist(), batch["regs"].to_pylist()
-        ):
-            regs = by_src.get(src)
-            if regs is None:
-                by_src[src] = np.frombuffer(
-                    blob, dtype=np.uint8
-                ).copy()
-            else:
-                np.maximum(
-                    regs, np.frombuffer(blob, dtype=np.uint8), out=regs
-                )
-        return pa.table(
-            {
-                "source": pa.array(list(by_src.keys()), pa.string()),
-                "regs": pa.array(
-                    [r.tobytes() for r in by_src.values()], pa.binary()
-                ),
-            }
-        )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        merged = merge(batch)
-        ests = [
-            int(round(hll_estimate(np.frombuffer(b, dtype=np.uint8))))
-            for b in merged["regs"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "source": merged["source"],
-                "distinct_words_est": pa.array(ests, pa.int64()),
-            }
-        )
-
-    return (
-        docs_ds.map_batches(batch_sketch, batch_format="pyarrow")
-        .map_batches(merge, batch_format="pyarrow", batch_size=4096)
-        .repartition(1)
-        .map_batches(finish, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def kmv_distinct_words(docs_ds, k: int = 64):
-    """Per-source distinct-word estimate via the KMV (k-minimum-values)
-    sketch — the third cardinality sketch next to the HLL pair, and the
-    only one whose estimate is EXACTLY reproducible in SQL: keep the
-    ``k`` smallest distinct uint64 word hashes per source; if fewer
-    than ``k`` exist the count is exact, else
-    ``est = (k-1) * 2^64 // h_k`` (Beyer et al. 2007, integer-exact
-    both sides). Returns (source, est_distinct).
-
-    Scale shape: a per-batch partial keeps only the k smallest UNIQUE
-    hashes per source seen in that batch (k-min is re-associative, the
-    same contract as min-K in ``domain_cap``), so the shuffle moves
-    ≤ k × sources × blocks uint64s — never the word stream. Final
-    merge + estimate run per source group in one pass."""
-    import pandas as pd
-
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.functions.hashing import md5_64_array
-    from autoner_ray.stages.joins import _stable_part_col
-
-    P = default_num_partitions()
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "source": pa.array([], pa.string()),
-                "h": pa.array([], pa.uint64()),
-                "part": pa.array([], pa.int32()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
-        srcs, hs = [], []
-        df = pd.DataFrame(
-            {
-                "source": np.asarray(
-                    t["source"].to_numpy(zero_copy_only=False)
-                ),
-                "text": t["text"].to_pylist(),
-            }
-        )
-        for src, grp in df.groupby("source", sort=False):
-            words = set()
-            for text in grp["text"]:
-                words.update((text or "").split(" "))
-            h = np.unique(md5_64_array(sorted(words)))[:k]
-            srcs.extend([src] * len(h))
-            hs.append(h)
-        if not srcs:
-            return empty
-        out = pa.table(
-            {
-                "source": pa.array(srcs, pa.string()),
-                "h": pa.array(np.concatenate(hs), pa.uint64()),
-            }
-        )
-        return out.append_column(
-            "part", _stable_part_col(out, ("source",), P)
-        )
-
-    def estimate(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "source": pd.Series(dtype="object"),
-                "est_distinct": pd.Series(dtype="int64"),
-            }
-        )
-        if len(df) == 0 or "source" not in df.columns:
-            return empty
-        rows = []
-        for src, grp in df.groupby("source", sort=False):
-            h = np.unique(grp["h"].to_numpy(np.uint64))[:k]
-            if len(h) < k:
-                est = len(h)
-            else:
-                est = ((k - 1) << 64) // int(h[k - 1])
-            rows.append({"source": src, "est_distinct": est})
-        return pd.DataFrame(rows).astype(
-            {"est_distinct": "int64"}
-        ).reset_index(drop=True)
-
-    return (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(estimate, batch_format="pandas")
-    )
-
-
-def kmv_distinct_words_oracle_sql(k: int = 64) -> str:
-    two64 = str(1 << 64)
-    return f"""
-        WITH dw AS (
-            SELECT DISTINCT source, t.word
-            FROM documents, unnest(string_split(text, ' ')) AS t(word)
-        ),
-        h AS (
-            SELECT DISTINCT source,
-                   CAST(('0x' || substring(md5(word), 1, 16))
-                        AS UBIGINT) AS h
-            FROM dw
-        ),
-        r AS (
-            SELECT source, h,
-                   row_number() OVER (
-                       PARTITION BY source ORDER BY h
-                   ) AS rn,
-                   COUNT(*) OVER (PARTITION BY source) AS n
-            FROM h
-        ),
-        sel AS (
-            SELECT source,
-                   MAX(CASE WHEN rn = {k} THEN h END) AS hk,
-                   MAX(n) AS n
-            FROM r WHERE rn <= {k} GROUP BY source
-        )
-        SELECT source,
-               CAST(CASE WHEN n < {k} THEN n
-                    ELSE CAST({k - 1} AS HUGEINT)
-                         * CAST('{two64}' AS HUGEINT)
-                         // CAST(hk AS HUGEINT)
-               END AS BIGINT) AS est_distinct
-        FROM sel
-    """
 
 
 def consistent_hash_ring(docs_ds, n_nodes: int = 8, vnodes: int = 4):
@@ -734,98 +486,3 @@ def consistent_hash_ring_oracle_sql(n_nodes: int = 8,
         FROM nodes n LEFT JOIN a ON a.n8 = n.node OR a.n9 = n.node
         GROUP BY n.node
     """
-
-
-def shard_parity(docs_ds, n_shards: int = 8, group: int = 4):
-    """XOR shard-parity audit — the erasure-coding-style integrity
-    check a content-addressed store runs: docs hash-partition into
-    ``n_shards`` shards; each shard's fingerprint is the XOR of its
-    doc content hashes (order-insensitive, so any block layout yields
-    the same value); shards group by ``group`` and each parity strip
-    is the XOR of its member fingerprints — losing any one member is
-    recoverable as parity XOR the others, and the driver query proves
-    it by emitting, per shard, the fingerprint RECONSTRUCTED from its
-    parity strip next to the direct one. Output
-    (shard, fingerprint, reconstructed) with fingerprint ==
-    reconstructed as the integrity invariant (both int64 from the
-    uint64 XOR, same reinterpret both sides).
-
-    Scale shape: per-batch (shard, xor) partials are re-associative
-    (XOR is a group op) — at scale this would ride a tiny bounded
-    combine; the parity math is driver arithmetic over n_shards rows."""
-    import numpy as np
-
-    from autoner_ray.functions.hashing import md5_64_array
-    from autoner_ray.stages.combine import bounded_key_sum
-
-    _p_schema = pa.schema(
-        [("shard", pa.int64()), ("lo", pa.int64()), ("hi", pa.int64())]
-    )
-
-    def xor_partial(t: pa.Table) -> pa.Table:
-        # bounded_key_sum only SUMS, so carry the xor as two int32
-        # halves? XOR is not a sum — do the xor per batch and emit one
-        # row per (shard); the final xor folds in pandas on the tiny
-        # (shards x blocks) table instead of a sum combine.
-        if t.num_columns == 0 or len(t) == 0:
-            return _p_schema.empty_table()
-        h = md5_64_array(
-            [str(i) for i in t["doc_id"].to_pylist()]
-        )
-        shard = (h % np.uint64(n_shards)).astype(np.int64)
-        rows_s, rows_lo, rows_hi = [], [], []
-        for sh in np.unique(shard):
-            x = np.bitwise_xor.reduce(h[shard == sh])
-            rows_s.append(int(sh))
-            rows_lo.append(int(x & np.uint64(0xFFFFFFFF)))
-            rows_hi.append(int(x >> np.uint64(32)))
-        return pa.table(
-            {
-                "shard": pa.array(rows_s, pa.int64()),
-                "lo": pa.array(rows_lo, pa.int64()),
-                "hi": pa.array(rows_hi, pa.int64()),
-            },
-            schema=_p_schema,
-        )
-
-    parts = docs_ds.select_columns(["doc_id"]).map_batches(
-        xor_partial, batch_format="pyarrow", batch_size=65536
-    ).to_pandas()
-    fps = {}
-    for sh, g in parts.groupby("shard"):
-        x = np.uint64(0)
-        for lo, hi in zip(g["lo"], g["hi"]):
-            x ^= (np.uint64(hi) << np.uint64(32)) | np.uint64(lo)
-        fps[int(sh)] = x
-    shards = list(range(n_shards))
-    parity = {}
-    for g0 in range(0, n_shards, group):
-        members = shards[g0:g0 + group]
-        x = np.uint64(0)
-        for m in members:
-            x ^= fps.get(m, np.uint64(0))
-        for m in members:
-            parity[m] = x
-    # reconstructed(m) = parity XOR all other members = fingerprint(m)
-    recon = {}
-    for g0 in range(0, n_shards, group):
-        members = shards[g0:g0 + group]
-        for m in members:
-            x = parity[m]
-            for o in members:
-                if o != m:
-                    x ^= fps.get(o, np.uint64(0))
-            recon[m] = x
-    to_i64 = lambda u: int(np.uint64(u).astype(np.int64))
-    return pa.table(
-        {
-            "shard": pa.array(shards, pa.int64()),
-            "fingerprint": pa.array(
-                [to_i64(fps.get(s, np.uint64(0))) for s in shards],
-                pa.int64(),
-            ),
-            "reconstructed": pa.array(
-                [to_i64(recon[s]) for s in shards], pa.int64()
-            ),
-        }
-    )

@@ -613,119 +613,6 @@ def bigram_collocations_oracle_sql(min_count: int = 5, k: int = 20) -> str:
     """
 
 
-def heaps_vocab_growth(docs_ds, bucket_docs: int = 100):
-    """Heaps-law vocabulary-growth curve: for each bucket of
-    ``bucket_docs`` consecutive ``doc_id``s, how many NEW word types
-    first appear there, plus the running vocabulary size — the
-    diagnostic a corpus builder reads to decide whether more crawl
-    keeps buying vocabulary (sub-linear growth ⇒ Heaps exponent < 1).
-
-    Semantics: a word's first appearance is the MINIMUM doc_id that
-    contains it (ingestion order = doc_id order), so the curve is
-    exact and deterministic, not a streaming approximation.
-
-    Scale shape: per-batch (word -> min doc_id) partials (pandas hash
-    combine over the exploded words; the exploded stream never
-    shuffles) -> one word-partitioned min-combine
-    (``keyed_combine``, vocab never on the driver) -> per-batch
-    bucket counts -> shuffle-free bounded combine over buckets -> one
-    tiny sorted cumsum block. Bucket count is corpus_docs /
-    ``bucket_docs``; at 10^12 docs raise ``bucket_docs`` so the final
-    block stays bounded (or swap the cumsum for the exact distributed
-    ranking pass used by ``docs_length_gini``).
-    """
-    from autoner_ray.stages.combine import (
-        bounded_key_sum,
-        keyed_combine,
-    )
-
-    def first_seen_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "word": pa.array([], pa.string()),
-                "first_doc": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
-        df = _exploded(t["text"].to_pylist())
-        if df.empty:
-            return empty
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        df["doc"] = ids[df["i"].to_numpy()]
-        agg = df.groupby("w", sort=False)["doc"].min()
-        return pa.table(
-            {
-                "word": pa.array(agg.index.to_numpy(), pa.string()),
-                "first_doc": pa.array(agg.to_numpy(), pa.int64()),
-            }
-        )
-
-    first = keyed_combine(
-        docs_ds.map_batches(first_seen_partial, batch_format="pyarrow"),
-        ["word"], [("first_doc", "min")], part_on=("word",),
-    )
-
-    def bucket_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or "first_doc" not in (
-            t.column_names
-        ):
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    "new_words": pa.array([], pa.int64()),
-                }
-            )
-        b = t["first_doc"].to_numpy(zero_copy_only=False) // bucket_docs
-        vals, counts = np.unique(b, return_counts=True)
-        return pa.table(
-            {
-                "bucket": pa.array(vals, pa.int64()),
-                "new_words": pa.array(counts, pa.int64()),
-            }
-        )
-
-    agg = bounded_key_sum(
-        first.map_batches(bucket_partial, batch_format="pyarrow",
-                          batch_size=None),
-        ["bucket"], ["new_words"],
-    )
-
-    def cumsum(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values("bucket", kind="mergesort")
-        df["vocab_size"] = df["new_words"].cumsum().astype(np.int64)
-        return pa.Table.from_pandas(
-            df, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    return agg.repartition(1).map_batches(
-        cumsum, batch_format="pyarrow", batch_size=None
-    )
-
-
-def heaps_vocab_growth_oracle_sql(bucket_docs: int = 100) -> str:
-    return f"""
-        WITH w AS (
-            SELECT doc_id, unnest(string_split(text, ' ')) AS word
-            FROM documents
-        ),
-        f AS (
-            SELECT word, MIN(doc_id) AS first_doc FROM w GROUP BY word
-        ),
-        b AS (
-            SELECT first_doc // {bucket_docs} AS bucket,
-                   COUNT(*) AS new_words
-            FROM f GROUP BY 1
-        )
-        SELECT bucket, CAST(new_words AS BIGINT) AS new_words,
-               CAST(SUM(new_words) OVER (
-                   ORDER BY bucket
-                   ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW
-               ) AS BIGINT) AS vocab_size
-        FROM b ORDER BY bucket
-    """
-
-
 def bigram_graph(docs_ds, min_count: int = 75):
     """Undirected adjacent-word co-occurrence graph: edge (subj, obj)
     for each unordered pair of DISTINCT adjacent words occurring at
@@ -788,348 +675,6 @@ def bigram_graph(docs_ds, min_count: int = 75):
         ).select(["subj", "obj", "weight"])
 
     return summed.map_batches(threshold, batch_format="pyarrow")
-
-
-def crawl_rate(sf_dir: str):
-    """Crawl-throughput monitor over the Common-Crawl-style ``pages``
-    table: (hour of ``warc_ts``, lang) -> pages fetched and bytes of
-    raw html — the per-ingest-hour observability rollup a trillion-page
-    crawl pipeline tails during a run. Goes THROUGH the pages
-    derivation (url/warc_ts/html columns), so the oracle — written
-    against the documents table plus the deterministic ts/html rules —
-    re-proves the source's timestamp and payload synthesis.
-
-    Scale shape: stateless map over the streamed pages source
-    (html length via zero-copy arrow ``binary_length``) -> per-batch
-    (hour, lang) partials -> shuffle-free bounded combine (hour x lang
-    is corpus-span-bounded)."""
-    from autoner_ray.sources.pages import read_pages
-    from autoner_ray.stages.combine import bounded_key_sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "hour": pa.array([], pa.timestamp("us")),
-                    "lang": pa.array([], pa.string()),
-                    "n_pages": pa.array([], pa.int64()),
-                    "html_bytes": pa.array([], pa.int64()),
-                }
-            )
-        agg = (
-            pa.table(
-                {
-                    "hour": pc.floor_temporal(t["warc_ts"], unit="hour"),
-                    "lang": t["lang"],
-                    "html_bytes": pc.cast(
-                        pc.binary_length(t["html"]), pa.int64()
-                    ),
-                }
-            )
-            .group_by(["hour", "lang"])
-            .aggregate([("html_bytes", "count"), ("html_bytes", "sum")])
-        )
-        return agg.rename_columns(["hour", "lang", "n_pages", "html_bytes"])
-
-    return bounded_key_sum(
-        read_pages(sf_dir).map_batches(partial, batch_format="pyarrow"),
-        ["hour", "lang"], ["n_pages", "html_bytes"],
-    )
-
-
-def crawl_rate_oracle_sql() -> str:
-    # mirrors sources/pages.py: warc_ts = 2020-01-01T00:00Z + doc_id s;
-    # html = fixed wrapper (117 chars) + title doc_id + entity-escaped
-    # text (the escape only rewrites & < > — the corpus contains none,
-    # enforced by the length identity hashing here) + footer outlink
-    # anchors per ``link_targets``: each anchor is 43 fixed chars plus
-    # the target id TWICE (href + anchor text); doc 0 emits a single
-    # anchor (its other two targets collapse as dup/self-loop), every
-    # other doc emits all three distinct targets.
-    return """
-        WITH p AS (
-            SELECT TIMESTAMP '2020-01-01 00:00:00'
-                       + to_seconds(doc_id) AS warc_ts,
-                   lang,
-                   117 + length(CAST(doc_id AS VARCHAR)) + length(text)
-                   + CASE WHEN doc_id = 0 THEN 43 + 2 * 1
-                     ELSE 129 + 2 * (
-                         length(CAST(doc_id + 1 AS VARCHAR))
-                         + length(CAST(2 * doc_id + 1 AS VARCHAR))
-                         + length(CAST(doc_id // 3 AS VARCHAR)))
-                     END AS html_len
-            FROM documents
-        )
-        SELECT date_trunc('hour', warc_ts) AS hour, lang,
-               COUNT(*) AS n_pages,
-               CAST(SUM(html_len) AS BIGINT) AS html_bytes
-        FROM p GROUP BY 1, 2
-    """
-
-
-def bigram_bfs_multi(docs_ds, min_count: int = 75, n_seeds: int = 3,
-                     max_depth: int = 32,
-                     driver_max_edges: int = 2_000_000):
-    """Multi-source hop distances over the thresholded bigram
-    collocation graph: distance to the NEAREST of the ``n_seeds``
-    lexicographically smallest nodes — the seeded-reachability pass
-    (e.g. propagating curated "anchor" vocabulary labels outward).
-
-    Seeds come from a sort+limit over the DISTINCT node table — the
-    thresholded graph is vocab-bounded, so this is a tiny shuffle;
-    distances run in :func:`~autoner_ray.stages.graph.bfs_distances`'
-    Dataset-resident fixpoint loop (multi-seed frontier)."""
-    from autoner_ray.stages.graph import bfs_distances
-
-    edges = bigram_graph(docs_ds, min_count).materialize()
-    if edges.count() <= driver_max_edges:
-        # vocab-bounded tier: one-process BFS over the tiny thresholded
-        # graph (tier equality vs the Dataset loop pinned by
-        # tests/test_r4_late_ops.py)
-        import collections
-
-        df = edges.to_pandas()
-        adj: dict[str, set[str]] = collections.defaultdict(set)
-        for a, b in zip(df["subj"], df["obj"]):
-            adj[a].add(b)
-            adj[b].add(a)
-        seeds = sorted(adj)[:n_seeds]
-        dist = {s: 0 for s in seeds}
-        frontier = list(seeds)
-        d = 0
-        while frontier and d < max_depth:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        items = sorted(dist.items())
-        return pa.table(
-            {
-                "entity": pa.array([k for k, _ in items], pa.string()),
-                "dist": pa.array([v for _, v in items], pa.int64()),
-            }
-        )
-
-    def nodes(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"node": pa.array([], pa.string())})
-        return (
-            pa.table(
-                {
-                    "node": pa.chunked_array(
-                        t["subj"].chunks + t["obj"].chunks
-                    )
-                }
-            )
-            .group_by("node")
-            .aggregate([])
-        )
-
-    seeds = (
-        edges.map_batches(nodes, batch_format="pyarrow")
-        .groupby("node")
-        .count()
-        .sort("node")
-        .limit(n_seeds)
-        .to_pandas()["node"]
-        .tolist()
-    )
-    return bfs_distances(edges, sources=seeds, max_depth=max_depth)
-
-
-def bigram_bfs_multi_oracle_sql(min_count: int = 75, n_seeds: int = 3,
-                                max_depth: int = 32) -> str:
-    return f"""
-        WITH RECURSIVE ws AS MATERIALIZED (
-            SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-        ),
-        bg AS (
-            SELECT least(ws[i], ws[i + 1]) AS a,
-                   greatest(ws[i], ws[i + 1]) AS b
-            FROM ws, unnest(range(1, len(ws))) AS t(i)
-            WHERE ws[i] <> ws[i + 1]
-        ),
-        e0 AS MATERIALIZED (
-            SELECT a AS subj, b AS obj FROM bg
-            GROUP BY 1, 2 HAVING COUNT(*) >= {min_count}
-        ),
-        bidir AS MATERIALIZED (
-            SELECT subj AS src, obj AS dst FROM e0
-            UNION ALL SELECT obj, subj FROM e0
-        ),
-        seeds AS (
-            SELECT src FROM (SELECT DISTINCT src FROM bidir)
-            ORDER BY src LIMIT {n_seeds}
-        ),
-        bfs(node, d) AS (
-            SELECT src, 0 FROM seeds
-            UNION
-            SELECT e.dst, bfs.d + 1
-            FROM bfs JOIN bidir e ON e.src = bfs.node
-            WHERE bfs.d + 1 <= {max_depth}
-        )
-        SELECT node AS entity, CAST(MIN(d) AS BIGINT) AS dist
-        FROM bfs GROUP BY node
-    """
-
-
-def next_word_topk(docs_ds, k: int = 3, min_count: int = 2):
-    """Bigram continuation table — the backbone of an n-gram LM / text
-    autocompletion index: for every head word, its top-``k`` next
-    words by bigram count (ties broken alphabetically), keeping rows
-    with count ≥ ``min_count``. ``rnk`` is computed over ALL
-    continuations of the head (so a rank-1 row below ``min_count`` is
-    dropped, not re-ranked) — matching the SQL window exactly.
-
-    Scale shape: per-batch bigram partials (pandas hash combine over
-    the exploded stream — the corpus never shuffles exploded) -> ONE
-    hash shuffle partitioned on the HEAD word -> per-partition final
-    sum + vectorized rank + filter in the SAME grouped pass (ranking
-    inside map_groups, so a head's rows can never split across block
-    boundaries). Output is vocab-bounded."""
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import _stable_part_col
-
-    P = default_num_partitions()
-
-    def bigram_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "head": pa.array([], pa.string()),
-                "next_word": pa.array([], pa.string()),
-                "cnt": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int32()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
-        grams = _gram_frame(_exploded(batch["text"].to_pylist()), 2)
-        if grams.empty:
-            return empty
-        agg = grams.groupby("g", sort=False).size()
-        lr = agg.index.to_series().str.split(" ", n=1, expand=True)
-        t = pa.table(
-            {
-                "head": pa.array(lr[0].to_numpy(), pa.string()),
-                "next_word": pa.array(lr[1].to_numpy(), pa.string()),
-                "cnt": pa.array(agg.to_numpy(), pa.int64()),
-            }
-        )
-        return t.append_column(
-            "part", _stable_part_col(t, ("head",), P)
-        )
-
-    def sum_rank(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "head": pd.Series(dtype="object"),
-                "next_word": pd.Series(dtype="object"),
-                "cnt": pd.Series(dtype="int64"),
-                "rnk": pd.Series(dtype="int64"),
-            }
-        )
-        if len(df) == 0 or "head" not in df.columns:
-            return empty
-        df = (
-            df.groupby(["head", "next_word"], sort=False)["cnt"]
-            .sum()
-            .reset_index()
-        )
-        df = df.sort_values(
-            ["head", "cnt", "next_word"],
-            ascending=[True, False, True], kind="mergesort",
-        )
-        df["rnk"] = df.groupby("head", sort=False).cumcount() + 1
-        df = df[(df["rnk"] <= k) & (df["cnt"] >= min_count)]
-        return df[["head", "next_word", "cnt", "rnk"]].reset_index(
-            drop=True
-        )
-
-    return (
-        docs_ds.map_batches(bigram_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sum_rank, batch_format="pandas")
-    )
-
-
-def next_word_topk_oracle_sql(k: int = 3, min_count: int = 2) -> str:
-    return f"""
-        WITH ws AS (
-            SELECT string_split(text, ' ') AS ws FROM documents
-        ),
-        g AS (
-            SELECT ws[CAST(i AS BIGINT)] AS head,
-                   ws[CAST(i AS BIGINT) + 1] AS next_word
-            FROM ws, unnest(range(1, len(ws))) AS t(i)
-        ),
-        c AS (
-            SELECT head, next_word, COUNT(*) AS cnt
-            FROM g GROUP BY 1, 2
-        ),
-        r AS (
-            SELECT *, row_number() OVER (
-                PARTITION BY head ORDER BY cnt DESC, next_word
-            ) AS rnk
-            FROM c
-        )
-        SELECT head, next_word, cnt, rnk
-        FROM r WHERE rnk <= {k} AND cnt >= {min_count}
-    """
-
-
-def bigram_assortativity(docs_ds, min_count: int = 50):
-    """Degree assortativity of the thresholded bigram collocation
-    graph (kernel: stages/graph.py:degree_assortativity — exact int64
-    moment sums, one float division at the end)."""
-    from autoner_ray.stages.graph import degree_assortativity
-
-    return degree_assortativity(bigram_graph(docs_ds, min_count))
-
-
-def bigram_assortativity_oracle_sql(min_count: int = 50) -> str:
-    return f"""
-        WITH ws AS MATERIALIZED (
-            SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-        ),
-        bg AS (
-            SELECT least(ws[i], ws[i + 1]) AS a,
-                   greatest(ws[i], ws[i + 1]) AS b
-            FROM ws, unnest(range(1, len(ws))) AS t(i)
-            WHERE ws[i] <> ws[i + 1]
-        ),
-        e0 AS MATERIALIZED (
-            SELECT a AS subj, b AS obj FROM bg
-            GROUP BY 1, 2 HAVING COUNT(*) >= {min_count}
-        ),
-        bidir AS (
-            SELECT subj AS src, obj AS dst FROM e0
-            UNION ALL SELECT obj, subj FROM e0
-        ),
-        deg AS (SELECT src, COUNT(*) AS deg FROM bidir GROUP BY 1),
-        mom AS (
-            SELECT COUNT(*) AS m,
-                   SUM(dx.deg) AS sx, SUM(dy.deg) AS sy,
-                   SUM(dx.deg * dx.deg) AS sxx,
-                   SUM(dy.deg * dy.deg) AS syy,
-                   SUM(dx.deg * dy.deg) AS sxy
-            FROM bidir e
-            JOIN deg dx ON dx.src = e.src
-            JOIN deg dy ON dy.src = e.dst
-        )
-        SELECT CAST(m // 2 AS BIGINT) AS n_edges,
-               CASE WHEN m * sxx - sx * sx <= 0
-                      OR m * syy - sy * sy <= 0 THEN 0.0
-                    ELSE round(
-                        (m * sxy - sx * sy) /
-                        (sqrt(CAST(m * sxx - sx * sx AS DOUBLE))
-                         * sqrt(CAST(m * syy - sy * sy AS DOUBLE))), 6)
-               END AS assortativity
-        FROM mom
-    """
 
 
 # Gopher-style document-quality rules (Rae et al. 2021, table A1 shape),
@@ -1399,78 +944,6 @@ def window_cooccurrence_oracle_sql(window: int = 4) -> str:
     return f"""
         WITH {window_pairs_ctes(window)}
         SELECT word_a, word_b, CAST(n AS BIGINT) AS n FROM wp
-    """
-
-
-def prefix_dup_groups(docs_ds, k: int = 2):
-    """Prefix-key duplicate grouping: documents sharing the same first
-    ``k`` tokens (the cheap truncation/boilerplate-dup blocking key —
-    crawl snapshots of the same page usually share a long prefix even
-    when tails diverge). Emits ``(prefix, n_docs, min_doc)`` for groups
-    with >= 2 docs; pairs for expensive verification form only within a
-    group.
-
-    Scale shape: stateless prefix map -> per-batch (prefix -> count,
-    min-doc) partials -> PREFIX-partitioned re-associative combine
-    (``keyed_combine``) -> vectorized >= 2 filter. Never
-    corpus-sized anywhere.
-    """
-    from autoner_ray.stages.combine import keyed_combine
-
-    def prefix_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "prefix": pd.Series([], dtype="object"),
-                    "n_docs": pd.Series([], dtype="int64"),
-                    "min_doc": pd.Series([], dtype="int64"),
-                }
-            )
-        pref = (
-            df["text"].fillna("").str.split(" ").str[:k].str.join(" ")
-        )
-        agg = (
-            pd.DataFrame({"prefix": pref, "min_doc": df["doc_id"]})
-            .assign(n_docs=1)
-            .groupby("prefix", as_index=False)
-            .agg(n_docs=("n_docs", "sum"), min_doc=("min_doc", "min"))
-        )
-        agg["n_docs"] = agg["n_docs"].astype("int64")
-        agg["min_doc"] = agg["min_doc"].astype("int64")
-        return agg[["prefix", "n_docs", "min_doc"]]
-
-    grouped = keyed_combine(
-        docs_ds.map_batches(prefix_partial, batch_format="pandas"),
-        ["prefix"], [("n_docs", "sum"), ("min_doc", "min")],
-    )
-
-    def keep_dups(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "prefix": pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "min_doc": pa.array([], pa.int64()),
-                }
-            )
-        return t.filter(pc.greater_equal(t["n_docs"], 2))
-
-    return grouped.map_batches(keep_dups, batch_format="pyarrow")
-
-
-def prefix_dup_groups_oracle_sql(k: int = 2) -> str:
-    return f"""
-        WITH p AS (
-            SELECT doc_id,
-                   array_to_string(string_split(text, ' ')[1:{k}], ' ')
-                       AS prefix
-            FROM documents
-        )
-        SELECT prefix,
-               CAST(COUNT(*) AS BIGINT) AS n_docs,
-               CAST(MIN(doc_id) AS BIGINT) AS min_doc
-        FROM p GROUP BY prefix
-        HAVING COUNT(*) >= 2
     """
 
 

@@ -104,7 +104,7 @@ def test_no_ray_init_in_library():
     m = _entry_module()
     qs = m.queries()
     sqls = m.oracle_sql()
-    assert len(qs) == 184 and len(sqls) == 169
+    assert len(qs) == 103 and len(sqls) == 88
     import subprocess
     import sys
 

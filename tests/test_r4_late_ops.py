@@ -1,6 +1,7 @@
 """Brute-force equivalence pins for the late round-4 operators:
 keyed_combine (re-associative min across split batches),
-lang_hot_ngrams, clustering_coeff."""
+lang_hot_ngrams, bigram collocations, length Gini, paragraph dedup,
+N-Triples round trip, window co-occurrence and the linear probe."""
 
 from __future__ import annotations
 
@@ -91,49 +92,6 @@ def test_lang_hot_ngrams_bruteforce(ray_session):
     )
 
 
-def test_clustering_coeff_bruteforce(ray_session):
-    """cc_ppm against a dense-adjacency numpy reference on a small
-    random graph."""
-    import ray
-
-    from autoner_ray.stages.graph import clustering_coeff
-
-    rng = np.random.default_rng(11)
-    n_nodes = 30
-    adj = np.triu(rng.random((n_nodes, n_nodes)) < 0.25, k=1)
-    subj, obj = np.nonzero(adj)
-    names = np.array([f"e{i:02d}" for i in range(n_nodes)])
-    edges = pa.table(
-        {
-            "subj": pa.array(names[subj]),
-            "obj": pa.array(names[obj]),
-        }
-    )
-    got = (
-        clustering_coeff(ray.data.from_arrow(edges))
-        .to_pandas()
-        .sort_values("entity")
-        .reset_index(drop=True)
-    )
-
-    A = (adj | adj.T).astype(np.int64)
-    deg = A.sum(axis=1)
-    tri = np.diag(A @ A @ A) // 2
-    keep = deg >= 2
-    want = pd.DataFrame(
-        {
-            "entity": names[keep],
-            "deg": deg[keep],
-            "triangles": tri[keep],
-            "cc_ppm": (tri[keep] * 2_000_000) // (deg[keep] * (deg[keep] - 1)),
-        }
-    ).sort_values("entity").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got.astype({c: "int64" for c in ["deg", "triangles", "cc_ppm"]}),
-        want,
-    )
-
-
 def test_bigram_collocations_tiers_agree(ray_session):
     """Broadcast-vocab and cogroup-join tiers produce identical
     collocation tables."""
@@ -153,50 +111,6 @@ def test_bigram_collocations_tiers_agree(ray_session):
     a, b = rows(2_000_000), rows(0)
     pd.testing.assert_frame_equal(a, b)
     assert len(a) == 20
-
-
-def test_text_format_roundtrip_fidelity(ray_session, tmp_path):
-    """JSONL and CSV sinks/sources preserve tricky strings (quotes,
-    commas, unicode, embedded newlines) and int typing exactly."""
-    import ray
-
-    from autoner_ray.sources import text_formats as tf
-
-    tricky = [
-        'plain',
-        'comma, inside',
-        'quote " double',
-        "quote ' single",
-        'tab\tinside',
-        'newline\ninside',
-        'unicode é中文',
-        '',
-    ]
-    src = pa.table(
-        {
-            "doc_id": pa.array(range(len(tricky)), pa.int64()),
-            "text": pa.array(tricky, pa.string()),
-        }
-    )
-    want = src.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-    ds = ray.data.from_arrow(src)
-    tf.write_jsonl(ds, str(tmp_path / "j"))
-    got_j = (
-        tf.read_jsonl(str(tmp_path / "j")).to_pandas()
-        .sort_values("doc_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got_j, want)
-
-    tf.write_csv(ds, str(tmp_path / "c"))
-    got_c = (
-        tf.read_csv(str(tmp_path / "c")).to_pandas()
-        .sort_values("doc_id").reset_index(drop=True)
-    )
-    # pyarrow CSV reads empty strings back as null — the one documented
-    # CSV lossiness; everything else must round-trip exactly
-    got_c["text"] = got_c["text"].fillna("")
-    pd.testing.assert_frame_equal(got_c, want)
 
 
 def test_length_gini_bruteforce(ray_session):
@@ -222,83 +136,6 @@ def test_length_gini_bruteforce(ray_session):
     gini = ((2 * s - (n + 1) * tot) * 1_000_000) // (n * tot)
     assert got.iloc[0].tolist() == [n, tot, s, gini]
     assert 0 <= gini < 1_000_000
-
-
-def test_winnowing_guarantee_and_tiebreak():
-    """Every length-w window of gram hashes contains a selected position
-    (the winnowing coverage guarantee) and ties pick the RIGHTMOST min."""
-    from autoner_ray.stages.analysis import _winnow_positions
-
-    rng = np.random.default_rng(7)
-    for trial in range(50):
-        n = int(rng.integers(1, 40))
-        w = int(rng.integers(1, 6))
-        # small value range to force ties
-        grams = rng.integers(0, 5, size=n).astype(np.uint64)
-        sel = _winnow_positions(grams, w)
-        assert len(np.unique(sel)) == len(sel)
-        if n <= w:
-            mn = grams.min()
-            assert len(sel) == 1
-            # rightmost occurrence of the min
-            assert sel[0] == np.flatnonzero(grams == mn).max()
-        else:
-            for start in range(n - w + 1):
-                window = np.arange(start, start + w)
-                hit = np.intersect1d(sel, window)
-                assert len(hit) > 0, (trial, start)
-            # each selected pos is the rightmost min of SOME window
-            for p in sel:
-                ok = False
-                for start in range(max(0, p - w + 1),
-                                   min(p, n - w) + 1):
-                    win = grams[start:start + w]
-                    mn = win.min()
-                    if grams[p] == mn and (
-                        p - start == np.flatnonzero(win == mn).max()
-                    ):
-                        ok = True
-                        break
-                assert ok, (trial, p)
-
-
-def test_poly_gram_hash_matches_rolling_short_doc():
-    """Short-doc (< k tokens) winnowing hash equals rolling_fingerprint's
-    whole-doc hash — the two fingerprint families agree on the base case."""
-    from autoner_ray.stages.analysis import (
-        _poly_gram_hashes,
-        rolling_fingerprint,
-    )
-
-    text = "alpha beta gamma"
-    hs = _poly_gram_hashes(text.split(" "), k=8)
-    assert len(hs) == 1
-    assert f"{hs[0]:016x}" == rolling_fingerprint(text, window=8)
-
-
-def test_bigram_bfs_tier_equality(ray_session):
-    """Driver BFS and the Dataset-resident multi-seed loop agree on the
-    thresholded bigram graph."""
-    import ray
-
-    from autoner_ray.stages.webtext import bigram_bfs_multi
-
-    docs = ray.data.read_parquet(
-        f"{SF}/documents.parquet", columns=["doc_id", "text"]
-    )
-    drv = (
-        bigram_bfs_multi(docs).to_pandas()
-        .sort_values("entity").reset_index(drop=True)
-    )
-    docs2 = ray.data.read_parquet(
-        f"{SF}/documents.parquet", columns=["doc_id", "text"]
-    )
-    dist = (
-        bigram_bfs_multi(docs2, driver_max_edges=0).to_pandas()
-        .sort_values("entity").reset_index(drop=True)
-    )
-    assert len(drv) > 0
-    pd.testing.assert_frame_equal(drv, dist)
 
 
 def test_paragraph_dedup_bruteforce(ray_session):
@@ -366,46 +203,6 @@ def test_paragraph_dedup_bruteforce(ray_session):
     assert 3 not in got["doc_id"].tolist()
 
 
-def test_pack_sequences_bruteforce(ray_session):
-    """Range-bucketed packing matches a single-process prefix-sum on a
-    corpus sized to force bins that straddle range boundaries."""
-    import ray
-
-    from autoner_ray.stages.ranking import pack_sequences
-
-    rng = np.random.default_rng(11)
-    n = 3000
-    keys = np.arange(n, dtype=np.int64)
-    w = rng.integers(1, 40, size=n).astype(np.int64)
-    ds = ray.data.from_arrow(
-        pa.table({"doc_id": keys, "n_tok": w})
-    ).repartition(7)
-    got = (
-        pack_sequences(ds, "doc_id", "n_tok", bin_size=257,
-                       num_ranges=5)
-        .to_pandas()
-        .sort_values("seq_id")
-        .reset_index(drop=True)
-    )
-    prev = np.cumsum(w) - w
-    seq = prev // 257
-    exp = (
-        pd.DataFrame(
-            {"seq_id": seq, "one": 1, "w": w, "k": keys}
-        )
-        .groupby("seq_id", sort=True)
-        .agg(
-            n_docs=("one", "sum"),
-            n_tokens=("w", "sum"),
-            first_key=("k", "min"),
-            last_key=("k", "max"),
-        )
-        .reset_index()
-        .astype("int64")
-    )
-    pd.testing.assert_frame_equal(got.astype("int64"), exp)
-
-
 def test_ntriples_roundtrip_and_window_cooc_bruteforce(ray_session):
     from collections import Counter
 
@@ -439,7 +236,6 @@ def test_ntriples_roundtrip_and_window_cooc_bruteforce(ray_session):
     )
 
     # window co-occurrence vs a per-doc python brute force
-    import ray
     import ray.data as rd
 
     docs = rd.read_parquet(
@@ -494,20 +290,3 @@ def test_linear_probe_exact_vs_numpy_lstsq(ray_session):
     pred = X @ w
     g = got.set_index("doc_id").loc[f["doc_id"]]
     assert np.abs(g["score_milli"].to_numpy() / 1000.0 - pred).max() < 2e-3
-
-
-def test_ipc_roundtrip_identity(ray_session, tmp_path):
-    import ray.data as rd
-
-    from autoner_ray.sources.text_formats import read_ipc, write_ipc
-
-    docs = rd.read_parquet(f"{SF}/documents.parquet")
-    write_ipc(docs, str(tmp_path / "ipc"))
-    back = (
-        read_ipc(str(tmp_path / "ipc"))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    orig = docs.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(back[orig.columns.tolist()], orig)

@@ -93,76 +93,3 @@ def test_exact_ntile_constant_values():
     assert sorted(got["rank"]) == list(range(1, n + 1))
     # ties broken by key asc -> rank == k+1
     np.testing.assert_array_equal(got["rank"], got["k"] + 1)
-
-
-# ---------------------------------------------------------------------------
-# skyline / pareto frontier
-# ---------------------------------------------------------------------------
-
-def _brute_skyline(x, y):
-    n = len(x)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        dom = (
-            (x >= x[i]) & (y >= y[i]) & ((x > x[i]) | (y > y[i]))
-        )
-        if dom.any():
-            keep[i] = False
-    return keep
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_skyline_mask_matches_bruteforce(seed):
-    from autoner_ray.stages.ranking import skyline2d_mask
-
-    rng = np.random.default_rng(seed)
-    # small value range forces exact duplicates AND per-axis ties
-    x = rng.integers(0, 12, size=400).astype(np.int64)
-    y = rng.integers(0, 12, size=400).astype(np.int64)
-    np.testing.assert_array_equal(
-        skyline2d_mask(x, y), _brute_skyline(x, y)
-    )
-
-
-def test_skyline_partials_compose():
-    """frontier(union of blocks) == frontier(union of per-block
-    frontiers) — the merge property the distributed operator relies
-    on."""
-    from autoner_ray.stages.ranking import skyline2d_mask
-
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, 1000, size=3000).astype(np.int64)
-    y = rng.integers(0, 1000, size=3000).astype(np.int64)
-    want = {(a, b) for a, b in zip(x[_brute_skyline(x, y)],
-                                   y[_brute_skyline(x, y)])}
-    parts_x, parts_y = [], []
-    for lo in range(0, 3000, 700):
-        bx, by = x[lo:lo + 700], y[lo:lo + 700]
-        m = skyline2d_mask(bx, by)
-        parts_x.append(bx[m])
-        parts_y.append(by[m])
-    cx, cy = np.concatenate(parts_x), np.concatenate(parts_y)
-    m = skyline2d_mask(cx, cy)
-    got = set(zip(cx[m], cy[m]))
-    assert got == want
-
-
-def test_pareto_frontier_dataset():
-    from autoner_ray.stages.ranking import pareto_frontier
-
-    rng = np.random.default_rng(3)
-    n = 2000
-    x = rng.integers(0, 100, size=n).astype(np.int64)
-    y = rng.integers(0, 100, size=n).astype(np.int64)
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "id": pa.array(np.arange(n), pa.int64()),
-                "x": pa.array(x, pa.int64()),
-                "y": pa.array(y, pa.int64()),
-            }
-        )
-    ).repartition(9)
-    out = pareto_frontier(ds, "x", "y", ["id", "x", "y"]).to_pandas()
-    want_ids = np.flatnonzero(_brute_skyline(x, y))
-    assert sorted(out["id"]) == sorted(want_ids)

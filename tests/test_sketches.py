@@ -1,5 +1,5 @@
-"""Mergeable sketches: HyperLogLog, Count-Min heavy hitters, Bloom
-semi-join prefilter."""
+"""Mergeable sketches: HyperLogLog, Count-Min heavy hitters, the
+quantile sketch and the consistent-hash ring."""
 
 import numpy as np
 import pyarrow as pa
@@ -108,18 +108,6 @@ def test_cm_never_undercounts():
         np.add.at(cm, rows[d], cnts)
     est = cm[sk._cm_rows(md5_64_array(words))].min(axis=0)
     assert all(int(est[i]) >= true[words[i]] for i in range(len(words)))
-
-
-def test_bloom_no_false_negatives():
-    rng = np.random.default_rng(3)
-    keys = rng.integers(0, 1 << 40, size=5000).astype(np.int64)
-    m_bits = len(keys) * 10
-    bits = sk._bloom_build(keys, m_bits, 7)
-    assert sk._bloom_maybe(keys, bits, m_bits, 7).all()
-    # false-positive rate near the ~1% design point
-    probe = rng.integers(1 << 41, 1 << 42, size=20_000).astype(np.int64)
-    fp = sk._bloom_maybe(probe, bits, m_bits, 7).mean()
-    assert fp < 0.03, fp
 
 
 def test_quantile_sketch_exact_under_cap(ray_session):
