@@ -181,7 +181,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pyarrow as pa
         import pyarrow.compute as _pc
 
-        from autoner_ray.stages.combine import bounded_key_sum
+        from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
         def lang_partial(t):
             vc = t["lang"].value_counts()
@@ -192,11 +192,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 }
             )
 
-        return bounded_key_sum(
+        return keyed_combine(
             _docs(sf_dir, ["lang"]).map_batches(
                 lang_partial, batch_format="pyarrow", batch_size=65536
             ),
-            ["lang"], ["n"],
+            pa.schema([("lang", pa.string()), ("n", pa.int64())]),
+            [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
         )
 
     def docs_quality_filter(sf_dir):

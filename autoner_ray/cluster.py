@@ -1,23 +1,23 @@
-"""Session-shape helpers shared by shuffle stages.
+"""Session-shape helpers.
 
-Every wide operator that hash-partitions (cogroup_join, LSH bucket
-shuffles, the distributed graph iterations) needs a partition count.
-A fixed default (8) caps parallelism on a big cluster and lets a single
-partition hold 1/8 of the shuffled table; scaling with the session's
-CPU width keeps per-task state bounded as the cluster grows.
+Shuffles choose no partition count: the one exchange
+(``stages/combine.py:exchange``) sorts on a 64-bit key hash, one reducer
+per input block. What still needs a count from the session is the
+block-count bound the two graph fixpoints (``connected_components_
+distributed``, ``bfs_distances``) put on their fed-back label and
+distance tables with ``repartition``; scaling it with the session's CPU
+width keeps per-iteration task counts bounded as the cluster grows.
 """
 
 from __future__ import annotations
 
 
 def default_num_partitions(multiplier: int = 2, floor: int = 8) -> int:
-    """Shuffle partition count: ``multiplier × cluster CPUs`` (≥ floor).
+    """Block count: ``multiplier × cluster CPUs`` (≥ floor).
 
-    2× CPUs keeps every core busy through stragglers while each task
-    holds only ~1/(2·CPUs) of the shuffled table. Reads the live session
-    so the same code sizes itself on an 8-CPU laptop or a 256-node
-    cluster; falls back to ``floor`` when Ray isn't up (pure-python unit
-    tests).
+    Reads the live session so the same code sizes itself on an 8-CPU
+    laptop or a 256-node cluster; falls back to ``floor`` when Ray isn't
+    up (pure-python unit tests).
     """
     try:
         import ray

@@ -13,8 +13,7 @@ semantics, survivor bookkeeping) is what the value-hash certifies.
 
 Scale shape: three cogroup joins on doc_id (winner/survivor semi-joins
 — the id tables hold only survivors of each narrowing), the stages'
-own partitioned shuffles, and one bounded per-source combine at the
-tail. Benchmark side of decontamination is doc_id % 10 == 0 of the
+own exchanges, and one bounded per-source combine at the tail. Benchmark side of decontamination is doc_id % 10 == 0 of the
 ORIGINAL corpus (the driver's standing synthetic test set).
 """
 
@@ -29,27 +28,18 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
                       pair_source: str = "exact"):
     import ray.data as rd
 
-    from autoner_ray.cluster import default_num_partitions
     from autoner_ray.stages.analysis import quality_batch
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
     from autoner_ray.stages.decontam import decontaminate
     from autoner_ray.stages.dedup import exact_dedup, neardup_keep_one
     from autoner_ray.stages.joins import cogroup_join
 
-    P = default_num_partitions()
     docs = rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
     # -- stage 1: quality filter (docs_quality_filter thresholds) -----
     def q_keep(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or len(batch) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
         q = quality_batch(batch)
         mask = pc.and_(
             pc.and_(
@@ -68,17 +58,10 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
     winners = exact_dedup(filtered).select_columns(["doc_id"])
 
     def strip_extra(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
         return t.select(["doc_id", "text"])
 
     deduped = cogroup_join(
-        filtered, winners, on=("doc_id",), num_partitions=P
+        filtered, winners, on=("doc_id",)
     ).map_batches(strip_extra, batch_format="pyarrow").materialize()
 
     # -- stage 3: near-dup keep-one over the deduped stream -----------
@@ -89,18 +72,11 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
         deduped, threshold=neardup_threshold, pair_source=pair_source
     ).materialize()
     surv_docs = cogroup_join(
-        deduped, survivors, on=("doc_id",), num_partitions=P
+        deduped, survivors, on=("doc_id",)
     ).map_batches(strip_extra, batch_format="pyarrow")
 
     # -- stage 4: decontamination vs the id%10==0 benchmark split -----
     def corpus_side(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
         # doc_id % 10 != 0 via trunc-div (doc_ids are non-negative)
         mask = pc.not_equal(
             pc.subtract(
@@ -133,21 +109,9 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
         columns=["doc_id", "source", "n_chars"],
     )
     final_ids = final_docs.select_columns(["doc_id"])
-    joined = cogroup_join(
-        meta, final_ids, on=("doc_id",), num_partitions=P
-    )
+    joined = cogroup_join(meta, final_ids, on=("doc_id",))
 
     def report_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or "source" not in (
-            t.column_names
-        ):
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "sum_chars": pa.array([], pa.int64()),
-                }
-            )
         agg = (
             t.select(["source", "n_chars"])
             .group_by("source")
@@ -155,9 +119,11 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
         )
         return agg.rename_columns(["source", "n_docs", "sum_chars"])
 
-    return bounded_key_sum(
+    return keyed_combine(
         joined.map_batches(report_partial, batch_format="pyarrow"),
-        ["source"], ["n_docs", "sum_chars"],
+        pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
+                   ("sum_chars", pa.int64())]),
+        [("n_docs", "sum"), ("sum_chars", "sum")], max_keys=BOUNDED_MAX_KEYS,
     )
 
 

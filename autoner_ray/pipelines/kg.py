@@ -13,7 +13,8 @@ one keyed combine (:func:`autoner_ray.stages.combine.keyed_combine`):
 a per-batch Arrow hash aggregate, then one exchange in one of two
 tiers. Keys bounded by a dictionary (the "pairs"/"pairs_ev" edges, the
 unigram entities and types) take the bounded tier, one combine task and
-no all-to-all exchange; the rest take one hash shuffle.
+no all-to-all exchange; the rest take the one exchange
+(:func:`autoner_ray.stages.combine.exchange`), a sort on the key hash.
 
 Also provides the unigram-dictionary variant whose semantics are exactly
 expressible in ANSI SQL — that variant backs the driver's DuckDB
@@ -27,7 +28,7 @@ import pyarrow as pa
 
 from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS, UNIGRAM_DICT
 from autoner_ray.sources.pages import read_pages
-from autoner_ray.stages.combine import keyed_combine
+from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, exchange, keyed_combine
 from autoner_ray.stages.dict_match import pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
 from autoner_ray.stages.tokenize import (
@@ -193,7 +194,8 @@ def _unigram_entity_counts(sf_dir: str, keys: list[str], count: str,
     rows = unigram_doc_entities(sf_dir).map_batches(
         entity_rows, batch_format="pyarrow"
     )
-    return keyed_combine(rows, keys, [(count, "sum")], max_keys=max_keys)
+    schema = pa.schema([(k, pa.string()) for k in keys] + [(count, pa.int64())])
+    return keyed_combine(rows, schema, [(count, "sum")], max_keys=max_keys)
 
 
 def unigram_mention_type_counts(sf_dir: str):
@@ -446,19 +448,12 @@ def unigram_proximity_edges(sf_dir: str):
     import numpy as np
     import ray.data as rd
 
-    from autoner_ray.stages.combine import partitioned_key_sum
+    schema = pa.schema(
+        [("subj", pa.string()), ("obj", pa.string()),
+         ("n_pairs", pa.int64()), ("prox_micro", pa.int64())]
+    )
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "subj": pa.array([], pa.string()),
-                "obj": pa.array([], pa.string()),
-                "n_pairs": pa.array([], pa.int64()),
-                "prox_micro": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
         subj_all, obj_all, micro_all = [], [], []
         for text in batch["text"].to_pylist():
             toks = (text or "").split(" ")
@@ -486,7 +481,7 @@ def unigram_proximity_edges(sf_dir: str):
             obj_all.append(hi)
             micro_all.append(micro)
         if not subj_all:
-            return empty
+            return schema.empty_table()
         t = pa.table(
             {
                 "subj": pa.array(
@@ -511,14 +506,13 @@ def unigram_proximity_edges(sf_dir: str):
         )
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    return partitioned_key_sum(
-        ds.map_batches(pair_partial, batch_format="pyarrow"),
-        ["subj", "obj"], ["n_pairs", "prox_micro"], part_on=("subj",),
+    return keyed_combine(
+        ds.map_batches(pair_partial, batch_format="pyarrow"), schema,
+        [("n_pairs", "sum"), ("prox_micro", "sum")], part_on=("subj",),
     )
 
 
-def unigram_cooccur_topk(sf_dir: str, k: int = 3,
-                         num_partitions: int | None = None):
+def unigram_cooccur_topk(sf_dir: str, k: int = 3):
     """Per-entity top-k co-occurring neighbors over the unigram graph:
     (entity, neighbor, weight, rank) with rank 1..k ordered weight DESC,
     neighbor ASC (deterministic tie-break). SQL twin: ROW_NUMBER() over
@@ -527,29 +521,13 @@ def unigram_cooccur_topk(sf_dir: str, k: int = 3,
     Scale shape: the input is the ALREADY-AGGREGATED edge table (≤
     vocab² rows, one per undirected pair), expanded to both directions
     inside the batch. A per-batch partial top-k bounds every entity to
-    ≤k rows per batch before the single hash shuffle on entity, so the
-    shuffle moves O(k · |vocab| · blocks-touching-entity) rows, never
-    the full edge table; the per-partition pandas head(k) finishes. The
+    ≤k rows per batch before the one exchange on entity, so the
+    exchange moves O(k · |vocab| · blocks-touching-entity) rows, never
+    the full edge table; the per-block pandas head(k) finishes. The
     corpus itself never shuffles."""
-    import numpy as np
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.functions.hashing import md5_64_array
-
-    P = num_partitions or default_num_partitions()
-    _partial_schema = pa.schema(
-        [
-            ("entity", pa.string()),
-            ("neighbor", pa.string()),
-            ("weight", pa.int64()),
-            ("part", pa.int32()),
-        ]
-    )
-
     def partial_topk(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _partial_schema.empty_table()
         df = t.select(["subj", "obj", "weight"]).to_pandas()
         both = pd.concat(
             [
@@ -564,28 +542,15 @@ def unigram_cooccur_topk(sf_dir: str, k: int = 3,
             kind="mergesort",
         )
         top = both.groupby("entity", sort=False).head(k)
-        pid = (
-            md5_64_array(top["entity"].tolist()) % np.uint64(P)
-        ).astype(np.int32)
         return pa.table(
             {
                 "entity": pa.array(top["entity"], pa.string()),
                 "neighbor": pa.array(top["neighbor"], pa.string()),
                 "weight": pa.array(top["weight"].to_numpy(), pa.int64()),
-                "part": pa.array(pid),
             }
         )
 
     def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "entity" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "entity": pd.Series([], dtype="object"),
-                    "neighbor": pd.Series([], dtype="object"),
-                    "weight": pd.Series([], dtype="int64"),
-                    "rank": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(
             ["entity", "weight", "neighbor"],
             ascending=[True, False, True],
@@ -595,11 +560,14 @@ def unigram_cooccur_topk(sf_dir: str, k: int = 3,
         top["rank"] = top.groupby("entity", sort=False).cumcount() + 1
         return top[["entity", "neighbor", "weight", "rank"]]
 
-    return (
-        unigram_triples(sf_dir)
-        .map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(final_topk, batch_format="pandas")
+    return exchange(
+        unigram_triples(sf_dir).map_batches(
+            partial_topk, batch_format="pyarrow"
+        ),
+        ("entity",), final_topk,
+        pa.schema([("entity", pa.string()), ("neighbor", pa.string()),
+                   ("weight", pa.int64()), ("rank", pa.int64())]),
+        batch_format="pandas",
     )
 
 
@@ -706,7 +674,9 @@ def unigram_triples_with_evidence(sf_dir: str):
         unigram_doc_entities(sf_dir).map_batches(
             pairs_ev, batch_format="pyarrow"
         ),
-        ["subj", "obj"], [("weight", "sum"), ("evidence_doc", "min")],
+        pa.schema([("subj", pa.string()), ("obj", pa.string()),
+                   ("weight", pa.int64()), ("evidence_doc", pa.int64())]),
+        [("weight", "sum"), ("evidence_doc", "min")],
         part_on=("subj",), max_keys=n * (n - 1) // 2,
     )
 
@@ -748,34 +718,28 @@ def unigram_adjacency(sf_dir: str):
     Parquet shards use, so the oracle certifies the shard layout
     contract, oracle: ``string_agg`` with the same ORDER BY)."""
 
-    def to_adj(df):
-        import pandas as pd
+    import pandas as pd
 
-        if len(df) == 0 or "subj" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype="object"),
-                    "adjacency": pd.Series(dtype="object"),
-                    "degree": pd.Series(dtype="int64"),
-                }
-            )
-        df = df.sort_values(["pred", "obj"], kind="mergesort")
-        adj = ";".join(
-            f"{p}:{o}:{int(w)}"
-            for p, o, w in zip(df["pred"], df["obj"], df["weight"])
+    def to_adj(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(["subj", "pred", "obj"], kind="mergesort")
+        item = (
+            df["pred"] + ":" + df["obj"] + ":"
+            + df["weight"].astype("int64").astype(str)
         )
+        adj = item.groupby(df["subj"], sort=False).agg(";".join)
         return pd.DataFrame(
             {
-                "src": [df["subj"].iloc[0]],
-                "adjacency": [adj],
-                "degree": [len(df)],
+                "src": adj.index,
+                "adjacency": adj.to_numpy(),
+                "degree": df.groupby("subj", sort=False).size().to_numpy(),
             }
         )
 
-    return (
-        unigram_triples(sf_dir)
-        .groupby("subj")
-        .map_groups(to_adj, batch_format="pandas")
+    return exchange(
+        unigram_triples(sf_dir), ("subj",), to_adj,
+        pa.schema([("src", pa.string()), ("adjacency", pa.string()),
+                   ("degree", pa.int64())]),
+        batch_format="pandas",
     )
 
 
@@ -791,7 +755,7 @@ def unigram_infix_relations(sf_dir: str, max_gap: int = 3,
     Scale shape: pair mining is per-document and GAP-BOUNDED (each
     mention looks ≤ ``max_gap``+1 tokens ahead — linear in corpus
     size, unlike the quadratic proximity kernel); the triple counts go
-    through the partitioned keyed combine (one hash shuffle on subj),
+    through the partitioned keyed combine (one exchange on subj),
     then the HAVING filter. Output is pattern-vocabulary bounded."""
     import numpy as np
     import pyarrow.compute as pc
@@ -835,7 +799,9 @@ def unigram_infix_relations(sf_dir: str, max_gap: int = 3,
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     return keyed_combine(
         ds.map_batches(rel_rows, batch_format="pyarrow"),
-        ["subj", "pred", "obj"], [("n", "sum")], part_on=("subj",),
+        pa.schema([("subj", pa.string()), ("pred", pa.string()),
+                   ("obj", pa.string()), ("n", pa.int64())]),
+        [("n", "sum")], part_on=("subj",),
     ).map_batches(having, batch_format="pyarrow", batch_size=None)
 
 
@@ -848,8 +814,8 @@ def unigram_hash_walks(sf_dir: str):
     (unlike RNG-seeded walks) while still pseudo-uniform over
     neighbors. Returns (seed, hop1, hop2).
 
-    Scale shape: ONE hash shuffle partitions the bidirectional edge
-    list by src; each partition computes BOTH per-node minimizers
+    Scale shape: ONE exchange sorts the bidirectional edge list on
+    the hash of src; each block computes BOTH per-node minimizers
     (hop-1 and hop-2 salts) in a single grouped pass, then one
     vocab-bounded cogroup join stitches hop2 = next2(hop1). Nothing
     graph-sized on the driver; md5 cost is |E|-bounded (edge table,
@@ -858,43 +824,19 @@ def unigram_hash_walks(sf_dir: str):
 
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import _stable_part_col, cogroup_join
-
-    P = default_num_partitions()
+    from autoner_ray.stages.joins import cogroup_join
 
     def bidir(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "src": pa.array([], pa.string()),
-                "dst": pa.array([], pa.string()),
-                "part": pa.array([], pa.int32()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
         src = t["subj"].to_pylist() + t["obj"].to_pylist()
         dst = t["obj"].to_pylist() + t["subj"].to_pylist()
-        out = pa.table(
+        return pa.table(
             {
                 "src": pa.array(src, pa.string()),
                 "dst": pa.array(dst, pa.string()),
             }
         )
-        return out.append_column(
-            "part", _stable_part_col(out, ("src",), P)
-        )
 
     def next_hops(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "node": pd.Series(dtype="object"),
-                "next1": pd.Series(dtype="object"),
-                "next2": pd.Series(dtype="object"),
-            }
-        )
-        if len(df) == 0 or "src" not in df.columns:
-            return empty
         h1 = [
             hashlib.md5(f"{s}|1|{d}".encode()).hexdigest()
             for s, d in zip(df["src"], df["dst"])
@@ -918,31 +860,18 @@ def unigram_hash_walks(sf_dir: str):
     # both join sides read `hops`: pin the vocab-bounded table once so
     # the corpus-sized upstream doesn't execute twice (lazy Datasets
     # re-run per consumer)
-    hops = (
-        unigram_triples(sf_dir)
-        .map_batches(bidir, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(next_hops, batch_format="pandas")
+    hops = exchange(
+        unigram_triples(sf_dir).map_batches(bidir, batch_format="pyarrow"),
+        ("src",), next_hops,
+        pa.schema([("node", pa.string()), ("next1", pa.string()),
+                   ("next2", pa.string())]),
+        batch_format="pandas",
     ).materialize()
 
     def left_side(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "seed": pa.array([], pa.string()),
-                    "node": pa.array([], pa.string()),
-                }
-            )
         return pa.table({"seed": t["node"], "node": t["next1"]})
 
     def right_side(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.string()),
-                    "hop2": pa.array([], pa.string()),
-                }
-            )
         return pa.table({"node": t["node"], "hop2": t["next2"]})
 
     walks = cogroup_join(
@@ -952,14 +881,6 @@ def unigram_hash_walks(sf_dir: str):
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "seed": pa.array([], pa.string()),
-                    "hop1": pa.array([], pa.string()),
-                    "hop2": pa.array([], pa.string()),
-                }
-            )
         return pa.table(
             {"seed": t["seed"], "hop1": t["node"], "hop2": t["hop2"]}
         )
@@ -986,19 +907,7 @@ def unigram_triple_delta(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    from autoner_ray.stages.combine import partitioned_key_sum
-
     def delta_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "subj": pa.array([], pa.string()),
-                "obj": pa.array([], pa.string()),
-                "old_weight": pa.array([], pa.int64()),
-                "new_weight": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
         counter: Counter[tuple[str, str, int]] = Counter()
         for doc_id, ents in zip(
             t["doc_id"].to_pylist(), t["entities"].to_pylist()
@@ -1021,28 +930,16 @@ def unigram_triple_delta(sf_dir: str):
             }
         )
 
-    merged = partitioned_key_sum(
+    merged = keyed_combine(
         unigram_doc_entities(sf_dir).map_batches(
             delta_partial, batch_format="pyarrow"
         ),
-        keys=["subj", "obj"], sum_cols=["old_weight", "new_weight"],
-        part_on=("subj",),
-    )
-
-    _out_schema = pa.schema(
-        [
-            ("subj", pa.string()),
-            ("obj", pa.string()),
-            ("old_weight", pa.int64()),
-            ("new_weight", pa.int64()),
-            ("total_weight", pa.int64()),
-            ("is_new_edge", pa.int64()),
-        ]
+        pa.schema([("subj", pa.string()), ("obj", pa.string()),
+                   ("old_weight", pa.int64()), ("new_weight", pa.int64())]),
+        [("old_weight", "sum"), ("new_weight", "sum")], part_on=("subj",),
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _out_schema.empty_table()
         t = t.filter(pc.greater(t["new_weight"], pa.scalar(0)))
         total = pc.add(t["old_weight"], t["new_weight"])
         is_new = pc.cast(
@@ -1139,20 +1036,9 @@ def unigram_type_schema_census(sf_dir: str):
     is a dict-bounded broadcast map; the tail is a shuffle-free bounded
     combine over <= |types|^2 keys.
     """
-    from autoner_ray.stages.combine import bounded_key_sum
-
     type_of = {e: t for e, t in UNIGRAM_DICT.values()}
 
     def rollup(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or len(batch) == 0:
-            return pa.table(
-                {
-                    "type_a": pa.array([], pa.string()),
-                    "type_b": pa.array([], pa.string()),
-                    "n_pairs": pa.array([], pa.int64()),
-                    "total_weight": pa.array([], pa.int64()),
-                }
-            )
         ta = [type_of[s] for s in batch["subj"].to_pylist()]
         tb = [type_of[o] for o in batch["obj"].to_pylist()]
         lo = [min(a, b) for a, b in zip(ta, tb)]
@@ -1172,9 +1058,12 @@ def unigram_type_schema_census(sf_dir: str):
             ["type_a", "type_b", "n_pairs", "total_weight"]
         )
 
-    return bounded_key_sum(
+    return keyed_combine(
         unigram_triples(sf_dir).map_batches(rollup, batch_format="pyarrow"),
-        ["type_a", "type_b"], ["n_pairs", "total_weight"],
+        pa.schema([("type_a", pa.string()), ("type_b", pa.string()),
+                   ("n_pairs", pa.int64()), ("total_weight", pa.int64())]),
+        [("n_pairs", "sum"), ("total_weight", "sum")],
+        max_keys=BOUNDED_MAX_KEYS,
     )
 
 
@@ -1192,13 +1081,6 @@ def unigram_ntriples(sf_dir: str):
     import pyarrow.compute as pc
 
     def serialize(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or len(batch) == 0:
-            return pa.table(
-                {
-                    "ntriple": pa.array([], pa.string()),
-                    "weight": pa.array([], pa.int64()),
-                }
-            )
         line = pc.binary_join_element_wise(
             "<urn:e:", batch["subj"].cast(pa.string()),
             "> <urn:r:cooccurs_with> <urn:e:",
@@ -1293,20 +1175,12 @@ def unigram_entity_timeline(sf_dir: str):
         unigram_doc_entities(sf_dir).map_batches(
             partials, batch_format="pyarrow"
         ),
-        keys=["entity"],
-        aggs=[("first_us", "min"), ("last_us", "max"), ("n_docs", "sum")],
+        pa.schema([("entity", pa.string()), ("first_us", pa.int64()),
+                   ("last_us", pa.int64()), ("n_docs", pa.int64())]),
+        [("first_us", "min"), ("last_us", "max"), ("n_docs", "sum")],
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "entity": pa.array([], pa.string()),
-                    "first_seen": pa.array([], pa.timestamp("us")),
-                    "last_seen": pa.array([], pa.timestamp("us")),
-                    "n_docs": pa.array([], pa.int64()),
-                }
-            )
         return pa.table(
             {
                 "entity": t["entity"],
@@ -1361,25 +1235,13 @@ def unigram_triples_temporal(sf_dir: str):
         unigram_doc_entities(sf_dir).map_batches(
             pair_partials, batch_format="pyarrow"
         ),
-        keys=["subj", "obj"],
-        aggs=[
-            ("first_us", "min"),
-            ("last_us", "max"),
-            ("weight", "sum"),
-        ],
+        pa.schema([("subj", pa.string()), ("obj", pa.string()),
+                   ("first_us", pa.int64()), ("last_us", pa.int64()),
+                   ("weight", pa.int64())]),
+        [("first_us", "min"), ("last_us", "max"), ("weight", "sum")],
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "subj": pa.array([], pa.string()),
-                    "obj": pa.array([], pa.string()),
-                    "weight": pa.array([], pa.int64()),
-                    "first_seen": pa.array([], pa.timestamp("us")),
-                    "last_seen": pa.array([], pa.timestamp("us")),
-                }
-            )
         return pa.table(
             {
                 "subj": t["subj"],
@@ -1393,8 +1255,7 @@ def unigram_triples_temporal(sf_dir: str):
     return agg_ds.map_batches(finish, batch_format="pyarrow")
 
 
-def negative_samples(edges_ds, k: int = 2,
-                     num_partitions: int | None = None):
+def negative_samples(edges_ds, k: int = 2):
     """Corrupted-triple negative sampling — the training-data generator
     a KG/graph-embedding stage (TransE/DistMult) consumes: for every
     positive (subj, obj) edge (subj < obj, caller-supplied — e.g. the
@@ -1449,8 +1310,6 @@ def negative_samples(edges_ds, k: int = 2,
             self.vocab = ray.get(vocab_ref)
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _cand_schema.empty_table()
             n = len(self.vocab)
             lo, subj, obj, neg, idx = [], [], [], [], []
             for s, o in zip(t["subj"].to_pylist(), t["obj"].to_pylist()):
@@ -1480,8 +1339,6 @@ def negative_samples(edges_ds, k: int = 2,
     )
 
     def edge_keys(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _edge_schema.empty_table()
         import pyarrow.compute as pc
 
         # positives keep subj < obj by construction
@@ -1507,8 +1364,6 @@ def negative_samples(edges_ds, k: int = 2,
     )
 
     def survivors(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _out_schema.empty_table()
         import pyarrow.compute as pc
 
         keep = pc.is_null(t["hit"])
@@ -1522,17 +1377,13 @@ def negative_samples(edges_ds, k: int = 2,
             schema=_out_schema,
         )
 
-    from autoner_ray.stages.combine import materialize_or_empty
-
-    # a fully-filtered candidate set (dense graphs leave no valid
-    # corruption) must still present the contract schema
-    return materialize_or_empty(
-        cogroup_join(
-            cands, edges, on=("pair",), num_partitions=num_partitions,
-            join_type="left outer",
-        ).map_batches(survivors, batch_format="pyarrow"),
-        _out_schema,
-    )
+    out = cogroup_join(
+        cands, edges, on=("pair",), join_type="left outer"
+    ).map_batches(survivors, batch_format="pyarrow").materialize()
+    # a dense graph leaves no valid corruption; an all-empty Dataset's
+    # blocks have no columns (Ray's map operator emits one for every
+    # zero-row block), so an empty result is the schema'd Arrow table
+    return out if out.count() else _out_schema.empty_table()
 
 
 def unigram_c4(sf_dir: str):
@@ -1717,8 +1568,6 @@ def unigram_bipartite_projection(sf_dir: str):
     )
 
     def pair_partials(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _p_schema.empty_table()
         s_col, o_col, w_col = [], [], []
         for ents in t["entities"].to_pylist():
             k = len(ents)
@@ -1745,8 +1594,6 @@ def unigram_bipartite_projection(sf_dir: str):
         return agg.rename_columns(["subj", "obj", "n_docs", "w_micro"])
 
     return keyed_combine(
-        docs.map_batches(pair_partials, batch_format="pyarrow"),
-        keys=["subj", "obj"],
-        aggs=[("n_docs", "sum"), ("w_micro", "sum")],
-        part_on=("subj",),
+        docs.map_batches(pair_partials, batch_format="pyarrow"), _p_schema,
+        [("n_docs", "sum"), ("w_micro", "sum")], part_on=("subj",),
     )

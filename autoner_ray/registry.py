@@ -44,8 +44,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-import pyarrow as pa
-
 
 @dataclass(frozen=True)
 class StageSpec:

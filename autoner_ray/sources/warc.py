@@ -135,7 +135,7 @@ def write_warc(pages_ds, out_dir: str) -> str:
                 "records": pa.array([], pa.int64()),
             }
         )
-        if t.num_columns == 0 or len(t) == 0:
+        if len(t) == 0:
             return empty
         members = [_gzip_member(_warcinfo_record())]
         urls = t["url"].to_pylist()

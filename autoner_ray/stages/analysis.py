@@ -196,7 +196,7 @@ def temperature_sample(docs_ds, tau: float = 0.7, seed: int = 19910724):
     """
     import math
 
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     def lang_partial(t: pa.Table) -> pa.Table:
         vc = t["lang"].value_counts()
@@ -207,11 +207,12 @@ def temperature_sample(docs_ds, tau: float = 0.7, seed: int = 19910724):
             }
         )
 
-    counts = bounded_key_sum(
+    counts = keyed_combine(
         docs_ds.select_columns(["lang"]).map_batches(
             lang_partial, batch_format="pyarrow", batch_size=65536
         ),
-        ["lang"], ["n"],
+        pa.schema([("lang", pa.string()), ("n", pa.int64())]),
+        [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
     ).to_pandas()
     total = float(counts["n"].sum())
     w = {
@@ -263,7 +264,6 @@ def temperature_sample_oracle_sql(tau: float = 0.7,
 
 def lm_perplexity(
     docs_ds,
-    num_partitions: int | None = None,
     broadcast_limit: int = 5_000_000,
     force_join: bool = False,
 ):
@@ -289,8 +289,8 @@ def lm_perplexity(
     - **broadcast** (default while the trained model — the bigram TYPE
       table — fits ``broadcast_limit`` rows; bigram types grow with the
       vocabulary, not the corpus): two small-partial shuffles train the
-      model (distinct-vocab count V; groupby(w1, w2) over per-batch
-      bigram-count partials), c1 folds locally from the collected
+      model (distinct-vocab count V; a (w1, w2) keyed combine of
+      bigram counts), c1 folds locally from the collected
       bigram table, and ONE streaming pass scores the corpus — each
       doc's bigrams live inside its own batch, so per-doc sums finalize
       in the kernel via a vectorized pandas merge against the
@@ -302,8 +302,7 @@ def lm_perplexity(
     """
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.joins import cogroup_join
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -332,20 +331,25 @@ def lm_perplexity(
         out: set[str] = set()
         for text in batch["text"].to_pylist():
             out.update((text or "").split(" "))
-        return pa.table({"word": pa.array(sorted(out), pa.string())})
+        return pa.table(
+            {
+                "word": pa.array(sorted(out), pa.string()),
+                "n": pa.array(np.ones(len(out), np.int64)),
+            }
+        )
 
-    # V: distinct tokens over ALL positions (shuffle of per-batch
+    # V: distinct tokens over ALL positions (exchange of per-batch
     # distinct partials; the count is the only thing the driver holds)
-    vocab_size = (
-        docs_ds.map_batches(distinct_words, batch_format="pyarrow")
-        .groupby("word")
-        .count()
-        .count()
-    )
+    vocab_size = keyed_combine(
+        docs_ds.map_batches(distinct_words, batch_format="pyarrow"),
+        pa.schema([("word", pa.string()), ("n", pa.int64())]),
+        [("n", "sum")],
+    ).count()
 
-    def c2_partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by(["w1", "w2"]).aggregate([("occ", "sum")])
-        return agg.rename_columns(["w1", "w2", "c2"])
+    def c2_rows(batch: pa.Table) -> pa.Table:
+        return batch.select(["w1", "w2", "occ"]).rename_columns(
+            ["w1", "w2", "c2"]
+        )
 
     exploded = docs_ds.map_batches(explode, batch_format="pyarrow")
     if force_join:
@@ -357,14 +361,13 @@ def lm_perplexity(
         # pinning corpus-sized data it may never reuse would be waste
         # (falling through probe -> join keeps today's recompute).
         exploded = exploded.materialize()
-    bigrams = (
-        exploded
-        .map_batches(
-            c2_partial, batch_format="pyarrow", batch_size=65536,
-            num_cpus=0.5,  # fusion break: keep explode at its own width
-        )
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("c2", alias_name="c2"))
+    # keyed_combine's precombine is its own operator: explode keeps
+    # its own width
+    bigrams = keyed_combine(
+        exploded.map_batches(c2_rows, batch_format="pyarrow"),
+        pa.schema([("w1", pa.string()), ("w2", pa.string()),
+                   ("c2", pa.int64())]),
+        [("c2", "sum")], part_on=("w1",),
     )
 
     if not force_join:
@@ -435,59 +438,38 @@ def lm_perplexity(
 
             return docs_ds.map_batches(score_docs, batch_format="pyarrow")
 
-    def c1_partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by("w1").aggregate([("c2", "sum")])
-        return agg.rename_columns(["w1", "c1"])
+    def c1_rows(batch: pa.Table) -> pa.Table:
+        return batch.select(["w1", "c2"]).rename_columns(["w1", "c1"])
 
-    contexts = (
-        bigrams.map_batches(c1_partial, batch_format="pyarrow")
-        .groupby("w1")
-        .aggregate(Sum("c1", alias_name="c1"))
+    contexts = keyed_combine(
+        bigrams.map_batches(c1_rows, batch_format="pyarrow"),
+        pa.schema([("w1", pa.string()), ("c1", pa.int64())]),
+        [("c1", "sum")],
     )
 
-    model = cogroup_join(
-        bigrams, contexts, on=("w1",), num_partitions=num_partitions
-    )
-
-    doc_bigrams = exploded
-    scored = cogroup_join(
-        doc_bigrams, model, on=("w1", "w2"), num_partitions=num_partitions
-    )
+    model = cogroup_join(bigrams, contexts, on=("w1",))
+    scored = cogroup_join(exploded, model, on=("w1", "w2"))
 
     def score(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_bigrams": pa.array([], pa.int64()),
-                    "nll_micro": pa.array([], pa.int64()),
-                }
-            )
         c1 = batch["c1"].to_numpy().astype(np.float64)
         c2 = batch["c2"].to_numpy().astype(np.float64)
         occ = batch["occ"].to_numpy()
         nll = np.floor(
             np.log((c1 + float(vocab_size)) / (c2 + 1.0)) * 1e6 + 0.5
         ).astype(np.int64)
-        part = pa.table(
+        return pa.table(
             {
                 "doc_id": batch["doc_id"],
                 "n_bigrams": pa.array(occ, pa.int64()),
                 "nll_micro": pa.array(occ * nll, pa.int64()),
             }
         )
-        agg = part.group_by("doc_id").aggregate(
-            [("n_bigrams", "sum"), ("nll_micro", "sum")]
-        )
-        return agg.rename_columns(["doc_id", "n_bigrams", "nll_micro"])
 
-    return (
-        scored.map_batches(score, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(
-            Sum("n_bigrams", alias_name="n_bigrams"),
-            Sum("nll_micro", alias_name="nll_micro"),
-        )
+    return keyed_combine(
+        scored.map_batches(score, batch_format="pyarrow"),
+        pa.schema([("doc_id", pa.int64()), ("n_bigrams", pa.int64()),
+                   ("nll_micro", pa.int64())]),
+        [("n_bigrams", "sum"), ("nll_micro", "sum")],
     )
 
 
@@ -536,7 +518,7 @@ def source_lang_pivot(docs_ds, langs: tuple[str, ...] = _PIVOT_LANGS):
     per-batch arrow hash partials, shuffle-free two-level sum — then a
     single-block long->wide reshape of the tiny aggregate.
     """
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     langs = tuple(langs)
 
@@ -548,10 +530,11 @@ def source_lang_pivot(docs_ds, langs: tuple[str, ...] = _PIVOT_LANGS):
         )
         return agg.rename_columns(["source", "lang", "n"])
 
-    fine = bounded_key_sum(
+    fine = keyed_combine(
         docs_ds.map_batches(partial, batch_format="pyarrow"),
-        ["source", "lang"],
-        ["n"],
+        pa.schema([("source", pa.string()), ("lang", pa.string()),
+                   ("n", pa.int64())]),
+        [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
     )
 
     out_schema = pa.schema(
@@ -561,7 +544,7 @@ def source_lang_pivot(docs_ds, langs: tuple[str, ...] = _PIVOT_LANGS):
     )
 
     def widen(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
+        if len(t) == 0:
             return out_schema.empty_table()
         df = t.to_pandas()
         df["lang"] = df["lang"].where(df["lang"].isin(langs), "__other")
@@ -628,8 +611,6 @@ def boolean_and_search(docs_ds, terms=("window", "hash", "merge")):
                 "tf": pa.array([], pa.int64()),
             }
         )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
         txt = pc.fill_null(t["text"], "").combine_chunks()
         lists = pc.split_pattern(txt, pattern=" ")
         offs = lists.offsets.to_numpy()
@@ -716,16 +697,11 @@ def vocab_edit_distance_pairs(docs_ds, max_dist: int = 2):
     Every stage is vocab-sized, never corpus-sized; the quadratic is
     confined to single signature buckets (hot buckets are short-prefix
     signatures — cap/salt them at 10^8-word vocab)."""
-    from autoner_ray.stages.combine import partitioned_key_sum
+    import pandas as pd
+
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def words_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "word": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         txt = pc.fill_null(t["text"], "").combine_chunks()
         flat = pc.split_pattern(txt, pattern=" ").flatten()
         flat = flat.filter(pc.not_equal(flat, ""))
@@ -736,19 +712,13 @@ def vocab_edit_distance_pairs(docs_ds, max_dist: int = 2):
         )
         return agg.rename_columns(["word", "n"])
 
-    vocab = partitioned_key_sum(
+    vocab = keyed_combine(
         docs_ds.map_batches(words_partial, batch_format="pyarrow"),
-        ["word"], ["n"],
+        pa.schema([("word", pa.string()), ("n", pa.int64())]),
+        [("n", "sum")],
     )
 
     def explode_sigs(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "sig": pa.array([], pa.string()),
-                    "word": pa.array([], pa.string()),
-                }
-            )
         sigs, words = [], []
         for w in t["word"].to_pylist():
             for s in _deletion_variants(w, max_dist):
@@ -761,54 +731,35 @@ def vocab_edit_distance_pairs(docs_ds, max_dist: int = 2):
             }
         )
 
-    def bucket_pairs(df) -> "pd.DataFrame":
-        import pandas as pd
+    pair_schema = pa.schema(
+        [("word_a", pa.string()), ("word_b", pa.string()),
+         ("dist", pa.int64())]
+    )
 
-        empty = pd.DataFrame(
-            {
-                "word_a": pd.Series(dtype="object"),
-                "word_b": pd.Series(dtype="object"),
-                "dist": pd.Series(dtype="int64"),
-            }
-        )
-        if len(df) == 0 or "word" not in df.columns:
-            return empty
-        ws = sorted(set(df["word"]))
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b, out_d = [], [], []
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                dist = _levenshtein_leq(ws[i], ws[j], max_dist)
-                if 1 <= dist <= max_dist:
-                    out_a.append(ws[i])
-                    out_b.append(ws[j])
-                    out_d.append(dist)
-        if not out_a:
-            return empty
+        for _, words in df.groupby("sig")["word"]:
+            ws = sorted(set(words))
+            for i in range(len(ws)):
+                for j in range(i + 1, len(ws)):
+                    dist = _levenshtein_leq(ws[i], ws[j], max_dist)
+                    if 1 <= dist <= max_dist:
+                        out_a.append(ws[i])
+                        out_b.append(ws[j])
+                        out_d.append(dist)
         return pd.DataFrame(
             {"word_a": out_a, "word_b": out_b, "dist": out_d}
         )
 
-    pairs = (
-        vocab.map_batches(explode_sigs, batch_format="pyarrow")
-        .groupby("sig")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    pairs = exchange(
+        vocab.map_batches(explode_sigs, batch_format="pyarrow"),
+        ("sig",), bucket_pairs, pair_schema, batch_format="pandas",
     )
     # same pair reachable through many shared signatures -> dedup;
     # dist is identical on every path so min == the exact distance
-    dedup = pairs.groupby(["word_a", "word_b"]).min("dist")
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "word_a": pa.array([], pa.string()),
-                    "word_b": pa.array([], pa.string()),
-                    "dist": pa.array([], pa.int64()),
-                }
-            )
-        return t.rename_columns(["word_a", "word_b", "dist"])
-
-    return dedup.map_batches(finish, batch_format="pyarrow")
+    return keyed_combine(
+        pairs, pair_schema, [("dist", "min")], part_on=("word_a",)
+    )
 
 
 def vocab_alias_clusters(docs_ds, max_dist: int = 2,
@@ -862,10 +813,6 @@ def vocab_alias_clusters(docs_ds, max_dist: int = 2,
     from autoner_ray.stages.graph import connected_components_distributed
 
     def to_edges(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("subj", pa.string()), ("obj", pa.string())]
-            ).empty_table()
         return pa.table({"subj": t["word_a"], "obj": t["word_b"]})
 
     labels = connected_components_distributed(
@@ -874,8 +821,6 @@ def vocab_alias_clusters(docs_ds, max_dist: int = 2,
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return out_schema.empty_table()
         return t.rename_columns(["word", "canonical"])
 
     return labels.map_batches(finish, batch_format="pyarrow")
@@ -884,43 +829,32 @@ def vocab_alias_clusters(docs_ds, max_dist: int = 2,
 # -- snapshot diff (incremental crawl) --------------------------------------
 
 
-def snapshot_diff(docs_ds, new_ds, num_partitions: int | None = None):
+def snapshot_diff(docs_ds, new_ds):
     """Corpus snapshot diff: classify every doc_id across two corpus
     versions as added / removed / changed / unchanged (by text md5) and
     report counts per status — the incremental-crawl planning pass that
     decides how much of a re-crawl actually needs reprocessing.
 
     Scale shape: each side streams to (doc_id, md5, side) rows — the
-    md5 is the only payload that travels — then ONE doc_id-partitioned
-    ``map_groups`` classifies (a doc_id's two rows always co-locate)
-    and a shuffle-free bounded combine sums the four status counts.
+    md5 is the only payload that travels — then ONE exchange on doc_id
+    classifies (a doc_id's two rows always co-locate) and a
+    shuffle-free bounded combine sums the four status counts.
     """
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import bounded_key_sum
-    from autoner_ray.stages.joins import _stable_part_col
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
+    from autoner_ray.stages.combine import (
+        BOUNDED_MAX_KEYS,
+        exchange,
+        keyed_combine,
+    )
 
     def keyed(side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "md5": pa.array([], pa.string()),
-                    "side": pa.array([], pa.int32()),
-                    "part": pa.array([], pa.int32()),
-                }
-            )
-            if batch.num_columns == 0 or len(batch) == 0:
-                return empty
             hs = [
                 hashlib.md5((t or "").encode()).hexdigest()
                 for t in batch["text"].to_pylist()
             ]
-            t = pa.table(
+            return pa.table(
                 {
                     "doc_id": batch["doc_id"],
                     "md5": pa.array(hs, pa.string()),
@@ -929,9 +863,6 @@ def snapshot_diff(docs_ds, new_ds, num_partitions: int | None = None):
                     ),
                 }
             )
-            return t.append_column(
-                "part", _stable_part_col(t, ("doc_id",), num_partitions)
-            )
         return fn
 
     both = docs_ds.map_batches(
@@ -939,13 +870,6 @@ def snapshot_diff(docs_ds, new_ds, num_partitions: int | None = None):
     ).union(new_ds.map_batches(keyed(1), batch_format="pyarrow"))
 
     def classify(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "doc_id" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "status": pd.Series(dtype="object"),
-                    "n_docs": pd.Series(dtype="int64"),
-                }
-            )
         g = df.groupby("doc_id").agg(
             sides=("side", "sum"),
             n=("side", "size"),
@@ -961,9 +885,10 @@ def snapshot_diff(docs_ds, new_ds, num_partitions: int | None = None):
             {"status": vals, "n_docs": counts.astype(np.int64)}
         )
 
-    return bounded_key_sum(
-        both.groupby("part").map_groups(classify, batch_format="pandas"),
-        ["status"], ["n_docs"],
+    status = pa.schema([("status", pa.string()), ("n_docs", pa.int64())])
+    return keyed_combine(
+        exchange(both, ("doc_id",), classify, status, batch_format="pandas"),
+        status, [("n_docs", "sum")], max_keys=BOUNDED_MAX_KEYS,
     )
 
 
@@ -979,13 +904,6 @@ def synthetic_snapshot(docs_ds):
     """
 
     def mutate(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or len(batch) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
         ids = np.asarray(batch["doc_id"].to_pylist(), np.int64)
         texts = batch["text"].to_pylist()
         out_ids, out_texts = [], []
@@ -1235,7 +1153,7 @@ def linear_probe_oracle_sql(dict_words: list[str] | None = None,
     """
 
 
-def postings_delta_encoding(docs_ds, num_partitions: int | None = None):
+def postings_delta_encoding(docs_ds):
     """Delta-encoded postings audit — the storage kernel behind
     inverted-index compaction: per term, the sorted doc-id posting list
     becomes a gap list (first id, then successive differences) and the
@@ -1245,13 +1163,14 @@ def postings_delta_encoding(docs_ds, num_partitions: int | None = None):
     by the SQL twin's list reconstruction.
 
     Scale shape: the (word, doc_id) explode pre-dedups per batch, the
-    single hash shuffle is word-partitioned (``map_groups`` on the
-    term key — posting lists co-locate by construction), and the
-    per-group gap/varint math is one numpy diff + digitize. Varint
+    one exchange sorts on the word hash (posting lists co-locate by
+    construction), and the per-word gap/varint math is one numpy diff + digitize. Varint
     bytes use exact integer THRESHOLD compares (1 byte under 2^7, 2
     under 2^14, ...), never float log2."""
     import numpy as np
+    import pandas as pd
 
+    from autoner_ray.stages.combine import exchange
     from autoner_ray.stages.tokenize import sentence_token_stream
 
     _th = np.array([1 << 7, 1 << 14, 1 << 21, 1 << 28, 1 << 35],
@@ -1272,19 +1191,7 @@ def postings_delta_encoding(docs_ds, num_partitions: int | None = None):
             }
         )
 
-    def per_word(df) -> "pd.DataFrame":
-        import pandas as pd
-
-        if len(df) == 0 or "word" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "word": pd.Series(dtype="object"),
-                    "df": pd.Series(dtype="int64"),
-                    "first_doc": pd.Series(dtype="int64"),
-                    "max_gap": pd.Series(dtype="int64"),
-                    "varint_bytes": pd.Series(dtype="int64"),
-                }
-            )
+    def per_word(df: pd.DataFrame) -> pd.DataFrame:
         out = []
         for w, g in df.groupby("word", sort=False):
             ids = np.sort(g["doc_id"].to_numpy(np.int64))
@@ -1301,10 +1208,13 @@ def postings_delta_encoding(docs_ds, num_partitions: int | None = None):
                      "varint_bytes"],
         )
 
-    return (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("word")
-        .map_groups(per_word, batch_format="pandas")
+    return exchange(
+        docs_ds.map_batches(explode, batch_format="pyarrow"), ("word",),
+        per_word,
+        pa.schema([("word", pa.string()), ("df", pa.int64()),
+                   ("first_doc", pa.int64()), ("max_gap", pa.int64()),
+                   ("varint_bytes", pa.int64())]),
+        batch_format="pandas",
     )
 
 
@@ -1326,7 +1236,7 @@ def fair_token_budget(docs_ds, budget_ratio: float = 0.5):
     SQL twin (sorted prefix sums + threshold window)."""
     import numpy as np
 
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
     from autoner_ray.stages.tokenize import sentence_token_stream
 
     _t_schema = pa.schema(
@@ -1334,8 +1244,6 @@ def fair_token_budget(docs_ds, budget_ratio: float = 0.5):
     )
 
     def tok_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _t_schema.empty_table()
         import pandas as pd
 
         n = [len(sentence_token_stream(s or ""))
@@ -1352,11 +1260,11 @@ def fair_token_budget(docs_ds, budget_ratio: float = 0.5):
             schema=_t_schema,
         )
 
-    counts = bounded_key_sum(
+    counts = keyed_combine(
         docs_ds.select_columns(["source", "text"]).map_batches(
             tok_partial, batch_format="pyarrow", batch_size=65536
         ),
-        keys=["source"], sum_cols=["n"],
+        _t_schema, [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
     ).to_pandas().sort_values("source").reset_index(drop=True)
     total = int(counts["n"].sum())
     B = int(total * 1_000_000 * budget_ratio) // 1_000_000
@@ -1433,8 +1341,6 @@ def passage_chunks(docs_ds, window: int = 200, stride: int = 150):
     )
 
     def chunk_batch(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _schema.empty_table()
         # null-text docs emit nothing (the oracle's length(NULL) ->
         # range(0, NULL) behavior; a NaN length would cast to garbage)
         valid = pc.is_valid(t["text"])
@@ -1483,12 +1389,14 @@ def training_pack_census(docs_ds, budget: int = 512):
     cost of dense packing). Token = ``string_split(text, ' ')``
     element, the corpus convention shared with the SQL twins.
 
-    Scale shape: one hash shuffle on ``source`` (same partition key as
-    the other per-source rollups), per-group vectorized cumsum over
+    Scale shape: one exchange on ``source`` (same key as the other
+    per-source rollups), per-source vectorized cumsum over
     the doc_id-sorted token counts — rows shuffled are (source,
     doc_id, n) partials, never text."""
     import numpy as np
     import pandas as pd
+
+    from autoner_ray.stages.combine import exchange
 
     _p_schema = pa.schema(
         [("source", pa.string()), ("doc_id", pa.int64()),
@@ -1496,8 +1404,6 @@ def training_pack_census(docs_ds, budget: int = 512):
     )
 
     def tok_rows(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _p_schema.empty_table()
         n = [len((s or "").split(" ")) for s in t["text"].to_pylist()]
         return pa.table(
             {
@@ -1508,30 +1414,30 @@ def training_pack_census(docs_ds, budget: int = 512):
             schema=_p_schema,
         )
 
-    _o_cols = ["source", "n_docs", "total_tokens", "n_sequences",
-               "n_docs_split"]
-
-    def pack(df: pd.DataFrame) -> pd.DataFrame:
+    def pack_source(df: pd.DataFrame) -> tuple:
         df = df.sort_values("doc_id", kind="mergesort")
         n = df["n"].to_numpy(np.int64)
         start = np.concatenate([[0], np.cumsum(n)[:-1]])
         end = start + n - 1
         split = ((n > 0) & (start // budget != end // budget)).sum()
         total = int(n.sum())
+        return (df["source"].iloc[0], len(df), total,
+                (total + budget - 1) // budget, int(split))
+
+    def pack(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "source": [df["source"].iloc[0]],
-                "n_docs": [len(df)],
-                "total_tokens": [total],
-                "n_sequences": [(total + budget - 1) // budget],
-                "n_docs_split": [int(split)],
-            }
+            [pack_source(g) for _, g in df.groupby("source")],
+            columns=["source", "n_docs", "total_tokens", "n_sequences",
+                     "n_docs_split"],
         )
 
-    return (
-        docs_ds.map_batches(tok_rows, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(pack, batch_format="pandas")
+    return exchange(
+        docs_ds.map_batches(tok_rows, batch_format="pyarrow"), ("source",),
+        pack,
+        pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
+                   ("total_tokens", pa.int64()), ("n_sequences", pa.int64()),
+                   ("n_docs_split", pa.int64())]),
+        batch_format="pandas",
     )
 
 
@@ -1550,14 +1456,13 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
     Token = ``string_split(text, ' ')`` element, the corpus
     convention.
 
-    Scale shape: word-count tables ride the word-partitioned
+    Scale shape: target and corpus word counts ride one word-keyed
     :func:`combine.keyed_combine` (vocab is corpus-sized, NEVER
-    a driver dict); target and corpus counts meet in a word-keyed
-    cogroup join; per-doc scoring is a second word-partitioned join of
-    (word, doc_id, k) occurrence partials against the term table,
-    pre-reduced per doc in the join partition; the doc rollup is
-    doc-partitioned. Three hash shuffles total (word x2 co-keyed,
-    doc), scalars N_t/N_c/V are tiny Dataset aggregates.
+    a driver dict); per-doc scoring is a word-keyed cogroup join of
+    (word, doc_id, k) occurrence partials against the term table; the
+    doc rollup is a doc-keyed combine whose precombine reduces per doc
+    per batch. Three exchanges total (word x2, doc), scalars
+    N_t/N_c/V are tiny Dataset aggregates.
     """
     import pandas as pd
 
@@ -1570,8 +1475,6 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
     )
 
     def word_partials(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _w_schema.empty_table()
         import collections
 
         cc: collections.Counter = collections.Counter()
@@ -1595,9 +1498,7 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
 
     counts = keyed_combine(
         docs_ds.map_batches(word_partials, batch_format="pyarrow"),
-        keys=["word"],
-        aggs=[("n_c", "sum"), ("n_t", "sum")],
-        part_on=("word",),
+        _w_schema, [("n_c", "sum"), ("n_t", "sum")],
     ).materialize()
     n_c_total = counts.sum("n_c")
     n_t_total = counts.sum("n_t")
@@ -1610,8 +1511,6 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
     )
 
     def term_batch(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _t_schema.empty_table()
         import numpy as np
 
         ct = t["n_t"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1631,8 +1530,6 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
     )
 
     def occ_partials(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _o_schema.empty_table()
         import collections
 
         w_col, d_col, k_col = [], [], []
@@ -1655,52 +1552,21 @@ def dsir_importance(docs_ds, target_lang: str = "en"):
     occ = docs_ds.map_batches(occ_partials, batch_format="pyarrow")
     joined = cogroup_join(occ, terms, on=("word",))
 
-    _p_cols = ["doc_id", "n_tokens", "wsum"]
-
-    def per_doc_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {c: pa.array([], pa.int64()) for c in _p_cols}
-            )
-        df = pd.DataFrame(
-            {
-                "doc_id": t["doc_id"].to_numpy(zero_copy_only=False),
-                "n_tokens": t["k"].to_numpy(zero_copy_only=False),
-                "wsum": (
-                    t["k"].to_numpy(zero_copy_only=False)
-                    * t["term"].to_numpy(zero_copy_only=False)
-                ),
-            }
-        ).groupby("doc_id", as_index=False).sum()
-        return pa.Table.from_pandas(
-            df, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    rolled = keyed_combine(
-        joined.map_batches(per_doc_partial, batch_format="pyarrow"),
-        keys=["doc_id"],
-        aggs=[("n_tokens", "sum"), ("wsum", "sum")],
-        part_on=("doc_id",),
-    )
-
-    _f_schema = pa.schema(
-        [("doc_id", pa.int64()), ("n_tokens", pa.int64()),
-         ("dsir_microweight", pa.int64())]
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _f_schema.empty_table()
+    def per_doc_rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
-                "dsir_microweight": pc.cast(t["wsum"], pa.int64()),
-            },
-            schema=_f_schema,
+                "doc_id": t["doc_id"],
+                "n_tokens": t["k"],
+                "dsir_microweight": pc.multiply(t["k"], t["term"]),
+            }
         )
 
-    return rolled.map_batches(finish, batch_format="pyarrow")
+    return keyed_combine(
+        joined.map_batches(per_doc_rows, batch_format="pyarrow"),
+        pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+                   ("dsir_microweight", pa.int64())]),
+        [("n_tokens", "sum"), ("dsir_microweight", "sum")],
+    )
 
 
 def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
@@ -1728,15 +1594,13 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
 
     import ray
 
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     _c_schema = pa.schema(
         [("word", pa.string()), ("n", pa.int64())]
     )
 
     def candidates_batch(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _c_schema.empty_table()
         c: collections.Counter = collections.Counter()
         for text in t["text"].to_pylist():
             c.update((text or "").split(" "))
@@ -1762,9 +1626,9 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
             ),
         ])
 
-    partials = bounded_key_sum(
+    partials = keyed_combine(
         docs_ds.map_batches(candidates_batch, batch_format="pyarrow"),
-        keys=["word"], sum_cols=["n"],
+        _c_schema, [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
     ).to_pandas()
     if len(partials) == 0 or "word" not in partials.columns:
         # empty corpus: Ray's to_pandas drops columns on empty
@@ -1779,8 +1643,6 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
     cand_ref = ray.put(set(cand))
 
     def verify_batch(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _c_schema.empty_table()
         want = ray.get(cand_ref)
         c: collections.Counter = collections.Counter()
         for text in t["text"].to_pylist():
@@ -1794,14 +1656,12 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
             schema=_c_schema,
         )
 
-    counts = bounded_key_sum(
+    counts = keyed_combine(
         docs_ds.map_batches(verify_batch, batch_format="pyarrow"),
-        keys=["word"], sum_cols=["n"],
+        _c_schema, [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _c_schema.empty_table()
         keep = pc.greater_equal(
             pc.multiply(t["n"], pa.scalar(phi_denom, pa.int64())),
             pa.scalar(total, pa.int64()),

@@ -36,17 +36,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _word_counts(docs_ds, num_partitions=None):
-    from autoner_ray.stages.combine import partitioned_key_sum
+def _word_counts(docs_ds):
+    from autoner_ray.stages.combine import keyed_combine
 
     def count_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "word": pa.array([], pa.string()),
-                    "cnt": pa.array([], pa.int64()),
-                }
-            )
         words = pc.list_flatten(
             pc.split_pattern(t["text"].combine_chunks(), " ")
         )
@@ -59,12 +52,12 @@ def _word_counts(docs_ds, num_partitions=None):
             }
         )
 
-    return partitioned_key_sum(
+    return keyed_combine(
         docs_ds.map_batches(
             count_partial, batch_format="pyarrow", batch_size=65536
         ),
-        keys=["word"], sum_cols=["cnt"], part_on=("word",),
-        num_partitions=num_partitions,
+        pa.schema([("word", pa.string()), ("cnt", pa.int64())]),
+        [("cnt", "sum")],
     )
 
 
@@ -78,8 +71,6 @@ def _pair_counts_batch(t: pa.Table) -> pa.Table:
             "c": pa.array([], pa.int64()),
         }
     )
-    if t.num_columns == 0 or len(t) == 0:
-        return empty
     la = pc.split_pattern(t["s"].combine_chunks(), " ")
     flat = la.flatten()
     lens = pc.list_value_length(la).to_numpy().astype(np.int64)
@@ -106,7 +97,6 @@ def _pair_counts_batch(t: pa.Table) -> pa.Table:
 
 
 def learn_bpe_merges(docs_ds, num_merges: int = 6,
-                     num_partitions: int | None = None,
                      return_segmentation: bool = False):
     """Learn the top-``num_merges`` BPE merge rules from the corpus.
     Returns a pa.Table (rank, left_sym, right_sym, pair_count); with
@@ -114,17 +104,9 @@ def learn_bpe_merges(docs_ds, num_merges: int = 6,
     segmentation Dataset (word, s, cnt) so apply-side consumers reuse
     it instead of re-scanning the corpus and re-applying every merge
     (`bpe_compression_stats` does)."""
-    from autoner_ray.stages.combine import partitioned_key_sum
+    from autoner_ray.stages.combine import keyed_combine
 
     def seg_init(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "word": pa.array([], pa.string()),
-                    "s": pa.array([], pa.string()),
-                    "cnt": pa.array([], pa.int64()),
-                }
-            )
         # vocab-sized table: a per-row char join here is the documented
         # bounded exception (same budget class as the vocab collects)
         return pa.table(
@@ -139,7 +121,7 @@ def learn_bpe_merges(docs_ds, num_merges: int = 6,
         )
 
     seg = (
-        _word_counts(docs_ds, num_partitions)
+        _word_counts(docs_ds)
         .map_batches(seg_init, batch_format="pyarrow")
         .materialize()
     )
@@ -149,27 +131,17 @@ def learn_bpe_merges(docs_ds, num_merges: int = 6,
     rights: list[str] = []
     counts: list[int] = []
     for k in range(1, num_merges + 1):
-        pair_totals = partitioned_key_sum(
+        pair_totals = keyed_combine(
             seg.map_batches(
                 _pair_counts_batch, batch_format="pyarrow",
                 batch_size=65536,
             ),
-            keys=["lft", "rgt"], sum_cols=["c"], part_on=("lft", "rgt"),
-            num_partitions=num_partitions,
+            pa.schema([("lft", pa.string()), ("rgt", pa.string()),
+                       ("c", pa.int64())]),
+            [("c", "sum")], part_on=("lft", "rgt"),
         )
 
         def top1(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "lft": pa.array([], pa.string()),
-                    "rgt": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-            if t.num_columns == 0 or len(t) == 0 or "lft" not in (
-                t.column_names
-            ):
-                return empty
             order = pc.sort_indices(
                 t,
                 sort_keys=[("c", "descending"), ("lft", "ascending"),
@@ -195,14 +167,6 @@ def learn_bpe_merges(docs_ds, num_merges: int = 6,
         rep = f" {lft}{rgt} "
 
         def apply_merge(t: pa.Table, pat=pat, rep=rep) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return pa.table(
-                    {
-                        "word": pa.array([], pa.string()),
-                        "s": pa.array([], pa.string()),
-                        "cnt": pa.array([], pa.int64()),
-                    }
-                )
             import pandas as pd
 
             s = pd.Series(t["s"].to_pylist())
@@ -234,8 +198,7 @@ def learn_bpe_merges(docs_ds, num_merges: int = 6,
     return merges
 
 
-def bpe_compression_stats(docs_ds, num_merges: int = 6,
-                          num_partitions: int | None = None):
+def bpe_compression_stats(docs_ds, num_merges: int = 6):
     """Train-then-apply: learn the merge table, tokenize the corpus
     with it, and report per-source compression — (source, n_words,
     n_chars_sym, n_bpe_tokens): words, pre-merge symbols (chars) and
@@ -249,10 +212,7 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6,
     shuffle-free bounded combine."""
     import pyarrow.compute as pc_
 
-    from autoner_ray.stages.combine import (
-        bounded_key_sum,
-        partitioned_key_sum,
-    )
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
     from autoner_ray.stages.joins import cogroup_join
 
     # 1) learn merges (same kernel the driver hash-checks), keeping the
@@ -260,20 +220,11 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6,
     # tokenizing the corpus costs ZERO extra corpus scans and no
     # per-word merge re-application
     merges, seg = learn_bpe_merges(
-        docs_ds, num_merges, num_partitions, return_segmentation=True
+        docs_ds, num_merges, return_segmentation=True
     )
 
     # 2) (source, word, cnt) corpus partials, word-partitioned
     def sw_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "source": pa.array([], pa.string()),
-                "word": pa.array([], pa.string()),
-                "cnt": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
         la = pc_.split_pattern(t["text"].combine_chunks(), " ")
         lens = pc_.list_value_length(la).to_numpy().astype(np.int64)
         flat = la.flatten()
@@ -292,30 +243,20 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6,
         ).group_by(["source", "word"]).aggregate([("cnt", "sum")])
         return agg.rename_columns(["source", "word", "cnt"])
 
-    sw = partitioned_key_sum(
+    sw = keyed_combine(
         docs_ds.map_batches(sw_partial, batch_format="pyarrow",
                             batch_size=65536),
-        keys=["source", "word"], sum_cols=["cnt"], part_on=("word",),
-        num_partitions=num_partitions,
+        pa.schema([("source", pa.string()), ("word", pa.string()),
+                   ("cnt", pa.int64())]),
+        [("cnt", "sum")], part_on=("word",),
     )
 
     # 3) per-word symbol counts straight off the learned segmentation
-    # (vocab-sized, already word-partitioned and materialized): BPE
+    # (vocab-sized and materialized): BPE
     # token count = symbols in ``s``; char-symbol count = word length
     # (the pre-merge segmentation is one symbol per char by
     # construction)
     def word_tokens(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "word": pa.array([], pa.string()),
-                "n_sym": pa.array([], pa.int64()),
-                "n_char_sym": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0 or "word" not in (
-            t.column_names
-        ):
-            return empty
         n_sym = pc_.add(
             pc_.count_substring(t["s"].combine_chunks(), " "), 1
         )
@@ -332,24 +273,11 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6,
 
     vocab = seg.map_batches(word_tokens, batch_format="pyarrow")
 
-    joined = cogroup_join(sw, vocab, on=("word",),
-                          num_partitions=num_partitions)
+    joined = cogroup_join(sw, vocab, on=("word",))
 
     def per_source(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "source": pa.array([], pa.string()),
-                "n_words": pa.array([], pa.int64()),
-                "n_char_syms": pa.array([], pa.int64()),
-                "n_bpe_tokens": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0 or "source" not in (
-            t.column_names
-        ):
-            return empty
         cnt = t["cnt"].to_numpy()
-        agg = pa.table(
+        return pa.table(
             {
                 "source": t["source"],
                 "n_words": pa.array(cnt, pa.int64()),
@@ -360,17 +288,13 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6,
                     cnt * t["n_sym"].to_numpy(), pa.int64()
                 ),
             }
-        ).group_by("source").aggregate(
-            [("n_words", "sum"), ("n_char_syms", "sum"),
-             ("n_bpe_tokens", "sum")]
-        )
-        return agg.rename_columns(
-            ["source", "n_words", "n_char_syms", "n_bpe_tokens"]
         )
 
-    return bounded_key_sum(
+    return keyed_combine(
         joined.map_batches(per_source, batch_format="pyarrow",
                            batch_size=None),
-        keys=["source"],
-        sum_cols=["n_words", "n_char_syms", "n_bpe_tokens"],
+        pa.schema([("source", pa.string()), ("n_words", pa.int64()),
+                   ("n_char_syms", pa.int64()), ("n_bpe_tokens", pa.int64())]),
+        [("n_words", "sum"), ("n_char_syms", "sum"), ("n_bpe_tokens", "sum")],
+        max_keys=BOUNDED_MAX_KEYS,
     )

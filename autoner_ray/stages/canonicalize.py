@@ -14,16 +14,17 @@ Scale design (SURVEY.md §2.4 J5 / §4 skew):
   combiner (``map_batches`` Counter) runs first and the shuffle moves
   one row per distinct (canon, surface) per block — Zipfian head
   entities ship partial counts, not raw mentions.
-- ONE hash shuffle on ``hash(key) % P`` colocates everything a key
-  needs; a single vectorized pandas pass per partition then finishes
-  the pair counts AND picks the canonical surface. (Rounds 1–2 used a
+- ONE exchange (a sort on the 64-bit hash of key,
+  ``stages/combine.py:exchange``) colocates everything a key needs; a
+  single vectorized pandas pass per sorted block then finishes the
+  pair counts AND picks the canonical surface. (Rounds 1–2 used a
   3-shuffle salted two-phase plan; the combiner already bounds a hot
   key's partial rows to #blocks × #surface-variants, so the extra
   salting shuffles bought nothing but wall time — Ray multi-key row
   aggregates cost ~3 ms/row in Python.)
-- Skew bound: a partition holds ~pairs_total/P plus the hot key's
+- Skew bound: a block holds ~pairs_total/#blocks plus the hot key's
   ≤ #blocks × #variants partials — pandas groupby handles millions of
-  such rows per task; raise ``num_partitions`` with cluster size.
+  such rows per task.
 - Linking mentions back to ids is a BROADCAST join: the entity dim table
   is ``ray.put`` once and each map task resolves ids locally — no second
   shuffle of the big mention stream.
@@ -55,7 +56,7 @@ def surface_pair_partials(mentions_batch: pa.Table) -> pa.Table:
 
 
 def _reduce_partition(df):
-    """Finish one hash partition: complete the (key, surface) counts,
+    """Finish one sorted block: complete the (key, surface) counts,
     then per key pick the winner surface (max n, then smallest surface)
     and the mention total. All keys of the partition in one vectorized
     pandas pass."""
@@ -79,32 +80,25 @@ def _reduce_partition(df):
     )
 
 
-def canonical_entities(mentions_ds, num_partitions: int | None = None):
+def canonical_entities(mentions_ds):
     """Entity dim table rows: key, canonical_surface, n_mentions.
 
-    One combiner pass + ONE hash shuffle + one pandas reduce per
-    partition (see module docstring for the skew bound).
+    One combiner pass + ONE exchange on key + one pandas reduce per
+    sorted block (see module docstring for the skew bound).
     """
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.joins import _stable_part_col
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
+    from autoner_ray.stages.combine import HASH, exchange, with_key_hash
 
     def precombine(t: pa.Table) -> pa.Table:
         # coalesce many tiny per-block partial tables into ≤ pair-vocab
-        # rows per 64k batch BEFORE the shuffle: the sort-shuffle's
-        # driver-side metadata scales with input blocks × partitions
-        # (see keyed_combine, stages/combine.py)
+        # rows per 64k batch BEFORE the exchange: the sort's driver-side
+        # metadata scales with input blocks (see keyed_combine,
+        # stages/combine.py)
         g = t.group_by(["key", "surface"]).aggregate([("n", "sum")])
-        return g.rename_columns(["key", "surface", "n"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", _stable_part_col(t, ("key",), num_partitions)
+        return with_key_hash(
+            g.rename_columns(["key", "surface", "n"]), ("key",)
         )
 
-    return (
+    return exchange(
         mentions_ds.map_batches(
             surface_pair_partials, batch_format="pyarrow"
         )
@@ -113,10 +107,11 @@ def canonical_entities(mentions_ds, num_partitions: int | None = None):
         # expensive pair stage at rows/65536 tasks (stages/combine.py
         # keyed_combine documents the measured effect)
         .map_batches(precombine, batch_format="pyarrow",
-                     batch_size=65536, num_cpus=0.5)
-        .map_batches(add_part, batch_format="pyarrow", num_cpus=0.5)
-        .groupby("part")
-        .map_groups(_reduce_partition, batch_format="pandas")
+                     batch_size=65536, num_cpus=0.5),
+        HASH, _reduce_partition,
+        pa.schema([("key", pa.string()), ("canonical_surface", pa.string()),
+                   ("n_mentions", pa.int64())]),
+        batch_format="pandas",
     )
 
 

@@ -1,7 +1,25 @@
-"""One keyed combine: a per-batch Arrow hash aggregate, then an exchange.
+"""One exchange, and the one keyed combine built on it.
+
+Every shuffle in the engine is :func:`exchange`: add a 64-bit hash of
+the key columns, ``sort()`` on it, then run the caller's function once
+per sorted block with ``map_batches(batch_size=None)``. Rows of one key
+share a hash, so they land in one block; a block holds many keys and
+the function groups inside it. The caller declares the output
+``pa.Schema``, and pandas output is cast to it without schema
+metadata, so every block the function emits carries the same types
+(an empty DataFrame included). No partition count is chosen anywhere:
+parallelism is the input's block count.
+
+The sort makes one reducer per input block, over ranges cut at sampled
+quantiles of the hash. A range is empty only when the input holds
+fewer distinct key hashes than blocks, or one hash holds more than a
+range's share of rows. An empty reducer comes out as a zero-column
+block, and no declared schema can reach it: Ray 2.49's map operator
+never passes a zero-row block to a UDF (``Batcher.add`` drops it) and
+emits a zero-column block in its place.
 
 The edge aggregate, the canonical-entity and doc-freq tables, the
-curation dedups and many analysis tails all reduce a partial stream by
+curation dedups and many analysis tails reduce a partial stream by
 key. :func:`keyed_combine` is the one implementation of that shape:
 
 1. ``add_part``: an Arrow hash aggregate over ~64k-row batches, so the
@@ -20,18 +38,20 @@ execution; see :func:`edge_tier`):
   distinct keys, at or under ``BOUNDED_MAX_KEYS`` (entity types bounded
   by the dictionary, edge keys of a fixed dictionary's canonical
   surfaces, language codes). The partials go through
-  ``repartition(1)`` and ONE ``combine`` task; no sort shuffle runs.
+  ``repartition(1)`` and ONE ``combine`` task; no sort runs.
   That task raises :class:`ExchangeBoundExceeded` when it holds more
   than ``BOUNDED_MAX_ROWS`` rows; it never truncates.
 - partitioned: no bound, or a larger one (doc ids, words, pairs). The
-  partials carry a stable hash of ``part_on`` and one
-  ``groupby().map_groups()`` shuffle combines each of
-  ``num_partitions`` groups. Exactly one row per key globally, and
-  nothing key-set-sized sits in one block or on the driver.
+  partials go through :func:`exchange` on ``part_on``. Exactly one row
+  per key globally, and nothing key-set-sized sits in one block or on
+  the driver.
 """
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pyarrow as pa
 
 # Bounded tier: taken when the caller declares at most this many
@@ -43,6 +63,8 @@ BOUNDED_MAX_KEYS = 4096
 BOUNDED_MAX_ROWS = 1 << 21
 # Rows per precombine batch.
 COALESCE_ROWS = 65536
+# The key-hash column the exchange sorts on.
+HASH = "__h"
 
 
 class ExchangeBoundExceeded(RuntimeError):
@@ -57,21 +79,118 @@ def edge_tier(max_keys: int | None) -> str:
     return "partitioned"
 
 
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer over a uint64 array."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def key_hash(t: pa.Table, on: tuple[str, ...]) -> pa.Array:
+    """A 64-bit hash of the key columns ``on`` per row, as int64.
+
+    Both sides of a join compute it, so the branch is on the column
+    TYPE only, never on per-batch properties like null_count (a
+    nullable int key split across batches must hash the same
+    everywhere). A single integer key takes splitmix64 with nulls
+    mapped to a fixed sentinel (a null never matches in an inner join,
+    so its hash only needs to be deterministic); a single string key
+    takes the memoized md5-64 with nulls hashed as ``"None"``; several
+    columns take md5-64 of their ``str`` images joined by ``\\x1f``."""
+    if len(on) == 1:
+        col = t[on[0]]
+        if pa.types.is_integer(col.type):
+            if col.null_count:
+                col = col.fill_null(-(1 << 62) + 0x5EED)
+            z = col.to_numpy(zero_copy_only=False).astype(np.uint64)
+            return pa.array(splitmix64(z).view(np.int64))
+        if pa.types.is_string(col.type) or pa.types.is_large_string(
+            col.type
+        ):
+            from autoner_ray.functions.hashing import md5_64_array
+
+            vals = col.to_pylist()
+            if col.null_count:
+                vals = ["None" if v is None else v for v in vals]
+            return pa.array(md5_64_array(vals).view(np.int64))
+    keys = [t[c].to_pylist() for c in on]
+    return pa.array(
+        [
+            int.from_bytes(
+                hashlib.md5(
+                    "\x1f".join(str(v) for v in row).encode()
+                ).digest()[:8],
+                "big",
+                signed=True,
+            )
+            for row in zip(*keys)
+        ],
+        pa.int64(),
+    )
+
+
+def with_key_hash(t: pa.Table, on: tuple[str, ...]) -> pa.Table:
+    """``t`` plus its :func:`key_hash` column ``HASH``."""
+    return t.append_column(HASH, key_hash(t, on))
+
+
+def typed_block(fn, schema: pa.Schema, batch_format: str = "pyarrow"):
+    """``fn`` over one whole block, with the declared output ``schema``.
+
+    The ``HASH`` column is dropped before ``fn``. With
+    ``batch_format="pandas"``, ``fn`` gets a DataFrame, and a DataFrame
+    it returns is cast to ``schema`` without pandas schema metadata.
+    Arrow output is returned as ``fn`` built it."""
+
+    def run(t: pa.Table) -> pa.Table:
+        if HASH in t.column_names:
+            t = t.drop_columns([HASH])
+        out = fn(t.to_pandas() if batch_format == "pandas" else t)
+        if isinstance(out, pa.Table):
+            return out
+        return pa.Table.from_pandas(
+            out, schema=schema, preserve_index=False
+        ).replace_schema_metadata(None)
+
+    run.__name__ = getattr(fn, "__name__", "exchange")
+    return run
+
+
+def exchange(ds, on, fn, schema: pa.Schema, batch_format: str = "pyarrow"):
+    """Bring every row of a key into one block, then run ``fn`` once per
+    block (see the module docstring); returns blocks of ``schema``.
+
+    ``on`` is a tuple of key columns, whose :func:`key_hash` the
+    exchange adds; or the name of a column the blocks already carry
+    that holds a uniformly spread 64-bit hash of the key (an LSH band
+    hash, an n-gram hash), sorted on as it is.
+
+    The hash column is added over ``COALESCE_ROWS``-row batches: the sort
+    makes one reducer per input block, so coalesced input gives each
+    reducer a full range of rows instead of the few keys of a tiny
+    upstream block, and keeps the sort's metadata small. ``num_cpus=0.5``
+    keeps that batching out of the upstream operator (see
+    :func:`keyed_combine`)."""
+    if not isinstance(on, str):
+        keys = tuple(on)
+        ds = ds.map_batches(
+            lambda t: with_key_hash(t, keys), batch_format="pyarrow",
+            batch_size=COALESCE_ROWS, num_cpus=0.5,
+        )
+        on = HASH
+    return ds.sort(on).map_batches(
+        typed_block(fn, schema, batch_format), batch_format="pyarrow",
+        batch_size=None,
+    )
+
+
 def combine_table(t: pa.Table, keys: list[str],
                   aggs: list[tuple[str, str]]) -> pa.Table:
     """One Arrow hash aggregate: ``keys`` plus one column per
-    ``(column, fn)`` of ``aggs``, named as its input column.
-
-    A value column the block does not carry is left out of the result
-    (the edge aggregate's optional ``ev`` pointer). A zero-column block
-    (a schema-less empty some operators emit) stands for zero rows of
-    string keys and int64 values; zero-row TYPED blocks flow through
-    the aggregate and keep their dtypes."""
-    if t.num_columns == 0:
-        t = pa.table(
-            {k: pa.array([], pa.string()) for k in keys}
-            | {c: pa.array([], pa.int64()) for c, _ in aggs}
-        )
+    ``(column, fn)`` of ``aggs``, named as its input column. A value
+    column the block does not carry is left out of the result (the
+    edge aggregate's optional ``ev`` pointer)."""
     aggs = [(c, fn) for c, fn in aggs if c in t.column_names]
     names = list(keys) + [c for c, _ in aggs]
     return t.select(names).group_by(keys).aggregate(aggs).rename_columns(
@@ -79,46 +198,42 @@ def combine_table(t: pa.Table, keys: list[str],
     )
 
 
-def keyed_combine(ds, keys: list[str], aggs: list[tuple[str, str]],
+def keyed_combine(ds, schema: pa.Schema, aggs: list[tuple[str, str]],
                   part_on: tuple[str, ...] | None = None,
-                  max_keys: int | None = None, coalesce: bool = True,
-                  num_partitions: int | None = None):
-    """Combine ``ds`` by ``keys`` with the re-associative ``aggs``
-    (``[(column, "sum"|"min"|"max"), ...]``). Returns a Dataset of
-    ``keys`` plus the aggregated columns, under their input names.
+                  max_keys: int | None = None, coalesce: bool = True):
+    """Combine ``ds`` with the re-associative ``aggs``
+    (``[(column, "sum"|"min"|"max"), ...]``) into blocks of ``schema``:
+    the key columns, then the aggregated columns under their input
+    names. The keys are the fields of ``schema`` that ``aggs`` does not
+    name; an aggregated column ``schema`` leaves out is carried only
+    when the blocks have it (the edge aggregate's ``ev``).
 
     ``max_keys`` selects the tier (see the module docstring). In the
     partitioned tier, ``part_on`` (default: all keys) is the hashed key
-    subset: any subset co-locates identical full keys, a single integer
-    or string column takes the vectorized hash, and downstream stages
-    may rely on every row sharing ``part_on`` landing in one block.
-    ``num_partitions`` defaults to ``default_num_partitions()``.
+    subset: any subset co-locates identical full keys, and downstream
+    stages may rely on every row sharing ``part_on`` landing in one
+    block.
 
     ``coalesce`` (default True) runs the precombine over 64k-row
-    batches in its own operator. The sort shuffle's scheduler metadata
-    scales with input blocks × partitions (~0.9 GB measured at 1.5k
-    tiny partial blocks), and merging blocks is the only fix; in the
-    bounded tier it keeps the one task's input at ≤ ``max_keys`` rows
-    per 64k partial rows. Turn it OFF for pipelines whose upstream is
-    much slower than the partial stream AND whose total partial rows
-    never fill a batch (e.g. the hybrid tagger at small scale): a
-    bundler waiting on a starved slow stream measurably drags the whole
-    topology (4.3 s → 11 s at sf0.1). Off, the precombine runs per
-    upstream batch, fused into the upstream operator."""
-    keys, aggs = list(keys), list(aggs)
-    P = None
-    if edge_tier(max_keys) == "partitioned":
-        from autoner_ray.cluster import default_num_partitions
-        from autoner_ray.stages.joins import _stable_part_col
-
-        P = num_partitions or default_num_partitions()
-        part_on = tuple(part_on or keys)
+    batches in its own operator. The sort's scheduler metadata scales
+    with input blocks (~0.9 GB measured at 1.5k tiny partial blocks),
+    and merging blocks is the only fix; in the bounded tier it keeps
+    the one task's input at ≤ ``max_keys`` rows per 64k partial rows.
+    Turn it OFF for pipelines whose upstream is much slower than the
+    partial stream AND whose total partial rows never fill a batch
+    (e.g. the hybrid tagger at small scale): a bundler waiting on a
+    starved slow stream measurably drags the whole topology (4.3 s →
+    11 s at sf0.1). Off, the precombine runs per upstream batch, fused
+    into the upstream operator."""
+    aggs = list(aggs)
+    agg_cols = {c for c, _ in aggs}
+    keys = [n for n in schema.names if n not in agg_cols]
+    bounded = edge_tier(max_keys) == "bounded"
+    part_on = tuple(part_on or keys)
 
     def add_part(t: pa.Table) -> pa.Table:  # the stage name traces key on
         p = combine_table(t, keys, aggs)
-        if P is None:
-            return p
-        return p.append_column("__part", _stable_part_col(p, part_on, P))
+        return p if bounded else with_key_hash(p, part_on)
 
     if coalesce:
         # num_cpus=0.5 BREAKS operator fusion with the upstream chain
@@ -140,7 +255,7 @@ def keyed_combine(ds, keys: list[str], aggs: list[tuple[str, str]],
 
     # bounded tier: read when the plan is built, so the task checks the
     # bound the caller's process sees
-    row_bound = BOUNDED_MAX_ROWS if P is None else None
+    row_bound = BOUNDED_MAX_ROWS if bounded else None
 
     def combine(t: pa.Table) -> pa.Table:  # the stage name traces key on
         if row_bound is not None and t.num_rows > row_bound:
@@ -150,45 +265,9 @@ def keyed_combine(ds, keys: list[str], aggs: list[tuple[str, str]],
             )
         return combine_table(t, keys, aggs)
 
-    if P is not None:
-        return ds.groupby("__part").map_groups(combine, batch_format="pyarrow")
+    if not bounded:
+        return exchange(ds, HASH, combine, schema)
     # batch_size=None -> the single block in one task
     return ds.repartition(1).map_batches(
         combine, batch_format="pyarrow", batch_size=None
     )
-
-
-def bounded_key_sum(ds, keys: list[str], sum_cols: list[str]):
-    """Sum ``sum_cols`` by ``keys`` whose cardinality the caller knows
-    to be small (≤ ``BOUNDED_MAX_KEYS``): the bounded tier of
-    :func:`keyed_combine`."""
-    return keyed_combine(
-        ds, keys, [(c, "sum") for c in sum_cols], max_keys=BOUNDED_MAX_KEYS
-    )
-
-
-def partitioned_key_sum(ds, keys: list[str], sum_cols: list[str],
-                        part_on: tuple[str, ...] | None = None,
-                        num_partitions: int | None = None):
-    """Sum ``sum_cols`` by unbounded (vocab-sized) ``keys``: the
-    partitioned tier of :func:`keyed_combine`."""
-    return keyed_combine(
-        ds, keys, [(c, "sum") for c in sum_cols], part_on=part_on,
-        num_partitions=num_partitions,
-    )
-
-
-def materialize_or_empty(ds, schema):
-    """Materialize ``ds``; when it holds zero rows, hand back
-    ``schema.empty_table()`` (a pyarrow Table) instead of the Dataset.
-    Ray's ``Dataset.to_pandas()`` drops COLUMNS on an empty dataset
-    (union/join stages can emit schemaless empty bundles), which
-    breaks every downstream consumer expecting the contract columns —
-    first seen three separate times in the sf0.1 sweep
-    (negative_samples, q11, image-dhash pairs). One shared guard, one
-    documented return-type contract: Dataset when non-empty, schema'd
-    Arrow table when empty."""
-    out = ds.materialize()
-    if out.count() == 0:
-        return schema.empty_table()
-    return out

@@ -25,9 +25,9 @@ Two execution tiers, same results:
   doc. No shuffle of corpus data at all.
 - **join** (``force_join=True`` or benchmark grams above
   ``broadcast_limit``): both sides explode into (gram-hash, doc_id)
-  rows, one content-hash shuffle co-locates each gram, and an
-  in-partition semi-join counts hits per doc — the same
-  shared-shingle partition shape as
+  rows, one exchange sorted on the gram hash co-locates each gram, and
+  an in-block semi-join counts hits per doc — the same shared-shingle
+  shape as
   ``dedup.ngram_jaccard_exact_pairs``. Gram identity travels as a
   128-bit md5-derived pair (two int64 columns) so collisions are
   negligible and no gram string crosses the wire.
@@ -67,16 +67,12 @@ def contamination_hits(
     n: int = 8,
     broadcast_limit: int = 5_000_000,
     force_join: bool = False,
-    num_partitions: int | None = None,
 ):
     """(doc_id, n_hits) for every corpus doc sharing >=1 distinct
     n-gram with the benchmark side. See module docstring for tiers."""
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     if not force_join:
         # benchmark gram partials: distinct per batch, tiny vs corpus
@@ -121,10 +117,10 @@ def contamination_hits(
                 count_hits, batch_format="pyarrow"
             )
 
-    # join tier: explode grams on both sides, partition by gram hash
+    # join tier: explode grams on both sides, exchange on the gram hash
     def explode(is_bench: bool):
         def fn(batch: pa.Table) -> pa.Table:
-            ids, his, los, parts = [], [], [], []
+            ids, his, los = [], [], []
             for did, text in zip(
                 batch["doc_id"].to_pylist(), batch["text"].to_pylist()
             ):
@@ -135,9 +131,6 @@ def contamination_hits(
                 ids.extend([did] * len(g))
                 his.extend(hi.view(np.int64).tolist())
                 los.extend(lo.view(np.int64).tolist())
-                parts.extend(
-                    (hi % np.uint64(num_partitions)).astype(np.int32).tolist()
-                )
             return pa.table(
                 {
                     "doc_id": pa.array(ids, pa.int64()),
@@ -146,7 +139,6 @@ def contamination_hits(
                     "bench": pa.array(
                         np.full(len(ids), is_bench, dtype=bool)
                     ),
-                    "part": pa.array(parts, pa.int32()),
                 }
             )
 
@@ -159,39 +151,24 @@ def contamination_hits(
         explode(True), batch_format="pyarrow"
     )
 
-    def hits_in_partition(df: "pd.DataFrame") -> "pd.DataFrame":
-        if len(df) == 0 or "bench" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_hits": pd.Series([], dtype="int64"),
-                }
-            )
+    hit_schema = pa.schema([("doc_id", pa.int64()), ("n_hits", pa.int64())])
+
+    def hits_in_partition(df: pd.DataFrame) -> pd.DataFrame:
         bench_keys = df.loc[df["bench"], ["hi", "lo"]].drop_duplicates()
         cor = df.loc[~df["bench"], ["doc_id", "hi", "lo"]]
         hit = cor.merge(bench_keys, on=["hi", "lo"], how="inner")
-        # gram lives in exactly ONE partition and is distinct per doc,
+        # a gram lives in exactly ONE block and is distinct per doc,
         # so local per-doc counts are final partials
-        out = hit.groupby("doc_id", as_index=False).agg(
+        return hit.groupby("doc_id", as_index=False).agg(
             n_hits=("hi", "size")
         )
-        return out.astype({"doc_id": "int64", "n_hits": "int64"})
 
-    partials = (
-        corpus_g.union(bench_g)
-        .groupby("part")
-        .map_groups(hits_in_partition, batch_format="pandas")
+    partials = exchange(
+        corpus_g.union(bench_g), "hi", hits_in_partition, hit_schema,
+        batch_format="pandas",
     )
-    # a doc's grams spread across partitions -> sum the partials
-    return partials.groupby("doc_id").sum("n_hits").map_batches(
-        lambda t: pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_hits": t["sum(n_hits)"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    # a doc's grams spread across blocks -> sum the partials
+    return keyed_combine(partials, hit_schema, [("n_hits", "sum")])
 
 
 def decontaminate(
@@ -208,9 +185,9 @@ def decontaminate(
 
     hits = contamination_hits(docs_ds, bench_ds, n=n, **kwargs)
     bad: set[int] = set()
-    for b in hits.select_columns(["doc_id"]).iter_batches(
-        batch_format="pyarrow"
-    ):
+    # no select_columns: fused after the upstream map, the projection
+    # left some blocks with n_hits and Ray logged a schema divergence
+    for b in hits.iter_batches(batch_format="pyarrow"):
         bad.update(b["doc_id"].to_pylist())
     bad_ref = ray.put(np.fromiter(bad, dtype=np.int64, count=len(bad)))
 
@@ -224,11 +201,7 @@ def decontaminate(
     return docs_ds.map_batches(keep, batch_format="pyarrow")
 
 
-def crossdoc_dup_windows(
-    docs_ds,
-    n: int = 8,
-    num_partitions: int | None = None,
-):
+def crossdoc_dup_windows(docs_ds, n: int = 8):
     """(doc_id, dup_grams): per corpus doc, how many of its DISTINCT
     n-token windows appear verbatim in at least one OTHER document.
 
@@ -242,22 +215,20 @@ def crossdoc_dup_windows(
     windows — identical to the decontamination op, so the SQL oracle
     shares its gram CTE.  No broadcast tier exists here (both "sides"
     are the whole corpus): one explode pass emits (gram-hash128,
-    doc_id) rows, ONE content-hash shuffle co-locates each gram, and
-    the in-partition test is a vectorized group-size>=2 mask — a gram
-    shared by a million docs costs a million rows, never a pairwise
-    blowup.  Per-partition per-doc counts are final partials (a gram
-    lives in exactly one partition, distinct per doc), summed by one
-    doc-key groupby whose input is already <= |docs| x partitions.
+    doc_id) rows, ONE exchange sorts on the gram hash so each gram
+    sits in one block, and the in-block test is a vectorized
+    group-size>=2 mask — a gram shared by a million docs costs a million
+    rows, never a pairwise blowup.  Per-block per-doc counts are final
+    partials (a gram lives in exactly one block, distinct per doc),
+    summed by one doc-keyed combine whose input is already <= |docs| x
+    blocks.
     """
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids, his, los, parts = [], [], [], []
+        ids, his, los = [], [], []
         for did, text in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
         ):
@@ -268,15 +239,11 @@ def crossdoc_dup_windows(
             ids.extend([did] * len(g))
             his.extend(hi.view(np.int64).tolist())
             los.extend(lo.view(np.int64).tolist())
-            parts.extend(
-                (hi % np.uint64(num_partitions)).astype(np.int32).tolist()
-            )
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
                 "hi": pa.array(his, pa.int64()),
                 "lo": pa.array(los, pa.int64()),
-                "part": pa.array(parts, pa.int32()),
             }
         )
 
@@ -284,39 +251,22 @@ def crossdoc_dup_windows(
         explode, batch_format="pyarrow"
     )
 
-    def dup_in_partition(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "dup_grams": pd.Series([], dtype="int64"),
-            }
-        )
-        if len(df) == 0 or "hi" not in df.columns:
-            return empty
+    dup_schema = pa.schema([("doc_id", pa.int64()), ("dup_grams", pa.int64())])
+
+    def dup_in_partition(df: pd.DataFrame) -> pd.DataFrame:
         # rows are distinct (gram, doc) pairs, so a gram group with
         # >=2 rows spans >=2 docs -> every row in it is a shared window
         shared = df.duplicated(subset=["hi", "lo"], keep=False)
-        if not shared.any():
-            return empty
-        out = (
+        return (
             df.loc[shared]
             .groupby("doc_id", as_index=False)
             .agg(dup_grams=("hi", "size"))
         )
-        return out.astype({"doc_id": "int64", "dup_grams": "int64"})
 
-    partials = grams.groupby("part").map_groups(
-        dup_in_partition, batch_format="pandas"
+    partials = exchange(
+        grams, "hi", dup_in_partition, dup_schema, batch_format="pandas"
     )
-    return partials.groupby("doc_id").sum("dup_grams").map_batches(
-        lambda t: pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "dup_grams": t["sum(dup_grams)"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return keyed_combine(partials, dup_schema, [("dup_grams", "sum")])
 
 
 def bloom_build(bench_ds, n: int = 8, m_bits: int = 1 << 20,
@@ -380,14 +330,6 @@ def bloom_contamination_flags(docs_ds, bench_ds, n: int = 8,
     m = np.uint64(m_bits)
 
     def flag(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_hits": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
         bits = ray.get(bits_ref)
         ids, hits = [], []
         for did, text in zip(

@@ -5,8 +5,8 @@ Scale shapes (ray_guide aggregation/dedup patterns):
   the hash keeping min(doc_id). The shuffle moves one short row per doc,
   not the text.
 - MinHash+LSH near-dup: per batch compute K minhashes over token shingles,
-  split into B bands; explode to (band, band_hash, doc_id) rows; a
-  groupby([band, band_hash]) collects candidate buckets; pairs from
+  split into B bands; explode to (band, band_hash, doc_id) rows; one
+  exchange on the band hash collects candidate buckets; pairs from
   buckets are verified with exact shingle Jaccard. Buckets are capped
   (``max_bucket``) so a degenerate hot bucket cannot produce O(n²) pairs —
   the cap is logged, not silent.
@@ -36,7 +36,8 @@ def exact_dedup(docs_ds):
 
     return keyed_combine(
         docs_ds.map_batches(md5_batch, batch_format="pyarrow"),
-        ["text_md5"], [("doc_id", "min")],
+        pa.schema([("text_md5", pa.string()), ("doc_id", pa.int64())]),
+        [("doc_id", "min")],
     )
 
 
@@ -91,16 +92,15 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.min(axis=1)
 
 
-def _band_rows(text: str, a, b, bands: int, rows_per_band: int,
-               num_partitions: int):
-    """(band_id, band_hash, part) triples for one doc — the banding
-    kernel of :func:`minhash_lsh_candidates`."""
+def _band_rows(text: str, a, b, bands: int, rows_per_band: int):
+    """(band_id, band_hash) pairs for one doc — the banding kernel of
+    :func:`minhash_lsh_candidates`. ``band_hash`` is 16 hex digits, a
+    64-bit hash of the band."""
     sig = minhash_signature(text, a, b)
     out = []
     for bi in range(bands):
         chunk = sig[bi * rows_per_band : (bi + 1) * rows_per_band]
-        bh = hashlib.md5(chunk.tobytes()).hexdigest()[:16]
-        out.append((bi, bh, int(bh[:8], 16) % num_partitions))
+        out.append((bi, hashlib.md5(chunk.tobytes()).hexdigest()[:16]))
     return out
 
 
@@ -110,36 +110,26 @@ def minhash_lsh_candidates(
     bands: int = 16,
     jaccard_threshold: float = 0.6,
     max_bucket: int = 64,
-    num_partitions: int | None = None,
 ):
     """Near-duplicate candidate pairs (doc_a < doc_b, n_bands) via
     MinHash LSH.
 
-    Physical shape (2 shuffles total):
-    1. ONE hash shuffle co-locates every bucket (``part`` is derived
-       from the bucket hash, so a bucket never splits); inside each
-       partition a vectorized acero self-join pairs bucket members —
+    Physical shape (2 exchanges total):
+    1. ONE exchange sorts on the bucket hash, so a bucket never splits
+       across blocks; inside each block a vectorized acero self-join
+       pairs bucket members —
        and the HOT-BUCKET CAP is applied there exactly (a degenerate
        bucket with k members would emit O(k²) rows; buckets over
        ``max_bucket`` are dropped and logged — near-identical floods
        are the exact-dedup stage's job, not LSH's).
-    2. The keyed combine (hash on doc_a) sums each pair's per-partition
+    2. The keyed combine (hash on doc_a) sums each pair's per-block
        band agreements: pairs that agree in several bands become one
        row, and the sum is the LSH agreement strength.
-
-    ``num_partitions`` defaults to 2× the session's CPUs
-    (autoner_ray.cluster): each pairing task then holds ~1/(2·CPUs) of
-    the signature table as pandas — callers streaming very large corpora
-    through few CPUs should raise it so a single partition stays within
-    the worker heap.
     """
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import keyed_combine
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     rows_per_band = num_hashes // bands
     assert rows_per_band * bands == num_hashes
 
@@ -150,26 +140,29 @@ def minhash_lsh_candidates(
     # topology (observed deadlock at num_cpus=4).
     def sign(batch: pa.Table) -> pa.Table:
         a, b = _cached_minhash_params(num_hashes)
-        doc_ids, band_ids, band_hashes, parts = [], [], [], []
+        doc_ids, band_ids, band_hashes = [], [], []
         for did, text in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
         ):
-            # content-derived partition: bucket members always meet
-            for bi, bh, part in _band_rows(
-                text or "", a, b, bands, rows_per_band, num_partitions
-            ):
+            for bi, bh in _band_rows(text or "", a, b, bands, rows_per_band):
                 doc_ids.append(did)
                 band_ids.append(bi)
                 band_hashes.append(bh)
-                parts.append(part)
+        # content-derived sort key: bucket members always meet
+        bh64 = np.array([int(h, 16) for h in band_hashes], np.uint64)
         return pa.table(
             {
                 "doc_id": pa.array(doc_ids, pa.int64()),
                 "band": pa.array(band_ids, pa.int32()),
                 "band_hash": pa.array(band_hashes, pa.string()),
-                "part": pa.array(parts, pa.int32()),
+                "bh64": pa.array(bh64.view(np.int64)),
             }
         )
+
+    pair_schema = pa.schema(
+        [("doc_a", pa.int64()), ("doc_b", pa.int64()),
+         ("n_bands", pa.int64())]
+    )
 
     def pairs_in_partition(df: pd.DataFrame) -> pd.DataFrame:
         if max_bucket is not None:
@@ -187,14 +180,6 @@ def minhash_lsh_candidates(
                     max_bucket,
                 )
                 df = df[~hot]
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series(dtype="int64"),
-                    "doc_b": pd.Series(dtype="int64"),
-                    "n_bands": pd.Series(dtype="int64"),
-                }
-            )
         lt = pa.table(
             {
                 "band": pa.array(df["band"], pa.int32()),
@@ -207,7 +192,7 @@ def minhash_lsh_candidates(
         import pyarrow.compute as pc
 
         j = j.filter(pc.less(j["doc_a"], j["doc_b"]))
-        # partial per-partition band-agreement counts
+        # partial per-block band-agreement counts
         return (
             pd.DataFrame(
                 {
@@ -220,11 +205,11 @@ def minhash_lsh_candidates(
         )
 
     return keyed_combine(
-        docs_ds.map_batches(sign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas"),
-        ["doc_a", "doc_b"], [("n_bands", "sum")], part_on=("doc_a",),
-        num_partitions=num_partitions,
+        exchange(
+            docs_ds.map_batches(sign, batch_format="pyarrow"), "bh64",
+            pairs_in_partition, pair_schema, batch_format="pandas",
+        ),
+        pair_schema, [("n_bands", "sum")], part_on=("doc_a",),
     )
 
 
@@ -405,29 +390,26 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4,
-                          num_partitions: int | None = None):
+def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4):
     """SimHash near-duplicate pairs: 64-bit signatures split into
     ``bands`` bit-bands (pigeonhole: any pair within ``max_hamming`` <
-    ``bands`` bits shares at least one exact band). Same 2-shuffle
-    shape as MinHash LSH: one content-hash partition shuffle co-locates
-    each (band, band_val) bucket, a vectorized in-partition self-join
+    ``bands`` bits shares at least one exact band). Same 2-exchange
+    shape as MinHash LSH: one exchange on the bucket's content hash
+    co-locates each (band, band_val) bucket, a vectorized in-block
+    self-join
     pairs members and filters exact Hamming distance, and the keyed
     combine dedups pairs that agree on several bands. Emits
     (doc_a, doc_b, hamming)."""
     import numpy as np
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import keyed_combine
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     assert max_hamming < bands, "pigeonhole needs max_hamming < bands"
     band_bits = 64 // bands
 
     def sign(batch: pa.Table) -> pa.Table:
-        doc_ids, band_ids, band_vals, sigs, parts = [], [], [], [], []
+        doc_ids, band_ids, band_vals, sigs, bh64 = [], [], [], [], []
         for did, text in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
         ):
@@ -438,12 +420,11 @@ def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4,
                 band_ids.append(bi)
                 band_vals.append(bv)
                 sigs.append(h - (1 << 63))  # store as signed int64
-                parts.append(
+                bh64.append(
                     int.from_bytes(
-                        hashlib.md5(f"{bi}:{bv}".encode()).digest()[:4],
-                        "big",
+                        hashlib.md5(f"{bi}:{bv}".encode()).digest()[:8],
+                        "big", signed=True,
                     )
-                    % num_partitions
                 )
         return pa.table(
             {
@@ -451,9 +432,14 @@ def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4,
                 "band": pa.array(band_ids, pa.int32()),
                 "band_val": pa.array(band_vals, pa.int64()),
                 "sig": pa.array(sigs, pa.int64()),
-                "part": pa.array(parts, pa.int32()),
+                "bh64": pa.array(bh64, pa.int64()),
             }
         )
+
+    pair_schema = pa.schema(
+        [("doc_a", pa.int64()), ("doc_b", pa.int64()),
+         ("hamming", pa.int64())]
+    )
 
     def pairs_in_partition(df: pd.DataFrame) -> pd.DataFrame:
         lt = pa.table(
@@ -487,14 +473,14 @@ def simhash_neardup_pairs(docs_ds, max_hamming: int = 3, bands: int = 4,
         )
 
     # distinct pairs: a pair can agree on several bands, possibly in
-    # different bucket partitions; hamming is pair-determined, so any
+    # different bucket blocks; hamming is pair-determined, so any
     # re-associative pick (min) keeps it
     return keyed_combine(
-        docs_ds.map_batches(sign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas"),
-        ["doc_a", "doc_b"], [("hamming", "min")], part_on=("doc_a",),
-        num_partitions=num_partitions,
+        exchange(
+            docs_ds.map_batches(sign, batch_format="pyarrow"), "bh64",
+            pairs_in_partition, pair_schema, batch_format="pandas",
+        ),
+        pair_schema, [("hamming", "min")], part_on=("doc_a",),
     )
 
 
@@ -505,7 +491,6 @@ def ngram_jaccard_exact_pairs(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    num_partitions: int | None = None,
     max_df: int | None = None,
     score_mode: str = "jaccard",
 ):
@@ -515,17 +500,17 @@ def ngram_jaccard_exact_pairs(
 
     Shape: one ``map_batches`` explodes each doc into DISTINCT k-token
     shingle hashes, every row carrying the doc's shingle-set size; one
-    content-hash shuffle co-locates each shingle (``groupby(part)``), a
-    vectorized in-partition self-join counts common shingles per pair,
-    and the keyed combine sums the partials per pair — each shingle lives in
-    exactly ONE partition, so partition-local pair counts add up to the
-    exact intersection and no text or set ever lands on the driver.
+    exchange sorted on the shingle hash co-locates each shingle, a
+    vectorized in-block self-join counts common shingles per pair, and
+    the keyed combine sums the partials per pair — each shingle lives in
+    exactly ONE block, so block-local pair counts add up to the exact
+    intersection and no text or set ever lands on the driver.
     Jaccard = common / (|A| + |B| - common), computed from exact integer
     counts in float64 (bit-stable vs a SQL oracle).
 
     Scale note: a promiscuous shingle shared by m docs emits m² join
-    rows. Because partitioning is BY shingle, document frequency is
-    exact within a partition, so ``max_df`` prunes hot shingles (e.g.
+    rows. Because the exchange is BY shingle, document frequency is
+    exact within a block, so ``max_df`` prunes hot shingles (e.g.
     boilerplate) locally with no extra pass — at the cost of exactness
     for pairs whose overlap rides only on pruned shingles. Default None
     (fully exact) for oracle parity; set it for web-scale corpora.
@@ -533,14 +518,10 @@ def ngram_jaccard_exact_pairs(
     import pandas as pd
     import pyarrow.compute as pc
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import keyed_combine
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def explode(batch: pa.Table) -> pa.Table:
-        doc_ids, shingles, sizes, parts = [], [], [], []
+        doc_ids, shingles, sizes = [], [], []
         for did, text in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
         ):
@@ -552,32 +533,26 @@ def ngram_jaccard_exact_pairs(
             hs = md5_64_array(sorted(sh))
             n = len(hs)
             doc_ids.extend([did] * n)
-            # signed view for Arrow int64; partition on the unsigned value
+            # signed view for Arrow int64; the exchange sorts on it
             shingles.extend(hs.view(np.int64).tolist())
             sizes.extend([n] * n)
-            parts.extend((hs % np.uint64(num_partitions)).astype(np.int32).tolist())
         return pa.table(
             {
                 "doc_id": pa.array(doc_ids, pa.int64()),
                 "shingle": pa.array(shingles, pa.int64()),
                 "size": pa.array(sizes, pa.int64()),
-                "part": pa.array(parts, pa.int32()),
             }
         )
 
-    _empty_partials = pd.DataFrame(
-        {
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
-            "common": pd.Series([], dtype="int64"),
-            "size_a": pd.Series([], dtype="int64"),
-            "size_b": pd.Series([], dtype="int64"),
-        }
+    partial_schema = pa.schema(
+        [("doc_a", pa.int64()), ("doc_b", pa.int64()),
+         ("common", pa.int64()), ("size_a", pa.int64()),
+         ("size_b", pa.int64())]
     )
 
     def pairs_in_partition(df: pd.DataFrame) -> pd.DataFrame:
         if max_df is not None:
-            # partitioning is by shingle -> local df IS global df
+            # the exchange is by shingle -> local df IS global df
             df = df[df.groupby("shingle")["shingle"].transform("size") <= max_df]
         lt = pa.table(
             {
@@ -590,7 +565,7 @@ def ngram_jaccard_exact_pairs(
         j = lt.join(rt, keys=["shingle"], join_type="inner")
         j = j.filter(pc.less(j["doc_a"], j["doc_b"]))
         if j.num_rows == 0:
-            return _empty_partials
+            return partial_schema.empty_table()
         g = (
             j.select(["doc_a", "doc_b", "size_a", "size_b"])
             .to_pandas()
@@ -625,12 +600,13 @@ def ngram_jaccard_exact_pairs(
 
     # sizes are per doc, so min keeps them
     return keyed_combine(
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas"),
-        ["doc_a", "doc_b"],
+        exchange(
+            docs_ds.map_batches(explode, batch_format="pyarrow"), "shingle",
+            pairs_in_partition, partial_schema, batch_format="pandas",
+        ),
+        partial_schema,
         [("common", "sum"), ("size_a", "min"), ("size_b", "min")],
-        part_on=("doc_a",), num_partitions=num_partitions,
+        part_on=("doc_a",),
     ).map_batches(score, batch_format="pyarrow")
 
 
@@ -638,7 +614,6 @@ def neardup_keep_one(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    num_partitions: int | None = None,
     driver_cc_max_pairs: int = 2_000_000,
     pair_source: str = "exact",
 ):
@@ -673,8 +648,7 @@ def neardup_keep_one(
 
     if pair_source == "exact":
         pairs = ngram_jaccard_exact_pairs(
-            docs_ds, threshold=threshold, k=k,
-            num_partitions=num_partitions,
+            docs_ds, threshold=threshold, k=k
         ).materialize()
     elif pair_source == "lsh":
         # at-scale default pair generator: MinHash-LSH candidates +
@@ -705,25 +679,14 @@ def neardup_keep_one(
             connected_components_distributed,
         )
 
-        _edge_schema = pa.schema([("subj", pa.int64()), ("obj", pa.int64())])
-
         def pairs_to_edges(t: pa.Table) -> pa.Table:
-            # schema-less empty blocks reach UDFs after sparse shuffles
-            # (same RefBundle quirk losers_batch guards against)
-            if t.num_columns == 0 or len(t) == 0:
-                return _edge_schema.empty_table()
             return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
 
         edges = pairs.map_batches(pairs_to_edges, batch_format="pyarrow")
-        labels = connected_components_distributed(
-            edges, num_partitions=num_partitions, as_dataset=True
-        )
-        # losers: members whose propagated min-label is a smaller id
-        _loser_schema = pa.schema([("doc_id", pa.int64())])
+        labels = connected_components_distributed(edges, as_dataset=True)
 
+        # losers: members whose propagated min-label is a smaller id
         def losers_batch(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _loser_schema.empty_table()
             keep = pc.less(t["label"], t["src"])
             return pa.table({"doc_id": t["src"].filter(keep)})
 
@@ -749,7 +712,6 @@ def neardup_cluster_sizes(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    num_partitions: int | None = None,
     driver_cc_max_pairs: int = 2_000_000,
     pair_source: str = "exact",
 ):
@@ -766,12 +728,11 @@ def neardup_cluster_sizes(
     construction)."""
     import ray.data as rd
 
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     if pair_source == "exact":
         pairs = ngram_jaccard_exact_pairs(
-            docs_ds, threshold=threshold, k=k,
-            num_partitions=num_partitions,
+            docs_ds, threshold=threshold, k=k
         ).materialize()
     elif pair_source == "lsh":
         pairs = ngram_jaccard_pairs(
@@ -814,48 +775,29 @@ def neardup_cluster_sizes(
 
     from autoner_ray.stages.graph import connected_components_distributed
 
-    _edge_schema = pa.schema([("subj", pa.int64()), ("obj", pa.int64())])
-
     def pairs_to_edges(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _edge_schema.empty_table()
         return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
 
     labels = connected_components_distributed(
         pairs.map_batches(pairs_to_edges, batch_format="pyarrow"),
-        num_partitions=num_partitions, as_dataset=True,
+        as_dataset=True,
     )
 
     def label_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "label": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         agg = t.select(["label"]).group_by("label").aggregate(
             [([], "count_all")]
         )
         return agg.rename_columns(["label", "n"])
 
     # label keyset = number of clusters (duplicate fraction of the
-    # corpus) — key-distributed; int64 labels partition vectorized
-    from autoner_ray.stages.combine import partitioned_key_sum
-
-    per_cluster = partitioned_key_sum(
+    # corpus) — key-distributed; int64 labels hash vectorized
+    per_cluster = keyed_combine(
         labels.map_batches(label_partial, batch_format="pyarrow"),
-        ["label"], ["n"], part_on=("label",),
+        pa.schema([("label", pa.int64()), ("n", pa.int64())]),
+        [("n", "sum")],
     )
 
     def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "cluster_size": pa.array([], pa.int64()),
-                    "n_clusters": pa.array([], pa.int64()),
-                }
-            )
         agg = (
             t.select(["n"])
             .rename_columns(["cluster_size"])
@@ -864,14 +806,14 @@ def neardup_cluster_sizes(
         )
         return agg.rename_columns(["cluster_size", "n_clusters"])
 
-    return bounded_key_sum(
+    return keyed_combine(
         per_cluster.map_batches(hist_partial, batch_format="pyarrow"),
-        ["cluster_size"], ["n_clusters"],
+        pa.schema([("cluster_size", pa.int64()), ("n_clusters", pa.int64())]),
+        [("n_clusters", "sum")], max_keys=BOUNDED_MAX_KEYS,
     )
 
 
-def dup_gram_coverage(docs_ds, n: int = 7,
-                      num_partitions: int | None = None):
+def dup_gram_coverage(docs_ds, n: int = 7):
     """Per-doc duplicated-n-gram coverage (RefinedWeb/Gopher-family
     CROSS-doc repetition signal): of a doc's DISTINCT n-token grams,
     how many occur in at least one OTHER doc — (doc_id, n_grams,
@@ -880,30 +822,16 @@ def dup_gram_coverage(docs_ds, n: int = 7,
     per-doc quality-cut number.
 
     Shape: per-batch explode to DISTINCT (gram-hash128, doc_id) rows;
-    ONE gram-partitioned pass where local df IS global df (each gram
-    lives in exactly one partition) flags dup grams; one doc-partitioned
-    sum combine rolls up per-doc counts. ppm via integer floor-div on
+    ONE exchange on the gram hash, after which local df IS global df
+    (each gram lives in exactly one block), flags dup grams; one
+    doc-keyed sum combine rolls up per-doc counts. ppm via integer floor-div on
     both sides — no float in the hash."""
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import partitioned_key_sum
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def explode(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "hi": pa.array([], pa.int64()),
-                "lo": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int32()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
-        his, los, ids, parts = [], [], [], []
+        his, los, ids = [], [], []
         from autoner_ray.stages.decontam import (
             _doc_grams,
             _gram_hash128,
@@ -919,28 +847,21 @@ def dup_gram_coverage(docs_ds, n: int = 7,
             his.extend(hi.view(np.int64).tolist())
             los.extend(lo.view(np.int64).tolist())
             ids.extend([did] * len(grams))
-            parts.extend(
-                (hi % np.uint64(num_partitions)).astype(np.int32).tolist()
-            )
         return pa.table(
             {
                 "hi": pa.array(his, pa.int64()),
                 "lo": pa.array(los, pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
-                "part": pa.array(parts, pa.int32()),
             }
         )
 
+    counts = pa.schema(
+        [("doc_id", pa.int64()), ("n_grams", pa.int64()),
+         ("n_dup", pa.int64())]
+    )
+
     def flag_dups(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "doc_id" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "n_grams": pd.Series(dtype="int64"),
-                    "n_dup": pd.Series(dtype="int64"),
-                }
-            )
-        # partitioning is by gram hash -> local df IS global df
+        # the exchange is by gram hash -> local df IS global df
         dup = df.groupby(["hi", "lo"])["doc_id"].transform("size") >= 2
         agg = (
             pd.DataFrame({"doc_id": df["doc_id"], "dup": dup.astype(np.int64)})
@@ -950,26 +871,15 @@ def dup_gram_coverage(docs_ds, n: int = 7,
         )
         return agg
 
-    per_doc = partitioned_key_sum(
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(flag_dups, batch_format="pandas"),
-        ["doc_id"], ["n_grams", "n_dup"], part_on=("doc_id",),
-        num_partitions=num_partitions,
+    per_doc = keyed_combine(
+        exchange(
+            docs_ds.map_batches(explode, batch_format="pyarrow"), "hi",
+            flag_dups, counts, batch_format="pandas",
+        ),
+        counts, [("n_grams", "sum"), ("n_dup", "sum")],
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or "n_grams" not in (
-            t.column_names
-        ):
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_grams": pa.array([], pa.int64()),
-                    "n_dup": pa.array([], pa.int64()),
-                    "dup_ppm": pa.array([], pa.int64()),
-                }
-            )
         g = t["n_grams"].to_numpy(zero_copy_only=False)
         d = t["n_dup"].to_numpy(zero_copy_only=False)
         return pa.table(
@@ -1041,8 +951,7 @@ def _chunk_rows(batch: pa.Table, w: int) -> pa.Table:
     )
 
 
-def paragraph_dedup(docs_ds, words_per_chunk: int = 16,
-                    num_partitions: int | None = None):
+def paragraph_dedup(docs_ds, words_per_chunk: int = 16):
     """Cross-document chunk-level exact dedup with in-order reassembly
     (the RefinedWeb / MassiveText "repeated passage removal" shape —
     Penedo et al. 2023 do it on lines; the fixture corpus is single-line
@@ -1056,10 +965,10 @@ def paragraph_dedup(docs_ds, words_per_chunk: int = 16,
 
     Returns (doc_id, text, n_chunks, n_kept).
 
-    Scale shape: two hash shuffles and nothing on the driver.
-    (1) explode -> partition by md5(chunk) -> per-partition pandas
-    first-wins (all rows of one hash land together); (2) partition the
-    SURVIVING chunks by doc_id -> per-partition in-order string join.
+    Scale shape: two exchanges and nothing on the driver.
+    (1) explode -> sort on md5(chunk) -> per-block pandas first-wins
+    (all rows of one hash land together); (2) exchange the SURVIVING
+    chunks on doc_id -> per-block in-order string join.
     Chunk text crosses both shuffles once each; at 100 TB the dedup
     shuffle could instead move (h, doc_id, cidx) only and anti-join the
     loser keys back (the neardup_keep_one broadcast pattern) — chosen
@@ -1067,52 +976,19 @@ def paragraph_dedup(docs_ds, words_per_chunk: int = 16,
     are high, while this version's volume is bounded by the input."""
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import exchange
 
-    P = num_partitions or default_num_partitions()
-
-    def add_hash_part(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return t
-        part = [int(h[:15], 16) % P for h in t["h"].to_pylist()]
-        return t.append_column("part", pa.array(part, pa.int32()))
+    def chunk_hash(t: pa.Table) -> pa.Table:
+        h64 = np.array([int(h[:16], 16) for h in t["h"].to_pylist()],
+                       np.uint64)
+        return t.append_column("h64", pa.array(h64.view(np.int64)))
 
     def first_wins(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "cidx": pd.Series(dtype="int64"),
-                    "ctext": pd.Series(dtype="object"),
-                    "n_chunks": pd.Series(dtype="int64"),
-                }
-            )
         df = df.sort_values(["h", "doc_id", "cidx"], kind="stable")
         keep = df.drop_duplicates("h", keep="first")
         return keep[["doc_id", "cidx", "ctext", "n_chunks"]]
 
-    def add_doc_part(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return t
-        z = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        z = z + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return t.append_column(
-            "part", pa.array((z % np.uint64(P)).astype(np.int32))
-        )
-
     def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "text": pd.Series(dtype="object"),
-                    "n_chunks": pd.Series(dtype="int64"),
-                    "n_kept": pd.Series(dtype="int64"),
-                }
-            )
         df = df.sort_values(["doc_id", "cidx"], kind="stable")
         g = df.groupby("doc_id", sort=False)
         out = g.agg(
@@ -1122,19 +998,21 @@ def paragraph_dedup(docs_ds, words_per_chunk: int = 16,
         ).reset_index()
         return out[["doc_id", "text", "n_chunks", "n_kept"]]
 
-    kept = (
+    kept = exchange(
         docs_ds.map_batches(
-            lambda t: _chunk_rows(t, words_per_chunk),
+            lambda t: chunk_hash(_chunk_rows(t, words_per_chunk)),
             batch_format="pyarrow",
-        )
-        .map_batches(add_hash_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(first_wins, batch_format="pandas")
+        ),
+        "h64", first_wins,
+        pa.schema([("doc_id", pa.int64()), ("cidx", pa.int64()),
+                   ("ctext", pa.string()), ("n_chunks", pa.int64())]),
+        batch_format="pandas",
     )
-    return (
-        kept.map_batches(add_doc_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(reassemble, batch_format="pandas")
+    return exchange(
+        kept, ("doc_id",), reassemble,
+        pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
+                   ("n_chunks", pa.int64()), ("n_kept", pa.int64())]),
+        batch_format="pandas",
     )
 
 
@@ -1183,7 +1061,6 @@ def neardup_keep_best(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    num_partitions: int | None = None,
     driver_cc_max_pairs: int = 2_000_000,
     pair_source: str = "exact",
 ):
@@ -1217,8 +1094,7 @@ def neardup_keep_best(
 
     if pair_source == "exact":
         pairs = ngram_jaccard_exact_pairs(
-            docs_ds, threshold=threshold, k=k,
-            num_partitions=num_partitions,
+            docs_ds, threshold=threshold, k=k
         ).materialize()
     elif pair_source == "lsh":
         pairs = ngram_jaccard_pairs(
@@ -1230,8 +1106,6 @@ def neardup_keep_best(
     _nw_schema = pa.schema([("src", pa.int64()), ("n_words", pa.int64())])
 
     def nwords_batch(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _nw_schema.empty_table()
         return pa.table(
             {
                 "src": t["doc_id"],
@@ -1271,8 +1145,6 @@ def neardup_keep_best(
                     self.members = ray.get(member_arr)
 
                 def __call__(self, t: pa.Table) -> pa.Table:
-                    if t.num_columns == 0 or len(t) == 0:
-                        return _nw_schema.empty_table()
                     hit = t.filter(
                         pc.is_in(t["doc_id"], value_set=self.members)
                     )
@@ -1299,44 +1171,29 @@ def neardup_keep_best(
         )
         from autoner_ray.stages.joins import cogroup_join
 
-        _edge_schema = pa.schema([("subj", pa.int64()), ("obj", pa.int64())])
-
         def pairs_to_edges(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _edge_schema.empty_table()
             return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
 
         labels = connected_components_distributed(
             pairs.map_batches(pairs_to_edges, batch_format="pyarrow"),
-            num_partitions=num_partitions, as_dataset=True,
+            as_dataset=True,
         )
         nwords = docs_ds.map_batches(nwords_batch, batch_format="pyarrow")
         # members: (src, label, n_words) — duplicate-fraction-sized
-        members = cogroup_join(
-            labels, nwords, on=("src",), num_partitions=num_partitions
-        ).materialize()
+        members = cogroup_join(labels, nwords, on=("src",)).materialize()
         _ln_schema = pa.schema([("label", pa.int64()),
                                 ("n_words", pa.int64())])
-
         def label_words(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _ln_schema.empty_table()
-            return pa.table(
-                {"label": t["label"], "n_words": t["n_words"]},
-                schema=_ln_schema,
-            )
+            return t.select(["label", "n_words"])
 
         mx = keyed_combine(
             members.map_batches(label_words, batch_format="pyarrow"),
-            keys=["label"], aggs=[("n_words", "max")],
-            part_on=("label",), num_partitions=num_partitions,
+            _ln_schema, [("n_words", "max")],
         )
         _mx_schema = pa.schema([("label", pa.int64()),
                                 ("max_nw", pa.int64())])
 
         def as_max(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _mx_schema.empty_table()
             return pa.table(
                 {"label": t["label"], "max_nw": t["n_words"]},
                 schema=_mx_schema,
@@ -1346,8 +1203,6 @@ def neardup_keep_best(
                                   ("src", pa.int64())])
 
         def cands_batch(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _cand_schema.empty_table()
             keep = pc.equal(t["n_words"], t["max_nw"])
             return pa.table(
                 {
@@ -1359,28 +1214,19 @@ def neardup_keep_best(
 
         cands = cogroup_join(
             members, mx.map_batches(as_max, batch_format="pyarrow"),
-            on=("label",), num_partitions=num_partitions,
+            on=("label",),
         ).map_batches(cands_batch, batch_format="pyarrow")
-        winners = keyed_combine(
-            cands, keys=["label"], aggs=[("src", "min")],
-            part_on=("label",), num_partitions=num_partitions,
-        )
+        winners = keyed_combine(cands, _cand_schema, [("src", "min")])
         _win_schema = pa.schema([("label", pa.int64()),
                                  ("win", pa.int64())])
 
         def as_win(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _win_schema.empty_table()
             return pa.table(
                 {"label": t["label"], "win": t["src"]},
                 schema=_win_schema,
             )
 
-        _loser_schema = pa.schema([("doc_id", pa.int64())])
-
         def losers_batch(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _loser_schema.empty_table()
             keep = pc.invert(pc.equal(t["src"], t["win"]))
             return pa.table({"doc_id": t["src"].filter(keep)})
 
@@ -1388,7 +1234,7 @@ def neardup_keep_best(
             cogroup_join(
                 members.select_columns(["src", "label"]),
                 winners.map_batches(as_win, batch_format="pyarrow"),
-                on=("label",), num_partitions=num_partitions,
+                on=("label",),
             )
             .map_batches(losers_batch, batch_format="pyarrow")
             .to_pandas()["doc_id"]
@@ -1408,8 +1254,7 @@ def neardup_keep_best(
     )
 
 
-def substring_dedup_census(docs_ds, chunk_len: int = 40,
-                           num_partitions: int | None = None):
+def substring_dedup_census(docs_ds, chunk_len: int = 40):
     """EXACT chunked substring dedup census — the Lee-et-al-2022
     ("Deduplicating Training Data Makes Language Models Better")
     semantics at chunk granularity: split every doc into non-overlapping
@@ -1423,13 +1268,13 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
 
     Scale shape: chunk rows carry a PACKED occurrence key
     ``doc_id * 2^20 + idx`` (idx < 2^20 = 40 MB docs at the default
-    chunk_len; at web scale bump the shift); ONE hash shuffle on the
+    chunk_len; at web scale bump the shift); ONE exchange on the
     chunk content co-locates all occurrences of a chunk, the
-    per-partition pandas pass marks losers (packed key != group min)
+    per-block pandas pass marks losers (packed key != group min)
     and pre-reduces to per-doc partials, and the per-doc rollup is the
     hash-partitioned :func:`combine.keyed_combine` — no
     driver-side state anywhere, no chunk ever compared across
-    partitions (equal chunks hash equal). The suffix-array full
+    blocks (equal chunks hash equal). The suffix-array full
     generality (duplicated spans at ARBITRARY offsets) trades recall
     for this operator's exactness-at-chunk-alignment; winnowing
     fingerprints (``analysis``) cover the unaligned case
@@ -1437,20 +1282,9 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
     """
     import pandas as pd
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import keyed_combine
-    from autoner_ray.stages.joins import _stable_part_col
-
-    P = num_partitions or default_num_partitions()
-    _c_schema = pa.schema(
-        [("chunk", pa.string()), ("packed", pa.int64()),
-         ("doc_id", pa.int64()), ("chars", pa.int64()),
-         ("part", pa.int32())]
-    )
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def chunk_rows(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _c_schema.empty_table()
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         texts = t["text"].to_pylist()
         c_chunk, c_packed, c_doc, c_chars = [], [], [], []
@@ -1463,7 +1297,7 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
                 c_packed.append(base + i)
                 c_doc.append(int(did))
                 c_chars.append(len(text))
-        out = pa.table(
+        return pa.table(
             {
                 "chunk": pa.array(c_chunk, pa.string()),
                 "packed": pa.array(c_packed, pa.int64()),
@@ -1471,12 +1305,14 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
                 "chars": pa.array(c_chars, pa.int64()),
             }
         )
-        return out.append_column(
-            "part", _stable_part_col(out, ("chunk",), P)
-        )
+
+    per_doc = pa.schema(
+        [("doc_id", pa.int64()), ("n_chunks", pa.int64()),
+         ("n_removed", pa.int64()), ("chars_before", pa.int64())]
+    )
 
     def mark_losers(df: pd.DataFrame) -> pd.DataFrame:
-        # all occurrences of a chunk are in this partition; loser =
+        # all occurrences of a chunk are in this block; loser =
         # packed key above the group min. Pre-reduce straight to
         # per-doc partials so the shuffle out is doc-sized, not
         # chunk-sized.
@@ -1496,18 +1332,13 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
         )
         return g
 
-    partials = (
-        docs_ds.map_batches(chunk_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(mark_losers, batch_format="pandas")
+    partials = exchange(
+        docs_ds.map_batches(chunk_rows, batch_format="pyarrow"), ("chunk",),
+        mark_losers, per_doc, batch_format="pandas",
     )
     rolled = keyed_combine(
-        partials,
-        keys=["doc_id"],
-        aggs=[("n_chunks", "sum"), ("n_removed", "sum"),
-              ("chars_before", "max")],
-        part_on=("doc_id",),
-        num_partitions=P,
+        partials, per_doc,
+        [("n_chunks", "sum"), ("n_removed", "sum"), ("chars_before", "max")],
     )
 
     _o_schema = pa.schema(
@@ -1519,8 +1350,6 @@ def substring_dedup_census(docs_ds, chunk_len: int = 40,
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if t.num_columns == 0 or len(t) == 0:
-            return _o_schema.empty_table()
         after = pc.subtract(
             t["chars_before"],
             pc.multiply(t["n_removed"], pa.scalar(chunk_len, pa.int64())),

@@ -69,10 +69,24 @@ def parse_embedding_lines(
 
 def first_wins_dedup(emb_ds):
     """A6 as a distributed op: keep the min-row-index row per word."""
-    def keep_first(df):
-        return df.sort_values("row_idx", kind="mergesort").head(1)
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    return emb_ds.groupby("word").map_groups(keep_first, batch_format="pandas")
+    from autoner_ray.stages.combine import exchange
+
+    def keep_first(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("word", "ascending"), ("row_idx", "ascending")])
+        words = t["word"].combine_chunks()
+        first = pc.not_equal(words[1:], words[:-1]).to_numpy(
+            zero_copy_only=False
+        )
+        return t.filter(np.concatenate([[True], first]))
+
+    schema = emb_ds.schema()
+    return exchange(
+        emb_ds, ("word",), keep_first,
+        pa.schema(list(zip(schema.names, schema.types))),
+    )
 
 
 def corpus_vocab(tokens_ds):

@@ -36,16 +36,26 @@ def add_partition_batch(num_parts: int):
     return fn
 
 
-def _sort_shard(df):
-    return df.sort_values(["subj", "pred", "obj"], kind="mergesort")
+def _sort_shard(t: pa.Table) -> pa.Table:
+    return t.sort_by(
+        [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
+    )
 
 
 def materialize_graph(edges_ds, out_dir: str, num_parts: int = 16):
-    """edges -> sorted per-shard Parquet under ``out_dir/part=K/``."""
+    """edges -> sorted per-shard Parquet under ``out_dir/part=K/``.
+
+    The exchange on ``part`` brings each shard's rows into one block,
+    so each shard is one sorted file."""
+    from autoner_ray.schemas import EDGES
+    from autoner_ray.stages.combine import exchange
+
     ds = edges_ds.map_batches(
         add_partition_batch(num_parts), batch_format="pyarrow"
     )
-    ds = ds.groupby("part").map_groups(_sort_shard, batch_format="pandas")
+    ds = exchange(
+        ds, ("part",), _sort_shard, EDGES.append(pa.field("part", pa.int32()))
+    )
     ds.write_parquet(out_dir, partition_cols=["part"])
     return out_dir
 
@@ -54,16 +64,27 @@ def adjacency_lists(edges_ds):
     """edges -> (src, edges: list<struct<pred,dst,weight>>) rows."""
     import pandas as pd
 
-    def to_adj(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["pred", "obj"], kind="mergesort")
-        src = df["subj"].iloc[0]
-        edges = [
-            {"pred": p, "dst": o, "weight": int(w)}
-            for p, o, w in zip(df["pred"], df["obj"], df["weight"])
-        ]
-        return pd.DataFrame({"src": [src], "edges": [edges]})
+    from autoner_ray.stages.combine import exchange
 
-    return edges_ds.groupby("subj").map_groups(to_adj, batch_format="pandas")
+    def to_adj(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(["subj", "pred", "obj"], kind="mergesort")
+        srcs, lists = [], []
+        for src, g in df.groupby("subj", sort=False):
+            srcs.append(src)
+            lists.append([
+                {"pred": p, "dst": o, "weight": int(w)}
+                for p, o, w in zip(g["pred"], g["obj"], g["weight"])
+            ])
+        return pd.DataFrame({"src": srcs, "edges": lists})
+
+    edge = pa.struct(
+        [("pred", pa.string()), ("dst", pa.string()), ("weight", pa.int64())]
+    )
+    return exchange(
+        edges_ds, ("subj",), to_adj,
+        pa.schema([("src", pa.string()), ("edges", pa.list_(edge))]),
+        batch_format="pandas",
+    )
 
 
 def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
@@ -122,14 +143,12 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
     )
 
 
-def connected_components_distributed(edges_ds,
-                                     num_partitions: int | None = None,
-                                     max_iters: int = 50,
+def connected_components_distributed(edges_ds, max_iters: int = 50,
                                      as_dataset: bool = False):
     """Min-label propagation with the label table AS A DATASET (the
     unbounded-vocab variant of :func:`connected_components`): iterate
     ``label[v] = min(label[v], min over neighbors' label)`` via a hash
-    join + groupby-min until a fixpoint (checked with a distributed
+    join + keyed min until a fixpoint (checked with a distributed
     count of changed rows). Converges in O(component diameter)
     rounds.
 
@@ -139,14 +158,14 @@ def connected_components_distributed(edges_ds,
     driver materialization — the shape downstream dedup pipelines need.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Min
 
     from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import keyed_combine
+    from autoner_ray.stages.joins import cogroup_join
 
-    if num_partitions is None:
-        # task-based cogroup joins: 1x CPUs keeps per-iteration task
-        # count bounded without oversubscribing small graphs
-        num_partitions = default_num_partitions(multiplier=1)
+    # the label table's block-count bound: 1x CPUs keeps per-iteration
+    # task count bounded without oversubscribing small graphs
+    num_blocks = default_num_partitions(multiplier=1)
     schema = edges_ds.schema()
     node_type = schema.types[schema.names.index("subj")]
 
@@ -158,44 +177,30 @@ def connected_components_distributed(edges_ds,
             }
         )
 
-    from ray.data.aggregate import Count
-
     bidir = edges_ds.map_batches(expand, batch_format="pyarrow").materialize()
-    labels = (
-        bidir.groupby("src")
-        .aggregate(Count(alias_name="_n"))
-        .map_batches(
+    # every node starts as its own label
+    labels = keyed_combine(
+        bidir.map_batches(
             lambda t: pa.table({"src": t["src"], "label": t["src"]}),
             batch_format="pyarrow",
-        )
-        .materialize()
-    )
+        ),
+        pa.schema([("src", node_type), ("label", node_type)]),
+        [("label", "min")],
+    ).materialize()
+    _nl_schema = pa.schema([("src", node_type), ("nl", node_type)])
     n_changed = 0
     for _ in range(max_iters):
-        _nl_schema = pa.schema([("src", node_type), ("nl", node_type)])
-
         def neighbor_labels(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _nl_schema.empty_table()
             return pa.table({"src": t["dst"], "nl": t["label"]})
 
-        from autoner_ray.stages.joins import cogroup_join
-
-        neigh_min = (
-            cogroup_join(bidir, labels, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(neighbor_labels, batch_format="pyarrow")
-            .groupby("src")
-            .aggregate(Min("nl", alias_name="nl"))
-        )
-        _merged_schema = pa.schema(
-            [("src", node_type), ("label", node_type),
-             ("changed", pa.int64())]
+        neigh_min = keyed_combine(
+            cogroup_join(bidir, labels, on=("src",)).map_batches(
+                neighbor_labels, batch_format="pyarrow"
+            ),
+            _nl_schema, [("nl", "min")],
         )
 
         def merge_labels(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _merged_schema.empty_table()
             return pa.table(
                 {
                     "src": t["src"],
@@ -207,18 +212,17 @@ def connected_components_distributed(edges_ds,
             )
 
         merged = (
-            cogroup_join(labels, neigh_min, on=("src",),
-                         num_partitions=num_partitions)
+            cogroup_join(labels, neigh_min, on=("src",))
             .map_batches(merge_labels, batch_format="pyarrow")
             .materialize()
         )
         n_changed = merged.sum("changed")
-        # coalesce: the groupby shuffle PRESERVES input block count, so
-        # a fed-back label table would double its blocks every round
+        # coalesce: the exchange PRESERVES input block count, so a
+        # fed-back label table would double its blocks every round
         # (16 -> 48 -> 112 -> ... — superlinear wall time); bound it
         labels = (
             merged.select_columns(["src", "label"])
-            .repartition(num_partitions)
+            .repartition(num_blocks)
             .materialize()
         )
         if not n_changed:
@@ -246,11 +250,10 @@ def connected_components_distributed(edges_ds,
     )
 
 
-def bfs_distances(edges_ds, source=None, max_depth: int = 32,
-                  num_partitions: int | None = None):
+def bfs_distances(edges_ds, source=None, max_depth: int = 32):
     """Single-source shortest-path (hop) distances on the undirected
     entity graph — min-DISTANCE propagation with the dist table as a
-    Dataset, the same join+groupby-min fixpoint loop as
+    Dataset, the same join + keyed-min fixpoint loop as
     :func:`connected_components_distributed` with ``label`` replaced by
     ``dist`` and the neighbor update ``min(dist)+1``. Converges in
     O(eccentricity) rounds; ``max_depth`` bounds both the iteration
@@ -262,13 +265,12 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
     at any parallelism, no driver scan of the node set.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Min
 
     from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.joins import cogroup_join
 
-    if num_partitions is None:
-        num_partitions = default_num_partitions(multiplier=1)
+    num_blocks = default_num_partitions(multiplier=1)
     schema = edges_ds.schema()
     node_type = schema.types[schema.names.index("subj")]
     if not isinstance(node_type, pa.DataType):
@@ -287,7 +289,6 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
         )
 
     bidir = edges_ds.map_batches(expand, batch_format="pyarrow").materialize()
-    universe = bidir.groupby("src").aggregate(Count(alias_name="_n"))
     if source is None:
         source = bidir.min("src")
     seed_arr = pa.array([source], node_type)
@@ -300,15 +301,15 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
         )
         return pa.table({"src": t["src"], "dist": d})
 
-    dist = (
-        universe.map_batches(init_dist, batch_format="pyarrow")
-        .materialize()
-    )
+    # one row per node: its initial distance
+    dist = keyed_combine(
+        bidir.map_batches(init_dist, batch_format="pyarrow"),
+        pa.schema([("src", node_type), ("dist", pa.int64())]),
+        [("dist", "min")],
+    ).materialize()
     _nd_schema = pa.schema([("src", node_type), ("nd", pa.int64())])
 
     def neighbor_dists(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _nd_schema.empty_table()
         # neighbor's dist + 1, clipped at the sentinel so unreached
         # frontiers don't overflow past it
         nd = pc.min_element_wise(
@@ -316,13 +317,7 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
         )
         return pa.table({"src": t["dst"], "nd": nd})
 
-    _merged_schema = pa.schema(
-        [("src", node_type), ("dist", pa.int64()), ("changed", pa.int64())]
-    )
-
     def merge_dists(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _merged_schema.empty_table()
         # LEFT-OUTER merge: a node with a null nd this round keeps its
         # dist rather than eroding out of the table
         nd = pc.fill_null(t["nd"], sentinel)
@@ -335,16 +330,14 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
         )
 
     for _ in range(max_depth):
-        neigh_min = (
-            cogroup_join(bidir, dist, on=("src",),
-                         num_partitions=num_partitions)
-            .map_batches(neighbor_dists, batch_format="pyarrow")
-            .groupby("src")
-            .aggregate(Min("nd", alias_name="nd"))
+        neigh_min = keyed_combine(
+            cogroup_join(bidir, dist, on=("src",)).map_batches(
+                neighbor_dists, batch_format="pyarrow"
+            ),
+            _nd_schema, [("nd", "min")],
         )
         merged = (
             cogroup_join(dist, neigh_min, on=("src",),
-                         num_partitions=num_partitions,
                          join_type="left outer")
             .map_batches(merge_dists, batch_format="pyarrow")
             .materialize()
@@ -353,17 +346,13 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32,
         # same block-count coalesce as connected_components_distributed
         dist = (
             merged.select_columns(["src", "dist"])
-            .repartition(num_partitions)
+            .repartition(num_blocks)
             .materialize()
         )
         if not n_changed:
             break
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("entity", node_type), ("dist", pa.int64())]
-            ).empty_table()
         keep = pc.less_equal(t["dist"], max_depth)
         return pa.table(
             {
@@ -407,7 +396,7 @@ def connected_components(edges_ds):
     )
 
 
-def triangle_counts(edges_ds, num_partitions: int | None = None):
+def triangle_counts(edges_ds):
     """Per-entity triangle participation counts over the undirected
     co-occurrence graph (edges as unique ``subj < obj`` string pairs).
 
@@ -422,10 +411,10 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
     vocabulary is DICTIONARY-BOUNDED, SURVEY §9 — same justification as
     :func:`pagerank`), and the (degree, entity)-rank map is broadcast
     ONCE via ``ray.put``. The corpus-scale work — wedge generation and
-    wedge-closure semi-join — is two content-hash shuffles: one on the
-    wedge CENTER to group out-adjacency, one on the wedge ENDPOINT pair
+    wedge-closure semi-join — is two exchanges: one on the wedge CENTER
+    to group out-adjacency, one on the hash of the wedge ENDPOINT pair
     to co-locate each wedge with the single oriented edge that can
-    close it. Per-corner counts leave each partition pre-aggregated.
+    close it. Per-corner counts leave each block pre-aggregated.
 
     Returns (entity, triangles) for entities in >=1 triangle.
     """
@@ -433,16 +422,15 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
     import pandas as pd
     import ray
 
-    from autoner_ray.cluster import default_num_partitions
-    from autoner_ray.stages.combine import bounded_key_sum
-
-    P = num_partitions or default_num_partitions()
+    from autoner_ray.stages.combine import (
+        BOUNDED_MAX_KEYS,
+        exchange,
+        keyed_combine,
+        splitmix64,
+    )
 
     # 1) degree per entity: per-batch partials -> bounded combine
     def deg_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"entity": pa.array([], pa.string()),
-                             "deg": pa.array([], pa.int64())})
         ents = pa.concat_arrays(
             [pc.cast(t["subj"], pa.string()).combine_chunks(),
              pc.cast(t["obj"], pa.string()).combine_chunks()]
@@ -451,11 +439,12 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
         return pa.table({"entity": vc.field("values"),
                          "deg": pc.cast(vc.field("counts"), pa.int64())})
 
-    deg = bounded_key_sum(
+    deg = keyed_combine(
         edges_ds.select_columns(["subj", "obj"]).map_batches(
             deg_partial, batch_format="pyarrow"
         ),
-        ["entity"], ["deg"],
+        pa.schema([("entity", pa.string()), ("deg", pa.int64())]),
+        [("deg", "sum")], max_keys=BOUNDED_MAX_KEYS,
     ).to_pandas()  # vocab-bounded (same collect the pagerank tail does)
     if len(deg) == 0:
         return pa.table({"entity": pa.array([], pa.string()),
@@ -465,22 +454,20 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
     rank_ref = ray.put({e: i for i, e in enumerate(ents)})
     ents_ref = ray.put(np.array(ents, dtype=object))
 
-    _MIX = 2654435761  # Knuth multiplicative mix for dense-id balance
+    def pair_hash(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # a 64-bit hash of the (v, w) endpoint pair, as int64
+        z = splitmix64(v.astype(np.uint64)) ^ w.astype(np.uint64)
+        return splitmix64(z).view(np.int64)
 
-    # 2) orient edges lower-rank -> higher-rank; partition by center
+    # 2) orient edges lower-rank -> higher-rank
     def orient(t: pa.Table) -> pa.Table:
         rank = ray.get(rank_ref)
         s = pd.Series(t["subj"].to_pylist()).map(rank).to_numpy(np.int64)
         o = pd.Series(t["obj"].to_pylist()).map(rank).to_numpy(np.int64)
-        lo = np.minimum(s, o)
-        hi = np.maximum(s, o)
         return pa.table(
             {
-                "lo": pa.array(lo, pa.int64()),
-                "hi": pa.array(hi, pa.int64()),
-                "cpart": pa.array((lo * _MIX) % P, pa.int32()),
-                "epart": pa.array(((lo * _MIX + hi) * _MIX) % P,
-                                  pa.int32()),
+                "lo": pa.array(np.minimum(s, o), pa.int64()),
+                "hi": pa.array(np.maximum(s, o), pa.int64()),
             }
         )
 
@@ -488,19 +475,13 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
         orient, batch_format="pyarrow"
     )
 
-    _wedge_schema = pd.DataFrame(
-        {
-            "v": pd.Series([], dtype="int64"),
-            "w": pd.Series([], dtype="int64"),
-            "u": pd.Series([], dtype="int64"),
-            "epart": pd.Series([], dtype="int32"),
-        }
+    wedge_schema = pa.schema(
+        [("v", pa.int64()), ("w", pa.int64()), ("u", pa.int64()),
+         ("eh", pa.int64())]
     )
 
     # 3) wedges: per center u, all out-neighbor pairs (v < w by rank)
-    def wedges_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "lo" not in df.columns:
-            return _wedge_schema
+    def wedges_in_partition(df: pd.DataFrame) -> pa.Table:
         vs, ws, us = [], [], []
         for u, g in df.groupby("lo"):
             nb = np.unique(g["hi"].to_numpy(np.int64))
@@ -512,56 +493,39 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
             ws.append(nb[j])
             us.append(np.full(len(i), u, dtype=np.int64))
         if not vs:
-            return _wedge_schema
+            return wedge_schema.empty_table()
         v = np.concatenate(vs)
         w = np.concatenate(ws)
         u = np.concatenate(us)
-        return pd.DataFrame(
-            {
-                "v": v, "w": w, "u": u,
-                "epart": ((v * _MIX + w) * _MIX % P).astype("int32"),
-            }
+        return pa.table(
+            [v, w, u, pair_hash(v, w)], schema=wedge_schema
         )
 
-    wedges = oriented.groupby("cpart").map_groups(
-        wedges_in_partition, batch_format="pandas"
+    wedges = exchange(
+        oriented, ("lo",), wedges_in_partition, wedge_schema,
+        batch_format="pandas",
     )
 
-    # pandas blocks to match the wedge side (union requires one type)
-    def edge_keys(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "lo" not in df.columns:
-            return _wedge_schema
-        return pd.DataFrame(
-            {
-                "v": df["lo"].to_numpy(np.int64),
-                "w": df["hi"].to_numpy(np.int64),
-                "u": np.full(len(df), -1, dtype=np.int64),
-                "epart": df["epart"].to_numpy(np.int32),
-            }
+    def edge_keys(t: pa.Table) -> pa.Table:
+        v = t["lo"].to_numpy(zero_copy_only=False)
+        w = t["hi"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            [v, w, np.full(len(v), -1, np.int64), pair_hash(v, w)],
+            schema=wedge_schema,
         )
 
-    edge_side = oriented.map_batches(edge_keys, batch_format="pandas")
-
-    _count_schema = pd.DataFrame(
-        {
-            "entity": pd.Series([], dtype="object"),
-            "triangles": pd.Series([], dtype="int64"),
-        }
+    edge_side = oriented.map_batches(edge_keys, batch_format="pyarrow")
+    count_schema = pa.schema(
+        [("entity", pa.string()), ("triangles", pa.int64())]
     )
 
-    # 4) close wedges against the oriented edge in the same partition;
+    # 4) close wedges against the oriented edge in the same block;
     #    per-corner counts leave pre-aggregated and entity-named
     def close_in_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "v" not in df.columns:
-            return _count_schema
         is_edge = df["u"] < 0
         ek = df.loc[is_edge, ["v", "w"]]
         wd = df.loc[~is_edge]
-        if ek.empty or wd.empty:
-            return _count_schema
         closed = wd.merge(ek, on=["v", "w"], how="inner")
-        if closed.empty:
-            return _count_schema
         ids = np.concatenate(
             [closed["u"].to_numpy(np.int64),
              closed["v"].to_numpy(np.int64),
@@ -573,10 +537,14 @@ def triangle_counts(edges_ds, num_partitions: int | None = None):
             {"entity": names, "triangles": cnt.astype("int64")}
         )
 
-    partials = wedges.union(edge_side).groupby("epart").map_groups(
-        close_in_partition, batch_format="pandas"
+    partials = exchange(
+        wedges.union(edge_side), "eh", close_in_partition, count_schema,
+        batch_format="pandas",
     )
-    return bounded_key_sum(partials, ["entity"], ["triangles"])
+    return keyed_combine(
+        partials, count_schema, [("triangles", "sum")],
+        max_keys=BOUNDED_MAX_KEYS,
+    )
 
 
 def degree_distribution(edges_ds):
@@ -590,16 +558,9 @@ def degree_distribution(edges_ds):
     unbounded entity keyset (nothing vocab-sized in one block); degree
     values are bounded (≤ max degree ≪ |V|), so the histogram tail is
     the shuffle-free two-level combine."""
-    from autoner_ray.stages.combine import bounded_key_sum, partitioned_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     def expand(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "entity": pa.array([], pa.string()),
-                    "one": pa.array([], pa.int64()),
-                }
-            )
         ents = pa.concat_arrays(
             [
                 t["subj"].combine_chunks().cast(pa.string()),
@@ -613,21 +574,15 @@ def degree_distribution(edges_ds):
         )
         return agg.rename_columns(["entity", "one"])
 
-    deg = partitioned_key_sum(
+    deg = keyed_combine(
         edges_ds.map_batches(
             expand, batch_format="pyarrow", batch_size=65536
         ),
-        ["entity"], ["one"], part_on=("entity",),
+        pa.schema([("entity", pa.string()), ("one", pa.int64())]),
+        [("one", "sum")],
     )
 
     def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "degree": pa.array([], pa.int64()),
-                    "n_entities": pa.array([], pa.int64()),
-                }
-            )
         agg = (
             t.select(["one"])
             .rename_columns(["degree"])
@@ -636,9 +591,10 @@ def degree_distribution(edges_ds):
         )
         return agg.rename_columns(["degree", "n_entities"])
 
-    return bounded_key_sum(
+    return keyed_combine(
         deg.map_batches(hist_partial, batch_format="pyarrow"),
-        ["degree"], ["n_entities"],
+        pa.schema([("degree", pa.int64()), ("n_entities", pa.int64())]),
+        [("n_entities", "sum")], max_keys=BOUNDED_MAX_KEYS,
     )
 
 
@@ -654,29 +610,15 @@ def adamic_adar(edges_ds):
     has deg >= 2, so ln > 0).
 
     Scale shape: degrees via the key-distributed combine, joined back
-    to the bidirectional edge list partition-locally (edges and
-    degrees both partition on the center ``src``); each center emits
+    to the bidirectional edge list block-locally (one exchange on the
+    center ``src``); each center emits
     its neighbor pairs (quadratic in deg — cap/salt hub entities at
     web scale, same policy as the LSH hot buckets); pair scores then
     combine key-distributed on (a, b). Nothing vocab- or edge-sized on
     the driver."""
-    from autoner_ray.stages.combine import partitioned_key_sum
-    from autoner_ray.stages.joins import _stable_part_col
-    from autoner_ray.cluster import default_num_partitions
-
-    P = default_num_partitions()
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def expand_bidir(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "src": pa.array([], pa.string()),
-                "dst": pa.array([], pa.string()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty.append_column(
-                "__part", pa.array([], pa.int32())
-            )
         src = pa.concat_arrays(
             [
                 t["subj"].combine_chunks().cast(pa.string()),
@@ -689,12 +631,13 @@ def adamic_adar(edges_ds):
                 t["subj"].combine_chunks().cast(pa.string()),
             ]
         )
-        out = pa.table({"src": src, "dst": dst})
-        return out.append_column(
-            "__part", _stable_part_col(out, ("src",), P)
-        )
+        return pa.table({"src": src, "dst": dst})
 
     bidir = edges_ds.map_batches(expand_bidir, batch_format="pyarrow")
+    scores = pa.schema(
+        [("a", pa.string()), ("b", pa.string()), ("n_common", pa.int64()),
+         ("aa_micro", pa.int64())]
+    )
 
     def wedge_scores(df):
         import math
@@ -702,15 +645,6 @@ def adamic_adar(edges_ds):
         import numpy as np
         import pandas as pd
 
-        if len(df) == 0 or "src" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "a": pd.Series(dtype="string"),
-                    "b": pd.Series(dtype="string"),
-                    "n_common": pd.Series(dtype="int64"),
-                    "aa_micro": pd.Series(dtype="int64"),
-                }
-            )
         outs = []
         for _, g in df.groupby("src", sort=False):
             nb = np.sort(g["dst"].to_numpy())
@@ -730,26 +664,20 @@ def adamic_adar(edges_ds):
                 )
             )
         if not outs:
-            return pd.DataFrame(
-                {
-                    "a": pd.Series(dtype="string"),
-                    "b": pd.Series(dtype="string"),
-                    "n_common": pd.Series(dtype="int64"),
-                    "aa_micro": pd.Series(dtype="int64"),
-                }
-            )
+            return scores.empty_table()
         out = pd.concat(outs, ignore_index=True)
         return out.groupby(["a", "b"], as_index=False, sort=False).sum()
 
-    partials = bidir.groupby("__part").map_groups(
-        wedge_scores, batch_format="pandas"
+    partials = exchange(
+        bidir, ("src",), wedge_scores, scores, batch_format="pandas"
     )
-    return partitioned_key_sum(
-        partials, ["a", "b"], ["n_common", "aa_micro"], part_on=("a",)
+    return keyed_combine(
+        partials, scores, [("n_common", "sum"), ("aa_micro", "sum")],
+        part_on=("a",),
     )
 
 
-def c4_count(edges_ds, num_partitions: int | None = None):
+def c4_count(edges_ds):
     """Exact 4-cycle census of the undirected graph — the quadrilateral
     companion to :func:`triangle_counts` (C4 density separates
     bipartite-ish link farms from organic link structure): every
@@ -762,11 +690,11 @@ def c4_count(edges_ds, num_partitions: int | None = None):
     Scale shape: wedge enumeration per center node (the adamic-adar
     kernel shape) emits per-batch (u, v, n) partials; one
     pair-partitioned sum makes common-neighbor counts exact, and the
-    final combinatorial sum folds per partition before one tiny
-    driver add."""
+    final combinatorial sum folds per block before one tiny driver
+    add."""
     import numpy as np
 
-    from autoner_ray.stages.combine import partitioned_key_sum
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     schema = edges_ds.schema()
     node_type = schema.types[schema.names.index("subj")]
@@ -778,13 +706,9 @@ def c4_count(edges_ds, num_partitions: int | None = None):
     )
 
     # NOTE: wedge partials require the center's full adjacency in one
-    # batch — materialize one block per center partition first (the
-    # triangle/adamic-adar family contract: center-partitioned shuffle)
+    # block — the exchange on the center gives it (the
+    # triangle/adamic-adar family contract)
     def center_key(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("c", node_type), ("x", node_type)]
-            ).empty_table()
         return pa.table(
             {
                 "c": pa.chunked_array(t["subj"].chunks + t["obj"].chunks),
@@ -795,21 +719,23 @@ def c4_count(edges_ds, num_partitions: int | None = None):
     import pandas as pd
 
     def wedges_by_center(df: pd.DataFrame) -> pd.DataFrame:
-        xs = np.sort(np.unique(df["x"].to_numpy()))
-        if len(xs) < 2:
-            return pd.DataFrame({"u": [], "v": [], "n": []})
-        iu, iv = np.triu_indices(len(xs), k=1)
+        us, vs = [], []
+        for _, g in df.groupby("c"):
+            xs = np.unique(g["x"].to_numpy())
+            iu, iv = np.triu_indices(len(xs), k=1)
+            us.append(xs[iu])
+            vs.append(xs[iv])
+        u = np.concatenate(us)
         return pd.DataFrame(
-            {"u": xs[iu], "v": xs[iv],
-             "n": np.ones(len(iu), np.int64)}
+            {"u": u, "v": np.concatenate(vs), "n": np.ones(len(u), np.int64)}
         )
 
-    pair_counts = partitioned_key_sum(
-        edges_ds.map_batches(center_key, batch_format="pyarrow")
-        .groupby("c")
-        .map_groups(wedges_by_center, batch_format="pandas"),
-        keys=["u", "v"], sum_cols=["n"], part_on=("u",),
-        num_partitions=num_partitions,
+    pair_counts = keyed_combine(
+        exchange(
+            edges_ds.map_batches(center_key, batch_format="pyarrow"),
+            ("c",), wedges_by_center, _w_schema, batch_format="pandas",
+        ),
+        _w_schema, [("n", "sum")], part_on=("u",),
     )
 
     _p_schema = pa.schema(
@@ -817,10 +743,6 @@ def c4_count(edges_ds, num_partitions: int | None = None):
     )
 
     def fold(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0 or "n" not in (
-            t.schema.names
-        ):
-            return _p_schema.empty_table()
         c = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
@@ -832,19 +754,16 @@ def c4_count(edges_ds, num_partitions: int | None = None):
             schema=_p_schema,
         )
 
-    from ray.data.aggregate import Sum
-
-    tot = pair_counts.map_batches(
-        fold, batch_format="pyarrow"
-    ).aggregate(Sum("n_pairs", alias_name="n_pairs"),
-                Sum("quads2", alias_name="quads2"))
+    tot = pair_counts.map_batches(fold, batch_format="pyarrow").sum(
+        ["n_pairs", "quads2"]
+    ) or {}
     return pa.table(
         {
             "n_pairs_with_wedges": pa.array(
-                [int(tot["n_pairs"] or 0)], pa.int64()
+                [int(tot.get("sum(n_pairs)") or 0)], pa.int64()
             ),
             "n_c4": pa.array(
-                [int((tot["quads2"] or 0) // 2)], pa.int64()
+                [int((tot.get("sum(quads2)") or 0) // 2)], pa.int64()
             ),
         }
     )

@@ -7,96 +7,37 @@ produces a no-column empty table and the in-partition acero join raises
 sparse-key workloads (LSH candidate pairs, capped buckets, small
 fixtures) hit it constantly.
 
-:func:`cogroup_join` keeps the same physical shape — ONE hash shuffle on
-the key, vectorized acero join per partition — but routes through
-``groupby(part).map_groups`` with explicitly-constructed schemas, so an
-empty side inside a partition is an empty table WITH columns, never a
-schema-less one. Partition id is a content hash (md5) of the key
-columns: stable across runs and cluster layouts.
+:func:`cogroup_join` tags both sides' rows with their side, unions
+them, and runs the one exchange (:func:`autoner_ray.stages.combine.
+exchange`): a sort on the 64-bit hash of the key columns brings every
+row of a key, from both sides, into one block, and a vectorized acero
+join runs per block. The join declares its output schema, so a block
+holding one side only gives an empty table with the declared columns,
+never a schema-less one. The hash is content-derived (md5 or
+splitmix64), stable across runs and cluster layouts.
 
-Cost vs Dataset.join: identical shuffle volume; P python group calls
-(P = num_partitions, not per-key); both sides' columns travel in one
-unioned stream with nulls for the other side's fields.
+Cost vs Dataset.join: identical shuffle volume; one Python call per
+sorted block (one per input block), not per key; both sides' columns
+travel in one unioned stream with nulls for the other side's fields.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import pyarrow as pa
 
 _SIDE = "__cg_side"
-_PART = "__cg_part"
-
-
-def _stable_part_col(t: pa.Table, on: tuple[str, ...], P: int) -> pa.Array:
-    """Deterministic partition id per key row. Any function works as
-    long as BOTH join sides compute it identically — so the branch is on
-    the SCHEMA TYPE only, never on per-batch properties like null_count
-    (a nullable int key split across batches must land on the same
-    partition function everywhere). Single integer keys take a fully
-    vectorized splitmix64 with nulls mapped to a fixed sentinel (a null
-    key never matches in an inner join, so its partition only needs to
-    be deterministic); single string keys take the memoized md5 path
-    with the same ``str(None)`` image as the multi-key fallback;
-    multi-column keys take the md5 fallback loop."""
-    import numpy as np
-
-    if len(on) == 1:
-        col = t[on[0]]
-        if pa.types.is_integer(col.type):
-            if col.null_count:
-                # fixed sentinel: deterministic, type-stable, and
-                # collision with a real key only co-locates rows
-                col = col.fill_null(-(1 << 62) + 0x5EED)
-            z = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            z = z + np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-            return pa.array((z % np.uint64(P)).astype(np.int32))
-        if pa.types.is_string(col.type) or pa.types.is_large_string(
-            col.type
-        ):
-            # same value as the md5 fallback below for a single string
-            # key (md5(str(v)) == md5(v); nulls hash as str(None)), but
-            # memoized per worker — Zipfian key streams (words,
-            # entities) mostly hit the cache
-            from autoner_ray.functions.hashing import md5_64_array
-
-            vals = col.to_pylist()
-            if col.null_count:
-                vals = ["None" if v is None else v for v in vals]
-            hs = md5_64_array(vals)
-            return pa.array((hs % np.uint64(P)).astype(np.int32))
-    keys = [t[c].to_pylist() for c in on]
-    parts = [
-        int.from_bytes(
-            hashlib.md5(
-                "\x1f".join(str(v) for v in row).encode()
-            ).digest()[:8],
-            "big",
-        )
-        % P
-        for row in zip(*keys)
-    ]
-    return pa.array(parts, pa.int32())
 
 
 def cogroup_join(left, right, on: tuple[str, ...],
-                 num_partitions: int | None = None,
                  join_type: str = "inner"):
     """Join of two Datasets on ``on`` (shared column names), safe
     for sparse/empty key distributions. Non-key column names must be
     disjoint between the two sides. ``join_type`` is ``"inner"``
     (default) or ``"left outer"`` — left-outer preserves unmatched
-    LEFT rows with null right columns (both sides still hash-partition
-    on the key; a partition whose right side is empty emits the left
-    rows null-padded)."""
-    from autoner_ray.cluster import default_num_partitions
+    LEFT rows with null right columns (a block whose right side is
+    empty emits its left rows null-padded)."""
+    from autoner_ray.stages.combine import exchange
 
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     lschema = left.schema()  # ray.data Schema: .names + .types (pa types)
     rschema = right.schema()
     ltypes_all = dict(zip(lschema.names, lschema.types))
@@ -115,29 +56,23 @@ def cogroup_join(left, right, on: tuple[str, ...],
     )
     out_schema = pa.schema(out_fields)
 
-    def tag(side: int, own_cols, own_types, other_cols, other_types):
+    def tag(side: int, own_cols):
+        # both sides in the output's column order, so the union's
+        # blocks share one schema
         def fn(t: pa.Table) -> pa.Table:
             n = len(t)
-            cols: dict[str, object] = {}
-            for c in on:
-                cols[c] = t[c]
-            for c in own_cols:
-                cols[c] = t[c]
-            for c in other_cols:
-                cols[c] = pa.nulls(n, other_types[c])
-            cols[_SIDE] = pa.array([side] * n, pa.int8())
-            cols[_PART] = _stable_part_col(t, on, num_partitions)
-            return pa.table(cols)
+            cols = [
+                t[c] if c in on or c in own_cols else pa.nulls(n, ty)
+                for c, ty in out_fields
+            ]
+            cols.append(pa.array([side] * n, pa.int8()))
+            return pa.table(cols, names=out_schema.names + [_SIDE])
 
         return fn
 
     tagged = left.map_batches(
-        tag(0, lcols, ltypes, rcols, rtypes), batch_format="pyarrow"
-    ).union(
-        right.map_batches(
-            tag(1, rcols, rtypes, lcols, ltypes), batch_format="pyarrow"
-        )
-    )
+        tag(0, lcols), batch_format="pyarrow"
+    ).union(right.map_batches(tag(1, rcols), batch_format="pyarrow"))
 
     lt_schema = pa.schema(
         [(c, key_types[c]) for c in on] + [(c, ltypes[c]) for c in lcols]
@@ -163,6 +98,4 @@ def cogroup_join(left, right, on: tuple[str, ...],
             out_schema.names
         ).cast(out_schema)
 
-    return tagged.groupby(_PART).map_groups(
-        join_partition, batch_format="pyarrow"
-    )
+    return exchange(tagged, on, join_partition, out_schema)

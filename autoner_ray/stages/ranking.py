@@ -10,12 +10,12 @@ classic MPP two-pass does it without materializing the table anywhere:
    vectorized searchsorted); per-bucket EXACT counts roll up to the
    driver (B numbers) whose cumulative sums are the global offset of
    each bucket;
-3. one bucket-hash shuffle; each bucket sorts locally (it holds a
+3. one exchange on the bucket; each bucket sorts locally (it holds a
    contiguous global key range) and emits offset + local index as the
    exact global rank, then the pure function rank -> NTILE bucket.
 
 Rows with EQUAL order values always land in one bucket (searchsorted is
-value-deterministic), so ties are broken inside one partition by the
+value-deterministic), so ties are broken inside one block by the
 explicit tiebreak column — the composite (value, tiebreak) order is
 total and the result is a pure function of the input multiset.
 """
@@ -48,7 +48,7 @@ def exact_ntile(
     n_buckets: int = 10,
     descending: bool = True,
     samples_per_block: int = 64,
-    num_ranges: int | None = None,
+    num_ranges: int = 8,
 ):
     """(key, val) rows -> (key, val, rank, ntile) with EXACT global
     rank under (val desc|asc, key asc). ``key`` must be unique and
@@ -59,15 +59,13 @@ def exact_ntile(
     """
     import ray
 
-    from autoner_ray.cluster import default_num_partitions
+    from autoner_ray.stages.combine import exchange
 
-    B = num_ranges or default_num_partitions()
+    B = num_ranges
     sign = -1 if descending else 1
 
     # --- pass 1: deterministic evenly-spaced per-block samples -------
     def sample(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"v": pa.array([], pa.int64())})
         v = np.sort(sign * t[val_col].to_numpy(zero_copy_only=False))
         step = max(1, len(v) // samples_per_block)
         return pa.table({"v": pa.array(v[::step], pa.int64())})
@@ -96,14 +94,6 @@ def exact_ntile(
 
     # --- pass 2: bucket assign (materialized: reused by count + sort)
     def assign(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    key_col: pa.array([], pa.int64()),
-                    "__v": pa.array([], pa.int64()),
-                    "__rb": pa.array([], pa.int32()),
-                }
-            )
         v = sign * t[val_col].to_numpy(zero_copy_only=False).astype(
             np.int64
         )
@@ -123,9 +113,6 @@ def exact_ntile(
     ).materialize()
 
     def count_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"rb": pa.array([], pa.int32()),
-                             "n": pa.array([], pa.int64())})
         agg = t.select(["__rb"]).group_by("__rb").aggregate(
             [("__rb", "count")]
         )
@@ -145,21 +132,16 @@ def exact_ntile(
 
     # --- pass 3: per-range local sort -> exact global rank -> NTILE
     def rank_range(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                key_col: pd.Series([], dtype="int64"),
-                val_col: pd.Series([], dtype="int64"),
-                "rank": pd.Series([], dtype="int64"),
-                "ntile": pd.Series([], dtype="int64"),
-            }
-        )
-        if len(df) == 0 or "__v" not in df.columns:
-            return empty
         import ray as _ray
 
-        off = _ray.get(offsets_ref)[int(df["__rb"].iloc[0])]
-        df = df.sort_values(["__v", key_col], kind="mergesort")
-        rank = off + np.arange(1, len(df) + 1, dtype=np.int64)
+        df = df.sort_values(["__rb", "__v", key_col], kind="mergesort")
+        rb = df["__rb"].to_numpy(np.int64)
+        pos = np.arange(len(df), dtype=np.int64)
+        # each row's position within its range: rows since the range's
+        # first row in this sorted block
+        first = np.concatenate([[True], rb[1:] != rb[:-1]])
+        start = np.maximum.accumulate(np.where(first, pos, 0))
+        rank = _ray.get(offsets_ref)[rb] + pos - start + 1
         return pd.DataFrame(
             {
                 key_col: df[key_col].to_numpy(np.int64),
@@ -169,8 +151,11 @@ def exact_ntile(
             }
         )
 
-    return bucketed.groupby("__rb").map_groups(
-        rank_range, batch_format="pandas"
+    return exchange(
+        bucketed, ("__rb",), rank_range,
+        pa.schema([(key_col, pa.int64()), (val_col, pa.int64()),
+                   ("rank", pa.int64()), ("ntile", pa.int64())]),
+        batch_format="pandas",
     )
 
 
@@ -196,7 +181,7 @@ def gini_inequality(rows_ds, key_col: str, val_col: str):
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
+        if len(t) == 0:
             return pa.table(
                 {
                     "n_docs": pa.array([], pa.int64()),
@@ -215,7 +200,7 @@ def gini_inequality(rows_ds, key_col: str, val_col: str):
         )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
+        if len(t) == 0:
             return pa.table(
                 {
                     "n_docs": pa.array([], pa.int64()),

@@ -355,7 +355,7 @@ def consistent_hash_ring(docs_ds, n_nodes: int = 8, vnodes: int = 4):
     import numpy as np
 
     from autoner_ray.functions.hashing import md5_64, md5_64_array
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     def ring(n: int):
         pos, owner = [], []
@@ -377,8 +377,6 @@ def consistent_hash_ring(docs_ds, n_nodes: int = 8, vnodes: int = 4):
     )
 
     def assign(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _schema.empty_table()
         keys = md5_64_array(
             [str(i) for i in t["doc_id"].to_pylist()]
         )
@@ -409,11 +407,12 @@ def consistent_hash_ring(docs_ds, n_nodes: int = 8, vnodes: int = 4):
             schema=_schema,
         )
 
-    counts = bounded_key_sum(
+    counts = keyed_combine(
         docs_ds.select_columns(["doc_id"]).map_batches(
             assign, batch_format="pyarrow", batch_size=65536
         ),
-        keys=["node"], sum_cols=["n_docs_before", "n_docs_after"],
+        _schema, [("n_docs_before", "sum"), ("n_docs_after", "sum")],
+        max_keys=BOUNDED_MAX_KEYS,
     ).to_pandas().set_index("node")
     all_nodes = list(range(n_nodes + 1))
     return pa.table(

@@ -226,8 +226,6 @@ def eval_span_f1(sentences_ds, model_blob, core_lines, full_lines=(),
         concurrency=concurrency,
         num_cpus=1,
     )
-    import pandas as pd
-
     df = partials.to_pandas()  # one row per batch — tiny
     n_gold = int(df["n_gold"].sum())
     n_pred = int(df["n_pred"].sum())
@@ -306,8 +304,6 @@ class HybridPairs:
 def hybrid_triples(sentences_ds, model_blob, core_lines, full_lines=(),
                    stopword_lines=(), concurrency=None):
     """Edge weights over the dict+neural union mention stream."""
-    import ray
-
     from autoner_ray.stages.dict_match import cached_stage_fn
     from autoner_ray.stages.triples import aggregate_edges
 

@@ -19,8 +19,8 @@ Scale design (SURVEY.md §4):
   bounded tier sums the partials in ONE task when the caller declares a
   proven bound on distinct edges at or under ``BOUNDED_MAX_KEYS`` (the
   dictionary callers derive C(n, 2) from the dictionary's n canonical
-  surfaces); every other caller takes its partitioned tier, one hash
-  shuffle on ``subj``.
+  surfaces); every other caller takes its partitioned tier, the one
+  exchange on ``subj``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from autoner_ray.stages.combine import combine_table, keyed_combine
+from autoner_ray.schemas import EDGE_PARTIALS, EDGES
+from autoner_ray.stages.combine import keyed_combine
 
 PRED_COOCCUR = "cooccurs_with"
 
@@ -80,7 +81,6 @@ def pair_counts_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-_KEYS = ["subj", "pred", "obj"]
 # the edge weight, and the evidence pointer when the partials carry one
 _AGGS = [("w", "sum"), ("ev", "min")]
 _NAMES = {"w": "weight", "ev": "evidence"}
@@ -91,12 +91,12 @@ def edge_table(t: pa.Table) -> pa.Table:
     weight)``, plus ``evidence`` when the partials carry ``ev``. A
     zero-column block gives the schema'd empty edge table."""
     if t.num_columns == 0:
-        t = combine_table(t, _KEYS, _AGGS[:1])
+        return EDGES.empty_table()
     return t.rename_columns([_NAMES.get(c, c) for c in t.column_names])
 
 
-def aggregate_edges(pairs_ds, num_partitions: int | None = None,
-                    coalesce: bool = True, max_keys: int | None = None):
+def aggregate_edges(pairs_ds, coalesce: bool = True,
+                    max_keys: int | None = None):
     """Final edge weights from ``(subj, pred, obj, w)`` partials; with an
     ``ev`` column also the min evidence pointer per edge, as
     ``evidence``.
@@ -106,6 +106,6 @@ def aggregate_edges(pairs_ds, num_partitions: int | None = None,
     tier hashes on ``subj`` (every row of an edge shares its subj, so
     co-location holds). ``coalesce`` is keyed_combine's."""
     return keyed_combine(
-        pairs_ds, _KEYS, _AGGS, part_on=("subj",), max_keys=max_keys,
-        coalesce=coalesce, num_partitions=num_partitions,
+        pairs_ds, EDGE_PARTIALS, _AGGS, part_on=("subj",), max_keys=max_keys,
+        coalesce=coalesce,
     ).map_batches(edge_table, batch_format="pyarrow", batch_size=None)

@@ -67,7 +67,7 @@ _CANON_SCHEMA = pa.schema(
 
 def canonicalize_batch(t: pa.Table) -> pa.Table:
     """(.., url_raw, ..) -> (url_raw, url_canon)."""
-    if t.num_columns == 0 or len(t) == 0:
+    if len(t) == 0:
         return _CANON_SCHEMA.empty_table()
     raw = t["url_raw"].to_pylist()
     return pa.table(
@@ -93,7 +93,7 @@ def synth_variants_batch(t: pa.Table) -> pa.Table:
     host + trailing slash + utm param) and a third on ``doc_id % 3 ==
     0`` (default port + gclid). All canonicalize to
     ``https://example.org/doc/{id}?id={id}``."""
-    if t.num_columns == 0 or len(t) == 0:
+    if len(t) == 0:
         return _VARIANT_SCHEMA.empty_table()
     ids: list[int] = []
     raws: list[str] = []
@@ -136,14 +136,10 @@ def url_canonical_map(sf_dir: str):
 def url_canonical_dedup(sf_dir: str):
     """(url_canon, n_variants): canonical-URL group sizes — the crawl
     frontier's fetched-already check. Counts flow through the
-    url-partitioned combine (canonical key set is corpus-sized)."""
-    from autoner_ray.stages.combine import partitioned_key_sum
+    url-keyed combine (canonical key set is corpus-sized)."""
+    from autoner_ray.stages.combine import keyed_combine
 
     def count_partial(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.schema(
-                [("url_canon", pa.string()), ("n_variants", pa.int64())]
-            ).empty_table()
         import pyarrow.compute as pc
 
         vc = pc.value_counts(t["url_canon"])
@@ -154,13 +150,13 @@ def url_canonical_dedup(sf_dir: str):
             }
         )
 
-    return partitioned_key_sum(
+    return keyed_combine(
         url_canonical_map(sf_dir)
         .select_columns(["url_canon"])
         .map_batches(count_partial, batch_format="pyarrow",
                      batch_size=65536),
-        keys=["url_canon"], sum_cols=["n_variants"],
-        part_on=("url_canon",),
+        pa.schema([("url_canon", pa.string()), ("n_variants", pa.int64())]),
+        [("n_variants", "sum")],
     )
 
 

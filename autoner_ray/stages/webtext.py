@@ -150,38 +150,31 @@ def hot_ngrams(docs_ds, n: int = 5, min_df: int = 2, k: int = 20):
     Scale shape: each batch pre-combines to (gram, n_occurrences,
     n_docs) partials — a doc is a single row, so batches partition docs
     and per-batch distinct-doc counts SUM exactly. One gram-vocab-sized
-    hash shuffle, then partition-local top-k and a single tiny merge
+    keyed combine, then block-local top-k and a single tiny merge
     block; the exploded gram stream never shuffles and the driver never
     sees the vocab.
     """
-    from ray.data.aggregate import Sum
+    from autoner_ray.stages.combine import keyed_combine
+
+    counts = pa.schema(
+        [("gram", pa.string()), ("n_occurrences", pa.int64()),
+         ("n_docs", pa.int64())]
+    )
 
     def gram_partial(batch: pa.Table) -> pa.Table:
         grams = _gram_frame(_exploded(batch["text"].to_pylist()), n)
         if grams.empty:
-            return pa.table(
-                {
-                    "gram": pa.array([], pa.string()),
-                    "occ": pa.array([], pa.int64()),
-                    "docs": pa.array([], pa.int64()),
-                }
-            )
+            return counts.empty_table()
         agg = grams.groupby("g", sort=False)["i"].agg(["size", "nunique"])
         return pa.table(
-            {
-                "gram": pa.array(agg.index.to_numpy(), pa.string()),
-                "occ": pa.array(agg["size"].to_numpy(), pa.int64()),
-                "docs": pa.array(agg["nunique"].to_numpy(), pa.int64()),
-            }
+            [agg.index.to_numpy(), agg["size"].to_numpy(),
+             agg["nunique"].to_numpy()],
+            schema=counts,
         )
 
-    agg = (
-        docs_ds.map_batches(gram_partial, batch_format="pyarrow")
-        .groupby("gram")
-        .aggregate(
-            Sum("occ", alias_name="n_occurrences"),
-            Sum("docs", alias_name="n_docs"),
-        )
+    agg = keyed_combine(
+        docs_ds.map_batches(gram_partial, batch_format="pyarrow"), counts,
+        [("n_occurrences", "sum"), ("n_docs", "sum")],
     )
 
     def topk(t: pa.Table) -> pa.Table:
@@ -288,28 +281,23 @@ def lang_hot_ngrams(docs_ds, n: int = 3, min_df: int = 2, k: int = 10):
     :func:`hot_ngrams`, i.e. grouped top-k over an unbounded key space
     (the CCNet per-language boilerplate pass).
 
-    Scale shape: per-batch (lang, gram) partials -> GRAM-partitioned
-    combine (partitioning on the gram subset co-locates the full key
-    while spreading each language's vocab across all partitions — a
-    dominant language can't hot-spot) -> per-block per-language top-k
+    Scale shape: per-batch (lang, gram) partials -> GRAM-keyed
+    combine (hashing the gram subset co-locates the full key while
+    spreading each language's vocab across all blocks — a dominant
+    language can't hot-spot) -> per-block per-language top-k
     (≤ |langs|·k rows per block) -> one tiny merge block.
     """
-    from autoner_ray.stages.combine import partitioned_key_sum
+    from autoner_ray.stages.combine import keyed_combine
+
+    partial = pa.schema(
+        [("lang", pa.string()), ("gram", pa.string()), ("occ", pa.int64()),
+         ("docs", pa.int64())]
+    )
 
     def gram_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "lang": pa.array([], pa.string()),
-                "gram": pa.array([], pa.string()),
-                "occ": pa.array([], pa.int64()),
-                "docs": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
         grams = _gram_frame(_exploded(batch["text"].to_pylist()), n)
         if grams.empty:
-            return empty
+            return partial.empty_table()
         langs = batch["lang"].to_numpy(zero_copy_only=False)
         grams["lang"] = langs[grams["i"].to_numpy()]
         agg = grams.groupby(["lang", "g"], sort=False)["i"].agg(
@@ -325,21 +313,19 @@ def lang_hot_ngrams(docs_ds, n: int = 3, min_df: int = 2, k: int = 10):
             }
         )
 
-    agg = partitioned_key_sum(
-        docs_ds.map_batches(gram_partial, batch_format="pyarrow"),
-        ["lang", "gram"], ["occ", "docs"], part_on=("gram",),
+    agg = keyed_combine(
+        docs_ds.map_batches(gram_partial, batch_format="pyarrow"), partial,
+        [("occ", "sum"), ("docs", "sum")], part_on=("gram",),
     )
 
     def topk(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return pa.table(
-                {
-                    "lang": pa.array([], pa.string()),
-                    "gram": pa.array([], pa.string()),
-                    "n_occurrences": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                }
-            )
+        # the merge block after repartition(1) has no columns when
+        # every input block was empty
+        if len(t) == 0:
+            return pa.schema(
+                [("lang", pa.string()), ("gram", pa.string()),
+                 ("n_occurrences", pa.int64()), ("n_docs", pa.int64())]
+            ).empty_table()
         df = t.to_pandas()
         df.columns = ["lang", "gram", "n_occurrences", "n_docs"]
         df = df[df["n_docs"] >= min_df]
@@ -410,15 +396,9 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
     """
     import ray
 
-    from autoner_ray.stages.combine import partitioned_key_sum
+    from autoner_ray.stages.combine import keyed_combine
 
     def word_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"word": pa.array([], pa.string()),
-             "c": pa.array([], pa.int64())}
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
         ex = _exploded(batch["text"].to_pylist())
         vc = ex["w"].value_counts()
         return pa.table(
@@ -428,25 +408,20 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
             }
         )
 
-    wc = partitioned_key_sum(
+    wc = keyed_combine(
         docs_ds.map_batches(word_partial, batch_format="pyarrow"),
-        ["word"], ["c"], part_on=("word",),
+        pa.schema([("word", pa.string()), ("c", pa.int64())]),
+        [("c", "sum")],
+    )
+    bigrams = pa.schema(
+        [("gram", pa.string()), ("lw", pa.string()), ("rw", pa.string()),
+         ("c_xy", pa.int64())]
     )
 
     def bigram_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "gram": pa.array([], pa.string()),
-                "lw": pa.array([], pa.string()),
-                "rw": pa.array([], pa.string()),
-                "c_xy": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_columns == 0 or len(batch) == 0:
-            return empty
         grams = _gram_frame(_exploded(batch["text"].to_pylist()), 2)
         if grams.empty:
-            return empty
+            return bigrams.empty_table()
         agg = grams.groupby("g", sort=False).size()
         lr = agg.index.to_series().str.split(" ", n=1, expand=True)
         return pa.table(
@@ -458,9 +433,9 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
             }
         )
 
-    bc = partitioned_key_sum(
+    bc = keyed_combine(
         docs_ds.map_batches(bigram_partial, batch_format="pyarrow"),
-        ["gram", "lw", "rw"], ["c_xy"], part_on=("gram",),
+        bigrams, [("c_xy", "sum")], part_on=("gram",),
     ).materialize()  # vocab²-bounded; N_b needed before the PMI pass
 
     n_b = int(bc.sum("c_xy") or 0)
@@ -482,8 +457,6 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
         lut_ref = ray.put(dict(zip(wc_df["word"], wc_df["c"])))
 
         def pmi_batch(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _out_schema.empty_table()
             lut = ray.get(lut_ref)
             df = t.to_pandas()
             df = df[df["c_xy"] >= min_count]
@@ -518,10 +491,6 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
             return ds.map_batches(
                 lambda t, key=key, cname=cname: pa.table(
                     {key: t["word"], cname: t["c"]}
-                )
-                if t.num_columns else pa.table(
-                    {key: pa.array([], pa.string()),
-                     cname: pa.array([], pa.int64())}
                 ),
                 batch_format="pyarrow",
             )
@@ -534,8 +503,6 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
                           on=("rw",))
 
         def pmi_batch(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0 or len(t) == 0:
-                return _out_schema.empty_table()
             df = t.to_pandas()
             df = df[df["c_xy"] >= min_count]
             if df.empty:
@@ -562,7 +529,9 @@ def bigram_collocations(docs_ds, min_count: int = 5, k: int = 20,
         scored = j2.map_batches(pmi_batch, batch_format="pyarrow")
 
     def topk(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
+        # the merge block after repartition(1) has no columns when
+        # every input block was empty
+        if len(t) == 0:
             return _out_schema.empty_table()
         df = t.to_pandas().sort_values(
             ["pmi_micro", "gram"], ascending=[False, True],
@@ -620,24 +589,19 @@ def bigram_graph(docs_ds, min_count: int = 75):
     the thresholded collocation graph that feeds cohesion passes.
 
     Scale shape: vectorized shift-based bigram explode per batch ->
-    per-batch pair-count partials -> ONE pair-partitioned sum combine
+    per-batch pair-count partials -> ONE pair-keyed sum combine
     (vocab² never on the driver) -> stateless threshold filter.
     """
-    from autoner_ray.stages.combine import partitioned_key_sum
+    from autoner_ray.stages.combine import keyed_combine
+
+    edges = pa.schema(
+        [("subj", pa.string()), ("obj", pa.string()), ("weight", pa.int64())]
+    )
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "subj": pa.array([], pa.string()),
-                "obj": pa.array([], pa.string()),
-                "weight": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_columns == 0 or len(t) == 0:
-            return empty
         df = _exploded(t["text"].to_pylist())
         if df.empty:
-            return empty
+            return edges.empty_table()
         w = df["w"].astype(str)
         nxt = w.shift(-1)
         same_doc = df["i"].to_numpy() == np.roll(df["i"].to_numpy(), -1)
@@ -656,20 +620,12 @@ def bigram_graph(docs_ds, min_count: int = 75):
             }
         )
 
-    summed = partitioned_key_sum(
-        docs_ds.map_batches(pair_partial, batch_format="pyarrow"),
-        ["subj", "obj"], ["weight"], part_on=("subj",),
+    summed = keyed_combine(
+        docs_ds.map_batches(pair_partial, batch_format="pyarrow"), edges,
+        [("weight", "sum")], part_on=("subj",),
     )
 
     def threshold(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table(
-                {
-                    "subj": pa.array([], pa.string()),
-                    "obj": pa.array([], pa.string()),
-                    "weight": pa.array([], pa.int64()),
-                }
-            )
         return t.filter(
             pc.greater_equal(t["weight"], pa.scalar(min_count))
         ).select(["subj", "obj", "weight"])
@@ -864,11 +820,11 @@ def window_cooccurrence(docs_ds, window: int = 4):
 
     Scale shape: per-batch shifted-array pair extraction (one numpy
     shift per distance d, doc boundaries masked — no per-token python)
-    -> per-batch (pair -> n) partial -> WORD_A-partitioned combine.
+    -> per-batch (pair -> n) partial -> WORD_A-keyed combine.
     Pair stream is O(tokens x window) pre-combined per batch; nothing
     corpus-sized on the driver.
     """
-    from autoner_ray.stages.combine import partitioned_key_sum
+    from autoner_ray.stages.combine import keyed_combine
 
     def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -910,9 +866,11 @@ def window_cooccurrence(docs_ds, window: int = 4):
         agg["n"] = agg["n"].astype("int64")
         return agg
 
-    return partitioned_key_sum(
+    return keyed_combine(
         docs_ds.map_batches(pair_partial, batch_format="pandas"),
-        ["word_a", "word_b"], ["n"], part_on=("word_a",),
+        pa.schema([("word_a", pa.string()), ("word_b", pa.string()),
+                   ("n", pa.int64())]),
+        [("n", "sum")], part_on=("word_a",),
     )
 
 
@@ -957,11 +915,13 @@ def snapshot_diff(docs_ds):
     equality is by md5 of the text, never the text itself.
 
     Scale shape: the two snapshot streams union with a side tag and
-    ONE hash shuffle on doc_id co-locates each page's <=2 rows; the
-    per-group classify is a vectorized pandas pass (the
+    ONE exchange on doc_id co-locates each page's <=2 rows; the
+    per-block classify is a vectorized pandas pass (the
     schema-evolution / wide-diff family pattern). Rows shuffled carry
     (doc_id, side, md5) only — text is dropped at the map."""
     import hashlib
+
+    from autoner_ray.stages.combine import exchange
 
     _r_schema = pa.schema(
         [("doc_id", pa.int64()), ("side", pa.int8()),
@@ -969,8 +929,6 @@ def snapshot_diff(docs_ds):
     )
 
     def snapshot_rows(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return _r_schema.empty_table()
         ids, sides, hs = [], [], []
         for did, text in zip(t["doc_id"].to_pylist(),
                              t["text"].to_pylist()):
@@ -994,24 +952,23 @@ def snapshot_diff(docs_ds):
             schema=_r_schema,
         )
 
-    _o_cols = ["doc_id", "status"]
-
     def classify(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        b = df[df["side"] == 1]
-        did = int(df["doc_id"].iloc[0])
-        if len(a) == 0:
-            status = "added"
-        elif len(b) == 0:
-            status = "removed"
-        elif a["h"].iloc[0] != b["h"].iloc[0]:
-            status = "changed"
-        else:
-            status = "unchanged"
-        return pd.DataFrame({"doc_id": [did], "status": [status]})
+        # a page has at most one row per side
+        a = df.loc[df["side"] == 0].set_index("doc_id")["h"].rename("a")
+        b = df.loc[df["side"] == 1].set_index("doc_id")["h"].rename("b")
+        both = pd.concat([a, b], axis=1)
+        status = np.where(
+            both["a"].isna(), "added",
+            np.where(
+                both["b"].isna(), "removed",
+                np.where(both["a"] != both["b"], "changed", "unchanged"),
+            ),
+        )
+        return pd.DataFrame({"doc_id": both.index, "status": status})
 
-    return (
-        docs_ds.map_batches(snapshot_rows, batch_format="pyarrow")
-        .groupby("doc_id")
-        .map_groups(classify, batch_format="pandas")
+    return exchange(
+        docs_ds.map_batches(snapshot_rows, batch_format="pyarrow"),
+        ("doc_id",), classify,
+        pa.schema([("doc_id", pa.int64()), ("status", pa.string())]),
+        batch_format="pandas",
     )

@@ -19,10 +19,8 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events "
-    "documents embeddings"
-).split()
+# every oracle_sql() twin reads only this table
+TABLES = ["documents"]
 
 
 def to_pandas(result) -> pd.DataFrame:

@@ -52,3 +52,27 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir() -> str:
     return "/root/testdata/sf0.001"
+
+
+@pytest.fixture
+def typed_blocks():
+    """``check(ds, schema)``: every materialized block of ``ds`` that has
+    columns has exactly the declared ``schema`` (metadata aside).
+    Returns the number of zero-column blocks, which Ray emits for every
+    zero-row block a map operator receives."""
+    import ray
+
+    def check(ds, schema) -> int:
+        zero_column = 0
+        for bundle in ds.iter_internal_ref_bundles():
+            for ref in bundle.block_refs:
+                block = ray.get(ref)
+                if block.num_columns == 0:
+                    zero_column += 1
+                else:
+                    assert block.schema.remove_metadata() == schema, (
+                        block.schema
+                    )
+        return zero_column
+
+    return check

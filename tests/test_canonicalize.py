@@ -52,7 +52,7 @@ def _oracle(table):
     return entities, ids
 
 
-def test_canonical_entities_match_oracle(ray_session):
+def test_canonical_entities_match_oracle(ray_session, typed_blocks):
     import ray.data as rd
 
     from autoner_ray.stages.canonicalize import (
@@ -64,7 +64,12 @@ def test_canonical_entities_match_oracle(ray_session):
     entities, ids = _oracle(table)
     # tiny blocks to force multi-block combine paths
     ds = rd.from_arrow(table).repartition(5)
-    got = entity_id_table(canonical_entities(ds, num_partitions=4))
+    entities_ds = canonical_entities(ds).materialize()
+    assert typed_blocks(entities_ds, pa.schema(
+        [("key", pa.string()), ("canonical_surface", pa.string()),
+         ("n_mentions", pa.int64())]
+    )) == 0
+    got = entity_id_table(entities_ds)
     got_map = {
         k: (s, n)
         for k, s, n in zip(
@@ -89,7 +94,7 @@ def test_link_mentions(ray_session):
     table = _mentions_table()
     _, ids = _oracle(table)
     ds = rd.from_arrow(table).repartition(3)
-    linked = link_mentions(ds, canonical_entities(ds, num_partitions=4)).to_pandas()
+    linked = link_mentions(ds, canonical_entities(ds)).to_pandas()
     from autoner_ray.functions.text import normalize_surface
 
     assert len(linked) == table.num_rows

@@ -12,7 +12,7 @@ def _pairs(result):
     return sorted(tuple(sorted(r.items())) for r in rows)
 
 
-def test_cogroup_join_dense(ray_session):
+def test_cogroup_join_dense(ray_session, typed_blocks):
     import ray.data as rd
 
     from autoner_ray.stages.joins import cogroup_join
@@ -23,9 +23,12 @@ def test_cogroup_join_dense(ray_session):
     )
     got = cogroup_join(
         rd.from_arrow(left), rd.from_arrow(right), on=("k",)
-    )
+    ).materialize()
     want = left.join(right, keys=["k"], join_type="inner")
     assert _pairs(got) == _pairs(want)
+    assert typed_blocks(got, pa.schema(
+        [("k", pa.int64()), ("a", pa.int64()), ("b", pa.int64())]
+    )) == 0
 
 
 def test_cogroup_join_sparse_single_key(ray_session):
@@ -108,7 +111,7 @@ def test_cogroup_join_nullable_int_key(ray_session):
     right = rd.from_arrow(
         pa.table({"k": pa.array([7, 3, None], pa.int64()), "b": [70, 30, 0]})
     )
-    got = _pairs(cogroup_join(left, right, on=("k",), num_partitions=16))
+    got = _pairs(cogroup_join(left, right, on=("k",)))
     want = _pairs(
         pa.table({"k": pa.array([7, None, 7, 3], pa.int64()),
                   "a": [1, 2, 3, 4]}).join(
@@ -120,25 +123,25 @@ def test_cogroup_join_nullable_int_key(ray_session):
     assert got == want
 
 
-def test_stable_part_col_type_only_branch():
-    """Same int key value gets the same partition id whether or not its
+def test_key_hash_type_only_branch():
+    """Same int key value gets the same 64-bit hash whether or not its
     batch contains nulls; string nulls hash like the str(None) fallback."""
-    from autoner_ray.stages.joins import _stable_part_col
+    from autoner_ray.stages.combine import key_hash
 
     clean = pa.table({"k": pa.array([7, 3, 1 << 40], pa.int64())})
     dirty = pa.table({"k": pa.array([7, None, 3, 1 << 40], pa.int64())})
-    pc_clean = _stable_part_col(clean, ("k",), 64).to_pylist()
-    pc_dirty = _stable_part_col(dirty, ("k",), 64).to_pylist()
+    pc_clean = key_hash(clean, ("k",)).to_pylist()
+    pc_dirty = key_hash(dirty, ("k",)).to_pylist()
     assert [pc_dirty[0], pc_dirty[2], pc_dirty[3]] == pc_clean
 
     s_clean = pa.table({"k": pa.array(["a", "bb"], pa.string())})
     s_dirty = pa.table({"k": pa.array(["a", None, "bb"], pa.string())})
-    sc = _stable_part_col(s_clean, ("k",), 64).to_pylist()
-    sd = _stable_part_col(s_dirty, ("k",), 64).to_pylist()
+    sc = key_hash(s_clean, ("k",)).to_pylist()
+    sd = key_hash(s_dirty, ("k",)).to_pylist()
     assert [sd[0], sd[2]] == sc
 
 
-def test_cogroup_join_left_outer(ray_session):
+def test_cogroup_join_left_outer(ray_session, typed_blocks):
     """Left-outer: unmatched left rows survive with null right columns,
     including partitions whose right side is entirely empty."""
     import ray.data as rd
@@ -149,8 +152,11 @@ def test_cogroup_join_left_outer(ray_session):
     right = pa.table({"k": [3, 7], "b": [30, 70]})
     got = cogroup_join(
         rd.from_arrow(left), rd.from_arrow(right), on=("k",),
-        join_type="left outer", num_partitions=16,
-    )
+        join_type="left outer",
+    ).materialize()
+    assert typed_blocks(got, pa.schema(
+        [("k", pa.int64()), ("a", pa.int64()), ("b", pa.int64())]
+    )) == 0
     want = left.join(right, keys=["k"], join_type="left outer")
 
     def norm(pairs):

@@ -167,11 +167,12 @@ def test_langid_vectorized_matches_scalar_reference():
 
 
 def test_bounded_key_sum_multi_block_matches_groupby():
-    """bounded_key_sum over a multi-block partial stream == plain sum,
-    including a zero-row block in the stream."""
+    """The bounded tier of keyed_combine summing over a multi-block
+    partial stream == plain sum, including a zero-row block in the
+    stream."""
     import ray.data as rd
 
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     blocks = [
         pa.table({"k": ["a", "b", "a"], "n": [1, 2, 3]}),
@@ -180,22 +181,22 @@ def test_bounded_key_sum_multi_block_matches_groupby():
         pa.table({"k": ["b", "c"], "n": [10, 5]}),
     ]
     ds = rd.from_arrow(blocks)
-    out = bounded_key_sum(ds, ["k"], ["n"]).to_pandas()
+    out = keyed_combine(
+        ds, pa.schema([("k", pa.string()), ("n", pa.int64())]),
+        [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+    ).to_pandas()
     got = dict(zip(out["k"], out["n"]))
     assert got == {"a": 4, "b": 12, "c": 5}
     assert list(out.columns) == ["k", "n"]
 
 
 def test_partitioned_key_sum_matches_bounded():
-    """partitioned_key_sum (key-distributed combine) produces the same
-    key->sum map as bounded_key_sum, one row per key globally, for
-    multi-key tables partitioned on a key subset."""
+    """The partitioned tier of keyed_combine summing (key-distributed
+    combine) produces the same key->sum map as its bounded tier, one row
+    per key globally, for multi-key tables hashed on a key subset."""
     import ray.data as rd
 
-    from autoner_ray.stages.combine import (
-        bounded_key_sum,
-        partitioned_key_sum,
-    )
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     blocks = [
         pa.table({"s": ["x", "y", "x"], "w": ["a", "a", "b"],
@@ -205,15 +206,18 @@ def test_partitioned_key_sum_matches_bounded():
                   "n": pa.array([], pa.int64())}),
         pa.table({"s": ["x", "y"], "w": ["a", "c"], "n": [10, 5]}),
     ]
+    schema = pa.schema(
+        [("s", pa.string()), ("w", pa.string()), ("n", pa.int64())]
+    )
     want = {
         (r["s"], r["w"]): r["n"]
-        for r in bounded_key_sum(
-            rd.from_arrow(blocks), ["s", "w"], ["n"]
+        for r in keyed_combine(
+            rd.from_arrow(blocks), schema, [("n", "sum")],
+            max_keys=BOUNDED_MAX_KEYS,
         ).take_all()
     }
-    got_rows = partitioned_key_sum(
-        rd.from_arrow(blocks), ["s", "w"], ["n"],
-        part_on=("w",), num_partitions=3,
+    got_rows = keyed_combine(
+        rd.from_arrow(blocks), schema, [("n", "sum")], part_on=("w",),
     ).take_all()
     got = {(r["s"], r["w"]): r["n"] for r in got_rows}
     assert got == want and len(got_rows) == len(got)  # no dup keys
@@ -221,14 +225,14 @@ def test_partitioned_key_sum_matches_bounded():
 
 def test_bounded_key_sum_property_matches_pandas(ray_session=None):
     """Property: for random multi-block partial streams (any key
-    distribution, any block split, zero-row blocks), bounded_key_sum
-    equals a plain pandas groupby-sum."""
+    distribution, any block split, zero-row blocks), the bounded tier of
+    keyed_combine summing equals a plain pandas groupby-sum."""
     import pandas as pd
     import ray.data as rd
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from autoner_ray.stages.combine import bounded_key_sum
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     rows = st.lists(
         st.tuples(st.sampled_from("abcdef"),
@@ -251,7 +255,11 @@ def test_bounded_key_sum_property_matches_pandas(ray_session=None):
                     }
                 )
             )
-        got = bounded_key_sum(rd.from_arrow(blocks), ["k"], ["v"]).to_pandas()
+        got = keyed_combine(
+            rd.from_arrow(blocks),
+            pa.schema([("k", pa.string()), ("v", pa.int64())]),
+            [("v", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        ).to_pandas()
         if not rows:
             # empty stream -> empty result (Ray may drop the schema of an
             # all-empty dataset at the to_pandas boundary)
@@ -298,48 +306,93 @@ def _keyed_blocks(seed: int) -> list[pa.Table]:
 
 @pytest.mark.parametrize("fn", ["sum", "min", "max"])
 @pytest.mark.parametrize("tier", ["bounded", "partitioned"])
-def test_keyed_combine_tiers_match_oracle(ray_session, tier, fn):
+def test_keyed_combine_tiers_match_oracle(ray_session, typed_blocks, tier,
+                                          fn):
     """Both tiers of keyed_combine equal a plain-Python group-by for each
-    re-associative aggregate, over multi-block streams and empty input;
-    a zero-column block stands for the declared string/int64 layout."""
+    re-associative aggregate, over multi-block streams and empty input,
+    and every block they emit has the declared schema: string and int64
+    keys, int64 and float64 values, and fewer distinct keys than input
+    blocks. No block has zero columns unless the sort has more reducers
+    (input blocks) than distinct key hashes, which only the uncoalesced
+    partitioned runs here have, or the whole input is empty."""
+    import random
+
     import ray.data as rd
 
-    from autoner_ray.stages.combine import (
-        BOUNDED_MAX_KEYS,
-        combine_table,
-        keyed_combine,
-    )
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
 
     max_keys = BOUNDED_MAX_KEYS if tier == "bounded" else None
     agg = {"sum": sum, "min": min, "max": max}[fn]
+    strings = pa.schema(
+        [("k", pa.string()), ("j", pa.string()), ("v", pa.int64())]
+    )
 
-    def combined(blocks, coalesce=True):
+    def combined(blocks, schema, coalesce=True):
         return keyed_combine(
-            rd.from_arrow(blocks), ["k", "j"], [("v", fn)], part_on=("k",),
-            max_keys=max_keys, coalesce=coalesce, num_partitions=3,
-        )
+            rd.from_arrow(blocks), schema, [("v", fn)], part_on=("k",),
+            max_keys=max_keys, coalesce=coalesce,
+        ).materialize()
 
-    for seed, coalesce in ((1, True), (2, False)):
-        blocks = _keyed_blocks(seed)
+    def check(blocks, schema, coalesce=True):
         groups: dict = {}
         for t in blocks:
             for r in t.to_pylist():
                 groups.setdefault((r["k"], r["j"]), []).append(r["v"])
         want = sorted(key + (agg(vs),) for key, vs in groups.items())
-        assert len(want) > 8
-        ds = combined(blocks, coalesce)
+        ds = combined(blocks, schema, coalesce)
         assert _edge_rows(ds) == want
+        zero_column = typed_blocks(ds, schema)
+        if coalesce or tier == "bounded":
+            assert zero_column == 0
+        return ds, want
+
+    for seed, coalesce in ((1, True), (2, False)):
+        ds, want = check(_keyed_blocks(seed), strings, coalesce)
+        assert len(want) > 8
         ops = _op_names(ds)
         assert ("Repartition" in ops) == (tier == "bounded")
         assert ("Sort" in ops) == (tier == "partitioned")
 
+    # 3 distinct keys over 9 input blocks
+    rng = random.Random(3)
+    few = [
+        pa.table(
+            {
+                "k": pa.array([rng.choice("abc") for _ in range(5)]),
+                "j": pa.array(["x"] * 5),
+                "v": pa.array([rng.randint(-9, 9) for _ in range(5)],
+                              pa.int64()),
+            }
+        )
+        for _ in range(9)
+    ]
+    assert len(check(few, strings)[1]) == 3
+
+    # int64 keys and a float64 value column
+    numeric = pa.schema(
+        [("k", pa.int64()), ("j", pa.int64()), ("v", pa.float64())]
+    )
+    nums = [
+        pa.table(
+            {
+                "k": pa.array([rng.randint(0, 40) for _ in range(30)],
+                              pa.int64()),
+                "j": pa.array([rng.randint(0, 1) for _ in range(30)],
+                              pa.int64()),
+                "v": pa.array([rng.randint(-50, 50) / 4 for _ in range(30)],
+                              pa.float64()),
+            }
+        )
+        for _ in range(6)
+    ]
+    assert len(check(nums, numeric)[1]) > 20
+
     empty = _keyed_blocks(1)[5]
     assert empty.num_rows == 0
     for blocks in ([empty], [pa.table({})], [empty, pa.table({}), empty]):
-        assert combined(blocks).take_all() == []
-    assert combine_table(pa.table({}), ["k", "j"], [("v", fn)]).schema == (
-        pa.schema([("k", pa.string()), ("j", pa.string()), ("v", pa.int64())])
-    )
+        ds = combined(blocks, strings)
+        assert ds.take_all() == []
+        typed_blocks(ds, strings)
 
 
 def test_postings_delta_varint_thresholds(ray_session):

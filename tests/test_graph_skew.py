@@ -58,7 +58,7 @@ def test_canonicalize_zipfian_head(ray_session):
     tail = [f"ent{i}" for i in range(200) for _ in range(3)]
     table = pa.table({"surface": pa.array(head + tail, pa.string())})
     ds = rd.from_arrow(table).repartition(16)
-    got = entity_id_table(canonical_entities(ds, num_partitions=4))
+    got = entity_id_table(canonical_entities(ds))
     m = {
         k: (s, n, i)
         for k, s, n, i in zip(

@@ -33,7 +33,10 @@ def test_keyed_combine_min_across_blocks(ray_session):
     ]
     ds = ray.data.from_arrow(tables)
     got = (
-        keyed_combine(ds, ["k"], [("v", "min")], part_on=("k",))
+        keyed_combine(
+            ds, pa.schema([("k", pa.int64()), ("v", pa.int64())]),
+            [("v", "min")], part_on=("k",),
+        )
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
