@@ -289,16 +289,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "docs_neardup_keep_one": lambda sf: dedup.neardup_keep_one(
             _docs(sf, ["doc_id", "text"])
-        ),
+        ).select_columns(["doc_id"]),
         "docs_neardup_keep_one_lsh": lambda sf: dedup.neardup_keep_one(
             _docs(sf, ["doc_id", "text"]), pair_source="lsh"
-        ),
+        ).select_columns(["doc_id"]),
         "docs_neardup_cluster_sizes": lambda sf: (
             dedup.neardup_cluster_sizes(_docs(sf, ["doc_id", "text"]))
         ),
         "docs_neardup_keep_best": lambda sf: dedup.neardup_keep_best(
             _docs(sf, ["doc_id", "text"])
-        ),
+        ).select_columns(["doc_id"]),
         "minhash_neardup": minhash_neardup,
         # --- oracle-backed: decontamination + the curation composition --
         # benchmark side = doc_id % 10 == 0 (deterministic synthetic

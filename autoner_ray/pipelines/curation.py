@@ -6,15 +6,18 @@ training-data run actually executes, as ONE driver-checkable query:
 
 Every stage is an already-oracle-backed operator (docs_quality_filter,
 docs_exact_dedup, docs_neardup_keep_one, docs_decontaminate); this
-module chains them id-centrically — each stage narrows a (doc_id, text)
-STREAM, never materializing the corpus — and the SQL twin chains the
+module chains them over ONE stream of ``(doc_id, text, source,
+n_chars)`` read once — each stage narrows that stream, never
+materializing the corpus on the driver — and the SQL twin chains the
 same five CTE blocks, so the composition itself (ordering, join
 semantics, survivor bookkeeping) is what the value-hash certifies.
 
-Scale shape: three cogroup joins on doc_id (winner/survivor semi-joins
-— the id tables hold only survivors of each narrowing), the stages'
-own exchanges, and one bounded per-source combine at the tail. Benchmark side of decontamination is doc_id % 10 == 0 of the
-ORIGINAL corpus (the driver's standing synthetic test set).
+Scale shape: one cogroup join on doc_id (the exact-dedup winners), the
+near-dup losers and the contaminated ids as broadcast anti-filters
+(``joins.id_filter``), the stages' own exchanges, and one bounded
+per-source combine at the tail. Benchmark side of decontamination is
+doc_id % 10 == 0 of the ORIGINAL corpus (the driver's standing
+synthetic test set).
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
     from autoner_ray.stages.joins import cogroup_join
 
     docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+        f"{sf_dir}/documents.parquet",
+        columns=["doc_id", "text", "source", "n_chars"],
     )
 
     # -- stage 1: quality filter (docs_quality_filter thresholds) -----
@@ -48,7 +52,7 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
             ),
             pc.less_equal(q["mean_word_len"], 5.0),
         )
-        return batch.select(["doc_id", "text"]).filter(mask)
+        return batch.filter(mask)
 
     filtered = docs.map_batches(
         q_keep, batch_format="pyarrow"
@@ -56,13 +60,7 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
 
     # -- stage 2: exact dedup, keep smallest doc_id per text md5 ------
     winners = exact_dedup(filtered).select_columns(["doc_id"])
-
-    def strip_extra(t: pa.Table) -> pa.Table:
-        return t.select(["doc_id", "text"])
-
-    deduped = cogroup_join(
-        filtered, winners, on=("doc_id",)
-    ).map_batches(strip_extra, batch_format="pyarrow").materialize()
+    deduped = cogroup_join(filtered, winners, on=("doc_id",)).materialize()
 
     # -- stage 3: near-dup keep-one over the deduped stream -----------
     # pair_source="exact" keeps the oracle-checkable shared-shingle
@@ -70,47 +68,27 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
     # the stress bench exercises (bench.py --stress)
     survivors = neardup_keep_one(
         deduped, threshold=neardup_threshold, pair_source=pair_source
-    ).materialize()
-    surv_docs = cogroup_join(
-        deduped, survivors, on=("doc_id",)
-    ).map_batches(strip_extra, batch_format="pyarrow")
+    )
 
     # -- stage 4: decontamination vs the id%10==0 benchmark split -----
-    def corpus_side(t: pa.Table) -> pa.Table:
-        # doc_id % 10 != 0 via trunc-div (doc_ids are non-negative)
-        mask = pc.not_equal(
+    def bench_mask(t: pa.Table):
+        # doc_id % 10 == 0 via trunc-div (doc_ids are non-negative)
+        return pc.equal(
             pc.subtract(
-                t["doc_id"],
-                pc.multiply(pc.divide(t["doc_id"], 10), 10),
+                t["doc_id"], pc.multiply(pc.divide(t["doc_id"], 10), 10)
             ),
             0,
         )
-        return t.filter(mask)
 
     bench = docs.map_batches(
-        lambda t: t.filter(
-            pc.equal(
-                pc.subtract(
-                    t["doc_id"],
-                    pc.multiply(pc.divide(t["doc_id"], 10), 10),
-                ),
-                0,
-            )
-        )
-        if len(t) else t,
-        batch_format="pyarrow",
+        lambda t: t.filter(bench_mask(t)), batch_format="pyarrow"
     )
-    corpus = surv_docs.map_batches(corpus_side, batch_format="pyarrow")
+    corpus = survivors.map_batches(
+        lambda t: t.filter(pc.invert(bench_mask(t))), batch_format="pyarrow"
+    )
     final_docs = decontaminate(corpus, bench, n=decontam_n)
 
     # -- stage 5: per-source survivor report --------------------------
-    meta = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "source", "n_chars"],
-    )
-    final_ids = final_docs.select_columns(["doc_id"])
-    joined = cogroup_join(meta, final_ids, on=("doc_id",))
-
     def report_partial(t: pa.Table) -> pa.Table:
         agg = (
             t.select(["source", "n_chars"])
@@ -120,7 +98,7 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
         return agg.rename_columns(["source", "n_docs", "sum_chars"])
 
     return keyed_combine(
-        joined.map_batches(report_partial, batch_format="pyarrow"),
+        final_docs.map_batches(report_partial, batch_format="pyarrow"),
         pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
                    ("sum_chars", pa.int64())]),
         [("n_docs", "sum"), ("sum_chars", "sum")], max_keys=BOUNDED_MAX_KEYS,

@@ -1256,7 +1256,7 @@ def unigram_triples_temporal(sf_dir: str):
 
 
 def negative_samples(edges_ds, k: int = 2):
-    """Corrupted-triple negative sampling — the training-data generator
+    """Negative sampling by corrupting triples — the training-data generator
     a KG/graph-embedding stage (TransE/DistMult) consumes: for every
     positive (subj, obj) edge (subj < obj, caller-supplied — e.g. the
     thresholded bigram collocation graph; the dense unigram entity
@@ -1271,14 +1271,13 @@ def negative_samples(edges_ds, k: int = 2):
     trainer resamples next epoch via a different ``i`` base).
 
     Scale shape: the entity vocab is DICTIONARY-BOUNDED (the same
-    contract as the trie state), so the ascending-vocab array is a
-    one-time ``ray.put`` broadcast; the true-edge membership test is a
+    contract as the trie state), so the ascending-vocab array rides in
+    the corruption map's closure (a task pool, one object-store copy
+    per operator); the true-edge membership test is a
     left-outer ``cogroup_join`` anti-join on the unordered pair key —
     the (possibly vocab^2-sized) edge table co-partitions instead of
     broadcasting."""
     import numpy as np
-
-    import ray
 
     from autoner_ray.functions.hashing import md5_64
     from autoner_ray.stages.joins import cogroup_join
@@ -1292,7 +1291,7 @@ def negative_samples(edges_ds, k: int = 2):
             positives.select_columns(["obj"]).to_pandas()["obj"]
         )
     )
-    vocab_ref = ray.put(np.array(ents, dtype=object))
+    vocab = np.array(ents, dtype=object)
 
     # single combined pair key: the one-column string path of the
     # stable partitioner is memoized + vectorized (the multi-column
@@ -1305,34 +1304,30 @@ def negative_samples(edges_ds, k: int = 2):
         ]
     )
 
-    class Corrupt:
-        def __init__(self) -> None:
-            self.vocab = ray.get(vocab_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            n = len(self.vocab)
-            lo, subj, obj, neg, idx = [], [], [], [], []
-            for s, o in zip(t["subj"].to_pylist(), t["obj"].to_pylist()):
-                for i in range(1, k + 1):
-                    cand = self.vocab[md5_64(f"{s}|{o}|{i}") % n]
-                    if cand == s or cand == o:
-                        continue
-                    a, b = (s, cand) if s < cand else (cand, s)
-                    lo.append(f"{a}|{b}")
-                    subj.append(s)
-                    obj.append(o)
-                    neg.append(cand)
-                    idx.append(i)
-            return pa.table(
-                {
-                    "pair": pa.array(lo, pa.string()),
-                    "subj": pa.array(subj, pa.string()),
-                    "obj": pa.array(obj, pa.string()),
-                    "neg_obj": pa.array(neg, pa.string()),
-                    "neg_i": pa.array(idx, pa.int64()),
-                },
-                schema=_cand_schema,
-            )
+    def corrupt(t: pa.Table) -> pa.Table:
+        n = len(vocab)
+        lo, subj, obj, neg, idx = [], [], [], [], []
+        for s, o in zip(t["subj"].to_pylist(), t["obj"].to_pylist()):
+            for i in range(1, k + 1):
+                cand = vocab[md5_64(f"{s}|{o}|{i}") % n]
+                if cand == s or cand == o:
+                    continue
+                a, b = (s, cand) if s < cand else (cand, s)
+                lo.append(f"{a}|{b}")
+                subj.append(s)
+                obj.append(o)
+                neg.append(cand)
+                idx.append(i)
+        return pa.table(
+            {
+                "pair": pa.array(lo, pa.string()),
+                "subj": pa.array(subj, pa.string()),
+                "obj": pa.array(obj, pa.string()),
+                "neg_obj": pa.array(neg, pa.string()),
+                "neg_i": pa.array(idx, pa.int64()),
+            },
+            schema=_cand_schema,
+        )
 
     _edge_schema = pa.schema(
         [("pair", pa.string()), ("hit", pa.int64())]
@@ -1352,9 +1347,7 @@ def negative_samples(edges_ds, k: int = 2):
             schema=_edge_schema,
         )
 
-    cands = positives.map_batches(
-        Corrupt, batch_format="pyarrow", concurrency=2
-    )
+    cands = positives.map_batches(corrupt, batch_format="pyarrow")
     edges = positives.map_batches(edge_keys, batch_format="pyarrow")
     _out_schema = pa.schema(
         [

@@ -762,68 +762,34 @@ def vocab_edit_distance_pairs(docs_ds, max_dist: int = 2):
     )
 
 
-def vocab_alias_clusters(docs_ds, max_dist: int = 2,
-                         driver_uf_max_pairs: int = 2_000_000):
+def vocab_alias_clusters(docs_ds, max_dist: int = 2):
     """Alias clustering for KG entity resolution: connected components
     over the ed<=``max_dist`` vocab pair graph, canonical form = the
     lexicographically smallest member. Emits ``(word, canonical)`` for
     every word with at least one edit-neighbor.
 
-    Tiered like ``neardup_keep_one``: the pair table is VOCAB-sized
-    (never corpus-sized), so under ``driver_uf_max_pairs`` edges a
-    driver union-find (path halving, union-by-min-string) is cheapest;
-    above it, :func:`connected_components_distributed` runs min-STRING
-    label propagation with the label table as a Dataset — its per-node
-    min over string dtype IS the canonical pick, so no extra join."""
+    The pair table is VOCAB-sized (never corpus-sized);
+    ``graph.component_labels`` labels it (driver union-find by min
+    string, or min-STRING label propagation above its edge bound), and
+    a node's min-string label IS the canonical pick."""
     import ray
 
-    pairs = vocab_edit_distance_pairs(docs_ds, max_dist).materialize()
-
-    out_schema = pa.schema(
-        [("word", pa.string()), ("canonical", pa.string())]
-    )
-    if pairs.count() <= driver_uf_max_pairs:
-        pdf = pairs.to_pandas()
-        parent: dict[str, str] = {}
-
-        def find(w: str) -> str:
-            while parent.setdefault(w, w) != w:
-                parent[w] = parent[parent[w]]  # path halving
-                w = parent[w]
-            return w
-
-        for a, b in zip(pdf["word_a"], pdf["word_b"]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # union by min string: root is the canonical form
-                parent[max(ra, rb)] = min(ra, rb)
-        words = sorted(parent)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "word": pa.array(words, pa.string()),
-                    "canonical": pa.array(
-                        [find(w) for w in words], pa.string()
-                    ),
-                },
-                schema=out_schema,
-            )
-        )
-
-    from autoner_ray.stages.graph import connected_components_distributed
+    from autoner_ray.stages.graph import component_labels
 
     def to_edges(t: pa.Table) -> pa.Table:
         return pa.table({"subj": t["word_a"], "obj": t["word_b"]})
 
-    labels = connected_components_distributed(
-        pairs.map_batches(to_edges, batch_format="pyarrow"),
-        as_dataset=True,
+    labels = component_labels(
+        vocab_edit_distance_pairs(docs_ds, max_dist).map_batches(
+            to_edges, batch_format="pyarrow"
+        )
     )
-
-    def finish(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["word", "canonical"])
-
-    return labels.map_batches(finish, batch_format="pyarrow")
+    # the cast types the empty table a neighbor-less vocab gives
+    return ray.data.from_arrow(
+        labels.rename_columns(["word", "canonical"]).cast(
+            pa.schema([("word", pa.string()), ("canonical", pa.string())])
+        )
+    )
 
 
 # -- snapshot diff (incremental crawl) --------------------------------------

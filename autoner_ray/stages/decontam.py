@@ -177,28 +177,24 @@ def decontaminate(
     n: int = 8,
     **kwargs,
 ):
-    """The corpus with contaminated docs REMOVED (anti semi-join on the
-    hit list). Hit doc_ids are broadcast once — the contaminated set is
-    a tiny fraction of the corpus by construction."""
-    import pyarrow.compute as pc
-    import ray
+    """The corpus with contaminated docs REMOVED: the hit doc_ids come
+    to the driver (the contaminated set is a tiny fraction of the
+    corpus by construction) and ride a broadcast anti-filter
+    (``joins.id_filter``); every corpus column is kept."""
+    from autoner_ray.stages.joins import id_filter
 
     hits = contamination_hits(docs_ds, bench_ds, n=n, **kwargs)
-    bad: set[int] = set()
     # no select_columns: fused after the upstream map, the projection
     # left some blocks with n_hits and Ray logged a schema divergence
-    for b in hits.iter_batches(batch_format="pyarrow"):
-        bad.update(b["doc_id"].to_pylist())
-    bad_ref = ray.put(np.fromiter(bad, dtype=np.int64, count=len(bad)))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        arr = ray.get(bad_ref)
-        mask = pc.invert(
-            pc.is_in(batch["doc_id"], value_set=pa.array(arr, pa.int64()))
-        )
-        return batch.filter(mask)
-
-    return docs_ds.map_batches(keep, batch_format="pyarrow")
+    bad = pa.chunked_array(
+        [
+            chunk
+            for b in hits.iter_batches(batch_format="pyarrow")
+            for chunk in b["doc_id"].chunks
+        ],
+        pa.int64(),
+    )
+    return id_filter(docs_ds, "doc_id", bad, anti=True)
 
 
 def crossdoc_dup_windows(docs_ds, n: int = 8):

@@ -248,22 +248,22 @@ def verify_jaccard(cand_ds, docs_ds, jaccard_threshold: float = 0.6):
     # the joins then shuffle |candidate docs| texts, not |corpus|.
     # Bounded: above the cap, fall back to the full join (still correct).
     if n_cand <= 2_500_000:
+        import pyarrow.compute as pc
         import ray
 
-        ids: set[int] = set()
-        for b in cand_ds.select_columns(["doc_a", "doc_b"]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"
-        ):
-            ids.update(b["doc_a"].to_pylist())
-            ids.update(b["doc_b"].to_pylist())
-        ids_ref = ray.put(ids)
+        from autoner_ray.stages.joins import id_filter
 
-        def keep_candidates(t: pa.Table) -> pa.Table:
-            wanted = ray.get(ids_ref)
-            mask = [d in wanted for d in t["doc_id"].to_pylist()]
-            return t.filter(pa.array(mask, pa.bool_()))
-
-        docs2 = docs2.map_batches(keep_candidates, batch_format="pyarrow")
+        ids = pc.unique(pa.chunked_array(
+            [
+                chunk
+                for b in cand_ds.select_columns(["doc_a", "doc_b"])
+                .iter_batches(batch_size=65536, batch_format="pyarrow")
+                for c in ("doc_a", "doc_b")
+                for chunk in b[c].chunks
+            ],
+            pa.int64(),
+        ))
+        docs2 = id_filter(docs2, "doc_id", ids)
 
         if len(ids) <= 20_000:
             # SMALL-SIDE BROADCAST tier: the candidate texts fit the
@@ -610,109 +610,65 @@ def ngram_jaccard_exact_pairs(
     ).map_batches(score, batch_format="pyarrow")
 
 
+def _neardup_labels(docs_ds, threshold: float, k: int, pair_source: str):
+    """``(src, label)`` int64 component labels of the near-dup pair
+    graph (``graph.component_labels``): ``pair_source="exact"`` pairs
+    come from the deterministic shared-shingle join (oracle-checkable),
+    ``"lsh"`` from MinHash-LSH candidates + exact verification, the
+    sub-quadratic at-scale tier (recall < 1 by design)."""
+    from autoner_ray.stages.graph import component_labels
+
+    if pair_source == "exact":
+        pairs = ngram_jaccard_exact_pairs(docs_ds, threshold=threshold, k=k)
+    elif pair_source == "lsh":
+        pairs = ngram_jaccard_pairs(docs_ds, threshold=threshold)
+    else:
+        raise ValueError(f"unknown pair_source: {pair_source!r}")
+
+    def to_edges(t: pa.Table) -> pa.Table:
+        return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
+
+    # the cast types the empty table a pair-less corpus gives
+    return component_labels(
+        pairs.map_batches(to_edges, batch_format="pyarrow")
+    ).cast(pa.schema([("src", pa.int64()), ("label", pa.int64())]))
+
+
 def neardup_keep_one(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    driver_cc_max_pairs: int = 2_000_000,
     pair_source: str = "exact",
 ):
     """End-to-end near-duplicate REMOVAL — the pipeline a training-data
     run actually executes (pairs alone are diagnostics): n-gram Jaccard
-    pairs (``pair_source="exact"``: deterministic shared-shingle join,
-    oracle-checkable; ``"lsh"``: MinHash-LSH candidates + verify, the
-    sub-quadratic web-scale default) → distributed
-    min-id label propagation over the pair graph
-    (``connected_components_distributed``, int64 nodes) → every cluster
+    pairs → component labels over the pair graph
+    (:func:`_neardup_labels`, int64 nodes) → every cluster
     keeps its smallest ``doc_id``; docs in no pair survive untouched.
 
-    Returns a Dataset of surviving ``doc_id`` rows.
+    Returns the surviving rows of ``docs_ds`` with all of their columns.
 
     Scale shape: the pair graph holds ONLY near-duplicate docs, so the
     label table is the duplicate fraction of the corpus, never the
-    corpus. TIERED like ``verify_jaccard``: a pair set up to
-    ``driver_cc_max_pairs`` runs union-find on the driver (the common
-    case — each distributed CC iteration costs 2 shuffles, pure fixed
-    cost on a small graph); above the bound, distributed min-label
-    propagation (``connected_components_distributed``, int64 nodes)
-    takes over with identical results. The loser set (cluster members
-    minus winners) is broadcast once via ``ray.put`` and the full doc
-    stream anti-filters against it with a vectorized ``pc.is_in`` — no
-    shuffle of the corpus. At extreme duplicate rates (loser set too
-    big for one object) swap the broadcast for a ``cogroup_join``
-    anti-join on doc_id; the rest of the pipeline is unchanged.
+    corpus; it comes to the driver, and the losers (``label != src``)
+    ride a broadcast anti-filter (``joins.id_filter``) over the doc
+    stream — no shuffle of the corpus.
     """
-    import ray
-
     import pyarrow.compute as pc
 
-    if pair_source == "exact":
-        pairs = ngram_jaccard_exact_pairs(
-            docs_ds, threshold=threshold, k=k
-        ).materialize()
-    elif pair_source == "lsh":
-        # at-scale default pair generator: MinHash-LSH candidates +
-        # exact verification; sub-quadratic, recall < 1 by design
-        pairs = ngram_jaccard_pairs(
-            docs_ds, threshold=threshold
-        ).materialize()
-    else:
-        raise ValueError(f"unknown pair_source: {pair_source!r}")
+    from autoner_ray.stages.joins import id_filter
 
-    if pairs.count() <= driver_cc_max_pairs:
-        pdf = pairs.to_pandas()
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]  # path halving
-                x = parent[x]
-            return x
-
-        for a, b in zip(pdf["doc_a"], pdf["doc_b"]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        loser_ids = [n for n in parent if find(n) != n]
-    else:
-        from autoner_ray.stages.graph import (
-            connected_components_distributed,
-        )
-
-        def pairs_to_edges(t: pa.Table) -> pa.Table:
-            return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
-
-        edges = pairs.map_batches(pairs_to_edges, batch_format="pyarrow")
-        labels = connected_components_distributed(edges, as_dataset=True)
-
-        # losers: members whose propagated min-label is a smaller id
-        def losers_batch(t: pa.Table) -> pa.Table:
-            keep = pc.less(t["label"], t["src"])
-            return pa.table({"doc_id": t["src"].filter(keep)})
-
-        loser_ids = labels.map_batches(
-            losers_batch, batch_format="pyarrow"
-        ).to_pandas()["doc_id"]
-    losers_ref = ray.put(pa.array(loser_ids, pa.int64()))
-
-    class SurvivorFilter:
-        def __init__(self) -> None:
-            self.losers = ray.get(losers_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            mask = pc.invert(pc.is_in(t["doc_id"], value_set=self.losers))
-            return pa.table({"doc_id": t["doc_id"].filter(mask)})
-
-    return docs_ds.select_columns(["doc_id"]).map_batches(
-        SurvivorFilter, batch_format="pyarrow", concurrency=2
+    labels = _neardup_labels(docs_ds, threshold, k, pair_source)
+    losers = labels["src"].filter(
+        pc.not_equal(labels["label"], labels["src"])
     )
+    return id_filter(docs_ds, "doc_id", losers, anti=True)
 
 
 def neardup_cluster_sizes(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    driver_cc_max_pairs: int = 2_000_000,
     pair_source: str = "exact",
 ):
     """Near-duplicate CLUSTER SIZE histogram: (cluster_size,
@@ -720,96 +676,23 @@ def neardup_cluster_sizes(
     graph — the dedup-report companion to ``neardup_keep_one`` (how
     much mass sits in big boilerplate clusters vs scattered pairs).
 
-    Same tiered component labeling as ``neardup_keep_one`` (driver
-    union-find under ``driver_cc_max_pairs``, distributed min-label
-    propagation above); cluster sizes come from a label count and the
-    size histogram from the bounded combine. Only docs that appear in
-    a qualifying pair belong to a cluster (sizes >= 2 by
-    construction)."""
+    Same component labels as ``neardup_keep_one``; cluster sizes are a
+    value count of the labels and the histogram a value count of the
+    sizes, both on the driver. Only docs that appear in a qualifying
+    pair belong to a cluster (sizes >= 2 by construction)."""
+    import pyarrow.compute as pc
     import ray.data as rd
 
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
-
-    if pair_source == "exact":
-        pairs = ngram_jaccard_exact_pairs(
-            docs_ds, threshold=threshold, k=k
-        ).materialize()
-    elif pair_source == "lsh":
-        pairs = ngram_jaccard_pairs(
-            docs_ds, threshold=threshold
-        ).materialize()
-    else:
-        raise ValueError(f"unknown pair_source: {pair_source!r}")
-
-    if pairs.count() <= driver_cc_max_pairs:
-        from collections import Counter
-
-        pdf = pairs.to_pandas()
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]  # path halving
-                x = parent[x]
-            return x
-
-        for a, b in zip(pdf["doc_a"], pdf["doc_b"]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        sizes = Counter(find(n) for n in parent)
-        hist = Counter(sizes.values())
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "cluster_size": pa.array(
-                        sorted(hist.keys()), pa.int64()
-                    ),
-                    "n_clusters": pa.array(
-                        [hist[s] for s in sorted(hist.keys())],
-                        pa.int64(),
-                    ),
-                }
-            )
-        )
-
-    from autoner_ray.stages.graph import connected_components_distributed
-
-    def pairs_to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
-
-    labels = connected_components_distributed(
-        pairs.map_batches(pairs_to_edges, batch_format="pyarrow"),
-        as_dataset=True,
-    )
-
-    def label_partial(t: pa.Table) -> pa.Table:
-        agg = t.select(["label"]).group_by("label").aggregate(
-            [([], "count_all")]
-        )
-        return agg.rename_columns(["label", "n"])
-
-    # label keyset = number of clusters (duplicate fraction of the
-    # corpus) — key-distributed; int64 labels hash vectorized
-    per_cluster = keyed_combine(
-        labels.map_batches(label_partial, batch_format="pyarrow"),
-        pa.schema([("label", pa.int64()), ("n", pa.int64())]),
-        [("n", "sum")],
-    )
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        agg = (
-            t.select(["n"])
-            .rename_columns(["cluster_size"])
-            .group_by("cluster_size")
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["cluster_size", "n_clusters"])
-
-    return keyed_combine(
-        per_cluster.map_batches(hist_partial, batch_format="pyarrow"),
-        pa.schema([("cluster_size", pa.int64()), ("n_clusters", pa.int64())]),
-        [("n_clusters", "sum")], max_keys=BOUNDED_MAX_KEYS,
+    labels = _neardup_labels(docs_ds, threshold, k, pair_source)
+    sizes = pc.value_counts(labels["label"]).field("counts")
+    hist = pc.value_counts(sizes)
+    return rd.from_arrow(
+        pa.table(
+            {
+                "cluster_size": hist.field("values"),
+                "n_clusters": hist.field("counts"),
+            }
+        ).sort_by("cluster_size")
     )
 
 
@@ -1061,7 +944,6 @@ def neardup_keep_best(
     docs_ds,
     threshold: float = 0.6,
     k: int = 3,
-    driver_cc_max_pairs: int = 2_000_000,
     pair_source: str = "exact",
 ):
     """Near-duplicate removal keeping the HIGHEST-QUALITY member of
@@ -1073,37 +955,18 @@ def neardup_keep_best(
     scores), ties broken by smallest ``doc_id`` so the choice is
     content-derived and execution-order-independent.
 
-    Same tiered pair/cluster machinery as :func:`neardup_keep_one`
-    (shared-shingle exact pairs or LSH candidates; driver union-find
-    under ``driver_cc_max_pairs``, distributed min-label CC above).
-    In the distributed tier the winner argmax never leaves the
-    cluster-label space: member word counts cogroup-join onto the
-    (duplicate-fraction-sized) label table, a label-partitioned
-    max picks the winning count, and a second label-partitioned min
-    breaks ties — both mergeable combines, no cluster table on the
-    driver. Losers are broadcast once and the corpus anti-filters with
-    vectorized ``is_in`` (the :func:`neardup_keep_one` contract).
+    Same pairs and component labels as :func:`neardup_keep_one`. A
+    broadcast semi-filter (``joins.id_filter``) picks the cluster
+    members out of ``docs_ds``, their word counts come to the driver
+    beside the labels (at most two members per loser), the driver takes
+    each cluster's argmax, and the losers ride a broadcast anti-filter.
 
-    Returns a Dataset of surviving ``doc_id`` rows.
+    Returns the surviving rows of ``docs_ds`` with all of their columns.
     """
-    import ray
-
-    import pyarrow.compute as pc
-
+    from autoner_ray.stages.joins import id_filter
     from autoner_ray.stages.tokenize import sentence_token_stream
 
-    if pair_source == "exact":
-        pairs = ngram_jaccard_exact_pairs(
-            docs_ds, threshold=threshold, k=k
-        ).materialize()
-    elif pair_source == "lsh":
-        pairs = ngram_jaccard_pairs(
-            docs_ds, threshold=threshold
-        ).materialize()
-    else:
-        raise ValueError(f"unknown pair_source: {pair_source!r}")
-
-    _nw_schema = pa.schema([("src", pa.int64()), ("n_words", pa.int64())])
+    labels = _neardup_labels(docs_ds, threshold, k, pair_source)
 
     def nwords_batch(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1116,142 +979,21 @@ def neardup_keep_best(
                     ],
                     pa.int64(),
                 ),
-            },
-            schema=_nw_schema,
+            }
         )
 
-    if pairs.count() <= driver_cc_max_pairs:
-        pdf = pairs.to_pandas()
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]  # path halving
-                x = parent[x]
-            return x
-
-        for a, b in zip(pdf["doc_a"], pdf["doc_b"]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        members = sorted(parent)
-        if not members:
-            loser_ids: list[int] = []
-        else:
-            member_arr = ray.put(pa.array(members, pa.int64()))
-
-            class MemberWords:
-                def __init__(self) -> None:
-                    self.members = ray.get(member_arr)
-
-                def __call__(self, t: pa.Table) -> pa.Table:
-                    hit = t.filter(
-                        pc.is_in(t["doc_id"], value_set=self.members)
-                    )
-                    return nwords_batch(hit)
-
-            import pandas as pd
-
-            mw = docs_ds.map_batches(
-                MemberWords, batch_format="pyarrow", concurrency=2
-            ).to_pandas()
-            mw["comp"] = [find(int(d)) for d in mw["src"]]
-            mw = mw.sort_values(
-                ["comp", "n_words", "src"],
-                ascending=[True, False, True], kind="mergesort",
-            )
-            winners = set(
-                mw.groupby("comp", sort=False)["src"].first()
-            )
-            loser_ids = [int(d) for d in mw["src"] if int(d) not in winners]
-    else:
-        from autoner_ray.stages.combine import keyed_combine
-        from autoner_ray.stages.graph import (
-            connected_components_distributed,
+    losers = labels["src"]
+    if len(labels):
+        words = id_filter(docs_ds, "doc_id", labels["src"]).map_batches(
+            nwords_batch, batch_format="pyarrow"
+        ).to_pandas()
+        mw = labels.to_pandas().merge(words, on="src").sort_values(
+            ["label", "n_words", "src"], ascending=[True, False, True],
+            kind="mergesort",
         )
-        from autoner_ray.stages.joins import cogroup_join
-
-        def pairs_to_edges(t: pa.Table) -> pa.Table:
-            return pa.table({"subj": t["doc_a"], "obj": t["doc_b"]})
-
-        labels = connected_components_distributed(
-            pairs.map_batches(pairs_to_edges, batch_format="pyarrow"),
-            as_dataset=True,
-        )
-        nwords = docs_ds.map_batches(nwords_batch, batch_format="pyarrow")
-        # members: (src, label, n_words) — duplicate-fraction-sized
-        members = cogroup_join(labels, nwords, on=("src",)).materialize()
-        _ln_schema = pa.schema([("label", pa.int64()),
-                                ("n_words", pa.int64())])
-        def label_words(t: pa.Table) -> pa.Table:
-            return t.select(["label", "n_words"])
-
-        mx = keyed_combine(
-            members.map_batches(label_words, batch_format="pyarrow"),
-            _ln_schema, [("n_words", "max")],
-        )
-        _mx_schema = pa.schema([("label", pa.int64()),
-                                ("max_nw", pa.int64())])
-
-        def as_max(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"label": t["label"], "max_nw": t["n_words"]},
-                schema=_mx_schema,
-            )
-
-        _cand_schema = pa.schema([("label", pa.int64()),
-                                  ("src", pa.int64())])
-
-        def cands_batch(t: pa.Table) -> pa.Table:
-            keep = pc.equal(t["n_words"], t["max_nw"])
-            return pa.table(
-                {
-                    "label": t["label"].filter(keep),
-                    "src": t["src"].filter(keep),
-                },
-                schema=_cand_schema,
-            )
-
-        cands = cogroup_join(
-            members, mx.map_batches(as_max, batch_format="pyarrow"),
-            on=("label",),
-        ).map_batches(cands_batch, batch_format="pyarrow")
-        winners = keyed_combine(cands, _cand_schema, [("src", "min")])
-        _win_schema = pa.schema([("label", pa.int64()),
-                                 ("win", pa.int64())])
-
-        def as_win(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"label": t["label"], "win": t["src"]},
-                schema=_win_schema,
-            )
-
-        def losers_batch(t: pa.Table) -> pa.Table:
-            keep = pc.invert(pc.equal(t["src"], t["win"]))
-            return pa.table({"doc_id": t["src"].filter(keep)})
-
-        loser_ids = (
-            cogroup_join(
-                members.select_columns(["src", "label"]),
-                winners.map_batches(as_win, batch_format="pyarrow"),
-                on=("label",),
-            )
-            .map_batches(losers_batch, batch_format="pyarrow")
-            .to_pandas()["doc_id"]
-        )
-    losers_ref = ray.put(pa.array(loser_ids, pa.int64()))
-
-    class SurvivorFilter:
-        def __init__(self) -> None:
-            self.losers = ray.get(losers_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            mask = pc.invert(pc.is_in(t["doc_id"], value_set=self.losers))
-            return pa.table({"doc_id": t["doc_id"].filter(mask)})
-
-    return docs_ds.select_columns(["doc_id"]).map_batches(
-        SurvivorFilter, batch_format="pyarrow", concurrency=2
-    )
+        losers = pa.array(mw.loc[mw["label"].duplicated(), "src"],
+                          pa.int64())
+    return id_filter(docs_ds, "doc_id", losers, anti=True)
 
 
 def substring_dedup_census(docs_ds, chunk_len: int = 40):

@@ -143,19 +143,86 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
     )
 
 
-def connected_components_distributed(edges_ds, max_iters: int = 50,
-                                     as_dataset: bool = False):
+# above this many edges :func:`component_labels` propagates labels as a
+# Dataset; below it the driver union-find is cheaper (each distributed
+# round costs two shuffles, pure fixed cost on a small graph)
+DRIVER_UF_MAX_EDGES = 2_000_000
+
+
+def union_find_labels(a, b) -> pa.Table:
+    """Connected components of the undirected edge list ``a[i] -- b[i]``
+    (two Arrow arrays of one orderable dtype) by union-find on the
+    driver: path halving, union by min, so a node's label is the
+    smallest node of its component — content-derived, independent of
+    edge order. Returns ``(src, label)``, one row per node, in ``src``
+    order, both of the input dtype."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    for x, y in zip(a.to_pylist(), b.to_pylist()):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    src = sorted(parent)
+    return pa.table(
+        {
+            "src": pa.array(src, a.type),
+            "label": pa.array([find(x) for x in src], a.type),
+        }
+    )
+
+
+def _collect(ds, cols: list[str]) -> pa.Table:
+    """``cols`` of a Dataset as one driver-side Arrow table; an empty
+    Dataset (whose blocks may have no columns) gives an empty table of
+    the Dataset's declared types, null-typed when it declares none."""
+    blocks = [
+        b.select(cols)
+        for b in ds.iter_batches(batch_size=None, batch_format="pyarrow")
+        if len(b)
+    ]
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="permissive")
+    schema = ds.schema()
+    types = dict(zip(schema.names, schema.types)) if schema else {}
+    return pa.schema(
+        [(c, types.get(c, pa.null())) for c in cols]
+    ).empty_table()
+
+
+def component_labels(edges_ds) -> pa.Table:
+    """``(src, label)`` for every node of the undirected ``subj``/``obj``
+    edge Dataset, ``label`` = the smallest node of its component, rows in
+    ``src`` order. Up to :data:`DRIVER_UF_MAX_EDGES` edges the driver
+    runs :func:`union_find_labels`; above it
+    :func:`connected_components_distributed` propagates the labels and
+    its result is collected. Both tiers give the same table, one row per
+    node of an edge, so the driver holds at most two rows per edge."""
+    edges = edges_ds.materialize()
+    if edges.count() <= DRIVER_UF_MAX_EDGES:
+        t = _collect(edges, ["subj", "obj"])
+        return union_find_labels(t["subj"], t["obj"])
+    return _collect(
+        connected_components_distributed(edges), ["src", "label"]
+    ).sort_by("src")
+
+
+def connected_components_distributed(edges_ds, max_iters: int = 50):
     """Min-label propagation with the label table AS A DATASET (the
-    unbounded-vocab variant of :func:`connected_components`): iterate
+    unbounded-vocab tier of :func:`component_labels`): iterate
     ``label[v] = min(label[v], min over neighbors' label)`` via a hash
     join + keyed min until a fixpoint (checked with a distributed
     count of changed rows). Converges in O(component diameter)
     rounds.
 
     Node dtype follows the edge columns (string entities or int64 doc
-    ids both work; "min" is the dtype's natural order). With
-    ``as_dataset=True`` the (src, label) Dataset is returned WITHOUT
-    driver materialization — the shape downstream dedup pipelines need.
+    ids both work; "min" is the dtype's natural order). Returns the
+    ``(src, label)`` Dataset, unordered.
     """
     import pyarrow.compute as pc
 
@@ -239,15 +306,7 @@ def connected_components_distributed(edges_ds, max_iters: int = 50,
                 max_iters,
                 n_changed,
             )
-    if as_dataset:
-        return labels
-    out = labels.to_pandas().sort_values("src", kind="mergesort")
-    return pa.table(
-        {
-            "entity": pa.array(out["src"], node_type),
-            "component": pa.array(out["label"], node_type),
-        }
-    )
+    return labels
 
 
 def bfs_distances(edges_ds, source=None, max_depth: int = 32):
@@ -369,30 +428,14 @@ def connected_components(edges_ds):
 
     Same locality argument as :func:`pagerank`: the distributed edge
     aggregate bounds the data to the (dictionary-bounded) entity vocab,
-    so the union-find runs driver-side on the aggregated edges. Returns
-    (entity, component) where component = the lexicographically smallest
-    member — a content-derived, execution-order-independent label.
+    so :func:`union_find_labels` runs driver-side on the aggregated
+    edges. Returns (entity, component) where component = the
+    lexicographically smallest member — a content-derived,
+    execution-order-independent label.
     """
-    df = edges_ds.to_pandas()
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for s, o in zip(df["subj"], df["obj"]):
-        rs, ro = find(s), find(o)
-        if rs != ro:
-            parent[max(rs, ro)] = min(rs, ro)
-    ents = sorted(parent)
-    labels = [find(e) for e in ents]
-    return pa.table(
-        {
-            "entity": pa.array(ents, pa.string()),
-            "component": pa.array(labels, pa.string()),
-        }
+    t = _collect(edges_ds, ["subj", "obj"])
+    return union_find_labels(t["subj"], t["obj"]).rename_columns(
+        ["entity", "component"]
     )
 
 

@@ -1,4 +1,5 @@
-"""Sparse-key-safe distributed hash join (co-group shape).
+"""Joins on a key: the sparse-key-safe distributed hash join
+(co-group shape) and the broadcast id filter for a small id side.
 
 ``ray.data.Dataset.join`` (Ray 2.49) crashes whenever a hash partition
 receives ZERO blocks from one side: the aggregator's block builder then
@@ -19,6 +20,10 @@ splitmix64), stable across runs and cluster layouts.
 Cost vs Dataset.join: identical shuffle volume; one Python call per
 sorted block (one per input block), not per key; both sides' columns
 travel in one unioned stream with nulls for the other side's fields.
+
+:func:`id_filter` is the semi-join / anti-join for an id side that fits
+the driver (near-dup losers, cluster members, contaminated docs): no
+shuffle, one vectorized ``pc.is_in`` per batch.
 """
 
 from __future__ import annotations
@@ -99,3 +104,23 @@ def cogroup_join(left, right, on: tuple[str, ...],
         ).cast(out_schema)
 
     return exchange(tagged, on, join_partition, out_schema)
+
+
+def id_filter(ds, on: str, ids, anti: bool = False):
+    """Rows of ``ds`` whose ``on`` value is in ``ids`` (``anti=True``:
+    not in ``ids``), every column kept. ``ids`` is an Arrow array held
+    by the map's closure, which Ray puts in the object store once per
+    operator, so the filter is a plain task-pool ``map_batches`` with
+    one vectorized ``pc.is_in`` per batch and no shuffle of ``ds``."""
+    import pyarrow.compute as pc
+
+    if isinstance(ids, pa.ChunkedArray):
+        ids = ids.combine_chunks()
+
+    def keep(t: pa.Table) -> pa.Table:
+        col = t[on]
+        # ids collected from an empty Dataset may be null-typed
+        hit = pc.is_in(col, value_set=ids.cast(col.type))
+        return t.filter(pc.invert(hit) if anti else hit)
+
+    return ds.map_batches(keep, batch_format="pyarrow")

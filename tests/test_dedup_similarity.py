@@ -131,26 +131,28 @@ def test_ngram_jaccard_exact_max_df_prunes(ray_session):
     assert got == set(_brute_jaccard_pairs(0.6))
 
 
-def test_neardup_keep_one_matches_bruteforce(ray_session):
+def test_neardup_keep_one_matches_bruteforce(ray_session, monkeypatch):
     """End-to-end keep-one dedup: survivors == all doc_ids minus every
     Jaccard>=0.6 cluster member except the cluster's numeric-min id,
     where clusters are the transitive closure of the brute-force pair
     set. Also exercises connected_components_distributed on INT64
-    nodes (the string path is covered by the kg graph tests)."""
+    nodes (the string path is covered by the kg graph tests), and the
+    survivors keep every column of the input rows."""
     import ray.data as rd
 
+    from autoner_ray.stages import graph
     from autoner_ray.stages.dedup import neardup_keep_one
 
     docs = rd.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     )
-    got = sorted(
-        r["doc_id"] for r in neardup_keep_one(docs).take_all()
-    )
+    out = neardup_keep_one(docs).to_pandas()
+    assert list(out.columns) == ["doc_id", "text"]
+    got = sorted(out["doc_id"])
     # distributed tier (forced small bound) must agree exactly
+    monkeypatch.setattr(graph, "DRIVER_UF_MAX_EDGES", 0)
     got_dist = sorted(
-        r["doc_id"]
-        for r in neardup_keep_one(docs, driver_cc_max_pairs=0).take_all()
+        r["doc_id"] for r in neardup_keep_one(docs).take_all()
     )
     assert got == got_dist
 
@@ -197,11 +199,12 @@ def test_neardup_keep_one_lsh_source(ray_session):
     assert exact == lsh
 
 
-def test_neardup_cluster_sizes_tiers_agree(ray_session):
+def test_neardup_cluster_sizes_tiers_agree(ray_session, monkeypatch):
     """Cluster-size histogram: driver union-find tier == distributed
     min-label CC tier, and sizes are all >= 2."""
     import ray.data as rd
 
+    from autoner_ray.stages import graph
     from autoner_ray.stages.dedup import neardup_cluster_sizes
 
     docs = rd.read_parquet(
@@ -214,12 +217,13 @@ def test_neardup_cluster_sizes_tiers_agree(ray_session):
         )
 
     got = rows(neardup_cluster_sizes(docs))
-    got_dist = rows(neardup_cluster_sizes(docs, driver_cc_max_pairs=0))
+    monkeypatch.setattr(graph, "DRIVER_UF_MAX_EDGES", 0)
+    got_dist = rows(neardup_cluster_sizes(docs))
     assert got == got_dist
     assert got and all(s >= 2 for s, _ in got)
 
 
-def test_neardup_keep_best_matches_bruteforce(ray_session):
+def test_neardup_keep_best_matches_bruteforce(ray_session, monkeypatch):
     """Keep-best dedup: per cluster the survivor is the member with the
     MOST words (tie -> smallest doc_id); both tiers must agree with a
     brute-force union-find + argmax, and the winner rule must actually
@@ -227,6 +231,7 @@ def test_neardup_keep_best_matches_bruteforce(ray_session):
     the test proves nothing)."""
     import ray.data as rd
 
+    from autoner_ray.stages import graph
     from autoner_ray.stages.dedup import (
         neardup_keep_best,
         neardup_keep_one,
@@ -236,13 +241,14 @@ def test_neardup_keep_best_matches_bruteforce(ray_session):
     docs = rd.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     )
-    got = sorted(
-        r["doc_id"] for r in neardup_keep_best(docs).take_all()
-    )
-    got_dist = sorted(
-        r["doc_id"]
-        for r in neardup_keep_best(docs, driver_cc_max_pairs=0).take_all()
-    )
+    out = neardup_keep_best(docs).to_pandas()
+    assert list(out.columns) == ["doc_id", "text"]
+    got = sorted(out["doc_id"])
+    with monkeypatch.context() as m:
+        m.setattr(graph, "DRIVER_UF_MAX_EDGES", 0)
+        got_dist = sorted(
+            r["doc_id"] for r in neardup_keep_best(docs).take_all()
+        )
     assert got == got_dist
 
     pairs = _brute_jaccard_pairs(0.6)
@@ -277,3 +283,24 @@ def test_neardup_keep_best_matches_bruteforce(ray_session):
         r["doc_id"] for r in neardup_keep_one(docs).take_all()
     )
     assert got != keep_one  # the quality rule must flip >=1 winner
+
+
+def test_neardup_pairless_corpus_keeps_every_doc(ray_session):
+    """A corpus without a near-dup pair has an empty label table; both
+    resolvers then return every input row."""
+    import ray.data as rd
+
+    from autoner_ray.stages.dedup import neardup_keep_best, neardup_keep_one
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([1, 2, 3], pa.int64()),
+            "text": ["alpha beta gamma delta", "one two three four five",
+                     "red green blue yellow"],
+        }
+    )
+    docs = rd.from_arrow(t).repartition(2)
+    for resolve in (neardup_keep_one, neardup_keep_best):
+        assert sorted(r["doc_id"] for r in resolve(docs).take_all()) == [
+            1, 2, 3
+        ], resolve.__name__

@@ -102,7 +102,9 @@ def test_pipeline_matches_bruteforce():
     assert got == want
 
 
-def test_alias_clusters_both_tiers_match_bruteforce():
+def test_alias_clusters_both_tiers_match_bruteforce(monkeypatch):
+    from autoner_ray.stages import graph
+
     rng = random.Random(5)
     alphabet = "abc"
     vocab = sorted(
@@ -137,10 +139,9 @@ def test_alias_clusters_both_tiers_match_bruteforce():
     want = {w: find(w) for w in touched}
 
     for uf_cap in (10**6, 0):  # driver union-find tier, distributed CC tier
+        monkeypatch.setattr(graph, "DRIVER_UF_MAX_EDGES", uf_cap)
         got = {
             r["word"]: r["canonical"]
-            for r in vocab_alias_clusters(
-                ds, max_dist=2, driver_uf_max_pairs=uf_cap
-            ).take_all()
+            for r in vocab_alias_clusters(ds, max_dist=2).take_all()
         }
         assert got == want, uf_cap

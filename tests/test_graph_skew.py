@@ -149,12 +149,14 @@ def test_connected_components_oracle(ray_session):
     }
 
 
-def test_connected_components_distributed_matches_driver(ray_session):
+def test_connected_components_distributed_matches_driver(ray_session,
+                                                         monkeypatch):
     import ray.data as rd
 
+    from autoner_ray.stages import graph
     from autoner_ray.stages.graph import (
+        component_labels,
         connected_components,
-        connected_components_distributed,
     )
 
     edges = pa.table(
@@ -168,9 +170,10 @@ def test_connected_components_distributed_matches_driver(ray_session):
     )
     ds = rd.from_arrow(edges)
     want = connected_components(ds)
-    got = connected_components_distributed(ds)
-    assert got["entity"].to_pylist() == want["entity"].to_pylist()
-    assert got["component"].to_pylist() == want["component"].to_pylist()
+    monkeypatch.setattr(graph, "DRIVER_UF_MAX_EDGES", 0)
+    got = component_labels(ds)
+    assert got["src"].to_pylist() == want["entity"].to_pylist()
+    assert got["label"].to_pylist() == want["component"].to_pylist()
 
 
 def test_bfs_distances_matches_bruteforce():
