@@ -7,6 +7,9 @@ Schema (BASELINE.json input_hint):
 
 Derivation is a pure per-row function of ``doc_id``/``text``/``lang`` so the
 pages table is identical regardless of block layout or execution order.
+:func:`derive_pages_batch` computes it column-wise (Arrow string kernels
+and numpy masks, no per-row Python); :func:`make_html` and
+:func:`link_targets` are the per-row reference it is tested against.
 Even doc_ids drop the ``text`` column (html-only rows) to force the
 extractor through the html path; the extractor must recover the text
 byte-identically (oracle-diff test + driver value-hash vs ``documents``).
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import html as _html
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -59,33 +63,57 @@ def make_html(doc_id: int, text: str) -> bytes:
     ).encode()
 
 
+def _anchors(dst: np.ndarray) -> pa.Array:
+    """:func:`make_html`'s outlink anchor for every target in ``dst``."""
+    s = pc.cast(pa.array(dst), pa.string())
+    return pc.binary_join_element_wise(
+        f'<a href="{URL_PREFIX}', s, '">doc ', s, "</a>", ""
+    )
+
+
 def derive_pages_batch(batch: pa.Table) -> pa.Table:
-    """documents(doc_id, text, lang, ...) -> pages(url, warc_ts, html, text, lang)."""
-    doc_ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    urls = pc.binary_join_element_wise(
-        URL_PREFIX, pc.cast(batch["doc_id"], pa.string()), ""
+    """documents(doc_id, text, lang, ...) -> pages(url, warc_ts, html,
+    text, lang).
+
+    Column-wise :func:`make_html` / :func:`link_targets`: the output is
+    byte-identical to applying them per row. A null ``text`` derives like
+    ``""`` (and stays null in the ``text`` column)."""
+    ids = batch["doc_id"].combine_chunks().cast(pa.int64())
+    texts = batch["text"].combine_chunks().cast(pa.string())
+    # checked: a doc_id whose timestamp overflows int64 raises, never wraps
+    ts = pc.add_checked(pc.multiply_checked(ids, 1_000_000), _TS_BASE_US)
+    body = pc.fill_null(texts, "")
+    for ch, ent in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")):
+        body = pc.replace_substring(body, ch, ent)  # html.escape's order
+    d = ids.to_numpy()
+    t1, t2, t3 = d + 1, 2 * d + 1, d // 3
+    # link_targets' self-loop drop and first-occurrence dedup: d+1 is
+    # never d, and a dropped 2d+1 equals d or d+1, so testing d//3
+    # against it unconditionally changes nothing
+    keep2 = pa.array((t2 != d) & (t2 != t1))
+    keep3 = pa.array((t3 != d) & (t3 != t1) & (t3 != t2))
+    anchors = (
+        _anchors(t1),
+        pc.if_else(keep2, _anchors(t2), ""),
+        pc.if_else(keep3, _anchors(t3), ""),
     )
-    ts = pa.array(
-        [_TS_BASE_US + i * 1_000_000 for i in doc_ids],
-        type=pa.timestamp("us"),
-    )
-    htmls = pa.array(
-        [make_html(i, t) for i, t in zip(doc_ids, texts)], type=pa.binary()
-    )
-    text_col = pa.array(
-        [None if i % 2 == 0 else t for i, t in zip(doc_ids, texts)],
-        type=pa.string(),
-    )
+    id_str = pc.cast(ids, pa.string())
+    htmls = pc.binary_join_element_wise(
+        "<html><head><title>doc ", id_str,
+        '</title></head><body><nav>site nav</nav><p id="main">', body,
+        "</p><footer>footer", *anchors, "</footer></body></html>",
+        "",
+    ).cast(pa.binary())
+    even = pc.equal(pc.bit_wise_and(ids, 1), 0)
     from autoner_ray.schemas import check
 
     return check(
         pa.table(
             {
-                "url": urls,
-                "warc_ts": ts,
+                "url": pc.binary_join_element_wise(URL_PREFIX, id_str, ""),
+                "warc_ts": ts.cast(pa.timestamp("us")),
                 "html": htmls,
-                "text": text_col,
+                "text": pc.if_else(even, pa.scalar(None, pa.string()), texts),
                 "lang": batch["lang"],
             }
         ),

@@ -2,9 +2,11 @@
 
 The per-row invariant from BASELINE.json input_hint: extracted text must be
 byte-identical per url. Rows that already carry ``text`` pass through
-untouched; html-only rows go through :func:`extract_text_from_html`, the
+untouched as Arrow data; only the html-only rows (null ``text``) are
+converted to Python and go through :func:`extract_text_from_html`, the
 exact inverse of :func:`autoner_ray.sources.pages.make_html` for the body
 markup family it emits (first ``<p ...>…</p>`` block, entities unescaped).
+Their results are scattered back into the ``text`` column in place.
 
 The wide ``html`` binary column is DROPPED on output so downstream blocks
 shrink ~5× (SURVEY.md §4 memory row).
@@ -16,6 +18,7 @@ import html as _html
 import re
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _MAIN_P_RE = re.compile(rb"<p\b[^>]*>(.*?)</p>", re.S)
 _TAG_RE = re.compile(r"<[^>]+>")
@@ -37,12 +40,14 @@ def extract_text_from_html(html_bytes: bytes) -> str:
 
 def extract_text_batch(batch: pa.Table) -> pa.Table:
     """pages -> (url, warc_ts, text, lang); html-only rows extracted."""
-    texts = batch["text"].to_pylist()
-    htmls = batch["html"].to_pylist()
-    out = [
-        t if t is not None else extract_text_from_html(h or b"")
-        for t, h in zip(texts, htmls)
-    ]
+    text = batch["text"].combine_chunks()
+    if text.null_count:
+        html_only = text.is_null()
+        htmls = batch["html"].combine_chunks().filter(html_only)
+        found = [extract_text_from_html(h or b"") for h in htmls.to_pylist()]
+        text = pc.replace_with_mask(
+            text, html_only, pa.array(found, type=pa.string())
+        )
     from autoner_ray.schemas import check
 
     return check(
@@ -50,7 +55,7 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
             {
                 "url": batch["url"],
                 "warc_ts": batch["warc_ts"],
-                "text": pa.array(out, type=pa.string()),
+                "text": text,
                 "lang": batch["lang"],
             }
         ),

@@ -1,4 +1,4 @@
-"""Sentence split + tokenization (stateless map_batches stage).
+r"""Sentence split + tokenization (stateless map_batches stage).
 
 Emits ONE ROW PER SENTENCE (SURVEY.md §1.3): the sentence is the natural
 parallel unit because dictionary matching never crosses it
@@ -14,6 +14,17 @@ split on "\n", keep sentences that ``str.strip()`` leaves non-empty, pad
 every non-whitespace separator with spaces and split on whitespace runs.
 :func:`split_sentences` and :func:`sentence_token_stream` are the
 per-string reference it is tested against.
+
+The whitespace split is ``ascii_split_whitespace``. Its whitespace is
+``[\t\n\v\f\r ]``, the C ``isspace`` set. ``sentence_token_stream``
+cuts on all six and drops every one but "\n" as a token; no "\n"
+survives the sentence split, so on a sentence both split on exactly
+``[\t\v\f\r ]`` runs, the class of the regex split this replaced.
+Other Unicode whitespace (``\x1c``-``\x1f``, ``\x85``, ``\xa0``,
+``\u3000``, ...) stays inside tokens on both sides. The empty pieces a
+leading or trailing run leaves are dropped with the other empty tokens.
+The doc_id of a ``URL_PREFIX`` url is parsed in Arrow too; only a suffix
+that is not a plain ``-?[0-9]{1,18}`` falls back to ``int()``.
 
 Output schema:
     url: string, doc_id: int64, sent_id: int32, n_tokens: int32,
@@ -40,7 +51,8 @@ _PY_SPACE = (
 _HAS_TEXT_RE = f"[^{_PY_SPACE}]"
 # separators other than whitespace become tokens of their own
 _SEP_RE = r"([/.,\-()!?~@#$%^&*\[\]])"
-_WHITESPACE_RE = r"[ \t\x0b\x0c\r]+"
+# a URL_PREFIX suffix that ``int()`` and an Arrow cast read alike
+_PLAIN_ID_RE = r"^-?[0-9]{1,18}$"
 
 
 def sentence_token_stream(sentence: str) -> list[str]:
@@ -62,6 +74,22 @@ def _doc_id_from_url(url: str) -> int:
     return -1
 
 
+def _doc_ids(urls: pa.Array) -> pa.Array:
+    """:func:`_doc_id_from_url` over a column: plain ids are cast in
+    Arrow, any other prefixed suffix (``+5``, `` 5``, ``5_0``, non-ASCII
+    digits, 19+ digits) keeps ``int()``'s reading."""
+    prefixed = pc.starts_with(urls, URL_PREFIX)
+    suffix = pc.utf8_slice_codeunits(urls, len(URL_PREFIX))
+    plain = pc.and_(prefixed, pc.match_substring_regex(suffix, _PLAIN_ID_RE))
+    ids = pc.if_else(plain, suffix, "-1").cast(pa.int64())
+    other = pc.and_not(prefixed, plain)
+    if pc.any(other).as_py():
+        odd = urls.filter(other).to_numpy(zero_copy_only=False)
+        parsed = pa.array([_doc_id_from_url(u) for u in odd], pa.int64())
+        ids = pc.replace_with_mask(ids, other, parsed)
+    return ids
+
+
 def tokenize_pages_batch(batch: pa.Table) -> pa.Table:
     lines = pc.split_pattern(batch["text"].combine_chunks(), "\n")
     sents = pc.list_flatten(lines)
@@ -73,8 +101,8 @@ def tokenize_pages_batch(batch: pa.Table) -> pa.Table:
     new_doc[1:] = doc[1:] != doc[:-1]
     idx = np.arange(len(doc))
     sent_id = idx - np.maximum.accumulate(np.where(new_doc, idx, 0))
-    pieces = pc.split_pattern_regex(
-        pc.replace_substring_regex(sents, _SEP_RE, r" \1 "), _WHITESPACE_RE
+    pieces = pc.ascii_split_whitespace(
+        pc.replace_substring_regex(sents, _SEP_RE, r" \1 ")
     )
     toks = pc.list_flatten(pieces)
     nonempty = pc.not_equal(pc.binary_length(toks), 0)
@@ -84,14 +112,12 @@ def tokenize_pages_batch(batch: pa.Table) -> pa.Table:
     )
     offsets = np.zeros(len(doc) + 1, np.int32)
     np.cumsum(n_tokens, out=offsets[1:])
-    doc_ids = pa.array(
-        [_doc_id_from_url(u) for u in batch["url"].to_pylist()], pa.int64()
-    )
+    urls = batch["url"].combine_chunks()
     return check(
         pa.table(
             {
-                "url": batch["url"].take(doc).cast(pa.string()),
-                "doc_id": doc_ids.take(doc),
+                "url": urls.take(doc).cast(pa.string()),
+                "doc_id": _doc_ids(urls).take(doc),
                 "sent_id": pa.array(sent_id.astype(np.int32)),
                 "n_tokens": pa.array(n_tokens.astype(np.int32)),
                 "tokens": pa.ListArray.from_arrays(
