@@ -12,32 +12,38 @@ the doc-freq, type and evidence tables, the infix relations — are the
 one keyed combine (:func:`autoner_ray.stages.combine.keyed_combine`):
 a per-batch Arrow hash aggregate, then one exchange in one of two
 tiers. Keys bounded by a dictionary (the "pairs"/"pairs_ev" edges, the
-unigram entities and types) take the bounded tier, one combine task and
-no all-to-all exchange; the rest take the one exchange
+unigram entities, entity pairs and types) take the bounded tier, one
+combine task and no all-to-all exchange; the rest take the one exchange
 (:func:`autoner_ray.stages.combine.exchange`), a sort on the key hash.
 
 Also provides the unigram-dictionary variant whose semantics are exactly
 expressible in ANSI SQL — that variant backs the driver's DuckDB
 correctness gate, while the full trie/DP variant is pinned by pytest
-oracle + reference-binary golden tests.
+oracle + reference-binary golden tests. The variant has one contract:
+a document's mentions are the words of ``string_split(text, ' ')`` (a
+null text has none) that equal a dictionary word exactly, or, for the
+canonical-entity table, whose lower-cased form does. One Arrow kernel,
+:func:`_mentions`, implements it for every query of the family; the
+distinct (document, entity) pairs and the in-document entity pairs all
+derive from its output.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS, UNIGRAM_DICT
-from autoner_ray.sources.pages import read_pages
-from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, exchange, keyed_combine
+from autoner_ray.sources.pages import _TS_BASE_US, read_pages
+from autoner_ray.stages.combine import combine_table, exchange, keyed_combine
 from autoner_ray.stages.dict_match import pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
-from autoner_ray.stages.tokenize import (
-    sentence_token_stream,
-    tokenize_pages_batch,
-)
+from autoner_ray.stages.graph import _collect
+from autoner_ray.stages.tokenize import tokenize_pages_batch
 from autoner_ray.stages.triples import (
+    PRED_COOCCUR,
     aggregate_edges,
-    pair_counts_batch,
     pairs_within,
 )
 
@@ -138,107 +144,197 @@ def graph_shards(sf_dir: str, out_dir: str, num_parts: int = 16):
 # Unigram-dictionary variant (SQL-checkable; DuckDB oracle in __ray_entry__)
 # ---------------------------------------------------------------------------
 
-def _unigram_entities_batch(batch: pa.Table) -> pa.Table:
-    """documents -> (doc_id, entities list) via the unigram dictionary.
+# The dictionary as Arrow arrays: its words, and its canonical entities
+# in code-point order with each one's type (the one entity -> type
+# table). An entity's rank in _ENTITIES orders it as SQL's
+# ``a.entity < b.entity`` does.
+_WORDS = pa.array(list(UNIGRAM_DICT), pa.string())
+_ENTITIES, _ENTITY_TYPES = (
+    pa.array(col, pa.string())
+    for col in zip(*sorted(dict(UNIGRAM_DICT.values()).items()))
+)
+_TYPES = pc.unique(_ENTITY_TYPES).sort()
+# _WORDS index -> _ENTITIES rank; _ENTITIES rank -> _TYPES index
+_WORD_RANK = pc.index_in(
+    pa.array([e for e, _ in UNIGRAM_DICT.values()]), value_set=_ENTITIES
+).to_numpy()
+_TYPE_INDEX = pc.index_in(_ENTITY_TYPES, value_set=_TYPES).to_numpy()
+# the key bounds the dictionary proves: entities, entity pairs, types
+# and unordered type pairs
+_N = len(_ENTITIES)
+_PAIR_BOUND = _N * (_N - 1) // 2
+_TYPE_PAIR_BOUND = len(_TYPES) * (len(_TYPES) + 1) // 2
 
-    Matches the SQL ``unnest(string_split(text,' ')) JOIN dict`` semantics:
-    the token stream for this corpus (words + single spaces) is identical
-    under the real tokenizer and the SQL split.
-    """
-    ents_col = []
-    for text in batch["text"].to_pylist():
-        toks = sentence_token_stream(text or "")
-        ents = {UNIGRAM_DICT[t][0] for t in toks if t in UNIGRAM_DICT}
-        ents_col.append(sorted(ents))
+
+def _mentions(text: pa.ChunkedArray, lower: bool = False):
+    """The family's one tokenizer and dictionary lookup: DuckDB's
+    ``string_split(text, ' ')`` (a null text splits like ``''``), joined
+    with the dictionary on the exact word, or on the lower-cased word
+    with ``lower``.
+
+    Returns ``(tokens, doc, hit, word)``: the flat token array, the batch
+    row of every token, and for every dictionary hit its index in
+    ``tokens`` and its word's index in ``_WORDS``. Hits come in token
+    order, so within a row ``hit`` strictly increases and
+    ``hit[j] - hit[i]`` is the distance of the 1-based positions SQL
+    numbers the split with."""
+    lists = pc.split_pattern(pc.fill_null(text, "").combine_chunks(), " ")
+    tokens = pc.list_flatten(lists)
+    word = pc.index_in(
+        pc.utf8_lower(tokens) if lower else tokens, value_set=_WORDS
+    )
+    hit = np.flatnonzero(word.is_valid().to_numpy(zero_copy_only=False))
+    return (
+        tokens, pc.list_parent_indices(lists).to_numpy(), hit,
+        pc.drop_null(word).to_numpy(),
+    )
+
+
+def _doc_entities(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (row, entity rank) pairs of a documents batch, sorted
+    by row then rank: SQL's ``SELECT DISTINCT doc_id, entity``."""
+    _, doc, hit, word = _mentions(batch["text"])
+    key = np.unique(doc[hit] * _N + _WORD_RANK[word])
+    return key // _N, key % _N
+
+
+def _ones(n: int) -> pa.Array:
+    return pa.array(np.ones(n, np.int64))
+
+
+def _entity_rows(batch: pa.Table) -> pa.Table:
+    """``(doc_id, entity, type)``, one row per distinct entity of a
+    document."""
+    row, rank = _doc_entities(batch)
+    rank = pa.array(rank)
     return pa.table(
         {
-            "doc_id": batch["doc_id"],
-            "entities": pa.array(ents_col, pa.list_(pa.string())),
+            "doc_id": batch["doc_id"].take(pa.array(row)),
+            "entity": _ENTITIES.take(rank),
+            "type": _ENTITY_TYPES.take(rank),
         }
     )
 
 
-def unigram_doc_entities(sf_dir: str):
+def _pair_rows(batch: pa.Table) -> pa.Table:
+    """``(doc_id, subj, obj, k)``, one row per pair of distinct entities
+    of a document with ``subj < obj`` (SQL's ``words a JOIN words b ON
+    a.doc_id = b.doc_id AND a.entity < b.entity``); ``k`` is the
+    document's entity count."""
+    row, rank = _doc_entities(batch)
+    i, j = pairs_within(row)
+    k = np.bincount(row, minlength=batch.num_rows)
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"].take(pa.array(row[i])),
+            "subj": _ENTITIES.take(pa.array(rank[i])),
+            "obj": _ENTITIES.take(pa.array(rank[j])),
+            "k": pa.array(k[row[i]]),
+        }
+    )
+
+
+def _type_of(entities) -> pa.ChunkedArray:
+    """The dictionary type of each entity of a column."""
+    return _ENTITY_TYPES.take(pc.index_in(entities, value_set=_ENTITIES))
+
+
+def _crawl_ts(doc_id) -> pa.Array:
+    """A page's ``warc_ts`` from its doc id, as ``derive_pages_batch``
+    derives it."""
+    return pc.add_checked(
+        pc.multiply_checked(doc_id, 1_000_000), _TS_BASE_US
+    ).cast(pa.timestamp("us"))
+
+
+def _documents(sf_dir: str):
     import ray.data as rd
 
-    ds = rd.read_parquet(
+    return rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return ds.map_batches(_unigram_entities_batch, batch_format="pyarrow")
 
 
-# canonical unigram entity -> type; it bounds the unigram queries' keys
-_UNIGRAM_TYPE_OF = {e: t for e, t in UNIGRAM_DICT.values()}
+def _unigram_combine(sf_dir: str, rows, schema: pa.Schema,
+                     aggs: list[tuple[str, str]], max_keys: int | None,
+                     part_on: tuple[str, ...] | None = None):
+    """documents -> ``rows(batch)``, pre-aggregated per batch by the keys
+    of ``schema`` -> :func:`keyed_combine` with ``max_keys``, the bound
+    the dictionary proves on the keys (None: the keys come from the
+    text, and the partitioned tier hashes on ``part_on``)."""
+    keys = [n for n in schema.names if n not in dict(aggs)]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return combine_table(rows(batch), keys, aggs)
+
+    partial.__name__ = rows.__name__
+    return keyed_combine(
+        _documents(sf_dir).map_batches(partial, batch_format="pyarrow"),
+        schema, aggs, part_on=part_on, max_keys=max_keys,
+    )
 
 
 def _unigram_entity_counts(sf_dir: str, keys: list[str], count: str,
                            max_keys: int):
     """Matched (doc, entity) rows counted by ``keys`` (``entity``,
     ``type`` or both) into the column ``count``."""
-    import numpy as np
-    import pyarrow.compute as pc
 
-    ents = pa.array(list(_UNIGRAM_TYPE_OF), pa.string())
-    types = pa.array(list(_UNIGRAM_TYPE_OF.values()), pa.string())
+    def entity_counts(batch: pa.Table) -> pa.Table:
+        rows = _entity_rows(batch)
+        return rows.append_column(count, _ones(rows.num_rows))
 
-    def entity_rows(batch: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(batch["entities"])
-        return pa.table(
-            {
-                "entity": flat,
-                "type": types.take(pc.index_in(flat, value_set=ents)),
-                count: pa.array(np.ones(len(flat), np.int64)),
-            }
-        )
-
-    rows = unigram_doc_entities(sf_dir).map_batches(
-        entity_rows, batch_format="pyarrow"
-    )
     schema = pa.schema([(k, pa.string()) for k in keys] + [(count, pa.int64())])
-    return keyed_combine(rows, schema, [(count, "sum")], max_keys=max_keys)
+    return _unigram_combine(
+        sf_dir, entity_counts, schema, [(count, "sum")], max_keys
+    )
 
 
 def unigram_mention_type_counts(sf_dir: str):
-    """Per-type count of matched (doc, entity) pairs — SQL-checkable.
-    Types are bounded by the dictionary, so the combine is the one-task
-    bounded tier."""
-    return _unigram_entity_counts(
-        sf_dir, ["type"], "mentions", len(set(_UNIGRAM_TYPE_OF.values()))
-    )
+    """Per-type count of matched (doc, entity) pairs — SQL-checkable."""
+    return _unigram_entity_counts(sf_dir, ["type"], "mentions", len(_TYPES))
 
 
 def unigram_triples(sf_dir: str):
     """Doc-scoped co-occurrence edges over the unigram dictionary."""
-    pairs = unigram_doc_entities(sf_dir).map_batches(
-        pair_counts_batch, batch_format="pyarrow"
+
+    def edge_partials(batch: pa.Table) -> pa.Table:
+        pairs = _pair_rows(batch)
+        n = pairs.num_rows
+        return combine_table(
+            pa.table(
+                {
+                    "subj": pairs["subj"],
+                    "pred": pa.repeat(PRED_COOCCUR, n),
+                    "obj": pairs["obj"],
+                    "w": _ones(n),
+                }
+            ),
+            ["subj", "pred", "obj"], [("w", "sum")],
+        )
+
+    return aggregate_edges(
+        _documents(sf_dir).map_batches(edge_partials, batch_format="pyarrow"),
+        max_keys=_PAIR_BOUND,
     )
-    return aggregate_edges(pairs)
 
 
 def unigram_canonical_entities(sf_dir: str):
     """SQL-checkable canonicalization: case-insensitive unigram mentions
     -> canonical surface + dense entity ids (stages/canonicalize.py)."""
-    import ray.data as rd
-
     from autoner_ray.stages.canonicalize import (
         canonical_entities,
         entity_id_table,
     )
 
-    dict_keys = set(UNIGRAM_DICT)
-
     def surfaces(batch: pa.Table) -> pa.Table:
-        out = []
-        for text in batch["text"].to_pylist():
-            for tok in sentence_token_stream(text or ""):
-                if tok.lower() in dict_keys:
-                    out.append(tok)
-        return pa.table({"surface": pa.array(out, pa.string())})
+        tokens, _, hit, _ = _mentions(batch["text"], lower=True)
+        return pa.table({"surface": tokens.take(pa.array(hit))})
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    ).map_batches(surfaces, batch_format="pyarrow")
-    return entity_id_table(canonical_entities(ds))
+    return entity_id_table(
+        canonical_entities(
+            _documents(sf_dir).map_batches(surfaces, batch_format="pyarrow")
+        )
+    )
 
 
 def kg_mentions_linked(sf_dir: str, concurrency=None, link_concurrency=2):
@@ -260,63 +356,62 @@ def kg_mentions_linked(sf_dir: str, concurrency=None, link_concurrency=2):
 
 def unigram_entity_doc_freq(sf_dir: str):
     """Per-entity document frequency over the unigram dictionary."""
-    return _unigram_entity_counts(
-        sf_dir, ["entity"], "doc_freq", len(_UNIGRAM_TYPE_OF)
-    )
+    return _unigram_entity_counts(sf_dir, ["entity"], "doc_freq", _N)
+
+
+def _doc_freq_scored(sf_dir: str, score):
+    """:func:`unigram_triples` mapped by ``score(batch, df_subj, df_obj,
+    n_docs)``, with the edge endpoints' document frequencies as int64
+    numpy arrays.
+
+    Distributed shape: the ENTITY doc-freq table is dictionary-bounded,
+    so it is collected once and rides in the map's closure (one
+    object-store copy per operator), looked up with ``index_in`` +
+    ``take``; the EDGE table (up to vocab² rows) stays a Dataset and
+    the scoring streams through ``map_batches``."""
+    import pyarrow.parquet as pq
+
+    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
+    freq = _collect(
+        unigram_entity_doc_freq(sf_dir), ["entity", "doc_freq"]
+    ).cast(pa.schema([("entity", pa.string()), ("doc_freq", pa.int64())]))
+    ents = freq["entity"].combine_chunks()
+    dfs = freq["doc_freq"].combine_chunks()
+
+    def doc_freq(col) -> np.ndarray:
+        return dfs.take(pc.index_in(col, value_set=ents)).to_numpy()
+
+    def scored(batch: pa.Table) -> pa.Table:
+        return score(
+            batch, doc_freq(batch["subj"]), doc_freq(batch["obj"]), n_docs
+        )
+
+    scored.__name__ = score.__name__
+    return unigram_triples(sf_dir).map_batches(scored, batch_format="pyarrow")
 
 
 def unigram_edge_pmi(sf_dir: str):
     """Edge scoring beyond counts: doc-level PMI per co-occurring entity
     pair — ``ln(c_ab * N / (c_a * c_b))`` over document frequencies.
-
-    Distributed shape: the ENTITY doc-freq table is vocab-bounded (~10^6
-    at web scale) so it is collected once and broadcast via ``ray.put``;
-    the EDGE table (up to vocab² — ~10^9 rows at web scale) stays a
-    Dataset and the PMI arithmetic streams through ``map_batches``.
     SQL twin in ``oracle_sql`` (same expression tree, 6-dp round)."""
-    import numpy as np
-    import ray
 
-    n_docs = int(
-        __import__("pyarrow.parquet", fromlist=["read_metadata"])
-        .read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    )
-    freqs = {
-        r["entity"]: int(r["doc_freq"])
-        for r in unigram_entity_doc_freq(sf_dir).take_all()
-    }
-    freq_ref = ray.put(freqs)
-
-    def score(batch: pa.Table) -> pa.Table:
-        # vectorized gather + log over the (vocab²-sized) edge table:
-        # pandas map against the broadcast doc-freq dict, numpy log,
-        # np.round(…, 6) — half-even like the oracle's ROUND(x, 6);
-        # the driver value-hash pins equality (brand_revenue pattern).
-        import pandas as pd
-
-        df = ray.get(freq_ref)
-        dfs = pd.Series(batch["subj"].to_pylist()).map(df).to_numpy(
-            np.float64
+    def pmi(batch: pa.Table, dfs, dfo, n_docs: int) -> pa.Table:
+        # np.round(…, 6) is half-even like the oracle's ROUND(x, 6); the
+        # driver value-hash pins equality
+        w = batch["weight"].to_numpy().astype(np.float64)
+        score = np.log(
+            w * n_docs / (dfs.astype(np.float64) * dfo.astype(np.float64))
         )
-        dfo = pd.Series(batch["obj"].to_pylist()).map(df).to_numpy(
-            np.float64
-        )
-        w = batch["weight"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        pmi = np.round(np.log(w * n_docs / (dfs * dfo)), 6)
         return pa.table(
             {
                 "subj": batch["subj"],
                 "obj": batch["obj"],
                 "weight": batch["weight"],
-                "pmi": pa.array(pmi, pa.float64()),
+                "pmi": pa.array(np.round(score, 6), pa.float64()),
             }
         )
 
-    return unigram_triples(sf_dir).map_batches(
-        score, batch_format="pyarrow"
-    )
+    return _doc_freq_scored(sf_dir, pmi)
 
 
 def unigram_entity_jaccard(sf_dir: str):
@@ -324,110 +419,60 @@ def unigram_entity_jaccard(sf_dir: str):
     |docs(a) | docs(b)|`` for every co-occurring pair — the
     set-overlap sibling of PMI (entity-resolution / relatedness
     signal). Intersection IS the aggregated edge weight (doc-scoped
-    co-occurrence count) and the union derives from the broadcast
-    doc-freq table, so the whole score is one streaming map over the
-    edge table — same broadcast shape as ``unigram_edge_pmi``; exact
-    integer intersection/union columns plus a 6-dp ratio."""
-    import numpy as np
-    import ray
+    co-occurrence count) and the union derives from the doc-freq
+    table; exact integer intersection/union columns plus a 6-dp
+    ratio."""
 
-    freqs = {
-        r["entity"]: int(r["doc_freq"])
-        for r in unigram_entity_doc_freq(sf_dir).take_all()
-    }
-    freq_ref = ray.put(freqs)
-
-    def score(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = ray.get(freq_ref)
-        dfs = pd.Series(batch["subj"].to_pylist()).map(df).to_numpy(
-            np.int64
-        )
-        dfo = pd.Series(batch["obj"].to_pylist()).map(df).to_numpy(
-            np.int64
-        )
-        w = batch["weight"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+    def jaccard(batch: pa.Table, dfs, dfo, n_docs: int) -> pa.Table:
+        w = batch["weight"].to_numpy().astype(np.int64)
         union = dfs + dfo - w
-        jac = np.round(
-            w.astype(np.float64) / union.astype(np.float64), 6
-        )
         return pa.table(
             {
                 "subj": batch["subj"],
                 "obj": batch["obj"],
                 "co_docs": pa.array(w, pa.int64()),
                 "union_docs": pa.array(union, pa.int64()),
-                "jaccard": pa.array(jac, pa.float64()),
+                "jaccard": pa.array(
+                    np.round(w / union.astype(np.float64), 6), pa.float64()
+                ),
             }
         )
 
-    return unigram_triples(sf_dir).map_batches(
-        score, batch_format="pyarrow"
-    )
+    return _doc_freq_scored(sf_dir, jaccard)
 
 
 def unigram_assoc_rules(sf_dir: str):
     """Association-rule scores per DIRECTED co-occurring entity pair:
     confidence(a=>b) = co_docs/df(a) and lift = N*co_docs/(df(a)*df(b))
     — the market-basket mining face of edge scoring (PMI's ratio
-    without the log, plus the directional conditional). Same broadcast
-    doc-freq + streaming edge map as ``unigram_edge_pmi``; each
-    undirected edge emits both directions."""
-    import numpy as np
-    import ray
+    without the log, plus the directional conditional). Each undirected
+    edge emits both directions."""
 
-    n_docs = int(
-        __import__("pyarrow.parquet", fromlist=["read_metadata"])
-        .read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    )
-    freqs = {
-        r["entity"]: int(r["doc_freq"])
-        for r in unigram_entity_doc_freq(sf_dir).take_all()
-    }
-    freq_ref = ray.put(freqs)
-
-    def score(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = ray.get(freq_ref)
-        subj = batch["subj"].to_pylist()
-        obj = batch["obj"].to_pylist()
-        wi = batch["weight"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        dfi_s = pd.Series(subj).map(df).to_numpy(np.int64)
-        dfi_o = pd.Series(obj).map(df).to_numpy(np.int64)
+    def rules(batch: pa.Table, dfs, dfo, n_docs: int) -> pa.Table:
+        w = batch["weight"].to_numpy().astype(np.int64)
+        subj = batch["subj"].combine_chunks()
+        obj = batch["obj"].combine_chunks()
+        weight = batch["weight"].combine_chunks().cast(pa.int64())
         # exact integer ppm (no float rounding-mode hazards); the
         # int64 bound w*N*1e6 < 2^63 holds to ~10^6-doc oracles —
         # at web scale report lift in micro units from a float path
-        lift_ppm = wi * n_docs * 1_000_000 // (dfi_s * dfi_o)
-        conf_ab = wi * 1_000_000 // dfi_s
-        conf_ba = wi * 1_000_000 // dfi_o
+        lift = w * n_docs * 1_000_000 // (dfs * dfo)
         return pa.table(
             {
-                "antecedent": pa.array(subj + obj, pa.string()),
-                "consequent": pa.array(obj + subj, pa.string()),
-                "co_docs": pa.concat_arrays(
-                    [
-                        batch["weight"].combine_chunks().cast(pa.int64()),
-                        batch["weight"].combine_chunks().cast(pa.int64()),
-                    ]
-                ),
+                "antecedent": pa.concat_arrays([subj, obj]),
+                "consequent": pa.concat_arrays([obj, subj]),
+                "co_docs": pa.concat_arrays([weight, weight]),
                 "confidence_ppm": pa.array(
-                    np.concatenate([conf_ab, conf_ba]), pa.int64()
+                    np.concatenate(
+                        [w * 1_000_000 // dfs, w * 1_000_000 // dfo]
+                    ),
+                    pa.int64(),
                 ),
-                "lift_ppm": pa.array(
-                    np.concatenate([lift_ppm, lift_ppm]), pa.int64()
-                ),
+                "lift_ppm": pa.array(np.concatenate([lift, lift]), pa.int64()),
             }
         )
 
-    return unigram_triples(sf_dir).map_batches(
-        score, batch_format="pyarrow"
-    )
+    return _doc_freq_scored(sf_dir, rules)
 
 
 def unigram_proximity_edges(sf_dir: str):
@@ -442,73 +487,32 @@ def unigram_proximity_edges(sf_dir: str):
 
     Scale shape: mention pairs are quadratic per DOCUMENT (bounded by
     mentions/doc; cap or window hub documents at web scale — same
-    policy as LSH hot buckets), vectorized with numpy triangle
-    indices; per-batch (subj, obj) partials then combine
-    key-distributed. Nothing corpus-sized leaves the batch."""
-    import numpy as np
-    import ray.data as rd
+    policy as LSH hot buckets), enumerated by ``pairs_within`` over
+    the mention rows; per-batch (subj, obj) partials then take the
+    dictionary-bounded combine. Nothing corpus-sized leaves the
+    batch."""
 
-    schema = pa.schema(
-        [("subj", pa.string()), ("obj", pa.string()),
-         ("n_pairs", pa.int64()), ("prox_micro", pa.int64())]
-    )
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        subj_all, obj_all, micro_all = [], [], []
-        for text in batch["text"].to_pylist():
-            toks = (text or "").split(" ")
-            pos, ents = [], []
-            for i, t in enumerate(toks):
-                hit = UNIGRAM_DICT.get(t)
-                if hit is not None:
-                    pos.append(i + 1)
-                    ents.append(hit[0])
-            if len(ents) < 2:
-                continue
-            p = np.asarray(pos, np.int64)
-            e = np.asarray(ents, object)
-            ii, jj = np.triu_indices(len(e), k=1)
-            keep = e[ii] != e[jj]
-            ii, jj = ii[keep], jj[keep]
-            if len(ii) == 0:
-                continue
-            d = (p[jj] - p[ii]).astype(np.float64)
-            micro = np.floor(1e6 / d + 0.5).astype(np.int64)
-            ea, eb = e[ii], e[jj]
-            lo = np.minimum(ea, eb)
-            hi = np.maximum(ea, eb)
-            subj_all.append(lo)
-            obj_all.append(hi)
-            micro_all.append(micro)
-        if not subj_all:
-            return schema.empty_table()
-        t = pa.table(
+    def proximity_pairs(batch: pa.Table) -> pa.Table:
+        _, doc, hit, word = _mentions(batch["text"])
+        rank = _WORD_RANK[word]
+        i, j = pairs_within(doc[hit])
+        keep = rank[i] != rank[j]
+        i, j = i[keep], j[keep]
+        micro = np.floor(1e6 / (hit[j] - hit[i]) + 0.5).astype(np.int64)
+        return pa.table(
             {
-                "subj": pa.array(
-                    np.concatenate(subj_all).tolist(), pa.string()
-                ),
-                "obj": pa.array(
-                    np.concatenate(obj_all).tolist(), pa.string()
-                ),
-                "n_pairs": pa.array(
-                    np.ones(sum(len(x) for x in micro_all), np.int64)
-                ),
-                "prox_micro": pa.array(
-                    np.concatenate(micro_all), pa.int64()
-                ),
+                "subj": _ENTITIES.take(pa.array(np.minimum(rank[i], rank[j]))),
+                "obj": _ENTITIES.take(pa.array(np.maximum(rank[i], rank[j]))),
+                "n_pairs": _ones(len(i)),
+                "prox_micro": pa.array(micro),
             }
         )
-        agg = t.group_by(["subj", "obj"]).aggregate(
-            [("n_pairs", "sum"), ("prox_micro", "sum")]
-        )
-        return agg.rename_columns(
-            ["subj", "obj", "n_pairs", "prox_micro"]
-        )
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    return keyed_combine(
-        ds.map_batches(pair_partial, batch_format="pyarrow"), schema,
-        [("n_pairs", "sum"), ("prox_micro", "sum")], part_on=("subj",),
+    return _unigram_combine(
+        sf_dir, proximity_pairs,
+        pa.schema([("subj", pa.string()), ("obj", pa.string()),
+                   ("n_pairs", pa.int64()), ("prox_micro", pa.int64())]),
+        [("n_pairs", "sum"), ("prox_micro", "sum")], _PAIR_BOUND,
     )
 
 
@@ -650,61 +654,47 @@ def triples_with_evidence(sf_dir: str, concurrency=None, repeat: int = 1):
 
 def unigram_triples_with_evidence(sf_dir: str):
     """SQL-checkable twin: evidence = MIN doc_id where the pair co-occurs."""
-    import numpy as np
-    import pyarrow.compute as pc
 
-    def pairs_ev(batch: pa.Table) -> pa.Table:
-        # a doc's entities are distinct and sorted, so each pair is
-        # (min, max)
-        lists = batch["entities"].combine_chunks()
-        doc = pc.list_parent_indices(lists).to_numpy()
-        flat = pc.list_flatten(lists)
-        i, j = pairs_within(doc)
+    def evidence_pairs(batch: pa.Table) -> pa.Table:
+        pairs = _pair_rows(batch)
         return pa.table(
             {
-                "subj": flat.take(pa.array(i)),
-                "obj": flat.take(pa.array(j)),
-                "weight": pa.array(np.ones(len(i), np.int64)),
-                "evidence_doc": batch["doc_id"].take(pa.array(doc[i])),
+                "subj": pairs["subj"],
+                "obj": pairs["obj"],
+                "weight": _ones(pairs.num_rows),
+                "evidence_doc": pairs["doc_id"],
             }
         )
 
-    n = len(_UNIGRAM_TYPE_OF)
-    return keyed_combine(
-        unigram_doc_entities(sf_dir).map_batches(
-            pairs_ev, batch_format="pyarrow"
-        ),
+    return _unigram_combine(
+        sf_dir, evidence_pairs,
         pa.schema([("subj", pa.string()), ("obj", pa.string()),
                    ("weight", pa.int64()), ("evidence_doc", pa.int64())]),
-        [("weight", "sum"), ("evidence_doc", "min")],
-        part_on=("subj",), max_keys=n * (n - 1) // 2,
+        [("weight", "sum"), ("evidence_doc", "min")], _PAIR_BOUND,
     )
 
 
 def unigram_entity_type_profile(sf_dir: str):
     """Per (entity, type) doc-mention counts — the type histogram face of
     the canonical entity table (SQL-checkable)."""
-    return _unigram_entity_counts(
-        sf_dir, ["entity", "type"], "n_docs", len(_UNIGRAM_TYPE_OF)
-    )
+    return _unigram_entity_counts(sf_dir, ["entity", "type"], "n_docs", _N)
 
 
 def unigram_typed_edge_filter(sf_dir: str, subj_type="Operator",
                               obj_type="Structure"):
-    """Edges restricted by entity TYPE on both ends — the type profile is
-    a broadcast-side dim lookup, no extra shuffle (SQL-checkable)."""
-    type_of = {e: t for e, t in UNIGRAM_DICT.values()}
+    """Edges restricted by entity TYPE on both ends — the type lookup is
+    a dictionary-bounded array in the map's closure, no extra shuffle
+    (SQL-checkable)."""
 
     def keep(batch: pa.Table) -> pa.Table:
-        mask = [
-            # edges are (min, max)-ordered, so check both assignments
-            (type_of.get(s) == subj_type and type_of.get(o) == obj_type)
-            or (type_of.get(s) == obj_type and type_of.get(o) == subj_type)
-            for s, o in zip(
-                batch["subj"].to_pylist(), batch["obj"].to_pylist()
+        ts, to = _type_of(batch["subj"]), _type_of(batch["obj"])
+        # edges are (min, max)-ordered, so check both assignments
+        return batch.filter(
+            pc.or_(
+                pc.and_(pc.equal(ts, subj_type), pc.equal(to, obj_type)),
+                pc.and_(pc.equal(ts, obj_type), pc.equal(to, subj_type)),
             )
-        ]
-        return batch.filter(pa.array(mask, pa.bool_()))
+        )
 
     return unigram_triples(sf_dir).map_batches(keep, batch_format="pyarrow")
 
@@ -752,56 +742,55 @@ def unigram_infix_relations(sf_dir: str, max_gap: int = 3,
     predicate — the "X acquired Y" / "X of Y" patterns KG construction
     mines when no dependency parser is available.
 
-    Scale shape: pair mining is per-document and GAP-BOUNDED (each
-    mention looks ≤ ``max_gap``+1 tokens ahead — linear in corpus
-    size, unlike the quadratic proximity kernel); the triple counts go
-    through the partitioned keyed combine (one exchange on subj),
-    then the HAVING filter. Output is pattern-vocabulary bounded."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray.data as rd
+    Scale shape: pair mining is per-document and GAP-BOUNDED — mention
+    positions strictly increase, so a pair within ``max_gap``+1 tokens
+    is at most that many mentions apart, and the pairs (i, i+s) for
+    s ≤ ``max_gap``+1 are all of them: linear in corpus size, unlike
+    the quadratic proximity kernel. The predicates come from the text,
+    so the triple counts take the partitioned keyed combine (one
+    exchange on subj), then the HAVING filter."""
 
-    def rel_rows(batch: pa.Table) -> pa.Table:
-        subj_all, pred_all, obj_all = [], [], []
-        for text in batch["text"].to_pylist():
-            toks = (text or "").split(" ")
-            pos, ents = [], []
-            for i, t in enumerate(toks):
-                hit = UNIGRAM_DICT.get(t)
-                if hit is not None:
-                    pos.append(i)
-                    ents.append(hit[0])
-            n = len(ents)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    gap = pos[b] - pos[a]
-                    if gap > max_gap + 1:
-                        break
-                    if gap < 2 or ents[a] == ents[b]:
-                        continue
-                    subj_all.append(ents[a])
-                    pred_all.append(
-                        " ".join(toks[pos[a] + 1 : pos[b]])
-                    )
-                    obj_all.append(ents[b])
+    def infix_triples(batch: pa.Table) -> pa.Table:
+        tokens, doc, hit, word = _mentions(batch["text"])
+        rank, doc = _WORD_RANK[word], doc[hit]
+        firsts, seconds = [], []
+        for s in range(1, max_gap + 2):
+            i = np.arange(len(hit) - s)
+            gap = hit[i + s] - hit[i]
+            i = i[(doc[i] == doc[i + s]) & (gap >= 2) & (gap <= max_gap + 1)
+                  & (rank[i] != rank[i + s])]
+            firsts.append(i)
+            seconds.append(i + s)
+        i, j = np.concatenate(firsts), np.concatenate(seconds)
+        gap = hit[j] - hit[i]
+        # the infix words: token hit[i]+k for k < gap, joined by spaces
+        words = [
+            pc.if_else(
+                pa.array(k < gap),
+                tokens.take(pa.array(np.where(k < gap, hit[i] + k, 0))),
+                pa.scalar(None, pa.string()),
+            )
+            for k in range(1, max(max_gap, 1) + 1)
+        ]
         return pa.table(
             {
-                "subj": pa.array(subj_all, pa.string()),
-                "pred": pa.array(pred_all, pa.string()),
-                "obj": pa.array(obj_all, pa.string()),
-                "n": pa.array(np.ones(len(subj_all), np.int64)),
+                "subj": _ENTITIES.take(pa.array(rank[i])),
+                "pred": pc.binary_join_element_wise(
+                    *words, " ", null_handling="skip"
+                ),
+                "obj": _ENTITIES.take(pa.array(rank[j])),
+                "n": _ones(len(i)),
             }
         )
 
     def having(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t["n"], min_count))
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    return keyed_combine(
-        ds.map_batches(rel_rows, batch_format="pyarrow"),
+    return _unigram_combine(
+        sf_dir, infix_triples,
         pa.schema([("subj", pa.string()), ("pred", pa.string()),
                    ("obj", pa.string()), ("n", pa.int64())]),
-        [("n", "sum")], part_on=("subj",),
+        [("n", "sum")], None, part_on=("subj",),
     ).map_batches(having, batch_format="pyarrow", batch_size=None)
 
 
@@ -827,12 +816,11 @@ def unigram_hash_walks(sf_dir: str):
     from autoner_ray.stages.joins import cogroup_join
 
     def bidir(t: pa.Table) -> pa.Table:
-        src = t["subj"].to_pylist() + t["obj"].to_pylist()
-        dst = t["obj"].to_pylist() + t["subj"].to_pylist()
+        subj, obj = t["subj"].combine_chunks(), t["obj"].combine_chunks()
         return pa.table(
             {
-                "src": pa.array(src, pa.string()),
-                "dst": pa.array(dst, pa.string()),
+                "src": pa.concat_arrays([subj, obj]),
+                "dst": pa.concat_arrays([obj, subj]),
             }
         )
 
@@ -867,6 +855,9 @@ def unigram_hash_walks(sf_dir: str):
                    ("next2", pa.string())]),
         batch_format="pandas",
     ).materialize()
+    if not hops.count():  # no edge: the join has no declared side schema
+        return pa.schema([("seed", pa.string()), ("hop1", pa.string()),
+                          ("hop2", pa.string())]).empty_table()
 
     def left_side(t: pa.Table) -> pa.Table:
         return pa.table({"seed": t["node"], "node": t["next1"]})
@@ -899,61 +890,37 @@ def unigram_triple_delta(sf_dir: str):
 
     Scale shape: one pass over documents emits per-batch (subj, obj,
     w_old, w_new) partials (the parity split is a flag on the SAME
-    stream — the corpus is read once, not twice); a subj-partitioned
-    distributed sum merges them (edge keys are unbounded); the final
-    new-edge filter is a stateless map. No driver-sized state."""
-    from collections import Counter
-    from itertools import combinations
+    stream — the corpus is read once, not twice); the dictionary-bounded
+    combine sums them; the final new-edge filter is a stateless map.
+    ``%`` is SQL's truncated remainder, so a negative odd doc id is in
+    neither half."""
 
-    import pyarrow.compute as pc
-
-    def delta_partial(t: pa.Table) -> pa.Table:
-        counter: Counter[tuple[str, str, int]] = Counter()
-        for doc_id, ents in zip(
-            t["doc_id"].to_pylist(), t["entities"].to_pylist()
-        ):
-            is_new = int(doc_id) % 2
-            for a, b in combinations(ents, 2):
-                counter[(a, b, is_new)] += 1
-        subjs, objs, olds, news = [], [], [], []
-        for (a, b, is_new), w in counter.items():
-            subjs.append(a)
-            objs.append(b)
-            olds.append(0 if is_new else w)
-            news.append(w if is_new else 0)
+    def delta_pairs(batch: pa.Table) -> pa.Table:
+        pairs = _pair_rows(batch)
+        parity = np.fmod(pairs["doc_id"].to_numpy(), 2)
         return pa.table(
             {
-                "subj": pa.array(subjs, pa.string()),
-                "obj": pa.array(objs, pa.string()),
-                "old_weight": pa.array(olds, pa.int64()),
-                "new_weight": pa.array(news, pa.int64()),
+                "subj": pairs["subj"],
+                "obj": pairs["obj"],
+                "old_weight": pa.array((parity == 0).astype(np.int64)),
+                "new_weight": pa.array((parity == 1).astype(np.int64)),
             }
         )
 
-    merged = keyed_combine(
-        unigram_doc_entities(sf_dir).map_batches(
-            delta_partial, batch_format="pyarrow"
-        ),
+    merged = _unigram_combine(
+        sf_dir, delta_pairs,
         pa.schema([("subj", pa.string()), ("obj", pa.string()),
                    ("old_weight", pa.int64()), ("new_weight", pa.int64())]),
-        [("old_weight", "sum"), ("new_weight", "sum")], part_on=("subj",),
+        [("old_weight", "sum"), ("new_weight", "sum")], _PAIR_BOUND,
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["new_weight"], pa.scalar(0)))
-        total = pc.add(t["old_weight"], t["new_weight"])
-        is_new = pc.cast(
-            pc.equal(t["old_weight"], pa.scalar(0)), pa.int64()
-        )
-        return pa.table(
-            {
-                "subj": t["subj"],
-                "obj": t["obj"],
-                "old_weight": t["old_weight"],
-                "new_weight": t["new_weight"],
-                "total_weight": total,
-                "is_new_edge": is_new,
-            }
+        t = t.filter(pc.greater(t["new_weight"], 0))
+        return t.append_column(
+            "total_weight", pc.add(t["old_weight"], t["new_weight"])
+        ).append_column(
+            "is_new_edge",
+            pc.cast(pc.equal(t["old_weight"], 0), pa.int64()),
         )
 
     return merged.map_batches(finish, batch_format="pyarrow")
@@ -964,62 +931,35 @@ def unigram_entity_density(sf_dir: str):
     token count, dictionary-token mentions (with repeats), distinct
     entities, and density in integer ppm (mentions * 10^6 // tokens) —
     the corpus-selection signal that decides which documents feed KG
-    construction (mention-sparse docs carry no triples).
+    construction (mention-sparse docs carry no triples). Empty tokens
+    are not counted, and a document with none is left out.
 
-    Scale shape: ONE stateless vectorized ``map_batches`` (explode ->
-    isin -> per-doc integer aggregate); no shuffle, no state.
+    Scale shape: ONE stateless vectorized ``map_batches`` (split ->
+    lookup -> per-row bincounts); no shuffle, no state.
     """
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
 
-    dict_words = list(UNIGRAM_DICT)
-
-    def density(df: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            "doc_id", "n_tokens", "n_mentions", "n_entities",
-            "density_ppm",
-        ]
-        if df.empty:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype="int64") for c in cols}
-            )
-        words = df["text"].fillna("").str.split(" ")
-        ex = pd.DataFrame(
+    def density(batch: pa.Table) -> pa.Table:
+        tokens, doc, hit, word = _mentions(batch["text"])
+        n = batch.num_rows
+        nonempty = pc.not_equal(tokens, "").to_numpy(zero_copy_only=False)
+        n_tokens = np.bincount(doc[nonempty], minlength=n)
+        n_mentions = np.bincount(doc[hit], minlength=n)
+        distinct = np.unique(doc[hit] * len(_WORDS) + word) // len(_WORDS)
+        n_entities = np.bincount(distinct, minlength=n)
+        keep = np.flatnonzero(n_tokens)
+        return pa.table(
             {
-                "doc_id": df["doc_id"].to_numpy().repeat(
-                    words.str.len().to_numpy()
+                "doc_id": batch["doc_id"].take(pa.array(keep)),
+                "n_tokens": pa.array(n_tokens[keep], pa.int64()),
+                "n_mentions": pa.array(n_mentions[keep], pa.int64()),
+                "n_entities": pa.array(n_entities[keep], pa.int64()),
+                "density_ppm": pa.array(
+                    n_mentions[keep] * 1_000_000 // n_tokens[keep], pa.int64()
                 ),
-                "word": np.concatenate(words.to_numpy()),
             }
         )
-        ex = ex[ex["word"] != ""]
-        ex["hit"] = ex["word"].isin(dict_words).astype("int64")
-        g = ex.groupby("doc_id", sort=False)
-        agg = g.agg(
-            n_tokens=("word", "size"),
-            n_mentions=("hit", "sum"),
-        ).reset_index()
-        ents = (
-            ex[ex["hit"] == 1]
-            .groupby("doc_id", sort=False)["word"]
-            .nunique()
-        )
-        agg["n_entities"] = (
-            agg["doc_id"].map(ents).fillna(0).astype("int64")
-        )
-        agg["density_ppm"] = (
-            agg["n_mentions"].to_numpy() * 1_000_000
-            // agg["n_tokens"].to_numpy()
-        )
-        for c in cols[1:]:
-            agg[c] = agg[c].astype("int64")
-        return agg[cols]
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return ds.map_batches(density, batch_format="pandas")
+    return _documents(sf_dir).map_batches(density, batch_format="pyarrow")
 
 
 def unigram_type_schema_census(sf_dir: str):
@@ -1033,37 +973,27 @@ def unigram_type_schema_census(sf_dir: str):
 
     Scale shape: edge list arrives pre-aggregated from
     :func:`unigram_triples` (one global row per pair); the type lookup
-    is a dict-bounded broadcast map; the tail is a shuffle-free bounded
-    combine over <= |types|^2 keys.
+    is the dictionary-bounded array; the tail is the shuffle-free
+    combine over the dictionary's unordered type pairs.
     """
-    type_of = {e: t for e, t in UNIGRAM_DICT.values()}
 
-    def rollup(batch: pa.Table) -> pa.Table:
-        ta = [type_of[s] for s in batch["subj"].to_pylist()]
-        tb = [type_of[o] for o in batch["obj"].to_pylist()]
-        lo = [min(a, b) for a, b in zip(ta, tb)]
-        hi = [max(a, b) for a, b in zip(ta, tb)]
-        t = pa.table(
+    def type_pairs(batch: pa.Table) -> pa.Table:
+        ta, tb = _type_of(batch["subj"]), _type_of(batch["obj"])
+        return pa.table(
             {
-                "type_a": pa.array(lo, pa.string()),
-                "type_b": pa.array(hi, pa.string()),
-                "n_pairs": pa.array([1] * len(lo), pa.int64()),
+                "type_a": pc.min_element_wise(ta, tb),
+                "type_b": pc.max_element_wise(ta, tb),
+                "n_pairs": _ones(batch.num_rows),
                 "total_weight": batch["weight"].cast(pa.int64()),
             }
         )
-        agg = t.group_by(["type_a", "type_b"]).aggregate(
-            [("n_pairs", "sum"), ("total_weight", "sum")]
-        )
-        return agg.rename_columns(
-            ["type_a", "type_b", "n_pairs", "total_weight"]
-        )
 
     return keyed_combine(
-        unigram_triples(sf_dir).map_batches(rollup, batch_format="pyarrow"),
+        unigram_triples(sf_dir).map_batches(type_pairs, batch_format="pyarrow"),
         pa.schema([("type_a", pa.string()), ("type_b", pa.string()),
                    ("n_pairs", pa.int64()), ("total_weight", pa.int64())]),
         [("n_pairs", "sum"), ("total_weight", "sum")],
-        max_keys=BOUNDED_MAX_KEYS,
+        max_keys=_TYPE_PAIR_BOUND,
     )
 
 
@@ -1133,64 +1063,42 @@ def unigram_entity_timeline(sf_dir: str):
     graph, when was it last observed, how much evidence backs it. The
     page timestamp is the same pure doc_id derivation the pages source
     uses (`sources/pages.py::derive_pages_batch`), so the DuckDB twin
-    recomputes it exactly.
+    recomputes it exactly; it is monotone in doc_id, so the combine
+    keeps the min/max doc id and converts once at the end.
 
-    Scale shape: per-batch min/max/sum partials over the dict-bounded
-    entity set, then the hash-partitioned two-level combine
+    Scale shape: per-batch min/max/sum partials over the
+    dictionary-bounded entity set, then the one-task bounded combine
     (`stages/combine.py::keyed_combine`) — no corpus shuffle, no
     driver-side state.
     """
-    from autoner_ray.sources.pages import _TS_BASE_US
 
-    def partials(batch: pa.Table) -> pa.Table:
-        ents_per_doc = batch["entities"].to_pylist()
-        ids = batch["doc_id"].to_pylist()
-        ent_col, first, last, n = [], [], [], []
-        agg: dict[str, list[int]] = {}
-        for did, ents in zip(ids, ents_per_doc):
-            ts = _TS_BASE_US + did * 1_000_000
-            for e in ents:
-                cur = agg.get(e)
-                if cur is None:
-                    agg[e] = [ts, ts, 1]
-                else:
-                    cur[0] = min(cur[0], ts)
-                    cur[1] = max(cur[1], ts)
-                    cur[2] += 1
-        for e in sorted(agg):
-            ent_col.append(e)
-            first.append(agg[e][0])
-            last.append(agg[e][1])
-            n.append(agg[e][2])
+    def entity_docs(batch: pa.Table) -> pa.Table:
+        rows = _entity_rows(batch)
         return pa.table(
             {
-                "entity": pa.array(ent_col, pa.string()),
-                "first_us": pa.array(first, pa.int64()),
-                "last_us": pa.array(last, pa.int64()),
-                "n_docs": pa.array(n, pa.int64()),
+                "entity": rows["entity"],
+                "first_doc": rows["doc_id"],
+                "last_doc": rows["doc_id"],
+                "n_docs": _ones(rows.num_rows),
             }
         )
-
-    agg_ds = keyed_combine(
-        unigram_doc_entities(sf_dir).map_batches(
-            partials, batch_format="pyarrow"
-        ),
-        pa.schema([("entity", pa.string()), ("first_us", pa.int64()),
-                   ("last_us", pa.int64()), ("n_docs", pa.int64())]),
-        [("first_us", "min"), ("last_us", "max"), ("n_docs", "sum")],
-    )
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "entity": t["entity"],
-                "first_seen": t["first_us"].cast(pa.timestamp("us")),
-                "last_seen": t["last_us"].cast(pa.timestamp("us")),
+                "first_seen": _crawl_ts(t["first_doc"]),
+                "last_seen": _crawl_ts(t["last_doc"]),
                 "n_docs": t["n_docs"],
             }
         )
 
-    return agg_ds.map_batches(finish, batch_format="pyarrow")
+    return _unigram_combine(
+        sf_dir, entity_docs,
+        pa.schema([("entity", pa.string()), ("first_doc", pa.int64()),
+                   ("last_doc", pa.int64()), ("n_docs", pa.int64())]),
+        [("first_doc", "min"), ("last_doc", "max"), ("n_docs", "sum")], _N,
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def unigram_triples_temporal(sf_dir: str):
@@ -1199,47 +1107,21 @@ def unigram_triples_temporal(sf_dir: str):
     the per-partition lineage metadata the north rule asks each graph
     shard to carry, expressed as a first-class queryable table.
 
-    Same two-level partitioned combine as the timeline; edge
-    cardinality is unbounded so the combine hash-partitions on the
-    (subj, obj) key pair rather than assuming boundedness.
+    Same min/max doc-id combine as the timeline, over the
+    dictionary-bounded entity pairs.
     """
-    from autoner_ray.sources.pages import _TS_BASE_US
-    from itertools import combinations
 
-    def pair_partials(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        ents_per_doc = batch["entities"].to_pylist()
-        agg: dict[tuple[str, str], list[int]] = {}
-        for did, ents in zip(ids, ents_per_doc):
-            ts = _TS_BASE_US + did * 1_000_000
-            for a, b in combinations(sorted(ents), 2):
-                cur = agg.get((a, b))
-                if cur is None:
-                    agg[(a, b)] = [ts, ts, 1]
-                else:
-                    cur[0] = min(cur[0], ts)
-                    cur[1] = max(cur[1], ts)
-                    cur[2] += 1
-        keys = sorted(agg)
+    def pair_docs(batch: pa.Table) -> pa.Table:
+        pairs = _pair_rows(batch)
         return pa.table(
             {
-                "subj": pa.array([k[0] for k in keys], pa.string()),
-                "obj": pa.array([k[1] for k in keys], pa.string()),
-                "first_us": pa.array([agg[k][0] for k in keys], pa.int64()),
-                "last_us": pa.array([agg[k][1] for k in keys], pa.int64()),
-                "weight": pa.array([agg[k][2] for k in keys], pa.int64()),
+                "subj": pairs["subj"],
+                "obj": pairs["obj"],
+                "first_doc": pairs["doc_id"],
+                "last_doc": pairs["doc_id"],
+                "weight": _ones(pairs.num_rows),
             }
         )
-
-    agg_ds = keyed_combine(
-        unigram_doc_entities(sf_dir).map_batches(
-            pair_partials, batch_format="pyarrow"
-        ),
-        pa.schema([("subj", pa.string()), ("obj", pa.string()),
-                   ("first_us", pa.int64()), ("last_us", pa.int64()),
-                   ("weight", pa.int64())]),
-        [("first_us", "min"), ("last_us", "max"), ("weight", "sum")],
-    )
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1247,12 +1129,19 @@ def unigram_triples_temporal(sf_dir: str):
                 "subj": t["subj"],
                 "obj": t["obj"],
                 "weight": t["weight"],
-                "first_seen": t["first_us"].cast(pa.timestamp("us")),
-                "last_seen": t["last_us"].cast(pa.timestamp("us")),
+                "first_seen": _crawl_ts(t["first_doc"]),
+                "last_seen": _crawl_ts(t["last_doc"]),
             }
         )
 
-    return agg_ds.map_batches(finish, batch_format="pyarrow")
+    return _unigram_combine(
+        sf_dir, pair_docs,
+        pa.schema([("subj", pa.string()), ("obj", pa.string()),
+                   ("first_doc", pa.int64()), ("last_doc", pa.int64()),
+                   ("weight", pa.int64())]),
+        [("first_doc", "min"), ("last_doc", "max"), ("weight", "sum")],
+        _PAIR_BOUND,
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def negative_samples(edges_ds, k: int = 2):
@@ -1387,6 +1276,33 @@ def unigram_c4(sf_dir: str):
     return c4_count(unigram_triples(sf_dir))
 
 
+def _edge_ranks(edges_ds) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints of a unigram edge Dataset as ``_ENTITIES`` ranks,
+    collected on the driver (the edge list is dictionary-bounded)."""
+    t = _collect(edges_ds, ["subj", "obj"])
+    return tuple(
+        pc.index_in(t[c].cast(pa.string()), value_set=_ENTITIES).to_numpy()
+        for c in ("subj", "obj")
+    )
+
+
+def _triangles(edges_ds) -> np.ndarray:
+    """Triangles per ``_ENTITIES`` rank, from the pinned compact-forward
+    counter (:func:`graph.triangle_counts`)."""
+    from autoner_ray.stages.graph import triangle_counts
+
+    tri = triangle_counts(edges_ds)
+    if not isinstance(tri, pa.Table):
+        tri = _collect(tri, ["entity", "triangles"])
+    tri = tri.cast(pa.schema([("entity", pa.string()),
+                              ("triangles", pa.int64())]))
+    out = np.zeros(_N, np.int64)
+    out[pc.index_in(tri["entity"], value_set=_ENTITIES).to_numpy()] = (
+        tri["triangles"].to_numpy()
+    )
+    return out
+
+
 def transitivity_null_model(sf_dir: str):
     """Global transitivity vs its configuration-model expectation —
     the null-model test that says whether the graph's clustering is
@@ -1395,29 +1311,15 @@ def transitivity_null_model(sf_dir: str):
     the EXACT integer ratio (S2−S1)² / S1³, and actual transitivity is
     3·Δ / wedges with Δ the triangle total and wedges = Σ C(k,2) —
     every quantity an integer, both ratios floored to ppm. One row:
-    (n_triangles, n_wedges, transitivity_ppm, config_expected_ppm).
+    (n_triangles, n_wedges, transitivity_ppm, config_expected_ppm);
+    all zero when the graph has no edge.
 
-    Scale shape: degrees/moments ride the endpoint combine (tiny
-    partials); the triangle total reuses the pinned compact-forward
-    counter."""
-    import numpy as np
-
-    from autoner_ray.stages.graph import triangle_counts
-
+    Scale shape: the triangle total reuses the pinned compact-forward
+    counter; degrees count on the driver over the collected
+    dictionary-bounded edge list."""
     edges = unigram_triples(sf_dir).materialize()
-    tri = triangle_counts(edges)
-    tri_t = tri if isinstance(tri, pa.Table) else pa.concat_tables(
-        [b for b in tri.iter_batches(batch_format="pyarrow")]
-    )
-    n_triangles = int(sum(tri_t["triangles"].to_pylist())) // 3
-    pdf = edges.to_pandas()
-    import collections
-
-    deg: dict = collections.Counter()
-    for a, b in zip(pdf["subj"], pdf["obj"]):
-        deg[a] += 1
-        deg[b] += 1
-    ks = np.array(list(deg.values()), np.int64)
+    n_triangles = int(_triangles(edges).sum()) // 3
+    ks = np.bincount(np.concatenate(_edge_ranks(edges)), minlength=_N)
     s1 = int(ks.sum())
     s2 = int((ks * ks).sum())
     wedges = int((ks * (ks - 1) // 2).sum())
@@ -1427,9 +1329,7 @@ def transitivity_null_model(sf_dir: str):
         {
             "n_triangles": pa.array([n_triangles], pa.int64()),
             "n_wedges": pa.array([wedges], pa.int64()),
-            "transitivity_ppm": pa.array(
-                [transitivity_ppm], pa.int64()
-            ),
+            "transitivity_ppm": pa.array([transitivity_ppm], pa.int64()),
             "config_expected_ppm": pa.array([expected_ppm], pa.int64()),
         }
     )
@@ -1450,45 +1350,33 @@ def relation_cardinality(sf_dir: str):
     the driver after the standard edge collect; at open-vocab scale
     the same maxes ride a (type_a, type_b, entity)-keyed
     partitioned combine."""
-    import collections
-
-    from autoner_ray.dicts import UNIGRAM_DICT
-
-    edges = unigram_triples(sf_dir).to_pandas()
-    # UNIGRAM_DICT maps word -> (entity, type); derive entity -> type
-    etype = {}
-    for w, v in UNIGRAM_DICT.items():
-        ent, typ = v
-        etype[ent] = typ
-    fan: dict = collections.defaultdict(set)
-    pair_counts: dict = collections.Counter()
-    for a, b in zip(edges["subj"], edges["obj"]):
-        ta, tb = etype[a], etype[b]
-        fan[(ta, tb, a)].add(b)
-        fan[(tb, ta, b)].add(a)
-        pair_counts[(ta, tb)] += 1
-        pair_counts[(tb, ta)] += 1
-    maxf: dict = collections.Counter()
-    for (ta, tb, _), partners in fan.items():
-        maxf[(ta, tb)] = max(maxf[(ta, tb)], len(partners))
-    rows = []
-    for (ta, tb), n in sorted(pair_counts.items()):
-        fwd = maxf[(ta, tb)]
-        bwd = maxf[(tb, ta)]
-        cls = (
-            "1:1" if fwd == 1 and bwd == 1
-            else "1:N" if fwd > 1 and bwd == 1
-            else "N:1" if fwd == 1 and bwd > 1
-            else "M:N"
-        )
-        rows.append((ta, tb, int(n), int(fwd), cls))
+    a, b = _edge_ranks(unigram_triples(sf_dir))
+    n_types = len(_TYPES)
+    # both directions of every edge: (entity, partner), keyed by the
+    # ordered type pair; edges are unique, so an entity's rows under a
+    # type pair count its distinct partners
+    ent = np.concatenate([a, b])
+    tp = _TYPE_INDEX[ent] * n_types + _TYPE_INDEX[np.concatenate([b, a])]
+    fan_key, fan = np.unique(tp * _N + ent, return_counts=True)
+    maxf = np.zeros(n_types * n_types, np.int64)
+    np.maximum.at(maxf, fan_key // _N, fan)
+    n_pairs = np.bincount(tp, minlength=n_types * n_types)
+    # _TYPES is sorted, so index order is (type_a, type_b) order
+    pair = np.flatnonzero(n_pairs)
+    ta, tb = pair // n_types, pair % n_types
+    fwd, bwd = maxf[pair], maxf[tb * n_types + ta]
+    cls = np.select(
+        [(fwd == 1) & (bwd == 1), (fwd > 1) & (bwd == 1),
+         (fwd == 1) & (bwd > 1)],
+        ["1:1", "1:N", "N:1"], "M:N",
+    )
     return pa.table(
         {
-            "type_a": pa.array([r[0] for r in rows], pa.string()),
-            "type_b": pa.array([r[1] for r in rows], pa.string()),
-            "n_pairs": pa.array([r[2] for r in rows], pa.int64()),
-            "max_fanout": pa.array([r[3] for r in rows], pa.int64()),
-            "cardinality": pa.array([r[4] for r in rows], pa.string()),
+            "type_a": _TYPES.take(pa.array(ta)),
+            "type_b": _TYPES.take(pa.array(tb)),
+            "n_pairs": pa.array(n_pairs[pair], pa.int64()),
+            "max_fanout": pa.array(fwd, pa.int64()),
+            "cardinality": pa.array(cls, pa.string()),
         }
     )
 
@@ -1501,37 +1389,19 @@ def unigram_local_clustering(sf_dir: str):
     (entity, degree, triangles, lcc_ppm) for every graph node.
 
     Scale shape: triangles ride the pinned compact-forward counter
-    (:func:`graph.triangle_counts` — O(m^1.5) wedges); degrees are the
-    endpoint bounded combine; the final join/arith runs driver-side
-    over the DICTIONARY-BOUNDED entity vocab (the pagerank contract)."""
-    import collections
-
-    import numpy as np
-
-    from autoner_ray.stages.graph import triangle_counts
-
+    (:func:`graph.triangle_counts` — O(m^1.5) wedges); degrees and the
+    final arithmetic run driver-side over the DICTIONARY-BOUNDED entity
+    vocab (the pagerank contract)."""
     edges = unigram_triples(sf_dir).materialize()
-    tri = triangle_counts(edges)
-    tri_t = tri if isinstance(tri, pa.Table) else pa.concat_tables(
-        [b for b in tri.iter_batches(batch_format="pyarrow")]
-    )
-    tri_map = dict(zip(tri_t["entity"].to_pylist(),
-                       tri_t["triangles"].to_pylist()))
-    pdf = edges.to_pandas()
-    deg: collections.Counter = collections.Counter()
-    for a, b in zip(pdf["subj"], pdf["obj"]):
-        deg[a] += 1
-        deg[b] += 1
-    ents = sorted(deg)
-    d = np.array([deg[e] for e in ents], np.int64)
-    t = np.array([int(tri_map.get(e, 0)) for e in ents], np.int64)
+    tri = _triangles(edges)
+    deg = np.bincount(np.concatenate(_edge_ranks(edges)), minlength=_N)
+    node = np.flatnonzero(deg)
+    d, t = deg[node], tri[node]
     denom = d * (d - 1)
-    lcc = np.where(
-        denom > 0, (2_000_000 * t) // np.maximum(denom, 1), 0
-    ).astype(np.int64)
+    lcc = np.where(denom > 0, (2_000_000 * t) // np.maximum(denom, 1), 0)
     return pa.table(
         {
-            "entity": pa.array(ents, pa.string()),
+            "entity": _ENTITIES.take(pa.array(node)),
             "degree": pa.array(d, pa.int64()),
             "triangles": pa.array(t, pa.int64()),
             "lcc_ppm": pa.array(lcc, pa.int64()),
@@ -1549,44 +1419,24 @@ def unigram_bipartite_projection(sf_dir: str):
     order-independently and match the SQL twin exactly. Output
     (subj, obj, n_docs, w_micro) with subj < obj.
 
-    Scale shape: per-batch pair partials pre-aggregate (the
-    pair_counts_batch pattern with a weight column), then the one
-    subj-keyed shuffle of :func:`triples.aggregate_edges`'s partitioned
-    shape — no new machinery, no driver state."""
-    docs = unigram_doc_entities(sf_dir)
+    Scale shape: per-batch pair partials pre-aggregate, then the
+    dictionary-bounded combine — no new machinery, no driver state."""
 
-    _p_schema = pa.schema(
-        [("subj", pa.string()), ("obj", pa.string()),
-         ("n_docs", pa.int64()), ("w_micro", pa.int64())]
-    )
-
-    def pair_partials(t: pa.Table) -> pa.Table:
-        s_col, o_col, w_col = [], [], []
-        for ents in t["entities"].to_pylist():
-            k = len(ents)
-            if k < 2:
-                continue
-            w = int(1_000_000 // (k - 1))
-            for i in range(k):
-                for j in range(i + 1, k):
-                    s_col.append(ents[i])
-                    o_col.append(ents[j])
-                    w_col.append(w)
-        part = pa.table(
+    def newman_pairs(batch: pa.Table) -> pa.Table:
+        pairs = _pair_rows(batch)
+        k = pairs["k"].to_numpy()
+        return pa.table(
             {
-                "subj": pa.array(s_col, pa.string()),
-                "obj": pa.array(o_col, pa.string()),
-                "n_docs": pa.array([1] * len(s_col), pa.int64()),
-                "w_micro": pa.array(w_col, pa.int64()),
-            },
-            schema=_p_schema,
+                "subj": pairs["subj"],
+                "obj": pairs["obj"],
+                "n_docs": _ones(pairs.num_rows),
+                "w_micro": pa.array(1_000_000 // (k - 1), pa.int64()),
+            }
         )
-        agg = part.group_by(["subj", "obj"]).aggregate(
-            [("n_docs", "sum"), ("w_micro", "sum")]
-        )
-        return agg.rename_columns(["subj", "obj", "n_docs", "w_micro"])
 
-    return keyed_combine(
-        docs.map_batches(pair_partials, batch_format="pyarrow"), _p_schema,
-        [("n_docs", "sum"), ("w_micro", "sum")], part_on=("subj",),
+    return _unigram_combine(
+        sf_dir, newman_pairs,
+        pa.schema([("subj", pa.string()), ("obj", pa.string()),
+                   ("n_docs", pa.int64()), ("w_micro", pa.int64())]),
+        [("n_docs", "sum"), ("w_micro", "sum")], _PAIR_BOUND,
     )

@@ -38,6 +38,12 @@ import pyarrow as pa
 
 from autoner_ray.functions.text import normalize_surface
 
+# the entity dim table's columns, before the dense id
+ENTITIES = pa.schema(
+    [("key", pa.string()), ("canonical_surface", pa.string()),
+     ("n_mentions", pa.int64())]
+)
+
 
 def surface_pair_partials(mentions_batch: pa.Table) -> pa.Table:
     """Combiner: mention rows -> partial (key, surface, n) counts."""
@@ -108,22 +114,20 @@ def canonical_entities(mentions_ds):
         # keyed_combine documents the measured effect)
         .map_batches(precombine, batch_format="pyarrow",
                      batch_size=65536, num_cpus=0.5),
-        HASH, _reduce_partition,
-        pa.schema([("key", pa.string()), ("canonical_surface", pa.string()),
-                   ("n_mentions", pa.int64())]),
-        batch_format="pandas",
+        HASH, _reduce_partition, ENTITIES, batch_format="pandas",
     )
 
 
 def entity_id_table(entities_ds) -> pa.Table:
     """Dense ids by (n_mentions desc, key asc). Entity vocab is small
     relative to the corpus (dictionary-bounded), so this materializes —
-    it is the broadcast side of the link join."""
-    t = pa.Table.from_pandas(
-        entities_ds.to_pandas(), preserve_index=False
-    ).replace_schema_metadata(None)
+    it is the broadcast side of the link join. No entity gives the
+    empty table of these columns."""
     import pyarrow.compute as pc
 
+    from autoner_ray.stages.graph import _collect
+
+    t = _collect(entities_ds, ENTITIES.names).cast(ENTITIES)
     order = pc.sort_indices(
         t,
         sort_keys=[("n_mentions", "descending"), ("key", "ascending")],

@@ -94,7 +94,9 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
 
     The entity vocabulary is DICTIONARY-BOUNDED (SURVEY §9: ~10^6 at web
     scale), so after the distributed edge aggregation the adjacency fits
-    one node comfortably and the power iteration runs as a driver-side
+    one node comfortably: the edges are collected (:func:`_collect`),
+    endpoints become indices into the sorted node array by
+    ``index_in``, and the power iteration runs as a driver-side
     numpy loop over a CSR-ish matvec — the idiomatic split: corpus-sized
     work distributed, vocab-sized work local. (A trillion-edge graph over
     an UNBOUNDED vocab would instead iterate rank as a Dataset with a
@@ -103,22 +105,17 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
     Returns a pa.Table (entity, rank float64 rounded 1e-9) sorted by
     (rank desc, entity).
     """
-    import numpy as np
-
-    df = edges_ds.to_pandas()
-    ents = sorted(set(df["subj"]) | set(df["obj"]))
-    idx = {e: i for i, e in enumerate(ents)}
+    t = _collect(edges_ds, ["subj", "obj", "weight"])
+    ends = pa.chunked_array(t["subj"].chunks + t["obj"].chunks,
+                            t.schema.field("subj").type)
+    ents = pc.unique(ends).sort()
     n = len(ents)
     if n == 0:
         return pa.table({"entity": pa.array([], pa.string()),
                          "rank": pa.array([], pa.float64())})
-    src = np.fromiter(
-        (idx[s] for s in df["subj"]), dtype=np.int64, count=len(df)
-    )
-    dst = np.fromiter(
-        (idx[o] for o in df["obj"]), dtype=np.int64, count=len(df)
-    )
-    w = df["weight"].to_numpy(dtype=np.float64)
+    src = pc.index_in(t["subj"], value_set=ents).to_numpy()
+    dst = pc.index_in(t["obj"], value_set=ents).to_numpy()
+    w = t["weight"].to_numpy().astype(np.float64)
     # undirected: both directions
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
@@ -131,12 +128,13 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 20,
         contrib = np.zeros(n)
         np.add.at(contrib, cols, rank[rows] * ww_norm)
         rank = (1 - damping) / n + damping * contrib
-    order = sorted(range(n), key=lambda i: (-rank[i], ents[i]))
+    # rank desc, then entity (ents is sorted, so its index order)
+    order = np.lexsort((np.arange(n), -rank))
     return pa.table(
         {
-            "entity": pa.array([ents[i] for i in order], pa.string()),
+            "entity": ents.take(pa.array(order)),
             "rank": pa.array(
-                [round(float(rank[i]), round_dp) for i in order],
+                [round(float(r), round_dp) for r in rank[order]],
                 pa.float64(),
             ),
         }
@@ -195,6 +193,17 @@ def _collect(ds, cols: list[str]) -> pa.Table:
     ).empty_table()
 
 
+def _node_type(edges_ds) -> pa.DataType:
+    """The Arrow type of the ``subj`` column; string when the Dataset
+    declares no schema (all its blocks empty) or reports a numpy class
+    (pandas-backed blocks)."""
+    schema = edges_ds.schema()
+    node_type = (
+        schema.types[schema.names.index("subj")] if schema else pa.string()
+    )
+    return node_type if isinstance(node_type, pa.DataType) else pa.string()
+
+
 def component_labels(edges_ds) -> pa.Table:
     """``(src, label)`` for every node of the undirected ``subj``/``obj``
     edge Dataset, ``label`` = the smallest node of its component, rows in
@@ -233,8 +242,7 @@ def connected_components_distributed(edges_ds, max_iters: int = 50):
     # the label table's block-count bound: 1x CPUs keeps per-iteration
     # task count bounded without oversubscribing small graphs
     num_blocks = default_num_partitions(multiplier=1)
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
+    node_type = _node_type(edges_ds)
 
     def expand(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -330,11 +338,7 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32):
     from autoner_ray.stages.joins import cogroup_join
 
     num_blocks = default_num_partitions(multiplier=1)
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
-    if not isinstance(node_type, pa.DataType):
-        # pandas-backed blocks report numpy/object classes for strings
-        node_type = pa.string()
+    node_type = _node_type(edges_ds)
     # depth+1 sentinel: distances > max_depth cannot propagate, by
     # design — the recursive-CTE oracle applies the same cap
     sentinel = max_depth + 1
@@ -348,6 +352,10 @@ def bfs_distances(edges_ds, source=None, max_depth: int = 32):
         )
 
     bidir = edges_ds.map_batches(expand, batch_format="pyarrow").materialize()
+    if not bidir.count():  # no edge, no node to reach
+        return pa.schema(
+            [("entity", node_type), ("dist", pa.int64())]
+        ).empty_table()
     if source is None:
         source = bidir.min("src")
     seed_arr = pa.array([source], node_type)
@@ -739,11 +747,7 @@ def c4_count(edges_ds):
 
     from autoner_ray.stages.combine import exchange, keyed_combine
 
-    schema = edges_ds.schema()
-    node_type = schema.types[schema.names.index("subj")]
-    if not isinstance(node_type, pa.DataType):
-        # pandas-backed blocks report numpy/object classes for strings
-        node_type = pa.string()
+    node_type = _node_type(edges_ds)
     _w_schema = pa.schema(
         [("u", node_type), ("v", node_type), ("n", pa.int64())]
     )
