@@ -39,7 +39,17 @@ from autoner_ray.sources.pages import _TS_BASE_US, read_pages
 from autoner_ray.stages.combine import combine_table, exchange, keyed_combine
 from autoner_ray.stages.dict_match import pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
-from autoner_ray.stages.graph import _collect
+from autoner_ray.stages.graph import (
+    _collect,
+    adamic_adar,
+    bfs_distances,
+    c4_count,
+    connected_components,
+    degree_distribution,
+    materialize_graph,
+    pagerank,
+    triangle_counts,
+)
 from autoner_ray.stages.tokenize import tokenize_pages_batch
 from autoner_ray.stages.triples import (
     PRED_COOCCUR,
@@ -135,8 +145,6 @@ def triples_dataset(sf_dir: str, concurrency=None, repeat: int = 1):
 
 
 def graph_shards(sf_dir: str, out_dir: str, num_parts: int = 16):
-    from autoner_ray.stages.graph import materialize_graph
-
     return materialize_graph(triples_dataset(sf_dir), out_dir, num_parts)
 
 
@@ -580,16 +588,12 @@ def unigram_pagerank(sf_dir: str):
     face of the graph stage (oracle: 20 unrolled power iterations in
     DuckDB). 6-dp round keeps the value-hash robust to float summation
     order across engines."""
-    from autoner_ray.stages.graph import pagerank
-
     return pagerank(unigram_triples(sf_dir), round_dp=6)
 
 
 def unigram_connected_components(sf_dir: str):
     """Connected components over the unigram graph (oracle: recursive
     reachability CTE, component = lexicographic min of reachable set)."""
-    from autoner_ray.stages.graph import connected_components
-
     return connected_components(unigram_triples(sf_dir))
 
 
@@ -597,8 +601,6 @@ def unigram_bfs_distances(sf_dir: str):
     """Single-source hop distances from the lexicographically smallest
     entity over the unigram co-occurrence graph (oracle: depth-capped
     recursive reachability CTE with MIN(d) per node)."""
-    from autoner_ray.stages.graph import bfs_distances
-
     return bfs_distances(unigram_triples(sf_dir))
 
 
@@ -606,8 +608,6 @@ def unigram_degree_distribution(sf_dir: str):
     """Degree histogram of the unigram co-occurrence graph (oracle:
     GROUP BY degree over per-src counts of the unique bidirectional
     edge list)."""
-    from autoner_ray.stages.graph import degree_distribution
-
     return degree_distribution(unigram_triples(sf_dir))
 
 
@@ -615,8 +615,6 @@ def unigram_adamic_adar(sf_dir: str):
     """Adamic-Adar link-prediction scores over the unigram
     co-occurrence graph (oracle: wedge self-join + degree join with
     integer micro-quantized 1/ln(deg) terms)."""
-    from autoner_ray.stages.graph import adamic_adar
-
     return adamic_adar(unigram_triples(sf_dir))
 
 
@@ -625,8 +623,6 @@ def unigram_triangles(sf_dir: str):
     (oracle: three-way self-join on the subj<obj pair list; each
     triangle is enumerated once at its lexicographic orientation and
     credited to all three corners)."""
-    from autoner_ray.stages.graph import triangle_counts
-
     return triangle_counts(unigram_triples(sf_dir))
 
 
@@ -1008,8 +1004,6 @@ def unigram_ntriples(sf_dir: str):
     Scale shape: a stateless vectorized string concat over the
     pre-aggregated edge list; no shuffle.
     """
-    import pyarrow.compute as pc
-
     def serialize(batch: pa.Table) -> pa.Table:
         line = pc.binary_join_element_wise(
             "<urn:e:", batch["subj"].cast(pa.string()),
@@ -1035,8 +1029,6 @@ def parse_ntriples_batch(batch: pa.Table) -> pa.Table:
     """Inverse of :func:`unigram_ntriples`: parse canonical N-Triples
     lines back to (subj, pred, obj) via one vectorized RE2 extract
     (rows that don't match the canonical form are dropped)."""
-    import pyarrow.compute as pc
-
     line = pc.fill_null(batch["ntriple"], "").combine_chunks()
     ok = pc.match_substring_regex(line, _NT_RE)
     line = line.filter(ok)
@@ -1166,8 +1158,6 @@ def negative_samples(edges_ds, k: int = 2):
     left-outer ``cogroup_join`` anti-join on the unordered pair key —
     the (possibly vocab^2-sized) edge table co-partitions instead of
     broadcasting."""
-    import numpy as np
-
     from autoner_ray.functions.hashing import md5_64
     from autoner_ray.stages.joins import cogroup_join
 
@@ -1223,8 +1213,6 @@ def negative_samples(edges_ds, k: int = 2):
     )
 
     def edge_keys(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         # positives keep subj < obj by construction
         return pa.table(
             {
@@ -1246,8 +1234,6 @@ def negative_samples(edges_ds, k: int = 2):
     )
 
     def survivors(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keep = pc.is_null(t["hit"])
         return pa.table(
             {
@@ -1271,8 +1257,6 @@ def negative_samples(edges_ds, k: int = 2):
 def unigram_c4(sf_dir: str):
     """4-cycle census over the unigram co-occurrence graph (see
     ``stages/graph.py::c4_count`` for the diagonal-pair identity)."""
-    from autoner_ray.stages.graph import c4_count
-
     return c4_count(unigram_triples(sf_dir))
 
 
@@ -1289,8 +1273,6 @@ def _edge_ranks(edges_ds) -> tuple[np.ndarray, np.ndarray]:
 def _triangles(edges_ds) -> np.ndarray:
     """Triangles per ``_ENTITIES`` rank, from the pinned compact-forward
     counter (:func:`graph.triangle_counts`)."""
-    from autoner_ray.stages.graph import triangle_counts
-
     tri = triangle_counts(edges_ds)
     if not isinstance(tri, pa.Table):
         tri = _collect(tri, ["entity", "triangles"])
