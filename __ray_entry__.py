@@ -176,12 +176,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def docs_lang_counts(sf_dir):
-        # language codes are a bounded key set: per-batch value_counts
-        # partials + the shuffle-free bounded-key combine
+        # per-batch value_counts partials + the keyed combine; lang is
+        # corpus data, so no key bound holds and it takes the exchange
         import pyarrow as pa
         import pyarrow.compute as _pc
 
-        from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+        from autoner_ray.stages.combine import keyed_combine
 
         def lang_partial(t):
             vc = t["lang"].value_counts()
@@ -197,7 +197,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 lang_partial, batch_format="pyarrow", batch_size=65536
             ),
             pa.schema([("lang", pa.string()), ("n", pa.int64())]),
-            [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+            [("n", "sum")],
         )
 
     def docs_quality_filter(sf_dir):

@@ -30,8 +30,9 @@ one. Small partitions share one execution; a partition of a block or
 more keeps its own. A kill loses at most the wave in flight, about one
 block of input: its staging dir is removed on an exception, or aged out
 by :func:`~autoner_ray.state.manifest.sweep_tmp` after a hard kill. So
-a job runs one execution per wave plus one for the final aggregate, and
-the graph job one more for its shards. The wave is one linear plan,
+a job runs one execution per wave, and the graph job one more for its
+shards: the final aggregate reads the committed Parquet with pyarrow
+and folds it on the driver, with no Ray task. The wave is one linear plan,
 not a ``union`` of per-partition plans: the union dispatches more tasks
 than there are CPUs, and Ray 2.49's scheduler then stalls 100 ms per
 ``ray.wait`` round (0.5 s against 0.26 s per write, measured at 1
@@ -39,8 +40,8 @@ CPU).
 
 Because the per-partition payload is an ASSOCIATIVE partial (edge
 partial counts), the final edge aggregate over all partitions (a sum
-per ``(subj, pred, obj)``; the one-task bounded tier under the
-dictionary's key bound) is exactly the un-checkpointed pipeline's
+per ``(subj, pred, obj)``, folded on the driver under the dictionary's
+key bound) is exactly the un-checkpointed pipeline's
 result — verified by ``tests/test_resume.py``. The graph phase's
 lineage records which tier ran.
 """
@@ -54,7 +55,7 @@ import uuid
 
 from autoner_ray.state import manifest as mf
 from autoner_ray.stages.combine import edge_tier
-from autoner_ray.stages.triples import aggregate_edges
+from autoner_ray.stages.triples import fold_edges
 
 
 def _by_part(match, num_parts: int):
@@ -241,10 +242,14 @@ def _edge_key_bound() -> int:
 
 
 def final_edges(out_dir: str, num_parts: int):
-    """Global edge weights over every committed partition's partials."""
-    import ray.data as rd
-
+    """Global edge weights over every committed partition's partials:
+    the ``part=*/pairs/*.parquet`` files read with pyarrow and folded
+    on the driver under the dictionary's key bound, returned as one
+    ``from_arrow`` block."""
     import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
 
     paths = [
         p
@@ -256,6 +261,6 @@ def final_edges(out_dir: str, num_parts: int):
             )
         )
     ]
-    return aggregate_edges(
-        rd.read_parquet(paths), max_keys=_edge_key_bound()
+    return rd.from_arrow(
+        fold_edges((pq.read_table(p) for p in paths), _edge_key_bound())
     )

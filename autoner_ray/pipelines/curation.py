@@ -32,7 +32,7 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
     import ray.data as rd
 
     from autoner_ray.stages.analysis import quality_batch
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.decontam import decontaminate
     from autoner_ray.stages.dedup import exact_dedup, neardup_keep_one
     from autoner_ray.stages.joins import cogroup_join
@@ -97,11 +97,12 @@ def curation_pipeline(sf_dir: str, neardup_threshold: float = 0.6,
         )
         return agg.rename_columns(["source", "n_docs", "sum_chars"])
 
+    # source is corpus data: no key bound, so the partitioned tier
     return keyed_combine(
         final_docs.map_batches(report_partial, batch_format="pyarrow"),
         pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
                    ("sum_chars", pa.int64())]),
-        [("n_docs", "sum"), ("sum_chars", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        [("n_docs", "sum"), ("sum_chars", "sum")],
     )
 
 

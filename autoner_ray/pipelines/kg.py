@@ -10,11 +10,14 @@ Lifecycle mirrors SURVEY.md §3.4. Everything before the edge aggregate
 is an embarrassingly parallel stream. The KG aggregates — the edges,
 the doc-freq, type and evidence tables, the infix relations — are the
 one keyed combine (:func:`autoner_ray.stages.combine.keyed_combine`):
-a per-batch Arrow hash aggregate, then one exchange in one of two
-tiers. Keys bounded by a dictionary (the "pairs"/"pairs_ev" edges, the
-unigram entities, entity pairs and types) take the bounded tier, one
-combine task and no all-to-all exchange; the rest take the one exchange
-(:func:`autoner_ray.stages.combine.exchange`), a sort on the key hash.
+a per-batch Arrow hash aggregate, then one of two tiers. Keys bounded
+by a dictionary (the "pairs"/"pairs_ev" edges, the unigram entities,
+entity pairs and types) take the bounded tier: the partials stream to
+the driver and fold into one table there, with no all-to-all exchange
+and no combine task, so such a query runs its plan when it is called
+and returns a one-block ``from_arrow`` Dataset. The rest take the one
+exchange (:func:`autoner_ray.stages.combine.exchange`), a sort on the
+key hash.
 
 Also provides the unigram-dictionary variant whose semantics are exactly
 expressible in ANSI SQL — that variant backs the driver's DuckDB
@@ -36,7 +39,12 @@ import pyarrow.compute as pc
 
 from autoner_ray.dicts import CORE_DICT, FULL_DICT, STOPWORDS, UNIGRAM_DICT
 from autoner_ray.sources.pages import _TS_BASE_US, read_pages
-from autoner_ray.stages.combine import combine_table, exchange, keyed_combine
+from autoner_ray.stages.combine import (
+    combine_table,
+    exchange,
+    key_columns,
+    keyed_combine,
+)
 from autoner_ray.stages.dict_match import pair_key_bound
 from autoner_ray.stages.extract import extract_text_batch
 from autoner_ray.stages.graph import (
@@ -133,8 +141,10 @@ def triples_dataset(sf_dir: str, concurrency=None, repeat: int = 1):
     The sentence->pair combiner runs inside the dictionary-match task
     (``output="pairs"``) so each task emits pre-aggregated edge partials
     directly. The edge keys are pairs of the dictionary's canonical
-    surfaces, so the final aggregate takes the one-task bounded tier
-    whenever :func:`pair_key_bound` is small enough.
+    surfaces, so the final aggregate takes the bounded tier, a fold on
+    the driver, whenever :func:`pair_key_bound` is small enough: the
+    pipeline runs before this returns, and the edges come back as one
+    ``from_arrow`` block.
     """
     pairs = matched_sentences(
         sf_dir, concurrency, output="pairs", repeat=repeat
@@ -270,7 +280,7 @@ def _unigram_combine(sf_dir: str, rows, schema: pa.Schema,
     of ``schema`` -> :func:`keyed_combine` with ``max_keys``, the bound
     the dictionary proves on the keys (None: the keys come from the
     text, and the partitioned tier hashes on ``part_on``)."""
-    keys = [n for n in schema.names if n not in dict(aggs)]
+    keys = key_columns(schema, aggs)
 
     def partial(batch: pa.Table) -> pa.Table:
         return combine_table(rows(batch), keys, aggs)
@@ -969,8 +979,8 @@ def unigram_type_schema_census(sf_dir: str):
 
     Scale shape: edge list arrives pre-aggregated from
     :func:`unigram_triples` (one global row per pair); the type lookup
-    is the dictionary-bounded array; the tail is the shuffle-free
-    combine over the dictionary's unordered type pairs.
+    is the dictionary-bounded array; the tail is the bounded tier's
+    driver fold over the dictionary's unordered type pairs.
     """
 
     def type_pairs(batch: pa.Table) -> pa.Table:
@@ -1059,9 +1069,9 @@ def unigram_entity_timeline(sf_dir: str):
     keeps the min/max doc id and converts once at the end.
 
     Scale shape: per-batch min/max/sum partials over the
-    dictionary-bounded entity set, then the one-task bounded combine
-    (`stages/combine.py::keyed_combine`) — no corpus shuffle, no
-    driver-side state.
+    dictionary-bounded entity set, then the bounded tier's driver fold
+    (`stages/combine.py::keyed_combine`) — no corpus shuffle, and at
+    most one row per entity on the driver.
     """
 
     def entity_docs(batch: pa.Table) -> pa.Table:
@@ -1402,7 +1412,8 @@ def unigram_bipartite_projection(sf_dir: str):
     (subj, obj, n_docs, w_micro) with subj < obj.
 
     Scale shape: per-batch pair partials pre-aggregate, then the
-    dictionary-bounded combine — no new machinery, no driver state."""
+    dictionary-bounded combine — no new machinery; the driver holds at
+    most one row per entity pair."""
 
     def newman_pairs(batch: pa.Table) -> pa.Table:
         pairs = _pair_rows(batch)

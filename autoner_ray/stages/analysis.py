@@ -185,7 +185,7 @@ def temperature_sample(docs_ds, tau: float = 0.7, seed: int = 19910724):
     toward the tail, τ=1 keeps all).
 
     Two passes, both scale-clean: (1) per-language counts via the
-    shuffle-free bounded-key combine (|langs| is bounded); (2) a
+    keyed combine (lang is corpus data, so the partitioned tier); (2) a
     deterministic md5(doc_id:seed) Bernoulli filter, thresholds
     broadcast in the closure.
     Keep-set is a pure function of (corpus lang histogram, doc_id, seed)
@@ -196,7 +196,7 @@ def temperature_sample(docs_ds, tau: float = 0.7, seed: int = 19910724):
     """
     import math
 
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
 
     def lang_partial(t: pa.Table) -> pa.Table:
         vc = t["lang"].value_counts()
@@ -212,7 +212,7 @@ def temperature_sample(docs_ds, tau: float = 0.7, seed: int = 19910724):
             lang_partial, batch_format="pyarrow", batch_size=65536
         ),
         pa.schema([("lang", pa.string()), ("n", pa.int64())]),
-        [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        [("n", "sum")],  # lang is corpus data: no key bound
     ).to_pandas()
     total = float(counts["n"].sum())
     w = {
@@ -514,11 +514,12 @@ def source_lang_pivot(docs_ds, langs: tuple[str, ...] = _PIVOT_LANGS):
     declared column set (schemas are static in Arrow and in SQL);
     unexpected langs land in ``n_other`` rather than silently dropping.
 
-    Scale shape: a bounded-(source, lang) combine —
-    per-batch arrow hash partials, shuffle-free two-level sum — then a
-    single-block long->wide reshape of the tiny aggregate.
+    Scale shape: a (source, lang) keyed combine — per-batch arrow hash
+    partials, then the one exchange (source and lang are corpus data,
+    so no key bound holds) — then a single-block long->wide reshape of
+    the aggregate.
     """
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
 
     langs = tuple(langs)
 
@@ -534,7 +535,7 @@ def source_lang_pivot(docs_ds, langs: tuple[str, ...] = _PIVOT_LANGS):
         docs_ds.map_batches(partial, batch_format="pyarrow"),
         pa.schema([("source", pa.string()), ("lang", pa.string()),
                    ("n", pa.int64())]),
-        [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        [("n", "sum")],
     )
 
     out_schema = pa.schema(
@@ -803,16 +804,12 @@ def snapshot_diff(docs_ds, new_ds):
 
     Scale shape: each side streams to (doc_id, md5, side) rows — the
     md5 is the only payload that travels — then ONE exchange on doc_id
-    classifies (a doc_id's two rows always co-locate) and a
-    shuffle-free bounded combine sums the four status counts.
+    classifies (a doc_id's two rows always co-locate) and the bounded
+    tier sums the four status counts on the driver.
     """
     import pandas as pd
 
-    from autoner_ray.stages.combine import (
-        BOUNDED_MAX_KEYS,
-        exchange,
-        keyed_combine,
-    )
+    from autoner_ray.stages.combine import exchange, keyed_combine
 
     def keyed(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -854,7 +851,8 @@ def snapshot_diff(docs_ds, new_ds):
     status = pa.schema([("status", pa.string()), ("n_docs", pa.int64())])
     return keyed_combine(
         exchange(both, ("doc_id",), classify, status, batch_format="pandas"),
-        status, [("n_docs", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        # keys: the four statuses classify() can emit
+        status, [("n_docs", "sum")], max_keys=4,
     )
 
 
@@ -1196,13 +1194,14 @@ def fair_token_budget(docs_ds, budget_ratio: float = 0.5):
     everything, big sources share the leftovers equally, Σ allocation
     == B exactly.
 
-    Scale shape: per-source token counts ride the bounded combine
-    (source domain is small); the water-filling solve is driver
-    arithmetic over that bounded table, mirrored step-for-step by the
-    SQL twin (sorted prefix sums + threshold window)."""
+    Scale shape: per-source token counts ride the keyed combine's
+    exchange (source is corpus data, so no key bound holds); the
+    water-filling solve is driver arithmetic over that per-source
+    table, mirrored step-for-step by the SQL twin (sorted prefix sums +
+    threshold window)."""
     import numpy as np
 
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.tokenize import sentence_token_stream
 
     _t_schema = pa.schema(
@@ -1230,7 +1229,7 @@ def fair_token_budget(docs_ds, budget_ratio: float = 0.5):
         docs_ds.select_columns(["source", "text"]).map_batches(
             tok_partial, batch_format="pyarrow", batch_size=65536
         ),
-        _t_schema, [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        _t_schema, [("n", "sum")],
     ).to_pandas().sort_values("source").reset_index(drop=True)
     total = int(counts["n"].sum())
     B = int(total * 1_000_000 * budget_ratio) // 1_000_000
@@ -1551,7 +1550,7 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
     slack * phi_denom rows — tiny, whatever the corpus size.
 
     Pass 2 (verify): candidates broadcast via ``ray.put``; each batch
-    counts ONLY candidate words; a bounded combine sums them and the
+    counts ONLY candidate words; a keyed combine sums them and the
     exact integer filter ``n * phi_denom >= N`` emits the final
     (word, n) rows — the sketch never leaks into the answer, it only
     prunes the shuffle down to candidate rows.
@@ -1560,7 +1559,7 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
 
     import ray
 
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
 
     _c_schema = pa.schema(
         [("word", pa.string()), ("n", pa.int64())]
@@ -1592,9 +1591,11 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
             ),
         ])
 
+    # the partitioned tier: each batch bounds its own candidates, but
+    # their union grows with the batch count
     partials = keyed_combine(
         docs_ds.map_batches(candidates_batch, batch_format="pyarrow"),
-        _c_schema, [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        _c_schema, [("n", "sum")],
     ).to_pandas()
     if len(partials) == 0 or "word" not in partials.columns:
         # empty corpus: Ray's to_pandas drops columns on empty
@@ -1624,7 +1625,7 @@ def heavy_hitter_words(docs_ds, phi_denom: int = 200, slack: int = 4):
 
     counts = keyed_combine(
         docs_ds.map_batches(verify_batch, batch_format="pyarrow"),
-        _c_schema, [("n", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        _c_schema, [("n", "sum")],
     )
 
     def finish(t: pa.Table) -> pa.Table:

@@ -208,11 +208,11 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6):
     DISTRIBUTED segmentation table (vocab-sized); the corpus-side
     (source, word) count partials join against it with the cogroup
     join — no vocab broadcast, no corpus shuffle beyond the word
-    partition both sides already share; the per-source tail is the
-    shuffle-free bounded combine."""
+    partition both sides already share; the per-source tail is a keyed
+    combine in its partitioned tier (source is corpus data)."""
     import pyarrow.compute as pc_
 
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
     from autoner_ray.stages.joins import cogroup_join
 
     # 1) learn merges (same kernel the driver hash-checks), keeping the
@@ -296,5 +296,4 @@ def bpe_compression_stats(docs_ds, num_merges: int = 6):
         pa.schema([("source", pa.string()), ("n_words", pa.int64()),
                    ("n_char_syms", pa.int64()), ("n_bpe_tokens", pa.int64())]),
         [("n_words", "sum"), ("n_char_syms", "sum"), ("n_bpe_tokens", "sum")],
-        max_keys=BOUNDED_MAX_KEYS,
     )

@@ -22,10 +22,9 @@ The edge aggregate, the canonical-entity and doc-freq tables, the
 curation dedups and many analysis tails reduce a partial stream by
 key. :func:`keyed_combine` is the one implementation of that shape:
 
-1. ``add_part``: an Arrow hash aggregate over ~64k-row batches, so the
-   partial stream shrinks to at most one row per key per batch;
-2. ``combine``: the same aggregate again, once the exchange has brought
-   every partial row of a key into one task.
+1. ``add_part``: an Arrow hash aggregate per batch, so the partial
+   stream shrinks to at most one row per key per batch;
+2. the same aggregate again over the partials of every key.
 
 This is correct because the aggregates re-associate: for sum, min and
 max, agg(agg(a), agg(b)) == agg(a ∪ b). "count" and "mean" do not;
@@ -37,14 +36,17 @@ execution; see :func:`edge_tier`):
 - bounded: the caller declares ``max_keys``, a proven bound on the
   distinct keys, at or under ``BOUNDED_MAX_KEYS`` (entity types bounded
   by the dictionary, edge keys of a fixed dictionary's canonical
-  surfaces, language codes). The partials go through
-  ``repartition(1)`` and ONE ``combine`` task; no sort runs.
-  That task raises :class:`ExchangeBoundExceeded` when it holds more
-  than ``BOUNDED_MAX_ROWS`` rows; it never truncates.
-- partitioned: no bound, or a larger one (doc ids, words, pairs). The
-  partials go through :func:`exchange` on ``part_on``. Exactly one row
-  per key globally, and nothing key-set-sized sits in one block or on
-  the driver.
+  surfaces, the four statuses of a diff). ``add_part`` runs fused into
+  the upstream operator, and the driver streams its blocks and folds
+  them into one table (:func:`bounded_fold`), returned as a one-block
+  ``from_arrow`` Dataset: no sort, no repartition and no combine task
+  runs, and the call executes the upstream plan before it returns. The
+  fold raises :class:`ExchangeBoundExceeded` when it holds more keys
+  than ``max_keys``; it never truncates.
+- partitioned: no bound, or a larger one (doc ids, words, pairs, corpus
+  columns such as ``source`` or ``lang``). The partials go through
+  :func:`exchange` on ``part_on``. Exactly one row per key globally,
+  and nothing key-set-sized sits in one block or on the driver.
 """
 
 from __future__ import annotations
@@ -55,12 +57,8 @@ import numpy as np
 import pyarrow as pa
 
 # Bounded tier: taken when the caller declares at most this many
-# distinct keys. Each precombine batch then leaves at most this many
-# rows, so the one combine task holds at most
-# (precombine batches x BOUNDED_MAX_KEYS) rows.
+# distinct keys, which the driver then holds in one table.
 BOUNDED_MAX_KEYS = 4096
-# Rows the one combine task accepts (about 200 MB of edge partials).
-BOUNDED_MAX_ROWS = 1 << 21
 # Rows per precombine batch.
 COALESCE_ROWS = 65536
 # The key-hash column the exchange sorts on.
@@ -68,8 +66,8 @@ HASH = "__h"
 
 
 class ExchangeBoundExceeded(RuntimeError):
-    """The one-task combine got more partial rows than
-    ``BOUNDED_MAX_ROWS``. Raised instead of truncating the result."""
+    """A bounded-tier fold holds more keys than the caller's declared
+    ``max_keys``. Raised instead of truncating the result."""
 
 
 def edge_tier(max_keys: int | None) -> str:
@@ -198,6 +196,48 @@ def combine_table(t: pa.Table, keys: list[str],
     )
 
 
+def key_columns(schema: pa.Schema, aggs: list[tuple[str, str]]) -> list[str]:
+    """The fields of ``schema`` that ``aggs`` does not aggregate."""
+    agg_cols = {c for c, _ in aggs}
+    return [n for n in schema.names if n not in agg_cols]
+
+
+def bounded_fold(tables, schema: pa.Schema, aggs: list[tuple[str, str]],
+                 max_keys: int) -> pa.Table:
+    """The bounded tier's combine, on the driver: fold each partial
+    table of ``tables`` into one accumulator with :func:`combine_table`.
+    Raises :class:`ExchangeBoundExceeded` once the accumulator holds
+    more than ``max_keys`` keys; zero rows give ``schema``'s empty
+    table."""
+    keys = key_columns(schema, aggs)
+    acc = None
+    for t in tables:
+        if t.num_rows == 0:  # zero-row and zero-column blocks
+            continue
+        if acc is not None:
+            t = pa.concat_tables([acc, t.select(acc.column_names)])
+        acc = combine_table(t, keys, aggs)
+        if acc.num_rows > max_keys:
+            raise ExchangeBoundExceeded(
+                f"bounded combine holds {acc.num_rows} keys; "
+                f"the declared max_keys is {max_keys}"
+            )
+    return schema.empty_table() if acc is None else acc
+
+
+def bounded_partials(ds, schema: pa.Schema, aggs: list[tuple[str, str]]):
+    """The blocks of ``ds`` pre-aggregated by ``add_part`` (fused into
+    the upstream operator), streamed to the driver as Arrow tables."""
+    keys = key_columns(schema, aggs)
+
+    def add_part(t: pa.Table) -> pa.Table:  # the stage name traces key on
+        return combine_table(t, keys, aggs)
+
+    return ds.map_batches(add_part, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow", batch_size=None
+    )
+
+
 def keyed_combine(ds, schema: pa.Schema, aggs: list[tuple[str, str]],
                   part_on: tuple[str, ...] | None = None,
                   max_keys: int | None = None, coalesce: bool = True):
@@ -214,26 +254,29 @@ def keyed_combine(ds, schema: pa.Schema, aggs: list[tuple[str, str]],
     stages may rely on every row sharing ``part_on`` landing in one
     block.
 
-    ``coalesce`` (default True) runs the precombine over 64k-row
-    batches in its own operator. The sort's scheduler metadata scales
-    with input blocks (~0.9 GB measured at 1.5k tiny partial blocks),
-    and merging blocks is the only fix; in the bounded tier it keeps
-    the one task's input at ≤ ``max_keys`` rows per 64k partial rows.
+    ``coalesce`` (default True) applies to the partitioned tier: it runs
+    the precombine over 64k-row batches in its own operator. The sort's
+    scheduler metadata scales with input blocks (~0.9 GB measured at
+    1.5k tiny partial blocks), and merging blocks is the only fix.
     Turn it OFF for pipelines whose upstream is much slower than the
     partial stream AND whose total partial rows never fill a batch
     (e.g. the hybrid tagger at small scale): a bundler waiting on a
     starved slow stream measurably drags the whole topology (4.3 s →
     11 s at sf0.1). Off, the precombine runs per upstream batch, fused
-    into the upstream operator."""
+    into the upstream operator, as the bounded tier's always does."""
+    import ray.data as rd
+
     aggs = list(aggs)
-    agg_cols = {c for c, _ in aggs}
-    keys = [n for n in schema.names if n not in agg_cols]
-    bounded = edge_tier(max_keys) == "bounded"
+    if edge_tier(max_keys) == "bounded":
+        return rd.from_arrow(
+            bounded_fold(bounded_partials(ds, schema, aggs), schema, aggs,
+                         max_keys)
+        )
+    keys = key_columns(schema, aggs)
     part_on = tuple(part_on or keys)
 
     def add_part(t: pa.Table) -> pa.Table:  # the stage name traces key on
-        p = combine_table(t, keys, aggs)
-        return p if bounded else with_key_hash(p, part_on)
+        return with_key_hash(combine_table(t, keys, aggs), part_on)
 
     if coalesce:
         # num_cpus=0.5 BREAKS operator fusion with the upstream chain
@@ -253,21 +296,7 @@ def keyed_combine(ds, schema: pa.Schema, aggs: list[tuple[str, str]],
     else:
         ds = ds.map_batches(add_part, batch_format="pyarrow")
 
-    # bounded tier: read when the plan is built, so the task checks the
-    # bound the caller's process sees
-    row_bound = BOUNDED_MAX_ROWS if bounded else None
-
     def combine(t: pa.Table) -> pa.Table:  # the stage name traces key on
-        if row_bound is not None and t.num_rows > row_bound:
-            raise ExchangeBoundExceeded(
-                f"one-task combine got {t.num_rows} partial rows; "
-                f"BOUNDED_MAX_ROWS is {row_bound}"
-            )
         return combine_table(t, keys, aggs)
 
-    if not bounded:
-        return exchange(ds, HASH, combine, schema)
-    # batch_size=None -> the single block in one task
-    return ds.repartition(1).map_batches(
-        combine, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(ds, HASH, combine, schema)

@@ -458,9 +458,10 @@ def triangle_counts(edges_ds):
     sum(deg^2), which is what kills skewed co-occurrence graphs (a hub
     in 10^6 docs would otherwise emit 10^12 wedges).
 
-    Distribution shape: degrees are a bounded-key combine (the entity
-    vocabulary is DICTIONARY-BOUNDED, SURVEY §9 — same justification as
-    :func:`pagerank`), and the (degree, entity)-rank map is broadcast
+    Distribution shape: degrees are a keyed combine in its partitioned
+    tier (a dictionary bounds the entity vocabulary, SURVEY §9, but no
+    fixed bound holds for every dictionary), collected like
+    :func:`pagerank`'s, and the (degree, entity)-rank map is broadcast
     ONCE via ``ray.put``. The corpus-scale work — wedge generation and
     wedge-closure semi-join — is two exchanges: one on the wedge CENTER
     to group out-adjacency, one on the hash of the wedge ENDPOINT pair
@@ -473,14 +474,10 @@ def triangle_counts(edges_ds):
     import pandas as pd
     import ray
 
-    from autoner_ray.stages.combine import (
-        BOUNDED_MAX_KEYS,
-        exchange,
-        keyed_combine,
-        splitmix64,
-    )
+    from autoner_ray.stages.combine import exchange, keyed_combine, splitmix64
 
-    # 1) degree per entity: per-batch partials -> bounded combine
+    # 1) degree per entity: per-batch partials -> keyed combine (the
+    # partitioned tier: nothing bounds the entities of an edge table)
     def deg_partial(t: pa.Table) -> pa.Table:
         ents = pa.concat_arrays(
             [pc.cast(t["subj"], pa.string()).combine_chunks(),
@@ -495,8 +492,8 @@ def triangle_counts(edges_ds):
             deg_partial, batch_format="pyarrow"
         ),
         pa.schema([("entity", pa.string()), ("deg", pa.int64())]),
-        [("deg", "sum")], max_keys=BOUNDED_MAX_KEYS,
-    ).to_pandas()  # vocab-bounded (same collect the pagerank tail does)
+        [("deg", "sum")],
+    ).to_pandas()  # one row per entity (same collect the pagerank tail does)
     if len(deg) == 0:
         return pa.table({"entity": pa.array([], pa.string()),
                          "triangles": pa.array([], pa.int64())})
@@ -592,10 +589,7 @@ def triangle_counts(edges_ds):
         wedges.union(edge_side), "eh", close_in_partition, count_schema,
         batch_format="pandas",
     )
-    return keyed_combine(
-        partials, count_schema, [("triangles", "sum")],
-        max_keys=BOUNDED_MAX_KEYS,
-    )
+    return keyed_combine(partials, count_schema, [("triangles", "sum")])
 
 
 def degree_distribution(edges_ds):
@@ -606,10 +600,11 @@ def degree_distribution(edges_ds):
 
     Scale shape: endpoints explode per batch (2 rows per edge) with a
     per-batch count partial, then a KEY-DISTRIBUTED combine over the
-    unbounded entity keyset (nothing vocab-sized in one block); degree
-    values are bounded (≤ max degree ≪ |V|), so the histogram tail is
-    the shuffle-free two-level combine."""
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    unbounded entity keyset (nothing vocab-sized in one block); the
+    histogram tail is a second keyed combine, also partitioned: the
+    distinct degrees grow with the edge count (k of them need
+    k(k+1)/2 <= 2|E| endpoint rows), so no fixed bound holds."""
+    from autoner_ray.stages.combine import keyed_combine
 
     def expand(t: pa.Table) -> pa.Table:
         ents = pa.concat_arrays(
@@ -645,7 +640,7 @@ def degree_distribution(edges_ds):
     return keyed_combine(
         deg.map_batches(hist_partial, batch_format="pyarrow"),
         pa.schema([("degree", pa.int64()), ("n_entities", pa.int64())]),
-        [("n_entities", "sum")], max_keys=BOUNDED_MAX_KEYS,
+        [("n_entities", "sum")],
     )
 
 

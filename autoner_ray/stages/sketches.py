@@ -351,11 +351,12 @@ def consistent_hash_ring(docs_ds, n_nodes: int = 8, vnodes: int = 4):
 
     Scale shape: both rings are tiny broadcast arrays; assignment is a
     vectorized ``searchsorted`` per batch and the per-node counts ride
-    one bounded combine over <= (n_nodes+1) keys."""
+    one keyed combine declaring its n_nodes+1 keys (the bounded tier
+    up to ``BOUNDED_MAX_KEYS`` nodes)."""
     import numpy as np
 
     from autoner_ray.functions.hashing import md5_64, md5_64_array
-    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.combine import keyed_combine
 
     def ring(n: int):
         pos, owner = [], []
@@ -412,7 +413,8 @@ def consistent_hash_ring(docs_ds, n_nodes: int = 8, vnodes: int = 4):
             assign, batch_format="pyarrow", batch_size=65536
         ),
         _schema, [("n_docs_before", "sum"), ("n_docs_after", "sum")],
-        max_keys=BOUNDED_MAX_KEYS,
+        # keys: the node ids 0..n_nodes of the two rings
+        max_keys=n_nodes + 1,
     ).to_pandas().set_index("node")
     all_nodes = list(range(n_nodes + 1))
     return pa.table(

@@ -16,11 +16,12 @@ Scale design (SURVEY.md §4):
   (associative merge), which is exactly why the combiner runs first;
 - the final aggregate (:func:`aggregate_edges`) is the one keyed
   combine (``stages/combine.py:keyed_combine``) over the edge keys. Its
-  bounded tier sums the partials in ONE task when the caller declares a
-  proven bound on distinct edges at or under ``BOUNDED_MAX_KEYS`` (the
-  dictionary callers derive C(n, 2) from the dictionary's n canonical
-  surfaces); every other caller takes its partitioned tier, the one
-  exchange on ``subj``.
+  bounded tier folds the partials into one table on the driver when the
+  caller declares a proven bound on distinct edges at or under
+  ``BOUNDED_MAX_KEYS`` (the dictionary callers derive C(n, 2) from the
+  dictionary's n canonical surfaces), and names the edge columns there,
+  with no Ray task over the folded table; every other caller takes its
+  partitioned tier, the one exchange on ``subj``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from autoner_ray.schemas import EDGE_PARTIALS, EDGES
-from autoner_ray.stages.combine import keyed_combine
+from autoner_ray.stages.combine import (
+    bounded_fold,
+    bounded_partials,
+    edge_tier,
+    keyed_combine,
+)
 
 PRED_COOCCUR = "cooccurs_with"
 
@@ -95,6 +101,12 @@ def edge_table(t: pa.Table) -> pa.Table:
     return t.rename_columns([_NAMES.get(c, c) for c in t.column_names])
 
 
+def fold_edges(partials, max_keys: int) -> pa.Table:
+    """Final edges from an iterable of partial tables, folded on the
+    driver (:func:`~autoner_ray.stages.combine.bounded_fold`)."""
+    return edge_table(bounded_fold(partials, EDGE_PARTIALS, _AGGS, max_keys))
+
+
 def aggregate_edges(pairs_ds, coalesce: bool = True,
                     max_keys: int | None = None):
     """Final edge weights from ``(subj, pred, obj, w)`` partials; with an
@@ -102,9 +114,17 @@ def aggregate_edges(pairs_ds, coalesce: bool = True,
     ``evidence``.
 
     :func:`keyed_combine` over the edge keys: ``max_keys``, a proven
-    bound on the distinct edges, selects its tier, and the partitioned
-    tier hashes on ``subj`` (every row of an edge shares its subj, so
-    co-location holds). ``coalesce`` is keyed_combine's."""
+    bound on the distinct edges, selects its tier. The bounded tier
+    returns the driver-folded edges as one ``from_arrow`` block, so the
+    upstream plan runs before this returns; the partitioned tier hashes
+    on ``subj`` (every row of an edge shares its subj, so co-location
+    holds). ``coalesce`` is keyed_combine's."""
+    import ray.data as rd
+
+    if edge_tier(max_keys) == "bounded":
+        return rd.from_arrow(fold_edges(
+            bounded_partials(pairs_ds, EDGE_PARTIALS, _AGGS), max_keys
+        ))
     return keyed_combine(
         pairs_ds, EDGE_PARTIALS, _AGGS, part_on=("subj",), max_keys=max_keys,
         coalesce=coalesce,

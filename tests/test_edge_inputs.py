@@ -350,8 +350,10 @@ def test_keyed_combine_tiers_match_oracle(ray_session, typed_blocks, tier,
         ds, want = check(_keyed_blocks(seed), strings, coalesce)
         assert len(want) > 8
         ops = _op_names(ds)
-        assert ("Repartition" in ops) == (tier == "bounded")
-        assert ("Sort" in ops) == (tier == "partitioned")
+        if tier == "bounded":  # the driver fold: no exchange at all
+            assert "Repartition" not in ops and "Sort" not in ops
+        else:
+            assert "Sort" in ops
 
     # 3 distinct keys over 9 input blocks
     rng = random.Random(3)
@@ -452,7 +454,7 @@ def _both_tiers(pairs_factory, **kw):
     )
     partitioned = aggregate_edges(pairs_factory(), **kw)
     rows = _edge_rows(bounded), _edge_rows(partitioned)
-    assert "Repartition" in _op_names(bounded)
+    assert "Repartition" not in _op_names(bounded)
     assert "Sort" not in _op_names(bounded)
     assert "Sort" in _op_names(partitioned)
     return rows
@@ -608,43 +610,63 @@ def test_declared_bound_above_constant_takes_partitioned_tier(ray_session):
     assert "Sort" in _op_names(ds) and "Repartition" not in _op_names(ds)
 
 
-def test_bounded_tier_row_bound_raises(ray_session, monkeypatch):
-    """Above ``BOUNDED_MAX_ROWS`` the one combine task raises
-    ExchangeBoundExceeded naming the rows and the bound, and the job
-    returns nothing; at the bound it succeeds."""
+def _five_key_blocks() -> list[pa.Table]:
+    """Two partial blocks of three edge keys each, five distinct keys in
+    all, so only the fold's accumulator holds all five."""
+    def block(subj, obj, w):
+        n = len(subj)
+        return pa.table({"subj": subj, "pred": ["cooccurs_with"] * n,
+                         "obj": obj, "w": w})
+
+    return [
+        block(["a", "a", "b"], ["x", "y", "x"], [1, 2, 3]),
+        block(["a", "c", "d"], ["x", "x", "x"], [4, 5, 6]),
+    ]
+
+
+def test_bounded_tier_key_bound_raises(ray_session):
+    """A ``max_keys`` one below the stream's distinct keys makes the
+    driver fold raise ExchangeBoundExceeded naming the bound; it never
+    returns a truncated result."""
     import ray.data as rd
 
-    from autoner_ray.stages import combine, triples
+    from autoner_ray.stages.combine import ExchangeBoundExceeded
+    from autoner_ray.stages.triples import aggregate_edges
 
-    t = pa.table(
-        {
-            "subj": ["a", "a", "b", "c", "d"],
-            "pred": ["cooccurs_with"] * 5,
-            "obj": ["x", "y", "x", "x", "x"],
-            "w": [1, 2, 3, 4, 5],
-        }
-    )
-    monkeypatch.setattr(combine, "BOUNDED_MAX_ROWS", 4)
-    ds = triples.aggregate_edges(rd.from_arrow([t]), max_keys=5)
     got = None
-    with pytest.raises(Exception, match="ExchangeBoundExceeded") as err:
-        got = ds.take_all()
+    with pytest.raises(ExchangeBoundExceeded) as err:
+        got = aggregate_edges(rd.from_arrow(_five_key_blocks()), max_keys=4)
     assert got is None
-    assert "got 5 partial rows; BOUNDED_MAX_ROWS is 4" in str(err.value)
+    assert "holds 5 keys; the declared max_keys is 4" in str(err.value)
 
-    monkeypatch.setattr(combine, "BOUNDED_MAX_ROWS", 5)
-    ds = triples.aggregate_edges(rd.from_arrow([t]), max_keys=5)
-    assert len(ds.take_all()) == 5
+
+def test_bounded_tier_exact_key_bound_passes(ray_session):
+    """A ``max_keys`` equal to the stream's distinct keys passes: the
+    fold returns every edge, summed across blocks."""
+    import ray.data as rd
+
+    from autoner_ray.stages.triples import aggregate_edges
+
+    ds = aggregate_edges(rd.from_arrow(_five_key_blocks()), max_keys=5)
+    assert _edge_rows(ds) == [
+        ("a", "cooccurs_with", "x", 5), ("a", "cooccurs_with", "y", 2),
+        ("b", "cooccurs_with", "x", 3), ("c", "cooccurs_with", "x", 5),
+        ("d", "cooccurs_with", "x", 6),
+    ]
 
 
 def test_edge_tiers_empty_and_zero_column_input(ray_session):
     """Zero partial rows give no edges in both tiers, without error. Ray
-    Data drops empty blocks before a task sees them, so the schema is
-    checked on the tiers' combine functions, which give the schema'd
-    empty edge table for zero-row and zero-column blocks."""
+    Data drops empty blocks before a task sees them, so the partitioned
+    tier's schema is checked on its combine function, which gives the
+    schema'd empty edge table for zero-row and zero-column blocks. The
+    bounded tier folds on the driver, so its result Dataset itself has
+    the declared schema."""
     import ray.data as rd
 
-    from autoner_ray.stages.triples import edge_table
+    from autoner_ray.schemas import EDGE_PARTIALS, EDGES
+    from autoner_ray.stages.combine import BOUNDED_MAX_KEYS, keyed_combine
+    from autoner_ray.stages.triples import aggregate_edges, edge_table
 
     typed = pa.table(
         {
@@ -670,6 +692,17 @@ def test_edge_tiers_empty_and_zero_column_input(ray_session):
     assert edge_table(typed_ev).schema == edges.append(
         pa.field("evidence", pa.string())
     )
+
+    for blocks in ([typed], [pa.table({})], [typed, pa.table({}), typed]):
+        bounded = keyed_combine(
+            rd.from_arrow(blocks), EDGE_PARTIALS, [("w", "sum")],
+            max_keys=BOUNDED_MAX_KEYS,
+        )
+        assert bounded.schema().base_schema == EDGE_PARTIALS
+        edges_ds = aggregate_edges(
+            rd.from_arrow(blocks), max_keys=BOUNDED_MAX_KEYS
+        )
+        assert edges_ds.schema().base_schema == EDGES
 
 
 @pytest.mark.parametrize(

@@ -24,8 +24,9 @@ def _edges_dict(ds):
 
 @pytest.fixture
 def executions(monkeypatch):
-    """Count Ray Data executions: one ``StreamingExecutor.execute`` call
-    per plan run (a write, a materialize, a count or an iteration)."""
+    """Record Ray Data executions: the physical plan (its output
+    operator) of each ``StreamingExecutor.execute`` call, one per plan
+    run (a write, a materialize, a count or an iteration)."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -33,12 +34,29 @@ def executions(monkeypatch):
     calls = []
     execute = StreamingExecutor.execute
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return execute(self, *args, **kwargs)
+    def counted(self, dag, *args, **kwargs):
+        calls.append(dag)
+        return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     return calls
+
+
+def _task_plans(dags) -> list[list[str]]:
+    """The operator names, input first, of each recorded execution that
+    launches a Ray task: one whose plan is more than its input buffer.
+    Iterating a ``from_arrow`` Dataset still runs an execution, but of
+    the input buffer alone."""
+    from ray.data._internal.execution.operators.input_data_buffer import (
+        InputDataBuffer,
+    )
+
+    def names(op):
+        return [n for dep in op.input_dependencies for n in names(dep)] + [
+            op.name
+        ]
+
+    return [names(d) for d in dags if not isinstance(d, InputDataBuffer)]
 
 
 def test_kill_and_resume_matches_straight_run(ray_session, tmp_path):
@@ -226,3 +244,31 @@ def test_two_partition_waves(ray_session, tmp_path, executions, monkeypatch):
         assert os.path.getmtime(marker) == mtime, "completed partition redone"
     assert not [n for n in os.listdir(killed) if n.startswith("_tmp-")]
     assert _edges_dict(resumed) == _edges_dict(edges)
+
+
+def test_edges_consumed_without_task(ray_session, tmp_path, executions):
+    """A resumable job's one task-launching execution is its wave:
+    consuming its edges (``take_all()``) launches no Ray task, since
+    the final aggregate folds the committed Parquet on the driver. The
+    flagship's edges take exactly one, the fused read -> match ->
+    ``add_part`` plan, with no repartition, sort or combine task."""
+    from autoner_ray.pipelines.checkpoint import run_resumable_triples
+    from autoner_ray.pipelines.kg import triples_dataset
+
+    edges = run_resumable_triples(SF, str(tmp_path / "ckpt"), num_parts=4,
+                                  concurrency=2)
+    resumable = edges.take_all()
+    (wave,) = _task_plans(executions)
+    assert wave[-1].split("->")[-1] == "Write"
+
+    executions.clear()
+    flagship = triples_dataset(SF, concurrency=2).take_all()
+    (plan,) = _task_plans(executions)
+    assert plan[-1].split("->")[-1] == "MapBatches(add_part)"
+    assert not [op for op in plan if "Sort" in op or "Repartition" in op]
+
+    def rows(got):
+        return sorted(tuple(r.values()) for r in got)
+
+    assert len(resumable) > 10
+    assert rows(resumable) == rows(flagship)
